@@ -119,6 +119,11 @@ def role_for_flavour(design: FenceDesign, flavour: FenceFlavour):
     return None
 
 
+def mesh_side(tiles: int) -> int:
+    """Side of the smallest square mesh holding *tiles* (>= 1) tiles."""
+    return math.isqrt(tiles - 1) + 1  # == ceil(sqrt(tiles))
+
+
 @dataclass(frozen=True)
 class MachineParams:
     """Configuration of the simulated multicore (defaults = paper Table 2)."""
@@ -230,7 +235,7 @@ class MachineParams:
     @property
     def mesh_dim(self) -> int:
         """Side of the square-ish mesh holding ``num_cores`` tiles."""
-        return max(1, math.isqrt(self.num_cores - 1) + 1) if self.num_cores > 1 else 1
+        return mesh_side(self.num_cores)
 
     def with_design(self, design: FenceDesign) -> "MachineParams":
         """Copy of these params running under a different fence design."""

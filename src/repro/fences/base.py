@@ -21,6 +21,7 @@ place.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Set
 
@@ -138,9 +139,10 @@ class FencePolicy:
         return ()
 
 
+@functools.lru_cache(maxsize=None)
 def _policy_classes():
-    """design -> policy class map (imported lazily to keep the package
-    import-order simple)."""
+    """design -> policy class map (imported lazily, at first use, to
+    keep the package import-order simple)."""
     from repro.fences.cfence import CFencePolicy
     from repro.fences.lmf import LocationFencePolicy
     from repro.fences.strong import StrongOnlyPolicy

@@ -28,11 +28,19 @@ class LineState(enum.Enum):
         return self in (LineState.M, LineState.E)
 
 
+#: every never-filled set: shared, and never written to
+_EMPTY: "OrderedDict[int, LineState]" = OrderedDict()
+
+
 class SetAssocCache:
     """An LRU set-associative cache of line states.
 
     ``sets[i]`` is an OrderedDict mapping line address -> LineState with
-    LRU order (oldest first).
+    LRU order (oldest first).  A set is built when first filled — a
+    litmus-scale machine touches a handful per L1 — and until then its
+    slot holds the shared ``_EMPTY``: reads need no special case, and
+    the two writers (:meth:`insert`, :meth:`set_state`) give the slot
+    its own OrderedDict first.
     """
 
     def __init__(self, size_bytes: int, ways: int, line_bytes: int):
@@ -41,9 +49,8 @@ class SetAssocCache:
         self.line_bytes = line_bytes
         self.ways = ways
         self.num_sets = size_bytes // (ways * line_bytes)
-        self.sets: List["OrderedDict[int, LineState]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        self.sets: List["OrderedDict[int, LineState]"] = \
+            [_EMPTY] * self.num_sets
         # when geometry is power-of-two (the usual case), index with a
         # shift+mask instead of a big-int divide+modulo
         if (line_bytes & (line_bytes - 1)) == 0 and \
@@ -77,9 +84,12 @@ class SetAssocCache:
         """Set/insert *line* with *state* (no eviction — use insert())."""
         shift = self._line_shift
         if shift is not None:
-            s = self.sets[(line >> shift) & self._set_mask]
+            i = (line >> shift) & self._set_mask
         else:
-            s = self.sets[(line // self.line_bytes) % self.num_sets]
+            i = (line // self.line_bytes) % self.num_sets
+        s = self.sets[i]
+        if s is _EMPTY:
+            s = self.sets[i] = OrderedDict()
         s[line] = state
         s.move_to_end(line)
 
@@ -108,9 +118,12 @@ class SetAssocCache:
         """
         shift = self._line_shift
         if shift is not None:
-            s = self.sets[(line >> shift) & self._set_mask]
+            i = (line >> shift) & self._set_mask
         else:
-            s = self.sets[(line // self.line_bytes) % self.num_sets]
+            i = (line // self.line_bytes) % self.num_sets
+        s = self.sets[i]
+        if s is _EMPTY:
+            s = self.sets[i] = OrderedDict()
         evicted = None
         if line not in s and len(s) >= self.ways:
             victim_line, victim_state = s.popitem(last=False)

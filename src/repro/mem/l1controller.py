@@ -40,6 +40,7 @@ class L1Controller:
         noc: MeshNoc,
         image: MemoryImage,
         queue: EventQueue,
+        amap: AddressMap,
         fine_grain_bs: bool = False,
     ):
         self.core_id = core_id
@@ -48,12 +49,7 @@ class L1Controller:
         self.noc = noc
         self.image = image
         self.queue = queue
-        self.amap = AddressMap(
-            params.line_bytes,
-            params.word_bytes,
-            params.num_banks,
-            params.bank_interleave_bytes,
-        )
+        self.amap = amap
         self.cache = SetAssocCache(
             params.l1_size_bytes, params.l1_ways, params.line_bytes
         )

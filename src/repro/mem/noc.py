@@ -12,12 +12,35 @@ show the network far from saturated.
 
 from __future__ import annotations
 
-import math
+import functools
 from typing import Tuple
 
-from repro.common.params import MachineParams
+from repro.common.params import MachineParams, mesh_side
 from repro.common.stats import MachineStats
 from repro.mem.messages import Msg, message_bytes
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_tables(line_bytes: int, link_bytes: int, hop_cycles: int,
+                   dim: int):
+    """``(bytes per kind, serialization cycles per kind, latency memo)``
+    for every mesh with these four parameters.
+
+    Geometry and message sizes are fixed for a machine's lifetime and
+    are pure functions of the arguments, so one set of tables serves
+    every :class:`MeshNoc` built with them: byte counts per kind are
+    precomputed and point-to-point latencies memoized — both sit on the
+    per-message hot path of every coherence transaction.  The tables
+    are lists indexed by ``Msg.idx`` and the latency memo key is a flat
+    int, so no enum member is ever hashed here.  (*hop_cycles* and
+    *dim* shape no table; the memoized latencies depend on them.)
+    """
+    nbytes = [message_bytes(kind, line_bytes) for kind in Msg]
+    ser_cycles = [
+        max(1, -(-n // link_bytes)) - 1  # (flits - 1)
+        for n in nbytes
+    ]
+    return nbytes, ser_cycles, {}
 
 
 class MeshNoc:
@@ -34,23 +57,11 @@ class MeshNoc:
     def __init__(self, params: MachineParams, stats: MachineStats):
         self.params = params
         self.stats = stats
-        self.dim = max(1, math.isqrt(max(params.num_cores, params.num_banks) - 1) + 1) \
-            if max(params.num_cores, params.num_banks) > 1 else 1
-        # geometry and message sizes are fixed for the machine's
-        # lifetime, so byte counts per kind are precomputed and
-        # point-to-point latencies memoized — both sit on the
-        # per-message hot path of every coherence transaction.  The
-        # tables are lists indexed by ``Msg.idx`` and the latency memo
-        # key is a flat int, so no enum member is ever hashed here.
-        self._bytes = [
-            message_bytes(kind, params.line_bytes) for kind in Msg
-        ]
-        link = params.link_bytes
-        self._ser_cycles = [
-            max(1, -(-nbytes // link)) - 1  # (flits - 1)
-            for nbytes in self._bytes
-        ]
-        self._latency_cache: dict = {}
+        self.dim = mesh_side(max(params.num_cores, params.num_banks))
+        self._bytes, self._ser_cycles, self._latency_cache = _shared_tables(
+            params.line_bytes, params.link_bytes, params.mesh_hop_cycles,
+            self.dim,
+        )
         #: observability hook (set by Machine.attach_tracer)
         self.tracer = None
         #: fault-injection hook (set by Machine.attach_faults)

@@ -119,7 +119,7 @@ class Machine:
         self.l1s: List[L1Controller] = [
             L1Controller(
                 c, params, self.stats, self.noc, self.image, self.queue,
-                fine_grain_bs=fine_grain,
+                self.amap, fine_grain_bs=fine_grain,
             )
             for c in range(params.num_cores)
         ]

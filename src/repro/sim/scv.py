@@ -32,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.common.errors import SCViolationError
 from repro.mem.memory import INIT_TAG, MemoryImage, WriteTag
 
@@ -41,6 +39,10 @@ from repro.mem.memory import INIT_TAG, MemoryImage, WriteTag
 @dataclass
 class AccessEvent:
     """One globally-performed access."""
+
+    # one is allocated per recorded access: no per-instance __dict__
+    # (spelled out because dataclass(slots=True) needs Python 3.10)
+    __slots__ = ("index", "kind", "core", "word", "value", "tag", "po")
 
     index: int
     kind: str  # "load" | "store"
@@ -118,11 +120,18 @@ class DependenceRecorder:
         self.image.observer = None
 
 
-def build_dependence_graph(events: List[AccessEvent]) -> nx.DiGraph:
-    """po ∪ rf ∪ co ∪ fr over the recorded accesses."""
-    g = nx.DiGraph()
-    for ev in events:
-        g.add_node(ev.index)
+def build_dependence_graph(
+    events: List[AccessEvent],
+) -> Dict[int, Dict[int, str]]:
+    """po ∪ rf ∪ co ∪ fr over the recorded accesses, as a successor
+    map ``{event index: {successor index: edge kind}}``.
+
+    Both levels keep insertion order — nodes in event order, a node's
+    out-edges po, co, then rf/fr per load — and a repeated edge
+    overwrites its kind in place.  :func:`find_scv` walks exactly that
+    order, so which cycle it reports is a function of the event list.
+    """
+    succ: Dict[int, Dict[int, str]] = {ev.index: {} for ev in events}
 
     # po: per core, ordered by (po index, record order)
     by_core: Dict[int, List[AccessEvent]] = {}
@@ -131,7 +140,7 @@ def build_dependence_graph(events: List[AccessEvent]) -> nx.DiGraph:
     for core_events in by_core.values():
         ordered = sorted(core_events, key=lambda e: (e.po, e.index))
         for a, b in zip(ordered, ordered[1:]):
-            g.add_edge(a.index, b.index, kind="po")
+            succ[a.index][b.index] = "po"
 
     # co: per word, stores in tag-serial order
     stores_by_word: Dict[int, List[AccessEvent]] = {}
@@ -144,7 +153,7 @@ def build_dependence_graph(events: List[AccessEvent]) -> nx.DiGraph:
     for stores in stores_by_word.values():
         stores.sort(key=lambda e: e.tag[1])
         for a, b in zip(stores, stores[1:]):
-            g.add_edge(a.index, b.index, kind="co")
+            succ[a.index][b.index] = "co"
             co_next[a.tag] = b
 
     # resolve write-buffer-forwarded loads to the tag of the store
@@ -169,27 +178,53 @@ def build_dependence_graph(events: List[AccessEvent]) -> nx.DiGraph:
         tag = load_tag(ev)
         writer = store_by_tag.get(tag)
         if writer is not None and writer.core != ev.core:
-            g.add_edge(writer.index, ev.index, kind="rf")
+            succ[writer.index][ev.index] = "rf"
         # fr: the load happens before the co-successor of what it read
         if tag == INIT_TAG:
             stores = stores_by_word.get(ev.word, ())
             if stores:
-                g.add_edge(ev.index, stores[0].index, kind="fr")
+                succ[ev.index][stores[0].index] = "fr"
         else:
-            succ = co_next.get(tag)
-            if succ is not None and succ.core != ev.core:
-                g.add_edge(ev.index, succ.index, kind="fr")
-    return g
+            nxt = co_next.get(tag)
+            if nxt is not None and nxt.core != ev.core:
+                succ[ev.index][nxt.index] = "fr"
+    return succ
 
 
 def find_scv(events: List[AccessEvent]) -> Optional[List[Tuple[int, int]]]:
-    """Return a dependence cycle (list of edges) or None if SC holds."""
-    g = build_dependence_graph(events)
-    try:
-        cycle = nx.find_cycle(g, orientation="original")
-    except nx.NetworkXNoCycle:
-        return None
-    return [(u, v) for u, v, _ in cycle]
+    """Return a dependence cycle (list of edges) or None if SC holds.
+
+    Iterative three-colour depth-first search: roots in event order,
+    out-edges in insertion order, and the first edge into a node still
+    on the search path closes the cycle that is returned.  The cycle's
+    length is serialised into verify findings and synth reasons, so the
+    traversal order is part of the contract (tests/unit/test_scv_graph
+    pins it edge for edge against a reference graph library).
+    """
+    succ = build_dependence_graph(events)
+    done = set()        # black: fully explored, on no cycle
+    for root in succ:
+        if root in done:
+            continue
+        path = [root]                   # grey nodes, root first
+        on_path = {root}
+        pending = [iter(succ[root])]    # per grey node: edges left to try
+        while path:
+            for nxt in pending[-1]:
+                if nxt in on_path:
+                    cycle = path[path.index(nxt):] + [nxt]
+                    return list(zip(cycle, cycle[1:]))
+                if nxt not in done:
+                    path.append(nxt)
+                    on_path.add(nxt)
+                    pending.append(iter(succ[nxt]))
+                    break
+            else:
+                pending.pop()
+                node = path.pop()
+                on_path.discard(node)
+                done.add(node)
+    return None
 
 
 def assert_sequentially_consistent(events: List[AccessEvent]) -> None:

@@ -16,6 +16,7 @@ runs every program × design under several points.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, replace
 from typing import Iterator, List
@@ -80,19 +81,35 @@ class SchedulePoint:
         self, design: FenceDesign, num_cores: int, recovery: bool = True
     ) -> MachineParams:
         """Interleaving-exact machine parameters for this point."""
-        base = MachineParams(
-            num_cores=num_cores,
-            num_banks=num_cores,
-            batch_cycles=0,
-            track_dependences=True,
-            mesh_hop_cycles=self.mesh_hop_cycles,
-            write_buffer_entries=self.write_buffer_entries,
-            bs_entries=self.bs_entries,
-            bounce_retry_cycles=self.bounce_retry_cycles,
-            watchdog_interval=VERIFY_WATCHDOG_INTERVAL,
-            max_cycles=VERIFY_MAX_CYCLES,
-        ).with_design(design)
-        return replace(base, wplus_recovery_enabled=recovery)
+        return _point_params(
+            self.mesh_hop_cycles, self.write_buffer_entries,
+            self.bs_entries, self.bounce_retry_cycles,
+            design, num_cores, recovery,
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def _point_params(
+    mesh_hop_cycles: int, write_buffer_entries: int, bs_entries: int,
+    bounce_retry_cycles: int, design: FenceDesign, num_cores: int,
+    recovery: bool,
+) -> MachineParams:
+    # a campaign repeats each combination hundreds of times, and
+    # MachineParams is frozen: one validated instance serves them all
+    return MachineParams(
+        num_cores=num_cores,
+        num_banks=num_cores,
+        batch_cycles=0,
+        track_dependences=True,
+        mesh_hop_cycles=mesh_hop_cycles,
+        write_buffer_entries=write_buffer_entries,
+        bs_entries=bs_entries,
+        bounce_retry_cycles=bounce_retry_cycles,
+        watchdog_interval=VERIFY_WATCHDOG_INTERVAL,
+        max_cycles=VERIFY_MAX_CYCLES,
+        fence_design=design,
+        wplus_recovery_enabled=recovery,
+    )
 
 
 #: the sweep axes (kept small: values are multiplied by seeds × designs)

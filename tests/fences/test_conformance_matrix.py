@@ -29,15 +29,19 @@ from repro.common.params import FenceDesign, FenceRole
 from repro.sim.scv import find_scv
 from repro.workloads import litmus
 
-from tests.fences.test_iriw import run_iriw
+from tests.fences.test_iriw import iriw_machine, run_iriw
 
 ALL_DESIGNS = tuple(FenceDesign)
 ASYM = (FenceRole.CRITICAL, FenceRole.STANDARD)
 
 
+def _sb_run(design, fences):
+    return litmus.store_buffering(design, roles=ASYM, fences=fences,
+                                  pad_stores=1)
+
+
 def _sb_forbidden(design, fences):
-    lit = litmus.store_buffering(design, roles=ASYM, fences=fences,
-                                 pad_stores=1)
+    lit = _sb_run(design, fences)
     forbidden = (lit.value(0, "r"), lit.value(1, "r")) == (0, 0)
     scv = find_scv(lit.result.events)
     return forbidden, scv
@@ -67,6 +71,18 @@ MATRIX = [
     for design in ALL_DESIGNS
     for fences in (True, False)
 ]
+
+
+def case_events(shape, design, fences):
+    """The recorded access history of one matrix case's run (what the
+    SCV checker's differential test in tests/unit feeds both checkers)."""
+    if shape == "sb":
+        return _sb_run(design, fences).result.events
+    if shape == "mp":
+        return litmus.message_passing(design, fences=fences).result.events
+    _m, result = iriw_machine(design, fences=fences, seed=3, stagger=23,
+                              track_dependences=True)
+    return result.events
 
 
 @pytest.mark.parametrize("shape,design,fences", MATRIX)

@@ -18,8 +18,13 @@ from tests.support import notes_of, tiny_params
 ALL = tuple(FenceDesign)
 
 
-def run_iriw(design, fences, seed, stagger):
-    m = Machine(tiny_params(design, num_cores=4), seed=seed)
+def iriw_machine(design, fences, seed, stagger, track_dependences=False):
+    """Run IRIW; returns the finished machine and its SimResult."""
+    m = Machine(
+        tiny_params(design, num_cores=4,
+                    track_dependences=track_dependences),
+        seed=seed,
+    )
     x, y = m.alloc.word(), m.alloc.word()
     pads = [m.alloc.word(), m.alloc.word()]
 
@@ -51,7 +56,11 @@ def run_iriw(design, fences, seed, stagger):
     m.spawn(writer(y, pads[1], stagger))
     m.spawn(reader(x, y, 7 * stagger % 90))
     m.spawn(reader(y, x, 11 * stagger % 90))
-    m.run(max_cycles=1_000_000)
+    return m, m.run(max_cycles=1_000_000)
+
+
+def run_iriw(design, fences, seed, stagger):
+    m, _result = iriw_machine(design, fences, seed, stagger)
     r0 = notes_of(m, 2)[0][1]
     r1 = notes_of(m, 3)[0][1]
     return r0, r1

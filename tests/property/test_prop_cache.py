@@ -1,9 +1,10 @@
 """Property-based tests of the set-associative cache."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.cache import LineState, SetAssocCache
+from repro.mem.cache import _EMPTY, LineState, SetAssocCache
 
 LINE = 32
 SETS = 4
@@ -16,6 +17,8 @@ operations = st.lists(
         st.tuples(st.just("insert"), lines, states),
         st.tuples(st.just("lookup"), lines),
         st.tuples(st.just("invalidate"), lines),
+        st.tuples(st.just("set_state"), lines, states),
+        st.tuples(st.just("victim"), lines),
     ),
     max_size=60,
 )
@@ -23,6 +26,30 @@ operations = st.lists(
 
 def fresh():
     return SetAssocCache(SETS * WAYS * LINE, WAYS, LINE)
+
+
+def touched():
+    """A cache whose every set was filled once and emptied again: what
+    an eagerly built cache is — no slot is the shared sentinel."""
+    cache = fresh()
+    for idx in range(SETS):
+        cache.insert(idx * LINE, LineState.S)
+        cache.invalidate(idx * LINE)
+    assert all(s is not _EMPTY and not s for s in cache.sets)
+    return cache
+
+
+#: the model-based properties hold from either starting point
+both_starts = pytest.mark.parametrize("make", [fresh, touched])
+
+
+def step(cache, op):
+    """Apply one operation; returns what the method returned."""
+    if op[0] == "set_state" and cache.victim(op[1]) is not None:
+        # set_state() never evicts: its callers use it on a present
+        # line or a set with room, so the sequences do the same
+        return "skipped"
+    return getattr(cache, op[0])(*op[1:])
 
 
 def apply_ops(cache, ops_list):
@@ -34,35 +61,41 @@ def apply_ops(cache, ops_list):
             model[line] = state
             if evicted is not None:
                 del model[evicted[0]]
-        elif op[0] == "lookup":
-            cache.lookup(op[1])
-        else:
+        elif op[0] == "invalidate":
             cache.invalidate(op[1])
             model.pop(op[1], None)
+        elif op[0] == "set_state":
+            if step(cache, op) != "skipped":
+                model[op[1]] = op[2]
+        else:
+            step(cache, op)
     return model
 
 
+@both_starts
 @given(operations)
 @settings(max_examples=150, deadline=None)
-def test_capacity_never_exceeded(ops_list):
-    cache = fresh()
+def test_capacity_never_exceeded(make, ops_list):
+    cache = make()
     apply_ops(cache, ops_list)
     for s in cache.sets:
         assert len(s) <= WAYS
 
 
+@both_starts
 @given(operations)
 @settings(max_examples=150, deadline=None)
-def test_contents_match_reference_model(ops_list):
-    cache = fresh()
+def test_contents_match_reference_model(make, ops_list):
+    cache = make()
     model = apply_ops(cache, ops_list)
     assert dict(cache.lines()) == model
 
 
+@both_starts
 @given(operations)
 @settings(max_examples=150, deadline=None)
-def test_lines_stay_in_their_set(ops_list):
-    cache = fresh()
+def test_lines_stay_in_their_set(make, ops_list):
+    cache = make()
     apply_ops(cache, ops_list)
     for idx, s in enumerate(cache.sets):
         for line in s:
@@ -78,3 +111,68 @@ def test_most_recently_inserted_never_evicted(sequence):
         assert cache.lookup(line) is not None
         if evicted is not None:
             assert evicted[0] != line
+
+
+# ---------------------------------------------------------------------------
+# lazily built sets: never-filled slots share one empty OrderedDict
+# ---------------------------------------------------------------------------
+
+
+@given(operations)
+@settings(max_examples=200, deadline=None)
+def test_lazy_sets_behave_as_eagerly_built_ones(ops_list):
+    lazy, eager = fresh(), touched()
+    for op in ops_list:
+        assert step(lazy, op) == step(eager, op), op
+        assert lazy.occupancy() == eager.occupancy()
+    # same contents in the same set and LRU order
+    assert list(lazy.lines()) == list(eager.lines())
+    for probe in range(0, 64 * LINE, LINE):
+        assert lazy.victim(probe) == eager.victim(probe)
+        assert lazy.lookup(probe, touch=False) == \
+            eager.lookup(probe, touch=False)
+
+
+@given(operations, operations)
+@settings(max_examples=200, deadline=None)
+def test_caches_share_no_state(ops_a, ops_b):
+    a, b = fresh(), fresh()
+    model_a = apply_ops(a, ops_a)
+    assert b.occupancy() == 0 and list(b.lines()) == []
+    model_b = apply_ops(b, ops_b)
+    assert dict(a.lines()) == model_a
+    assert dict(b.lines()) == model_b
+    # a filled slot is private to its cache; only the sentinel is shared
+    for sa, sb in zip(a.sets, b.sets):
+        assert sa is not sb or sa is _EMPTY
+
+
+@given(operations)
+@settings(max_examples=200, deadline=None)
+def test_shared_empty_set_is_never_written(ops_list):
+    cache = fresh()
+    apply_ops(cache, ops_list)
+    assert len(_EMPTY) == 0
+    # reads of a never-filled set answer "absent" and leave it alone
+    untouched = [i for i, s in enumerate(cache.sets) if s is _EMPTY]
+    for idx in untouched:
+        line = idx * LINE
+        assert cache.lookup(line) is None
+        assert cache.invalidate(line) is None
+        assert cache.victim(line) is None
+        assert cache.sets[idx] is _EMPTY
+    assert len(_EMPTY) == 0
+    assert cache.occupancy() == sum(len(s) for s in cache.sets)
+
+
+def test_first_fill_gives_the_slot_its_own_set():
+    cache = fresh()
+    assert all(s is _EMPTY for s in cache.sets)
+    cache.insert(1 * LINE, LineState.S)
+    cache.set_state(2 * LINE, LineState.M)
+    assert [s is _EMPTY for s in cache.sets] == [True, False, False, True]
+    assert cache.sets[1] is not cache.sets[2]
+    assert dict(cache.lines()) == {LINE: LineState.S, 2 * LINE: LineState.M}
+    # emptying a set again does not hand the slot back
+    cache.invalidate(1 * LINE)
+    assert cache.sets[1] is not _EMPTY and not cache.sets[1]

@@ -45,3 +45,27 @@ def run_threads(m: Machine, *fns, max_cycles=None):
 def notes_of(machine: Machine, tid: int):
     """Payloads the thread on core *tid* recorded via ops.Note."""
     return [payload for _po, payload in machine.cores[tid].notes]
+
+
+def networkx_cycle(events):
+    """The cycle ``networkx.find_cycle`` reports on the dependence
+    graph of *events*, as a list of ``(u, v)`` edges (None if acyclic).
+
+    The reference oracle for :func:`repro.sim.scv.find_scv`: networkx
+    is a test-only dependency, and the graph is rebuilt here from the
+    checker's own successor map, node order and edge order included.
+    """
+    nx = pytest.importorskip("networkx")
+    from repro.sim.scv import build_dependence_graph
+
+    succ = build_dependence_graph(events)
+    g = nx.DiGraph()
+    g.add_nodes_from(succ)
+    for u, outs in succ.items():
+        for v, kind in outs.items():
+            g.add_edge(u, v, kind=kind)
+    try:
+        return [(u, v) for u, v, _ in
+                nx.find_cycle(g, orientation="original")]
+    except nx.NetworkXNoCycle:
+        return None

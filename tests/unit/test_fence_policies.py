@@ -22,6 +22,22 @@ def test_make_policy_covers_every_design():
         assert policy.design is design
 
 
+def test_policy_class_map_is_built_once():
+    from repro.fences.base import _policy_classes, policy_class
+
+    assert _policy_classes() is _policy_classes()
+    assert set(_policy_classes()) == set(FenceDesign)
+    for design in FenceDesign:
+        assert policy_class(design).design is design
+
+
+def test_l1s_share_the_machines_address_map():
+    m = Machine(tiny_params(FenceDesign.S_PLUS, num_cores=4))
+    assert all(l1.amap is m.amap for l1 in m.l1s)
+    assert all(core.amap is m.amap for core in m.cores)
+    assert m.alloc.amap is m.amap
+
+
 def test_ws_plus_promotes_only_pre_fence_bouncing_entries():
     core = core_for(FenceDesign.WS_PLUS)
     e1 = core.wb.push(0x20, 1, 0x20)

@@ -46,6 +46,34 @@ def test_point_can_disable_recovery():
     assert not params.wplus_recovery_enabled
 
 
+def test_point_params_are_built_once_per_combination():
+    from dataclasses import replace
+
+    from repro.common.params import MachineParams
+
+    a = SchedulePoint(seed=3, mesh_hop_cycles=11)
+    b = SchedulePoint(seed=99, mesh_hop_cycles=11)  # seed is not a knob
+    params = a.params(FenceDesign.WS_PLUS, 2)
+    assert b.params(FenceDesign.WS_PLUS, 2) is params
+    # every argument is part of the key
+    assert a.params(FenceDesign.SW_PLUS, 2) != params
+    assert a.params(FenceDesign.WS_PLUS, 3) != params
+    assert a.params(FenceDesign.WS_PLUS, 2, recovery=False) != params
+    assert SchedulePoint(mesh_hop_cycles=2).params(
+        FenceDesign.WS_PLUS, 2) != params
+    # and the shared instance is what the step-by-step build gives
+    stepwise = replace(
+        MachineParams(
+            num_cores=2, num_banks=2, batch_cycles=0,
+            track_dependences=True, mesh_hop_cycles=11,
+            watchdog_interval=VERIFY_WATCHDOG_INTERVAL,
+            max_cycles=VERIFY_MAX_CYCLES,
+        ).with_design(FenceDesign.WS_PLUS),
+        wplus_recovery_enabled=True,
+    )
+    assert params == stepwise
+
+
 # ----------------------------------------------------------------------
 # adversary points (fence synthesis)
 # ----------------------------------------------------------------------
