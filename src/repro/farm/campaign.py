@@ -1,8 +1,9 @@
 """Campaign coordination: submit a grid, drive it to completion.
 
 The coordinator owns no irreplaceable state — it submits the campaign
-(idempotent), supervises a self-healing :class:`WorkerPool`, and polls
-the store until no runnable work remains.  Killing the coordinator and
+(idempotent), supervises a self-healing :class:`WorkerPool`, and looks
+at the store each time a worker exits (and every ``poll_secs`` besides)
+until no runnable work remains.  Killing the coordinator and
 re-running :func:`run_campaign` with the same spec resumes exactly the
 unfinished jobs and converges to the same result rows; a *finished*
 campaign resubmitted later is served entirely from the result cache
@@ -47,9 +48,14 @@ def run_campaign(
     ``workers == 0`` runs every job inline in this process (no pool,
     fully deterministic scheduling) — the mode tests and tiny sweeps
     use.  Otherwise a :class:`WorkerPool` of *workers* processes drains
-    the campaign while the coordinator supervises: each poll respawns
+    the campaign while the coordinator supervises: each look respawns
     any dead worker and calls *on_poll* (the chaos battery's hook for
     killing workers mid-flight).
+
+    *poll_secs* is the coordinator's supervision bound: the longest it
+    goes without a look (it wakes at once when a worker exits) and the
+    shortest time between two respawns of one pool slot.  A worker's
+    idle wait between claim attempts is ``FarmConfig.poll_secs``.
 
     Safe to call again after a coordinator crash — submission is
     idempotent and only unfinished jobs run.
@@ -68,8 +74,8 @@ def run_campaign(
                         f"campaign {cid} still unfinished after "
                         f"{timeout}s: {store.status(cid)}"
                     )
-                pool.ensure()
+                pool.ensure(min_age=poll_secs)
                 if on_poll is not None:
                     on_poll(store, pool)
-                time.sleep(poll_secs)
+                pool.wait(poll_secs)
         return store.rows(cid)

@@ -12,6 +12,8 @@ source of truth for that.
 from __future__ import annotations
 
 import multiprocessing
+import time
+from multiprocessing import connection
 from typing import List, Optional
 
 from repro.farm.worker import FarmConfig, worker_main
@@ -29,6 +31,8 @@ class WorkerPool:
         self.config = config or FarmConfig()
         self.name_prefix = name_prefix
         self.procs: List[multiprocessing.Process] = []
+        #: when each slot of ``procs`` was last filled (monotonic)
+        self._spawned_at: List[float] = []
         #: workers respawned after dying (the self-healing counter)
         self.respawns = 0
         self._serial = 0
@@ -47,19 +51,29 @@ class WorkerPool:
 
     def start(self) -> None:
         self.procs = [self._spawn() for _ in range(self.size)]
+        self._spawned_at = [time.monotonic()] * self.size
 
-    def ensure(self) -> int:
-        """Respawn dead workers; returns how many are alive now."""
-        alive: List[multiprocessing.Process] = []
-        for proc in self.procs:
+    def ensure(self, min_age: float = 0.0) -> int:
+        """Respawn dead workers; returns how many are alive now.  A
+        slot filled under *min_age* seconds ago waits its turn: a worker
+        dying at start-up costs one fork per *min_age*, not a storm."""
+        now = time.monotonic()
+        alive = 0
+        for slot, proc in enumerate(self.procs):
             if proc.is_alive():
-                alive.append(proc)
-            else:
+                alive += 1
+            elif now - self._spawned_at[slot] >= min_age:
                 proc.join(timeout=0)
                 self.respawns += 1
-                alive.append(self._spawn())
-        self.procs = alive
-        return len(alive)
+                self.procs[slot] = self._spawn()
+                self._spawned_at[slot] = now
+                alive += 1
+        return alive
+
+    def wait(self, timeout: float) -> None:
+        """Block until a live worker exits, *timeout* seconds at most."""
+        connection.wait(
+            [p.sentinel for p in self.procs if p.is_alive()], timeout)
 
     def alive(self) -> int:
         return sum(1 for p in self.procs if p.is_alive())

@@ -22,6 +22,7 @@ import json
 import os
 import subprocess
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
@@ -119,12 +120,16 @@ class JobSpec:
     def config_dict(self) -> dict:
         return json.loads(self.config)
 
+    @cached_property
+    def _canonical(self) -> str:
+        # frozen: computed once; not a field: outside ==, hash, asdict
+        return canonical_json(dataclasses.asdict(self))
+
     def content_key(self) -> str:
-        blob = canonical_json(dataclasses.asdict(self))
-        return hashlib.sha256(blob.encode()).hexdigest()[:40]
+        return hashlib.sha256(self._canonical.encode()).hexdigest()[:40]
 
     def to_json(self) -> str:
-        return canonical_json(dataclasses.asdict(self))
+        return self._canonical
 
     @staticmethod
     def from_json(blob: str) -> "JobSpec":
@@ -189,12 +194,16 @@ class CampaignSpec:
                         ))
         return jobs
 
+    @cached_property
+    def _canonical(self) -> str:
+        return canonical_json(dataclasses.asdict(self))
+
     def campaign_id(self) -> str:
-        blob = canonical_json(dataclasses.asdict(self))
-        return "c" + hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return "c" + hashlib.sha256(
+            self._canonical.encode()).hexdigest()[:16]
 
     def to_json(self) -> str:
-        return canonical_json(dataclasses.asdict(self))
+        return self._canonical
 
     @staticmethod
     def from_json(blob: str) -> "CampaignSpec":

@@ -2,17 +2,21 @@
 
 Workers are crash-only processes.  They hold no state the store does
 not: a worker SIGKILLed at *any* point loses at most its current lease,
-which expires and the job is reassigned.  While executing, a heartbeat
-thread (its own store connection — SQLite connections are not
-thread-safe) renews the lease, so a long job under a short lease is
-safe as long as the worker is actually alive; a *stalled-but-alive*
-worker that stops heartbeating loses the lease, someone else runs the
-job, and the content-addressed result store absorbs the duplicate
-completion (exactly-once rows).
+which expires and the job is reassigned.  One heartbeat thread per
+worker (its own store connection — SQLite connections are not
+thread-safe — opened only if a renewal comes due) renews the lease of a
+job that has run for ``lease_secs / 3``, so a long job under a short
+lease is safe as long as the worker is actually alive, and a short job
+pays for neither thread nor connection; a *stalled-but-alive* worker
+that stops heartbeating loses the lease, someone else runs the job, and
+the content-addressed result store absorbs the duplicate completion
+(exactly-once rows).
 """
 
 from __future__ import annotations
 
+import contextlib
+import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
@@ -29,7 +33,9 @@ class FarmConfig:
 
     #: lease duration; heartbeats renew at a third of this
     lease_secs: float = 15.0
-    #: idle polling interval when no job is claimable yet
+    #: a *worker's* idle wait between claim attempts while every
+    #: remaining job is leased or backing off; the coordinator's
+    #: supervision bound is ``run_campaign(poll_secs=...)``
     poll_secs: float = 0.5
     #: distinct-worker failures before quarantine
     quarantine_after: int = store_mod.DEFAULT_QUARANTINE_AFTER
@@ -50,18 +56,30 @@ class WorkerStats:
     completed: int = 0
     duplicates: int = 0
     failed: int = 0
+    #: lease renewals that raised ``sqlite3.Error`` (retried next interval)
+    heartbeat_errors: int = 0
     statuses: dict = field(default_factory=dict)
 
 
 class _Heartbeat:
-    """Renews one job's lease from a dedicated connection/thread."""
+    """One worker's lease renewer, armed with each claimed job in turn.
 
-    def __init__(self, db_path: str, key: str, campaign: str, worker: str,
-                 config: FarmConfig):
-        self._args = (key, campaign, worker, config.lease_secs)
+    A claim already grants ``lease_secs``, so only a job still running
+    ``heartbeat_secs`` after it was armed is renewed, and the thread's
+    store connection is opened at that first renewal.  The lock is held
+    across a renewal: once a :meth:`renewing` block is left, no renewal
+    of its job is in flight or will be issued.
+    """
+
+    def __init__(self, db_path: str, campaign: str, worker: str,
+                 config: FarmConfig, stats: WorkerStats):
         self._db_path = db_path
-        self._interval = config.heartbeat_secs
-        self._timeout = config.db_timeout
+        self._lease = (campaign, worker, config.lease_secs)
+        self._config = config
+        self._stats = stats
+        self._lock = threading.Lock()
+        self._key: Optional[str] = None  # the armed job, and when its
+        self._due = 0.0  # next renewal falls (monotonic): under _lock
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
@@ -71,17 +89,51 @@ class _Heartbeat:
 
     def __exit__(self, *exc) -> None:
         self._stop.set()
-        self._thread.join(timeout=5.0)
+        # at most one renewal (db_timeout) away; the inline caller
+        # forks a pool next and must not carry a thread into it
+        self._thread.join()
+
+    @contextlib.contextmanager
+    def renewing(self, key: str):
+        """Keep *key*'s lease alive for as long as the block runs."""
+        with self._lock:
+            self._key = key
+            self._due = time.monotonic() + self._config.heartbeat_secs
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._key = None
 
     def _run(self) -> None:
-        store = FarmStore(self._db_path, timeout=self._timeout)
+        interval = wait = self._config.heartbeat_secs
+        store = None  # this thread's own connection
         try:
-            while not self._stop.wait(self._interval):
-                # a lost lease is not fatal: the job may run twice, and
-                # completion is idempotent — keep running to the end
-                store.heartbeat(*self._args)
+            while not self._stop.wait(wait):
+                with self._lock:
+                    wait = interval
+                    if self._key is None:
+                        continue
+                    now = time.monotonic()
+                    if now < self._due:
+                        wait = self._due - now
+                        continue
+                    self._due = now + interval
+                    try:
+                        if store is None:
+                            store = FarmStore(
+                                self._db_path,
+                                timeout=self._config.db_timeout)
+                        # a lost lease is not fatal: the job may run
+                        # twice, and completion is idempotent
+                        store.heartbeat(self._key, *self._lease)
+                    except sqlite3.Error:
+                        # the thread guards every later job too: count
+                        # it and try again an interval later
+                        self._stats.heartbeat_errors += 1
         finally:
-            store.close()
+            if store is not None:
+                store.close()
 
 
 def run_worker(
@@ -101,9 +153,10 @@ def run_worker(
     config = config or FarmConfig()
     worker = worker or store_mod.default_worker_id()
     stats = WorkerStats()
-    store = FarmStore(db_path, timeout=config.db_timeout,
-                      diag_dir=config.diag_dir)
-    try:
+    with FarmStore(db_path, timeout=config.db_timeout,
+                   diag_dir=config.diag_dir) as store, \
+            _Heartbeat(db_path, campaign, worker, config,
+                       stats) as heartbeat:
         while True:
             if max_jobs is not None and stats.claimed >= max_jobs:
                 return stats
@@ -119,7 +172,7 @@ def run_worker(
             key, spec = claimed
             stats.claimed += 1
             try:
-                with _Heartbeat(db_path, key, campaign, worker, config):
+                with heartbeat.renewing(key):
                     row = execute_job(spec, diag_dir=config.diag_dir)
             except BaseException as exc:
                 stats.failed += 1
@@ -139,8 +192,6 @@ def run_worker(
                 stats.completed += 1
             else:
                 stats.duplicates += 1
-    finally:
-        store.close()
 
 
 def worker_main(db_path: str, campaign: str, config: FarmConfig,

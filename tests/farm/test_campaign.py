@@ -5,6 +5,10 @@ resume, and the legacy clients round-trip through the farm."""
 import dataclasses
 import json
 import os
+import sqlite3
+import sys
+import threading
+import time
 
 import pytest
 
@@ -323,3 +327,205 @@ def test_farm_perf_profile_serves_cache_on_resubmit(tmp_path):
         c["key"] for c in second["cases"]]
     # cached rows are identical down to the recorded wall timings
     assert first["cases"] == second["cases"]
+
+
+# ----------------------------------------------------------------------
+# the per-worker heartbeat thread
+# ----------------------------------------------------------------------
+
+def _litmus_spec(seeds=(1, 2, 3), designs=DESIGNS):
+    """Millisecond chaos jobs — the size the farm mostly runs."""
+    return CampaignSpec.make("chaos", ["noc_jitter"], designs, seeds=seeds,
+                             core_counts=[0], scale=0.0,
+                             config={"sanitize": "strict"})
+
+
+def _failure_rows(db):
+    with FarmStore(db) as store:
+        return store._conn.execute(
+            "SELECT worker, error FROM failures").fetchall()
+
+
+def test_heartbeat_keeps_a_job_that_outlives_its_lease(tmp_path,
+                                                       monkeypatch):
+    """A job four leases long under a live worker is renewed: nobody
+    else can claim it and it runs exactly once."""
+    db = str(tmp_path / "farm.sqlite")
+    cfg = FarmConfig(lease_secs=0.3)
+    started, finished = threading.Event(), threading.Event()
+
+    def slow(job, diag_dir=None):
+        started.set()
+        time.sleep(4 * cfg.lease_secs)
+        finished.set()
+        return {"v": job.seed}
+
+    monkeypatch.setattr(worker_mod, "execute_job", slow)
+    cid, _ = campaign_mod.submit(db, _litmus_spec(seeds=(1,),
+                                                  designs=DESIGNS[:1]))
+    owner = threading.Thread(
+        target=run_worker, args=(db, cid),
+        kwargs=dict(config=cfg, worker="w1", once=True))
+    owner.start()
+    try:
+        assert started.wait(timeout=10)
+        stolen = []
+        with FarmStore(db) as rival:
+            while not finished.wait(timeout=0.02):
+                stolen.append(rival.claim(cid, "w2", cfg.lease_secs))
+    finally:
+        owner.join(timeout=10)
+    assert not owner.is_alive()
+    assert len(stolen) > 10 and set(stolen) == {None}
+    with FarmStore(db) as store:
+        st = store.status(cid)
+    assert st["done"] == 1 and st["attempts"] == 1 and st["duplicates"] == 0
+    assert _failure_rows(db) == []
+
+
+def test_short_jobs_cost_no_connection_and_leave_no_thread(tmp_path,
+                                                           monkeypatch):
+    """Ten litmus-size jobs: the worker's own connection is the only
+    one it opens, and its heartbeat thread is gone when it returns."""
+    db = str(tmp_path / "farm.sqlite")
+    cid, _ = campaign_mod.submit(db, _litmus_spec(seeds=range(1, 6)))
+    opened = []
+
+    class Counting(FarmStore):
+        def __init__(self, *args, **kwargs):
+            opened.append(threading.current_thread().name)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(worker_mod, "FarmStore", Counting)
+    threads_before = threading.active_count()
+    stats = run_worker(db, cid, once=True)
+    assert stats.completed == 10 and stats.heartbeat_errors == 0
+    assert opened == [threading.current_thread().name]
+    assert threading.active_count() == threads_before
+
+
+def test_heartbeat_survives_a_failed_renewal(tmp_path, monkeypatch):
+    """One thread protects every later job of the worker, so a renewal
+    that raises is counted and the next one still happens."""
+    db = str(tmp_path / "farm.sqlite")
+    cfg = FarmConfig(lease_secs=0.3)
+    renewals = []
+    real = FarmStore.heartbeat
+
+    def flaky(self, key, campaign, worker, lease_secs):
+        renewals.append(key)
+        if len(renewals) == 1:
+            raise sqlite3.OperationalError("database is locked")
+        return real(self, key, campaign, worker, lease_secs)
+
+    monkeypatch.setattr(FarmStore, "heartbeat", flaky)
+    monkeypatch.setattr(
+        worker_mod, "execute_job",
+        lambda job, diag_dir=None: time.sleep(0.45) or {"v": job.seed})
+    cid, _ = campaign_mod.submit(db, _litmus_spec(seeds=(1,),
+                                                  designs=DESIGNS[:1]))
+    stats = run_worker(db, cid, config=cfg, worker="w1", once=True)
+    assert stats.heartbeat_errors == 1
+    assert len(renewals) >= 2  # 0.1 s failed, 0.2 s (and on) renewed
+    assert stats.completed == 1 and stats.failed == 0
+    with FarmStore(db) as store:
+        assert store.status(cid)["attempts"] == 1
+    assert _failure_rows(db) == []
+
+
+def test_heartbeat_stress_every_job_runs_exactly_once(tmp_path,
+                                                      monkeypatch):
+    """More workers than cores, each arming and disarming its heartbeat
+    thread 60-odd times under a 10 µs switch interval while renewals
+    really fire: no job may be lost, repeated or failed."""
+    db = str(tmp_path / "farm.sqlite")
+    cfg = FarmConfig(lease_secs=0.15)  # a renewal every 0.05 s
+    spec = CampaignSpec.make("matrix", ["w"], DESIGNS[:1],
+                             seeds=range(200), **GRID)
+
+    def trivial(job, diag_dir=None):
+        if job.seed % 25 == 0:  # long enough to be renewed, twice
+            time.sleep(0.12)
+        return {"v": job.seed}
+
+    monkeypatch.setattr(worker_mod, "execute_job", trivial)
+    cid, _ = campaign_mod.submit(db, spec)
+    results = []
+
+    def worker(name):
+        results.append(run_worker(db, cid, config=cfg, worker=name,
+                                  once=True))
+
+    threads = [threading.Thread(target=worker, args=(f"w{i}",))
+               for i in range(3)]
+    threads_before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert threading.active_count() == threads_before
+    assert sum(s.claimed for s in results) == 200
+    assert sum(s.completed for s in results) == 200
+    assert sum(s.heartbeat_errors for s in results) == 0
+    with FarmStore(db) as store:
+        st = store.status(cid)
+        assert st["done"] == 200 and st["attempts"] == 200
+        assert st["duplicates"] == 0 and store.result_count() == 200
+        assert sorted(r["v"] for r in store.rows(cid).values()) == \
+            list(range(200))
+    assert _failure_rows(db) == []
+
+
+# ----------------------------------------------------------------------
+# the coordinator wakes on worker exit; poll_secs bounds supervision
+# ----------------------------------------------------------------------
+
+def test_coordinator_returns_when_the_pool_drains_not_at_the_next_poll(
+        tmp_path):
+    spec = _litmus_spec()  # six jobs
+    inline = run_campaign(str(tmp_path / "inline.sqlite"), spec, workers=0)
+    assert len(inline) == 6
+    t0 = time.monotonic()
+    pooled = run_campaign(str(tmp_path / "farm.sqlite"), spec, workers=2,
+                          poll_secs=5.0, timeout=60)
+    assert time.monotonic() - t0 < 2.0
+    assert pooled == inline
+
+
+def test_workers_dying_at_startup_do_not_cause_a_fork_storm(tmp_path,
+                                                            monkeypatch):
+    from repro.farm import pool as pool_mod
+
+    monkeypatch.setattr(pool_mod, "worker_main", lambda *args: None)
+    seen = {}
+    with pytest.raises(TimeoutError):
+        run_campaign(str(tmp_path / "farm.sqlite"), _litmus_spec(),
+                     workers=2, poll_secs=0.25, timeout=1.0,
+                     on_poll=lambda store, pool: seen.update(pool=pool))
+    # each slot refilled once per poll_secs, however fast it empties
+    assert 2 <= seen["pool"].respawns <= 5 * 2
+    assert seen["pool"].procs == []  # stopped on the way out
+
+
+def test_on_poll_fires_every_poll_secs_while_nothing_exits(tmp_path,
+                                                           monkeypatch):
+    monkeypatch.setattr(
+        worker_mod, "execute_job",
+        lambda job, diag_dir=None: time.sleep(0.8) or {"v": job.seed})
+    looks = []
+    t0 = time.monotonic()
+    rows = run_campaign(
+        str(tmp_path / "farm.sqlite"),
+        _litmus_spec(seeds=(1,), designs=DESIGNS[:1]), workers=1,
+        poll_secs=0.1, timeout=60,
+        on_poll=lambda store, pool: looks.append(pool.alive()))
+    assert len(rows) == 1 and time.monotonic() - t0 < 5.0
+    # the one worker exits once, at the end: every other look is a
+    # poll_secs timeout (0.8 s of job / 0.1 s, less scheduling slack)
+    assert len(looks) >= 5 and set(looks) == {1}

@@ -44,6 +44,44 @@ def test_content_key_is_stable_and_config_sensitive():
     assert a.content_key() != d.content_key()  # code rev is identity
 
 
+def test_keys_and_json_are_pinned_and_derive_from_one_blob():
+    """Both ids and both JSON forms come from one canonical blob per
+    (frozen) instance; the bytes are those every existing store holds."""
+    import dataclasses
+    import hashlib
+
+    from repro.farm.spec import canonical_json
+
+    spec = _spec()
+    (job,) = spec.expand()
+    strict = JobSpec.make("matrix", "fib", FenceDesign.S_PLUS, 1, cores=2,
+                          config={"sanitize": "strict"})
+    assert spec.campaign_id() == "c5dd96826c7bf9ef1"
+    assert spec.to_json() == (
+        '{"code_rev":"test-rev","config":"{}","core_counts":[2],'
+        '"designs":["S_PLUS"],"kind":"matrix","scale":0.06,"seeds":[1],'
+        '"workloads":["fib"]}')
+    assert job.content_key() == "ad998129146e31bf60f9c55db1fe0fa3a43359d7"
+    assert job.to_json() == (
+        '{"code_rev":"test-rev","config":"{}","cores":2,"design":"S_PLUS",'
+        '"kind":"matrix","scale":0.06,"seed":1,"workload":"fib"}')
+    assert strict.content_key() == \
+        "a5ad67b28d23671243a2e33afc8c8ee64c892f4f"
+    for obj, key in ((spec, spec.campaign_id()[1:]),
+                     (job, job.content_key()),
+                     (strict, strict.content_key())):
+        blob = canonical_json(dataclasses.asdict(obj))  # the reference
+        assert obj.to_json() == blob
+        assert obj.to_json() is obj.to_json()  # serialised once
+        assert hashlib.sha256(blob.encode()).hexdigest().startswith(key)
+        # the cached blob is not a field: identity, equality and the
+        # JSON round trip do not see it
+        again = type(obj).from_json(obj.to_json())
+        assert again == obj and hash(again) == hash(obj)
+        assert again.to_json() == blob
+        assert "_canonical" not in dataclasses.asdict(obj)
+
+
 def test_design_identity_normalizes_names_and_values():
     by_enum = JobSpec.make("matrix", "fib", FenceDesign.S_PLUS, 1)
     by_name = JobSpec.make("matrix", "fib", "S_PLUS", 1)

@@ -124,9 +124,12 @@ def test_lazy_sets_behave_as_eagerly_built_ones(ops_list):
     lazy, eager = fresh(), touched()
     for op in ops_list:
         assert step(lazy, op) == step(eager, op), op
-        assert lazy.occupancy() == eager.occupancy()
-    # same contents in the same set and LRU order
-    assert list(lazy.lines()) == list(eager.lines())
+        # lines() and occupancy() skip empty sets, shared or not: the
+        # same pairs in the same set and LRU order after every step
+        assert list(lazy.lines()) == list(eager.lines()) == [
+            pair for s in eager.sets for pair in s.items()]
+        assert lazy.occupancy() == eager.occupancy() == sum(
+            len(s) for s in eager.sets)
     for probe in range(0, 64 * LINE, LINE):
         assert lazy.victim(probe) == eager.victim(probe)
         assert lazy.lookup(probe, touch=False) == \
