@@ -5,14 +5,17 @@ directory banks and the NoC all schedule callbacks on it.  Events at the
 same cycle fire in scheduling order (a monotone sequence number breaks
 ties), which makes executions deterministic for a given workload seed.
 
-Hot-path layout: an :class:`Event` *is* its own heap entry — a list
-``[time, seq, fn, label]`` — so ``heapq`` orders events with C-level
-elementwise comparison (``seq`` is unique, so ``fn`` is never compared)
-instead of calling a Python ``__lt__`` per sift step.  ``cancel()`` is
-lazy deletion (``fn`` set to None).  Dispatch is batched per cycle, and
-fired event slots are recycled through a free list when no external
-handle to them survives (checked via the reference count), so steady
-bounce/retry traffic stops allocating.
+Hot-path layout: a scheduled event is a plain list ``[time, seq, fn,
+label]`` and is its own heap entry, so ``heapq`` orders events with
+C-level elementwise comparison (``seq`` is unique, so ``fn`` is never
+compared) instead of calling a Python ``__lt__`` per sift step.
+Cancelling is lazy deletion (``fn`` set to None; the queue discards the
+entry when it surfaces).  Dispatch is batched per cycle.  Fired entries
+are simply dropped: CPython keeps its own free list of list objects, so
+a fresh four-slot literal per event costs less than any recycling
+scheme written in Python (one that asked the reference count whether a
+handle was still held was measured and removed — docs/PERF.md, "The hot
+path, frame by frame").
 
 (A 16-slot timing wheel in front of the heap was prototyped and
 benchmarked ~10% *slower*: with typical heap depths of 10–20 events,
@@ -31,59 +34,17 @@ rather than ``_heap`` — so a machine runs identically on either.
 
 from __future__ import annotations
 
-import heapq
-import sys
+from heapq import heappop, heappush
 from typing import Callable, List, Optional
 
 from repro.common.errors import SimulatorError
-
-#: free-list bound: enough to absorb any realistic same-cycle burst
-#: without letting a pathological run pin memory.
-_FREE_MAX = 512
-
-
-class Event(list):
-    """A scheduled callback, laid out as ``[time, seq, fn, label]``.
-
-    ``cancel()`` is O(1) (lazy deletion): it clears slot 2, and the
-    queue discards the entry when it surfaces.
-    """
-
-    __slots__ = ()
-
-    @property
-    def time(self) -> int:
-        return self[0]
-
-    @property
-    def seq(self) -> int:
-        return self[1]
-
-    @property
-    def fn(self) -> Optional[Callable[[], None]]:
-        return self[2]
-
-    @property
-    def label(self) -> str:
-        return self[3]
-
-    @property
-    def cancelled(self) -> bool:
-        return self[2] is None
-
-    def cancel(self) -> None:
-        self[2] = None
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        state = "cancelled" if self[2] is None else "pending"
-        return f"<Event t={self[0]} seq={self[1]} {self[3]} {state}>"
 
 
 class EventQueue:
     """Priority queue of simulation events with a global clock."""
 
     def __init__(self):
-        self._heap: List[Event] = []
+        self._heap: List[list] = []
         self._seq = 0
         self.now = 0
         #: number of events executed (exposed for test/benchmark stats).
@@ -91,13 +52,12 @@ class EventQueue:
         #: cooperative stop flag — wake-on-event replacement for the
         #: old per-event ``stop_when`` polling; checked between events.
         self.stop_requested = False
-        self._free: List[Event] = []
         #: seqs of events marked quiescence-elastic (periodic pump
         #: ticks); only consulted by ``idle_horizon`` — never on the
         #: dispatch hot path.
         self._elastic: set = set()
 
-    def schedule(self, delay: int, fn: Callable[[], None], label: str = "") -> Event:
+    def schedule(self, delay: int, fn: Callable[[], None], label: str = "") -> list:
         """Schedule *fn* to run ``delay`` cycles from now.
 
         *delay* must be a non-negative integer — the clock is integral
@@ -107,24 +67,16 @@ class EventQueue:
         if delay < 0:
             raise SimulatorError(f"cannot schedule in the past (delay={delay})")
         self._seq = seq = self._seq + 1
-        free = self._free
-        if free:
-            ev = free.pop()
-            ev[0] = self.now + delay
-            ev[1] = seq
-            ev[2] = fn
-            ev[3] = label
-        else:
-            ev = Event((self.now + delay, seq, fn, label))
-        heapq.heappush(self._heap, ev)
+        ev = [self.now + delay, seq, fn, label]
+        heappush(self._heap, ev)
         return ev
 
-    def schedule_at(self, time: int, fn: Callable[[], None], label: str = "") -> Event:
+    def schedule_at(self, time: int, fn: Callable[[], None], label: str = "") -> list:
         """Schedule *fn* at absolute cycle *time* (>= now)."""
         return self.schedule(time - self.now, fn, label)
 
     def unsafe_schedule_at(self, time: int, fn: Callable[[], None],
-                           label: str = "") -> Event:
+                           label: str = "") -> list:
         """Schedule at an absolute time with no past-time check.
 
         Test/diagnostic hook (e.g. planting a behind-the-clock ghost
@@ -132,11 +84,11 @@ class EventQueue:
         the simulator itself.
         """
         self._seq = seq = self._seq + 1
-        ev = Event((time, seq, fn, label))
-        heapq.heappush(self._heap, ev)
+        ev = [time, seq, fn, label]
+        heappush(self._heap, ev)
         return ev
 
-    def cancel(self, handle: Optional[Event]) -> None:
+    def cancel(self, handle: Optional[list]) -> None:
         """Backend-portable cancel: accepts the opaque handle returned
         by ``schedule`` (None is tolerated and ignored)."""
         if handle is not None:
@@ -155,7 +107,7 @@ class EventQueue:
     # quiescence fast-forward support
     # ------------------------------------------------------------------
 
-    def mark_elastic(self, handle: Optional[Event]) -> None:
+    def mark_elastic(self, handle: Optional[list]) -> None:
         """Flag a scheduled event as a quiescence-elastic pump tick.
 
         Elastic events are the periodic housekeeping ticks (watchdog,
@@ -205,14 +157,14 @@ class EventQueue:
     def _drop_cancelled(self) -> None:
         heap = self._heap
         while heap and heap[0][2] is None:
-            heapq.heappop(heap)
+            heappop(heap)
 
     def step(self) -> bool:
         """Run the next pending event.  Returns False if none remain."""
         self._drop_cancelled()
         if not self._heap:
             return False
-        ev = heapq.heappop(self._heap)
+        ev = heappop(self._heap)
         if ev[0] < self.now:  # pragma: no cover - defensive
             raise SimulatorError("event queue time went backwards")
         self.now = ev[0]
@@ -230,14 +182,11 @@ class EventQueue:
         final clock value.
 
         The loop dispatches all events of one cycle as a batch with the
-        heap bound to a local, and recycles slots whose handle nobody
-        kept (refcount check), which is where the kernel's speedup over
+        heap bound to a local, which is where the kernel's speedup over
         the one-``step()``-per-iteration loop comes from.
         """
         heap = self._heap
-        pop = heapq.heappop
-        free = self._free
-        refs = sys.getrefcount
+        pop = heappop
         executed = self.executed
         try:
             while True:
@@ -246,10 +195,7 @@ class EventQueue:
                 if self.stop_requested:
                     break
                 while heap and heap[0][2] is None:
-                    entry = pop(heap)
-                    if refs(entry) == 2 and len(free) < _FREE_MAX:
-                        entry[3] = ""
-                        free.append(entry)
+                    pop(heap)
                 if not heap:
                     break
                 t = heap[0][0]
@@ -260,12 +206,8 @@ class EventQueue:
                 # batched same-cycle dispatch: zero-delay events
                 # scheduled by a callback join this batch in seq order.
                 while heap and heap[0][0] == t:
-                    entry = pop(heap)
-                    fn = entry[2]
+                    fn = pop(heap)[2]
                     if fn is None:
-                        if refs(entry) == 2 and len(free) < _FREE_MAX:
-                            entry[3] = ""
-                            free.append(entry)
                         continue
                     executed += 1
                     # publish before dispatch: pump callbacks read
@@ -273,13 +215,6 @@ class EventQueue:
                     # counter must be current inside handlers too.
                     self.executed = executed
                     fn()
-                    # recycle iff the scheduler dropped its handle —
-                    # a held handle could still be cancel()ed later.
-                    if refs(entry) == 2:
-                        entry[2] = None
-                        entry[3] = ""
-                        if len(free) < _FREE_MAX:
-                            free.append(entry)
                     if self.stop_requested or (
                         stop_when is not None and stop_when()
                     ):

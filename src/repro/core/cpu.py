@@ -29,9 +29,15 @@ A micro-batch fast path executes runs of purely-local operations
 event to keep the Python event count manageable; `batch_cycles = 0`
 disables it for interleaving-exact runs (litmus tests).
 
-W+ recovery uses *epoch guards*: every thread-continuation callback
-captures the core's rollback epoch and becomes a no-op if a recovery
-intervened, so in-flight load replies cannot resurrect squashed work.
+W+ recovery uses *epoch guards*: a continuation that can outlive a
+rollback remembers the core's rollback epoch from when it was created
+and becomes a no-op if a recovery intervened, so in-flight load replies
+cannot resurrect squashed work.  A load or RMW in flight at the memory
+system is an :class:`_InFlight` record carrying its own epoch (its
+bound methods are the continuations — acyclic, freed by reference
+count); the rarer waits (fence drain, full write buffer, stalled load)
+wrap a closure in :meth:`Core._guard`; the single-slot batch
+continuations are cancelled outright by ``_recover`` instead.
 """
 
 from __future__ import annotations
@@ -65,6 +71,71 @@ class _SfWait:
     def __init__(self, store_id: int, callback: Callable[[], None]):
         self.store_id = store_id
         self.callback = callback
+
+
+class _InFlight:
+    """One load or atomic RMW in flight at the memory system.
+
+    The bound methods are the continuations handed to the L1, so an
+    access costs one small record that dies by reference count — no
+    closure cells pointing at each other for the cyclic collector.
+    ``epoch`` is the core's rollback epoch when the access issued and is
+    tested by every continuation: a W+ recovery in between squashes the
+    access for good, bounce retries included.
+    """
+
+    __slots__ = ("core", "op", "word", "po", "t0", "epoch")
+
+    def __init__(self, core: "Core", op, word: int):
+        self.core = core
+        self.op = op
+        self.word = word
+        self.po = core.thread._ops
+        self.t0 = core.queue.now
+        self.epoch = core._epoch
+
+    def load_done(self, was_hit: bool) -> None:
+        core = self.core
+        if core._epoch != self.epoch:
+            return
+        stall = (core.queue.now - self.t0) - core._issue_slot
+        if stall > 0.0:
+            core.stats.breakdown[core.core_id].other_stall += stall
+            if core.attrib is not None:
+                core.attrib.mem(core.core_id, stall)
+            if core.tracer is not None:
+                core.tracer.mem_stall(core.core_id, self.t0, stall)
+        core._load_performed(self.op, self.word, self.po)
+
+    def rmw_issue(self) -> None:
+        core = self.core
+        if core._epoch == self.epoch:
+            core.l1.issue_rmw(
+                self.word, self.op.apply, self.rmw_done, self.rmw_bounce,
+                self.po,
+            )
+
+    def rmw_done(self, old: int) -> None:
+        core = self.core
+        if core._epoch != self.epoch:
+            return
+        stall = (core.queue.now - self.t0) - core._issue_slot
+        if stall > 0.0:
+            core.stats.breakdown[core.core_id].other_stall += stall
+            if core.attrib is not None:
+                core.attrib.rmw(core.core_id, stall)
+            if core.tracer is not None:
+                core.tracer.rmw_stall(core.core_id, self.t0, stall)
+        core._advance(old)
+
+    def rmw_bounce(self) -> None:
+        core = self.core
+        core.stats.write_retries += 1
+        if core.tracer is not None:
+            core.tracer.rmw_retry(core.core_id, self.word)
+        core.queue.schedule(
+            core.params.bounce_retry_cycles, self.rmw_issue, "cpu.rmw_retry"
+        )
 
 
 class Core:
@@ -413,13 +484,6 @@ class Core:
     # stores and the drain engine
     # ------------------------------------------------------------------
 
-    def _note_po(self, po: int) -> None:
-        """Tell the SC-violation recorder (if any) the program-order
-        index of the access about to touch the memory image."""
-        recorder = self.machine.recorder
-        if recorder is not None:
-            recorder.note_po(self.core_id, po)
-
     def _note_forwarded(self, entry: StoreEntry, po: int) -> None:
         """Report a write-buffer-forwarded load to the SCV recorder;
         forwarded loads never reach the memory image observer."""
@@ -438,7 +502,8 @@ class Core:
         stats.breakdown[cid].busy += self._issue_slot
         entry = self.wb.push(word, op.value, word - (word % self._line_bytes))
         entry.po = self.thread._ops
-        self._kick_drain()
+        if not self._drain_busy:
+            self._kick_drain()
 
     def _exec_store_blocked(self, op: isa.Store) -> None:
         """Retire a store once a write-buffer slot frees up."""
@@ -467,20 +532,16 @@ class Core:
         self._drain_busy = True
         entry = self.wb._entries[0]
         entry.issued = True
-        self._issue_head(entry)
-
-    def _issue_head(self, entry: StoreEntry) -> None:
         # only the head store is ever in flight, so the completion
         # callbacks are pre-bound methods that re-read the head instead
         # of per-issue closures capturing the entry.
         self.l1.issue_store(
-            entry,
-            on_done=self._cb_drain_merged,
-            on_bounce=self._cb_drain_bounced,
-        )
+            entry, self._cb_drain_merged, self._cb_drain_bounced)
 
     def _drain_merged(self) -> None:
-        entry = self.wb.pop_head()
+        wb = self.wb
+        # pop_head() inlined unless a probe wants to see the pop
+        entry = wb._entries.pop(0) if wb.tracer is None else wb.pop_head()
         self._drain_busy = False
         self.stores_merged += 1
         if entry.bouncing:
@@ -489,8 +550,14 @@ class Core:
             if self.attrib is not None:
                 self.attrib.chain_close(self.core_id)
         self._on_store_completed(entry.store_id)
-        self._kick_drain()
-        self._refresh_done()
+        # (a waiter woken above may have retired a store and kicked the
+        # drain already)
+        if wb._entries:
+            self._kick_drain()
+        else:
+            # only a running thread retires stores, so a core that is
+            # done has an empty buffer: nothing to report otherwise
+            self._refresh_done()
 
     def _drain_bounced(self) -> None:
         entry = self.wb._entries[0]  # the head: the only issued store
@@ -520,15 +587,18 @@ class Core:
     def _retry_head(self, entry: StoreEntry) -> None:
         # the entry is still the head (FIFO; it never merged)
         if self.wb.head() is entry:
-            self._issue_head(entry)
+            self.l1.issue_store(
+                entry, self._cb_drain_merged, self._cb_drain_bounced)
         else:  # pragma: no cover - defensive
             self._drain_busy = False
             self._kick_drain()
 
     def _on_store_completed(self, store_id: int) -> None:
         """A store merged: complete fences, wake drain waiters."""
-        self._last_merged_store_id = max(self._last_merged_store_id, store_id)
-        self._complete_ready_fences()
+        if store_id > self._last_merged_store_id:
+            self._last_merged_store_id = store_id
+        if self.pending_fences:
+            self._complete_ready_fences()
         if self._cfence_clears:
             due = [t for sid, t in self._cfence_clears if sid <= store_id]
             if due:
@@ -609,25 +679,9 @@ class Core:
             self._cont_result = fwd.value
             self._cont_ev = self.queue.schedule(1, self._cb_advance, "cpu.cont")
             return
-        t0 = self.queue.now
-        po = self.thread._ops
         self.stats.instructions[self.core_id] += 1
         self.stats.breakdown[self.core_id].busy += self._issue_slot
-
-        def on_done(was_hit: bool) -> None:
-            latency = self.queue.now - t0
-            stall = latency - self._issue_slot
-            if stall < 0.0:
-                stall = 0.0
-            self.stats.breakdown[self.core_id].other_stall += stall
-            if stall > 0.0:
-                if self.attrib is not None:
-                    self.attrib.mem(self.core_id, stall)
-                if self.tracer is not None:
-                    self.tracer.mem_stall(self.core_id, t0, stall)
-            self._load_performed(op, word, po)
-
-        self.l1.read(op.addr, self._guard(on_done))
+        self.l1.read(op.addr, _InFlight(self, op, word).load_done)
 
     def _load_performed(self, op: isa.Load, word: int, po: int) -> None:
         """The load's data is back; retire it (BS insertion if post-wf)."""
@@ -654,9 +708,10 @@ class Core:
                 self.pending_fences[-1].fence_id,
             )
             self.stats.bs_insertions += 1
-        self._note_po(po)
-        value = self.image.read(word, self.core_id)
-        self._advance(value)
+        recorder = self.machine.recorder
+        if recorder is not None:
+            recorder.note_po(self.core_id, po)
+        self._advance(self.image.read(word, self.core_id))
 
     def _stall_load(self, retry: Callable[[], None],
                     reason: str = "fence") -> None:
@@ -784,41 +839,8 @@ class Core:
     def _exec_rmw(self, op: isa.AtomicRMW) -> None:
         self.stats.instructions[self.core_id] += 1
         self.stats.add_busy(self.core_id, self._issue_slot)
-        t0 = self.queue.now
-        word = self.amap.word_of(op.addr)
-        po = self.thread._ops
-
-        def after_drain():
-            def on_done(old: int) -> None:
-                stall = (self.queue.now - t0) - self._issue_slot
-                if stall < 0.0:
-                    stall = 0.0
-                self.stats.add_other_stall(self.core_id, stall)
-                if stall > 0.0:
-                    if self.attrib is not None:
-                        self.attrib.rmw(self.core_id, stall)
-                    if self.tracer is not None:
-                        self.tracer.rmw_stall(self.core_id, t0, stall)
-                self._advance(old)
-
-            def on_bounce() -> None:
-                self.stats.write_retries += 1
-                if self.tracer is not None:
-                    self.tracer.rmw_retry(self.core_id, word)
-                self.queue.schedule(
-                    self.params.bounce_retry_cycles,
-                    self._guard(issue),
-                    "cpu.rmw_retry",
-                )
-
-            def issue() -> None:
-                self.l1.issue_rmw(
-                    word, op.apply, self._guard(on_done), on_bounce, po
-                )
-
-            issue()
-
-        self._wait_for_drain(self._guard(after_drain))
+        rmw = _InFlight(self, op, self.amap.word_of(op.addr))
+        self._wait_for_drain(rmw.rmw_issue)
 
     # ------------------------------------------------------------------
     # W+ deadlock suspicion and recovery

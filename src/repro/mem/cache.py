@@ -23,10 +23,13 @@ class LineState(enum.Enum):
     E = "E"
     S = "S"
 
-    @property
-    def writable(self) -> bool:
-        return self in (LineState.M, LineState.E)
+    def __init__(self, letter: str):
+        #: a store may hit without a coherence transaction (M or E) —
+        #: a plain member attribute: the store drain reads it per store
+        self.writable = letter != "S"
 
+
+_M = LineState.M
 
 #: every never-filled set: shared, and never written to
 _EMPTY: "OrderedDict[int, LineState]" = OrderedDict()
@@ -79,6 +82,25 @@ class SetAssocCache:
         if state is not None and touch:
             s.move_to_end(line)
         return state
+
+    def write_hit(self, line: int) -> bool:
+        """A store's L1 access: ``lookup(line)``, and if the state is
+        writable, ``set_state(line, M)`` — in one call with one LRU
+        touch (a present line is touched whether writable or not, as
+        ``lookup`` does).  Returns True iff the store hit."""
+        shift = self._line_shift
+        if shift is not None:
+            s = self.sets[(line >> shift) & self._set_mask]
+        else:
+            s = self.sets[(line // self.line_bytes) % self.num_sets]
+        state = s.get(line)
+        if state is None:
+            return False
+        s.move_to_end(line)
+        if not state.writable:
+            return False
+        s[line] = _M
+        return True
 
     def set_state(self, line: int, state: LineState) -> None:
         """Set/insert *line* with *state* (no eviction — use insert())."""

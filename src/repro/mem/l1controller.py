@@ -99,10 +99,6 @@ class L1Controller:
                        self._cb_rmw_hit):
                 register(cb)
 
-    def _note_po(self, po: int) -> None:
-        if self.recorder is not None:
-            self.recorder.note_po(self.core_id, po)
-
     # ------------------------------------------------------------------
     # CPU-facing: loads
     # ------------------------------------------------------------------
@@ -208,7 +204,8 @@ class L1Controller:
                 )
             if self.attrib is not None:
                 self.attrib.l1_wait(self.core_id, line, self.queue.now - t0)
-            self._note_po(entry.po)
+            if self.recorder is not None:
+                self.recorder.note_po(self.core_id, entry.po)
             self.image.write(entry.word, entry.value, self.core_id)
             on_done()
 
@@ -218,11 +215,9 @@ class L1Controller:
     def _write_hit_complete(self) -> None:
         entry, on_done, on_bounce = self._st_entry, self._st_done, self._st_bounce
         self._st_entry = self._st_done = self._st_bounce = None
-        line = entry.line
-        cur = self.cache.lookup(line)
-        if cur is not None and cur.writable:
-            self.cache.set_state(line, LineState.M)
-            self._note_po(entry.po)
+        if self.cache.write_hit(entry.line):
+            if self.recorder is not None:
+                self.recorder.note_po(self.core_id, entry.po)
             self.image.write(entry.word, entry.value, self.core_id)
             on_done()
         else:
@@ -242,7 +237,7 @@ class L1Controller:
         po: int = 0,
     ) -> None:
         """Acquire write permission, then atomically update the image."""
-        line = self.amap.line_of(word)
+        line = word - (word % self._line_bytes)
         state = self.cache.lookup(line)
         if state is not None and state.writable:
             self.stats.l1_hits += 1
@@ -252,7 +247,7 @@ class L1Controller:
             self._rmw_done = on_done
             self._rmw_bounce = on_bounce
             self.queue.schedule(
-                self.params.l1_hit_cycles, self._cb_rmw_hit, "l1.rmw_hit"
+                self._hit_cycles, self._cb_rmw_hit, "l1.rmw_hit"
             )
             return
 
@@ -276,7 +271,8 @@ class L1Controller:
                 self.tracer.l1_miss(self.core_id, line, "GetX", t0, "merged")
             if self.attrib is not None:
                 self.attrib.l1_wait(self.core_id, line, self.queue.now - t0)
-            self._note_po(po)
+            if self.recorder is not None:
+                self.recorder.note_po(self.core_id, po)
             old, _new = self.image.rmw(word, apply_fn, self.core_id)
             on_done(old)
 
@@ -289,10 +285,9 @@ class L1Controller:
             self._rmw_apply, self._rmw_done, self._rmw_bounce
         )
         self._rmw_apply = self._rmw_done = self._rmw_bounce = None
-        cur = self.cache.lookup(self.amap.line_of(word))
-        if cur is not None and cur.writable:
-            self.cache.set_state(self.amap.line_of(word), LineState.M)
-            self._note_po(po)
+        if self.cache.write_hit(word - (word % self._line_bytes)):
+            if self.recorder is not None:
+                self.recorder.note_po(self.core_id, po)
             old, _new = self.image.rmw(word, apply_fn, self.core_id)
             on_done(old)
         else:

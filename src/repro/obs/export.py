@@ -181,32 +181,28 @@ def write_jsonl(path: str, tracer: Tracer, metrics=None,
                 label: Optional[str] = None,
                 provenance: Optional[Dict[str, object]] = None) -> int:
     """Write the compact JSONL stream; returns the line count."""
-    lines = 0
+    header = {
+        "type": "meta",
+        "exporter": "repro.obs",
+        "events": len(tracer.events),
+        "dropped": tracer.dropped,
+    }
+    if label:
+        header["label"] = label
+    if provenance is not None:
+        header["provenance"] = provenance
+    # one encoder per file: json.dumps(..., separators=) builds one per
+    # call, and a trace has tens of thousands of records
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    lines = [encode(header)]
+    lines.extend(encode({"type": "event", **ev.to_dict()})
+                 for ev in tracer.events)
+    if metrics is not None:
+        lines.extend(encode({"type": "metrics", **sample})
+                     for sample in metrics.samples)
     with open(path, "w") as fh:
-        header = {
-            "type": "meta",
-            "exporter": "repro.obs",
-            "events": len(tracer.events),
-            "dropped": tracer.dropped,
-        }
-        if label:
-            header["label"] = label
-        if provenance is not None:
-            header["provenance"] = provenance
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        lines += 1
-        for ev in tracer.events:
-            rec = {"type": "event"}
-            rec.update(ev.to_dict())
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-            lines += 1
-        if metrics is not None:
-            for sample in metrics.samples:
-                rec = {"type": "metrics"}
-                rec.update(sample)
-                fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-                lines += 1
-    return lines
+        fh.write("\n".join(lines) + "\n")
+    return len(lines)
 
 
 # ---------------------------------------------------------------------------

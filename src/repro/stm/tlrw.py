@@ -49,18 +49,33 @@ _WRITER_SPIN = ops.Compute(60)
 class LockObject:
     """Reader-flag array + writer field for one shared word.
 
-    ``rd_ops``/``wr_ops`` lazily cache the per-thread interned op
-    objects for the read/write barriers (built on a thread's first
-    barrier on this lock, so untouched locks cost nothing).
+    A run touches a fraction of the locks a region registers, so a lock
+    is four scalars: thread *t*'s reader flag lives at ``base + t *
+    flag_stride``.  ``rd_ops``/``wr_ops`` (per-thread interned op
+    objects for the read/write barriers) stay None until the first
+    barrier on this lock.
     """
 
-    __slots__ = ("reader_flags", "writer_addr", "rd_ops", "wr_ops")
+    __slots__ = ("base", "flag_stride", "num_threads", "writer_addr",
+                 "rd_ops", "wr_ops")
 
-    def __init__(self, reader_flags: List[int], writer_addr: int):
-        self.reader_flags = reader_flags
+    def __init__(self, base: int, flag_stride: int, num_threads: int,
+                 writer_addr: int):
+        self.base = base
+        self.flag_stride = flag_stride
+        self.num_threads = num_threads
         self.writer_addr = writer_addr
-        self.rd_ops = [None] * len(reader_flags)
-        self.wr_ops = [None] * len(reader_flags)
+        self.rd_ops = None
+        self.wr_ops = None
+
+    def flag_addr(self, tid: int) -> int:
+        """Address of thread *tid*'s reader flag."""
+        return self.base + tid * self.flag_stride
+
+    @property
+    def reader_flags(self) -> List[int]:
+        """Every thread's reader-flag address, by thread id."""
+        return [self.flag_addr(t) for t in range(self.num_threads)]
 
 
 class TlrwStm:
@@ -109,7 +124,8 @@ class TlrwStm:
         wb = amap.word_bytes
         wpl = amap.words_per_line
         total = self._lock_words()
-        stride = wpl // self.FLAGS_PER_LINE
+        flag_stride = (wpl // self.FLAGS_PER_LINE) * wb
+        writer_offset = (total - wpl) * wb
         for i in range(nwords):
             word = base + i * wb
             if word in self.locks:
@@ -118,11 +134,9 @@ class TlrwStm:
                 lock_base = self.alloc.alloc_same_bank(word, total)
             else:
                 lock_base = self.alloc.alloc_line(total)
-            flags = [
-                lock_base + t * stride * wb for t in range(self.num_threads)
-            ]
-            writer_addr = lock_base + (total - wpl) * wb
-            self.locks[word] = LockObject(flags, writer_addr)
+            self.locks[word] = LockObject(
+                lock_base, flag_stride, self.num_threads,
+                lock_base + writer_offset)
 
     def lock_for(self, word: int) -> LockObject:
         return self.locks[word]
@@ -139,12 +153,16 @@ class TlrwStm:
         few times before raising TxnAbort.
         """
         lock = self.locks[word]
-        cached = lock.rd_ops[tid]
+        rd_ops = lock.rd_ops
+        if rd_ops is None:
+            rd_ops = lock.rd_ops = [None] * self.num_threads
+        cached = rd_ops[tid]
         if cached is None:
-            cached = lock.rd_ops[tid] = (
-                ops.Store(lock.reader_flags[tid], 1),
+            flag = lock.flag_addr(tid)
+            cached = rd_ops[tid] = (
+                ops.Store(flag, 1),
                 ops.Load(lock.writer_addr),
-                ops.Store(lock.reader_flags[tid], 0),
+                ops.Store(flag, 0),
                 tuple(ops.Compute(40 * (a + 1))
                       for a in range(self.READER_PATIENCE)),
             )
@@ -160,21 +178,20 @@ class TlrwStm:
         raise TxnAbort(f"writer {writer} holds {word:#x}")
 
     def read_release(self, word: int, tid: int):
-        lock = self.locks[word]
-        cached = lock.rd_ops[tid]
-        if cached is None:  # pragma: no cover - release implies acquire
-            yield ops.Store(lock.reader_flags[tid], 0)
-        else:
-            yield cached[2]
+        # release implies acquire: the thread's ops are cached
+        yield self.locks[word].rd_ops[tid][2]
 
     def write_acquire(self, word: int, tid: int):
         """Paper Fig. 5b write(): writer acquire, fence, reader check."""
         lock = self.locks[word]
-        cached = lock.wr_ops[tid]
+        wr_ops = lock.wr_ops
+        if wr_ops is None:
+            wr_ops = lock.wr_ops = [None] * self.num_threads
+        cached = wr_ops[tid]
         if cached is None:
-            cached = lock.wr_ops[tid] = (
+            cached = wr_ops[tid] = (
                 ops.AtomicRMW(lock.writer_addr, "cas", (0, tid + 1)),
-                tuple(ops.Load(lock.reader_flags[other])
+                tuple(ops.Load(lock.flag_addr(other))
                       for other in range(self.num_threads) if other != tid),
                 ops.Store(lock.writer_addr, 0),
             )
@@ -197,9 +214,5 @@ class TlrwStm:
         raise TxnAbort(f"readers pinned {word:#x}")
 
     def write_release(self, word: int, tid: int):
-        lock = self.locks[word]
-        cached = lock.wr_ops[tid]
-        if cached is None:  # pragma: no cover - release implies acquire
-            yield ops.Store(lock.writer_addr, 0)
-        else:
-            yield cached[2]
+        # release implies acquire: the thread's ops are cached
+        yield self.locks[word].wr_ops[tid][2]

@@ -7,6 +7,7 @@ import pytest
 from repro.common.params import FenceDesign
 from repro.obs import Observability
 from repro.obs.export import (
+    run_provenance,
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
@@ -77,6 +78,38 @@ def test_write_jsonl_stream(tmp_path, traced):
     assert records[0]["events"] == len(obs.tracer.events)
     kinds = {r["type"] for r in records}
     assert kinds == {"meta", "event", "metrics"}
+
+
+def test_write_jsonl_bytes_equal_per_record_dumps(tmp_path):
+    """One encoder per file, one write — the file is byte for byte what
+    a ``json.dumps(rec, separators=(",", ":"))`` per record wrote."""
+    load_all_workloads()
+    obs = Observability(metrics_interval=500)
+    run = run_workload("TreeOverwrite", FenceDesign.WS_PLUS, num_cores=4,
+                       scale=0.06, seed=7, obs=obs)
+    provenance = run_provenance(run)
+    path = tmp_path / "trace.jsonl"
+    n = write_jsonl(str(path), obs.tracer, obs.metrics,
+                    label="TreeOverwrite:WS+", provenance=provenance)
+
+    def dumps(rec):
+        return json.dumps(rec, separators=(",", ":")) + "\n"
+
+    reference = [dumps({
+        "type": "meta", "exporter": "repro.obs",
+        "events": len(obs.tracer.events), "dropped": obs.tracer.dropped,
+        "label": "TreeOverwrite:WS+", "provenance": provenance,
+    })]
+    for ev in obs.tracer.events:
+        rec = {"type": "event"}
+        rec.update(ev.to_dict())
+        reference.append(dumps(rec))
+    for sample in obs.metrics.samples:
+        rec = {"type": "metrics"}
+        rec.update(sample)
+        reference.append(dumps(rec))
+    assert n == len(reference) > 1000 and obs.metrics.samples
+    assert path.read_bytes() == "".join(reference).encode()
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ operations = st.lists(
         st.tuples(st.just("invalidate"), lines),
         st.tuples(st.just("set_state"), lines, states),
         st.tuples(st.just("victim"), lines),
+        st.tuples(st.just("write_hit"), lines),
     ),
     max_size=60,
 )
@@ -67,6 +68,9 @@ def apply_ops(cache, ops_list):
         elif op[0] == "set_state":
             if step(cache, op) != "skipped":
                 model[op[1]] = op[2]
+        elif op[0] == "write_hit":
+            if cache.write_hit(op[1]):
+                model[op[1]] = LineState.M
         else:
             step(cache, op)
     return model
@@ -111,6 +115,60 @@ def test_most_recently_inserted_never_evicted(sequence):
         assert cache.lookup(line) is not None
         if evicted is not None:
             assert evicted[0] != line
+
+
+# ---------------------------------------------------------------------------
+# write_hit: the store path's lookup + writable test + M in one call
+# ---------------------------------------------------------------------------
+
+
+def write_hit_reference(cache, line):
+    """What the store drain did before write_hit() existed."""
+    state = cache.lookup(line)
+    if state is not None and state.writable:
+        cache.set_state(line, LineState.M)
+        return True
+    return False
+
+
+@both_starts
+@given(operations, st.lists(lines, min_size=1, max_size=20))
+@settings(max_examples=200, deadline=None)
+def test_write_hit_is_lookup_writable_set_state(make, ops_list, stores):
+    one, ref = make(), make()
+    for op in ops_list:
+        if op[0] != "write_hit":
+            assert step(one, op) == step(ref, op)
+    for line in stores:
+        before = [s is _EMPTY for s in one.sets]
+        assert one.write_hit(line) == write_hit_reference(ref, line)
+        # same states in the same sets in the same LRU order ...
+        assert [list(s.items()) for s in one.sets] == \
+            [list(s.items()) for s in ref.sets]
+        # ... and neither a hit nor a miss builds a set
+        assert [s is _EMPTY for s in one.sets] == before
+    assert len(_EMPTY) == 0
+
+
+def test_write_hit_on_any_geometry():
+    """The divide-and-modulo indexing (3 sets) agrees with the
+    shift-and-mask one on which set a line lives in."""
+    cache = SetAssocCache(3 * WAYS * LINE, WAYS, LINE)
+    for i, state in enumerate(LineState):
+        cache.insert(i * LINE, state)
+    assert [cache.write_hit(i * LINE) for i in range(4)] == \
+        [True, True, False, False]
+    assert dict(cache.lines()) == {
+        0: LineState.M, LINE: LineState.M, 2 * LINE: LineState.S}
+
+
+def test_line_state_truth_table():
+    assert {s: s.writable for s in LineState} == {
+        LineState.M: True, LineState.E: True, LineState.S: False}
+    # a plain attribute of the member, not a descriptor call per read
+    assert all("writable" in vars(s) for s in LineState)
+    assert [s.value for s in LineState] == ["M", "E", "S"]
+    assert LineState("E") is LineState.E
 
 
 # ---------------------------------------------------------------------------

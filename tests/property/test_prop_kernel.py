@@ -7,9 +7,9 @@ nested scheduling from inside handlers, requeue-after-cancel, stop
 requests — and asserts the full dispatch stream ``(cycle, tag,
 payload)`` is identical, event for event, in order.
 
-Also pinned here: the recycling discipline.  The object kernel
-recycles Event records through a refcount-guarded free list; the flat
-kernel never reuses seqs.  Both must agree on the *observable*
+Also pinned here: the handle discipline.  The object kernel's handle
+is the heap entry itself (a plain list, never reused by the queue); the
+flat kernel never reuses seqs.  Both must agree on the *observable*
 consequence — a stale handle (its event already fired or cancelled)
 can never cancel a later event.
 """
@@ -136,10 +136,11 @@ def test_executed_and_clock_agree(commands):
 @given(st.integers(1, 30), st.integers(0, 29))
 @settings(max_examples=60, deadline=None)
 def test_stale_handles_never_cancel_later_events(n, victim):
-    """Recycling discipline: after an event fires, its handle is dead.
+    """Handle discipline: after an event fires, its handle is dead.
 
-    The object kernel recycles Event records through a free list; the
-    flat kernel retires seqs forever.  Either way, cancelling a handle
+    The object kernel drops the fired entry (the held handle is the
+    last reference to it); the flat kernel retires seqs forever.
+    Either way, cancelling a handle
     whose event already ran must never kill a *different*, later event
     — here every cancel targets an already-fired handle, so all n
     events of the second wave must still run on both backends.

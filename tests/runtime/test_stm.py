@@ -1,5 +1,7 @@
 """The TLRW STM: isolation, atomicity, undo, fence placement."""
 
+import random
+
 import pytest
 
 from repro.common.params import FenceDesign, MachineParams
@@ -195,3 +197,71 @@ def test_flag_padding_keeps_lock_within_one_block():
     # flags are spread over lines per FLAGS_PER_LINE
     lines = {m.amap.line_of(f) for f in lock.reader_flags}
     assert len(lines) >= 8 // stm.FLAGS_PER_LINE
+
+
+def eager_lock_table(alloc, num_threads, base, nwords, colocate_prob=0.35,
+                     seed=7):
+    """The lock table as ``register_region`` built it when every lock
+    held its flag-address list: {word: (reader_flags, writer_addr)}."""
+    rng = random.Random(seed)
+    amap = alloc.amap
+    wb, wpl = amap.word_bytes, amap.words_per_line
+    block_lines = amap.interleave_bytes // amap.line_bytes
+    flags_per_line = max(1, -(-num_threads // max(1, block_lines - 1)))
+    total = (-(-num_threads // flags_per_line) + 1) * wpl
+    stride = wpl // flags_per_line
+    table = {}
+    for i in range(nwords):
+        word = base + i * wb
+        if rng.random() < colocate_prob:
+            lock_base = alloc.alloc_same_bank(word, total)
+        else:
+            lock_base = alloc.alloc_line(total)
+        table[word] = (
+            [lock_base + t * stride * wb for t in range(num_threads)],
+            lock_base + (total - wpl) * wb,
+        )
+    return table
+
+
+@pytest.mark.parametrize("threads", [1, 4, 8, 32])
+def test_lock_addresses_equal_the_eager_formula(threads):
+    """Computing flag addresses on request moves no simulated address:
+    same allocator calls, same order, same sizes."""
+    (m, _), (ref, _) = make_stm(cores=8), make_stm(cores=8)
+    stm = TlrwStm(m.alloc, threads)
+    nwords = 40
+    region = m.alloc.alloc(nwords)
+    assert ref.alloc.alloc(nwords) == region
+    stm.register_region(region, nwords)
+    expected = eager_lock_table(ref.alloc, threads, region, nwords)
+    assert set(stm.locks) == set(expected)
+    for word, (flags, writer_addr) in expected.items():
+        lock = stm.lock_for(word)
+        assert lock.reader_flags == flags
+        assert lock.writer_addr == writer_addr
+    # the next allocation lands at the same address on both machines
+    assert m.alloc.word() == ref.alloc.word()
+
+
+def test_op_caches_wait_for_the_first_barrier():
+    m, stm = make_stm(cores=2)
+    x, y = m.alloc.word(), m.alloc.word()
+    stm.register_region(x, 1)
+    stm.register_region(y, 1)
+    assert all(lock.rd_ops is None and lock.wr_ops is None
+               for lock in stm.locks.values())
+
+    def thread(ctx):
+        txn = Txn(stm, 1)
+        yield from txn.read(x)
+        yield from txn.commit()
+
+    m.spawn(thread)
+    m.run()
+    touched, untouched = stm.lock_for(x), stm.lock_for(y)
+    # thread 1's read barrier built thread 1's read ops, nothing else
+    assert [ops_ is not None for ops_ in touched.rd_ops] == [False, True]
+    assert touched.wr_ops is None
+    assert untouched.rd_ops is None and untouched.wr_ops is None
+    assert m.image.peek(touched.reader_flags[1]) == 0

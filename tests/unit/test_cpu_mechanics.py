@@ -164,3 +164,58 @@ def test_txn_cycle_marks_measure_span():
 
     run_threads(m, t)
     assert 90 <= m.stats.txn_cycles <= 140
+
+
+def _rmw_in_flight(bump_epoch):
+    """A W+ core whose RMW sits at a stubbed L1: returns the machine,
+    the captured ``issue_rmw`` calls and the values ``_advance`` saw."""
+    m = Machine(tiny_params(FenceDesign.W_PLUS, num_cores=1))
+    core = m.cores[0]
+    x = m.alloc.word()
+    issued, advanced = [], []
+    core.l1.issue_rmw = lambda word, apply_fn, on_done, on_bounce, po=0: \
+        issued.append((word, on_done, on_bounce))
+
+    def t(ctx):
+        yield ops.AtomicRMW(x, "add", 1)
+
+    m.spawn(t)
+    core.start()
+    m.queue.run(until=10)
+    assert [word for word, _, _ in issued] == [x]
+    core._advance = advanced.append
+    if bump_epoch:
+        core._epoch += 1  # what a W+ rollback does to in-flight work
+    return m, issued, advanced
+
+
+def test_rmw_bounce_retries_and_completes_within_its_epoch():
+    m, issued, advanced = _rmw_in_flight(bump_epoch=False)
+    _, on_done, on_bounce = issued[0]
+    on_bounce()
+    assert m.stats.write_retries == 1
+    assert m.queue.pending_events() == [
+        (m.queue.now + m.params.bounce_retry_cycles, "cpu.rmw_retry")]
+    m.queue.run()
+    assert len(issued) == 2
+    issued[1][1](41)
+    assert advanced == [41]
+
+
+def test_rmw_issued_before_a_rollback_is_squashed_for_good():
+    """The epoch belongs to the access, fixed when it issued: a bounce
+    that lands after a rollback must not re-issue the RMW under the new
+    epoch, and a late completion must not advance the squashed thread."""
+    m, issued, advanced = _rmw_in_flight(bump_epoch=True)
+    _, on_done, on_bounce = issued[0]
+    on_bounce()
+    # the counter and the retry event fire where they always did ...
+    assert m.stats.write_retries == 1
+    assert [label for _, label in m.queue.pending_events()] == \
+        ["cpu.rmw_retry"]
+    m.queue.run()
+    # ... but the retry issues nothing, and neither continuation
+    # resurrects the thread
+    assert len(issued) == 1
+    on_done(41)
+    assert advanced == []

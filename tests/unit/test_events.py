@@ -37,7 +37,7 @@ def test_cancelled_event_does_not_fire():
     fired = []
     ev = q.schedule(5, lambda: fired.append("x"))
     q.schedule(3, lambda: fired.append("y"))
-    ev.cancel()
+    q.cancel(ev)
     q.run()
     assert fired == ["y"]
 
@@ -94,7 +94,7 @@ def test_len_counts_pending_not_cancelled():
     e1 = q.schedule(1, lambda: None)
     q.schedule(2, lambda: None)
     assert len(q) == 2
-    e1.cancel()
+    q.cancel(e1)
     assert len(q) == 1
 
 
@@ -124,23 +124,24 @@ def test_step_skips_cancelled_events():
     fired = []
     ev = q.schedule(1, lambda: fired.append("x"))
     q.schedule(2, lambda: fired.append("y"))
-    ev.cancel()
+    q.cancel(ev)
     assert q.step()
     assert fired == ["y"]
 
 
-def test_event_accessors():
+def test_event_layout():
+    """A handle is the heap entry itself: ``[time, seq, fn, label]``,
+    a plain list, and cancelling clears slot 2."""
     q = EventQueue()
     fn = lambda: None  # noqa: E731
     ev = q.schedule(3, fn, label="test.ev")
-    assert ev.time == 3
-    assert ev.seq == 1
-    assert ev.fn is fn
-    assert ev.label == "test.ev"
-    assert not ev.cancelled
-    ev.cancel()
-    assert ev.cancelled
-    assert ev.fn is None
+    assert type(ev) is list
+    assert ev == [3, 1, fn, "test.ev"]
+    assert q.pending_events() == [(3, "test.ev")]
+    q.cancel(ev)
+    assert ev[2] is None
+    assert q.pending_events() == []
+    q.cancel(None)  # tolerated
 
 
 def test_executed_counter_tracks_dispatches():
@@ -148,7 +149,7 @@ def test_executed_counter_tracks_dispatches():
     for _ in range(4):
         q.schedule(1, lambda: None)
     cancelled = q.schedule(1, lambda: None)
-    cancelled.cancel()
+    q.cancel(cancelled)
     q.run()
     assert q.executed == 4
 
@@ -197,41 +198,64 @@ def test_stop_requested_midbatch_preserves_remaining_events():
 
 
 # ---------------------------------------------------------------------------
-# slot reuse (free-list recycling)
+# handle lifetime (entries are never reused by the queue)
 # ---------------------------------------------------------------------------
 
 
 def test_held_handle_is_not_recycled():
-    """An Event handle the caller kept must stay valid (cancellable)
-    after it fires — recycling may only claim dropped handles."""
+    """A handle the caller kept must stay valid (cancellable) after it
+    fires — it never aliases a later event."""
     q = EventQueue()
     fired = []
     held = q.schedule(1, lambda: fired.append("held"))
-    # a burst of dropped-handle events to churn the free list
-    for i in range(32):
+    # a burst of dropped-handle events, scheduled before and after the
+    # held one fires
+    for i in range(16):
         q.schedule(2, lambda i=i: fired.append(i))
     q.run(until=1)
     assert fired == ["held"]
-    # the held entry must not have been recycled into a pending event:
-    # cancelling it now must not cancel anything scheduled above
-    held.cancel()
+    for i in range(16, 32):
+        q.schedule(1, lambda i=i: fired.append(i))
+    # the held entry must not have become a pending event: cancelling
+    # it now must not cancel anything scheduled above
+    q.cancel(held)
     q.run()
     assert fired == ["held"] + list(range(32))
 
 
 def test_recycled_slots_preserve_fifo_order():
-    """Slot reuse must never perturb same-cycle FIFO order."""
+    """Churn (whatever the allocator hands back for the next entry)
+    must never perturb same-cycle FIFO order."""
     q = EventQueue()
     order = []
-    # phase 1: fire-and-drop events to populate the free list
+    # phase 1: fire-and-drop events, freed as they fire
     for i in range(8):
         q.schedule(1, lambda: None)
     q.run()
-    # phase 2: recycled slots must still dispatch in schedule order
+    # phase 2: new entries must still dispatch in schedule order
     for i in range(16):
         q.schedule(5, lambda i=i: order.append(i))
     q.run()
     assert order == list(range(16))
+
+
+def test_fire_and_drop_leaves_nothing_behind():
+    """The queue owns no container that grows with fired events."""
+    q = EventQueue()
+    count = [0]
+
+    def tick():
+        count[0] += 1
+
+    for i in range(10_000):
+        q.schedule(i % 7, tick)
+        if i % 100 == 99:
+            q.run()
+    q.run()
+    assert count[0] == q.executed == 10_000
+    assert len(q._heap) == 0
+    assert not hasattr(q, "_free")
+    assert not q._elastic
 
 
 def test_cancel_after_fire_is_harmless():
@@ -239,7 +263,7 @@ def test_cancel_after_fire_is_harmless():
     fired = []
     ev = q.schedule(1, lambda: fired.append("x"))
     q.run()
-    ev.cancel()  # no-op: already fired
+    q.cancel(ev)  # no-op: already fired
     q.schedule(1, lambda: fired.append("y"))
     q.run()
     assert fired == ["x", "y"]
@@ -270,7 +294,7 @@ def test_dispatch_is_stable_sort_by_cycle_then_seq(delays, cancel_mask):
     cancelled = set()
     for i, (h, kill) in enumerate(zip(handles, cancel_mask)):
         if kill:
-            h.cancel()
+            q.cancel(h)
             cancelled.add(i)
     q.run()
     expected = [
