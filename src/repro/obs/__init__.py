@@ -5,7 +5,8 @@ The subsystem has three layers:
 * :mod:`repro.obs.tracer` — the :class:`Tracer`: typed span/instant
   records emitted by guard-checked hooks inside the simulator (fence
   episodes, bounce→retry chains, Order/CO directory transactions, W+
-  recovery timelines, L1 miss/writeback and NoC message spans).
+  recovery timelines, L1 miss/writeback and NoC message spans), stored
+  flat and formatted only at export; :class:`TraceEvent` is the view.
 * :mod:`repro.obs.metrics` — the :class:`MetricsCollector`: a bounded
   per-epoch timeseries sampler (BS/WB occupancy, outstanding bounces,
   per-core cycle-breakdown deltas).
@@ -17,7 +18,9 @@ Zero-cost-when-off contract: every hook site in the simulator is
 guarded by a plain ``tracer is None`` check on a cached attribute —
 no dynamic dispatch, no null-object method calls — so the untraced
 hot path stays within noise of the pre-observability kernel
-(referee: ``benchmarks/perf`` and :mod:`repro.obs.overhead`).
+(referee: ``benchmarks/perf`` and :mod:`repro.obs.overhead`).  What the
+probes cost when *on* is refereed by ``bench/``'s ``probes_on`` workload
+and its ``*.on_over_off`` ratios.
 """
 
 from repro.obs.attrib import CycleAttribution

@@ -37,7 +37,7 @@ import math
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.obs.attrib import build_tree
-from repro.obs.tracer import TraceEvent
+from repro.obs.tracer import TraceEvent, select
 
 
 class AnalysisError(Exception):
@@ -75,17 +75,11 @@ class TraceData:
 
     def spans(self, name: Optional[str] = None,
               cat: Optional[str] = None) -> List[TraceEvent]:
-        return [ev for ev in self.events
-                if ev.ph == "X"
-                and (name is None or ev.name == name)
-                and (cat is None or ev.cat == cat)]
+        return select(self.events, "X", name, cat)
 
     def instants(self, name: Optional[str] = None,
                  cat: Optional[str] = None) -> List[TraceEvent]:
-        return [ev for ev in self.events
-                if ev.ph == "i"
-                and (name is None or ev.name == name)
-                and (cat is None or ev.cat == cat)]
+        return select(self.events, "i", name, cat)
 
 
 def load_jsonl(path: str) -> TraceData:
@@ -94,17 +88,27 @@ def load_jsonl(path: str) -> TraceData:
     Event lines reconstruct the original :class:`TraceEvent` exactly:
     ``to_dict`` omits only a ``None`` dur and empty args, which the
     constructor defaults restore.
+
+    Each stripped line goes straight to the decoder's C scanner; with
+    no whitespace left around it, "one value, ending where the line
+    ends" is precisely what ``json`` accepts for the line.
     """
     meta: Optional[dict] = None
     events: List[TraceEvent] = []
     metrics: List[dict] = []
+    scan_once = json.JSONDecoder().scan_once
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec, end = scan_once(line, 0)
+                if end != len(line):
+                    raise ValueError(f"extra data at char {end}")
+            except StopIteration as exc:
+                raise AnalysisError(
+                    f"{path}:{lineno}: bad JSON: no value at char {exc.value}")
             except ValueError as exc:
                 raise AnalysisError(f"{path}:{lineno}: bad JSON: {exc}")
             kind = rec.get("type")

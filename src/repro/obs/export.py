@@ -23,7 +23,10 @@ JSONL format
 every trace record (``type: "event"``), then interval-metrics samples
 (``type: "metrics"``).  It is the compact machine-readable stream for
 ad-hoc analysis (``jq``, pandas) where the Chrome envelope gets in the
-way.
+way.  The tracer stores flat records; here a record of a fixed-shape
+kind becomes its line through one ``%``-template derived from the kind
+table — byte for byte what the JSON encoder writes for its view, which
+the other kinds (args dicts, bool fields, an open span) go through.
 
 ``validate_chrome_trace`` is the schema check CI runs against every
 exported trace; it is intentionally dependency-free (no jsonschema).
@@ -34,7 +37,10 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from repro.obs.tracer import TRACK_DIR_BASE, TRACK_METRICS, TRACK_NOC, Tracer
+from repro.obs.tracer import (
+    BOOL_FIELDS, DIR_TXN_OPEN, KINDS, STR_FIELDS,
+    TRACK_DIR_BASE, TRACK_METRICS, TRACK_NOC, Tracer, view,
+)
 
 #: Chrome pid used for the whole simulated machine
 PID = 1
@@ -97,11 +103,11 @@ def to_chrome_trace(tracer: Tracer, metrics=None,
                     provenance: Optional[Dict[str, object]] = None,
                     ) -> Dict[str, object]:
     """Render a tracer (and optional metrics) as a Chrome trace dict."""
-    tracks = {ev.track for ev in tracer.events}
+    tracks = {rec[1] for rec in tracer.records}
     if metrics is not None and metrics.samples:
         tracks.add(TRACK_METRICS)
     out: List[dict] = _metadata_events(tracks)
-    for ev in tracer.events:
+    for ev in map(view, tracer.records):
         rec = {
             "name": ev.name, "cat": ev.cat, "ph": ev.ph,
             "pid": PID, "tid": ev.track, "ts": ev.ts,
@@ -177,6 +183,25 @@ def write_chrome_trace(path: str, tracer: Tracer, metrics=None,
     return trace
 
 
+def _jsonl_template(kind: int) -> Optional[str]:
+    """The JSONL line of a fixed-shape record as ``template % record``,
+    or ``None`` where only the encoder will do.  ``%r`` of an int or
+    float is what ``json`` writes; the leading ``%.0s`` consumes the
+    record's kind slot and prints nothing."""
+    ph, name, cat, fields = KINDS[kind]
+    if fields is None or BOOL_FIELDS.intersection(fields) \
+            or kind == DIR_TXN_OPEN:  # no "dur" key while a span is open
+        return None
+    args = ",".join(f'"{f}":"%s"' if f in STR_FIELDS else f'"{f}":%r'
+                    for f in fields)
+    return (f'%.0s{{"type":"event","ph":"{ph}","track":%r,"name":"{name}",'
+            f'"cat":"{cat}","ts":%r,"dur":%r'
+            + (',"args":{' + args + "}}" if fields else "}"))
+
+
+_JSONL_TEMPLATES = [_jsonl_template(kind) for kind in range(len(KINDS))]
+
+
 def write_jsonl(path: str, tracer: Tracer, metrics=None,
                 label: Optional[str] = None,
                 provenance: Optional[Dict[str, object]] = None) -> int:
@@ -184,7 +209,7 @@ def write_jsonl(path: str, tracer: Tracer, metrics=None,
     header = {
         "type": "meta",
         "exporter": "repro.obs",
-        "events": len(tracer.events),
+        "events": len(tracer.records),
         "dropped": tracer.dropped,
     }
     if label:
@@ -195,8 +220,11 @@ def write_jsonl(path: str, tracer: Tracer, metrics=None,
     # call, and a trace has tens of thousands of records
     encode = json.JSONEncoder(separators=(",", ":")).encode
     lines = [encode(header)]
-    lines.extend(encode({"type": "event", **ev.to_dict()})
-                 for ev in tracer.events)
+    lines.extend(
+        template % tuple(rec)
+        if (template := _JSONL_TEMPLATES[rec[0]]) is not None
+        else encode({"type": "event", **view(rec).to_dict()})
+        for rec in tracer.records)
     if metrics is not None:
         lines.extend(encode({"type": "metrics", **sample})
                      for sample in metrics.samples)

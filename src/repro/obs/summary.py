@@ -9,9 +9,10 @@ aggregate makes you ask.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List, Optional
 
-from repro.obs.tracer import TRACK_DIR_BASE, TRACK_NOC, Tracer
+from repro.obs.tracer import KINDS, TRACK_DIR_BASE, TRACK_NOC, Tracer
 
 
 def _fmt_args(ev, skip=()) -> str:
@@ -35,14 +36,18 @@ def render_trace_summary(tracer: Tracer, stats=None, top: int = 10) -> str:
     out = lines.append
 
     out("== trace summary ==")
-    out(f"events: {len(tracer.events)}"
+    out(f"events: {len(tracer.records)}"
         + (f" (+{tracer.dropped} dropped at cap)" if tracer.dropped else ""))
 
-    # ---- counts by category / name ------------------------------------
+    # ---- counts by category / name (off the records: no views) --------
     by_name = {}
-    for ev in tracer.events:
-        key = (ev.cat, ev.name, ev.ph)
-        by_name[key] = by_name.get(key, 0) + 1
+    for kind, n in Counter(rec[0] for rec in tracer.records).items():
+        ph, name, cat, _ = KINDS[kind]
+        # a free-form kind's records carry their names themselves
+        names = {name: n} if name else Counter(
+            rec[4] for rec in tracer.records if rec[0] == kind)
+        for name, n in names.items():
+            by_name[cat, name, ph] = by_name.get((cat, name, ph), 0) + n
     if by_name:
         out("")
         out("-- event counts --")
@@ -50,7 +55,8 @@ def render_trace_summary(tracer: Tracer, stats=None, top: int = 10) -> str:
             out(f"  {cat:<9} {name:<16} {'span' if ph == 'X' else 'instant' if ph == 'i' else 'counter':<8} {n:>8}")
 
     # ---- longest fence episodes ---------------------------------------
-    fences = [ev for ev in tracer.spans(cat="fence") if ev.dur]
+    fence_spans = tracer.spans(cat="fence")
+    fences = [ev for ev in fence_spans if ev.dur]
     if fences:
         fences.sort(key=lambda ev: -ev.dur)
         out("")
@@ -106,8 +112,8 @@ def render_trace_summary(tracer: Tracer, stats=None, top: int = 10) -> str:
     if stats is not None:
         out("")
         out("-- stats cross-check --")
-        sf_spans = tracer.spans("sf")
-        wf_spans = tracer.spans("wf")
+        sf_spans = [ev for ev in fence_spans if ev.name == "sf"]
+        wf_spans = [ev for ev in fence_spans if ev.name == "wf"]
         converted = sum(1 for ev in wf_spans if ev.args
                         and ev.args.get("converted"))
         out(f"  sf episodes: {len(sf_spans) + converted} "

@@ -156,7 +156,7 @@ class Watchdog:
             }
         if machine.tracer is not None:
             bundle["trace_tail"] = [
-                ev.to_dict() for ev in machine.tracer.events[-_TRACE_TAIL:]
+                ev.to_dict() for ev in machine.tracer.tail(_TRACE_TAIL)
             ]
         return bundle
 

@@ -23,6 +23,7 @@ from repro.common.kernels import KERNELS
 from repro.common.params import FenceDesign
 from repro.obs import Observability
 from repro.workloads.base import load_all_workloads, run_workload
+from tests.support import reset_global_id_streams
 
 DESIGNS = (
     FenceDesign.S_PLUS,
@@ -31,21 +32,6 @@ DESIGNS = (
     FenceDesign.W_PLUS,
     FenceDesign.WEE,
 )
-
-
-def _reset_global_id_streams():
-    """Rewind the process-global txn/store id counters.
-
-    The ids land in trace-event args; without the rewind, the second
-    run of a back-to-back comparison picks up where the first left off
-    and every id differs — run-order noise, not a kernel divergence.
-    """
-    import itertools
-
-    from repro.mem import messages, writebuffer
-
-    messages._txn_ids = itertools.count(1)
-    writebuffer._store_ids = itertools.count(1)
 
 
 def _first_diff(a, b, path=""):
@@ -76,7 +62,7 @@ def _assert_same(obj, flat, what):
 def _traced_run(kernel: str, design: FenceDesign, workload: str = "fib"):
     """One pinned run on *kernel*; returns (summary, trace) dicts."""
     load_all_workloads()
-    _reset_global_id_streams()
+    reset_global_id_streams()
     obs = Observability(trace=True)
     run = run_workload(workload, design, num_cores=4, scale=0.2,
                        seed=2024, kernel=kernel, obs=obs)

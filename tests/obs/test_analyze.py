@@ -1,7 +1,11 @@
 """Trace analytics: loader round trip, provenance contract, tables,
 top-K queries, and the replay preconditions."""
 
+import json
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.params import FenceDesign
 from repro.obs import Observability
@@ -115,6 +119,87 @@ def test_loader_rejects_garbage(tmp_path):
     empty.write_text("")
     with pytest.raises(AnalysisError, match="no meta header"):
         load_jsonl(str(empty))
+
+
+# The loader hands each stripped line to the decoder's C scanner itself;
+# it must accept and reject exactly what ``json.loads(line.strip())`` does.
+
+@pytest.fixture(scope="module")
+def line_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("lines") / "t.jsonl"
+
+
+def _load_one(path, line):
+    """``load_jsonl`` of a meta header plus *line*: the loaded data,
+    ``"bad JSON"``, or ``"decoded"`` when the line parsed and the loader
+    then refused the *value* (unknown type, not an object)."""
+    path.write_text('{"type":"meta"}\n' + line + "\n")
+    try:
+        return load_jsonl(str(path))
+    except AnalysisError as exc:
+        assert f"{path}:2: " in str(exc)
+        return "bad JSON" if "bad JSON" in str(exc) else "decoded"
+    except AttributeError:
+        return "decoded"
+
+
+def _json_loads_rejects(line):
+    try:
+        json.loads(line.strip())
+    except ValueError:
+        return True
+    return False
+
+
+#: one physical line each: the file reader splits at \n and \r only
+_one_line = st.characters(blacklist_characters="\n\r",
+                          blacklist_categories=("Cs",))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(_one_line, max_size=6)
+    | st.floats(),  # NaN and the infinities included: json writes them
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(_one_line, max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=st.text(_one_line, max_size=40))
+@example(line="0")
+@example(line="[]")
+@example(line="1 2")
+@example(line="NaN")
+@example(line="nan")
+@example(line='{"type":"meta"} ,')
+@example(line='\ufeff{"type":"meta"}')
+@example(line='{"type":"meta"}\x0b')
+@example(line='{"type":"meta","a":"\x0c"}')
+def test_loader_rejects_exactly_what_json_loads_rejects(line_file, line):
+    loaded = _load_one(line_file, line)
+    assert (loaded == "bad JSON") == (
+        bool(line.strip()) and _json_loads_rejects(line))
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=st.dictionaries(
+           st.text(_one_line, max_size=4).filter(lambda k: k != "type"),
+           _json_values, max_size=4),
+       before=st.sampled_from(["", " ", "\t ", "\ufeff", "\x0b", "\u2028"]),
+       after=st.sampled_from(["", "  ", "\t", "\x0c", " x", "}", ",", " {}",
+                              "\u00a0"]),
+       compact=st.booleans(), ascii_only=st.booleans())
+def test_loader_returns_what_json_loads_returns(
+        line_file, payload, before, after, compact, ascii_only):
+    body = json.dumps({"type": "metrics", **payload}, ensure_ascii=ascii_only,
+                      separators=(",", ":") if compact else None)
+    line = before + body + after
+    loaded = _load_one(line_file, line)
+    if _json_loads_rejects(line):
+        assert loaded == "bad JSON"
+    else:
+        expected = json.loads(line.strip())
+        del expected["type"]
+        # NaN != NaN: compare what the values serialise to
+        assert json.dumps(loaded.metrics) == json.dumps([expected])
 
 
 # ---------------------------------------------------------------------------

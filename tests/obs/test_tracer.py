@@ -34,6 +34,7 @@ def test_span_open_then_close_records_duration():
     assert ev.open and ev.dur is None
     queue.now = 40
     tracer.sf_end(0, extra=8)
+    (ev,) = tracer.spans("sf")  # a view is a snapshot: query again
     assert ev.dur == 48 and not ev.open
 
 
@@ -156,3 +157,46 @@ def test_to_dict_omits_empty_fields():
     d = ev.to_dict()
     assert "dur" not in d and "args" not in d
     assert d["ts"] == 5
+
+
+def test_tail_views_only_the_last_records():
+    tracer, queue = make_tracer()
+    for depth in range(5):
+        queue.now = depth
+        tracer.wb_depth(0, depth)
+    assert [ev.args["value"] for ev in tracer.tail(2)] == [3, 4]
+    assert len(tracer.tail(64)) == 5
+
+
+def test_queries_match_free_form_names_per_record():
+    # fault / sanitizer records carry their own names: the kind table
+    # cannot answer a name query for them, the record must
+    tracer, _ = make_tracer()
+    tracer.fault(TRACK_NOC, "noc_delay", {"n": 1})
+    tracer.fault(0, "dir_nack", {"n": 2})
+    tracer.sanitizer_violation(None, "bs_leak", {"line": 64})
+    assert tracer.count("fault_dir_nack") == 1
+    assert [ev.args["n"] for ev in tracer.instants(cat="fault")] == [1, 2]
+    (ev,) = tracer.instants("sanitizer_bs_leak")
+    assert ev.cat == "sanitizer" and ev.args == {"line": 64}
+
+
+def test_summary_counts_by_name_across_kinds():
+    from repro.obs.summary import render_trace_summary
+
+    tracer, _ = make_tracer()
+    tracer.dir_begin(0, 1, "GetX", 64, 0)   # replied
+    tracer.dir_begin(0, 2, "GetS", 128, 1)  # cut off below
+    tracer.dir_end(0, 1, "DataE")
+    tracer.noc_msg(0, 1, "GetS", 8, 5, False)
+    tracer.noc_msg(0, 1, "GetS", 8, 5, True)
+    tracer.fault(0, "dir_nack", {"n": 1})
+    tracer.fault(0, "dir_nack", {"n": 2})
+    tracer.fault(TRACK_NOC, "noc_delay", {"n": 1})
+    tracer.finalize()
+    rows = {tuple(line.split()) for line in
+            render_trace_summary(tracer).splitlines()}
+    assert ("dir", "dir_txn", "span", "2") in rows
+    assert ("noc", "msg", "span", "2") in rows
+    assert ("fault", "fault_dir_nack", "instant", "2") in rows
+    assert ("fault", "fault_noc_delay", "instant", "1") in rows

@@ -14,6 +14,21 @@ WEAK_DESIGNS = (FenceDesign.WS_PLUS, FenceDesign.SW_PLUS,
                 FenceDesign.W_PLUS, FenceDesign.WEE)
 
 
+def reset_global_id_streams():
+    """Rewind the process-global txn/store id counters.
+
+    The ids land in trace-event args; without the rewind, a run's trace
+    depends on how many machines the process ran before it — run-order
+    noise, not a difference in what was traced.
+    """
+    import itertools
+
+    from repro.mem import messages, writebuffer
+
+    messages._txn_ids = itertools.count(1)
+    writebuffer._store_ids = itertools.count(1)
+
+
 def tiny_params(design=FenceDesign.S_PLUS, num_cores=2, exact=True, **over):
     """Small machine for protocol/litmus tests.
 
