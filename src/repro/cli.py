@@ -381,7 +381,7 @@ def cmd_synth(args) -> int:
               file=sys.stderr)
         return 2
     print()
-    print(render_synth_table(report.to_dict()))
+    print(render_synth_table(report.to_dict(), report.simulated_runs))
     if args.out != "-":
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         report.write(args.out)
@@ -681,8 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "when the program carries fences, else "
                             "'auto' store->load boundaries)")
     p_syn.add_argument("--max-runs", type=int, default=4000,
-                       help="simulator-run budget per design (search "
-                            "and audit each; default 4000)")
+                       help="oracle-verdict budget per design, search "
+                            "and audit each; a verdict already in the "
+                            "run table still counts (default 4000)")
     p_syn.add_argument("--no-audit", action="store_true",
                        help="skip the double-budget re-verification and "
                             "weakening checks")

@@ -8,13 +8,14 @@ That log is the W+ register checkpoint (paper §3.3.3): rolling back to
 a checkpoint re-creates the generator and replays the logged prefix —
 with zero simulated time — then resumes live execution.  This works
 because threads are required to be deterministic functions of the
-results the simulator hands back (per-thread RNGs are re-seeded on
-every (re)creation via :class:`ThreadContext`).
+results the simulator hands back (per-thread RNGs restart from their
+seed on every (re)creation via :class:`ThreadContext`).
 """
 
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import ThreadReplayError
@@ -24,8 +25,12 @@ from repro.core import isa
 class ThreadContext:
     """Per-thread facilities handed to the workload generator.
 
-    ``rng`` is re-created from ``seed`` each time the generator is
+    ``rng`` restarts from ``seed`` each time the generator is
     (re)constructed, so replayed prefixes draw the same random numbers.
+    The first draw after a (re)construction builds it (litmus, chaos
+    and farm programs never draw, and seeding was most of ``spawn``);
+    from then on it is a plain instance attribute — ``cached_property``
+    is a non-data descriptor, so a hot ``ctx.rng.random()`` skips it.
     """
 
     def __init__(self, tid: int, num_threads: int, seed: int, shared=None):
@@ -33,10 +38,13 @@ class ThreadContext:
         self.num_threads = num_threads
         self.seed = seed
         self.shared = shared  # workload-defined shared-state handle
-        self.rng = random.Random(seed)
+
+    @cached_property
+    def rng(self) -> random.Random:
+        return random.Random(self.seed)
 
     def _reset_rng(self) -> None:
-        self.rng = random.Random(self.seed)
+        self.__dict__.pop("rng", None)
 
 
 class SimThread:

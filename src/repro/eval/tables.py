@@ -170,9 +170,11 @@ def _audit_cell(placement: dict) -> str:
     return f"{verdict}@{audit['points']}pts, {minimal}"
 
 
-def render_synth_table(data: dict) -> str:
+def render_synth_table(data: dict, simulated_runs: int) -> str:
     """Text rendering of a ``repro synth`` report dict: the ranked
-    placement × design table plus the per-site marginal probe table."""
+    placement × design table plus the per-site marginal probe table;
+    the footer sets ``SynthReport.simulated_runs`` (not in the dict)
+    beside the verdicts those runs answered."""
     cfg = data["config"]
     prog = data["program"]
     lines = [
@@ -233,6 +235,7 @@ def render_synth_table(data: dict) -> str:
         lines.append("designs without a synthesized placement:")
         lines.extend(notes)
     lines.append("")
-    lines.append(f"total simulator runs: {data['total_runs']}; "
+    lines.append(f"oracle verdicts: {data['total_runs']}; "
+                 f"simulator runs: {simulated_runs}; "
                  f"report ok: {'yes' if data['ok'] else 'NO'}")
     return "\n".join(lines)

@@ -17,7 +17,9 @@ points (the paper's machine, default knobs, a small seed sweep):
 
 Costs are means over a fixed seed sweep of the default point; the
 simulator is deterministic per (program, design, point), so the whole
-model is reproducible bit-for-bit.
+model is reproducible bit-for-bit — and cost runs come out of the
+oracle's :class:`~repro.synth.search.RunTable`: the seed-1 cost point
+*is* adversary point 0 and a single-fence probe *is* a search candidate.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from typing import Dict, Optional, Tuple
 
 from repro.common.params import FenceDesign, FenceFlavour
 from repro.fences.base import synthesis_profile
+from repro.synth.search import RunTable
 from repro.synth.sites import FenceSite, Placement
 from repro.verify.generator import LitmusProgram
-from repro.verify.oracles import run_program
 from repro.verify.perturb import DEFAULT_POINT
 
 #: default machine seeds for the cost sweep (cheap, fixed, clean points)
@@ -47,13 +49,16 @@ def measure_cycles(
     design: FenceDesign,
     seeds: Tuple[int, ...] = COST_SEEDS,
     sanitize: str = "off",
+    table: Optional[RunTable] = None,
 ) -> Optional[float]:
     """Mean end-to-end cycles of *placement*, or None if any cost run
-    failed to complete cleanly (cost of a broken run is meaningless)."""
+    failed to complete cleanly (cost of a broken run is meaningless).
+    Runs come from *table* (a fresh one when none is passed)."""
+    table = RunTable.bound(table, design, sanitize)
     program = placement.apply(stripped, design)
     total = 0
     for point in cost_points(seeds):
-        run = run_program(program, design, point, sanitize=sanitize)
+        run = table.run(program, point)
         if not run.completed or run.error or run.deadlock or run.sanitizer:
             return None
         total += run.cycles
@@ -67,6 +72,7 @@ def site_probes(
     baseline: Optional[float],
     seeds: Tuple[int, ...] = COST_SEEDS,
     sanitize: str = "off",
+    table: Optional[RunTable] = None,
 ) -> Dict[str, Dict[str, Optional[float]]]:
     """Marginal cycle cost of one fence per (site, flavour):
     ``probes[site.label()][flavour] = cycles(single fence) - baseline``.
@@ -81,7 +87,7 @@ def site_probes(
         for flavour in sorted(profile.flavours, key=lambda f: f.value):
             cycles = measure_cycles(
                 stripped, Placement.of({site: flavour}), design,
-                seeds=seeds, sanitize=sanitize,
+                seeds=seeds, sanitize=sanitize, table=table,
             )
             if cycles is None or baseline is None:
                 per_site[flavour.value] = None

@@ -42,6 +42,7 @@ from repro.synth.search import (
     BudgetExhausted,
     Counterexample,
     PlacementOracle,
+    RunTable,
     SearchOutcome,
     synthesize,
 )
@@ -71,7 +72,7 @@ class SynthConfig:
     #: fence-site extraction: "annotated" | "auto" | None (= annotated
     #: when the program carries fences, else auto)
     site_mode: Optional[str] = None
-    #: simulator-run budget per design (search and audit separately)
+    #: oracle-verdict budget per design (search and audit separately)
     max_runs: int = 4000
     #: at most this many legal placements → exhaustive search;
     #: above it, ddmin-descent
@@ -127,7 +128,11 @@ class SynthReport:
     program_info: dict
     #: design.value -> per-design result dict, in config.designs order
     designs: "Dict[str, dict]" = field(default_factory=dict)
+    #: oracle verdicts delivered (search + audit)
     total_runs: int = 0
+    #: simulator runs made (run-table misses; search + audit + cost) —
+    #: not in ``to_dict()``, and 0 for journal-replayed designs
+    simulated_runs: int = 0
 
     @property
     def ok(self) -> bool:
@@ -252,8 +257,9 @@ def _synth_one_design(
     sites: Tuple[FenceSite, ...],
     config: SynthConfig,
     deadline,
-) -> Tuple[dict, int]:
-    """Search + audit + cost for one design; returns (entry, runs).
+) -> Tuple[dict, int, int]:
+    """Search + audit + cost for one design; returns (entry, oracle
+    verdicts delivered, simulator runs made).
 
     The search and the audit are a CEGAR loop: a minimum the search
     accepts but the double-budget audit rejects means the search's
@@ -261,7 +267,12 @@ def _synth_one_design(
     set and the search re-runs.  Every round adds a distinct point
     from the finite audit set, so on a clean exit every reported
     minimum passes the *full* audit set.
+
+    Every round, the audit and the cost sweep share one
+    :class:`RunTable`, which dies with this call; a verdict it already
+    holds the run for is still a verdict against ``max_runs``.
     """
+    table = RunTable(design, config.sanitize)
     audit_points = adversary_points(
         config.seed, config.num_points * config.audit_factor)
     points = list(adversary_points(config.seed, config.num_points))
@@ -276,6 +287,7 @@ def _synth_one_design(
             exhaustive_cap=config.exhaustive_cap,
             shrink_budget=config.shrink_budget,
             deadline=deadline,
+            table=table,
         )
         runs += outcome.runs_used
         if outcome.status != "ok" or not config.audit:
@@ -283,7 +295,7 @@ def _synth_one_design(
         audit_oracle = PlacementOracle(
             stripped, design, tuple(audit_points),
             max_runs=config.max_runs, sanitize=config.sanitize,
-            deadline=deadline,
+            deadline=deadline, table=table,
         )
         try:
             killers = [audit_oracle.check(m) for m in outcome.minima]
@@ -319,21 +331,20 @@ def _synth_one_design(
         "placements": [],
     }
     if outcome.status != "ok" or not outcome.minima:
-        return entry, runs
+        return entry, runs, len(table.runs)
 
+    cost_args = dict(seeds=config.cost_seeds, sanitize=config.sanitize,
+                     table=table)
     baseline = cost_mod.measure_cycles(
-        stripped, Placement.empty(), design,
-        seeds=config.cost_seeds, sanitize=config.sanitize)
+        stripped, Placement.empty(), design, **cost_args)
     entry["baseline_cycles"] = baseline
     entry["site_probes"] = cost_mod.site_probes(
-        stripped, sites, design, baseline,
-        seeds=config.cost_seeds, sanitize=config.sanitize)
+        stripped, sites, design, baseline, **cost_args)
 
     try:
         for minimum in outcome.minima:
             cycles = cost_mod.measure_cycles(
-                stripped, minimum, design,
-                seeds=config.cost_seeds, sanitize=config.sanitize)
+                stripped, minimum, design, **cost_args)
             placement_entry = _placement_entry(minimum, cycles, baseline)
             if audit_oracle is not None:
                 placement_entry["audit"] = _audit_minimum(
@@ -348,7 +359,7 @@ def _synth_one_design(
     entry["placements"].sort(key=_rank_key)
     for rank, placement_entry in enumerate(entry["placements"], start=1):
         placement_entry["rank"] = rank
-    return entry, runs
+    return entry, runs, len(table.runs)
 
 
 def _deadline_from_budget(budget: Optional[RunBudget]):
@@ -449,10 +460,11 @@ def run_synthesis(
                     "failure": None,
                 }
                 continue
-            entry, runs = _synth_one_design(
+            entry, runs, simulated = _synth_one_design(
                 design, stripped, sites, config, deadline)
             report.designs[design.value] = entry
             report.total_runs += runs
+            report.simulated_runs += simulated
             if writer is not None:
                 writer.append({
                     "design": design.value,

@@ -23,8 +23,14 @@ same schedule point.  The oracle exploits the contrapositive: before
 sweeping all points for a candidate C, it first replays the recorded
 counterexample points of every known-failing placement that covers C
 (C ⊑ P means P's counterexample transfers), plus the most recently
-lethal points.  Failing candidates therefore usually die in one
-simulator run instead of a full sweep.
+lethal points.  Failing candidates therefore usually die on one
+point instead of a full sweep.
+
+**Run table.**  A run is a pure function of (program, design, point,
+sanitizer mode), and one design's synthesis asks for the same run many
+times over (audit after search, CEGAR re-search, cost points that are
+adversary points), so every oracle and cost run comes out of a
+:class:`RunTable`; budgets keep counting *verdicts*, not table misses.
 """
 
 from __future__ import annotations
@@ -42,13 +48,14 @@ from repro.synth.sites import (
     count_legal_placements,
 )
 from repro.verify.generator import LitmusProgram
-from repro.verify.oracles import run_program
+from repro.verify.oracles import ProgramRun, run_program
 from repro.verify.perturb import SchedulePoint
 from repro.verify.shrink import ddmin
 
 
 class BudgetExhausted(Exception):
-    """The search ran out of simulator runs or wall-clock budget."""
+    """The search ran out of oracle verdicts or wall-clock budget (a
+    verdict counts whether or not the run table already held its run)."""
 
     def __init__(self, kind: str):
         super().__init__(f"synthesis budget exhausted ({kind})")
@@ -83,10 +90,46 @@ def classify_run(run) -> Optional[str]:
     return None
 
 
+class RunTable:
+    """``(program, point) -> ProgramRun`` for one design and sanitizer
+    mode: the only place synthesis simulates, once per key.  It lives
+    as long as its owner — one design of one ``run_synthesis`` call, or
+    one oracle / cost call that was handed none."""
+
+    def __init__(self, design: FenceDesign, sanitize: str = "off"):
+        self.design = design
+        self.sanitize = sanitize
+        #: one entry per simulator run made (a miss)
+        self.runs: Dict[Tuple[LitmusProgram, SchedulePoint], ProgramRun] = {}
+
+    @classmethod
+    def bound(cls, table: "Optional[RunTable]", design: FenceDesign,
+              sanitize: str) -> "RunTable":
+        """*table*, which must be for this design and mode — or a fresh
+        one when the caller passed none."""
+        if table is None:
+            return cls(design, sanitize)
+        if (table.design, table.sanitize) != (design, sanitize):
+            raise ValueError(
+                f"run table bound to {table.design.value}/{table.sanitize}"
+                f", not {design.value}/{sanitize}")
+        return table
+
+    def run(self, program: LitmusProgram, point: SchedulePoint) -> ProgramRun:
+        key = (program, point)
+        run = self.runs.get(key)
+        if run is None:
+            run = self.runs[key] = run_program(
+                program, self.design, point,
+                faults=point.injector(), sanitize=self.sanitize)
+        return run
+
+
 class PlacementOracle:
     """Budgeted judge: does a placement pass on every adversary point?
 
-    Counts every simulator run, reorders points counterexample-first,
+    Counts every verdict (``runs_used``; the runs come from *table*,
+    its own unless one is passed), reorders points counterexample-first,
     and remembers which point killed which placement so the pruning
     lemma can hand later candidates a lethal point hint.
     """
@@ -99,6 +142,7 @@ class PlacementOracle:
         max_runs: int = 4000,
         sanitize: str = "off",
         deadline: Optional[Callable[[], bool]] = None,
+        table: Optional[RunTable] = None,
     ):
         self.stripped = stripped
         self.design = design
@@ -106,6 +150,7 @@ class PlacementOracle:
         self.max_runs = max_runs
         self.sanitize = sanitize
         self.deadline = deadline
+        self.table = RunTable.bound(table, design, sanitize)
         self.runs_used = 0
         #: point indices by recency of a kill (most recent first)
         self._recent_killers: List[int] = []
@@ -121,9 +166,7 @@ class PlacementOracle:
         if self.deadline is not None and self.deadline():
             raise BudgetExhausted("wall")
         self.runs_used += 1
-        run = run_program(program, self.design, point,
-                          faults=point.injector(), sanitize=self.sanitize)
-        return classify_run(run)
+        return classify_run(self.table.run(program, point))
 
     def _point_order(self, placement: Placement) -> List[int]:
         """All point indices, lemma hints and recent killers first."""
@@ -195,11 +238,13 @@ def synthesize(
     exhaustive_cap: int = 512,
     shrink_budget: int = 200,
     deadline: Optional[Callable[[], bool]] = None,
+    table: Optional[RunTable] = None,
 ) -> SearchOutcome:
     """Find minimal SC-safe placements of *design* over *sites*."""
     profile = synthesis_profile(design)
     oracle = PlacementOracle(stripped, design, points, max_runs=max_runs,
-                             sanitize=sanitize, deadline=deadline)
+                             sanitize=sanitize, deadline=deadline,
+                             table=table)
     outcome = SearchOutcome(design=design)
     try:
         if count_legal_placements(len(sites), profile) <= exhaustive_cap:

@@ -29,7 +29,8 @@ def main() -> int:
         return 1
     path = os.path.join(DATA_DIR, "synth_sb.json")
     report.write(path)
-    print(f"wrote {path} ({report.total_runs} simulator runs)")
+    print(f"wrote {path} ({report.total_runs} oracle verdicts from "
+          f"{report.simulated_runs} simulator runs)")
     return 0
 
 

@@ -8,6 +8,11 @@ would show up as a returned placement a clean judge rejects — and
 (c) form an antichain: no returned minimum may cover another, or the
 covering one was never minimal.
 
+A fourth property pins the run table (:class:`repro.synth.search.
+RunTable`): an oracle answering out of a shared, already-warm table
+gives, for any placement, the verdict of a table-less sweep that calls
+``run_program`` once per point.
+
 The fast half keeps the example count small for the tier-1 lane; the
 ``slow``-marked battery drives the whole engine (report, audit,
 double-budget re-verification) over more programs for the nightly
@@ -19,10 +24,15 @@ from hypothesis import strategies as st
 
 from repro.fences.base import synthesis_profile
 from repro.synth import SynthConfig, run_synthesis
-from repro.synth.search import PlacementOracle, synthesize
-from repro.synth.sites import extract_sites
+from repro.synth.search import (
+    PlacementOracle,
+    RunTable,
+    classify_run,
+    synthesize,
+)
+from repro.synth.sites import Placement, extract_sites
 from repro.verify.generator import generate_program
-from repro.verify.oracles import PAPER_DESIGNS
+from repro.verify.oracles import PAPER_DESIGNS, run_program
 from repro.verify.perturb import adversary_points
 
 import pytest
@@ -63,6 +73,47 @@ def test_synth_returns_oracle_accepted_placements(seed, design):
             assert a is b or not a.covers(b), (
                 f"{a.key()} covers {b.key()}: not an antichain"
             )
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**16),
+       design=st.sampled_from(PAPER_DESIGNS),
+       data=st.data())
+def test_table_backed_verdict_equals_a_table_less_sweep(seed, design, data):
+    program = generate_program(seed, shape="random")
+    stripped = program.stripped()
+    sites = extract_sites(program, mode="auto")
+    points = tuple(adversary_points(seed, SEARCH_POINTS))
+    profile = synthesis_profile(design)
+    flavour = st.sampled_from(
+        (None,) + tuple(sorted(profile.flavours, key=lambda f: f.value)))
+    placements = [
+        placement for placement in (
+            Placement.of({s: f for s, f in zip(sites, combo)
+                          if f is not None})
+            for combo in data.draw(st.lists(
+                st.tuples(*[flavour] * len(sites)), min_size=2, max_size=4)))
+        if placement.legal(profile)
+    ]
+    # the reference: no table, one run_program call per point
+    expected = [
+        [classify_run(run_program(placement.apply(stripped, design), design,
+                                  point, faults=point.injector()))
+         for point in points]
+        for placement in placements
+    ]
+    table = RunTable(design)
+    # two oracles over one table, so that later questions are answered
+    # by runs an earlier — differently ordered — sweep left behind
+    for oracle in (PlacementOracle(stripped, design, points, table=table),
+                   PlacementOracle(stripped, design, points, table=table)):
+        for placement, reasons in zip(placements, expected):
+            ce = oracle.check(placement)
+            if ce is None:
+                assert reasons == [None] * len(points), placement.key()
+            else:
+                assert reasons[ce.point_index] == ce.reason, placement.key()
+    assert len(table.runs) <= len(placements) * len(points)
 
 
 @pytest.mark.slow

@@ -36,7 +36,7 @@ def fake_synth(monkeypatch):
 
     def fake(design, stripped, sites, config, deadline):
         ran.append(design.value)
-        return _fake_entry(design), 7
+        return _fake_entry(design), 7, 0
 
     monkeypatch.setattr(engine, "_synth_one_design", fake)
     return ran

@@ -124,3 +124,103 @@ def test_rollback_of_finished_thread_revives_it():
     t.rollback(token)
     assert not t.finished
     assert t.next_op(None) == ops.Load(0x20)
+
+
+# --- the lazily built RNG --------------------------------------------------
+
+
+@pytest.fixture
+def rng_constructions(monkeypatch):
+    """Counts ``random.Random(...)`` constructions made through
+    ``repro.core.thread`` (the only module that builds thread RNGs)."""
+    import random
+
+    import repro.core.thread as thread_mod
+
+    built = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed=None):
+            built.append(seed)
+            super().__init__(seed)
+
+    class _Random:  # stands in for the ``random`` module global
+        Random = CountingRandom
+
+    monkeypatch.setattr(thread_mod, "random", _Random)
+    return built
+
+
+def test_thread_that_never_draws_builds_no_rng(rng_constructions):
+    def fn(c):
+        yield ops.Store(0x10, 1)
+        yield ops.Fence()
+        yield ops.Load(0x20)
+
+    t = SimThread(fn, ctx(seed=9))
+    t.next_op(None)
+    t.next_op(None)
+    token = t.checkpoint()
+    t.next_op(None)
+    t.rollback(token)
+    assert t.next_op(None) == ops.Load(0x20)
+    assert rng_constructions == []
+    # the first read builds it, from the thread's seed, once
+    assert t.ctx.rng.randrange(1000) == ctx(seed=9).rng.randrange(1000)
+    assert t.ctx.rng is t.ctx.rng
+    assert rng_constructions == [9, 9]  # this thread's + the reference's
+
+
+def test_litmus_run_builds_no_rng(rng_constructions):
+    from repro.common.params import FenceDesign
+    from repro.synth.programs import program_for_spec
+    from repro.verify.oracles import run_program
+
+    run = run_program(program_for_spec("sb"), FenceDesign.W_PLUS)
+    assert run.completed and not run.scv_found
+    assert rng_constructions == []
+
+
+def test_first_draw_after_rollback_starts_from_seed():
+    """A thread that draws only *after* its checkpoint: the replayed
+    generator's first draw must open a fresh ``Random(seed)`` stream,
+    not continue the one the discarded execution had advanced."""
+    draws = []
+
+    def fn(c):
+        yield ops.Load(0x10)
+        yield ops.Fence()
+        draws.append([c.rng.randrange(1000) for _ in range(3)])
+        yield ops.Load(0x20)
+        draws.append([c.rng.randrange(1000) for _ in range(3)])
+        yield ops.Load(0x30)
+
+    t = SimThread(fn, ctx(seed=41))
+    t.next_op(None)
+    t.next_op(1)
+    token = t.checkpoint()
+    t.next_op(None)
+    t.next_op(2)      # both draw sites passed: the stream is 6 deep
+    t.rollback(token)  # ...and is dropped unbuilt-again here
+    assert "rng" not in vars(t.ctx)
+    t.next_op(None)
+    t.next_op(2)
+    reference = ctx(seed=41).rng
+    expected = [[reference.randrange(1000) for _ in range(3)]
+                for _ in range(2)]
+    assert draws == expected + expected
+
+
+def test_rng_is_one_object_between_resets_and_a_new_one_after():
+    c = ctx(seed=3)
+    assert "rng" not in vars(c)
+    first = c.rng
+    assert c.rng is first and vars(c)["rng"] is first  # instance-dict hit
+    first.random()
+    c._reset_rng()
+    assert "rng" not in vars(c)
+    second = c.rng
+    assert second is not first and c.rng is second
+    assert second.random() == ctx(seed=3).rng.random()
+    c._reset_rng()
+    c._reset_rng()  # resetting an unbuilt rng is a no-op
