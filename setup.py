@@ -3,54 +3,7 @@
 `pip install -e .` needs `bdist_wheel` (the wheel package) with the
 setuptools shipped here; this shim keeps `python setup.py develop`
 working fully offline.
-
-It also declares the *optional* compiled dispatch core for the flat
-simulation kernel (``repro.common._flatcore``).  The extension is a
-pure accelerator: if no C toolchain is available the build carries on
-and the flat kernel runs its pure-Python loop instead, so the sdist
-installs everywhere.  Build it in place with::
-
-    python setup.py build_ext --inplace
-
-See docs/PERF.md for details.
 """
-from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
+from setuptools import setup
 
-
-class optional_build_ext(build_ext):
-    """build_ext that degrades to a no-op when compilation fails."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # no toolchain: skip the accelerator
-            self._warn(exc)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            self._warn(exc)
-
-    @staticmethod
-    def _warn(exc):
-        import sys
-
-        print(
-            "warning: skipping optional extension repro.common._flatcore "
-            f"({exc!r}); the flat kernel will use its pure-Python loop",
-            file=sys.stderr,
-        )
-
-
-setup(
-    ext_modules=[
-        Extension(
-            "repro.common._flatcore",
-            sources=["src/repro/common/_flatcore.c"],
-            optional=True,
-        )
-    ],
-    cmdclass={"build_ext": optional_build_ext},
-)
+setup()

@@ -191,8 +191,7 @@ def cmd_run(args) -> int:
         run = run_workload(args.workload, design, num_cores=args.cores,
                            scale=args.scale, seed=args.seed,
                            check=args.check, obs=obs,
-                           sanitize=args.sanitize, budget=budget,
-                           kernel=args.kernel)
+                           sanitize=args.sanitize, budget=budget)
         violations += run.result.sanitizer_violations
         _print_run(run)
         if obs is not None and args.trace_out is not None:
@@ -468,7 +467,6 @@ def cmd_perf(args) -> int:
     try:
         snapshot = harness.run_profile(
             args.profile, reps=args.reps, progress=progress,
-            kernel=args.kernel,
             farm_db=args.farm_db or os.environ.get("REPRO_FARM_DB") or None,
             farm_workers=args.farm_workers,
         )
@@ -492,8 +490,7 @@ def cmd_perf(args) -> int:
         harness.write_snapshot(snapshot, args.out)
         print(f"[snapshot written to {args.out}]")
     if args.attrib_out:
-        attrib_snapshot = harness.run_attrib_profile(args.profile,
-                                                     kernel=args.kernel)
+        attrib_snapshot = harness.run_attrib_profile(args.profile)
         harness.write_snapshot(attrib_snapshot, args.attrib_out)
         bad = [c["key"] for c in attrib_snapshot["cases"]
                if not c["conservation_ok"]]
@@ -587,11 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="runtime protocol sanitizer mode (default: "
                             "$REPRO_SANITIZE or off); strict raises at "
                             "the first violation (exit code 5)")
-    p_run.add_argument("--kernel", default=None,
-                       choices=("object", "flat"),
-                       help="simulation kernel backend (default: "
-                            "$REPRO_KERNEL or object); both are "
-                            "bit-identical, flat is faster")
     p_run.add_argument("--max-wall-secs", type=float, default=None,
                        metavar="SECS",
                        help="wall-clock budget: cut off gracefully into "
@@ -794,12 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.add_argument(
         "--report-only", action="store_true",
         help="report regressions but exit 0 (CI smoke mode)",
-    )
-    p_perf.add_argument(
-        "--kernel", default=None, choices=("object", "flat"),
-        help="pin every case to one kernel backend; flat-kernel rows "
-             "get a ':kflat' key suffix so comparison stays "
-             "like-vs-like (default: each case's pinned kernel)",
     )
     p_perf.add_argument(
         "--attrib-out", default=None, metavar="PATH",

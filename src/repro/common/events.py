@@ -22,14 +22,6 @@ benchmarked ~10% *slower*: with typical heap depths of 10–20 events,
 C-implemented ``heappush``/``heappop`` beat the Python-level slot-scan
 and FIFO bookkeeping a wheel needs.  Revisit only if event counts per
 cycle grow by an order of magnitude.)
-
-This object kernel is one of two interchangeable backends: the flat
-table-driven kernel in :mod:`repro.common.flatevents` implements the
-same queue protocol over packed-integer records.  Components must stick
-to the shared protocol — ``schedule`` returns an *opaque* handle that
-is only ever passed back to ``queue.cancel`` / ``queue.mark_elastic``,
-and introspection goes through ``pending_events()`` / ``peek_time()``
-rather than ``_heap`` — so a machine runs identically on either.
 """
 
 from __future__ import annotations
@@ -49,13 +41,9 @@ class EventQueue:
         self.now = 0
         #: number of events executed (exposed for test/benchmark stats).
         self.executed = 0
-        #: cooperative stop flag — wake-on-event replacement for the
-        #: old per-event ``stop_when`` polling; checked between events.
+        #: cooperative stop flag raised by ``request_stop``; checked
+        #: between events.
         self.stop_requested = False
-        #: seqs of events marked quiescence-elastic (periodic pump
-        #: ticks); only consulted by ``idle_horizon`` — never on the
-        #: dispatch hot path.
-        self._elastic: set = set()
 
     def schedule(self, delay: int, fn: Callable[[], None], label: str = "") -> list:
         """Schedule *fn* to run ``delay`` cycles from now.
@@ -89,53 +77,19 @@ class EventQueue:
         return ev
 
     def cancel(self, handle: Optional[list]) -> None:
-        """Backend-portable cancel: accepts the opaque handle returned
-        by ``schedule`` (None is tolerated and ignored)."""
+        """Cancel the event whose handle ``schedule`` returned (None
+        is tolerated and ignored)."""
         if handle is not None:
             handle[2] = None
 
     def pending_events(self):
         """Live ``(time, label)`` pairs, in no particular order.
 
-        The backend-portable introspection surface for diagnostics
-        (watchdog bundles) and structural checks (sanitizer horizon);
-        replaces direct ``_heap`` walks.
+        The introspection surface for diagnostics (watchdog bundles)
+        and structural checks (sanitizer horizon); replaces direct
+        ``_heap`` walks.
         """
         return [(ev[0], ev[3]) for ev in self._heap if ev[2] is not None]
-
-    # ------------------------------------------------------------------
-    # quiescence fast-forward support
-    # ------------------------------------------------------------------
-
-    def mark_elastic(self, handle: Optional[list]) -> None:
-        """Flag a scheduled event as a quiescence-elastic pump tick.
-
-        Elastic events are the periodic housekeeping ticks (watchdog,
-        sanitizer pump, governor); ``idle_horizon`` skips them when
-        computing how far the clock could jump across an idle window.
-        """
-        if handle is None:
-            return
-        elastic = self._elastic
-        elastic.add(handle[1])
-        if len(elastic) > 64:
-            live = {ev[1] for ev in self._heap if ev[2] is not None}
-            elastic &= live
-
-    def idle_horizon(self) -> Optional[int]:
-        """Earliest live non-elastic event time, or None if none pend.
-
-        During a provably-idle window (no non-pump event dispatched),
-        nothing can happen before this cycle: an elastic pump may defer
-        its next tick up to here without skipping any observable work.
-        O(heap) scan — called only by idle pumps, never per event.
-        """
-        elastic = self._elastic
-        return min(
-            (ev[0] for ev in self._heap
-             if ev[2] is not None and ev[1] not in elastic),
-            default=None,
-        )
 
     def request_stop(self) -> None:
         """Ask ``run()`` to return before dispatching the next event.
@@ -172,14 +126,9 @@ class EventQueue:
         ev[2]()
         return True
 
-    def run(
-        self,
-        until: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> int:
-        """Run events until the queue drains, *until* cycles pass, the
-        stop flag is raised, or *stop_when* returns True.  Returns the
-        final clock value.
+    def run(self, until: Optional[int] = None) -> int:
+        """Run events until the queue drains, *until* cycles pass, or
+        the stop flag is raised.  Returns the final clock value.
 
         The loop dispatches all events of one cycle as a batch with the
         heap bound to a local, which is where the kernel's speedup over
@@ -190,8 +139,6 @@ class EventQueue:
         executed = self.executed
         try:
             while True:
-                if stop_when is not None and stop_when():
-                    break
                 if self.stop_requested:
                     break
                 while heap and heap[0][2] is None:
@@ -210,14 +157,11 @@ class EventQueue:
                     if fn is None:
                         continue
                     executed += 1
-                    # publish before dispatch: pump callbacks read
-                    # ``executed`` to detect idle windows, so the
-                    # counter must be current inside handlers too.
+                    # publish before dispatch: a handler that reads
+                    # ``executed`` sees itself counted.
                     self.executed = executed
                     fn()
-                    if self.stop_requested or (
-                        stop_when is not None and stop_when()
-                    ):
+                    if self.stop_requested:
                         return self.now
         finally:
             self.executed = executed

@@ -1,54 +1,8 @@
-"""Kernel backend selection: object vs. flat event queues.
-
-One machine, two interchangeable dispatch kernels:
-
-* ``object`` — :class:`repro.common.events.EventQueue`, the always-
-  available fallback whose behaviour the golden traces pin down;
-* ``flat`` — :class:`repro.common.flatevents.FlatEventQueue`, packed
-  integer records with table-driven dispatch (optionally accelerated by
-  the compiled ``_flatcore`` extension).
-
-Selection precedence: an explicit ``Machine(kernel=...)`` argument
-beats the ``REPRO_KERNEL`` environment variable beats the default
-(``object``).  The env hop is what makes whole-suite differential runs
-work: ``pytest --kernel-backend=flat`` just exports ``REPRO_KERNEL``
-and every Machine constructed anywhere downstream inherits it.
-"""
-
-from __future__ import annotations
-
-import os
-from typing import Optional
-
-from repro.common.errors import ConfigError
+"""Kept only for ``bench/layer_trace.py``, which resolves the queue class
+through ``make_queue()`` and is frozen for this PR; nothing in ``src/``
+imports this module.  Delete it once the bench names ``EventQueue``."""
 from repro.common.events import EventQueue
-from repro.common.flatevents import FlatEventQueue
-
-#: the selectable backends, in documentation order
-KERNELS = ("object", "flat")
-
-#: environment variable consulted when no explicit kernel is given
-KERNEL_ENV = "REPRO_KERNEL"
 
 
-def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """Resolve a kernel name: explicit arg > $REPRO_KERNEL > "object"."""
-    if kernel is None:
-        kernel = os.environ.get(KERNEL_ENV) or "object"
-    if kernel not in KERNELS:
-        raise ConfigError(
-            f"unknown simulation kernel {kernel!r}; choose from {KERNELS}"
-        )
-    return kernel
-
-
-def make_queue(kernel: Optional[str] = None):
-    """Build the event queue for *kernel* (resolved per precedence).
-
-    Returns ``(queue, resolved_name)`` so callers can record which
-    backend actually ran (perf rows, stats headers).
-    """
-    kernel = resolve_kernel(kernel)
-    if kernel == "flat":
-        return FlatEventQueue(), kernel
-    return EventQueue(), kernel
+def make_queue():
+    return EventQueue(), "object"

@@ -262,7 +262,7 @@ class MachineStats:
         """Every counter as one JSON-serializable dict.
 
         This is the *full* machine-visible state of a run — the golden
-        trace tests assert it is bit-identical across simulator-kernel
+        trace tests assert it is bit-identical across simulator
         changes, so every counter added to this class must appear here.
         """
         return {

@@ -221,16 +221,6 @@ class Core:
         self._cb_exec_rmw = self._exec_rmw_cont
         self._cb_drain_merged = self._drain_merged
         self._cb_drain_bounced = self._drain_bounced
-        # the flat kernel interns registered callbacks as integer
-        # handler ids (table-driven dispatch); the object kernel has no
-        # register_handler and stores the callables as-is either way
-        register = getattr(queue, "register_handler", None)
-        if register is not None:
-            for cb in (self._cb_advance, self._cb_exec_load,
-                       self._cb_exec_store_blocked, self._cb_exec_fence,
-                       self._cb_exec_rmw, self._cb_drain_merged,
-                       self._cb_drain_bounced):
-                register(cb)
         #: progress signals for the no-progress watchdog
         self.ops_committed = 0
         self.stores_merged = 0

@@ -50,7 +50,6 @@ def _spec_from_args(args, design_parser) -> CampaignSpec:
         config["sanitize"] = args.sanitize
     if args.kind == "perf":
         config["reps"] = args.reps
-        config["kernel"] = args.kernel or "object"
     if args.max_events:
         # an event budget is deterministic (unlike wall/RSS), so a
         # degraded row is still bit-identical across workers
@@ -194,9 +193,6 @@ def add_farm_parser(sub) -> None:
                        choices=("off", "warn", "strict"))
     p_sub.add_argument("--reps", type=int, default=3,
                        help="perf kind: repetitions per case")
-    p_sub.add_argument("--kernel", default=None,
-                       choices=("object", "flat"),
-                       help="perf kind: kernel backend")
     p_sub.add_argument("--max-events", type=int, default=None, metavar="N",
                        help="per-job simulated-event budget (deterministic "
                             "graceful cutoff)")

@@ -177,7 +177,7 @@ def farm_perf_cases(
         JobSpec.make(
             "perf", case.workload, case.design, case.seed,
             cores=case.cores, scale=case.scale,
-            config={"reps": int(reps), "kernel": case.kernel},
+            config={"reps": int(reps)},
         )
         for case in cases
     ]
@@ -198,8 +198,8 @@ def farm_perf_cases(
     grid = {j.content_key() for j in grouped.expand()}
     if wanted != grid:
         raise ConfigError(
-            "perf profile is not a dense grid (mixed scales/kernels per "
-            "case); run it locally or split the profile per kernel"
+            "perf profile is not a dense grid (mixed scales per case); "
+            "run it locally"
         )
     rows = run_campaign(db, grouped, workers=_resolve_workers(workers),
                         config=config)

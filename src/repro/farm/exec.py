@@ -7,9 +7,9 @@ local sweep and the produced row is bit-identical to the local one
 simulated ``cycles``/``events`` fields are still deterministic).
 
 Per-job settings ride in ``spec.config`` (canonical JSON, part of the
-content key): ``sanitize`` for matrix/chaos, ``reps``/``kernel`` for
-perf, and an optional ``budget`` object (:class:`RunBudget` fields) so
-a wedged job degrades gracefully instead of wedging its worker.  A
+content key): ``sanitize`` for matrix/chaos, ``reps`` for perf, and
+an optional ``budget`` object (:class:`RunBudget` fields) so a wedged
+job degrades gracefully instead of wedging its worker.  A
 worker-side *diag_dir* is plumbed separately — where diagnostics land
 must not change a job's identity.
 """
@@ -77,7 +77,6 @@ def _run_perf_job(spec: JobSpec, diag_dir: Optional[str]) -> dict:
         cores=spec.cores,
         scale=spec.scale,
         seed=spec.seed,
-        kernel=cfg.get("kernel", "object"),
     )
     return _time_case(case, reps=int(cfg.get("reps", 3)))
 

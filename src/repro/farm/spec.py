@@ -82,8 +82,8 @@ class JobSpec:
     ``workload`` is the workload name for matrix/perf jobs and the
     fault-scenario name for chaos jobs; ``config`` is canonical JSON of
     everything else that shapes the run (sanitize mode, perf reps,
-    kernel backend, ...), so per-job settings flow through the store
-    unchanged and participate in the content key.
+    ...), so per-job settings flow through the store unchanged and
+    participate in the content key.
     """
 
     kind: str

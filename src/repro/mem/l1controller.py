@@ -93,11 +93,6 @@ class L1Controller:
         self._cb_read_hit = self._read_hit_complete
         self._cb_write_hit = self._write_hit_complete
         self._cb_rmw_hit = self._rmw_hit_complete
-        register = getattr(queue, "register_handler", None)
-        if register is not None:
-            for cb in (self._cb_read_hit, self._cb_write_hit,
-                       self._cb_rmw_hit):
-                register(cb)
 
     # ------------------------------------------------------------------
     # CPU-facing: loads

@@ -111,14 +111,23 @@ def load_jsonl(path: str) -> TraceData:
                     f"{path}:{lineno}: bad JSON: no value at char {exc.value}")
             except ValueError as exc:
                 raise AnalysisError(f"{path}:{lineno}: bad JSON: {exc}")
-            kind = rec.get("type")
+            try:
+                kind = rec.get("type")
+            except AttributeError:
+                raise AnalysisError(
+                    f"{path}:{lineno}: not a record: expected a JSON "
+                    f"object, got {type(rec).__name__}")
             if kind == "meta":
                 meta = rec
             elif kind == "event":
-                events.append(TraceEvent(
-                    rec["ph"], rec["track"], rec["name"], rec["cat"],
-                    rec["ts"], rec.get("dur"), rec.get("args"),
-                ))
+                try:
+                    events.append(TraceEvent(
+                        rec["ph"], rec["track"], rec["name"], rec["cat"],
+                        rec["ts"], rec.get("dur"), rec.get("args"),
+                    ))
+                except KeyError as exc:
+                    raise AnalysisError(
+                        f"{path}:{lineno}: event record has no {exc} field")
             elif kind == "metrics":
                 metrics.append(
                     {k: v for k, v in rec.items() if k != "type"})

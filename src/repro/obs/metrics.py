@@ -93,13 +93,6 @@ class MetricsCollector:
             self._event = None
 
     def _tick(self) -> None:
-        # counts as a pump tick (so other pumps' idle detection isn't
-        # broken by our sampling), but is deliberately NOT elastic:
-        # epoch boundaries are observable output, so the timeline keeps
-        # its cadence even across idle windows — which also caps any
-        # other pump's fast-forward at our next epoch whenever a
-        # collector is attached.
-        self.machine.pump_ticks += 1
         if self._stopped:
             return
         self._event = None

@@ -11,8 +11,7 @@ Three sources, one report shape:
 * ``repro profile diff A B`` — attribution trees of two sources
   (designs by default, saved report / trace files when the argument
   names an existing file), diffed component by component so the rows
-  *name what moved* (S+ vs W+, object vs flat kernel, faulted vs
-  clean).
+  *name what moved* (S+ vs W+, faulted vs clean).
 
 Output formats: ``text`` (human tree), ``json`` (the report dict),
 ``collapsed`` (collapsed-stack lines for flamegraph tooling, e.g.
@@ -70,7 +69,6 @@ def build_report(tree: Dict[str, object], source: str,
 
 def profile_run(workload: str, design, num_cores: int = 8,
                 scale: float = 0.5, seed: int = 12345,
-                kernel: Optional[str] = None,
                 sanitize: Optional[str] = None,
                 label: Optional[str] = None) -> Dict[str, object]:
     """One attributed (untraced) run -> a profile report."""
@@ -81,7 +79,7 @@ def profile_run(workload: str, design, num_cores: int = 8,
     load_all_workloads()
     obs = Observability(trace=False, attrib=True)
     run = run_workload(workload, design, num_cores=num_cores, scale=scale,
-                       seed=seed, obs=obs, kernel=kernel, sanitize=sanitize)
+                       seed=seed, obs=obs, sanitize=sanitize)
     attrib = obs.attrib
     tree = attrib.tree(label=label or f"{run.name}:{run.design}")
     return build_report(
@@ -267,7 +265,7 @@ def _source_report(args, spec: str, design_parser) -> Dict[str, object]:
         return report
     design = design_parser(spec)
     return profile_run(args.workload, design, num_cores=args.cores,
-                       scale=args.scale, seed=args.seed, kernel=args.kernel)
+                       scale=args.scale, seed=args.seed)
 
 
 def cmd_profile(args, design_parser) -> int:
@@ -277,7 +275,7 @@ def cmd_profile(args, design_parser) -> int:
         if args.profile_command == "run":
             report = profile_run(
                 args.workload, args.design, num_cores=args.cores,
-                scale=args.scale, seed=args.seed, kernel=args.kernel,
+                scale=args.scale, seed=args.seed,
             )
         elif args.profile_command == "from-trace":
             report = report_from_trace(args.trace)
@@ -327,8 +325,6 @@ def add_profile_parser(sub, design_type) -> None:
         pp.add_argument("--cores", type=int, default=8)
         pp.add_argument("--scale", type=float, default=0.5)
         pp.add_argument("--seed", type=int, default=12345)
-        pp.add_argument("--kernel", default=None,
-                        choices=("object", "flat"))
         pp.add_argument("--format", default="text",
                         choices=("text", "json", "collapsed"),
                         help="text report, JSON report, or collapsed "

@@ -25,7 +25,6 @@ Design points:
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import json
 import os
@@ -60,26 +59,14 @@ class PerfCase:
     cores: int = 8
     scale: float = 0.5
     seed: int = 12345
-    #: simulation kernel backend the case runs on ("object" | "flat")
-    kernel: str = "object"
 
     @property
     def key(self) -> str:
-        """Stable identity used to match cases across snapshots.
-
-        Object-kernel keys keep the historical (kernel-free) format so
-        they match baselines recorded before backends existed; other
-        kernels get a ``:k<kernel>`` suffix, which keeps comparison
-        strictly like-vs-like — a flat-kernel speedup can never mask an
-        object-kernel regression, and vice versa.
-        """
-        base = (
+        """Stable identity used to match cases across snapshots."""
+        return (
             f"{self.workload}:{self.design.value}:c{self.cores}"
             f":s{self.scale:g}:r{self.seed}"
         )
-        if self.kernel != "object":
-            base += f":k{self.kernel}"
-        return base
 
 
 #: The paper's headline bench configuration (Figs. 8/9: 8 cores,
@@ -141,7 +128,7 @@ def _time_case(case: PerfCase, reps: int) -> Dict[str, object]:
     for _ in range(reps):
         workload = cls(scale=case.scale)
         params = MachineParams().with_cores(case.cores).with_design(case.design)
-        machine = Machine(params, seed=case.seed, kernel=case.kernel)
+        machine = Machine(params, seed=case.seed)
         workload.setup(machine)
         gc_was_enabled = gc.isenabled()
         gc.collect()
@@ -163,7 +150,6 @@ def _time_case(case: PerfCase, reps: int) -> Dict[str, object]:
         "cores": case.cores,
         "scale": case.scale,
         "seed": case.seed,
-        "kernel": case.kernel,
         "reps": reps,
         "wall_s": [round(w, 6) for w in wall],
         "median_s": round(median, 6),
@@ -177,15 +163,10 @@ def run_profile(
     profile: str = "fig89",
     reps: int = 3,
     progress=None,
-    kernel: Optional[str] = None,
     farm_db: Optional[str] = None,
     farm_workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """Time every case of *profile*; returns the snapshot dict.
-
-    *kernel* pins every case to one backend ("object" | "flat"); None
-    keeps each case's own pinned kernel (the profiles default to
-    "object", the baseline-compatible backend).
 
     With *farm_db* the matrix is timed as a campaign on the experiment
     farm: identical cases already timed at this code revision are
@@ -198,11 +179,7 @@ def run_profile(
             f"{', '.join(sorted(PROFILES))}"
         )
     load_all_workloads()
-    pinned = []
-    for case in PROFILES[profile]:
-        if kernel is not None and kernel != case.kernel:
-            case = dataclasses.replace(case, kernel=kernel)
-        pinned.append(case)
+    pinned = PROFILES[profile]
     if farm_db:
         from repro.farm.clients import farm_perf_cases
 
@@ -231,7 +208,6 @@ def run_profile(
 def run_attrib_profile(
     profile: str = "fig89",
     progress=None,
-    kernel: Optional[str] = None,
 ) -> Dict[str, object]:
     """Attribution snapshot over *profile*'s matrix (one attributed run
     per case, deterministic — no reps needed).
@@ -255,12 +231,10 @@ def run_attrib_profile(
     load_all_workloads()
     cases = []
     for case in PROFILES[profile]:
-        if kernel is not None and kernel != case.kernel:
-            case = dataclasses.replace(case, kernel=kernel)
         obs = Observability(trace=False, attrib=True)
         run = run_workload(
             case.workload, case.design, num_cores=case.cores,
-            scale=case.scale, seed=case.seed, obs=obs, kernel=case.kernel,
+            scale=case.scale, seed=case.seed, obs=obs,
         )
         tree = obs.attrib.tree(label=case.key)
         errors = conservation_errors(tree)

@@ -96,8 +96,6 @@ class Sanitizer:
         self.first_diagnostics_path: Optional[str] = None
         self._event = None
         self._stopped = False
-        #: real-dispatch watermark at our previous tick (idle detection)
-        self._last_work = None
 
     def bind(self, machine) -> "Sanitizer":
         self.machine = machine
@@ -110,12 +108,10 @@ class Sanitizer:
 
     def start(self) -> None:
         self._stopped = False
-        self._last_work = None
         if not self.degraded:
-            queue = self.machine.queue
-            self._event = queue.schedule(self.interval, self._tick,
-                                         "sanitizer")
-            queue.mark_elastic(self._event)
+            self._event = self.machine.queue.schedule(
+                self.interval, self._tick, "sanitizer"
+            )
 
     def stop(self) -> None:
         self._stopped = True
@@ -125,39 +121,14 @@ class Sanitizer:
 
     def _tick(self) -> None:
         self._event = None
-        machine = self.machine
-        machine.pump_ticks += 1
         if self._stopped or self.degraded:
             return
-        reported_before = len(self.violations) + self.dropped
         self.check_all()
         if self.degraded:
             return  # a degrade-mode violation stood the pump down
-        # quiescence fast-forward: when no non-pump event was dispatched
-        # since our previous tick, machine state is frozen until the
-        # next real event — a sweep per interval in between would
-        # re-observe exactly what this sweep just saw (horizon
-        # violations only *expire* as now advances).  Defer the next
-        # tick across the idle window, in whole multiples of the
-        # interval so the tick grid (and therefore every detection
-        # cycle) matches a non-fast-forwarded run exactly.  A sweep
-        # that reported anything keeps full cadence: warn mode
-        # re-reports persistent violations per sweep, and those counts
-        # must not depend on fast-forwarding.
-        queue = machine.queue
-        delay = self.interval
-        if machine.fast_forward:
-            work = queue.executed - machine.pump_ticks
-            clean = len(self.violations) + self.dropped == reported_before
-            if clean and work == self._last_work:
-                horizon = queue.idle_horizon()
-                if horizon is not None:
-                    k = (horizon - queue.now) // self.interval
-                    if k > 1:
-                        delay = k * self.interval
-            self._last_work = work
-        self._event = queue.schedule(delay, self._tick, "sanitizer")
-        queue.mark_elastic(self._event)
+        self._event = self.machine.queue.schedule(
+            self.interval, self._tick, "sanitizer"
+        )
 
     def final_check(self) -> None:
         """One closing sweep over the (quiesced or cut-off) machine."""
@@ -244,9 +215,6 @@ class Sanitizer:
     # --- event queue ---------------------------------------------------
 
     def _check_queue(self) -> None:
-        # backend-portable: peek_time()/pending_events() work identically
-        # over the object kernel's Event heap and the flat kernel's
-        # packed-integer heap — no _heap layout knowledge here.
         queue = self.machine.queue
         now = queue.now
         head = queue.peek_time()

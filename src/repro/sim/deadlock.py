@@ -38,14 +38,9 @@ class Watchdog:
         self._event = None
 
     def start(self) -> None:
-        queue = self.machine.queue
-        self._event = queue.schedule(self.interval, self._tick, "watchdog")
-        # elastic: our tick is housekeeping, not machine progress, so
-        # other pumps' idle_horizon() must see past it.  The watchdog
-        # itself NEVER fast-forwards — an idle-but-live machine is
-        # exactly the deadlock it exists to flag, so its cadence is
-        # sacrosanct.
-        queue.mark_elastic(self._event)
+        self._event = self.machine.queue.schedule(
+            self.interval, self._tick, "watchdog"
+        )
 
     def stop(self) -> None:
         if self._event is not None:
@@ -58,7 +53,6 @@ class Watchdog:
         # stand down (all cores finished), or raise below.
         self._event = None
         machine = self.machine
-        machine.pump_ticks += 1
         progress = sum(
             core.ops_committed + core.stores_merged for core in machine.cores
         )
@@ -85,7 +79,6 @@ class Watchdog:
             self._event = machine.queue.schedule(
                 self.interval, self._tick, "watchdog"
             )
-            machine.queue.mark_elastic(self._event)
 
     def _describe(self, live) -> str:
         parts = []

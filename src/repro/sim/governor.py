@@ -84,8 +84,6 @@ class ResourceGovernor:
         self._start_seq = 0
         self._event = None
         self._stopped = False
-        #: real-dispatch watermark at our previous tick (idle detection)
-        self._last_work = None
 
     @property
     def degraded(self) -> bool:
@@ -93,14 +91,12 @@ class ResourceGovernor:
 
     def start(self) -> None:
         self._stopped = False
-        self._last_work = None
         self._start_wall = time.monotonic()
         queue = self.machine.queue
         self._start_seq = queue._seq
         self._event = queue.schedule(
             self.budget.check_interval_cycles, self._tick, "governor"
         )
-        queue.mark_elastic(self._event)
 
     def stop(self) -> None:
         self._stopped = True
@@ -113,33 +109,14 @@ class ResourceGovernor:
 
     def _tick(self) -> None:
         self._event = None
-        machine = self.machine
-        machine.pump_ticks += 1
         if self._stopped or self.breached is not None:
             return
         self.check()
         if self.breached is not None:
             return
-        # quiescence fast-forward: during an idle window the event and
-        # RSS budgets cannot move (nothing is being dispatched or
-        # allocated) and wall-clock barely advances, so checking every
-        # interval buys nothing — defer to the idle horizon in whole
-        # multiples of the interval (same grid-preserving rule as the
-        # sanitizer pump).
-        queue = machine.queue
-        interval = self.budget.check_interval_cycles
-        delay = interval
-        if machine.fast_forward:
-            work = queue.executed - machine.pump_ticks
-            if work == self._last_work:
-                horizon = queue.idle_horizon()
-                if horizon is not None:
-                    k = (horizon - queue.now) // interval
-                    if k > 1:
-                        delay = k * interval
-            self._last_work = work
-        self._event = queue.schedule(delay, self._tick, "governor")
-        queue.mark_elastic(self._event)
+        self._event = self.machine.queue.schedule(
+            self.budget.check_interval_cycles, self._tick, "governor"
+        )
 
     def check(self) -> Optional[str]:
         """Evaluate the budget; on breach, request a graceful stop."""

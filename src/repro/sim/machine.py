@@ -18,11 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-import os
-
 from repro.common.addr import AddressMap
 from repro.common.errors import ConfigError
-from repro.common.kernels import make_queue
+from repro.common.events import EventQueue
 from repro.common.params import FenceDesign, MachineParams
 from repro.common.stats import MachineStats
 from repro.core.cpu import Core
@@ -59,22 +57,10 @@ class SimResult:
 class Machine:
     """An N-core TSO multicore with one of the five fence designs."""
 
-    def __init__(self, params: MachineParams, seed: int = 12345,
-                 kernel: Optional[str] = None):
+    def __init__(self, params: MachineParams, seed: int = 12345):
         self.params = params
         self.seed = seed
-        #: which dispatch kernel drives this machine ("object"|"flat");
-        #: explicit arg > $REPRO_KERNEL > "object" (see common.kernels)
-        self.queue, self.kernel = make_queue(kernel)
-        #: dispatched events that were housekeeping-pump ticks (watchdog
-        #: / sanitizer / governor / metrics); pumps subtract this from
-        #: ``queue.executed`` to detect idle windows, and increment it
-        #: themselves at the top of each tick.
-        self.pump_ticks = 0
-        #: quiescence fast-forward: elastic pumps may defer ticks across
-        #: provably-idle windows (REPRO_NO_FASTFORWARD=1 pins the old
-        #: every-interval pumping for A/B debugging)
-        self.fast_forward = os.environ.get("REPRO_NO_FASTFORWARD", "") != "1"
+        self.queue = EventQueue()
         self.stats = MachineStats(params.num_cores)
         self.image = MemoryImage()
         self.noc = MeshNoc(params, self.stats)

@@ -42,7 +42,6 @@ class WorkloadRun:
     # WorkloadRun values in older tests valid)
     seed: int = 12345
     scale: float = 1.0
-    kernel: str = "object"
     sanitize: str = "off"
 
     @property
@@ -112,7 +111,6 @@ def run_workload(
     obs=None,
     sanitize: Optional[str] = None,
     budget=None,
-    kernel: Optional[str] = None,
 ) -> WorkloadRun:
     """Build, run and wrap one workload under one fence design.
 
@@ -132,7 +130,7 @@ def run_workload(
     if params is None:
         params = MachineParams().with_cores(num_cores)
     params = params.with_design(design)
-    machine = Machine(params, seed=seed, kernel=kernel)
+    machine = Machine(params, seed=seed)
     if obs is not None:
         obs.attach(machine)
     if sanitize is None:
@@ -157,7 +155,6 @@ def run_workload(
         result=result,
         seed=seed,
         scale=scale,
-        kernel=machine.kernel,
         sanitize=sanitize,
     )
 

@@ -80,12 +80,13 @@ def _trace(case):
     if case == "capped":
         obs = Observability(max_events=500)
         run = run_workload("Counter", FenceDesign.W_PLUS, num_cores=4,
-                           scale=0.1, seed=5, obs=obs)
+                           scale=0.1, seed=5, obs=obs, sanitize="off")
         return obs, run_provenance(run), obs.tracer.dropped > 0
     if case == "recovery":
         obs = Observability()
         run = run_workload("fib", FenceDesign.W_PLUS, num_cores=4,
-                           scale=0.2, seed=12345, obs=obs)
+                           scale=0.2, seed=12345, obs=obs,
+                           sanitize="off")
         unwound = [ev for ev in obs.tracer.spans("wf")
                    if ev.args.get("outcome") == "recovery"]
         return obs, run_provenance(run), bool(
@@ -96,7 +97,7 @@ def _trace(case):
     scale, seed, interval = next(row[1:] for row in MATRIX if row[0] == name)
     obs = Observability(metrics_interval=interval)
     run = run_workload(name, FenceDesign(design), num_cores=4, scale=scale,
-                       seed=seed, obs=obs)
+                       seed=seed, obs=obs, sanitize="off")
     return obs, run_provenance(run), obs.tracer.count("dir_txn") > 50
 
 

@@ -1,10 +1,10 @@
 """Property-based conservation of the cycle-attribution tree.
 
-Random small multithreaded programs under every paper design, on both
-kernel backends.  Whatever the schedule does — bounces, promotions,
-W+ recoveries, Wee demotions, cycle-budget cutoffs — the attribution
-leaves must sum *exactly* to the coarse breakdown, and attaching the
-profiler must not perturb the simulated machine.
+Random small multithreaded programs under every paper design.
+Whatever the schedule does — bounces, promotions, W+ recoveries, Wee
+demotions, cycle-budget cutoffs — the attribution leaves must sum
+*exactly* to the coarse breakdown, and attaching the profiler must not
+perturb the simulated machine.
 """
 
 from hypothesis import given, settings
@@ -27,7 +27,6 @@ PAPER_DESIGNS = (
     FenceDesign.WEE,
 )
 designs = st.sampled_from(PAPER_DESIGNS)
-kernels = st.sampled_from(("object", "flat"))
 
 op_strategy = st.one_of(
     st.tuples(st.just("load"), st.integers(0, NUM_WORDS - 1)),
@@ -56,8 +55,8 @@ def build_thread(program, words, role):
     return fn
 
 
-def _run(design, kernel, p0, p1, seed, max_cycles=2_000_000):
-    m = Machine(tiny_params(design, num_cores=2), seed=seed, kernel=kernel)
+def _run(design, p0, p1, seed, max_cycles=2_000_000):
+    m = Machine(tiny_params(design, num_cores=2), seed=seed)
     attrib = CycleAttribution()
     m.attach_attrib(attrib)
     words = [m.alloc.word() for _ in range(NUM_WORDS)]
@@ -67,22 +66,19 @@ def _run(design, kernel, p0, p1, seed, max_cycles=2_000_000):
     return m, attrib, result
 
 
-@given(designs, kernels, thread_programs, thread_programs,
-       st.integers(0, 5))
+@given(designs, thread_programs, thread_programs, st.integers(0, 5))
 @settings(max_examples=60, deadline=None)
-def test_random_runs_conserve_cycles(design, kernel, p0, p1, seed):
-    m, attrib, result = _run(design, kernel, p0, p1, seed)
+def test_random_runs_conserve_cycles(design, p0, p1, seed):
+    m, attrib, result = _run(design, p0, p1, seed)
     assert result.completed
     assert conservation_errors(attrib.tree()) == []
 
 
-@given(designs, kernels, thread_programs, thread_programs,
-       st.integers(0, 5))
+@given(designs, thread_programs, thread_programs, st.integers(0, 5))
 @settings(max_examples=30, deadline=None)
-def test_profiling_never_perturbs_random_runs(design, kernel, p0, p1, seed):
-    m_prof, _, result_prof = _run(design, kernel, p0, p1, seed)
-    m_plain = Machine(tiny_params(design, num_cores=2), seed=seed,
-                      kernel=kernel)
+def test_profiling_never_perturbs_random_runs(design, p0, p1, seed):
+    m_prof, _, result_prof = _run(design, p0, p1, seed)
+    m_plain = Machine(tiny_params(design, num_cores=2), seed=seed)
     words = [m_plain.alloc.word() for _ in range(NUM_WORDS)]
     m_plain.spawn(build_thread(p0, words, FenceRole.CRITICAL))
     m_plain.spawn(build_thread(p1, words, FenceRole.STANDARD))
@@ -97,5 +93,5 @@ def test_profiling_never_perturbs_random_runs(design, kernel, p0, p1, seed):
 def test_cutoff_runs_still_conserve(design, p0, p1, seed, budget):
     """Conservation may not depend on the run completing: a cycle cap
     can land mid-fence, mid-chain, or mid-recovery."""
-    _, attrib, _ = _run(design, "object", p0, p1, seed, max_cycles=budget)
+    _, attrib, _ = _run(design, p0, p1, seed, max_cycles=budget)
     assert conservation_errors(attrib.tree()) == []

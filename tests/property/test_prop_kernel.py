@@ -1,28 +1,69 @@
-"""Property tests: the two event-queue backends are indistinguishable.
+"""Property tests: ``EventQueue`` is indistinguishable from its definition.
 
-Hypothesis drives both kernels through identical random command
-scripts — schedule (interned handler or closure, zero and positive
-delays, labelled and not), cancel (live, already-fired, double, None),
-nested scheduling from inside handlers, requeue-after-cancel, stop
-requests — and asserts the full dispatch stream ``(cycle, tag,
-payload)`` is identical, event for event, in order.
+Hypothesis drives the queue and :class:`ModelQueue` — the specification
+written down as code — through identical random command scripts:
+schedule (zero and positive delays, labelled and not), cancel (live,
+already-fired, double, None), nested scheduling from inside handlers,
+requeue-after-cancel, stop requests.  The full dispatch stream
+``(cycle, tag, payload)`` must be identical, event for event, in order.
 
-Also pinned here: the handle discipline.  The object kernel's handle
-is the heap entry itself (a plain list, never reused by the queue); the
-flat kernel never reuses seqs.  Both must agree on the *observable*
-consequence — a stale handle (its event already fired or cancelled)
-can never cancel a later event.
+Also pinned here: the handle discipline.  The queue's handle is the
+heap entry itself (a plain list, never reused by the queue) and
+cancelling is lazy; the model removes a cancelled entry at once.  Both
+must agree on the *observable* consequence — a stale handle (its event
+already fired or cancelled) can never cancel a later event.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.events import EventQueue
-from repro.common.flatevents import FlatEventQueue
+
+
+class ModelQueue:
+    """The definition, not a second implementation: pending events in a
+    plain list, the next one is the minimum ``(time, seq)``, a cancelled
+    one is removed on the spot.  No heap, no lazy deletion."""
+
+    def __init__(self):
+        self.now = self.executed = self._seq = 0
+        self.stop_requested = False
+        self._pending = []  # [time, seq, fn]; seq is unique
+
+    def schedule(self, delay, fn, label=""):
+        self._seq += 1
+        entry = [self.now + delay, self._seq, fn]
+        self._pending.append(entry)
+        return entry
+
+    def cancel(self, handle):
+        if handle in self._pending:
+            self._pending.remove(handle)
+
+    def request_stop(self):
+        self.stop_requested = True
+
+    def clear_stop(self):
+        self.stop_requested = False
+
+    def __len__(self):
+        return len(self._pending)
+
+    def run(self, until=None):
+        while self._pending and not self.stop_requested:
+            entry = min(self._pending, key=lambda e: (e[0], e[1]))
+            if until is not None and entry[0] > until:
+                self.now = until
+                break
+            self._pending.remove(entry)
+            self.now = entry[0]
+            self.executed += 1
+            entry[2]()
+        return self.now
 
 
 class Script:
-    """Replays one random command list against one queue backend."""
+    """Replays one random command list against one queue."""
 
     def __init__(self, queue, commands):
         self.queue = queue
@@ -41,14 +82,10 @@ class Script:
         kind = cmd[0]
         queue = self.queue
         if kind == "sched":
-            _, delay, label, interned, nested = cmd
+            _, delay, label, nested = cmd
             self._tags += 1
             tag = self._tags
             fn = lambda tag=tag, nested=nested: self._fire(tag, nested)
-            if interned:
-                register = getattr(queue, "register_handler", None)
-                if register is not None:
-                    register(fn)
             self.handles.append(queue.schedule(delay, fn, label))
         elif kind == "cancel":
             _, idx = cmd
@@ -74,7 +111,7 @@ def _nested_cmds(depth):
     return st.lists(
         st.one_of(
             st.tuples(st.just("sched"), st.integers(0, 5),
-                      st.sampled_from(["", "n"]), st.booleans(),
+                      st.sampled_from(["", "n"]),
                       _nested_cmds(depth - 1)),
             st.tuples(st.just("cancel"), st.integers(0, 63)),
             st.just(("stop",)),
@@ -86,7 +123,7 @@ def _nested_cmds(depth):
 TOP_CMDS = st.lists(
     st.one_of(
         st.tuples(st.just("sched"), st.integers(0, 40),
-                  st.sampled_from(["", "a", "b"]), st.booleans(),
+                  st.sampled_from(["", "a", "b"]),
                   _nested_cmds(2)),
         st.tuples(st.just("cancel"), st.integers(0, 63)),
         st.just(("cancel_none",)),
@@ -98,39 +135,39 @@ TOP_CMDS = st.lists(
 @given(TOP_CMDS)
 @settings(max_examples=200, deadline=None)
 def test_dispatch_streams_identical(commands):
-    obj = Script(EventQueue(), commands).run()
-    flat = Script(FlatEventQueue(), commands).run()
-    assert obj == flat
+    real = Script(EventQueue(), commands).run()
+    model = Script(ModelQueue(), commands).run()
+    assert real == model
 
 
 @given(TOP_CMDS, st.integers(0, 60))
 @settings(max_examples=100, deadline=None)
 def test_dispatch_streams_identical_with_until(commands, until):
-    obj_q, flat_q = EventQueue(), FlatEventQueue()
-    obj_s, flat_s = Script(obj_q, commands), Script(flat_q, commands)
+    real_q, model_q = EventQueue(), ModelQueue()
+    real_s, model_s = Script(real_q, commands), Script(model_q, commands)
     for cmd in commands:
-        obj_s.apply(cmd)
-        flat_s.apply(cmd)
-    obj_q.clear_stop()
-    flat_q.clear_stop()
-    assert obj_q.run(until=until) == flat_q.run(until=until)
-    assert obj_s.log == flat_s.log
-    assert obj_q.now == flat_q.now
+        real_s.apply(cmd)
+        model_s.apply(cmd)
+    real_q.clear_stop()
+    model_q.clear_stop()
+    assert real_q.run(until=until) == model_q.run(until=until)
+    assert real_s.log == model_s.log
+    assert real_q.now == model_q.now
     # resuming past the clamp stays identical too
-    assert obj_q.run() == flat_q.run()
-    assert obj_s.log == flat_s.log
+    assert real_q.run() == model_q.run()
+    assert real_s.log == model_s.log
 
 
 @given(TOP_CMDS)
 @settings(max_examples=100, deadline=None)
 def test_executed_and_clock_agree(commands):
-    obj_q, flat_q = EventQueue(), FlatEventQueue()
-    obj_log = Script(obj_q, commands).run()
-    flat_log = Script(flat_q, commands).run()
-    assert obj_log == flat_log
-    assert obj_q.executed == flat_q.executed
-    assert obj_q.now == flat_q.now
-    assert len(obj_q) == len(flat_q)
+    real_q, model_q = EventQueue(), ModelQueue()
+    real_log = Script(real_q, commands).run()
+    model_log = Script(model_q, commands).run()
+    assert real_log == model_log
+    assert real_q.executed == model_q.executed
+    assert real_q.now == model_q.now
+    assert len(real_q) == len(model_q)
 
 
 @given(st.integers(1, 30), st.integers(0, 29))
@@ -138,14 +175,14 @@ def test_executed_and_clock_agree(commands):
 def test_stale_handles_never_cancel_later_events(n, victim):
     """Handle discipline: after an event fires, its handle is dead.
 
-    The object kernel drops the fired entry (the held handle is the
-    last reference to it); the flat kernel retires seqs forever.
-    Either way, cancelling a handle
-    whose event already ran must never kill a *different*, later event
-    — here every cancel targets an already-fired handle, so all n
-    events of the second wave must still run on both backends.
+    The queue drops the fired entry (the held handle is the last
+    reference to it); the model has already removed it.  Either way,
+    cancelling a handle whose event already ran must never kill a
+    *different*, later event — here every cancel targets an
+    already-fired handle, so all n events of the second wave must still
+    run on both.
     """
-    for queue in (EventQueue(), FlatEventQueue()):
+    for queue in (EventQueue(), ModelQueue()):
         fired = []
         first_wave = [queue.schedule(i, lambda i=i: fired.append(i), "w1")
                       for i in range(n)]
@@ -167,9 +204,9 @@ def test_stale_handles_never_cancel_later_events(n, victim):
 @settings(max_examples=60, deadline=None)
 def test_cancel_then_requeue_same_slot(a, b):
     """Cancel an event, schedule a replacement at the same cycle: only
-    the replacement fires, on both backends."""
+    the replacement fires, on the queue as on the model."""
     logs = []
-    for queue in (EventQueue(), FlatEventQueue()):
+    for queue in (EventQueue(), ModelQueue()):
         log = []
         h = queue.schedule(a, lambda: log.append("old"), "old")
         queue.cancel(h)

@@ -199,6 +199,39 @@ def test_final_check_sweeps_the_quiesced_machine():
     assert sanitizer.sweeps == 1
 
 
+def test_pump_sweeps_every_interval_across_an_idle_window():
+    """Both threads compute through 200 000 instructions (~100 sweep
+    intervals) without touching memory: the pump still sweeps once per
+    interval, every tick on the interval grid — ``interval`` is the one
+    control over that cost."""
+    from repro.core import isa as ops
+    from repro.sim.machine import Machine
+
+    interval = 500
+    machine = Machine(tiny_params(num_cores=2), seed=5)
+    sanitizer = Sanitizer(mode="warn", interval=interval)
+    machine.attach_sanitizer(sanitizer)
+    x = machine.alloc.word()
+
+    def thread(ctx):
+        yield ops.Compute(200_000)
+        for i in range(3):  # so the run does not end at the window's edge
+            yield ops.Store(x + 64 * (ctx.tid + 1), i)
+            yield ops.Load(x + 64 * (ctx.tid + 1))
+
+    machine.spawn(thread)
+    machine.spawn(thread)
+    ticks = []
+    tick = sanitizer._tick
+    sanitizer._tick = lambda: (ticks.append(machine.queue.now), tick())
+    result = machine.run()
+    assert result.completed and sanitizer.violations == []
+    assert result.cycles // interval >= 100
+    assert all(t % interval == 0 for t in ticks)
+    assert abs(len(ticks) - result.cycles // interval) <= 2
+    assert sanitizer.sweeps == len(ticks) + 1  # + the closing sweep
+
+
 def test_watchdog_and_pumps_stop_when_the_workload_raises():
     """Regression: an exception inside the run loop must not leak a
     live watchdog or sanitizer pump into the next run (try/finally in

@@ -42,6 +42,11 @@ def test_cancelled_event_does_not_fire():
     assert fired == ["y"]
 
 
+def test_cancel_none_is_a_noop():
+    q = EventQueue()
+    q.cancel(None)
+
+
 def test_events_scheduled_during_execution():
     q = EventQueue()
     fired = []
@@ -69,15 +74,19 @@ def test_run_until_stops_clock_at_limit():
 
 
 def test_stop_when_predicate():
+    """A self-rescheduling chain ends where a handler's own condition
+    calls ``request_stop()`` — here inside the third tick."""
     q = EventQueue()
     count = []
 
     def tick():
         count.append(1)
         q.schedule(1, tick)
+        if len(count) >= 3:
+            q.request_stop()
 
     q.schedule(0, tick)
-    q.run(stop_when=lambda: len(count) >= 3)
+    q.run()
     assert len(count) == 3
 
 
@@ -105,6 +114,23 @@ def test_empty_and_peek():
     q.schedule(4, lambda: None)
     assert not q.empty()
     assert q.peek_time() == 4
+
+
+def test_pending_events_reports_live_labelled_times():
+    q = EventQueue()
+    q.schedule(4, lambda: None, "keep")
+    dead = q.schedule(6, lambda: None, "dead")
+    q.schedule(9, lambda: None)  # unlabelled
+    q.cancel(dead)
+    assert sorted(q.pending_events()) == [(4, "keep"), (9, "")]
+
+
+def test_unsafe_schedule_at_plants_past_events():
+    q = EventQueue()
+    q.schedule(10, lambda: None, "future")
+    q.unsafe_schedule_at(-5, lambda: None, "ghost")
+    assert q.peek_time() == -5
+    assert (-5, "ghost") in q.pending_events()
 
 
 def test_step_runs_one_event_and_advances_clock():
@@ -152,6 +178,38 @@ def test_executed_counter_tracks_dispatches():
     q.cancel(cancelled)
     q.run()
     assert q.executed == 4
+
+
+def test_executed_is_current_inside_handlers():
+    """A handler that reads ``executed`` sees the event being
+    dispatched already counted."""
+    q = EventQueue()
+    seen = []
+    for _ in range(3):
+        q.schedule(1, lambda: seen.append(q.executed))
+    q.run()
+    assert seen == [1, 2, 3]
+
+
+def test_exception_in_handler_leaves_consistent_state():
+    """An exception propagates with now/executed already published and
+    the remaining events intact."""
+    q = EventQueue()
+    fired = []
+
+    def boom():
+        raise RuntimeError("handler bug")
+
+    q.schedule(2, lambda: fired.append("a"))
+    q.schedule(4, boom)
+    q.schedule(6, lambda: fired.append("b"))
+    with pytest.raises(RuntimeError, match="handler bug"):
+        q.run()
+    assert fired == ["a"]
+    assert q.now == 4
+    assert q.executed == 2  # boom itself was dispatched
+    q.run()  # the queue remains usable
+    assert fired == ["a", "b"]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +313,6 @@ def test_fire_and_drop_leaves_nothing_behind():
     assert count[0] == q.executed == 10_000
     assert len(q._heap) == 0
     assert not hasattr(q, "_free")
-    assert not q._elastic
 
 
 def test_cancel_after_fire_is_harmless():
