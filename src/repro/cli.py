@@ -8,7 +8,6 @@ Commands
 ``verify``   schedule-exploration verification (SCV/deadlock hunting)
 ``synth``    cost-aware minimal fence placement synthesis per design
 ``chaos``    fault-injection sweep with SC/progress/recovery oracles
-``perf``     time the pinned perf matrix, snapshot + regression check
 ``farm``     durable experiment farm (submit/status/resume/gc)
 ``figure``   regenerate one of the paper's figures (8, 9, 10, 11, 12)
 ``table``    regenerate one of the paper's tables (1, 2, 3, 4)
@@ -26,7 +25,6 @@ Examples::
     python -m repro synth --program sb --designs all --seed 1
     python -m repro chaos --scenarios all --seeds 20
     python -m repro chaos --scenarios illegal_drop --designs S+ --shrink
-    python -m repro perf --profile tiny --report-only
     python -m repro figure 9 --scale 0.5
     python -m repro table 4
 """
@@ -38,10 +36,9 @@ import os
 import sys
 
 from repro.common.errors import (
+    EXIT_BY_ERROR,
+    EXIT_SANITIZER,
     ConfigError,
-    DeadlockError,
-    SanitizerError,
-    SCViolationError,
 )
 from repro.common.params import FenceDesign, FenceRole
 from repro.eval import figures, tables
@@ -159,14 +156,17 @@ def _export_trace(obs, run, out_path: str, fmt: str) -> None:
 
 
 def _run_budget(args):
-    """RunBudget from the --max-* flags, or None when none was given."""
-    if not (args.max_wall_secs or args.max_events or args.max_rss_mb):
+    """RunBudget from the --max-* flags, or None when none was given
+    (``repro synth`` has no ``--max-events``: synth/engine.py consults
+    the wall and RSS budgets only)."""
+    max_events = getattr(args, "max_events", None)
+    if not (args.max_wall_secs or max_events or args.max_rss_mb):
         return None
     from repro.sim.governor import RunBudget
 
     return RunBudget(
         max_wall_secs=args.max_wall_secs,
-        max_events=args.max_events,
+        max_events=max_events,
         max_rss_mb=args.max_rss_mb,
     )
 
@@ -214,9 +214,8 @@ def cmd_run(args) -> int:
             print(render_trace_summary(obs.tracer, stats=run.stats))
         print()
     # a warn-mode sanitizer records violations instead of raising;
-    # they are still failures for scripting purposes (exit-code table
-    # in the README)
-    return 5 if violations else 0
+    # they are still failures for scripting purposes
+    return EXIT_SANITIZER if violations else 0
 
 
 def cmd_trace(args) -> int:
@@ -289,22 +288,8 @@ def cmd_verify(args) -> int:
         VerifyConfig,
         run_verification,
     )
-    from repro.verify.oracles import PAPER_DESIGNS
 
-    if args.designs.strip().lower() == "all":
-        designs = PAPER_DESIGNS
-    else:
-        try:
-            designs = tuple(
-                _design(name.strip())
-                for name in args.designs.split(",") if name.strip()
-            )
-        except argparse.ArgumentTypeError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        if not designs:
-            print("no designs given", file=sys.stderr)
-            return 2
+    designs = _designs_list(args.designs)
     config = VerifyConfig(
         budget=args.budget,
         designs=designs,
@@ -321,8 +306,9 @@ def cmd_verify(args) -> int:
 
 
 def _designs_list(value: str):
-    """Parse an 'all'-or-comma-list designs argument (raises
-    argparse.ArgumentTypeError on an unknown name)."""
+    """Parse an 'all'-or-comma-list designs argument.  An unknown name
+    raises argparse.ArgumentTypeError, which ``main()`` reports as a
+    usage error."""
     from repro.verify.oracles import PAPER_DESIGNS
 
     if value.strip().lower() == "all":
@@ -340,11 +326,7 @@ def cmd_synth(args) -> int:
     from repro.synth import SynthConfig, run_synthesis
     from repro.synth.programs import NAMED_PROGRAMS
 
-    try:
-        designs = _designs_list(args.designs)
-    except argparse.ArgumentTypeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    designs = _designs_list(args.designs)
     sanitize = args.sanitize or os.environ.get("REPRO_SANITIZE") or "off"
     config = SynthConfig(
         program=args.program,
@@ -393,7 +375,6 @@ def cmd_chaos(args) -> int:
 
     from repro.faults.chaos import run_chaos_matrix
     from repro.faults.plan import LEGAL_SCENARIOS, SCENARIOS
-    from repro.verify.oracles import PAPER_DESIGNS
 
     if args.scenarios.strip().lower() == "all":
         scenarios = list(LEGAL_SCENARIOS)
@@ -405,17 +386,7 @@ def cmd_chaos(args) -> int:
             print(f"unknown scenario(s): {', '.join(unknown)}; choose "
                   f"from {', '.join(sorted(SCENARIOS))}", file=sys.stderr)
             return 2
-    if args.designs.strip().lower() == "all":
-        designs = list(PAPER_DESIGNS)
-    else:
-        try:
-            designs = [
-                _design(name.strip())
-                for name in args.designs.split(",") if name.strip()
-            ]
-        except argparse.ArgumentTypeError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+    designs = _designs_list(args.designs)
     seeds = range(args.seed_base, args.seed_base + args.seeds)
 
     def progress(case):
@@ -451,58 +422,6 @@ def cmd_chaos(args) -> int:
             json.dump(report, fh, indent=1, sort_keys=True)
         print(f"[report written to {args.out}]")
     return 1 if (report["failed_legal"] or report["missed_illegal"]) else 0
-
-
-def cmd_perf(args) -> int:
-    from repro.perf import harness
-
-    baseline_path = args.baseline or args.out
-    baseline = harness.load_snapshot(baseline_path)
-
-    def progress(entry):
-        print(f"  {entry['key']:32s} median {entry['median_s']:.3f}s "
-              f"({entry['events_per_s']:,.0f} events/s)")
-
-    print(f"perf profile {args.profile!r}, {args.reps} rep(s) per case:")
-    try:
-        snapshot = harness.run_profile(
-            args.profile, reps=args.reps, progress=progress,
-            farm_db=args.farm_db or os.environ.get("REPRO_FARM_DB") or None,
-            farm_workers=args.farm_workers,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(f"total median wall time: {snapshot['total_median_s']:.3f}s")
-
-    comparison = None
-    if baseline is not None:
-        comparison = harness.compare_snapshots(
-            baseline, snapshot, threshold=args.threshold
-        )
-        snapshot["comparison"] = comparison
-        print(harness.render_comparison(comparison))
-    else:
-        print(f"[no baseline snapshot at {baseline_path}; "
-              "this run seeds the trajectory]")
-
-    if args.out != "-":
-        harness.write_snapshot(snapshot, args.out)
-        print(f"[snapshot written to {args.out}]")
-    if args.attrib_out:
-        attrib_snapshot = harness.run_attrib_profile(args.profile)
-        harness.write_snapshot(attrib_snapshot, args.attrib_out)
-        bad = [c["key"] for c in attrib_snapshot["cases"]
-               if not c["conservation_ok"]]
-        print(f"[attribution snapshot written to {args.attrib_out}]")
-        if bad:
-            # exit-code table: 1 = correctness-oracle failure
-            print(f"attribution conservation FAILED: {', '.join(bad)}",
-                  file=sys.stderr)
-            return 1
-    if comparison is not None and not comparison["ok"] and not args.report_only:
-        return 3
-    return 0
 
 
 def cmd_figure(args) -> int:
@@ -692,8 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall-clock budget for the whole synthesis "
                             "(graceful cutoff: remaining designs are "
                             "marked exhausted-wall)")
-    p_syn.add_argument("--max-events", type=int, default=None,
-                       metavar="N", help=argparse.SUPPRESS)
     p_syn.add_argument("--max-rss-mb", type=float, default=None,
                        metavar="MB",
                        help="RSS high-water-mark budget (graceful cutoff)")
@@ -759,48 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON report path ('-' to skip writing)",
     )
 
-    p_perf = sub.add_parser(
-        "perf",
-        help="time the pinned perf matrix and check for regressions",
-    )
-    p_perf.add_argument(
-        "--profile", default="fig89",
-        help="pinned case matrix: 'fig89' (default) or 'tiny'",
-    )
-    p_perf.add_argument("--reps", type=int, default=3,
-                        help="repetitions per case (median is kept)")
-    p_perf.add_argument(
-        "--out", default="benchmarks/perf/BENCH_perf.json",
-        help="snapshot path ('-' to skip writing)",
-    )
-    p_perf.add_argument(
-        "--baseline", default=None,
-        help="baseline snapshot to compare against "
-             "(default: the previous --out file)",
-    )
-    p_perf.add_argument(
-        "--threshold", type=float, default=1.25,
-        help="regression threshold: fail when a case's median exceeds "
-             "threshold x baseline (default 1.25)",
-    )
-    p_perf.add_argument(
-        "--report-only", action="store_true",
-        help="report regressions but exit 0 (CI smoke mode)",
-    )
-    p_perf.add_argument(
-        "--attrib-out", default=None, metavar="PATH",
-        help="also write a cycle-attribution snapshot of the matrix "
-             "(simulated-cycle decomposition per case; e.g. "
-             "benchmarks/perf/BENCH_attrib.json)",
-    )
-    p_perf.add_argument("--farm-db", default=None, metavar="PATH",
-                        help="time the matrix as a farm campaign (or "
-                             "set $REPRO_FARM_DB); cached identical "
-                             "cases are reused, so only new/changed "
-                             "cases are re-timed")
-    p_perf.add_argument("--farm-workers", type=int, default=None,
-                        help="farm worker processes (0 = inline)")
-
     from repro.farm.cli import add_farm_parser
 
     add_farm_parser(sub)
@@ -820,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_farm(args) -> int:
     from repro.farm.cli import cmd_farm as farm_main
 
-    return farm_main(args, _design)
+    return farm_main(args, _designs_list)
 
 
 def main(argv=None) -> int:
@@ -834,7 +709,6 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "synth": cmd_synth,
         "chaos": cmd_chaos,
-        "perf": cmd_perf,
         "farm": cmd_farm,
         "figure": cmd_figure,
         "table": cmd_table,
@@ -846,24 +720,19 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
-    except SanitizerError as exc:
-        # README exit-code table: 5 = sanitizer violation
-        print(f"sanitizer violation: {exc}", file=sys.stderr)
-        if exc.diagnostics_path:
-            print(f"[diagnostics written to {exc.diagnostics_path}]",
+    except argparse.ArgumentTypeError as exc:
+        # a list-valued flag, parsed by the command (_designs_list)
+        print(str(exc), file=sys.stderr)
+        return 2
+    except tuple(EXIT_BY_ERROR) as exc:
+        code, label = next(row for err, row in EXIT_BY_ERROR.items()
+                           if isinstance(exc, err))
+        print(f"{label}: {exc}", file=sys.stderr)
+        diagnostics_path = getattr(exc, "diagnostics_path", None)
+        if diagnostics_path:
+            print(f"[diagnostics written to {diagnostics_path}]",
                   file=sys.stderr)
-        return 5
-    except DeadlockError as exc:
-        # README exit-code table: 4 = simulated-machine deadlock
-        print(f"deadlock: {exc}", file=sys.stderr)
-        if exc.diagnostics_path:
-            print(f"[diagnostics written to {exc.diagnostics_path}]",
-                  file=sys.stderr)
-        return 4
-    except SCViolationError as exc:
-        # README exit-code table: 1 = correctness-oracle failure
-        print(f"SC violation: {exc}", file=sys.stderr)
-        return 1
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -74,3 +74,22 @@ class SCViolationError(SimulatorError):
     def __init__(self, message, cycle=()):
         super().__init__(message)
         self.cycle = tuple(cycle)
+
+
+# ----------------------------------------------------------------------
+# CLI exit codes, uniform across subcommands.  0 is success (a budget
+# cutoff is a degraded success) and 2 a usage error (argparse's own
+# code); the others are named because scripts and CI branch on them.
+# 3 is retired and must not be reused.  README "CLI exit codes" and
+# docs/SANITIZER.md "Exit codes" restate this table.
+# ----------------------------------------------------------------------
+EXIT_ORACLE = 1      # a correctness oracle failed (SC, conservation, chaos)
+EXIT_DEADLOCK = 4    # the simulated machine deadlocked / the watchdog fired
+EXIT_SANITIZER = 5   # protocol-sanitizer violation (strict raise, warn count)
+
+#: error escaping a command handler -> (exit code, stderr label)
+EXIT_BY_ERROR = {
+    SanitizerError: (EXIT_SANITIZER, "sanitizer violation"),
+    DeadlockError: (EXIT_DEADLOCK, "deadlock"),
+    SCViolationError: (EXIT_ORACLE, "SC violation"),
+}

@@ -201,9 +201,12 @@ def _run_grid_parallel(
 
     A job whose worker process dies (BrokenProcessPool) is retried up
     to :data:`CRASH_RETRIES` times with doubling backoff — the pool is
-    rebuilt each time since a broken executor is unusable.  Jobs that
-    raise ordinary exceptions propagate immediately (a deterministic
-    simulator bug would fail every retry anyway).
+    rebuilt each time since a broken executor is unusable.  A pool
+    already broken by an earlier job's worker refuses further
+    ``submit`` calls: that job and every job not yet submitted crashed
+    with it.  Jobs that raise ordinary exceptions propagate
+    immediately (a deterministic simulator bug would fail every retry
+    anyway).
     """
     results: Dict[str, RunSummary] = {}
     pending = list(grid)
@@ -214,8 +217,13 @@ def _run_grid_parallel(
         crashed: List[Tuple[str, str, int, float, int]] = []
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=ctx) as pool:
-            futures = {pool.submit(_run_one, job): job for job in pending}
-            for fut, job in futures.items():
+            futures = []
+            try:
+                for job in pending:
+                    futures.append((pool.submit(_run_one, job), job))
+            except BrokenProcessPool:
+                pass  # the jobs past len(futures) crashed with the pool
+            for fut, job in futures:
                 try:
                     summary = fut.result()
                 except BrokenProcessPool:
@@ -223,6 +231,7 @@ def _run_grid_parallel(
                     continue
                 results[_job_key(job)] = summary
                 on_done(_job_key(job), summary)
+            crashed += pending[len(futures):]
         if not crashed:
             break
         attempt += 1

@@ -17,7 +17,6 @@ campaigns' job rows; the result cache is kept unless ``--prune-cache``.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -31,25 +30,15 @@ from repro.farm.worker import FarmConfig
 from repro.farm.clients import default_farm_workers
 
 
-def _spec_from_args(args, design_parser) -> CampaignSpec:
-    if args.designs.strip().lower() == "all":
-        from repro.verify.oracles import PAPER_DESIGNS
-
-        designs = list(PAPER_DESIGNS)
-    else:
-        try:
-            designs = [design_parser(n.strip())
-                       for n in args.designs.split(",") if n.strip()]
-        except argparse.ArgumentTypeError as exc:
-            raise ConfigError(str(exc))
+def _spec_from_args(args, designs_parser) -> CampaignSpec:
+    # an unknown design raises out to repro.cli.main()'s usage error
+    designs = designs_parser(args.designs)
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
     if not workloads:
         raise ConfigError("no workloads/scenarios given")
     config = {}
-    if args.kind in ("matrix", "chaos") and args.sanitize:
+    if args.sanitize:
         config["sanitize"] = args.sanitize
-    if args.kind == "perf":
-        config["reps"] = args.reps
     if args.max_events:
         # an event budget is deterministic (unlike wall/RSS), so a
         # degraded row is still bit-identical across workers
@@ -98,10 +87,10 @@ def _report_run(db: str, cid: str, rows: dict) -> int:
     return 0 if done and not quarantined else 1
 
 
-def cmd_farm(args, design_parser) -> int:
+def cmd_farm(args, designs_parser) -> int:
     try:
         if args.farm_cmd == "submit":
-            spec = _spec_from_args(args, design_parser)
+            spec = _spec_from_args(args, designs_parser)
             cid, counts = submit(args.db, spec, diag_dir=args.diag_dir)
             print(f"campaign {cid}: {counts['jobs']} job(s) "
                   f"({counts['new']} new, {counts['cached']} from cache, "
@@ -179,7 +168,7 @@ def add_farm_parser(sub) -> None:
     common(p_sub)
     p_sub.add_argument("--kind", default="matrix", choices=KINDS)
     p_sub.add_argument("--workloads", required=True,
-                       help="comma list of workloads (matrix/perf) or "
+                       help="comma list of workloads (matrix) or "
                             "fault scenarios (chaos)")
     p_sub.add_argument("--designs", default="all",
                        help="'all' (the paper's five) or a comma list")
@@ -191,8 +180,6 @@ def add_farm_parser(sub) -> None:
     p_sub.add_argument("--scale", type=float, default=0.5)
     p_sub.add_argument("--sanitize", default=None,
                        choices=("off", "warn", "strict"))
-    p_sub.add_argument("--reps", type=int, default=3,
-                       help="perf kind: repetitions per case")
     p_sub.add_argument("--max-events", type=int, default=None, metavar="N",
                        help="per-job simulated-event budget (deterministic "
                             "graceful cutoff)")

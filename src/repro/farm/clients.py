@@ -1,12 +1,12 @@
 """Farm clients: run the existing sweeps as durable campaigns.
 
 Each client translates a legacy grid (``run_matrix``'s workload grid,
-the chaos scenario sweep, a perf profile) into a :class:`CampaignSpec`,
+the chaos scenario sweep) into a :class:`CampaignSpec`,
 drives it through :func:`run_campaign`, and translates the content-
 keyed result rows back into exactly the shape the legacy caller
 returns — so figure/table/report generators are oblivious to whether a
 sweep ran locally or on the farm, and the rows are bit-identical
-either way (perf wall timings excepted).
+either way.
 """
 
 from __future__ import annotations
@@ -149,67 +149,3 @@ def farm_chaos_cases(
             f"{missing[:3]}..."
         )
     return cases
-
-
-# ----------------------------------------------------------------------
-# perf
-# ----------------------------------------------------------------------
-
-def farm_perf_cases(
-    cases,
-    reps: int = 3,
-    db: str = "farm.sqlite",
-    workers: Optional[int] = None,
-    config: Optional[FarmConfig] = None,
-) -> List[dict]:
-    """Time a perf-profile case list on the farm; snapshot entries in
-    input order.
-
-    Wall timings are measured wherever the job lands, so entries are
-    *not* bit-identical across runs (the cache still applies: an
-    already-timed identical case+rev is reused, which is exactly the
-    hermetic-baseline behaviour the perf harness wants within one
-    host).  ``sim_cycles``/``events_executed`` remain deterministic.
-    """
-    from repro.farm.spec import JobSpec
-
-    specs = [
-        JobSpec.make(
-            "perf", case.workload, case.design, case.seed,
-            cores=case.cores, scale=case.scale,
-            config={"reps": int(reps)},
-        )
-        for case in cases
-    ]
-    if not specs:
-        return []
-    base = specs[0]
-    grouped = CampaignSpec(
-        kind="perf",
-        workloads=tuple(dict.fromkeys(s.workload for s in specs)),
-        designs=tuple(dict.fromkeys(s.design for s in specs)),
-        seeds=tuple(dict.fromkeys(s.seed for s in specs)),
-        core_counts=tuple(dict.fromkeys(s.cores for s in specs)),
-        scale=base.scale,
-        config=base.config,
-        code_rev=base.code_rev,
-    )
-    wanted = {s.content_key() for s in specs}
-    grid = {j.content_key() for j in grouped.expand()}
-    if wanted != grid:
-        raise ConfigError(
-            "perf profile is not a dense grid (mixed scales per case); "
-            "run it locally"
-        )
-    rows = run_campaign(db, grouped, workers=_resolve_workers(workers),
-                        config=config)
-    out = []
-    for s in specs:
-        row = rows.get(s.content_key())
-        if row is None:
-            raise ConfigError(
-                f"farm produced no row for perf case {s.workload}/"
-                f"{s.design} (quarantined?)"
-            )
-        out.append(row)
-    return out

@@ -2,16 +2,13 @@
 
 Each kind maps onto the existing single-job entry point of its
 subsystem, so a farm worker runs *exactly* the same code path as a
-local sweep and the produced row is bit-identical to the local one
-(perf rows excepted — they carry wall-clock timings by nature; their
-simulated ``cycles``/``events`` fields are still deterministic).
+local sweep and the produced row is bit-identical to the local one.
 
 Per-job settings ride in ``spec.config`` (canonical JSON, part of the
-content key): ``sanitize`` for matrix/chaos, ``reps`` for perf, and
-an optional ``budget`` object (:class:`RunBudget` fields) so a wedged
-job degrades gracefully instead of wedging its worker.  A
-worker-side *diag_dir* is plumbed separately — where diagnostics land
-must not change a job's identity.
+content key): ``sanitize`` and an optional ``budget`` object
+(:class:`RunBudget` fields) so a wedged job degrades gracefully
+instead of wedging its worker.  A worker-side *diag_dir* is plumbed
+separately — where diagnostics land must not change a job's identity.
 """
 
 from __future__ import annotations
@@ -67,24 +64,9 @@ def _run_chaos_job(spec: JobSpec, diag_dir: Optional[str]) -> dict:
     return case.to_dict()
 
 
-def _run_perf_job(spec: JobSpec, diag_dir: Optional[str]) -> dict:
-    from repro.perf.harness import PerfCase, _time_case
-
-    cfg = spec.config_dict()
-    case = PerfCase(
-        workload=spec.workload,
-        design=spec.fence_design,
-        cores=spec.cores,
-        scale=spec.scale,
-        seed=spec.seed,
-    )
-    return _time_case(case, reps=int(cfg.get("reps", 3)))
-
-
 EXECUTORS: Dict[str, Callable[[JobSpec, Optional[str]], dict]] = {
     "matrix": _run_matrix_job,
     "chaos": _run_chaos_job,
-    "perf": _run_perf_job,
 }
 
 

@@ -29,9 +29,14 @@ from repro.common.errors import ConfigError
 from repro.common.params import FenceDesign
 
 #: job kinds the executor knows how to run (repro.farm.exec)
-KINDS = ("matrix", "chaos", "perf")
+KINDS = ("matrix", "chaos")
 
 _CODE_REV: Optional[str] = None
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ConfigError(f"unknown job kind {kind!r}; one of {KINDS}")
 
 
 def canonical_json(obj) -> str:
@@ -79,10 +84,10 @@ def _design_name(design) -> str:
 class JobSpec:
     """One content-addressed simulation job.
 
-    ``workload`` is the workload name for matrix/perf jobs and the
+    ``workload`` is the workload name for matrix jobs and the
     fault-scenario name for chaos jobs; ``config`` is canonical JSON of
-    everything else that shapes the run (sanitize mode, perf reps,
-    ...), so per-job settings flow through the store unchanged and
+    everything else that shapes the run (sanitize mode, event budget),
+    so per-job settings flow through the store unchanged and
     participate in the content key.
     """
 
@@ -100,8 +105,7 @@ class JobSpec:
              cores: int = 0, scale: float = 0.0,
              config: Optional[dict] = None,
              rev: Optional[str] = None) -> "JobSpec":
-        if kind not in KINDS:
-            raise ConfigError(f"unknown job kind {kind!r}; one of {KINDS}")
+        _check_kind(kind)
         return JobSpec(
             kind=kind,
             workload=workload,
@@ -140,7 +144,7 @@ class JobSpec:
 class CampaignSpec:
     """A deterministic grid of jobs.
 
-    ``workloads`` are workload names (matrix/perf) or fault scenarios
+    ``workloads`` are workload names (matrix) or fault scenarios
     (chaos); ``designs`` are :class:`FenceDesign` names.  ``expand``
     enumerates the grid in a fixed order (workload-major, then design,
     core count, seed) — sharding across workers is emergent from
@@ -163,8 +167,7 @@ class CampaignSpec:
              seeds: Sequence[int], core_counts: Sequence[int] = (8,),
              scale: float = 1.0, config: Optional[dict] = None,
              rev: Optional[str] = None) -> "CampaignSpec":
-        if kind not in KINDS:
-            raise ConfigError(f"unknown job kind {kind!r}; one of {KINDS}")
+        _check_kind(kind)
         return CampaignSpec(
             kind=kind,
             workloads=tuple(workloads),
@@ -208,6 +211,8 @@ class CampaignSpec:
     @staticmethod
     def from_json(blob: str) -> "CampaignSpec":
         d = json.loads(blob)
+        # a store file outlives the code that wrote it
+        _check_kind(d["kind"])
         return CampaignSpec(
             kind=d["kind"],
             workloads=tuple(d["workloads"]),

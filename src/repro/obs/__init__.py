@@ -18,7 +18,7 @@ Zero-cost-when-off contract: every hook site in the simulator is
 guarded by a plain ``tracer is None`` check on a cached attribute —
 no dynamic dispatch, no null-object method calls — so the untraced
 hot path stays within noise of the pre-observability kernel
-(referee: ``benchmarks/perf`` and :mod:`repro.obs.overhead`).  What the
+(referee: ``bench/``'s ``sweep_hot`` workload and its bound).  What the
 probes cost when *on* is refereed by ``bench/``'s ``probes_on`` workload
 and its ``*.on_over_off`` ratios.
 """

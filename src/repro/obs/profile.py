@@ -27,6 +27,7 @@ import json
 import os
 from typing import Dict, List, Optional
 
+from repro.common.errors import EXIT_ORACLE
 from repro.obs.attrib import (
     SCHEMA as TREE_SCHEMA,
     conservation_errors,
@@ -288,7 +289,7 @@ def cmd_profile(args, design_parser) -> int:
                           f"{side['tree'].get('label')}:")
                     for err in side["conservation"]["errors"]:
                         print(f"  {err}")
-                    return 1
+                    return EXIT_ORACLE
             diff = diff_trees(
                 base["tree"], other["tree"],
                 label_base=base["tree"].get("label"),
@@ -305,9 +306,8 @@ def cmd_profile(args, design_parser) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     _emit(args, _format_report(report, args.format))
-    # exit-code table: 1 = correctness-oracle failure; a broken
-    # conservation invariant is exactly that
-    return 0 if report["conservation"]["ok"] else 1
+    # a broken conservation invariant is a correctness-oracle failure
+    return 0 if report["conservation"]["ok"] else EXIT_ORACLE
 
 
 def add_profile_parser(sub, design_type) -> None:

@@ -317,18 +317,6 @@ def test_farm_chaos_journal_round_trips(tmp_path):
     assert len(done) == report["total_cases"] == 1
 
 
-def test_farm_perf_profile_serves_cache_on_resubmit(tmp_path):
-    from repro.perf.harness import run_profile
-
-    db = str(tmp_path / "farm.sqlite")
-    first = run_profile("tiny", reps=1, farm_db=db, farm_workers=0)
-    second = run_profile("tiny", reps=1, farm_db=db, farm_workers=0)
-    assert [c["key"] for c in first["cases"]] == [
-        c["key"] for c in second["cases"]]
-    # cached rows are identical down to the recorded wall timings
-    assert first["cases"] == second["cases"]
-
-
 # ----------------------------------------------------------------------
 # the per-worker heartbeat thread
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""The CLI exit-code contract (README "Exit codes" table).
+"""The CLI exit-code contract (README "CLI exit codes").
 
 0 = success, 1 = correctness-oracle failure, 2 = usage error,
-3 = perf regression, 4 = simulated-machine deadlock, 5 = sanitizer
-violation.  Scripts and CI branch on these, so each mapping is pinned
-here — including the exception handlers in ``main()``, exercised by
-monkeypatching a command handler to raise.
+4 = simulated-machine deadlock, 5 = sanitizer violation (3 is retired
+and not reused).  Scripts and CI branch on these, so each mapping is
+pinned here — including ``repro.common.errors.EXIT_BY_ERROR``, the
+table ``main()`` consults, exercised by monkeypatching a command
+handler to raise.
 """
 
 import pytest

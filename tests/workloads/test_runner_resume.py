@@ -7,6 +7,8 @@ import signal
 import subprocess
 import sys
 import textwrap
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -268,3 +270,74 @@ def test_repeated_worker_crashes_exhaust_retries(tmp_path, monkeypatch):
             on_done=lambda key, s: None,
             sleep=lambda s: None,
         )
+
+
+class _StubPool:
+    """Pool double.  Unhealthy: the first job's worker is already dead
+    when the second job is submitted, so ``submit`` itself raises — the
+    order of events the SIGKILL doubles above reach only some of the
+    time.  Healthy: jobs run inline."""
+
+    def __init__(self, healthy):
+        self.healthy = healthy
+        self.submitted = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, job):
+        self.submitted += 1
+        fut = Future()
+        if self.healthy:
+            fut.set_result(_REAL_RUN_ONE(job))
+        elif self.submitted == 1:
+            fut.set_exception(BrokenProcessPool("worker died"))
+        else:
+            raise BrokenProcessPool("pool is not usable anymore")
+        return fut
+
+
+def _stub_pools(monkeypatch, broken):
+    """Replace the runner's pool class; the first *broken* pools it
+    builds are unhealthy.  Returns the list of pools built."""
+    pools = []
+
+    def build(max_workers, mp_context):
+        pools.append(_StubPool(healthy=len(pools) >= broken))
+        return pools[-1]
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", build)
+    return pools
+
+
+THREE_JOBS = [("fib", "S_PLUS", 2, 0.06, 5), ("fib", "WS_PLUS", 2, 0.06, 5),
+              ("fib", "W_PLUS", 2, 0.06, 5)]
+
+
+def test_submit_on_a_broken_pool_exhausts_retries(monkeypatch):
+    """Every pool breaks before its second submit: the submit-time
+    BrokenProcessPool is a crash of that job and of the one behind it,
+    retried with the same backoff, and reported — not an escape."""
+    pools = _stub_pools(monkeypatch, broken=99)
+    sleeps = []
+    with pytest.raises(RuntimeError, match="3 job.s. crashed their worker"):
+        runner._run_grid_parallel(THREE_JOBS, jobs=2,
+                                  on_done=lambda key, s: None,
+                                  sleep=sleeps.append)
+    assert len(pools) == runner.CRASH_RETRIES + 1
+    assert sleeps == [runner.CRASH_BACKOFF_S * 2 ** i
+                      for i in range(runner.CRASH_RETRIES)]
+
+
+def test_jobs_behind_a_broken_submit_are_retried(monkeypatch):
+    pools = _stub_pools(monkeypatch, broken=1)
+    done = []
+    results = runner._run_grid_parallel(
+        THREE_JOBS, jobs=2, on_done=lambda key, s: done.append(key),
+        sleep=lambda s: None)
+    assert len(pools) == 2
+    assert {s.design for s in results.values()} == {"S+", "WS+", "W+"}
+    assert sorted(done) == sorted(results)
