@@ -466,6 +466,65 @@ def cmd_table(args) -> int:
     return 0
 
 
+#: Flags more than one command takes, declared once: group -> flag ->
+#: the ``add_argument`` keywords of the group's parent parser.
+_SHARED_FLAGS = {
+    # run, synth, chaos, farm submit
+    "sanitize": {
+        "--sanitize": dict(
+            default=None, choices=("off", "warn", "strict"),
+            help="runtime protocol sanitizer mode for every simulation "
+                 "the command makes (default: %(default)s; None defers "
+                 "to $REPRO_SANITIZE, then off); strict stops at the "
+                 "first violation (exit code 5; synth counts it as an "
+                 "oracle failure, chaos as a caught case)"),
+    },
+    # run, synth
+    "wall_rss": {
+        "--max-wall-secs": dict(
+            type=float, default=None, metavar="SECS",
+            help="wall-clock budget: cut off gracefully into a degraded "
+                 "result (synth: remaining designs are marked "
+                 "exhausted-wall) instead of running on"),
+        "--max-rss-mb": dict(
+            type=float, default=None, metavar="MB",
+            help="RSS high-water-mark budget (graceful cutoff)"),
+    },
+    # run, farm submit (per job)
+    "events": {
+        "--max-events": dict(
+            type=int, default=None, metavar="N",
+            help="simulated-event budget per run (deterministic "
+                 "graceful cutoff)"),
+    },
+    # synth (one row per design), chaos (one row per case)
+    "journal": {
+        "--journal": dict(
+            default=None, metavar="PATH",
+            help="JSONL checkpoint journal, one row per finished unit "
+                 "of the sweep"),
+        "--resume": dict(
+            action="store_true",
+            help="replay what --journal already holds (same config "
+                 "only) instead of redoing it"),
+        "--overwrite-journal": dict(
+            action="store_true",
+            help="rotate an existing --journal to .bak and start fresh "
+                 "(required to discard one)"),
+    },
+}
+
+
+def _parent(group: str) -> argparse.ArgumentParser:
+    """The parent parser of one shared flag group — a fresh one per
+    command, because a command's ``set_defaults`` rewrites the defaults
+    of the action objects it inherited."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag, kwargs in _SHARED_FLAGS[group].items():
+        parent.add_argument(flag, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -475,7 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list workloads and designs")
 
-    p_run = sub.add_parser("run", help="run one workload")
+    p_run = sub.add_parser(
+        "run", help="run one workload",
+        parents=[_parent("sanitize"), _parent("wall_rss"), _parent("events")])
     p_run.add_argument("workload")
     p_run.add_argument("--design", type=_design,
                        default=FenceDesign.S_PLUS)
@@ -498,21 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="CYCLES",
                        help="also sample interval metrics every N cycles "
                             "while tracing")
-    p_run.add_argument("--sanitize", default=None,
-                       choices=("off", "warn", "strict"),
-                       help="runtime protocol sanitizer mode (default: "
-                            "$REPRO_SANITIZE or off); strict raises at "
-                            "the first violation (exit code 5)")
-    p_run.add_argument("--max-wall-secs", type=float, default=None,
-                       metavar="SECS",
-                       help="wall-clock budget: cut off gracefully into "
-                            "a degraded result instead of running on")
-    p_run.add_argument("--max-events", type=int, default=None,
-                       metavar="N",
-                       help="simulated-event budget (graceful cutoff)")
-    p_run.add_argument("--max-rss-mb", type=float, default=None,
-                       metavar="MB",
-                       help="RSS high-water-mark budget (graceful cutoff)")
 
     p_tr = sub.add_parser(
         "trace",
@@ -568,6 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn = sub.add_parser(
         "synth",
         help="synthesize minimal-cost SC-safe fence placements per design",
+        parents=[_parent("sanitize"), _parent("wall_rss"), _parent("journal")],
     )
     p_syn.add_argument(
         "--program", default="sb",
@@ -601,29 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--audit-factor", type=int, default=2,
                        help="audit at this multiple of --points "
                             "(default 2)")
-    p_syn.add_argument("--sanitize", default=None,
-                       choices=("off", "warn", "strict"),
-                       help="protocol sanitizer mode for every synthesis "
-                            "run (default: $REPRO_SANITIZE or off); "
-                            "sanitizer hits count as oracle failures")
-    p_syn.add_argument("--max-wall-secs", type=float, default=None,
-                       metavar="SECS",
-                       help="wall-clock budget for the whole synthesis "
-                            "(graceful cutoff: remaining designs are "
-                            "marked exhausted-wall)")
-    p_syn.add_argument("--max-rss-mb", type=float, default=None,
-                       metavar="MB",
-                       help="RSS high-water-mark budget (graceful cutoff)")
-    p_syn.add_argument("--journal", default=None, metavar="PATH",
-                       help="JSONL per-design checkpoint journal; with "
-                            "--resume, finished designs are replayed "
-                            "from it instead of re-searched")
-    p_syn.add_argument("--resume", action="store_true",
-                       help="skip designs already in --journal (same "
-                            "config only)")
-    p_syn.add_argument("--overwrite-journal", action="store_true",
-                       help="rotate an existing --journal to .bak and "
-                            "start fresh (required to discard one)")
     p_syn.add_argument(
         "--out", default="benchmarks/out/synth_report.json",
         help="JSON report path ('-' to skip writing)",
@@ -633,7 +657,10 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="fault-injection sweep: scenario x design x seed matrix "
              "checked against the SC/progress/recovery oracles",
+        parents=[_parent("sanitize"), _parent("journal")],
     )
+    # illegal plans are caught at the first violating cycle, not at timeout
+    p_chaos.set_defaults(sanitize="strict")
     p_chaos.add_argument(
         "--scenarios", default="all",
         help="'all' (every legal built-in scenario) or a comma list; "
@@ -651,13 +678,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--shrink", action="store_true",
                          help="ddmin each failing case to a minimal "
                               "injection subset")
-    p_chaos.add_argument("--journal", default=None, metavar="PATH",
-                         help="JSONL checkpoint journal for the sweep")
-    p_chaos.add_argument("--resume", action="store_true",
-                         help="skip cases already in --journal")
-    p_chaos.add_argument("--overwrite-journal", action="store_true",
-                         help="rotate an existing --journal to .bak and "
-                              "start fresh (required to discard one)")
     p_chaos.add_argument("--farm-db", default=None, metavar="PATH",
                          help="run the sweep as a campaign on the "
                               "experiment farm (or set $REPRO_FARM_DB)")
@@ -666,11 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--diag-dir", default=None, metavar="DIR",
                          help="write watchdog/sanitizer post-mortem "
                               "bundles here")
-    p_chaos.add_argument("--sanitize", default="strict",
-                         choices=("off", "warn", "strict"),
-                         help="per-case protocol sanitizer (default "
-                              "strict: illegal plans are caught at the "
-                              "first violating cycle, not at timeout)")
     p_chaos.add_argument(
         "--out", default="benchmarks/out/chaos_report.json",
         help="JSON report path ('-' to skip writing)",
@@ -678,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     from repro.farm.cli import add_farm_parser
 
-    add_farm_parser(sub)
+    add_farm_parser(sub, [_parent("sanitize"), _parent("events")])
 
     p_fig = sub.add_parser("figure", help="regenerate a paper figure")
     p_fig.add_argument("number", type=int)

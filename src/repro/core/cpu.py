@@ -29,15 +29,21 @@ A micro-batch fast path executes runs of purely-local operations
 event to keep the Python event count manageable; `batch_cycles = 0`
 disables it for interleaving-exact runs (litmus tests).
 
-W+ recovery uses *epoch guards*: a continuation that can outlive a
-rollback remembers the core's rollback epoch from when it was created
-and becomes a no-op if a recovery intervened, so in-flight load replies
-cannot resurrect squashed work.  A load or RMW in flight at the memory
-system is an :class:`_InFlight` record carrying its own epoch (its
-bound methods are the continuations — acyclic, freed by reference
-count); the rarer waits (fence drain, full write buffer, stalled load)
-wrap a closure in :meth:`Core._guard`; the single-slot batch
-continuations are cancelled outright by ``_recover`` instead.
+A W+ rollback must not let squashed work resurrect the thread, and one
+rule covers every continuation: *what the core holds, ``_recover``
+clears; what the memory system holds carries an epoch*.  The core holds
+its waits in slots — the drain wait (``_sf_wait``), the full-write-buffer
+waiter, the stalled load, and ``_cont_ev``, the one pending control-flow
+event (start, batch continuation, slow-path op, the resume after an sf
+or a recovery) — and ``_recover`` empties the first three and cancels
+the fourth.  A load or RMW in flight at the memory system is an
+:class:`_InFlight` record that remembers the core's rollback epoch from
+when it issued and does nothing if a recovery intervened (its bound
+methods are the continuations — acyclic, freed by reference count).  A
+custom strong fence parks its resume outside the core, out of
+``_recover``'s reach, so no design may pair one with rollback (the
+constructor asserts it; ``tests/unit/test_cpu_mechanics.py`` forces a
+rollback at each of the other places).
 """
 
 from __future__ import annotations
@@ -54,13 +60,6 @@ from repro.fences.base import FencePolicy, PendingFence, make_policy
 from repro.mem.l1controller import L1Controller
 from repro.mem.memory import MemoryImage
 from repro.mem.writebuffer import StoreEntry, WriteBuffer
-
-
-def _no_guard(fn: Callable) -> Callable:
-    """Identity stand-in for :meth:`Core._guard` on designs without W+
-    rollback: the epoch can never advance, so the per-continuation
-    guarding closure would always fall through to *fn*."""
-    return fn
 
 
 class _SfWait:
@@ -101,8 +100,6 @@ class _InFlight:
         stall = (core.queue.now - self.t0) - core._issue_slot
         if stall > 0.0:
             core.stats.breakdown[core.core_id].other_stall += stall
-            if core.attrib is not None:
-                core.attrib.mem(core.core_id, stall)
             if core.tracer is not None:
                 core.tracer.mem_stall(core.core_id, self.t0, stall)
         core._load_performed(self.op, self.word, self.po)
@@ -122,8 +119,6 @@ class _InFlight:
         stall = (core.queue.now - self.t0) - core._issue_slot
         if stall > 0.0:
             core.stats.breakdown[core.core_id].other_stall += stall
-            if core.attrib is not None:
-                core.attrib.rmw(core.core_id, stall)
             if core.tracer is not None:
                 core.tracer.rmw_stall(core.core_id, self.t0, stall)
         core._advance(old)
@@ -158,9 +153,10 @@ class Core:
         self.l1 = l1
         self.image = image
         self.machine = machine
-        #: observability hook (repro.obs.Tracer) — None when disabled;
-        #: every emit site guards on ``self.tracer is None`` so the
-        #: untraced path costs one attribute load + identity test.
+        #: observability listener (a Tracer, or a CycleAttribution
+        #: answering the same hook names) — None when disabled; every
+        #: emit site guards on ``self.tracer is None`` so the unobserved
+        #: path costs one attribute load + identity test.
         self.tracer = machine.tracer
         #: fault-injection hook (repro.faults.FaultInjector) — cached
         #: like the tracer; None keeps the fault-free path untouched.
@@ -168,14 +164,14 @@ class Core:
         #: protocol-sanitizer hook (repro.sanitizer.Sanitizer) — cached
         #: like the tracer; None keeps the unsanitized path untouched.
         self.sanitizer = machine.sanitizer
-        #: cycle-attribution hook (repro.obs.attrib.CycleAttribution) —
-        #: cached like the tracer; None keeps the unprofiled path
-        #: untouched.  All attrib sites live off the _advance hot loop.
-        self.attrib = machine.attrib
         self.amap = l1.amap
         self.bs = l1.bs
-        self.wb = WriteBuffer(params.write_buffer_entries)
+        self.wb = WriteBuffer(params.write_buffer_entries, core_id)
         self.policy: FencePolicy = make_policy(params.fence_design, self)
+        # a custom fence parks its resume where ``_recover`` cannot reach
+        assert self.policy.custom_strong_fence is None or not (
+            self.policy.needs_checkpoint
+            or self.policy.needs_deadlock_monitor)
         self.thread: Optional[SimThread] = None
         self.finished = True  # no thread bound yet
         #: cached "(thread is None or finished) and wb.empty" — the
@@ -198,7 +194,7 @@ class Core:
         self._wb_full_waiter: Optional[Callable[[], None]] = None
         #: (retry_fn, t0) for a load stalled by a Wee check / full BS
         self._stalled_load: Optional[tuple] = None
-        #: rollback epoch for guarding stale continuations (W+)
+        #: rollback epoch: bumped by ``_recover``, carried by _InFlight
         self._epoch = 0
         #: id of the newest store known to have merged (fence completion)
         self._last_merged_store_id = 0
@@ -209,8 +205,7 @@ class Core:
         # control-flow event (batch continuation or slow-path op) is in
         # flight at a time, so the pending op/result can live on the
         # instance instead of in a fresh closure per event.  W+ recovery
-        # cancels the pending event outright (see ``_recover``), which
-        # replaces the epoch guard for these continuations.
+        # cancels the pending event outright (see ``_recover``).
         self._cont_ev = None
         self._cont_result = None
         self._cont_op = None
@@ -233,11 +228,6 @@ class Core:
 
         if self.policy.needs_deadlock_monitor:
             self.l1.on_bs_bounce = self._check_deadlock_monitor
-        if not (self.policy.needs_checkpoint
-                or self.policy.needs_deadlock_monitor):
-            # only a W+ rollback bumps _epoch; without one every
-            # continuation guard is a tautology — skip the closures
-            self._guard = _no_guard
 
     # ------------------------------------------------------------------
     # thread binding / start
@@ -250,20 +240,7 @@ class Core:
     def start(self) -> None:
         if self.thread is None:
             return
-        self.queue.schedule(0, self._guard(lambda: self._advance(None)), "cpu.start")
-
-    # ------------------------------------------------------------------
-    # epoch guard (W+ recovery safety)
-    # ------------------------------------------------------------------
-
-    def _guard(self, fn: Callable) -> Callable:
-        epoch = self._epoch
-
-        def guarded(*args):
-            if self._epoch == epoch:
-                fn(*args)
-
-        return guarded
+        self._cont_ev = self.queue.schedule(0, self._cb_advance, "cpu.start")
 
     # ------------------------------------------------------------------
     # main execution loop
@@ -384,8 +361,10 @@ class Core:
                     _ceil(max(elapsed, 1.0)), self._cb_advance, "cpu.cont")
                 return
 
-    def _later(self, delay: float, fn: Callable[[], None]) -> None:
-        self.queue.schedule(_ceil(delay), self._guard(fn), "cpu.cont")
+    def _resume_after(self, delay: float) -> None:
+        """Pick the thread up again (no result) *delay* cycles on."""
+        self._cont_ev = self.queue.schedule(
+            _ceil(delay), self._cb_advance, "cpu.cont")
 
     # --- pre-bound continuation callbacks (zero-allocation fast path).
     # Each consumes the single-slot state set where it was scheduled.
@@ -502,18 +481,15 @@ class Core:
         def on_slot():
             waited = self.queue.now - t0
             self.stats.add_other_stall(self.core_id, waited)
-            if waited:
-                if self.attrib is not None:
-                    self.attrib.wb_full(self.core_id, waited)
-                if self.tracer is not None:
-                    self.tracer.wb_full_stall(self.core_id, t0)
+            if waited and self.tracer is not None:
+                self.tracer.wb_full_stall(self.core_id, t0)
             self._retire_store(op)
             self._advance(None)
 
         if not self.wb.full:
             on_slot()
             return
-        self._wb_full_waiter = self._guard(on_slot)
+        self._wb_full_waiter = on_slot
         self._kick_drain()
 
     def _kick_drain(self) -> None:
@@ -534,11 +510,8 @@ class Core:
         entry = wb._entries.pop(0) if wb.tracer is None else wb.pop_head()
         self._drain_busy = False
         self.stores_merged += 1
-        if entry.bouncing:
-            if self.tracer is not None:
-                self.tracer.store_chain_end(self.core_id, entry.store_id)
-            if self.attrib is not None:
-                self.attrib.chain_close(self.core_id)
+        if entry.bouncing and self.tracer is not None:
+            self.tracer.store_chain_end(self.core_id, entry.store_id)
         self._on_store_completed(entry.store_id)
         # (a waiter woken above may have retired a store and kicked the
         # drain already)
@@ -553,8 +526,6 @@ class Core:
         entry = self.wb._entries[0]  # the head: the only issued store
         if not entry.bouncing:
             self.stats.bounced_writes += 1
-            if self.attrib is not None:
-                self.attrib.chain_open(self.core_id)
         entry.bouncing = True
         entry.retries += 1
         self.stats.write_retries += 1
@@ -706,7 +677,7 @@ class Core:
     def _stall_load(self, retry: Callable[[], None],
                     reason: str = "fence") -> None:
         """Park a load until a fence completes (fence-induced stall)."""
-        self._stalled_load = (self._guard(retry), self.queue.now, reason)
+        self._stalled_load = (retry, self.queue.now, reason)
 
     def retry_stalled_load(self) -> None:
         """Re-attempt a parked load (fence completed / RemotePS arrived)."""
@@ -717,8 +688,6 @@ class Core:
         self.stats.breakdown[self.core_id].fence_stall += self.queue.now - t0
         if self.tracer is not None:
             self.tracer.load_stall(self.core_id, t0, reason)
-        if self.attrib is not None:
-            self.attrib.load_stall(self.core_id, reason, self.queue.now - t0)
         retry()
 
     # ------------------------------------------------------------------
@@ -733,21 +702,12 @@ class Core:
             self.stats.sf_executed[self.core_id] += 1
             custom = self.policy.custom_strong_fence
             if custom is not None:
-                if self.tracer is None:
-                    custom(self._guard(lambda: self._advance(None)))
-                else:
+                if self.tracer is not None:
                     self.tracer.sf_begin(self.core_id)
-
-                    def sf_done():
-                        self.tracer.sf_end(self.core_id)
-                        self._advance(None)
-
-                    custom(self._guard(sf_done))
+                custom(self._custom_fence_done)
                 return
             if self.tracer is not None:
                 self.tracer.sf_begin(self.core_id)
-            if self.attrib is not None:
-                self.attrib.sf_begin(self.core_id)
             self._run_strong_fence()
             return
         # weak fence
@@ -770,8 +730,6 @@ class Core:
             self.stats.wee_sf_conversions[self.core_id] += 1
             if self.tracer is not None:
                 self.tracer.sf_begin(self.core_id, demoted=True)
-            if self.attrib is not None:
-                self.attrib.sf_begin(self.core_id, demoted=True)
             self._run_strong_fence()
             return
         self.stats.wf_executed[self.core_id] += 1
@@ -786,6 +744,11 @@ class Core:
             self.sanitizer.on_core_transition(self)
         self._cont_ev = self.queue.schedule(1, self._cb_advance, "cpu.cont")
 
+    def _custom_fence_done(self) -> None:
+        if self.tracer is not None:
+            self.tracer.sf_end(self.core_id)
+        self._advance(None)
+
     def _run_strong_fence(self) -> None:
         t0 = self.queue.now
         base = self.policy.sf_base_cost()
@@ -796,11 +759,9 @@ class Core:
             )
             if self.tracer is not None:
                 self.tracer.sf_end(self.core_id, extra=base)
-            if self.attrib is not None:
-                self.attrib.sf_end(self.core_id, base)
-            self._later(base, lambda: self._advance(None))
+            self._resume_after(base)
 
-        self._wait_for_drain(self._guard(done))
+        self._wait_for_drain(done)
 
     def _wait_for_drain(self, callback: Callable[[], None]) -> None:
         if not self.wb._entries:
@@ -891,13 +852,8 @@ class Core:
             # close episode spans the rollback is about to squash
             tracer.sf_abort(self.core_id)
             fences_unwound = tracer.wf_unwind_all(self.core_id)
-        if self.attrib is not None:
-            # a squashed sf wait was never charged: drop its window
-            self.attrib.sf_abort(self.core_id)
-        self._epoch += 1  # invalidate in-flight thread continuations
+        self._epoch += 1  # squashes the access in flight, if any
         if self._cont_ev is not None:
-            # the fast-path continuations are not epoch-guarded: squash
-            # the pending one explicitly instead
             self.queue.cancel(self._cont_ev)
             self._cont_ev = None
             self._cont_result = None
@@ -919,8 +875,6 @@ class Core:
                 self.core_id, pf.fence_id, pf.checkpoint,
                 dropped_stores, bs_cleared, fences_unwound,
             )
-        if self.attrib is not None:
-            self.attrib.recovery_begin(self.core_id)
         if self.machine.recorder is not None:
             self.machine.recorder.squash(self.core_id, pf.checkpoint)
         # squash side effects of the discarded (post-checkpoint) region:
@@ -951,12 +905,6 @@ class Core:
                 self.tracer.recovery_end(
                     self.core_id, extra=self.params.wplus_recovery_cycles
                 )
-            if self.attrib is not None:
-                self.attrib.recovery_end(
-                    self.core_id, self.params.wplus_recovery_cycles
-                )
-            self._later(
-                self.params.wplus_recovery_cycles, lambda: self._advance(None)
-            )
+            self._resume_after(self.params.wplus_recovery_cycles)
 
-        self._wait_for_drain(self._guard(resume))
+        self._wait_for_drain(resume)

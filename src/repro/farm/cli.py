@@ -144,7 +144,9 @@ def cmd_farm(args, designs_parser) -> int:
     return 2
 
 
-def add_farm_parser(sub) -> None:
+def add_farm_parser(sub, submit_parents) -> None:
+    """*submit_parents*: repro.cli's parent parsers for the flags
+    ``farm submit`` shares with other commands (--sanitize, --max-events)."""
     p = sub.add_parser(
         "farm",
         help="durable experiment farm: leased job queue, self-healing "
@@ -164,7 +166,8 @@ def add_farm_parser(sub) -> None:
                                  "diagnostics land here")
 
     p_sub = fsub.add_parser(
-        "submit", help="register a campaign (idempotent); --run drives it")
+        "submit", help="register a campaign (idempotent); --run drives it",
+        parents=submit_parents)
     common(p_sub)
     p_sub.add_argument("--kind", default="matrix", choices=KINDS)
     p_sub.add_argument("--workloads", required=True,
@@ -178,11 +181,6 @@ def add_farm_parser(sub) -> None:
     p_sub.add_argument("--cores", default="8",
                        help="comma list of core counts (default 8)")
     p_sub.add_argument("--scale", type=float, default=0.5)
-    p_sub.add_argument("--sanitize", default=None,
-                       choices=("off", "warn", "strict"))
-    p_sub.add_argument("--max-events", type=int, default=None, metavar="N",
-                       help="per-job simulated-event budget (deterministic "
-                            "graceful cutoff)")
     p_sub.add_argument("--run", action="store_true",
                        help="drive the campaign to completion now")
     p_sub.add_argument("--workers", type=int, default=None,

@@ -77,37 +77,37 @@ class CFencePolicy(FencePolicy):
 
         def at_table():
             associates = table.associates_of(core.core_id)
-            last_store = core.wb.newest_store_id()
-            if not associates:
+            if associates:
+                core.stats.cfence_stalls += 1
+            else:
                 # no associate executing: no ordering delay needed.
                 # Register until the pre-fence stores drain so a later
                 # associate sees us.
+                last_store = core.wb.newest_store_id()
                 if last_store:
                     table.register(core.core_id, last_store)
                     core.register_cfence_clear(last_store, table)
                 core.stats.cfence_skips += 1
-                if core.tracer is not None:
-                    core.tracer.cfence_decision(core.core_id, True)
-                finish()
-                return
-            core.stats.cfence_stalls += 1
             if core.tracer is not None:
-                core.tracer.cfence_decision(core.core_id, False)
-            # an associate executes: behave conventionally — drain the
-            # write buffer, then wait for the associates to finish.
-            core._wait_for_drain(core._guard(lambda: wait_clear()))
+                core.tracer.cfence_decision(core.core_id, not associates)
+            if associates:
+                # an associate executes: behave conventionally — drain
+                # the write buffer, then wait for the associates to finish.
+                core._wait_for_drain(wait_clear)
+            else:
+                finish()
 
         def wait_clear():
             if table.associates_of(core.core_id):
-                table.wait(core._guard(wait_clear))
+                table.wait(wait_clear)
                 return
             finish()
 
         def finish():
             charge = (core.queue.now - t0) + trip
             core.stats.add_fence_stall(core.core_id, charge)
-            if core.attrib is not None:
-                core.attrib.cfence(core.core_id, charge)
+            if core.tracer is not None:
+                core.tracer.cfence_charge(core.core_id, charge)
             core.queue.schedule(trip, resume, "cfence.reply")
 
-        core.queue.schedule(trip, core._guard(at_table), "cfence.check")
+        core.queue.schedule(trip, at_table, "cfence.check")

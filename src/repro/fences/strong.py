@@ -11,23 +11,19 @@ overlaps load latency with the drain; it never changes visibility
 order.  We fold that overlap into the calibration constant instead of
 modeling a lookahead window (see DESIGN.md).
 
-All the sf timing lives in the core; this policy only pins the mapping
-"every role -> SF".
+All the sf timing lives in the core and the mapping "every role -> SF"
+in :func:`repro.common.params.flavour_for`; this policy adds only the
+invariants an all-sf design must keep.
 """
 
 from __future__ import annotations
 
-from repro.common.params import FenceDesign, FenceFlavour, FenceRole
+from repro.common.params import FenceDesign
 from repro.fences.base import FencePolicy
 
 
 class StrongOnlyPolicy(FencePolicy):
     design = FenceDesign.S_PLUS
-
-    def flavour(self, role: FenceRole) -> FenceFlavour:
-        if self.core.attrib is not None:
-            self.core.attrib.note(self.core.core_id, "sf_flavours")
-        return FenceFlavour.SF
 
     def sanitizer_check(self):
         # with every fence an sf there are no wf episodes at all: any

@@ -31,12 +31,8 @@ class SWPlusPolicy(FencePolicy):
         promoted = core.wb.mark_ordered_upto(
             pf.last_store_id, word_mask_fn=core.amap.word_mask
         )
-        if promoted:
-            if core.tracer is not None:
-                core.tracer.order_promotion(core.core_id, promoted, True)
-            if core.attrib is not None:
-                core.attrib.note(core.core_id, "cond_order_promotions",
-                                 promoted)
+        if promoted and core.tracer is not None:
+            core.tracer.order_promotion(core.core_id, promoted, True)
         return True
 
     def on_pre_store_bounce(self, entry) -> None:
@@ -46,8 +42,6 @@ class SWPlusPolicy(FencePolicy):
             core = self.core
             if core.tracer is not None:
                 core.tracer.order_promotion(core.core_id, 1, True)
-            if core.attrib is not None:
-                core.attrib.note(core.core_id, "cond_order_promotions")
 
     def _is_pre_wf(self, entry) -> bool:
         return any(

@@ -17,7 +17,7 @@ rollback needs no speculative store buffering (the core discards the
 not-yet-merged post-wf write-buffer entries).  Timeouts are staggered
 per core to avoid recovery livelock.
 
-All the heavy machinery (epoch-guarded continuations, WB truncation,
+All the heavy machinery (squashing parked continuations, WB truncation,
 drain wait) lives in :meth:`repro.core.cpu.Core._recover`; the policy
 only flags what the core must do.
 """
@@ -72,8 +72,6 @@ class WPlusPolicy(FencePolicy):
             core.stats.storm_demotions[core.core_id] += 1
             if core.tracer is not None:
                 core.tracer.storm_demotion(core.core_id, self._demoted_until)
-            if core.attrib is not None:
-                core.attrib.note(core.core_id, "storm_demotions")
 
     def sanitizer_check(self):
         # rollback recovery is W+'s whole correctness story: a pending

@@ -44,8 +44,6 @@ class WeeFencePolicy(FencePolicy):
         banks = {core.amap.home_bank(line) for line in ps_lines}
         ideal = core.params.wee_ideal
         if len(banks) > 1 and not ideal:
-            if core.attrib is not None:
-                core.attrib.note(core.core_id, "wee_demotions")
             return False  # confinement failure: execute as sf
         pf.wee_bank = min(banks)
         pf.wee_remote_ps = None
@@ -86,8 +84,6 @@ class WeeFencePolicy(FencePolicy):
                     core.recount_wee_conversion()
                     if core.tracer is not None:
                         core.tracer.wf_convert(core.core_id, pf.fence_id)
-                    if core.attrib is not None:
-                        core.attrib.note(core.core_id, "wee_conversions")
                 return "cross_bank"
         return None
 

@@ -31,11 +31,8 @@ class WSPlusPolicy(FencePolicy):
     def on_wf_retire(self, pf: PendingFence) -> bool:
         core = self.core
         promoted = core.wb.mark_ordered_upto(pf.last_store_id)
-        if promoted:
-            if core.tracer is not None:
-                core.tracer.order_promotion(core.core_id, promoted, False)
-            if core.attrib is not None:
-                core.attrib.note(core.core_id, "order_promotions", promoted)
+        if promoted and core.tracer is not None:
+            core.tracer.order_promotion(core.core_id, promoted, False)
         return True
 
     def on_pre_store_bounce(self, entry) -> None:
@@ -44,8 +41,6 @@ class WSPlusPolicy(FencePolicy):
             core = self.core
             if core.tracer is not None:
                 core.tracer.order_promotion(core.core_id, 1, False)
-            if core.attrib is not None:
-                core.attrib.note(core.core_id, "order_promotions")
 
     def _is_pre_wf(self, entry) -> bool:
         return any(

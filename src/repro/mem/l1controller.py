@@ -67,14 +67,12 @@ class L1Controller:
         self.on_bs_bounce: Optional[Callable[[], None]] = None
         #: SC-violation recorder (set by the Machine when tracking)
         self.recorder = None
-        #: observability hook (set by Machine.attach_tracer)
+        #: observability listener (set by the Machine's attach_*)
         self.tracer = None
         #: fault-injection hook (set by Machine.attach_faults)
         self.faults = None
         #: protocol-sanitizer hook (set by Machine.attach_sanitizer)
         self.sanitizer = None
-        #: cycle-attribution hook (set by Machine.attach_attrib)
-        self.attrib = None
         # single-slot continuation state for the L1 hit fast paths.
         # The core is in-order: at most one outstanding load, one head
         # store (the drain engine is serialized by ``_drain_busy``) and
@@ -122,8 +120,6 @@ class L1Controller:
             self._fill(line, state)
             if self.tracer is not None:
                 self.tracer.l1_miss(self.core_id, line, "GetS", t0, "filled")
-            if self.attrib is not None:
-                self.attrib.l1_wait(self.core_id, line, self.queue.now - t0)
             on_done(False)
 
         txn.on_done = done
@@ -182,9 +178,6 @@ class L1Controller:
                     self.tracer.l1_miss(
                         self.core_id, line, t.kind.value, t0, "bounced"
                     )
-                if self.attrib is not None:
-                    self.attrib.l1_wait(self.core_id, line,
-                                        self.queue.now - t0)
                 on_bounce()
                 return
             if t.kind in (Msg.ORDER, Msg.COND_ORDER):
@@ -197,8 +190,6 @@ class L1Controller:
                 self.tracer.l1_miss(
                     self.core_id, line, t.kind.value, t0, "merged"
                 )
-            if self.attrib is not None:
-                self.attrib.l1_wait(self.core_id, line, self.queue.now - t0)
             if self.recorder is not None:
                 self.recorder.note_po(self.core_id, entry.po)
             self.image.write(entry.word, entry.value, self.core_id)
@@ -256,16 +247,11 @@ class L1Controller:
                     self.tracer.l1_miss(
                         self.core_id, line, "GetX", t0, "bounced"
                     )
-                if self.attrib is not None:
-                    self.attrib.l1_wait(self.core_id, line,
-                                        self.queue.now - t0)
                 on_bounce()
                 return
             self._fill(line, LineState.M)
             if self.tracer is not None:
                 self.tracer.l1_miss(self.core_id, line, "GetX", t0, "merged")
-            if self.attrib is not None:
-                self.attrib.l1_wait(self.core_id, line, self.queue.now - t0)
             if self.recorder is not None:
                 self.recorder.note_po(self.core_id, po)
             old, _new = self.image.rmw(word, apply_fn, self.core_id)

@@ -48,19 +48,17 @@ class StoreEntry:
 class WriteBuffer:
     """FIFO store buffer with forwarding and head-drain bookkeeping."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, core_id: int = 0):
         self.capacity = capacity
+        #: the owning core (what the probes below report under)
+        self.core_id = core_id
         self._entries: List[StoreEntry] = []
-        #: observability (set by Machine.attach_tracer): occupancy
-        #: counter samples on push/pop, zero-cost when ``tracer is None``
+        #: observability listener (set by the Machine's attach_*):
+        #: occupancy samples on push/pop, zero-cost when None
         self.tracer = None
-        self.core_id = 0
         #: protocol-sanitizer hook (set by Machine.attach_sanitizer):
         #: FIFO/overflow check on push, zero-cost when None
         self.sanitizer = None
-        #: cycle-attribution hook (set by Machine.attach_attrib):
-        #: peak-occupancy metadata on push, zero-cost when None
-        self.attrib = None
 
     # --- occupancy -----------------------------------------------------
 
@@ -86,8 +84,6 @@ class WriteBuffer:
             self.tracer.wb_depth(self.core_id, len(self._entries))
         if self.sanitizer is not None:
             self.sanitizer.on_wb_push(self)
-        if self.attrib is not None:
-            self.attrib.wb_push(self.core_id, len(self._entries))
         return entry
 
     def head(self) -> Optional[StoreEntry]:

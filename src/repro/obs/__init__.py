@@ -14,13 +14,16 @@ The subsystem has three layers:
   ``trace_event`` JSON (Perfetto / ``chrome://tracing``), a compact
   JSONL stream, and the ``repro trace`` text timeline.
 
-Zero-cost-when-off contract: every hook site in the simulator is
-guarded by a plain ``tracer is None`` check on a cached attribute —
-no dynamic dispatch, no null-object method calls — so the untraced
-hot path stays within noise of the pre-observability kernel
-(referee: ``bench/``'s ``sweep_hot`` workload and its bound).  What the
-probes cost when *on* is refereed by ``bench/``'s ``probes_on`` workload
-and its ``*.on_over_off`` ratios.
+One listener slot: every hook site in the simulator is guarded by a
+plain ``tracer is None`` check on a cached field — no dynamic dispatch,
+no null-object method calls — so the unobserved hot path stays within
+noise of the pre-observability kernel (referee: ``bench/``'s
+``sweep_hot`` workload and its bound).  Two listeners may sit in that
+slot: a :class:`Tracer` (every component) or a
+:class:`CycleAttribution` (cores, write buffers and L1s only — it
+answers the tracer's hook names and ignores most of them; see
+:mod:`repro.obs.attrib`).  What the probes cost when *on* is refereed
+by ``bench/``'s ``probes_on`` workload and its ``*.on_over_off`` ratios.
 """
 
 from repro.obs.attrib import CycleAttribution
@@ -35,6 +38,24 @@ __all__ = [
     "TraceEvent",
     "Tracer",
 ]
+
+
+class _Both:
+    """Tracer *and* attribution on one run (only tests ask for both):
+    a hook call on a core, write buffer or L1 reaches the two of them."""
+
+    def __init__(self, tracer, attrib):
+        self._heard_by, self.bind = (attrib, tracer), attrib.bind
+
+    def __getattr__(self, hook):  # once per hook name, then cached
+        attributed, traced = (getattr(x, hook) for x in self._heard_by)
+
+        def both(*args, **kwargs):
+            attributed(*args, **kwargs)
+            return traced(*args, **kwargs)  # wf_unwind_all's count
+
+        setattr(self, hook, both)
+        return both
 
 
 class Observability:
@@ -69,7 +90,9 @@ class Observability:
         if self.tracer is not None:
             machine.attach_tracer(self.tracer)
         if self.attrib is not None:
-            machine.attach_attrib(self.attrib)
+            machine.attach_attrib(
+                self.attrib if self.tracer is None
+                else _Both(self.tracer, self.attrib))
         if self.metrics_interval:
             self.metrics = MetricsCollector(
                 machine,

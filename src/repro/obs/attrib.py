@@ -37,16 +37,27 @@ delta at window end) measures the intersection exactly — the same
 value offline replay obtains by clipping ``bounce_chain`` trace spans
 to the drain window (:func:`repro.obs.analyze.replay_attribution`).
 
-Zero-cost-when-off contract: like the tracer, every hook site guards
-on a cached ``attrib is None``, and **every** fine-leaf site lives on
-an already-slow path (a scheduled continuation, a drain completion, a
-policy callback) — the ``Core._advance`` hot loop has no attribution
-hook at all (busy is read off the coarse breakdown at tree build).
+One listener per stall site: the engine answers the *tracer's* hook
+names (:data:`repro.obs.tracer.HOOKS`) and sits in the ``tracer`` slot
+of the components it listens to — cores, write buffers, L1s — so a
+stall site reports once, behind one ``tracer is None`` guard, to
+whichever listener the run attached.  The hooks that refine a charge or
+count a design event are the methods below, with the tracer's
+signatures; every other hook name is an ignored no-op, filled in from
+the tracer's own list so the two cannot drift.  Directory banks and the NoC are not wired: nothing they report
+is attributed, and their ``msg`` / ``dir_txn`` hooks are the hottest.
+``machine.tracer`` stays ``None`` on an attributed-only run, so nothing
+that reads it (finalize, the watchdog's trace tail, sanitizer and fault
+instants) sees attribution at all.  The ``Core._advance`` hot loop has
+no hook (busy is read off the coarse breakdown at tree build).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
+
+from repro.common.params import FenceDesign
+from repro.obs.tracer import HOOKS
 
 SCHEMA = "repro.attrib/1"
 DIFF_SCHEMA = "repro.attrib.diff/1"
@@ -120,15 +131,23 @@ class CycleAttribution:
         d = self.leaves[core]
         d[leaf] = d.get(leaf, 0.0) + cycles
 
+    def _note(self, core: int, key: str, n: int = 1) -> None:
+        """Count a design event (tree metadata, not a conserved leaf)."""
+        d = self.counts[core]
+        d[key] = d.get(key, 0) + n
+
     # ------------------------------------------------------------------
     # bounce-chain clock (Core._drain_bounced / _drain_merged)
     # ------------------------------------------------------------------
 
-    def chain_open(self, core: int) -> None:
-        """The head store's first bounce: a bounce→retry chain opened."""
-        self._chain_open_t0[core] = self.now
+    def store_bounce(self, core: int, store_id: int, word: int, line: int,
+                     retries: int, ordered: bool) -> None:
+        """The head store's first bounce opens a bounce→retry chain."""
+        if retries == 1:
+            self._chain_open_t0[core] = self.now
 
-    def chain_close(self, core: int) -> None:
+    def store_chain_end(self, core: int, store_id: int,
+                        outcome: str = "merged") -> None:
         """The bounced head store finally merged: the chain closed."""
         t0 = self._chain_open_t0[core]
         if t0 is not None:
@@ -144,17 +163,23 @@ class CycleAttribution:
         return t
 
     # ------------------------------------------------------------------
-    # sf episodes (Core._run_strong_fence)
+    # sf episodes (Core._exec_fence / _run_strong_fence)
     # ------------------------------------------------------------------
 
     def sf_begin(self, core: int, demoted: bool = False) -> None:
         self._sf_open[core] = (self.now, self._chain_time(core), demoted)
+        if demoted:
+            self._note(core, "wee_demotions")  # only Wee demotes a wf
+        elif self.design is FenceDesign.S_PLUS:
+            self._note(core, "sf_flavours")  # S+: every fence ends up here
 
-    def sf_end(self, core: int, extra: float) -> None:
+    def sf_end(self, core: int, extra: float = 0, **attrs) -> None:
         open_ = self._sf_open[core]
         if open_ is None:  # pragma: no cover - defensive
             return
         self._sf_open[core] = None
+        if self.design is FenceDesign.CFENCE:
+            return  # booked by cfence_charge, a reply's flight ago
         t0, snap, demoted = open_
         bounce = self._chain_time(core) - snap
         drain = (self.now - t0) - bounce
@@ -163,7 +188,7 @@ class CycleAttribution:
         self._add(core, prefix + ".bounce", bounce)
         self._add(core, prefix + ".serialize", extra)
 
-    def sf_abort(self, core: int) -> None:
+    def sf_abort(self, core: int, reason: str = "recovery") -> None:
         """A W+ rollback squashed the in-flight sf wait: no charge was
         (or will be) made for it, so drop the open-window snapshot."""
         self._sf_open[core] = None
@@ -172,10 +197,12 @@ class CycleAttribution:
     # W+ recovery episodes (Core._recover)
     # ------------------------------------------------------------------
 
-    def recovery_begin(self, core: int) -> None:
+    def recovery_begin(self, core: int, fence_id: int, checkpoint,
+                       dropped_stores: int, bs_cleared: int,
+                       fences_unwound: int) -> None:
         self._rec_open[core] = (self.now, self._chain_time(core))
 
-    def recovery_end(self, core: int, extra: float) -> None:
+    def recovery_end(self, core: int, extra: float = 0) -> None:
         open_ = self._rec_open[core]
         if open_ is None:  # pragma: no cover - defensive
             return
@@ -191,32 +218,38 @@ class CycleAttribution:
     # remaining fence-stall and other-stall charges
     # ------------------------------------------------------------------
 
-    def load_stall(self, core: int, reason: str, cycles: float) -> None:
-        self._add(core, "load_stall." + reason, cycles)
+    def load_stall(self, core: int, t0: int, reason: str) -> None:
+        self._add(core, "load_stall." + reason, self._queue.now - t0)
 
-    def cfence(self, core: int, cycles: float) -> None:
-        self._add(core, "cfence", cycles)
+    def cfence_charge(self, core: int, charge: float) -> None:
+        self._add(core, "cfence", charge)
 
-    def wb_full(self, core: int, cycles: float) -> None:
-        self._add(core, "wb_full", cycles)
+    def wb_full_stall(self, core: int, t0: int) -> None:
+        self._add(core, "wb_full", self._queue.now - t0)
 
-    def mem(self, core: int, cycles: float) -> None:
-        self._add(core, "mem", cycles)
+    def mem_stall(self, core: int, t0: int, charge: float) -> None:
+        self._add(core, "mem", charge)
 
-    def rmw(self, core: int, cycles: float) -> None:
-        self._add(core, "rmw", cycles)
+    def rmw_stall(self, core: int, t0: int, charge: float) -> None:
+        self._add(core, "rmw", charge)
 
     # ------------------------------------------------------------------
     # metadata (not part of the conservation-checked tree)
     # ------------------------------------------------------------------
 
-    def note(self, core: int, key: str, n: int = 1) -> None:
-        """Count a design event (order promotion, demotion, ...)."""
-        d = self.counts[core]
-        d[key] = d.get(key, 0) + n
+    def order_promotion(self, core: int, count: int, conditional: bool) -> None:
+        self._note(core, "cond_order_promotions" if conditional
+                   else "order_promotions", count)
 
-    def l1_wait(self, core: int, line: int, cycles: int) -> None:
-        """One finished L1 miss transaction waited *cycles* on *line*."""
+    def wf_convert(self, core: int, fence_id: int) -> None:
+        self._note(core, "wee_conversions")
+
+    def storm_demotion(self, core: int, until: int) -> None:
+        self._note(core, "storm_demotions")
+
+    def l1_miss(self, core: int, line: int, kind: str, t0: int,
+                outcome: str) -> None:
+        """One finished L1 miss transaction waited since *t0* on *line*."""
         table = self.hot_lines[core]
         entry = table.get(line)
         if entry is None:
@@ -226,10 +259,10 @@ class CycleAttribution:
                     entry = table["(other)"] = [0, 0]
             else:
                 entry = table[line] = [0, 0]
-        entry[0] += cycles
+        entry[0] += self._queue.now - t0
         entry[1] += 1
 
-    def wb_push(self, core: int, depth: int) -> None:
+    def wb_depth(self, core: int, depth: int) -> None:
         if depth > self.wb_peak[core]:
             self.wb_peak[core] = depth
 
@@ -270,6 +303,15 @@ class CycleAttribution:
             {"line": line, "wait_cycles": cyc, "transactions": cnt}
             for line, (cyc, cnt) in rows
         ]
+
+
+def _ignored(*args, **kwargs) -> None:
+    """A tracer hook that refines no charge and counts no event."""
+
+
+for _hook in HOOKS:
+    if _hook not in vars(CycleAttribution):
+        setattr(CycleAttribution, _hook, _ignored)
 
 
 # ---------------------------------------------------------------------------

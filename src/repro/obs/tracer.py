@@ -416,6 +416,11 @@ class Tracer:
         self._emit((CFENCE_SKIP if skipped else CFENCE_STALL, core,
                     self._queue.now, 0))
 
+    def cfence_charge(self, core: int, charge: float) -> None:
+        """The table let the fence go and its stall was billed, the
+        reply's flight included.  Nothing to record: the ``sf`` span
+        closes when that reply lands, and its length is *charge*."""
+
     def grt_deposit(self, core: int, bank: int, n_lines: int, t0: int) -> None:
         """Wee GRT deposit round trip completed (reply back at core)."""
         self._emit((GRT_DEPOSIT, core, t0, self._queue.now - t0,
@@ -559,3 +564,14 @@ class Tracer:
 
     def count(self, name: str) -> int:
         return len(self._query(None, name, None))
+
+
+#: The hook names: what a component may call on the listener in its
+#: ``tracer`` slot — :class:`Tracer`'s public methods less its lifecycle
+#: and queries.  :class:`repro.obs.attrib.CycleAttribution` answers every
+#: one of them, so a hook added above cannot crash an attributed run.
+HOOKS = tuple(
+    name for name, member in vars(Tracer).items()
+    if callable(member) and not name.startswith("_")
+    and name not in {"bind", "finalize", "core_summaries",
+                     "tail", "spans", "instants", "count"})

@@ -77,6 +77,7 @@ class Machine:
         #: observability (repro.obs): None unless attach_tracer() /
         #: a MetricsCollector is wired up — every hook site guards on
         #: a cached ``tracer is None`` check, so this stays zero-cost.
+        #: Always a real Tracer or None: attach_attrib() leaves it alone.
         self.tracer = None
         self.metrics = None
         #: fault injection (repro.faults): None unless attach_faults()
@@ -88,11 +89,6 @@ class Machine:
         #: contract as the tracer/injector, so the unsanitized hot path
         #: is untouched and bit-identical to the goldens.
         self.sanitizer = None
-        #: cycle attribution (repro.obs.attrib): None unless
-        #: attach_attrib() is called — same cached ``is None`` guard
-        #: contract as the tracer; set before cores are built so Core
-        #: can cache it in __init__.
-        self.attrib = None
         #: directory for watchdog post-mortem bundles (None = keep the
         #: diagnostics in memory only, attached to the DeadlockError)
         self.diag_dir = None
@@ -131,16 +127,16 @@ class Machine:
     def attach_tracer(self, tracer) -> None:
         """Wire a :class:`repro.obs.Tracer` into every component.
 
-        Each component caches the tracer in its own attribute so hook
-        sites test a local ``self.tracer is None`` — no machine-level
-        indirection on the hot path.  Call before :meth:`run`.
+        Each component caches the tracer in its own ``tracer`` slot so
+        hook sites test a local ``self.tracer is None`` — no
+        machine-level indirection on the hot path.  Call before
+        :meth:`run` (and before :meth:`attach_attrib`, if both).
         """
         tracer.bind(self.queue)
         self.tracer = tracer
         for core in self.cores:
             core.tracer = tracer
             core.wb.tracer = tracer
-            core.wb.core_id = core.core_id
         for l1 in self.l1s:
             l1.tracer = tracer
         for bank in self.banks:
@@ -150,23 +146,22 @@ class Machine:
             self.faults.tracer = tracer
 
     def attach_attrib(self, attrib) -> None:
-        """Wire a :class:`repro.obs.attrib.CycleAttribution` into every
-        component (same shape as :meth:`attach_tracer`).
+        """Put a :class:`repro.obs.attrib.CycleAttribution` in the
+        ``tracer`` slot of every core, write buffer and L1.
 
-        Each hook site tests a local ``self.attrib is None``; the
-        hooks themselves all sit on already-slow scheduled paths, so a
-        run without attribution is bit-identical to the goldens and a
-        run with it perturbs no timing (pure accumulator writes).
-        Call before :meth:`run`.
+        It listens on the tracer's hook names, so the stall sites report
+        to it through the guard they already have; a run with it
+        perturbs no timing (pure accumulator writes).  Directory banks
+        and the NoC stay unwired — nothing they report is attributed and
+        their hooks are the hottest — and ``self.tracer`` stays as it
+        was, so run finalization, the watchdog, the sanitizer and the
+        injector never see the listener.  It takes those slots over: on
+        a run that is also traced the caller passes a listener that
+        forwards (``Observability`` does).  Call before :meth:`run`.
         """
         attrib.bind(self)
-        self.attrib = attrib
         for core in self.cores:
-            core.attrib = attrib
-            core.wb.attrib = attrib
-            core.wb.core_id = core.core_id
-        for l1 in self.l1s:
-            l1.attrib = attrib
+            core.tracer = core.wb.tracer = core.l1.tracer = attrib
 
     def attach_faults(self, injector) -> None:
         """Wire a :class:`repro.faults.FaultInjector` into every
@@ -199,7 +194,6 @@ class Machine:
         for core in self.cores:
             core.sanitizer = sanitizer
             core.wb.sanitizer = sanitizer
-            core.wb.core_id = core.core_id
         for l1 in self.l1s:
             l1.sanitizer = sanitizer
         for bank in self.banks:

@@ -119,6 +119,34 @@ def test_cutoff_run_still_conserves():
     assert conservation_errors(attrib.tree()) == []
 
 
+def test_cutoff_inside_a_cfence_reply_still_conserves():
+    """C-fence bills an episode when the table lets the fence go, one
+    reply flight before the ``sf`` span closes; a cutoff anywhere across
+    such a flight (cycles 473-478 after a stall, 493-498 after a skip)
+    finds the leaf booked with the bucket."""
+    from repro.common.params import MachineParams
+    from repro.sim.machine import Machine
+    from repro.workloads.base import REGISTRY
+
+    load_all_workloads()
+    billed_in_flight = 0
+    for max_cycles in range(465, 505):
+        workload = REGISTRY["fib"](scale=0.2)
+        params = MachineParams().with_cores(4).with_design(FenceDesign.CFENCE)
+        machine = Machine(params, seed=12345)
+        obs = Observability(attrib=True).attach(machine)
+        workload.setup(machine)
+        assert not machine.run(max_cycles=max_cycles).completed
+        tree = obs.attrib.tree()
+        assert conservation_errors(tree) == [], max_cycles
+        landed = sum(ev.dur for ev in obs.tracer.spans("sf")
+                     if not ev.args.get("incomplete"))
+        leaf = flatten_node(tree["machine"])["fence_stall.cfence"]
+        assert leaf >= landed
+        billed_in_flight += leaf > landed
+    assert billed_in_flight
+
+
 def test_diff_of_identical_trees_moves_nothing():
     _, obs = _profiled(FenceDesign.S_PLUS)
     tree = obs.attrib.tree(label="a")
@@ -150,3 +178,54 @@ def test_design_events_and_metadata_ride_outside_the_tree():
     # ...but never as tree keys (the tree is the conserved quantity)
     assert "wee_demotions" not in flatten_node(tree["machine"])
     assert obs.attrib.top_lines(), "L1 contention metadata missing"
+
+
+# ----------------------------------------------------------------------
+# the listener contract: attribution answers the tracer's hook names
+# ----------------------------------------------------------------------
+
+def test_attribution_answers_every_tracer_hook_call_compatibly():
+    """A component calls whatever sits in its ``tracer`` slot exactly as
+    it would call a Tracer, so every hook — one added tomorrow included
+    — must exist on the attribution and accept each way of calling it
+    that the Tracer's signature accepts."""
+    import inspect
+
+    from repro.obs import CycleAttribution, Tracer
+    from repro.obs.tracer import HOOKS
+
+    public = {name for name, member in vars(Tracer).items()
+              if inspect.isfunction(member) and not name.startswith("_")}
+    # the hooks are all of the public methods but lifecycle and queries
+    assert public - set(HOOKS) == {
+        "bind", "finalize", "core_summaries", "tail", "spans", "instants",
+        "count"}
+    empty = inspect.Parameter.empty
+    for hook in HOOKS:
+        params = list(inspect.signature(getattr(Tracer, hook))
+                      .parameters.values())
+        named = [p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+        required = [p for p in named if p.default is empty]
+        extra = ({"anything": 1}
+                 if any(p.kind is p.VAR_KEYWORD for p in params) else {})
+        answer = inspect.signature(getattr(CycleAttribution, hook))
+        answer.bind(*[0] * len(named))                     # all positional
+        answer.bind(*[0] * len(required))                  # defaults taken
+        answer.bind(0, **{p.name: 0 for p in named[1:]}, **extra)  # by name
+
+
+def test_attribution_alone_is_wired_to_cores_write_buffers_and_l1s_only():
+    from repro.common.params import MachineParams
+    from repro.obs import CycleAttribution
+    from repro.sim.machine import Machine
+
+    machine = Machine(MachineParams().with_cores(2))
+    attrib = CycleAttribution()
+    machine.attach_attrib(attrib)
+    for core in machine.cores:
+        assert core.tracer is core.wb.tracer is core.l1.tracer is attrib
+    # nothing that reads machine.tracer (finalize, watchdog trace tail,
+    # sanitizer / fault instants) ever meets the listener; banks and the
+    # NoC report nothing that is attributed
+    assert machine.tracer is None and machine.noc.tracer is None
+    assert all(bank.tracer is None for bank in machine.banks)

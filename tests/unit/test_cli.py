@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _SHARED_FLAGS, _parent, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -164,3 +164,36 @@ def test_trace_subcommand_jsonl_export(capsys, tmp_path):
 
 def test_trace_unknown_workload(capsys):
     assert main(["trace", "nope"]) == 2
+
+
+# --- flags several commands share come from one parent parser each ---
+
+#: command -> (argv that selects it, the shared flag groups it takes)
+SHARED = {
+    "run": (["run", "fib"], ("sanitize", "wall_rss", "events")),
+    "synth": (["synth"], ("sanitize", "wall_rss", "journal")),
+    "chaos": (["chaos"], ("sanitize", "journal")),
+    "farm submit": (["farm", "submit", "--workloads", "fib"],
+                    ("sanitize", "events")),
+}
+SAMPLE = {"--sanitize": ["warn"], "--max-wall-secs": ["1.5"],
+          "--max-rss-mb": ["64"], "--max-events": ["1000"],
+          "--journal": ["j.jsonl"], "--resume": [], "--overwrite-journal": []}
+#: the one default a command sets for itself
+OWN_DEFAULT = {("chaos", "sanitize"): "strict"}
+
+
+@pytest.mark.parametrize("command,group,flag", [
+    (command, group, flag)
+    for command, (_, groups) in SHARED.items()
+    for group in groups for flag in _SHARED_FLAGS[group]])
+def test_shared_flag_parses_as_at_its_parent(command, group, flag):
+    argv = SHARED[command][0]
+    dest = flag[2:].replace("-", "_")
+    given = [flag] + SAMPLE[flag]
+    at_parent = getattr(_parent(group).parse_args(given), dest)
+    assert at_parent is not None
+    assert getattr(build_parser().parse_args(argv + given), dest) == at_parent
+    default = getattr(build_parser().parse_args(argv), dest)
+    assert default == OWN_DEFAULT.get(
+        (command, dest), getattr(_parent(group).parse_args([]), dest))

@@ -5,6 +5,8 @@ import pytest
 
 from repro.common.params import FenceDesign, FenceRole
 from repro.core import isa as ops
+from repro.fences.base import PendingFence, policy_class
+from repro.obs import Observability
 from repro.sim.machine import Machine
 
 from tests.support import notes_of, run_threads, tiny_params
@@ -219,3 +221,152 @@ def test_rmw_issued_before_a_rollback_is_squashed_for_good():
     assert len(issued) == 1
     on_done(41)
     assert advanced == []
+
+
+# ----------------------------------------------------------------------
+# A W+ rollback squashes every continuation the core has parked: one
+# test per place a continuation can wait.  Each parks one on a W+ core,
+# forces ``_recover()`` at that moment and counts the control flows that
+# come back — exactly one, the recovery's own resume.
+# ----------------------------------------------------------------------
+
+def _wplus_core(then=(), cold_stores=1, **params):
+    """A one-core W+ machine running: *cold_stores* stores to cold
+    lines (~200 cycles of drain each keep the wf open), a wf, then the
+    ops *then* builds from four fresh words.  Spawned and started."""
+    m = Machine(tiny_params(FenceDesign.W_PLUS, num_cores=1, **params))
+    cold = [m.alloc.word() for _ in range(cold_stores)]
+    words = [m.alloc.word() for _ in range(4)]
+
+    def fn(ctx):
+        for word in cold:
+            yield ops.Store(word, 1)
+        yield ops.Fence(FenceRole.CRITICAL)
+        for op in then:
+            yield op(words)
+
+    m.spawn(fn)
+    m.cores[0].start()
+    return m, m.cores[0]
+
+
+def _step_until(m, reached):
+    while not reached():
+        assert m.queue.step(), "queue ran dry before the state was reached"
+
+
+def _pend_a_wf(core):
+    """A checkpointed wf for ``_recover`` to roll back to, where the
+    state under test has no real one outstanding."""
+    core.pending_fences.append(PendingFence(
+        fence_id=99, last_store_id=core.wb.newest_store_id(),
+        checkpoint=core.thread.checkpoint()))
+
+
+def _resumed_after_rollback(m, core):
+    """Force a rollback now and drain the queue; returns what
+    ``_advance`` was called with from then on."""
+    advanced = []
+    core._advance = advanced.append
+    core._recover()
+    m.queue.run()
+    assert not core.recovering
+    return advanced
+
+
+def _labels(m):
+    return [label for _, label in m.queue.pending_events()]
+
+
+def test_rollback_squashes_the_start_event():
+    m, core = _wplus_core()
+    assert _labels(m) == ["cpu.start"]
+    _pend_a_wf(core)
+    assert _resumed_after_rollback(m, core) == [None]
+
+
+def test_rollback_squashes_a_store_waiting_for_a_write_buffer_slot():
+    m, core = _wplus_core(
+        then=(lambda w: ops.Store(w[0], 2), lambda w: ops.Store(w[1], 3)),
+        write_buffer_entries=2)
+    _step_until(m, lambda: core._wb_full_waiter is not None)
+    retired = m.stats.instructions[0]
+    assert _resumed_after_rollback(m, core) == [None]
+    assert core._wb_full_waiter is None
+    assert m.stats.instructions[0] == retired  # the blocked store never did
+
+
+def test_rollback_squashes_a_load_stalled_on_a_full_bypass_set():
+    m, core = _wplus_core(
+        then=(lambda w: ops.Load(w[0]), lambda w: ops.Load(w[1])),
+        cold_stores=4, bs_entries=1)
+    _step_until(m, lambda: core._stalled_load is not None)
+    assert _resumed_after_rollback(m, core) == [None]
+    assert core._stalled_load is None
+    assert m.stats.bs_insertions == 1  # the parked load never entered the BS
+
+
+def _demoted_sf_waiting_for_drain():
+    """A storm-demoted W+ core: its second fence runs as an sf and sits
+    in the drain wait behind an open wf."""
+    m, core = _wplus_core(
+        then=(lambda w: ops.Store(w[0], 2),
+              lambda w: ops.Fence(FenceRole.CRITICAL)))
+    _step_until(m, lambda: core.pending_fences)
+    core.policy._demoted_until = 10 ** 9
+    _step_until(m, lambda: core._sf_wait is not None)
+    return m, core
+
+
+def test_rollback_squashes_an_sf_waiting_for_the_drain():
+    m, core = _demoted_sf_waiting_for_drain()
+    # (a drain wait that survived would charge the sf and resume twice)
+    assert _resumed_after_rollback(m, core) == [None]
+
+
+def test_rollback_squashes_the_continuation_after_an_sf():
+    m, core = _demoted_sf_waiting_for_drain()
+    _step_until(m, lambda: core._sf_wait is None)  # drained, sf charged
+    assert _labels(m).count("cpu.cont") == 1  # its resume is parked
+    assert not core.pending_fences  # (the drain completed the real wf)
+    _pend_a_wf(core)
+    assert _resumed_after_rollback(m, core) == [None]
+
+
+def test_second_rollback_squashes_the_first_ones_resume():
+    m, core = _wplus_core()
+    _step_until(m, lambda: core.pending_fences)
+    core._advance = None  # nothing may advance before the second one
+    core._recover()
+    assert core.recovering and core._sf_wait is not None
+    _pend_a_wf(core)
+    assert _resumed_after_rollback(m, core) == [None]
+    assert m.stats.wplus_recoveries == 2
+
+
+@pytest.mark.parametrize("traced", (False, True), ids=("plain", "traced"))
+def test_custom_strong_fence_resumes_once_and_never_meets_a_rollback(traced):
+    """The resume handed to a custom strong fence (what the two
+    ``_guard`` sites of ``_exec_fence``, plain and traced, wrapped) is
+    held outside the core — by the C-fence table, by queue events —
+    where ``_recover`` cannot reach it; so no design may pair a custom
+    fence with rollback, and ``Core.__init__`` asserts none does."""
+    for design in FenceDesign:
+        cls = policy_class(design)
+        assert cls.custom_strong_fence is None or not (
+            cls.needs_checkpoint or cls.needs_deadlock_monitor)
+    m = Machine(tiny_params(FenceDesign.CFENCE, num_cores=1))
+    if traced:
+        Observability().attach(m)
+    x = m.alloc.word()
+    resumed = []
+
+    def t(ctx):
+        yield ops.Store(x, 1)
+        yield ops.Fence(FenceRole.CRITICAL)
+        resumed.append(m.queue.now)
+        yield ops.Load(x)
+
+    assert run_threads(m, t).completed
+    assert len(resumed) == 1 and m.stats.sf_executed[0] == 1
+    assert m.cores[0]._epoch == 0

@@ -7,7 +7,9 @@ checker's differential tests) and numpy was never used — this guard
 keeps either from drifting back into the import graph.
 """
 
+import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -32,3 +34,19 @@ def test_runtime_imports_neither_networkx_nor_numpy():
         capture_output=True, text=True,
     )
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def test_simulator_core_does_not_know_about_attribution():
+    """Stall sites report to the one listener in their ``tracer`` slot;
+    ``core/``, ``mem/`` and ``fences/`` carry no second hook set — no
+    ``.attrib`` slot, no ``attach_attrib``, no ``attrib.*`` call (the
+    word *attribute* is not what this is about)."""
+    pkg = os.path.dirname(os.path.abspath(repro.__file__))
+    hits = []
+    for sub in ("core", "mem", "fences"):
+        for path in sorted(glob.glob(os.path.join(pkg, sub, "*.py"))):
+            with open(path) as fh:
+                hits += [f"{path}:{n}: {line.rstrip()}"
+                         for n, line in enumerate(fh, 1)
+                         if re.search(r"attrib(?!ute)", line)]
+    assert not hits, "\n".join(hits)
