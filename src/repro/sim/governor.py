@@ -33,7 +33,13 @@ DEFAULT_CHECK_INTERVAL = 2_000
 
 
 def _rss_mb() -> Optional[float]:
-    """Current RSS high-water mark in MiB, or None when unavailable."""
+    """The *process* RSS high-water mark in MiB (None when unavailable).
+
+    That is the interpreter plus everything alive at the process's
+    largest moment so far — one live machine, as long as finished ones
+    are disposed (``Machine.dispose``) rather than left to the cyclic
+    collector — and it never falls.
+    """
     if _resource is None:
         return None
     peak = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss

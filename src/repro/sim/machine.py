@@ -11,6 +11,10 @@ use::
     machine.spawn(thread_fn, shared=shared)   # one generator per core
     result = machine.run()
     print(result.stats.summary())
+
+Ownership: whoever builds a machine and does not hand it back calls
+:meth:`Machine.dispose` when done with it (``run_workload``,
+``run_program``, the litmus helpers); ``run()`` itself never does.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.common.addr import AddressMap
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, SimulatorError
 from repro.common.events import EventQueue
 from repro.common.params import FenceDesign, MachineParams
 from repro.common.stats import MachineStats
@@ -205,6 +209,7 @@ class Machine:
 
     def spawn(self, fn: Callable, shared=None, core: Optional[int] = None) -> Core:
         """Bind generator function *fn* as the thread of the next core."""
+        self._refuse_if_disposed()
         cid = self._spawned if core is None else core
         if cid >= self.params.num_cores:
             raise ConfigError(
@@ -272,6 +277,7 @@ class Machine:
         result comes back ``degraded`` with the reason — never a hang
         or a hard kill.
         """
+        self._refuse_if_disposed()
         limit = max_cycles or self.params.max_cycles or None
         for core in self.cores:
             core.start()
@@ -357,3 +363,39 @@ class Machine:
             degraded_reason=degraded_reason,
             sanitizer_violations=violations,
         )
+
+    # ------------------------------------------------------------------
+    # teardown
+    # ------------------------------------------------------------------
+
+    def dispose(self) -> None:
+        """Tear a finished machine down so reference counting frees it.
+
+        For the caller that built the machine and hands back only its
+        results.  Cores, L1s, banks, policies and the watchdog point at
+        each other and at the machine (and the heap at their bound
+        continuations): left alone that is one cycle per machine,
+        waiting for a gen-2 collection.  Dropping the pending events,
+        closing the suspended thread generators and emptying the
+        machine's own components cuts every such edge.  What a caller
+        can still hold is left intact: ``stats``, the ``queue`` (clock
+        and ``executed``), recorded dependence events, and the tracer /
+        attribution / metrics / sanitizer / injector objects.
+        """
+        self.queue._heap.clear()
+        parts = [self._watchdog, self.image, self.noc, *self.banks, *self.l1s]
+        for core in self.cores:
+            if core.thread is not None:
+                core.thread._gen.close()
+                parts.append(core.thread)
+            parts += (core, core.policy, core.wb, core.bs)
+        for part in parts:
+            vars(part).clear()
+        self.cores = self.l1s = self.banks = ()
+        # the pumps point back at the machine; what they gathered
+        # (samples, violations) is the caller's, so only let go of them
+        self.metrics = self.sanitizer = None
+
+    def _refuse_if_disposed(self) -> None:
+        if not self.cores:
+            raise SimulatorError("machine was disposed: build a new one")

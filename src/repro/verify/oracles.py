@@ -16,6 +16,9 @@ The oracles encode the correctness claims of §3 and §5:
 
 A fence-stripped program finding an SCV is *not* a violation — it is
 the positive control proving the checker and the explorer both work.
+
+``run_program`` owns the machine it builds: everything a ``ProgramRun``
+carries is copied out of it, then the machine is disposed.
 """
 
 from __future__ import annotations
@@ -178,6 +181,7 @@ def run_program(
         for _po, payload in core.notes:
             idx, value = payload
             run.observed[(core.core_id, idx)] = value
+    machine.dispose()
     return run
 
 

@@ -4,7 +4,9 @@ Every evaluation workload (Table 3 of the paper) is a :class:`Workload`
 subclass registered by name.  ``run_workload`` builds a machine for a
 fence design, lets the workload allocate its simulated data and spawn
 its threads, runs to completion (or a cycle budget for the
-throughput-measured ustm group) and returns the stats.
+throughput-measured ustm group) and returns the stats.  It owns that
+machine: nothing it returns refers to it, so it disposes it on the way
+out and the run's memory is freed by reference count.
 
 Workload sizes scale with the ``scale`` argument (and the
 ``REPRO_SCALE`` environment variable) so tests can run tiny instances
@@ -143,10 +145,13 @@ def run_workload(
         from repro.sim.governor import RunBudget
 
         budget = RunBudget.from_env()
-    workload.setup(machine)
-    result = machine.run(max_cycles=workload.cycle_budget, budget=budget)
-    if check:
-        workload.check(machine)
+    try:
+        workload.setup(machine)
+        result = machine.run(max_cycles=workload.cycle_budget, budget=budget)
+        if check:
+            workload.check(machine)
+    finally:
+        machine.dispose()
     return WorkloadRun(
         name=name,
         group=cls.group,

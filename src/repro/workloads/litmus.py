@@ -32,13 +32,18 @@ class LitmusOutcome:
         return self.observed.get((tid, label))
 
 
-def _collect_notes(machine: Machine) -> Dict[Tuple[int, str], int]:
-    observed: Dict[Tuple[int, str], int] = {}
-    for core in machine.cores:
-        for _po, payload in core.notes:
-            label, value = payload
-            observed[(core.core_id, label)] = value
-    return observed
+def _run_and_dispose(machine: Machine) -> LitmusOutcome:
+    """Run the machine a kernel built, collect its notes, tear it down."""
+    try:
+        result = machine.run()
+        observed: Dict[Tuple[int, str], int] = {}
+        for core in machine.cores:
+            for _po, payload in core.notes:
+                label, value = payload
+                observed[(core.core_id, label)] = value
+        return LitmusOutcome(result, observed)
+    finally:
+        machine.dispose()
 
 
 def litmus_params(
@@ -92,8 +97,7 @@ def store_buffering(
 
     machine.spawn(thread(0, x, y, roles[0]))
     machine.spawn(thread(1, y, x, roles[1]))
-    result = machine.run()
-    return LitmusOutcome(result, _collect_notes(machine))
+    return _run_and_dispose(machine)
 
 
 def three_thread_cycle(
@@ -129,8 +133,7 @@ def three_thread_cycle(
 
     for me in range(3):
         machine.spawn(thread(me, roles[me]))
-    result = machine.run()
-    return LitmusOutcome(result, _collect_notes(machine))
+    return _run_and_dispose(machine)
 
 
 def false_sharing_interference(
@@ -182,8 +185,7 @@ def false_sharing_interference(
 
     machine.spawn(thread0)
     machine.spawn(thread1)
-    result = machine.run()
-    return LitmusOutcome(result, _collect_notes(machine))
+    return _run_and_dispose(machine)
 
 
 def message_passing(
@@ -217,5 +219,4 @@ def message_passing(
 
     machine.spawn(producer)
     machine.spawn(consumer)
-    result = machine.run()
-    return LitmusOutcome(result, _collect_notes(machine))
+    return _run_and_dispose(machine)

@@ -44,7 +44,6 @@ class _StampWorkload(Workload):
     think = 300
 
     def setup(self, machine: Machine) -> None:
-        self.machine = machine
         n = machine.params.num_cores
         self.stm = TlrwStm(machine.alloc, n)
         self.build(machine)

@@ -76,7 +76,6 @@ class _UstmWorkload(Workload):
         self.cycle_budget = int(USTM_BUDGET * scale)
 
     def setup(self, machine: Machine) -> None:
-        self.machine = machine
         n = machine.params.num_cores
         self.stm = TlrwStm(machine.alloc, n)
         self.build(machine)
@@ -400,24 +399,26 @@ class _TreeBase(_UstmWorkload):
         self.heap = NodeHeap(machine, self.stm, self.node_words, 384, n)
         self.root = machine.alloc.word()
         self.stm.register_region(self.root, 1)
-        image = machine.image
         # balanced initial tree over even keys
         keys = list(range(0, self.key_range, 4))
+        machine.image.poke(
+            self.root,
+            self._build_subtree(machine.image, keys, 0, len(keys) - 1))
 
-        def build_subtree(lo: int, hi: int) -> int:
-            if lo > hi:
-                return 0
-            mid = (lo + hi) // 2
-            idx = self.heap.take_static()
-            image.poke(self.heap.field(idx, self.KEY), keys[mid])
-            image.poke(self.heap.field(idx, self.VAL), keys[mid] * 10)
-            image.poke(self.heap.field(idx, self.LEFT),
-                       build_subtree(lo, mid - 1))
-            image.poke(self.heap.field(idx, self.RIGHT),
-                       build_subtree(mid + 1, hi))
-            return idx
-
-        image.poke(self.root, build_subtree(0, len(keys) - 1))
+    def _build_subtree(self, image, keys, lo: int, hi: int) -> int:
+        # a method, not a nested function: a closure that calls itself
+        # is a reference cycle holding the workload (and its lock table)
+        if lo > hi:
+            return 0
+        mid = (lo + hi) // 2
+        idx = self.heap.take_static()
+        image.poke(self.heap.field(idx, self.KEY), keys[mid])
+        image.poke(self.heap.field(idx, self.VAL), keys[mid] * 10)
+        image.poke(self.heap.field(idx, self.LEFT),
+                   self._build_subtree(image, keys, lo, mid - 1))
+        image.poke(self.heap.field(idx, self.RIGHT),
+                   self._build_subtree(image, keys, mid + 1, hi))
+        return idx
 
     def _descend(self, txn, key: int):
         """Returns (parent_link_field, idx) — idx 0 if absent."""

@@ -6,6 +6,11 @@ are the continuations; when they were nested closures referring to each
 other (``issue`` <-> ``on_bounce``), every RMW left ~13 objects only
 ``gc`` could free — 3 900-4 200 of them over these ~2 500-3 000-event
 runs — and collecting them was 7 % of a sweep's host time.
+
+That is the collector's first half — nothing to find *during* a run.
+The second is nothing to find *after* one: a live machine is itself a
+cycle (core <-> machine, L1 <-> bank), and ``dispose`` is what cuts it
+(``tests/unit/test_teardown.py`` covers the functions that call it).
 """
 
 import gc
@@ -29,8 +34,11 @@ def test_a_run_leaves_no_cyclic_garbage(design):
     try:
         result = machine.run(max_cycles=workload.cycle_budget)
         unreachable = gc.collect()
+        machine.dispose()
+        after_dispose = gc.collect()
     finally:
         gc.enable()
     # Counter runs for a fixed cycle budget, so it is cut off, not done
     assert not result.degraded and machine.queue.executed > 2000
     assert unreachable < 50
+    assert after_dispose == 0
