@@ -8,7 +8,7 @@ prints the rendered report and writes it to ``benchmarks/out/``.
 Environment knobs:
 
 * ``REPRO_SCALE``  — workload scale factor (default 0.5 for benches).
-* ``REPRO_JOBS``   — parallel simulation processes.
+* ``REPRO_FARM_WORKERS`` — parallel simulation processes (farm workers).
 * ``REPRO_CORES``  — simulated core count (default 8, the paper's).
 """
 

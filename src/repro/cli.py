@@ -404,8 +404,6 @@ def cmd_chaos(args) -> int:
     report = run_chaos_matrix(
         scenarios, designs, seeds=seeds,
         shrink=args.shrink,
-        journal=args.journal, resume=args.resume,
-        overwrite_journal=args.overwrite_journal,
         diag_dir=args.diag_dir,
         progress=progress,
         sanitize=args.sanitize,
@@ -497,7 +495,7 @@ _SHARED_FLAGS = {
             help="simulated-event budget per run (deterministic "
                  "graceful cutoff)"),
     },
-    # synth (one row per design), chaos (one row per case)
+    # synth (one row per design)
     "journal": {
         "--journal": dict(
             default=None, metavar="PATH",
@@ -657,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="fault-injection sweep: scenario x design x seed matrix "
              "checked against the SC/progress/recovery oracles",
-        parents=[_parent("sanitize"), _parent("journal")],
+        parents=[_parent("sanitize")],
     )
     # illegal plans are caught at the first violating cycle, not at timeout
     p_chaos.set_defaults(sanitize="strict")
@@ -680,7 +678,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "injection subset")
     p_chaos.add_argument("--farm-db", default=None, metavar="PATH",
                          help="run the sweep as a campaign on the "
-                              "experiment farm (or set $REPRO_FARM_DB)")
+                              "experiment farm store at PATH, where an "
+                              "interrupted sweep resumes (or set "
+                              "$REPRO_FARM_DB)")
     p_chaos.add_argument("--farm-workers", type=int, default=None,
                          help="farm worker processes (0 = inline)")
     p_chaos.add_argument("--diag-dir", default=None, metavar="DIR",

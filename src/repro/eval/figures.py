@@ -54,11 +54,10 @@ def _time_breakdown_data(
     num_cores: int,
     seed: int,
     apps: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
 ) -> dict:
     names = list(apps) if apps else group_apps(group)
     runs = run_matrix(names, DESIGNS, num_cores=num_cores, scale=scale,
-                      seed=seed, jobs=jobs)
+                      seed=seed)
     entries = []
     averages: Dict[str, List[float]] = {str(d): [] for d in DESIGNS}
     stall_fracs: Dict[str, List[float]] = {str(d): [] for d in DESIGNS}
@@ -96,17 +95,15 @@ def _time_breakdown_data(
 
 
 def fig8_cilkapps(scale: float = 1.0, num_cores: int = 8, seed: int = 12345,
-                  apps: Optional[Sequence[str]] = None,
-                  jobs: Optional[int] = None) -> dict:
+                  apps: Optional[Sequence[str]] = None) -> dict:
     """Figure 8: execution time of CilkApps under S+/WS+/W+/Wee."""
-    return _time_breakdown_data("cilk", scale, num_cores, seed, apps, jobs)
+    return _time_breakdown_data("cilk", scale, num_cores, seed, apps)
 
 
 def fig11_stamp(scale: float = 1.0, num_cores: int = 8, seed: int = 12345,
-                apps: Optional[Sequence[str]] = None,
-                jobs: Optional[int] = None) -> dict:
+                apps: Optional[Sequence[str]] = None) -> dict:
     """Figure 11: execution time of STAMP under S+/WS+/W+/Wee."""
-    return _time_breakdown_data("stamp", scale, num_cores, seed, apps, jobs)
+    return _time_breakdown_data("stamp", scale, num_cores, seed, apps)
 
 
 def render_time_figure(data: dict, figure_name: str, paper_note: str) -> str:
@@ -135,12 +132,11 @@ def render_time_figure(data: dict, figure_name: str, paper_note: str) -> str:
 
 def fig9_fig10_ustm(scale: float = 1.0, num_cores: int = 8,
                     seed: int = 12345,
-                    apps: Optional[Sequence[str]] = None,
-                    jobs: Optional[int] = None) -> dict:
+                    apps: Optional[Sequence[str]] = None) -> dict:
     """Figures 9 + 10 share one experiment (same runs, two views)."""
     names = list(apps) if apps else group_apps("ustm")
     runs = run_matrix(names, DESIGNS, num_cores=num_cores, scale=scale,
-                      seed=seed, jobs=jobs)
+                      seed=seed)
     tput_entries, txn_entries = [], []
     tput_ratio: Dict[str, List[float]] = {str(d): [] for d in DESIGNS}
     txn_ratio: Dict[str, List[float]] = {str(d): [] for d in DESIGNS}
@@ -275,10 +271,12 @@ FIG12_APPS = {
 FIG12_CORE_COUNTS = (4, 8, 16, 32)
 
 
-def fig12_scalability(scale: float = 1.0, seed: int = 12345,
-                      core_counts: Sequence[int] = FIG12_CORE_COUNTS,
-                      groups: Sequence[str] = ("cilk", "ustm", "stamp"),
-                      jobs: Optional[int] = None) -> dict:
+def fig12_scalability(
+    scale: float = 1.0,
+    seed: int = 12345,
+    core_counts: Sequence[int] = FIG12_CORE_COUNTS,
+    groups: Sequence[str] = ("cilk", "ustm", "stamp"),
+) -> dict:
     """Figure 12: (design fence-stall / S+ fence-stall) per core count."""
     designs = (FenceDesign.S_PLUS, FenceDesign.WS_PLUS,
                FenceDesign.W_PLUS, FenceDesign.WEE)
@@ -286,7 +284,7 @@ def fig12_scalability(scale: float = 1.0, seed: int = 12345,
     for group in groups:
         apps = FIG12_APPS[group]
         runs = run_matrix(apps, designs, scale=scale, seed=seed,
-                          core_counts=list(core_counts), jobs=jobs)
+                          core_counts=list(core_counts))
         for design in designs[1:]:
             for cores in core_counts:
                 ratios = []

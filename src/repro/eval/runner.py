@@ -1,39 +1,19 @@
 """Experiment-matrix runner.
 
-Runs (workload × fence design × core count) grids, optionally in
-parallel across processes (simulations are independent), and returns
-lightweight picklable summaries the figure/table generators consume.
-
-Long sweeps are crash-resilient: with a *journal* path every finished
-job is appended to a JSONL file as it completes, a worker process dying
-mid-job (OOM kill, segfault, SIGKILL) is retried with backoff instead
-of sinking the whole sweep, and ``resume=True`` (CLI ``--resume``)
-skips journaled jobs so an interrupted sweep picks up where it stopped.
-
-``REPRO_JOBS`` controls parallelism (default: up to 8 processes);
-``REPRO_SCALE`` scales workload sizes (see ``workloads.base``).
+The runner builds the (workload × fence design × core count) grid the
+figure and table generators ask for, and the experiment farm runs it
+(:mod:`repro.farm`), returning one :class:`RunSummary` per cell.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import multiprocessing
 import os
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.common import journal as journal_mod
 from repro.common.params import FenceDesign
 from repro.workloads.base import load_all_workloads, run_workload
-
-#: attempts per job when the worker *process* dies (a Python exception
-#: inside the job is not retried — it propagates, it's a real bug)
-CRASH_RETRIES = 3
-#: base backoff between crash retries, doubling per attempt
-CRASH_BACKOFF_S = 0.25
 
 
 @dataclass
@@ -56,7 +36,7 @@ class RunSummary:
     #: flat stats (MachineStats.summary())
     stats: Dict[str, float] = field(default_factory=dict)
     #: a resource budget (REPRO_MAX_*) cut this run off gracefully, or
-    #: the sanitizer stood down in degrade mode — first-class journaled
+    #: the sanitizer stood down in degrade mode — first-class recorded
     #: outcome, not an exception
     degraded: bool = False
     degraded_reason: Optional[str] = None
@@ -65,7 +45,7 @@ class RunSummary:
     sanitizer_violations: int = 0
     #: machine-level cycle attribution, flattened to component ->
     #: core-cycles ("fence_stall.sf.drain": 1234.5, ...); None on rows
-    #: journaled before the profiler existed
+    #: stored before the profiler existed
     attrib: Optional[Dict[str, float]] = None
 
     @property
@@ -99,8 +79,8 @@ def run_summary(
     sanitize: Optional[str] = None,
     budget=None,
 ) -> RunSummary:
-    """One fully-summarized matrix run — the shared executor behind
-    the in-process sweep, the process-pool workers, and farm jobs.
+    """One fully-summarized matrix run — what a farm ``matrix`` job
+    executes.
 
     *sanitize*/*budget* default to the environment (``REPRO_SANITIZE``
     / ``REPRO_MAX_*``) exactly like :func:`run_workload`.
@@ -143,109 +123,6 @@ def run_summary(
     )
 
 
-def _run_one(job: Tuple[str, str, int, float, int]) -> RunSummary:
-    name, design_name, num_cores, scale, seed = job
-    return run_summary(name, design_name, num_cores, scale, seed)
-
-
-def default_jobs() -> int:
-    env = os.environ.get("REPRO_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, min(8, (os.cpu_count() or 2) - 1))
-
-
-# ----------------------------------------------------------------------
-# journal (crash-resilient checkpointing)
-# ----------------------------------------------------------------------
-
-def _job_key(job: Tuple[str, str, int, float, int]) -> str:
-    name, design_name, cores, scale, seed = job
-    return f"{name}|{design_name}|{cores}|{scale!r}|{seed}"
-
-
-def load_journal(path: str) -> Dict[str, RunSummary]:
-    """Completed jobs from a JSONL journal, tolerant of a torn tail
-    (a writer killed mid-append leaves a partial last line).  Repeated
-    keys resolve deterministically last-writer-wins."""
-    done: Dict[str, RunSummary] = {}
-    keyed = journal_mod.load_keyed(path, key=lambda rec: rec.get("_key"))
-    for key, rec in keyed.items():
-        rec = dict(rec)
-        rec.pop("_key", None)
-        done[key] = RunSummary(**rec)
-    return done
-
-
-def _append_journal(writer: journal_mod.JournalWriter, key: str,
-                    summary: RunSummary) -> None:
-    rec = dataclasses.asdict(summary)
-    rec["_key"] = key
-    writer.append(rec)
-
-
-# ----------------------------------------------------------------------
-# the sweep
-# ----------------------------------------------------------------------
-
-def _run_grid_parallel(
-    grid: List[Tuple[str, str, int, float, int]],
-    jobs: int,
-    on_done,
-    sleep=time.sleep,
-) -> Dict[str, RunSummary]:
-    """Run *grid* on a process pool, retrying worker crashes.
-
-    A job whose worker process dies (BrokenProcessPool) is retried up
-    to :data:`CRASH_RETRIES` times with doubling backoff — the pool is
-    rebuilt each time since a broken executor is unusable.  A pool
-    already broken by an earlier job's worker refuses further
-    ``submit`` calls: that job and every job not yet submitted crashed
-    with it.  Jobs that raise ordinary exceptions propagate
-    immediately (a deterministic simulator bug would fail every retry
-    anyway).
-    """
-    results: Dict[str, RunSummary] = {}
-    pending = list(grid)
-    attempt = 0
-    while pending:
-        workers = min(jobs, len(pending))
-        ctx = multiprocessing.get_context("fork")
-        crashed: List[Tuple[str, str, int, float, int]] = []
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=ctx) as pool:
-            futures = []
-            try:
-                for job in pending:
-                    futures.append((pool.submit(_run_one, job), job))
-            except BrokenProcessPool:
-                pass  # the jobs past len(futures) crashed with the pool
-            for fut, job in futures:
-                try:
-                    summary = fut.result()
-                except BrokenProcessPool:
-                    crashed.append(job)
-                    continue
-                results[_job_key(job)] = summary
-                on_done(_job_key(job), summary)
-            crashed += pending[len(futures):]
-        if not crashed:
-            break
-        attempt += 1
-        if attempt > CRASH_RETRIES:
-            raise RuntimeError(
-                f"{len(crashed)} job(s) crashed their worker "
-                f"{CRASH_RETRIES + 1} times; giving up: "
-                f"{[_job_key(j) for j in crashed]}"
-            )
-        sleep(CRASH_BACKOFF_S * (2 ** (attempt - 1)))
-        pending = crashed
-    return results
-
-
 def run_matrix(
     names: Sequence[str],
     designs: Sequence[FenceDesign],
@@ -253,73 +130,33 @@ def run_matrix(
     scale: float = 1.0,
     seed: int = 12345,
     core_counts: Optional[Sequence[int]] = None,
-    jobs: Optional[int] = None,
-    journal: Optional[str] = None,
-    resume: bool = False,
-    overwrite_journal: bool = False,
     farm_db: Optional[str] = None,
     farm_workers: Optional[int] = None,
 ) -> Dict[Tuple[str, str, int], RunSummary]:
-    """Run the full grid; returns {(name, design, cores): summary}.
+    """Run the grid as a farm campaign; returns {(name, design, cores):
+    summary}.
 
-    With *journal* set each finished job is checkpointed to a JSONL
-    file; *resume* reloads it and skips already-finished jobs.  An
-    existing journal without *resume* is never silently destroyed:
-    *overwrite_journal* must be passed explicitly and rotates the old
-    file to ``<journal>.bak`` (:func:`repro.common.journal.prepare`).
-
-    With *farm_db* (or ``REPRO_FARM_DB`` in the environment) the grid
-    runs as a campaign on the durable experiment farm instead of an
-    ad-hoc process pool: jobs are leased from a crash-safe SQLite
-    store, results are served from the content-addressed cache when
-    the identical job already ran, and the returned rows are
-    bit-identical to a local sweep.
+    The campaign runs on the store at *farm_db* (or ``REPRO_FARM_DB``),
+    where an interrupted sweep resumes and a repeated one is served
+    from the result cache; without one, on a store in a temporary
+    directory that lives for the call.  *farm_workers* defaults to
+    :func:`~repro.farm.clients.default_farm_workers`; 0 runs every job
+    in this process.
     """
+    from repro.farm.clients import campaign_rows
+    from repro.farm.spec import CampaignSpec
+
+    spec = CampaignSpec.make(
+        "matrix", names, designs, seeds=[seed],
+        core_counts=list(core_counts) if core_counts else [num_cores],
+        scale=scale,
+    )
     farm_db = farm_db or os.environ.get("REPRO_FARM_DB") or None
     if farm_db:
-        from repro.farm.clients import farm_run_matrix
-
-        return farm_run_matrix(
-            names, designs, num_cores=num_cores, scale=scale, seed=seed,
-            core_counts=core_counts, db=farm_db, workers=farm_workers,
-            journal=journal, resume=resume,
-            overwrite_journal=overwrite_journal,
-        )
-    counts = list(core_counts) if core_counts else [num_cores]
-    grid = [
-        (name, design.name, cores, scale, seed)
-        for name in names
-        for design in designs
-        for cores in counts
-    ]
-    journal_mod.prepare(journal, resume=resume, overwrite=overwrite_journal)
-    done = load_journal(journal) if (journal and resume) else {}
-    results: Dict[str, RunSummary] = {
-        _job_key(job): done[_job_key(job)]
-        for job in grid if _job_key(job) in done
-    }
-    todo = [job for job in grid if _job_key(job) not in results]
-
-    writer = journal_mod.JournalWriter(journal) if journal else None
-
-    def on_done(key: str, summary: RunSummary) -> None:
-        if writer is not None:
-            _append_journal(writer, key, summary)
-
-    jobs = jobs or default_jobs()
-    try:
-        if jobs > 1 and len(todo) > 1:
-            results.update(_run_grid_parallel(todo, jobs, on_done))
-        else:
-            for job in todo:
-                summary = _run_one(job)
-                results[_job_key(job)] = summary
-                on_done(_job_key(job), summary)
-    finally:
-        if writer is not None:
-            writer.close()
-    return {
-        (r.name, r.design, r.num_cores): r
-        for job in grid
-        for r in (results[_job_key(job)],)
-    }
+        rows = campaign_rows(farm_db, spec, farm_workers)
+    else:
+        with tempfile.TemporaryDirectory(prefix="repro-matrix-") as tmp:
+            rows = campaign_rows(os.path.join(tmp, "farm.sqlite"), spec,
+                                 farm_workers)
+    summaries = [RunSummary(**row) for row in rows]
+    return {(s.name, s.design, s.num_cores): s for s in summaries}

@@ -80,10 +80,12 @@ def _agg(runs: List[RunSummary], key: str) -> float:
     return report.mean([r.stats.get(key, 0.0) for r in runs])
 
 
-def table4_characterization(scale: float = 1.0, num_cores: int = 8,
-                            seed: int = 12345,
-                            apps: Optional[Dict[str, Sequence[str]]] = None,
-                            jobs: Optional[int] = None) -> dict:
+def table4_characterization(
+    scale: float = 1.0,
+    num_cores: int = 8,
+    seed: int = 12345,
+    apps: Optional[Dict[str, Sequence[str]]] = None,
+) -> dict:
     """Measure the Table 4 columns for every design and group."""
     apps = apps or TABLE4_APPS
     designs = (FenceDesign.S_PLUS, FenceDesign.WS_PLUS,
@@ -91,7 +93,7 @@ def table4_characterization(scale: float = 1.0, num_cores: int = 8,
     rows = []
     for group, names in apps.items():
         runs = run_matrix(list(names), designs, num_cores=num_cores,
-                          scale=scale, seed=seed, jobs=jobs)
+                          scale=scale, seed=seed)
         per_design = {
             str(d): [runs[(n, str(d), num_cores)] for n in names]
             for d in designs

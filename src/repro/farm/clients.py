@@ -1,24 +1,22 @@
-"""Farm clients: run the existing sweeps as durable campaigns.
+"""Farm clients: the repo's sweeps as durable campaigns.
 
-Each client translates a legacy grid (``run_matrix``'s workload grid,
-the chaos scenario sweep) into a :class:`CampaignSpec`,
-drives it through :func:`run_campaign`, and translates the content-
-keyed result rows back into exactly the shape the legacy caller
-returns — so figure/table/report generators are oblivious to whether a
-sweep ran locally or on the farm, and the rows are bit-identical
-either way.
+:func:`campaign_rows` drives a :class:`CampaignSpec` through
+:func:`run_campaign` and hands its rows back in grid order, so each
+sweep (``run_matrix``'s workload grid, the chaos scenario sweep) only
+translates its grid into a spec and the rows back into its own shape.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+import time
+from typing import List, Optional, Sequence
 
-from repro.common import journal as journal_mod
-from repro.common.errors import ConfigError
+from repro.common.errors import EXIT_BY_ERROR, ConfigError
 from repro.common.params import FenceDesign
-from repro.farm.campaign import run_campaign
+from repro.farm.campaign import collect, run_campaign
 from repro.farm.spec import CampaignSpec
+from repro.farm.store import LEASE_EXPIRED, FarmStore
 from repro.farm.worker import FarmConfig
 
 
@@ -29,85 +27,61 @@ def default_farm_workers() -> int:
             return max(0, int(env))
         except ValueError:
             pass
-    return max(1, min(4, (os.cpu_count() or 2) - 1))
+    return max(1, min(8, (os.cpu_count() or 2) - 1))
 
 
-def _resolve_workers(workers: Optional[int]) -> int:
-    return default_farm_workers() if workers is None else workers
+class _JobRaised(Exception):
+    """A job's run raised: the campaign stops (see campaign_rows)."""
 
 
-# ----------------------------------------------------------------------
-# matrix
-# ----------------------------------------------------------------------
+def campaign_rows(db: str, spec: CampaignSpec,
+                  workers: Optional[int] = None,
+                  config: Optional[FarmConfig] = None) -> List[dict]:
+    """Drive *spec* to completion on the store at *db*; its result
+    rows in ``spec.expand()`` order.
 
-def farm_run_matrix(
-    names: Sequence[str],
-    designs: Sequence[FenceDesign],
-    num_cores: int = 8,
-    scale: float = 1.0,
-    seed: int = 12345,
-    core_counts: Optional[Sequence[int]] = None,
-    db: str = "farm.sqlite",
-    workers: Optional[int] = None,
-    journal: Optional[str] = None,
-    resume: bool = False,
-    overwrite_journal: bool = False,
-    config: Optional[FarmConfig] = None,
-):
-    """``run_matrix`` on the farm; same return shape, same rows.
-
-    The journal (if any) is exported from the store afterwards in the
-    runner's JSONL format — append-missing, so an existing journal from
-    an interrupted local sweep is completed, not rewritten.  The store,
-    not the journal, is the source of truth for resumption.
+    A job whose run raises stops the campaign: simulations are
+    deterministic, so it would raise again on every worker.  A worker
+    that dies mid-job is no such error — its lease expires and the job
+    runs again.  A campaign that ends with unproduced jobs raises the
+    class its first recorded error names when that is a key of
+    :data:`EXIT_BY_ERROR` (the CLI exit code stays the job's own),
+    else :class:`ConfigError`; the message names the first failed
+    jobs and their errors.
     """
-    from repro.eval.runner import RunSummary, _job_key
+    workers = default_farm_workers() if workers is None else workers
+    cid = spec.campaign_id()
+    started = time.time()
 
-    counts = list(core_counts) if core_counts else [num_cores]
-    spec = CampaignSpec.make(
-        "matrix", names, designs, seeds=[seed], core_counts=counts,
-        scale=scale,
-    )
-    journal_mod.prepare(journal, resume=resume, overwrite=overwrite_journal)
-    rows = run_campaign(db, spec, workers=_resolve_workers(workers),
-                        config=config)
-    results: Dict[Tuple[str, str, int], RunSummary] = {}
-    exported: List[Tuple[str, dict]] = []
-    missing: List[str] = []
-    for job in spec.expand():
-        row = rows.get(job.content_key())
-        if row is None:
-            missing.append(job.content_key())
-            continue
-        summary = RunSummary(**row)
-        results[(summary.name, summary.design, summary.num_cores)] = summary
-        legacy_key = _job_key(
-            (job.workload, job.design, job.cores, job.scale, job.seed))
-        exported.append((legacy_key, row))
-    if missing:
-        raise ConfigError(
-            f"farm campaign {spec.campaign_id()} finished with "
-            f"{len(missing)} unproduced job(s) (quarantined?): "
-            f"{missing[:3]}..."
-        )
-    if journal:
-        have = set(
-            journal_mod.load_keyed(
-                journal, key=lambda rec: rec.get("_key")).keys()
-        ) if os.path.exists(journal) else set()
-        with journal_mod.JournalWriter(journal) as writer:
-            for legacy_key, row in exported:
-                if legacy_key in have:
-                    continue
-                rec = dict(row)
-                rec["_key"] = legacy_key
-                writer.append(rec)
-    return results
+    def stop_on_raise(store: FarmStore, _pool) -> None:
+        errors = store.errors(cid, since=started)
+        if any(err != LEASE_EXPIRED for err in errors.values()):
+            raise _JobRaised
 
+    try:
+        rows = run_campaign(db, spec, workers=workers, config=config,
+                            on_poll=stop_on_raise)
+    except _JobRaised:
+        rows = collect(db, cid)
+    jobs = spec.expand()
+    missing = [job for job in jobs if job.content_key() not in rows]
+    if not missing:
+        return [rows[job.content_key()] for job in jobs]
+    with FarmStore(db) as store:
+        errors = store.errors(cid)
+    failed = [(job, errors[job.content_key()]) for job in missing
+              if job.content_key() in errors]
+    detail = "".join(
+        f"; {job.workload}/{FenceDesign[job.design].value}/{job.cores}c"
+        f"/s{job.seed}: {err}" for job, err in failed[:3])
+    if len(failed) > 3:
+        detail += f"; ... {len(failed) - 3} more"
+    first = failed[0][1].partition(":")[0] if failed else ""
+    cls = next((c for c in EXIT_BY_ERROR if c.__name__ == first),
+               ConfigError)
+    raise cls(f"farm campaign {cid}: {len(missing)} unproduced job(s)"
+              + detail)
 
-# ----------------------------------------------------------------------
-# chaos
-# ----------------------------------------------------------------------
 
 def farm_chaos_cases(
     scenarios: Sequence[str],
@@ -117,35 +91,16 @@ def farm_chaos_cases(
     workers: Optional[int] = None,
     sanitize: str = "strict",
     diag_dir: Optional[str] = None,
-    config: Optional[FarmConfig] = None,
 ) -> list:
     """The chaos grid as a campaign; :class:`ChaosCase` list in the
-    legacy sweep order (scenario-major, then design, then seed)."""
+    sweep order (scenario-major, then design, then seed — the
+    campaign's workload > design > cores > seed with one core count)."""
     from repro.faults.chaos import _case_from_record
 
     spec = CampaignSpec.make(
         "chaos", scenarios, designs, seeds=seeds, core_counts=[0],
         scale=0.0, config={"sanitize": sanitize},
     )
-    if config is None:
-        config = FarmConfig(diag_dir=diag_dir)
-    rows = run_campaign(db, spec, workers=_resolve_workers(workers),
-                        config=config)
-    cases = []
-    missing = []
-    # legacy order is scenario > design > seed; the campaign expands
-    # workload > design > cores > seed with a single core count, so the
-    # orders coincide job-for-job
-    for job in spec.expand():
-        row = rows.get(job.content_key())
-        if row is None:
-            missing.append(job.content_key())
-            continue
-        cases.append(_case_from_record(row))
-    if missing:
-        raise ConfigError(
-            f"farm campaign {spec.campaign_id()} finished with "
-            f"{len(missing)} unproduced case(s) (quarantined?): "
-            f"{missing[:3]}..."
-        )
-    return cases
+    rows = campaign_rows(db, spec, workers,
+                         config=FarmConfig(diag_dir=diag_dir))
+    return [_case_from_record(row) for row in rows]

@@ -1,8 +1,8 @@
 """Execute one :class:`JobSpec` — the farm's kind dispatch table.
 
 Each kind maps onto the existing single-job entry point of its
-subsystem, so a farm worker runs *exactly* the same code path as a
-local sweep and the produced row is bit-identical to the local one.
+subsystem, so a farm worker runs *exactly* the code path of a direct
+call and the produced row is bit-identical to what that call returns.
 
 Per-job settings ride in ``spec.config`` (canonical JSON, part of the
 content key): ``sanitize`` and an optional ``budget`` object

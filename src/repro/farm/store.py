@@ -45,6 +45,8 @@ DEFAULT_QUARANTINE_AFTER = 3
 #: capped exponential retry backoff (seconds)
 DEFAULT_BACKOFF_BASE = 0.25
 DEFAULT_BACKOFF_CAP = 30.0
+#: the failure an expired lease charges: the worker died, not the job
+LEASE_EXPIRED = "lease-expired: worker died or stalled"
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS campaigns (
@@ -234,10 +236,10 @@ class FarmStore:
                     self._conn.execute(
                         "INSERT INTO failures (key, campaign, worker,"
                         " error, at) VALUES (?, ?, ?, ?, ?)",
-                        (key, campaign, prev_owner,
-                         "lease-expired: worker died or stalled", t))
+                        (key, campaign, prev_owner, LEASE_EXPIRED, t))
                 if len(set(failed)) >= quarantine_after:
-                    self._quarantine(key, campaign, spec_json, failed, t)
+                    self._quarantine(key, campaign, spec_json, failed, t,
+                                     last_error=LEASE_EXPIRED)
                     self._conn.execute("COMMIT")
                     continue
                 self._conn.execute(
@@ -450,6 +452,15 @@ class FarmStore:
              "failed_workers": json.loads(fw), "last_error": err}
             for key, spec, fw, err in rows
         ]
+
+    def errors(self, campaign: str, since: float = 0.0) -> Dict[str, str]:
+        """``{key: error}``: the latest failure recorded at or after
+        *since* of each of the campaign's unfinished jobs."""
+        return dict(self._conn.execute(
+            "SELECT f.key, f.error FROM failures f JOIN jobs j"
+            " ON j.key=f.key AND j.campaign=f.campaign"
+            " WHERE f.campaign=? AND f.at>=? AND j.state!='done'"
+            " ORDER BY f.at", (campaign, since)).fetchall())
 
     def result_count(self) -> int:
         return self._one("SELECT COUNT(*) FROM results")[0]

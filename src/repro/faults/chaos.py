@@ -16,8 +16,8 @@ A failing case can be shrunk: ddmin over the injector's fired-injection
 log finds the minimal subset of injections that still breaks the
 machine (replayed via the injector's ``allowed`` allow-list).
 
-``run_chaos_matrix`` sweeps a scenario × design × seed grid with a
-resumable JSONL journal and emits a JSON report.
+``run_chaos_matrix`` sweeps a scenario × design × seed grid, locally
+or as a farm campaign, and emits a JSON report.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common import journal as journal_mod
 from repro.common.params import FenceDesign
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, make_plan
@@ -252,20 +251,6 @@ def shrink_failing_case(
 # the matrix sweep
 # ----------------------------------------------------------------------
 
-def _journal_key(scenario: str, design: str, seed: int) -> str:
-    return f"{scenario}|{design}|{seed}"
-
-
-def _load_journal(path: str) -> Dict[str, dict]:
-    """Completed cases from a (possibly torn-tailed) JSONL journal,
-    repeated keys resolved last-writer-wins."""
-    return journal_mod.load_keyed(
-        path,
-        key=lambda rec: _journal_key(rec["scenario"], rec["design"],
-                                     rec["seed"]),
-    )
-
-
 def _case_from_record(rec: dict) -> ChaosCase:
     rec = dict(rec)
     shrunk = rec.pop("shrunk", None)
@@ -280,9 +265,6 @@ def run_chaos_matrix(
     designs: Sequence[FenceDesign] = PAPER_DESIGNS,
     seeds: Sequence[int] = (),
     shrink: bool = False,
-    journal: Optional[str] = None,
-    resume: bool = False,
-    overwrite_journal: bool = False,
     diag_dir: Optional[str] = None,
     progress=None,
     sanitize: str = "strict",
@@ -291,19 +273,15 @@ def run_chaos_matrix(
 ) -> dict:
     """Sweep scenario × design × seed; return the chaos report dict.
 
-    With *journal* set, each finished case is appended to a JSONL file
-    as it completes; *resume* skips cases already journaled (so an
-    interrupted sweep picks up where it stopped); an existing journal
-    without *resume* requires *overwrite_journal* and is rotated to
-    ``.bak``, never deleted.  *progress* is an optional
-    ``callable(case)`` fired per completed case.  *sanitize* sets the
-    per-case sanitizer mode (see :func:`run_chaos_case`); sanitizer
-    violations are first-class journaled outcomes.
+    *progress* is an optional ``callable(case)`` fired per completed
+    case.  *sanitize* sets the per-case sanitizer mode (see
+    :func:`run_chaos_case`); sanitizer violations are first-class
+    recorded outcomes.
 
     With *farm_db* the sweep runs as a campaign on the durable
     experiment farm (leased jobs, crash-safe store, content-addressed
-    result cache); shrinking still happens locally on the collected
-    failing cases, deterministically.
+    result cache) — an interrupted sweep resumes there; shrinking still
+    happens locally on the collected failing cases, deterministically.
     """
     if farm_db:
         from repro.farm.clients import farm_chaos_cases
@@ -316,42 +294,23 @@ def run_chaos_matrix(
             cases = [
                 shrink_failing_case(c) if c.failed else c for c in cases
             ]
-        journal_mod.prepare(journal, resume=resume,
-                            overwrite=overwrite_journal)
-        if journal:
-            with journal_mod.JournalWriter(journal) as writer:
-                for case in cases:
-                    writer.append(case.to_dict())
         if progress is not None:
             for case in cases:
                 progress(case)
         return _chaos_report(scenarios, designs, seeds, cases)
-    journal_mod.prepare(journal, resume=resume, overwrite=overwrite_journal)
-    done = _load_journal(journal) if (journal and resume) else {}
     cases: List[ChaosCase] = []
-    writer = journal_mod.JournalWriter(journal) if journal else None
-    try:
-        for scenario in scenarios:
-            for design in designs:
-                for seed in seeds:
-                    key = _journal_key(scenario, design.value, seed)
-                    if key in done:
-                        cases.append(_case_from_record(done[key]))
-                        continue
-                    case = run_chaos_case(
-                        scenario, design, seed, diag_dir=diag_dir,
-                        sanitize=sanitize,
-                    )
-                    if shrink and case.failed:
-                        case = shrink_failing_case(case)
-                    cases.append(case)
-                    if writer is not None:
-                        writer.append(case.to_dict())
-                    if progress is not None:
-                        progress(case)
-    finally:
-        if writer is not None:
-            writer.close()
+    for scenario in scenarios:
+        for design in designs:
+            for seed in seeds:
+                case = run_chaos_case(
+                    scenario, design, seed, diag_dir=diag_dir,
+                    sanitize=sanitize,
+                )
+                if shrink and case.failed:
+                    case = shrink_failing_case(case)
+                cases.append(case)
+                if progress is not None:
+                    progress(case)
     return _chaos_report(scenarios, designs, seeds, cases)
 
 

@@ -1,6 +1,6 @@
 """Campaign semantics: farm sweeps are bit-identical to local ones,
 re-submission is free (content-addressed cache), coordinator restarts
-resume, and the legacy clients round-trip through the farm."""
+resume, and the sweeps' clients round-trip through the farm."""
 
 import dataclasses
 import json
@@ -197,31 +197,20 @@ def test_poison_job_quarantines_and_campaign_still_finishes(
         assert "synthetic poison" in q["last_error"]
         assert set(q["failed_workers"]) == {"w1", "w2", "w3"}
     assert list(diag.glob("quarantine_*.json"))  # the watchdog bundle
-    # the collector refuses to pretend the quarantined row exists
-    from repro.farm.clients import farm_run_matrix
-
-    with pytest.raises(ConfigError, match="unproduced"):
-        farm_run_matrix(["fib"], DESIGNS, num_cores=2, scale=0.06,
-                        seed=5, db=db, workers=0)
-
-
-# ----------------------------------------------------------------------
-# the run_matrix client: bit-identical rows, journal export
-# ----------------------------------------------------------------------
-
-def test_farm_run_matrix_matches_local_run_matrix(tmp_path):
+    # the collector refuses to pretend the quarantined row exists, and
+    # names the error that quarantined it
     from repro.eval.runner import run_matrix
 
-    db = str(tmp_path / "farm.sqlite")
-    kwargs = dict(names=["fib"], designs=DESIGNS, num_cores=2,
-                  scale=0.06, seed=5)
-    local = run_matrix(jobs=1, **kwargs)
-    farmed = run_matrix(farm_db=db, farm_workers=0, **kwargs)
-    assert farmed.keys() == local.keys()
-    for key in local:
-        assert (dataclasses.asdict(farmed[key])
-                == dataclasses.asdict(local[key]))
+    with pytest.raises(ConfigError,
+                       match="1 unproduced.*RuntimeError: synthetic poison"):
+        run_matrix(["fib"], DESIGNS, num_cores=2, scale=0.06, seed=5,
+                   farm_db=db, farm_workers=0)
 
+
+# ----------------------------------------------------------------------
+# the run_matrix client (its rows are pinned in
+# tests/workloads/test_matrix_pinned.py)
+# ----------------------------------------------------------------------
 
 def test_run_matrix_honours_farm_db_env(tmp_path, monkeypatch):
     from repro.eval.runner import run_matrix
@@ -233,60 +222,6 @@ def test_run_matrix_honours_farm_db_env(tmp_path, monkeypatch):
                       scale=0.06, seed=5)
     assert os.path.exists(db)
     assert len(rows) == 1
-
-
-def test_farm_journal_export_is_readable_by_load_journal(tmp_path):
-    from repro.eval.runner import load_journal, run_matrix
-
-    db = str(tmp_path / "farm.sqlite")
-    journal = str(tmp_path / "sweep.jsonl")
-    kwargs = dict(names=["fib"], designs=DESIGNS, num_cores=2,
-                  scale=0.06, seed=5)
-    farmed = run_matrix(farm_db=db, farm_workers=0, journal=journal,
-                        **kwargs)
-    loaded = load_journal(journal)
-    assert len(loaded) == len(farmed) == 2
-    by_key = {(s.name, s.design, s.num_cores): s for s in loaded.values()}
-    for key, summary in farmed.items():
-        assert dataclasses.asdict(by_key[key]) == dataclasses.asdict(summary)
-
-
-def test_farm_journal_export_appends_missing_after_torn_tail(tmp_path):
-    """A journal with a torn tail and one missing row is healed by the
-    farm export, not rewritten: existing complete lines survive."""
-    from repro.eval.runner import load_journal, run_matrix
-
-    db = str(tmp_path / "farm.sqlite")
-    journal = str(tmp_path / "sweep.jsonl")
-    kwargs = dict(names=["fib"], designs=DESIGNS, num_cores=2,
-                  scale=0.06, seed=5)
-    run_matrix(farm_db=db, farm_workers=0, journal=journal, **kwargs)
-    lines = open(journal).readlines()
-    assert len(lines) == 2
-    with open(journal, "w") as fh:
-        fh.write(lines[0])
-        fh.write('{"name": "fib", "design"')  # torn mid-append, no \n
-    resumed = run_matrix(farm_db=db, farm_workers=0, journal=journal,
-                         resume=True, **kwargs)
-    loaded = load_journal(journal)
-    assert len(loaded) == len(resumed) == 2
-    # the surviving complete line was kept verbatim (append-missing)
-    assert open(journal).readlines()[0] == lines[0]
-
-
-def test_farm_run_matrix_respects_journal_overwrite_guard(tmp_path):
-    from repro.eval.runner import run_matrix
-
-    db = str(tmp_path / "farm.sqlite")
-    journal = str(tmp_path / "sweep.jsonl")
-    kwargs = dict(names=["fib"], designs=[FenceDesign.S_PLUS],
-                  num_cores=2, scale=0.06, seed=5)
-    run_matrix(farm_db=db, farm_workers=0, journal=journal, **kwargs)
-    with pytest.raises(ConfigError, match="already exists"):
-        run_matrix(farm_db=db, farm_workers=0, journal=journal, **kwargs)
-    run_matrix(farm_db=db, farm_workers=0, journal=journal,
-               overwrite_journal=True, **kwargs)
-    assert os.path.exists(journal + ".bak")
 
 
 # ----------------------------------------------------------------------
@@ -303,18 +238,6 @@ def test_farm_chaos_matrix_matches_local(tmp_path):
     farmed = run_chaos_matrix(farm_db=db, farm_workers=0, **kwargs)
     assert farmed["cases"] == local["cases"]
     assert farmed["total_cases"] == 2
-
-
-def test_farm_chaos_journal_round_trips(tmp_path):
-    from repro.faults.chaos import _load_journal, run_chaos_matrix
-
-    db = str(tmp_path / "farm.sqlite")
-    journal = str(tmp_path / "chaos.jsonl")
-    report = run_chaos_matrix(
-        scenarios=["noc_jitter"], designs=[FenceDesign.S_PLUS],
-        seeds=[1], farm_db=db, farm_workers=0, journal=journal)
-    done = _load_journal(journal)
-    assert len(done) == report["total_cases"] == 1
 
 
 # ----------------------------------------------------------------------

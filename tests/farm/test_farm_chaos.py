@@ -47,6 +47,15 @@ class _CoordinatorCrash(Exception):
     pass
 
 
+def _lease_holder(store, pool):
+    """A live pool worker holding a lease right now, if any: killing it
+    holds its job back a full lease, however fast the rest drains."""
+    owners = {owner for (owner,) in store._conn.execute(
+        "SELECT lease_owner FROM jobs WHERE state='leased'")}
+    return next((proc for proc in pool.procs
+                 if proc.name in owners and proc.is_alive()), None)
+
+
 def test_battery_survives_kills_and_coordinator_restart(tmp_path):
     """Workers are SIGKILLed throughout; the coordinator itself dies
     mid-campaign and is restarted cold.  The surviving farm must
@@ -64,9 +73,12 @@ def test_battery_survives_kills_and_coordinator_restart(tmp_path):
             chaos["polls"] += 1
             chaos["respawns_seen"] = max(chaos["respawns_seen"],
                                          pool.respawns)
-            if chaos["polls"] % 10 == 0 and pool.procs:
-                victim = pool.procs[chaos["kills"] % len(pool.procs)]
-                if victim.pid and victim.is_alive():
+            # the first kill as soon as a job is leased, then one every
+            # ten polls: a campaign that drains before its first kill
+            # would dodge the crash below
+            if not chaos["kills"] or chaos["polls"] % 10 == 0:
+                victim = _lease_holder(store, pool)
+                if victim is not None:
                     os.kill(victim.pid, signal.SIGKILL)
                     chaos["kills"] += 1
             if crash_at is not None and chaos["polls"] >= crash_at:
@@ -155,33 +167,6 @@ def test_sigkilled_coordinator_resumes_exactly_once(tmp_path):
     assert rows == clean
     with FarmStore(db) as store:
         assert store.result_count() == 12  # exactly once, orphans and all
-
-
-def test_battery_journal_tail_tear_heals_on_resume(tmp_path):
-    """Tear the exported journal's tail mid-record; a resumed export
-    (served from the farm cache) appends only the lost rows and the
-    healed journal loads the full battery."""
-    from repro.eval.runner import load_journal
-    from repro.farm.clients import farm_run_matrix
-
-    db = str(tmp_path / "farm.sqlite")
-    journal = str(tmp_path / "battery.jsonl")
-    kw = dict(names=BATTERY_WORKLOADS, designs=BATTERY_DESIGNS,
-              num_cores=2, scale=0.04, db=db, workers=0, journal=journal)
-    last = {}
-    for i, seed in enumerate(BATTERY_SEEDS):
-        last = farm_run_matrix(seed=seed, resume=(i > 0), **kw)
-    intact = load_journal(journal)
-    assert len(intact) == 60
-
-    lines = open(journal).readlines()
-    with open(journal, "w") as fh:  # killed mid-append of row 60
-        fh.writelines(lines[:59])
-        fh.write(lines[59][: len(lines[59]) // 2])
-    assert len(load_journal(journal)) == 59  # the tear really lost one
-    healed = farm_run_matrix(seed=BATTERY_SEEDS[-1], resume=True, **kw)
-    assert healed == last  # cache-served, bit-identical rows
-    assert load_journal(journal) == intact  # only the lost row appended
 
 
 def test_battery_resubmission_is_served_from_cache(tmp_path,

@@ -1,5 +1,5 @@
-"""The chaos harness: illegal-scenario detection, ddmin shrinking,
-journal resume, and the ``repro chaos`` CLI."""
+"""The chaos harness: illegal-scenario detection, ddmin shrinking, and
+the ``repro chaos`` CLI."""
 
 import json
 import os
@@ -132,46 +132,6 @@ def test_matrix_separates_legal_failures_from_caught_illegal():
     assert report["total_cases"] == 10
     assert report["failed_legal"] == 0
     assert report["caught_illegal"] >= 4
-
-
-# ----------------------------------------------------------------------
-# journal / resume
-# ----------------------------------------------------------------------
-
-def test_matrix_journal_resume_skips_done_cases(tmp_path):
-    journal = str(tmp_path / "chaos.jsonl")
-    kwargs = dict(
-        scenarios=["noc_jitter", "dir_nack"],
-        designs=[FenceDesign.S_PLUS, FenceDesign.W_PLUS],
-        seeds=range(1, 4),
-    )
-    full = run_chaos_matrix(journal=journal, **kwargs)
-    assert len(open(journal).readlines()) == full["total_cases"]
-
-    # truncate the journal to half, as if the sweep died mid-way
-    lines = open(journal).readlines()
-    with open(journal, "w") as fh:
-        fh.writelines(lines[: len(lines) // 2])
-
-    executed = []
-    resumed = run_chaos_matrix(
-        journal=journal, resume=True,
-        progress=lambda case: executed.append(case), **kwargs
-    )
-    # only the missing half re-ran, and the report is identical
-    assert len(executed) == full["total_cases"] - len(lines) // 2
-    assert resumed["cases"] == full["cases"]
-
-
-def test_matrix_resume_tolerates_a_torn_journal_tail(tmp_path):
-    journal = str(tmp_path / "chaos.jsonl")
-    kwargs = dict(scenarios=["noc_jitter"], designs=[FenceDesign.S_PLUS],
-                  seeds=range(1, 4))
-    full = run_chaos_matrix(journal=journal, **kwargs)
-    with open(journal, "a") as fh:
-        fh.write('{"scenario": "noc_jitter", "des')  # torn write
-    resumed = run_chaos_matrix(journal=journal, resume=True, **kwargs)
-    assert resumed["cases"] == full["cases"]
 
 
 # ----------------------------------------------------------------------

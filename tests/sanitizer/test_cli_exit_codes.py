@@ -93,3 +93,27 @@ def test_chaos_catching_the_illegal_scenario_is_success(capsys, tmp_path):
     )
     assert code == 0  # caught_illegal is the harness working
     assert "caught" in out
+
+
+@pytest.mark.parametrize("workers", ["0", "2"])
+@pytest.mark.parametrize("exc,code,marker", [
+    (SanitizerError("dir-owner-in-sharers at cycle 3000"), 5, "sanitizer"),
+    (DeadlockError("no progress for 50000 cycles"), 4, "deadlock"),
+    (SCViolationError("cycle of length 4"), 1, "SC violation"),
+])
+def test_a_failing_matrix_job_keeps_its_exit_code(
+        monkeypatch, capsys, exc, code, marker, workers):
+    """A figure's matrix job that raises exits with that error's code
+    and names its message, inline or on a worker pool."""
+    from repro.eval import runner
+
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(runner, "run_summary", boom)
+    monkeypatch.delenv("REPRO_FARM_DB", raising=False)
+    monkeypatch.setenv("REPRO_FARM_WORKERS", workers)
+    got, _, err = run_cli(capsys, "figure", "12", "--scale", "0.05")
+    assert got == code
+    assert marker in err
+    assert str(exc) in err

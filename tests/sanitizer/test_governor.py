@@ -71,19 +71,21 @@ def test_run_workload_inherits_the_env_budget(monkeypatch):
     assert "event budget exhausted" in result.degraded_reason
 
 
-def test_runner_journals_a_budget_cutoff_as_a_first_class_outcome(
+def test_runner_reports_a_budget_cutoff_as_a_first_class_outcome(
         monkeypatch):
-    """``run_matrix`` workers report degraded runs in the RunSummary
-    (and thus the JSONL journal) instead of hanging or crashing."""
-    from repro.eval.runner import _run_one
+    """A matrix job reports a degraded run in its RunSummary (and thus
+    in its farm result row) instead of hanging or crashing."""
+    import dataclasses
+
+    from repro.eval.runner import run_summary
 
     monkeypatch.setenv("REPRO_MAX_EVENTS", "5000")
-    summary = _run_one(("fib", "S_PLUS", 4, 0.5, 12345))
+    summary = run_summary("fib", "S_PLUS", 4, 0.5, 12345)
     assert summary.degraded
     assert "event budget exhausted" in summary.degraded_reason
     assert not summary.completed
-    d = summary.to_dict() if hasattr(summary, "to_dict") else vars(summary)
-    assert d["degraded"] is True  # journal row carries the outcome
+    row = dataclasses.asdict(summary)
+    assert row["degraded"] is True  # the result row carries the outcome
 
 
 def test_cut_off_run_can_be_rerun_unbudgeted():

@@ -11,9 +11,15 @@ from repro.eval import figures, report, tables
 from repro.eval.runner import RunSummary, run_matrix
 
 
+@pytest.fixture(autouse=True)
+def _inline_farm(monkeypatch):
+    monkeypatch.setenv("REPRO_FARM_WORKERS", "0")
+    monkeypatch.delenv("REPRO_FARM_DB", raising=False)
+
+
 def test_run_matrix_grid_keys():
     runs = run_matrix(["fib"], [FenceDesign.S_PLUS, FenceDesign.W_PLUS],
-                      num_cores=2, scale=0.06, jobs=1)
+                      num_cores=2, scale=0.06)
     assert set(runs) == {("fib", "S+", 2), ("fib", "W+", 2)}
     for r in runs.values():
         assert isinstance(r, RunSummary)
@@ -23,9 +29,9 @@ def test_run_matrix_grid_keys():
 
 def test_run_matrix_parallel_matches_serial():
     serial = run_matrix(["fib"], [FenceDesign.S_PLUS], num_cores=2,
-                        scale=0.06, jobs=1)
+                        scale=0.06, farm_workers=0)
     parallel = run_matrix(["fib"], [FenceDesign.S_PLUS], num_cores=2,
-                          scale=0.06, jobs=2)
+                          scale=0.06, farm_workers=2)
     a = serial[("fib", "S+", 2)]
     b = parallel[("fib", "S+", 2)]
     assert a.cycles == b.cycles  # deterministic across process modes
@@ -33,7 +39,7 @@ def test_run_matrix_parallel_matches_serial():
 
 def test_fig8_structure_small():
     data = figures.fig8_cilkapps(scale=0.06, num_cores=2,
-                                 apps=("fib",), jobs=1)
+                                 apps=("fib",))
     assert data["apps"] == ["fib"]
     assert len(data["entries"]) == 4  # one per design
     for e in data["entries"]:
@@ -45,7 +51,7 @@ def test_fig8_structure_small():
 
 def test_fig9_structure_small():
     data = figures.fig9_fig10_ustm(scale=0.1, num_cores=2,
-                                   apps=("Counter",), jobs=1)
+                                   apps=("Counter",))
     ratios = data["avg_throughput_ratio"]
     assert ratios["S+"] == pytest.approx(1.0)
     assert figures.render_fig9(data).startswith("Figure 9")
@@ -54,7 +60,7 @@ def test_fig9_structure_small():
 
 def test_fig12_structure_small():
     data = figures.fig12_scalability(scale=0.06, core_counts=(2, 4),
-                                     groups=("cilk",), jobs=2)
+                                     groups=("cilk",))
     designs = {s["design"] for s in data["series"]}
     assert designs == {"WS+", "W+", "Wee"}
     cores = {s["cores"] for s in data["series"]}
@@ -64,7 +70,7 @@ def test_fig12_structure_small():
 
 def test_table4_structure_small():
     data = tables.table4_characterization(
-        scale=0.08, num_cores=2, apps={"cilk": ("fib",)}, jobs=1)
+        scale=0.08, num_cores=2, apps={"cilk": ("fib",)})
     (row,) = data["rows"]
     assert row["group"] == "CilkApps"
     assert row["splus_sf_per_ki"] > 0
