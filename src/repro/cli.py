@@ -156,9 +156,10 @@ def _export_trace(obs, run, out_path: str, fmt: str) -> None:
 
 
 def _run_budget(args):
-    """RunBudget from the --max-* flags, or None when none was given
-    (``repro synth`` has no ``--max-events``: synth/engine.py consults
-    the wall and RSS budgets only)."""
+    """RunBudget from the --max-* flags, or None when none was given.
+    ``repro synth`` has no ``--max-events`` (synth/engine.py consults
+    the wall and RSS budgets only) and hands the budget whole to each
+    design's farm job, so it bounds every design, not the command."""
     max_events = getattr(args, "max_events", None)
     if not (args.max_wall_secs or max_events or args.max_rss_mb):
         return None
@@ -323,8 +324,9 @@ def _designs_list(value: str):
 
 def cmd_synth(args) -> int:
     from repro.eval.tables import render_synth_table
-    from repro.synth import SynthConfig, run_synthesis
-    from repro.synth.programs import NAMED_PROGRAMS
+    from repro.farm.clients import farm_synthesis
+    from repro.synth import SynthConfig
+    from repro.synth.programs import NAMED_PROGRAMS, program_for_spec
 
     designs = _designs_list(args.designs)
     sanitize = args.sanitize or os.environ.get("REPRO_SANITIZE") or "off"
@@ -340,27 +342,26 @@ def cmd_synth(args) -> int:
         sanitize=sanitize,
     )
 
-    def progress(design_value, entry):
-        if entry["status"] != "ok":
-            print(f"  {design_value:4s} {entry['status']}")
-            return
-        best = entry["placements"][0]
-        print(f"  {design_value:4s} {entry['strategy']:10s} "
-              f"{entry['candidates_tested']:3d} candidate(s), "
-              f"{entry['search_runs']:4d} run(s) -> {best['placement']}")
-
     print(f"synth: program {args.program!r}, {len(designs)} design(s), "
           f"{args.points} adversary point(s), seed {args.seed}")
     try:
-        report = run_synthesis(config, budget=_run_budget(args),
-                               progress=progress,
-                               journal=args.journal, resume=args.resume,
-                               overwrite_journal=args.overwrite_journal)
+        # a bad --program is a usage error before any job is submitted
+        program_for_spec(config.program, seed=config.seed)
+        report = farm_synthesis(config, budget=_run_budget(args),
+                                db=args.farm_db, workers=args.farm_workers)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         print(f"named programs: {', '.join(NAMED_PROGRAMS)}",
               file=sys.stderr)
         return 2
+    for design_value, entry in report.designs.items():
+        if entry["status"] != "ok":
+            print(f"  {design_value:4s} {entry['status']}")
+            continue
+        best = entry["placements"][0]
+        print(f"  {design_value:4s} {entry['strategy']:10s} "
+              f"{entry['candidates_tested']:3d} candidate(s), "
+              f"{entry['search_runs']:4d} run(s) -> {best['placement']}")
     print()
     print(render_synth_table(report.to_dict(), report.simulated_runs))
     if args.out != "-":
@@ -482,8 +483,9 @@ _SHARED_FLAGS = {
         "--max-wall-secs": dict(
             type=float, default=None, metavar="SECS",
             help="wall-clock budget: cut off gracefully into a degraded "
-                 "result (synth: remaining designs are marked "
-                 "exhausted-wall) instead of running on"),
+                 "result instead of running on (synth: per design — "
+                 "each design's farm job gets the whole budget, and a "
+                 "design that exceeds it is marked exhausted-wall)"),
         "--max-rss-mb": dict(
             type=float, default=None, metavar="MB",
             help="RSS high-water-mark budget (graceful cutoff)"),
@@ -495,20 +497,19 @@ _SHARED_FLAGS = {
             help="simulated-event budget per run (deterministic "
                  "graceful cutoff)"),
     },
-    # synth (one row per design)
-    "journal": {
-        "--journal": dict(
+    # synth, chaos
+    "farm": {
+        "--farm-db": dict(
             default=None, metavar="PATH",
-            help="JSONL checkpoint journal, one row per finished unit "
-                 "of the sweep"),
-        "--resume": dict(
-            action="store_true",
-            help="replay what --journal already holds (same config "
-                 "only) instead of redoing it"),
-        "--overwrite-journal": dict(
-            action="store_true",
-            help="rotate an existing --journal to .bak and start fresh "
-                 "(required to discard one)"),
+            help="experiment-farm store to run on, where an interrupted "
+                 "run resumes and a repeated one is served from the "
+                 "result cache (default $REPRO_FARM_DB; without either, "
+                 "synth uses a temporary store and chaos its local "
+                 "loop)"),
+        "--farm-workers": dict(
+            type=int, default=None, metavar="N",
+            help="farm worker processes (default $REPRO_FARM_WORKERS, "
+                 "else CPUs - 1, at most 8; 0 = inline)"),
     },
 }
 
@@ -612,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn = sub.add_parser(
         "synth",
         help="synthesize minimal-cost SC-safe fence placements per design",
-        parents=[_parent("sanitize"), _parent("wall_rss"), _parent("journal")],
+        parents=[_parent("sanitize"), _parent("wall_rss"), _parent("farm")],
     )
     p_syn.add_argument(
         "--program", default="sb",
@@ -655,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="fault-injection sweep: scenario x design x seed matrix "
              "checked against the SC/progress/recovery oracles",
-        parents=[_parent("sanitize")],
+        parents=[_parent("sanitize"), _parent("farm")],
     )
     # illegal plans are caught at the first violating cycle, not at timeout
     p_chaos.set_defaults(sanitize="strict")
@@ -676,13 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--shrink", action="store_true",
                          help="ddmin each failing case to a minimal "
                               "injection subset")
-    p_chaos.add_argument("--farm-db", default=None, metavar="PATH",
-                         help="run the sweep as a campaign on the "
-                              "experiment farm store at PATH, where an "
-                              "interrupted sweep resumes (or set "
-                              "$REPRO_FARM_DB)")
-    p_chaos.add_argument("--farm-workers", type=int, default=None,
-                         help="farm worker processes (0 = inline)")
     p_chaos.add_argument("--diag-dir", default=None, metavar="DIR",
                          help="write watchdog/sanitizer post-mortem "
                               "bundles here")

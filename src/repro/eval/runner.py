@@ -7,8 +7,6 @@ figure and table generators ask for, and the experiment farm runs it
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -136,12 +134,11 @@ def run_matrix(
     """Run the grid as a farm campaign; returns {(name, design, cores):
     summary}.
 
-    The campaign runs on the store at *farm_db* (or ``REPRO_FARM_DB``),
-    where an interrupted sweep resumes and a repeated one is served
-    from the result cache; without one, on a store in a temporary
-    directory that lives for the call.  *farm_workers* defaults to
-    :func:`~repro.farm.clients.default_farm_workers`; 0 runs every job
-    in this process.
+    The campaign runs on the store at *farm_db*, else
+    ``REPRO_FARM_DB``'s, else a temporary one
+    (:func:`~repro.farm.clients.campaign_rows`).  *farm_workers*
+    defaults to :func:`~repro.farm.clients.default_farm_workers`; 0 runs
+    every job in this process.
     """
     from repro.farm.clients import campaign_rows
     from repro.farm.spec import CampaignSpec
@@ -151,12 +148,6 @@ def run_matrix(
         core_counts=list(core_counts) if core_counts else [num_cores],
         scale=scale,
     )
-    farm_db = farm_db or os.environ.get("REPRO_FARM_DB") or None
-    if farm_db:
-        rows = campaign_rows(farm_db, spec, farm_workers)
-    else:
-        with tempfile.TemporaryDirectory(prefix="repro-matrix-") as tmp:
-            rows = campaign_rows(os.path.join(tmp, "farm.sqlite"), spec,
-                                 farm_workers)
+    rows = campaign_rows(farm_db, spec, farm_workers)
     summaries = [RunSummary(**row) for row in rows]
     return {(s.name, s.design, s.num_cores): s for s in summaries}

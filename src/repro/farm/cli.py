@@ -4,6 +4,7 @@ Subcommands::
 
     repro farm submit --db farm.sqlite --kind matrix \\
         --workloads fib,Counter --designs all --seeds 3 --cores 4 [--run]
+    repro farm submit --kind synth --workloads sb --seed-base 1 --run
     repro farm status --db farm.sqlite [CAMPAIGN]
     repro farm resume --db farm.sqlite CAMPAIGN --workers 2
     repro farm gc     --db farm.sqlite [--prune-cache]
@@ -171,15 +172,19 @@ def add_farm_parser(sub, submit_parents) -> None:
     common(p_sub)
     p_sub.add_argument("--kind", default="matrix", choices=KINDS)
     p_sub.add_argument("--workloads", required=True,
-                       help="comma list of workloads (matrix) or "
-                            "fault scenarios (chaos)")
+                       help="comma list of workloads (matrix), fault "
+                            "scenarios (chaos) or program specs (synth: "
+                            "sb, sb3, mp, iriw, shape:SEED)")
     p_sub.add_argument("--designs", default="all",
                        help="'all' (the paper's five) or a comma list")
     p_sub.add_argument("--seeds", type=int, default=1,
-                       help="seeds per cell (default 1)")
+                       help="seeds per cell (default 1): machine seeds "
+                            "(matrix), injection seeds (chaos) or "
+                            "adversary-schedule seeds (synth)")
     p_sub.add_argument("--seed-base", type=int, default=12345)
     p_sub.add_argument("--cores", default="8",
-                       help="comma list of core counts (default 8)")
+                       help="comma list of core counts (default 8; "
+                            "matrix only)")
     p_sub.add_argument("--scale", type=float, default=0.5)
     p_sub.add_argument("--run", action="store_true",
                        help="drive the campaign to completion now")

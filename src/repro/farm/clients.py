@@ -2,13 +2,15 @@
 
 :func:`campaign_rows` drives a :class:`CampaignSpec` through
 :func:`run_campaign` and hands its rows back in grid order, so each
-sweep (``run_matrix``'s workload grid, the chaos scenario sweep) only
-translates its grid into a spec and the rows back into its own shape.
+sweep (``run_matrix``'s workload grid, the chaos scenario sweep,
+``repro synth``'s designs) only translates its grid into a spec and
+the rows back into its own shape.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 import time
 from typing import List, Optional, Sequence
 
@@ -34,11 +36,16 @@ class _JobRaised(Exception):
     """A job's run raised: the campaign stops (see campaign_rows)."""
 
 
-def campaign_rows(db: str, spec: CampaignSpec,
+def campaign_rows(db: Optional[str], spec: CampaignSpec,
                   workers: Optional[int] = None,
                   config: Optional[FarmConfig] = None) -> List[dict]:
-    """Drive *spec* to completion on the store at *db*; its result
-    rows in ``spec.expand()`` order.
+    """Drive *spec* to completion; its result rows in ``spec.expand()``
+    order.
+
+    The store is *db*, else ``REPRO_FARM_DB``'s, else one in a
+    temporary directory that lives for the call.  On a named store an
+    interrupted campaign resumes and a repeated one is served from the
+    result cache.
 
     A job whose run raises stops the campaign: simulations are
     deterministic, so it would raise again on every worker.  A worker
@@ -49,6 +56,11 @@ def campaign_rows(db: str, spec: CampaignSpec,
     else :class:`ConfigError`; the message names the first failed
     jobs and their errors.
     """
+    db = db or os.environ.get("REPRO_FARM_DB")
+    if not db:
+        with tempfile.TemporaryDirectory(prefix="repro-farm-") as tmp:
+            return campaign_rows(os.path.join(tmp, "farm.sqlite"), spec,
+                                 workers, config)
     workers = default_farm_workers() if workers is None else workers
     cid = spec.campaign_id()
     started = time.time()
@@ -104,3 +116,41 @@ def farm_chaos_cases(
     rows = campaign_rows(db, spec, workers,
                          config=FarmConfig(diag_dir=diag_dir))
     return [_case_from_record(row) for row in rows]
+
+
+def synth_campaign(config, budget=None) -> CampaignSpec:
+    """A :class:`~repro.synth.engine.SynthConfig` as a campaign of one
+    ``synth`` job per design: ``(program spec, design, adversary
+    seed)``.  The rest of the config and the wall/RSS budget (*budget*,
+    else ``REPRO_MAX_*``) ride in the job config, so changing either
+    makes new jobs, and every job gets the whole budget."""
+    from repro.sim.governor import RunBudget
+
+    blob = config.to_dict()
+    for field in ("program", "designs", "seed"):
+        del blob[field]
+    budget = budget or RunBudget.from_env()
+    if budget is not None and (budget.max_wall_secs or budget.max_rss_mb):
+        # synthesis consults no event budget (engine._deadline_from_budget)
+        blob["budget"] = {"max_wall_secs": budget.max_wall_secs,
+                          "max_rss_mb": budget.max_rss_mb}
+    return CampaignSpec.make(
+        "synth", [config.program], config.designs, seeds=[config.seed],
+        core_counts=[0], scale=0.0, config=blob,
+    )
+
+
+def farm_synthesis(config, budget=None, db: Optional[str] = None,
+                   workers: Optional[int] = None):
+    """:func:`~repro.synth.engine.run_synthesis`'s report, each design
+    run as one farm job (:func:`synth_campaign`) on the store
+    :func:`campaign_rows` picks from *db*."""
+    from repro.synth.engine import SynthReport
+
+    rows = campaign_rows(db, synth_campaign(config, budget), workers)
+    report = SynthReport(config=config, program_info=rows[0]["program"])
+    for design, row in zip(config.designs, rows):
+        report.designs[design.value] = row["entry"]
+        report.total_runs += row["runs"]
+        report.simulated_runs += row["simulated_runs"]
+    return report

@@ -64,9 +64,36 @@ def _run_chaos_job(spec: JobSpec, diag_dir: Optional[str]) -> dict:
     return case.to_dict()
 
 
+def _run_synth_job(spec: JobSpec, diag_dir: Optional[str]) -> dict:
+    """One design's synthesis; the config blob holds every
+    :class:`SynthConfig` field but the program, designs and seed."""
+    from repro.synth.engine import SynthConfig, run_synthesis
+
+    cfg = spec.config_dict()
+    fields = {k: v for k, v in cfg.items() if k != "budget"}
+    if "cost_seeds" in fields:
+        fields["cost_seeds"] = tuple(fields["cost_seeds"])
+    report = run_synthesis(
+        SynthConfig(
+            program=spec.workload,    # the program spec
+            designs=(spec.fence_design,),
+            seed=spec.seed,           # the adversary-schedule seed
+            **fields,
+        ),
+        budget=_budget(cfg),
+    )
+    return {
+        "program": report.program_info,
+        "entry": report.designs[spec.fence_design.value],
+        "runs": report.total_runs,
+        "simulated_runs": report.simulated_runs,
+    }
+
+
 EXECUTORS: Dict[str, Callable[[JobSpec, Optional[str]], dict]] = {
     "matrix": _run_matrix_job,
     "chaos": _run_chaos_job,
+    "synth": _run_synth_job,
 }
 
 

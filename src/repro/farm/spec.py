@@ -29,7 +29,7 @@ from repro.common.errors import ConfigError
 from repro.common.params import FenceDesign
 
 #: job kinds the executor knows how to run (repro.farm.exec)
-KINDS = ("matrix", "chaos")
+KINDS = ("matrix", "chaos", "synth")
 
 _CODE_REV: Optional[str] = None
 
@@ -84,11 +84,14 @@ def _design_name(design) -> str:
 class JobSpec:
     """One content-addressed simulation job.
 
-    ``workload`` is the workload name for matrix jobs and the
-    fault-scenario name for chaos jobs; ``config`` is canonical JSON of
-    everything else that shapes the run (sanitize mode, event budget),
-    so per-job settings flow through the store unchanged and
-    participate in the content key.
+    ``workload`` is the workload name for matrix jobs, the
+    fault-scenario name for chaos jobs and the program spec (``sb``,
+    ``random:7``) for synth jobs; ``seed`` is, respectively, the
+    machine, injection or adversary-schedule seed.  ``config`` is
+    canonical JSON of everything else that shapes the run (sanitize
+    mode, budget, a synth job's search settings), so per-job settings
+    flow through the store unchanged and participate in the content
+    key.  Chaos and synth jobs read neither ``cores`` nor ``scale``.
     """
 
     kind: str
@@ -144,8 +147,9 @@ class JobSpec:
 class CampaignSpec:
     """A deterministic grid of jobs.
 
-    ``workloads`` are workload names (matrix) or fault scenarios
-    (chaos); ``designs`` are :class:`FenceDesign` names.  ``expand``
+    ``workloads`` are workload names (matrix), fault scenarios (chaos)
+    or program specs (synth); ``designs`` are :class:`FenceDesign`
+    names; ``seeds`` mean what :class:`JobSpec`'s ``seed`` does.  ``expand``
     enumerates the grid in a fixed order (workload-major, then design,
     core count, seed) — sharding across workers is emergent from
     lease-based claiming, but the job *set* and every job's identity

@@ -8,7 +8,7 @@ queue to stop — the run then unwinds normally and returns a
 :class:`~repro.sim.machine.SimResult` marked ``degraded`` with the
 breach reason.  A governed run can therefore never hang or be
 hard-killed mid-state: every cutoff flows through the ordinary
-end-of-run path (stats, artifacts, journaling).
+end-of-run path (stats, artifacts, result rows).
 
 Budgets default from the environment (``REPRO_MAX_WALL_SECS``,
 ``REPRO_MAX_EVENTS``, ``REPRO_MAX_RSS_MB``) so matrix subprocesses and

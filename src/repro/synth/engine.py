@@ -19,21 +19,21 @@ program across a set of fence designs:
 
 The report is deterministic for a fixed (program, designs, seed,
 config): no timestamps, no environment leakage, stable ordering.  A
-:class:`~repro.sim.governor.RunBudget` bounds the whole synthesis by
-wall-clock and RSS (event budgets are a per-run concept and are not
-consulted here); on breach the affected design is marked
+:class:`~repro.sim.governor.RunBudget` bounds one :func:`run_synthesis`
+call by wall-clock and RSS (event budgets are a per-run concept and are
+not consulted here); on breach the affected design is marked
 ``exhausted-wall`` and later designs are skipped, never half-reported.
+``repro synth`` calls it once per design, so there the budget bounds
+each design.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.common import journal as journal_mod
 from repro.common.params import FenceDesign
 from repro.sim.governor import RunBudget, _rss_mb
 from repro.synth import cost as cost_mod
@@ -108,17 +108,6 @@ class SynthConfig:
             "sanitize": self.sanitize,
         }
 
-    def checkpoint_key(self) -> str:
-        """Stable digest of everything that determines per-design
-        results *except* the design list — a journaled design entry is
-        reusable across invocations that only changed which designs
-        run (checkpoint rows carry it so a resume can never splice
-        entries from a different configuration)."""
-        blob = {k: v for k, v in self.to_dict().items() if k != "designs"}
-        return hashlib.sha256(
-            json.dumps(blob, sort_keys=True).encode()
-        ).hexdigest()[:16]
-
 
 @dataclass
 class SynthReport:
@@ -131,7 +120,7 @@ class SynthReport:
     #: oracle verdicts delivered (search + audit)
     total_runs: int = 0
     #: simulator runs made (run-table misses; search + audit + cost) —
-    #: not in ``to_dict()``, and 0 for journal-replayed designs
+    #: not in ``to_dict()``
     simulated_runs: int = 0
 
     @property
@@ -385,9 +374,6 @@ def run_synthesis(
     config: SynthConfig,
     budget: Optional[RunBudget] = None,
     progress=None,
-    journal: Optional[str] = None,
-    resume: bool = False,
-    overwrite_journal: bool = False,
 ) -> SynthReport:
     """Synthesize minimal fence placements for every configured design.
 
@@ -395,31 +381,13 @@ def run_synthesis(
     inheritance); *progress* is an optional ``callable(design_value,
     entry)`` fired as each design completes.
 
-    With *journal* set, each finished design entry is checkpointed to
-    a JSONL file (:mod:`repro.common.journal`: fsync-per-record, torn
-    tail tolerated, repeated designs last-writer-wins); *resume* skips
-    designs already journaled under an identical configuration, so a
-    long multi-design synthesis killed mid-way re-runs only what is
-    missing.  An existing journal without *resume* requires
-    *overwrite_journal* and rotates to ``.bak``.
+    Nothing is checkpointed here: ``repro synth`` runs each design as
+    one farm job (:func:`repro.farm.clients.farm_synthesis`), and the
+    farm store is what an interrupted synthesis resumes from.
     """
     if budget is None:
         budget = RunBudget.from_env()
     deadline = _deadline_from_budget(budget)
-
-    journal_mod.prepare(journal, resume=resume, overwrite=overwrite_journal)
-    ckpt_key = config.checkpoint_key()
-    done: Dict[str, dict] = {}
-    if journal and resume:
-        for design_value, rec in journal_mod.load_keyed(
-            journal, key=lambda r: r.get("design")
-        ).items():
-            # exhausted entries are retried on resume, not replayed
-            if (rec.get("checkpoint_key") == ckpt_key
-                    and not str(rec["entry"]["status"]).startswith(
-                        "exhausted")):
-                done[design_value] = rec
-    writer = journal_mod.JournalWriter(journal) if journal else None
 
     program = program_for_spec(config.program, seed=config.seed)
     site_mode = config.site_mode
@@ -441,40 +409,22 @@ def run_synthesis(
             "sites": [s.label() for s in sites],
         },
     )
-    try:
-        for design in config.designs:
-            if design.value in done:
-                rec = done[design.value]
-                report.designs[design.value] = rec["entry"]
-                report.total_runs += rec.get("runs", 0)
-                if progress is not None:
-                    progress(design.value, rec["entry"])
-                continue
-            if deadline is not None and deadline():
-                report.designs[design.value] = {
-                    "status": "exhausted-wall",
-                    "strategy": None,
-                    "placements": [],
-                    "site_probes": {},
-                    "baseline_cycles": None,
-                    "failure": None,
-                }
-                continue
-            entry, runs, simulated = _synth_one_design(
-                design, stripped, sites, config, deadline)
-            report.designs[design.value] = entry
-            report.total_runs += runs
-            report.simulated_runs += simulated
-            if writer is not None:
-                writer.append({
-                    "design": design.value,
-                    "checkpoint_key": ckpt_key,
-                    "entry": entry,
-                    "runs": runs,
-                })
-            if progress is not None:
-                progress(design.value, entry)
-    finally:
-        if writer is not None:
-            writer.close()
+    for design in config.designs:
+        if deadline is not None and deadline():
+            report.designs[design.value] = {
+                "status": "exhausted-wall",
+                "strategy": None,
+                "placements": [],
+                "site_probes": {},
+                "baseline_cycles": None,
+                "failure": None,
+            }
+            continue
+        entry, runs, simulated = _synth_one_design(
+            design, stripped, sites, config, deadline)
+        report.designs[design.value] = entry
+        report.total_runs += runs
+        report.simulated_runs += simulated
+        if progress is not None:
+            progress(design.value, entry)
     return report

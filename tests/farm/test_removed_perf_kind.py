@@ -30,7 +30,7 @@ def test_removed_commands_are_usage_errors(argv):
 
 
 def test_every_kind_has_an_executor_and_none_is_perf():
-    assert KINDS == ("matrix", "chaos")
+    assert KINDS == ("matrix", "chaos", "synth")
     assert set(EXECUTORS) == set(KINDS)
 
 

@@ -171,14 +171,14 @@ def test_trace_unknown_workload(capsys):
 #: command -> (argv that selects it, the shared flag groups it takes)
 SHARED = {
     "run": (["run", "fib"], ("sanitize", "wall_rss", "events")),
-    "synth": (["synth"], ("sanitize", "wall_rss", "journal")),
-    "chaos": (["chaos"], ("sanitize",)),
+    "synth": (["synth"], ("sanitize", "wall_rss", "farm")),
+    "chaos": (["chaos"], ("sanitize", "farm")),
     "farm submit": (["farm", "submit", "--workloads", "fib"],
                     ("sanitize", "events")),
 }
 SAMPLE = {"--sanitize": ["warn"], "--max-wall-secs": ["1.5"],
           "--max-rss-mb": ["64"], "--max-events": ["1000"],
-          "--journal": ["j.jsonl"], "--resume": [], "--overwrite-journal": []}
+          "--farm-db": ["f.sqlite"], "--farm-workers": ["0"]}
 #: the one default a command sets for itself
 OWN_DEFAULT = {("chaos", "sanitize"): "strict"}
 
@@ -197,3 +197,13 @@ def test_shared_flag_parses_as_at_its_parent(command, group, flag):
     default = getattr(build_parser().parse_args(argv), dest)
     assert default == OWN_DEFAULT.get(
         (command, dest), getattr(_parent(group).parse_args([]), dest))
+
+
+@pytest.mark.parametrize("flag", [["--journal", "j.jsonl"], ["--resume"],
+                                  ["--overwrite-journal"]],
+                         ids=["journal", "resume", "overwrite-journal"])
+def test_synth_journal_flags_are_gone(flag):
+    """The farm store (``--farm-db``) is synth's one checkpoint."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["synth", *flag])
+    assert excinfo.value.code == 2
