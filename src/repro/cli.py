@@ -2,8 +2,8 @@
 
 Commands
 --------
-``run``      run one workload under one (or all) fence designs
-``trace``    run one workload with tracing on and explore its timeline
+``run``      run one workload under one (or all) fence designs; with
+             ``--trace`` / ``--trace-out`` record its timeline too
 ``litmus``   run a litmus kernel across designs and report outcomes
 ``verify``   schedule-exploration verification (SCV/deadlock hunting)
 ``synth``    cost-aware minimal fence placement synthesis per design
@@ -18,7 +18,7 @@ Examples::
     python -m repro list
     python -m repro run fib --design WS+ --cores 8 --scale 0.5
     python -m repro run fib --design wplus --trace-out t.json
-    python -m repro trace Counter --design W+ --scale 0.25 --out t.json
+    python -m repro run Counter --design W+ --scale 0.25 --trace
     python -m repro run TreeOverwrite --all-designs
     python -m repro litmus sb --design W+
     python -m repro verify --designs all --budget 200
@@ -145,10 +145,10 @@ def _export_trace(obs, run, out_path: str, fmt: str) -> None:
     label = f"{run.name}:{run.design}"
     provenance = run_provenance(run)
     if fmt == "jsonl":
-        write_jsonl(out_path, obs.tracer, obs.metrics, label=label,
+        write_jsonl(out_path, obs.tracer, label=label,
                     provenance=provenance)
     else:
-        write_chrome_trace(out_path, obs.tracer, obs.metrics, label=label,
+        write_chrome_trace(out_path, obs.tracer, label=label,
                            provenance=provenance)
     print(f"  [trace written to {out_path} ({fmt})"
           + ("; load it at https://ui.perfetto.dev or chrome://tracing"
@@ -188,7 +188,7 @@ def cmd_run(args) -> int:
         if tracing:
             from repro.obs import Observability
 
-            obs = Observability(metrics_interval=args.metrics_interval)
+            obs = Observability()
         run = run_workload(args.workload, design, num_cores=args.cores,
                            scale=args.scale, seed=args.seed,
                            check=args.check, obs=obs,
@@ -217,32 +217,6 @@ def cmd_run(args) -> int:
     # a warn-mode sanitizer records violations instead of raising;
     # they are still failures for scripting purposes
     return EXIT_SANITIZER if violations else 0
-
-
-def cmd_trace(args) -> int:
-    """Run one workload with tracing on and explore its timeline."""
-    from repro.obs import Observability
-    from repro.obs.summary import render_metrics_summary, render_trace_summary
-
-    load_all_workloads()
-    if args.workload not in REGISTRY:
-        print(f"unknown workload {args.workload!r}; try `repro list`",
-              file=sys.stderr)
-        return 2
-    obs = Observability(metrics_interval=args.metrics_interval)
-    run = run_workload(args.workload, args.design, num_cores=args.cores,
-                       scale=args.scale, seed=args.seed, obs=obs)
-    _print_run(run)
-    print()
-    print(render_trace_summary(obs.tracer, stats=run.stats, top=args.top))
-    metrics_text = render_metrics_summary(obs.metrics)
-    if metrics_text:
-        print()
-        print(metrics_text)
-    if args.out is not None:
-        print()
-        _export_trace(obs, run, args.out, args.format)
-    return 0
 
 
 def cmd_profile(args) -> int:
@@ -554,31 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("chrome", "jsonl"),
                        help="export format for --trace-out "
                             "(default: chrome trace_event JSON)")
-    p_run.add_argument("--metrics-interval", type=int, default=None,
-                       metavar="CYCLES",
-                       help="also sample interval metrics every N cycles "
-                            "while tracing")
-
-    p_tr = sub.add_parser(
-        "trace",
-        help="run one workload with tracing on and explore its timeline",
-    )
-    p_tr.add_argument("workload")
-    p_tr.add_argument("--design", type=_design, default=FenceDesign.S_PLUS)
-    p_tr.add_argument("--cores", type=int, default=8)
-    p_tr.add_argument("--scale", type=float, default=0.5)
-    p_tr.add_argument("--seed", type=int, default=12345)
-    p_tr.add_argument("--top", type=int, default=10,
-                      help="rows per top-N table (default 10)")
-    p_tr.add_argument("--metrics-interval", type=int, default=1000,
-                      metavar="CYCLES",
-                      help="interval-metrics sampling period "
-                           "(default 1000 cycles)")
-    p_tr.add_argument("--out", default=None, metavar="PATH",
-                      help="also export the trace to PATH")
-    p_tr.add_argument("--format", default="chrome",
-                      choices=("chrome", "jsonl"),
-                      help="export format for --out (default: chrome)")
 
     from repro.obs.profile import add_profile_parser
 
@@ -712,7 +661,6 @@ def main(argv=None) -> int:
     handler = {
         "list": cmd_list,
         "run": cmd_run,
-        "trace": cmd_trace,
         "profile": cmd_profile,
         "litmus": cmd_litmus,
         "verify": cmd_verify,

@@ -33,12 +33,11 @@ class RunSummary:
     seed: int = 0
     #: flat stats (MachineStats.summary())
     stats: Dict[str, float] = field(default_factory=dict)
-    #: a resource budget (REPRO_MAX_*) cut this run off gracefully, or
-    #: the sanitizer stood down in degrade mode — first-class recorded
-    #: outcome, not an exception
+    #: a resource budget (REPRO_MAX_*) cut this run off gracefully —
+    #: first-class recorded outcome, not an exception
     degraded: bool = False
     degraded_reason: Optional[str] = None
-    #: violations a warn/degrade-mode sanitizer (REPRO_SANITIZE)
+    #: violations a warn-mode sanitizer (REPRO_SANITIZE)
     #: recorded during the run (strict raises instead)
     sanitizer_violations: int = 0
     #: machine-level cycle attribution, flattened to component ->

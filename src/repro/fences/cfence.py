@@ -63,51 +63,72 @@ def table_for(machine) -> CFenceTable:
     return table
 
 
+class _CFence:
+    """One executing C-fence: check the table, wait if an associate is
+    executing, then charge the stall and resume the core.
+
+    The bound methods are the continuations handed to the event queue,
+    the drain wait and the table, so a fence costs one small record that
+    dies by reference count — no closure waiting on itself for the
+    cyclic collector.
+    """
+
+    __slots__ = ("core", "table", "resume", "t0", "trip")
+
+    def __init__(self, core, table: CFenceTable,
+                 resume: Callable[[], None], trip: int):
+        self.core = core
+        self.table = table
+        self.resume = resume
+        self.t0 = core.queue.now
+        self.trip = trip
+
+    def at_table(self) -> None:
+        core, table = self.core, self.table
+        associates = table.associates_of(core.core_id)
+        if associates:
+            core.stats.cfence_stalls += 1
+        else:
+            # no associate executing: no ordering delay needed.
+            # Register until the pre-fence stores drain so a later
+            # associate sees us.
+            last_store = core.wb.newest_store_id()
+            if last_store:
+                table.register(core.core_id, last_store)
+                core.register_cfence_clear(last_store, table)
+            core.stats.cfence_skips += 1
+        if core.tracer is not None:
+            core.tracer.cfence_decision(core.core_id, not associates)
+        if associates:
+            # an associate executes: behave conventionally — drain
+            # the write buffer, then wait for the associates to finish.
+            core._wait_for_drain(self.wait_clear)
+        else:
+            self.finish()
+
+    def wait_clear(self) -> None:
+        if self.table.associates_of(self.core.core_id):
+            self.table.wait(self.wait_clear)
+            return
+        self.finish()
+
+    def finish(self) -> None:
+        core = self.core
+        charge = (core.queue.now - self.t0) + self.trip
+        core.stats.add_fence_stall(core.core_id, charge)
+        if core.tracer is not None:
+            core.tracer.cfence_charge(core.core_id, charge)
+        core.queue.schedule(self.trip, self.resume, "cfence.reply")
+
+
 class CFencePolicy(FencePolicy):
     design = FenceDesign.CFENCE
 
     def custom_strong_fence(self, resume: Callable[[], None]) -> None:
         """Replace the conventional stall with the C-fence protocol."""
         core = self.core
-        table = table_for(core.machine)
-        t0 = core.queue.now
         # round trip to the centralized table's tile (tile 0)
         from repro.mem.messages import Msg
         trip = core.l1.noc.latency(core.core_id, 0, Msg.GETS)
-
-        def at_table():
-            associates = table.associates_of(core.core_id)
-            if associates:
-                core.stats.cfence_stalls += 1
-            else:
-                # no associate executing: no ordering delay needed.
-                # Register until the pre-fence stores drain so a later
-                # associate sees us.
-                last_store = core.wb.newest_store_id()
-                if last_store:
-                    table.register(core.core_id, last_store)
-                    core.register_cfence_clear(last_store, table)
-                core.stats.cfence_skips += 1
-            if core.tracer is not None:
-                core.tracer.cfence_decision(core.core_id, not associates)
-            if associates:
-                # an associate executes: behave conventionally — drain
-                # the write buffer, then wait for the associates to finish.
-                core._wait_for_drain(wait_clear)
-            else:
-                finish()
-
-        def wait_clear():
-            if table.associates_of(core.core_id):
-                table.wait(wait_clear)
-                return
-            finish()
-
-        def finish():
-            charge = (core.queue.now - t0) + trip
-            core.stats.add_fence_stall(core.core_id, charge)
-            if core.tracer is not None:
-                core.tracer.cfence_charge(core.core_id, charge)
-            core.queue.schedule(trip, resume, "cfence.reply")
-
-        core.queue.schedule(trip, at_table, "cfence.check")
+        fence = _CFence(core, table_for(core.machine), resume, trip)
+        core.queue.schedule(trip, fence.at_table, "cfence.check")

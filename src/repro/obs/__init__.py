@@ -1,4 +1,4 @@
-"""Observability: fence-episode tracing, interval metrics, exporters.
+"""Observability: fence-episode tracing, cycle attribution, exporters.
 
 The subsystem has three layers:
 
@@ -7,12 +7,11 @@ The subsystem has three layers:
   episodes, bounce→retry chains, Order/CO directory transactions, W+
   recovery timelines, L1 miss/writeback and NoC message spans), stored
   flat and formatted only at export; :class:`TraceEvent` is the view.
-* :mod:`repro.obs.metrics` — the :class:`MetricsCollector`: a bounded
-  per-epoch timeseries sampler (BS/WB occupancy, outstanding bounces,
-  per-core cycle-breakdown deltas).
+* :mod:`repro.obs.attrib` — the :class:`CycleAttribution`: every core's
+  cycles split into an exact busy / fence-stall / other / idle tree.
 * :mod:`repro.obs.export` / :mod:`repro.obs.summary` — Chrome
   ``trace_event`` JSON (Perfetto / ``chrome://tracing``), a compact
-  JSONL stream, and the ``repro trace`` text timeline.
+  JSONL stream, and the ``repro run --trace`` text timeline.
 
 One listener slot: every hook site in the simulator is guarded by a
 plain ``tracer is None`` check on a cached field — no dynamic dispatch,
@@ -27,12 +26,10 @@ by ``bench/``'s ``probes_on`` workload and its ``*.on_over_off`` ratios.
 """
 
 from repro.obs.attrib import CycleAttribution
-from repro.obs.metrics import MetricsCollector
 from repro.obs.tracer import NULL_TRACER, TraceEvent, Tracer
 
 __all__ = [
     "CycleAttribution",
-    "MetricsCollector",
     "NULL_TRACER",
     "Observability",
     "TraceEvent",
@@ -59,30 +56,25 @@ class _Both:
 
 
 class Observability:
-    """One run's worth of observability state: tracer + metrics +
-    cycle attribution.
+    """One run's worth of observability state: tracer + cycle
+    attribution.
 
     Construct, pass to :func:`repro.workloads.base.run_workload` (or
     call :meth:`attach` on a hand-built machine before ``run()``), then
-    read ``tracer`` / ``metrics`` / ``attrib`` after the run::
+    read ``tracer`` / ``attrib`` after the run::
 
-        obs = Observability(metrics_interval=1000)
+        obs = Observability()
         run = run_workload("fib", FenceDesign.W_PLUS, obs=obs)
-        write_chrome_trace("t.json", obs.tracer, obs.metrics)
+        write_chrome_trace("t.json", obs.tracer)
     """
 
     def __init__(
         self,
         trace: bool = True,
-        metrics_interval=None,
         max_events=None,
-        max_samples: int = 512,
         attrib: bool = False,
     ):
         self.tracer = Tracer(max_events=max_events) if trace else None
-        self.metrics_interval = metrics_interval
-        self.max_samples = max_samples
-        self.metrics = None
         self.attrib = CycleAttribution() if attrib else None
 
     def attach(self, machine) -> "Observability":
@@ -93,11 +85,4 @@ class Observability:
             machine.attach_attrib(
                 self.attrib if self.tracer is None
                 else _Both(self.tracer, self.attrib))
-        if self.metrics_interval:
-            self.metrics = MetricsCollector(
-                machine,
-                interval=self.metrics_interval,
-                max_samples=self.max_samples,
-            )
-            machine.metrics = self.metrics
         return self

@@ -50,13 +50,11 @@ class AnalysisError(Exception):
 
 
 class TraceData:
-    """One loaded JSONL trace: meta header, events, metrics samples."""
+    """One loaded JSONL trace: meta header and events."""
 
-    def __init__(self, meta: dict, events: List[TraceEvent],
-                 metrics: List[dict]):
+    def __init__(self, meta: dict, events: List[TraceEvent]):
         self.meta = meta
         self.events = events
-        self.metrics = metrics
 
     @property
     def provenance(self) -> dict:
@@ -64,7 +62,7 @@ class TraceData:
         if not isinstance(prov, dict):
             raise AnalysisError(
                 "trace has no provenance header — re-export it with a "
-                "current `repro trace` (the meta line must carry design/"
+                "current `repro run --trace-out` (the meta line must carry design/"
                 "seed/kernel/... for analytics)"
             )
         return prov
@@ -92,10 +90,12 @@ def load_jsonl(path: str) -> TraceData:
     Each stripped line goes straight to the decoder's C scanner; with
     no whitespace left around it, "one value, ending where the line
     ends" is precisely what ``json`` accepts for the line.
+
+    Older exports also carry interval-metrics samples (``"type":
+    "metrics"`` lines); those are skipped.
     """
     meta: Optional[dict] = None
     events: List[TraceEvent] = []
-    metrics: List[dict] = []
     scan_once = json.JSONDecoder().scan_once
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -128,15 +128,12 @@ def load_jsonl(path: str) -> TraceData:
                 except KeyError as exc:
                     raise AnalysisError(
                         f"{path}:{lineno}: event record has no {exc} field")
-            elif kind == "metrics":
-                metrics.append(
-                    {k: v for k, v in rec.items() if k != "type"})
-            else:
+            elif kind != "metrics":
                 raise AnalysisError(
                     f"{path}:{lineno}: unknown record type {kind!r}")
     if meta is None:
         raise AnalysisError(f"{path}: no meta header line")
-    return TraceData(meta, events, metrics)
+    return TraceData(meta, events)
 
 
 # ---------------------------------------------------------------------------

@@ -8,25 +8,25 @@ Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.  Mapping:
 
 * one Chrome *thread* per track: tid ``c`` for core ``c``, tid
   ``100+b`` for directory bank ``b``, tid 900 for the NoC, tid 901 for
-  interval metrics — each named via ``thread_name`` metadata so the UI
-  shows ``core 0``, ``dir 1``, ``noc`` swimlanes;
+  core-less sanitizer violations — each named via ``thread_name``
+  metadata so the UI shows ``core 0``, ``dir 1``, ``noc`` swimlanes;
 * spans become complete events (``"ph": "X"``) with ``ts``/``dur`` in
   microseconds at 1 cycle = 1 µs (cycle numbers read directly off the
   Perfetto time axis);
 * instants become ``"ph": "i"`` thread-scoped events;
-* counter samples (write-buffer depth, interval metrics) become
-  ``"ph": "C"`` counter events, one series per core.
+* counter samples (write-buffer depth) become ``"ph": "C"`` counter
+  events, one series per core.
 
 JSONL format
 ------------
 ``write_jsonl`` emits one JSON object per line: a ``meta`` header,
-every trace record (``type: "event"``), then interval-metrics samples
-(``type: "metrics"``).  It is the compact machine-readable stream for
-ad-hoc analysis (``jq``, pandas) where the Chrome envelope gets in the
-way.  The tracer stores flat records; here a record of a fixed-shape
-kind becomes its line through one ``%``-template derived from the kind
-table — byte for byte what the JSON encoder writes for its view, which
-the other kinds (args dicts, bool fields, an open span) go through.
+then every trace record (``type: "event"``).  It is the compact
+machine-readable stream for ad-hoc analysis (``jq``, pandas) where the
+Chrome envelope gets in the way.  The tracer stores flat records; here
+a record of a fixed-shape kind becomes its line through one
+``%``-template derived from the kind table — byte for byte what the
+JSON encoder writes for its view, which the other kinds (args dicts,
+bool fields, an open span) go through.
 
 ``validate_chrome_trace`` is the schema check CI runs against every
 exported trace; it is intentionally dependency-free (no jsonschema).
@@ -39,7 +39,7 @@ from typing import Dict, List, Optional
 
 from repro.obs.tracer import (
     BOOL_FIELDS, DIR_TXN_OPEN, KINDS, STR_FIELDS,
-    TRACK_DIR_BASE, TRACK_METRICS, TRACK_NOC, Tracer, view,
+    TRACK_DIR_BASE, TRACK_NOC, TRACK_SANITIZER, Tracer, view,
 )
 
 #: Chrome pid used for the whole simulated machine
@@ -76,8 +76,8 @@ def track_name(track: int) -> str:
     """Human-readable lane name for a track id."""
     if track == TRACK_NOC:
         return "noc"
-    if track == TRACK_METRICS:
-        return "metrics"
+    if track == TRACK_SANITIZER:
+        return "sanitizer"
     if track >= TRACK_DIR_BASE:
         return f"dir {track - TRACK_DIR_BASE}"
     return f"core {track}"
@@ -100,14 +100,12 @@ def _metadata_events(tracks) -> List[dict]:
     return events
 
 
-def to_chrome_trace(tracer: Tracer, metrics=None,
+def to_chrome_trace(tracer: Tracer,
                     label: Optional[str] = None,
                     provenance: Optional[Dict[str, object]] = None,
                     ) -> Dict[str, object]:
-    """Render a tracer (and optional metrics) as a Chrome trace dict."""
+    """Render a tracer as a Chrome trace dict."""
     tracks = {rec[1] for rec in tracer.records}
-    if metrics is not None and metrics.samples:
-        tracks.add(TRACK_METRICS)
     out: List[dict] = _metadata_events(tracks)
     for ev in map(view, tracer.records):
         rec = {
@@ -126,8 +124,6 @@ def to_chrome_trace(tracer: Tracer, metrics=None,
             rec["ph"] = "C"
             rec["args"] = {"value": ev.args["value"]} if ev.args else {}
         out.append(rec)
-    if metrics is not None:
-        out.extend(_metrics_counter_events(metrics))
     trace = {
         "traceEvents": out,
         "displayTimeUnit": "ms",
@@ -144,40 +140,11 @@ def to_chrome_trace(tracer: Tracer, metrics=None,
     return trace
 
 
-def _metrics_counter_events(metrics) -> List[dict]:
-    """Interval samples as Chrome counter series on the metrics track."""
-    events: List[dict] = []
-    for sample in metrics.samples:
-        ts = sample["ts"]
-        per_core_series = {
-            "wb_depth": sample["wb_depth"],
-            "bs_lines": sample["bs_lines"],
-            "pending_fences": sample["pending_fences"],
-        }
-        for name, values in per_core_series.items():
-            events.append({
-                "name": name, "cat": "metrics", "ph": "C",
-                "pid": PID, "tid": TRACK_METRICS, "ts": ts,
-                "args": {f"c{c}": v for c, v in enumerate(values)},
-            })
-        events.append({
-            "name": "activity", "cat": "metrics", "ph": "C",
-            "pid": PID, "tid": TRACK_METRICS, "ts": ts,
-            "args": {
-                "outstanding_bounces": sample["outstanding_bounces"],
-                "bounces_delta": sample["bounces_delta"],
-                "retries_delta": sample["write_retries_delta"],
-                "recoveries_delta": sample["recoveries_delta"],
-            },
-        })
-    return events
-
-
-def write_chrome_trace(path: str, tracer: Tracer, metrics=None,
+def write_chrome_trace(path: str, tracer: Tracer,
                        label: Optional[str] = None,
                        provenance: Optional[Dict[str, object]] = None,
                        ) -> Dict[str, object]:
-    trace = to_chrome_trace(tracer, metrics, label=label,
+    trace = to_chrome_trace(tracer, label=label,
                             provenance=provenance)
     with open(path, "w") as fh:
         json.dump(trace, fh, separators=(",", ":"))
@@ -204,7 +171,7 @@ def _jsonl_template(kind: int) -> Optional[str]:
 _JSONL_TEMPLATES = [_jsonl_template(kind) for kind in range(len(KINDS))]
 
 
-def write_jsonl(path: str, tracer: Tracer, metrics=None,
+def write_jsonl(path: str, tracer: Tracer,
                 label: Optional[str] = None,
                 provenance: Optional[Dict[str, object]] = None) -> int:
     """Write the compact JSONL stream; returns the line count."""
@@ -227,9 +194,6 @@ def write_jsonl(path: str, tracer: Tracer, metrics=None,
         if (template := _JSONL_TEMPLATES[rec[0]]) is not None
         else encode({"type": "event", **view(rec).to_dict()})
         for rec in tracer.records)
-    if metrics is not None:
-        lines.extend(encode({"type": "metrics", **sample})
-                     for sample in metrics.samples)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return len(lines)

@@ -1,4 +1,4 @@
-"""Text timeline summary for ``repro trace`` (and ``repro run --trace``).
+"""Text timeline summary for ``repro run --trace``.
 
 Renders the episode-level story of one traced run: event counts by
 category, the top-N longest fence episodes, the longest bounce→retry
@@ -10,7 +10,7 @@ aggregate makes you ask.
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional
+from typing import List
 
 from repro.obs.tracer import KINDS, TRACK_DIR_BASE, TRACK_NOC, Tracer
 
@@ -129,14 +129,3 @@ def render_trace_summary(tracer: Tracer, stats=None, top: int = 10) -> str:
 
     return "\n".join(lines)
 
-
-def render_metrics_summary(metrics) -> Optional[str]:
-    """Short interval-metrics footer, or ``None`` without samples."""
-    if metrics is None or not metrics.samples:
-        return None
-    s = metrics.summary()
-    return ("== interval metrics ==\n"
-            f"samples: {s['retained']} (interval {s['interval']} cycles)\n"
-            f"mean wb depth/core: {s['mean_wb_depth']:.2f}   "
-            f"mean bs lines/core: {s['mean_bs_lines']:.2f}   "
-            f"peak cores bouncing: {s['peak_outstanding_bounces']}")

@@ -68,8 +68,8 @@ NULL_TRACER = None
 TRACK_DIR_BASE = 100
 #: all NoC message spans share one track
 TRACK_NOC = 900
-#: interval metrics counters (exported from the MetricsCollector)
-TRACK_METRICS = 901
+#: sanitizer violations that belong to no core
+TRACK_SANITIZER = 901
 
 #: The kind table: ``KINDS[kind] == (ph, name, cat, arg field names)``.
 #: Field names ``None``: the record's last slot is its args dict (or
@@ -387,13 +387,13 @@ class Tracer:
         self._emit((FAULT, track, self._queue.now, 0, f"fault_{site}", args))
 
     # ------------------------------------------------------------------
-    # protocol sanitizer (core tracks, or TRACK_METRICS when core-less)
+    # protocol sanitizer (core tracks, or TRACK_SANITIZER when core-less)
     # ------------------------------------------------------------------
 
     def sanitizer_violation(self, core: Optional[int], invariant: str,
                             args: Optional[dict] = None) -> None:
         """The runtime sanitizer observed a structural violation."""
-        track = core if core is not None else TRACK_METRICS
+        track = core if core is not None else TRACK_SANITIZER
         self._emit((SANITIZER, track, self._queue.now, 0,
                     f"sanitizer_{invariant}", args))
 

@@ -2,9 +2,9 @@
 
 Checks run on two cadences:
 
-* **sampling** — a self-rescheduling queue event (the MetricsCollector
-  pump pattern) runs the full :meth:`Sanitizer.check_all` sweep every
-  ``interval`` cycles;
+* **sampling** — a self-rescheduling queue event (a pump, like the
+  watchdog's and the governor's) runs the full
+  :meth:`Sanitizer.check_all` sweep every ``interval`` cycles;
 * **on-transition** — cheap, targeted checks fire synchronously at the
   protocol's natural commit points: a directory transaction releasing
   its line, a PutM merging, an invalidation answered at an L1, a weak
@@ -21,9 +21,8 @@ run in the airtight direction: an L1-resident line must be tracked, and
 a writable copy must be the registered owner.
 
 Escalation: ``warn`` records violations and keeps going, ``strict``
-raises :class:`~repro.common.errors.SanitizerError` at the first one,
-``degrade`` records the first violation, stands down, and marks the run
-degraded.  First-violation diagnostics reuse the watchdog's post-mortem
+raises :class:`~repro.common.errors.SanitizerError` at the first one.
+First-violation diagnostics reuse the watchdog's post-mortem
 bundle format (PR 4) so the exact cycle, core and line land in the same
 tooling, optionally as a ``sanitizer_*.json`` artifact in
 ``Machine.diag_dir``.
@@ -49,7 +48,7 @@ DEFAULT_INTERVAL = 5_000
 EVENT_HORIZON = 1_000_000
 
 #: escalation modes (the CLI exposes ``off`` by not attaching at all)
-MODES = ("warn", "strict", "degrade")
+MODES = ("warn", "strict")
 
 #: violation-list cap: diagnostics want the first few, not a flood
 MAX_VIOLATIONS = 64
@@ -89,8 +88,6 @@ class Sanitizer:
         #: full sweeps run / targeted transition checks run
         self.sweeps = 0
         self.transition_checks = 0
-        #: ``degrade`` escalation tripped: checking stood down mid-run
-        self.degraded = False
         #: first-violation bundle (watchdog format + violation record)
         self.first_diagnostics: Optional[dict] = None
         self.first_diagnostics_path: Optional[str] = None
@@ -102,16 +99,15 @@ class Sanitizer:
         return self
 
     # ------------------------------------------------------------------
-    # sampling pump (MetricsCollector pattern: stop before the quiesce
-    # drain so the self-rescheduling event never extends the run)
+    # sampling pump (stopped before the quiesce drain so the
+    # self-rescheduling event never extends the run)
     # ------------------------------------------------------------------
 
     def start(self) -> None:
         self._stopped = False
-        if not self.degraded:
-            self._event = self.machine.queue.schedule(
-                self.interval, self._tick, "sanitizer"
-            )
+        self._event = self.machine.queue.schedule(
+            self.interval, self._tick, "sanitizer"
+        )
 
     def stop(self) -> None:
         self._stopped = True
@@ -121,19 +117,16 @@ class Sanitizer:
 
     def _tick(self) -> None:
         self._event = None
-        if self._stopped or self.degraded:
+        if self._stopped:
             return
         self.check_all()
-        if self.degraded:
-            return  # a degrade-mode violation stood the pump down
         self._event = self.machine.queue.schedule(
             self.interval, self._tick, "sanitizer"
         )
 
     def final_check(self) -> None:
         """One closing sweep over the (quiesced or cut-off) machine."""
-        if not self.degraded:
-            self.check_all()
+        self.check_all()
 
     # ------------------------------------------------------------------
     # escalation
@@ -174,12 +167,7 @@ class Sanitizer:
                 diagnostics=self.first_diagnostics,
                 diagnostics_path=self.first_diagnostics_path,
             )
-        if self.mode == "degrade":
-            self.degraded = True
-            if self._event is not None:
-                machine.queue.cancel(self._event)
-                self._event = None
-        elif first:
+        if first:
             print(f"sanitizer: {message}", file=sys.stderr)
 
     def _write_artifact(self, diagnostics: dict) -> Optional[str]:
@@ -203,8 +191,6 @@ class Sanitizer:
 
     def check_all(self) -> None:
         """Run every invariant check once (sampling cadence)."""
-        if self.degraded:
-            return
         self.sweeps += 1
         machine = self.machine
         self._check_queue()
@@ -404,15 +390,11 @@ class Sanitizer:
 
     def on_core_transition(self, core) -> None:
         """A fence retired/completed or a recovery changed core state."""
-        if self.degraded:
-            return
         self.transition_checks += 1
         self._check_core(core)
 
     def on_recovery_resume(self, core) -> None:
         """A W+ recovery finished draining and the thread resumes."""
-        if self.degraded:
-            return
         self.transition_checks += 1
         if core.wb._entries:
             self._report(
@@ -426,8 +408,6 @@ class Sanitizer:
 
     def on_dir_transition(self, bank, line) -> None:
         """A directory transaction released *line* (or a PutM merged)."""
-        if self.degraded:
-            return
         self.transition_checks += 1
         if line in bank._busy:
             return  # a waiter was promoted: state is in flux again
@@ -446,8 +426,6 @@ class Sanitizer:
 
     def on_l1_inv(self, l1, line, keep_sharer: bool) -> None:
         """An invalidation was answered with ACK or KEEP_SHARER."""
-        if self.degraded:
-            return
         self.transition_checks += 1
         if l1.cache.lookup(line, touch=False) is not None:
             self._report(
@@ -462,8 +440,6 @@ class Sanitizer:
 
     def on_wb_push(self, wb) -> None:
         """A store was appended to a write buffer."""
-        if self.degraded:
-            return
         entries = wb._entries
         if len(entries) >= 2 and entries[-1].store_id <= entries[-2].store_id:
             self._report(

@@ -3,7 +3,7 @@
 A :class:`RunBudget` bounds a single :meth:`Machine.run` by wall-clock
 seconds, simulated-event count, and/or RSS high-water mark.  The
 :class:`ResourceGovernor` checks the budget from a self-rescheduling
-queue event (the metrics-pump pattern) and, on breach, asks the event
+queue event (a pump, like the watchdog's) and, on breach, asks the event
 queue to stop — the run then unwinds normally and returns a
 :class:`~repro.sim.machine.SimResult` marked ``degraded`` with the
 breach reason.  A governed run can therefore never hang or be

@@ -49,12 +49,12 @@ class SimResult:
     completed: bool
     #: dependence events, when ``track_dependences`` was enabled
     events: Optional[list] = None
-    #: a resource budget cut the run off, or the sanitizer stood down
-    #: in ``degrade`` mode — the run ended gracefully but incompletely
+    #: a resource budget cut the run off — the run ended gracefully
+    #: but incompletely
     degraded: bool = False
     degraded_reason: Optional[str] = None
-    #: violations recorded by an attached sanitizer (warn/degrade modes;
-    #: strict raises before the result is built)
+    #: violations recorded by an attached sanitizer (warn mode; strict
+    #: raises before the result is built)
     sanitizer_violations: int = 0
 
 
@@ -78,12 +78,11 @@ class Machine:
         self.recorder: Optional[DependenceRecorder] = None
         if params.track_dependences:
             self.recorder = DependenceRecorder(self.image)
-        #: observability (repro.obs): None unless attach_tracer() /
-        #: a MetricsCollector is wired up — every hook site guards on
-        #: a cached ``tracer is None`` check, so this stays zero-cost.
-        #: Always a real Tracer or None: attach_attrib() leaves it alone.
+        #: observability (repro.obs): None unless attach_tracer() is
+        #: called — every hook site guards on a cached ``tracer is
+        #: None`` check, so this stays zero-cost.  Always a real Tracer
+        #: or None: attach_attrib() leaves it alone.
         self.tracer = None
-        self.metrics = None
         #: fault injection (repro.faults): None unless attach_faults()
         #: is called — hook sites guard on ``faults is None`` exactly
         #: like the tracer, keeping the fault-free path bit-identical.
@@ -295,8 +294,6 @@ class Machine:
         if budget is not None and budget.enabled:
             governor = ResourceGovernor(self, budget)
         self._watchdog.start()
-        if self.metrics is not None:
-            self.metrics.start()
         if self.sanitizer is not None:
             self.sanitizer.start()
         if governor is not None:
@@ -312,8 +309,6 @@ class Machine:
             # the queue alive to exactly the drain horizon and perturb
             # stats.cycles.
             self._watchdog.stop()
-            if self.metrics is not None:
-                self.metrics.stop()
             if self.sanitizer is not None:
                 self.sanitizer.stop()
             if governor is not None:
@@ -341,15 +336,7 @@ class Machine:
             # replay reconciles its fine leaves against these
             self.tracer.core_summaries(self.stats)
         events = self.recorder.events if self.recorder else None
-        degraded_reason = None
-        if governor is not None and governor.breached is not None:
-            degraded_reason = governor.breached
-        elif self.sanitizer is not None and self.sanitizer.degraded:
-            first = self.sanitizer.first_violation
-            degraded_reason = (
-                "sanitizer stood down after violation: "
-                f"{first['invariant']} at cycle {first['cycle']}"
-            )
+        degraded_reason = governor.breached if governor is not None else None
         violations = (
             len(self.sanitizer.violations) + self.sanitizer.dropped
             if self.sanitizer is not None else 0
@@ -380,7 +367,7 @@ class Machine:
         machine's own components cuts every such edge.  What a caller
         can still hold is left intact: ``stats``, the ``queue`` (clock
         and ``executed``), recorded dependence events, and the tracer /
-        attribution / metrics / sanitizer / injector objects.
+        attribution / sanitizer / injector objects.
         """
         self.queue._heap.clear()
         parts = [self._watchdog, self.image, self.noc, *self.banks, *self.l1s]
@@ -392,9 +379,9 @@ class Machine:
         for part in parts:
             vars(part).clear()
         self.cores = self.l1s = self.banks = ()
-        # the pumps point back at the machine; what they gathered
-        # (samples, violations) is the caller's, so only let go of them
-        self.metrics = self.sanitizer = None
+        # the sanitizer points back at the machine; what it gathered
+        # (violations) is the caller's, so only let go of it
+        self.sanitizer = None
 
     def _refuse_if_disposed(self) -> None:
         if not self.cores:

@@ -122,7 +122,7 @@ def run_program(
     extra :class:`MachineParams` field overrides (e.g. enabling the W+
     storm-demotion monitor); *diag_dir* enables watchdog post-mortem
     artifacts; *sanitize* attaches a runtime protocol sanitizer
-    ("warn" | "strict" | "degrade") as an additional oracle — under a
+    ("warn" | "strict") as an additional oracle — under a
     strict sanitizer a corrupted machine state is classified at the
     first violating cycle instead of surfacing later as a
     deadlock/livelock at the cycle cap.

@@ -117,11 +117,11 @@ def run_workload(
     """Build, run and wrap one workload under one fence design.
 
     *obs* is an optional :class:`repro.obs.Observability` session; it is
-    attached to the machine before the run so its tracer/metrics cover
-    the whole execution.
+    attached to the machine before the run so its tracer/attribution
+    cover the whole execution.
 
     *sanitize* attaches a runtime protocol sanitizer in the given mode
-    ("warn" | "strict" | "degrade"); None falls back to the
+    ("warn" | "strict"); None falls back to the
     ``REPRO_SANITIZE`` environment variable (so matrix subprocesses and
     CI inherit it), "off" disables it.  *budget* is an optional
     :class:`repro.sim.governor.RunBudget`; None falls back to the

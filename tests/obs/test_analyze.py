@@ -31,11 +31,11 @@ from repro.workloads.base import load_all_workloads, run_workload
 @pytest.fixture(scope="module")
 def traced(tmp_path_factory):
     load_all_workloads()
-    obs = Observability(metrics_interval=500, attrib=True)
+    obs = Observability(attrib=True)
     run = run_workload("Tree", FenceDesign.WS_PLUS, num_cores=4,
                        scale=0.2, seed=12345, obs=obs, sanitize="off")
     path = str(tmp_path_factory.mktemp("trace") / "t.jsonl")
-    write_jsonl(path, obs.tracer, obs.metrics,
+    write_jsonl(path, obs.tracer,
                 label="Tree:WS+", provenance=run_provenance(run))
     return run, obs, path
 
@@ -58,8 +58,25 @@ def test_jsonl_round_trip_is_bit_identical(traced):
         assert loaded.ts == orig.ts
         assert loaded.dur == orig.dur
         assert loaded.args == orig.args
-    # metrics samples survive too
-    assert len(data.metrics) == len(obs.metrics.samples)
+
+
+def test_metrics_lines_of_older_exports_are_skipped(traced, tmp_path):
+    """Exports from before the interval-metrics timeline was removed
+    end in ``"type":"metrics"`` lines; they load as if absent, while any
+    other unknown record type is still refused."""
+    _, obs, path = traced
+    with open(path) as fh:
+        text = fh.read()
+    old = tmp_path / "old.jsonl"
+    old.write_text(text + '{"type":"metrics","ts":500,"wb_depth":[0,1]}\n')
+    data, loaded = load_jsonl(path), load_jsonl(str(old))
+    assert loaded.meta == data.meta
+    assert [ev.to_dict() for ev in loaded.events] == \
+        [ev.to_dict() for ev in data.events]
+    bogus = tmp_path / "bogus.jsonl"
+    bogus.write_text(text + '{"type":"samples"}\n')
+    with pytest.raises(AnalysisError, match="unknown record type"):
+        load_jsonl(str(bogus))
 
 
 def test_float_charges_round_trip_exactly(traced):
@@ -189,7 +206,7 @@ def test_loader_rejects_exactly_what_json_loads_rejects(line_file, line):
        compact=st.booleans(), ascii_only=st.booleans())
 def test_loader_returns_what_json_loads_returns(
         line_file, payload, before, after, compact, ascii_only):
-    body = json.dumps({"type": "metrics", **payload}, ensure_ascii=ascii_only,
+    body = json.dumps({"type": "meta", **payload}, ensure_ascii=ascii_only,
                       separators=(",", ":") if compact else None)
     line = before + body + after
     loaded = _load_one(line_file, line)
@@ -197,9 +214,8 @@ def test_loader_returns_what_json_loads_returns(
         assert loaded == "bad JSON"
     else:
         expected = json.loads(line.strip())
-        del expected["type"]
         # NaN != NaN: compare what the values serialise to
-        assert json.dumps(loaded.metrics) == json.dumps([expected])
+        assert json.dumps(loaded.meta) == json.dumps(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -255,19 +271,19 @@ def _prov(cores=2):
 
 
 def test_replay_requires_complete_trace():
-    data = TraceData({"dropped": 7, "provenance": _prov()}, [], [])
+    data = TraceData({"dropped": 7, "provenance": _prov()}, [])
     with pytest.raises(AnalysisError, match="dropped 7 events"):
         replay_attribution(data)
 
 
 def test_replay_requires_core_summaries():
-    data = TraceData({"dropped": 0, "provenance": _prov()}, [], [])
+    data = TraceData({"dropped": 0, "provenance": _prov()}, [])
     with pytest.raises(AnalysisError, match="core_summary"):
         replay_attribution(data)
 
 
 def test_replay_requires_design_and_cores():
-    data = TraceData({"dropped": 0, "provenance": {"seed": 1}}, [], [])
+    data = TraceData({"dropped": 0, "provenance": {"seed": 1}}, [])
     with pytest.raises(AnalysisError, match="design/cores"):
         replay_attribution(data)
 

@@ -58,8 +58,7 @@ def test_conservation_on_every_design(design, workload):
 def test_online_equals_offline_replay(design, workload, tmp_path):
     run, obs = _profiled(design, workload, trace=True)
     path = str(tmp_path / "trace.jsonl")
-    write_jsonl(path, obs.tracer, obs.metrics,
-                provenance=run_provenance(run))
+    write_jsonl(path, obs.tracer, provenance=run_provenance(run))
     online = obs.attrib.tree(label="x")
     offline = replay_attribution(load_jsonl(path), label="x")
     assert online == offline

@@ -19,7 +19,7 @@ from repro.workloads.base import load_all_workloads, run_workload
 @pytest.fixture(scope="module")
 def traced():
     load_all_workloads()
-    obs = Observability(metrics_interval=500)
+    obs = Observability()
     run = run_workload("fib", FenceDesign.W_PLUS, num_cores=4, scale=0.2,
                        seed=12345, obs=obs)
     return run, obs
@@ -27,7 +27,7 @@ def traced():
 
 def test_chrome_trace_is_schema_valid(traced):
     run, obs = traced
-    trace = to_chrome_trace(obs.tracer, metrics=obs.metrics, label="fib:W+")
+    trace = to_chrome_trace(obs.tracer, label="fib:W+")
     assert validate_chrome_trace(trace) == []
 
 
@@ -50,18 +50,10 @@ def test_chrome_trace_spans_carry_duration_and_cycle_clock(traced):
     assert trace["otherData"]["clock"] == "1 simulated cycle = 1us"
 
 
-def test_chrome_trace_counters_from_metrics(traced):
-    _, obs = traced
-    trace = to_chrome_trace(obs.tracer, metrics=obs.metrics)
-    counters = [ev for ev in trace["traceEvents"] if ev["ph"] == "C"]
-    assert any(ev["name"] == "wb_depth" for ev in counters)
-    assert any(ev["name"] == "activity" for ev in counters)
-
-
 def test_write_chrome_trace_round_trips(tmp_path, traced):
     _, obs = traced
     path = tmp_path / "trace.json"
-    write_chrome_trace(str(path), obs.tracer, obs.metrics, label="x")
+    write_chrome_trace(str(path), obs.tracer, label="x")
     trace = json.loads(path.read_text())
     assert validate_chrome_trace(trace) == []
     assert trace["otherData"]["label"] == "x"
@@ -70,26 +62,26 @@ def test_write_chrome_trace_round_trips(tmp_path, traced):
 def test_write_jsonl_stream(tmp_path, traced):
     _, obs = traced
     path = tmp_path / "trace.jsonl"
-    n = write_jsonl(str(path), obs.tracer, obs.metrics, label="fib:W+")
+    n = write_jsonl(str(path), obs.tracer, label="fib:W+")
     lines = path.read_text().splitlines()
     assert len(lines) == n
     records = [json.loads(line) for line in lines]
     assert records[0]["type"] == "meta"
     assert records[0]["events"] == len(obs.tracer.events)
     kinds = {r["type"] for r in records}
-    assert kinds == {"meta", "event", "metrics"}
+    assert kinds == {"meta", "event"}
 
 
 def test_write_jsonl_bytes_equal_per_record_dumps(tmp_path):
     """One encoder per file, one write — the file is byte for byte what
     a ``json.dumps(rec, separators=(",", ":"))`` per record wrote."""
     load_all_workloads()
-    obs = Observability(metrics_interval=500)
+    obs = Observability()
     run = run_workload("TreeOverwrite", FenceDesign.WS_PLUS, num_cores=4,
                        scale=0.06, seed=7, obs=obs)
     provenance = run_provenance(run)
     path = tmp_path / "trace.jsonl"
-    n = write_jsonl(str(path), obs.tracer, obs.metrics,
+    n = write_jsonl(str(path), obs.tracer,
                     label="TreeOverwrite:WS+", provenance=provenance)
 
     def dumps(rec):
@@ -104,11 +96,7 @@ def test_write_jsonl_bytes_equal_per_record_dumps(tmp_path):
         rec = {"type": "event"}
         rec.update(ev.to_dict())
         reference.append(dumps(rec))
-    for sample in obs.metrics.samples:
-        rec = {"type": "metrics"}
-        rec.update(sample)
-        reference.append(dumps(rec))
-    assert n == len(reference) > 1000 and obs.metrics.samples
+    assert n == len(reference) > 1000
     assert path.read_bytes() == "".join(reference).encode()
 
 

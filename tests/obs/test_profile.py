@@ -139,9 +139,9 @@ def test_cli_diff_accepts_report_files(tmp_path, capsys):
 
 def test_cli_from_trace(tmp_path, capsys):
     trace = str(tmp_path / "t.jsonl")
-    rc = cli.main(["trace", "fib", "--design", "splus", "--cores", "2",
-                   "--scale", "0.1", "--seed", "1", "--out", trace,
-                   "--format", "jsonl"])
+    rc = cli.main(["run", "fib", "--design", "splus", "--cores", "2",
+                   "--scale", "0.1", "--seed", "1", "--trace-out", trace,
+                   "--trace-format", "jsonl"])
     assert rc == 0
     rc = cli.main(["profile", "from-trace", trace])
     assert rc == 0

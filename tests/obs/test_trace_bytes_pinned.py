@@ -8,11 +8,13 @@ Chrome JSON of a fixed run matrix against ``trace_bytes_pinned.json``,
 a table generated once (``python -m tests.obs.test_trace_bytes_pinned``
 prints it) at the commit *before* the tracer stored flat records.
 Regenerate it only for an intended format change, and say so in the
-commit.
+commit.  The fib, ``cutoff`` and ``dir_nack`` rows were re-pinned when
+the interval-metrics timeline was removed: each is the digest of the
+earlier export with its ``"type":"metrics"`` lines (JSONL) or its
+``tid`` 901 events (Chrome) dropped, every other byte kept.
 
 The matrix: TreeOverwrite / Counter / fib under the five paper designs
-plus l-mf and C-fence (4 cores, tiny scale, fixed seeds; interval
-metrics on the fib runs), and four runs that reach the irregular record
+plus l-mf and C-fence (4 cores, tiny scale, fixed seeds), and four runs that reach the irregular record
 shapes — a ``max_events`` cap (``dropped``), a cycle-budget cutoff
 (``incomplete`` spans including an open ``dir_txn``), a W+ run with
 recoveries (``outcome: recovery`` unwinds, ``extra``), and a
@@ -40,14 +42,14 @@ from tests.support import reset_global_id_streams
 
 TABLE = os.path.join(os.path.dirname(__file__), "trace_bytes_pinned.json")
 
-#: (workload, scale, seed, metrics_interval)
+#: (workload, scale, seed)
 MATRIX = (
-    ("TreeOverwrite", 0.06, 7, None),
-    ("Counter", 0.1, 11, None),
-    ("fib", 0.1, 7, 500),
+    ("TreeOverwrite", 0.06, 7),
+    ("Counter", 0.1, 11),
+    ("fib", 0.1, 7),
 )
 SPECIAL = ("capped", "cutoff", "recovery", "dir_nack")
-CASES = tuple(f"{name}:{design.value}" for name, _, _, _ in MATRIX
+CASES = tuple(f"{name}:{design.value}" for name, _, _ in MATRIX
               for design in FenceDesign) + SPECIAL
 
 
@@ -57,7 +59,7 @@ def _hand_built(design, seed, max_cycles=None, faults=None):
     workload = REGISTRY["fib"](scale=0.2)
     params = MachineParams().with_cores(4).with_design(design)
     machine = Machine(params, seed=seed)
-    obs = Observability(metrics_interval=500).attach(machine)
+    obs = Observability().attach(machine)
     if faults is not None:
         machine.attach_faults(FaultInjector(make_plan(faults, seed)))
     workload.setup(machine)
@@ -94,8 +96,8 @@ def _trace(case):
             and all("extra" in ev.args
                     for ev in obs.tracer.spans("recovery")))
     name, _, design = case.partition(":")
-    scale, seed, interval = next(row[1:] for row in MATRIX if row[0] == name)
-    obs = Observability(metrics_interval=interval)
+    scale, seed = next(row[1:] for row in MATRIX if row[0] == name)
+    obs = Observability()
     run = run_workload(name, FenceDesign(design), num_cores=4, scale=scale,
                        seed=seed, obs=obs, sanitize="off")
     return obs, run_provenance(run), obs.tracer.count("dir_txn") > 50
@@ -107,7 +109,7 @@ def _digests(case, tmp):
     out = {}
     for fmt, write in (("jsonl", write_jsonl), ("chrome", write_chrome_trace)):
         path = os.path.join(tmp, f"trace.{fmt}")
-        written = write(path, obs.tracer, obs.metrics, label=case,
+        written = write(path, obs.tracer, label=case,
                         provenance=provenance)
         if fmt == "chrome":
             assert validate_chrome_trace(written) == []

@@ -27,7 +27,7 @@ DESIGNS = (
 
 def _traced(design, workload="fib", **kw):
     load_all_workloads()
-    obs = Observability(metrics_interval=500)
+    obs = Observability()
     run = run_workload(workload, design, num_cores=4, scale=0.2,
                        seed=12345, obs=obs, **kw)
     return run, obs
@@ -103,7 +103,7 @@ def test_completed_run_has_no_open_or_incomplete_spans(traced_run):
 
 @pytest.mark.parametrize("design", DESIGNS, ids=lambda d: str(d))
 def test_tracing_does_not_perturb_the_simulation(design):
-    """Attaching tracer + metrics must leave the run bit-identical."""
+    """Attaching the tracer must leave the run bit-identical."""
     load_all_workloads()
     plain = run_workload("fib", design, num_cores=4, scale=0.2, seed=12345)
     traced, _ = _traced(design)

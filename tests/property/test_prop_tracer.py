@@ -26,7 +26,7 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_jsonl,
 )
-from repro.obs.tracer import TRACK_DIR_BASE, TRACK_METRICS, TRACK_NOC, Tracer
+from repro.obs.tracer import TRACK_DIR_BASE, TRACK_NOC, TRACK_SANITIZER, Tracer
 
 
 class Clock:
@@ -185,7 +185,7 @@ class Model:
         self.instant(track, f"fault_{site}", "fault", args)
 
     def sanitizer_violation(self, core, invariant, args):
-        self.instant(TRACK_METRICS if core is None else core,
+        self.instant(TRACK_SANITIZER if core is None else core,
                      f"sanitizer_{invariant}", "sanitizer", args)
 
     def finalize(self):

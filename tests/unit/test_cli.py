@@ -143,27 +143,41 @@ def test_run_trace_out_all_designs_gets_per_design_files(capsys, tmp_path):
 
 
 def test_trace_subcommand_prints_timeline_summary(capsys):
-    code, out = run_cli(capsys, "trace", "fib", "--design", "W+",
-                        "--cores", "2", "--scale", "0.06")
+    # `repro run --trace` is the one way to trace a run
+    code, out = run_cli(capsys, "run", "fib", "--design", "W+",
+                        "--cores", "2", "--scale", "0.06", "--trace")
     assert code == 0
     assert "trace summary" in out
     assert "event counts" in out
     assert "stats cross-check" in out
-    assert "interval metrics" in out
+    assert "top 10 longest fence episodes" in out
+    assert "interval metrics" not in out
 
 
 def test_trace_subcommand_jsonl_export(capsys, tmp_path):
     out_path = tmp_path / "t.jsonl"
-    code, out = run_cli(capsys, "trace", "fib", "--design", "S+",
+    code, out = run_cli(capsys, "run", "fib", "--design", "S+",
                         "--cores", "2", "--scale", "0.06",
-                        "--out", str(out_path), "--format", "jsonl")
+                        "--trace-out", str(out_path),
+                        "--trace-format", "jsonl")
     assert code == 0
-    first = out_path.read_text().splitlines()[0]
-    assert '"type":"meta"' in first.replace(" ", "")
+    lines = out_path.read_text().splitlines()
+    assert '"type":"meta"' in lines[0].replace(" ", "")
+    assert all('"type":"event"' in line for line in lines[1:])
 
 
 def test_trace_unknown_workload(capsys):
-    assert main(["trace", "nope"]) == 2
+    assert main(["run", "nope", "--trace"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "fib"],
+    ["run", "fib", "--metrics-interval", "500"],
+])
+def test_trace_subcommand_and_metrics_interval_are_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 # --- flags several commands share come from one parent parser each ---

@@ -69,6 +69,18 @@ def test_run_workload_leaves_nothing_to_collect(name, scale, design):
     assert unreachable == 0
 
 
+@pytest.mark.parametrize("name", ["Counter", "fib"])
+def test_a_cfence_run_leaves_nothing_to_collect(name):
+    # every executed C-fence waits on the centralized table through a
+    # record of its own; the machine's teardown must leave none behind
+    unreachable, run = unreachable_after(
+        lambda: run_workload(name, FenceDesign.CFENCE, num_cores=4,
+                             scale=0.1, check=True))
+    stats = run.result.stats
+    assert stats.cfence_skips + stats.cfence_stalls > 0  # fib stalls too
+    assert unreachable == 0
+
+
 @pytest.mark.parametrize("design", PAPER_DESIGNS, ids=lambda d: d.value)
 @pytest.mark.parametrize("spec", NAMED_PROGRAMS)
 def test_run_program_leaves_nothing_to_collect(spec, design):
@@ -124,11 +136,11 @@ def test_an_event_budget_cutoff_leaves_nothing_to_collect():
 
 
 def test_an_observed_run_leaves_nothing_to_collect():
-    obs = Observability(metrics_interval=500, attrib=True)
+    obs = Observability(attrib=True)
     unreachable, run = unreachable_after(
         lambda: run_workload("Counter", FenceDesign.W_PLUS, num_cores=4,
                              scale=0.1, obs=obs))
-    assert obs.tracer.records and obs.metrics.samples
+    assert obs.tracer.records and obs.attrib.tree()
     assert unreachable == 0
 
 
@@ -165,7 +177,7 @@ def test_stats_and_dependence_events_survive_teardown(design):
 
 def _trace_bytes(tmp_path, stem, run, obs):
     path = str(tmp_path / f"{stem}.jsonl")
-    write_jsonl(path, obs.tracer, obs.metrics, label="t",
+    write_jsonl(path, obs.tracer, label="t",
                 provenance=run_provenance(run))
     with open(path, "rb") as fh:
         return path, fh.read()
@@ -174,11 +186,11 @@ def _trace_bytes(tmp_path, stem, run, obs):
 def test_trace_metrics_and_attribution_survive_teardown(tmp_path):
     design = FenceDesign.W_PLUS
     reset_global_id_streams()
-    obs = Observability(metrics_interval=500, attrib=True)
+    obs = Observability(attrib=True)
     run = run_workload("Counter", design, num_cores=4, scale=0.1, seed=5,
                        obs=obs, sanitize="off")
     reset_global_id_streams()
-    kept_obs = Observability(metrics_interval=500, attrib=True)
+    kept_obs = Observability(attrib=True)
     _machine, kept = _by_hand("Counter", design, 0.1, 5, obs=kept_obs)
 
     path, data = _trace_bytes(tmp_path, "disposed", run, obs)
