@@ -158,21 +158,19 @@ def _export_trace(obs, run, out_path: str, fmt: str) -> None:
 def _run_budget(args):
     """RunBudget from the --max-* flags, or None when none was given.
     ``repro synth`` has no ``--max-events`` (synth/engine.py consults
-    the wall and RSS budgets only) and hands the budget whole to each
-    design's farm job, so it bounds every design, not the command."""
+    the wall budget only) and hands the budget whole to each design's
+    farm job, so it bounds every design, not the command."""
     max_events = getattr(args, "max_events", None)
-    if not (args.max_wall_secs or max_events or args.max_rss_mb):
+    if not (args.max_wall_secs or max_events):
         return None
     from repro.sim.governor import RunBudget
 
-    return RunBudget(
-        max_wall_secs=args.max_wall_secs,
-        max_events=max_events,
-        max_rss_mb=args.max_rss_mb,
-    )
+    return RunBudget(max_wall_secs=args.max_wall_secs, max_events=max_events)
 
 
 def cmd_run(args) -> int:
+    from repro.sanitizer.core import sanitize_mode
+
     load_all_workloads()
     if args.workload not in REGISTRY:
         print(f"unknown workload {args.workload!r}; try `repro list`",
@@ -181,6 +179,7 @@ def cmd_run(args) -> int:
     designs = list(FenceDesign) if args.all_designs else [args.design]
     tracing = args.trace or args.trace_out is not None
     budget = _run_budget(args)
+    sanitize = sanitize_mode(args.sanitize)
     violations = 0
     baseline = None
     for design in designs:
@@ -192,7 +191,7 @@ def cmd_run(args) -> int:
         run = run_workload(args.workload, design, num_cores=args.cores,
                            scale=args.scale, seed=args.seed,
                            check=args.check, obs=obs,
-                           sanitize=args.sanitize, budget=budget)
+                           sanitize=sanitize, budget=budget)
         violations += run.result.sanitizer_violations
         _print_run(run)
         if obs is not None and args.trace_out is not None:
@@ -299,11 +298,11 @@ def _designs_list(value: str):
 def cmd_synth(args) -> int:
     from repro.eval.tables import render_synth_table
     from repro.farm.clients import farm_synthesis
+    from repro.sanitizer.core import sanitize_mode
     from repro.synth import SynthConfig
     from repro.synth.programs import NAMED_PROGRAMS, program_for_spec
 
     designs = _designs_list(args.designs)
-    sanitize = args.sanitize or os.environ.get("REPRO_SANITIZE") or "off"
     config = SynthConfig(
         program=args.program,
         designs=designs,
@@ -313,7 +312,7 @@ def cmd_synth(args) -> int:
         max_runs=args.max_runs,
         audit=not args.no_audit,
         audit_factor=args.audit_factor,
-        sanitize=sanitize,
+        sanitize=sanitize_mode(args.sanitize),
     )
 
     print(f"synth: program {args.program!r}, {len(designs)} design(s), "
@@ -348,6 +347,7 @@ def cmd_synth(args) -> int:
 def cmd_chaos(args) -> int:
     import json
 
+    from repro.farm.clients import store_path
     from repro.faults.chaos import run_chaos_matrix
     from repro.faults.plan import LEGAL_SCENARIOS, SCENARIOS
 
@@ -382,7 +382,7 @@ def cmd_chaos(args) -> int:
         diag_dir=args.diag_dir,
         progress=progress,
         sanitize=args.sanitize,
-        farm_db=args.farm_db or os.environ.get("REPRO_FARM_DB") or None,
+        farm_db=store_path(args.farm_db),
         farm_workers=args.farm_workers,
     )
     print(f"{report['total_cases']} case(s): "
@@ -447,22 +447,20 @@ _SHARED_FLAGS = {
         "--sanitize": dict(
             default=None, choices=("off", "warn", "strict"),
             help="runtime protocol sanitizer mode for every simulation "
-                 "the command makes (default: %(default)s; None defers "
-                 "to $REPRO_SANITIZE, then off); strict stops at the "
-                 "first violation (exit code 5; synth counts it as an "
-                 "oracle failure, chaos as a caught case)"),
+                 "the command makes (default $REPRO_SANITIZE, else off; "
+                 "chaos cases default to strict); "
+                 "strict stops at the first violation (exit code 5; "
+                 "synth counts it as an oracle failure, chaos as a "
+                 "caught case)"),
     },
     # run, synth
-    "wall_rss": {
+    "wall": {
         "--max-wall-secs": dict(
             type=float, default=None, metavar="SECS",
             help="wall-clock budget: cut off gracefully into a degraded "
                  "result instead of running on (synth: per design — "
                  "each design's farm job gets the whole budget, and a "
                  "design that exceeds it is marked exhausted-wall)"),
-        "--max-rss-mb": dict(
-            type=float, default=None, metavar="MB",
-            help="RSS high-water-mark budget (graceful cutoff)"),
     },
     # run, farm submit (per job)
     "events": {
@@ -509,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser(
         "run", help="run one workload",
-        parents=[_parent("sanitize"), _parent("wall_rss"), _parent("events")])
+        parents=[_parent("sanitize"), _parent("wall"), _parent("events")])
     p_run.add_argument("workload")
     p_run.add_argument("--design", type=_design,
                        default=FenceDesign.S_PLUS)
@@ -562,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn = sub.add_parser(
         "synth",
         help="synthesize minimal-cost SC-safe fence placements per design",
-        parents=[_parent("sanitize"), _parent("wall_rss"), _parent("farm")],
+        parents=[_parent("sanitize"), _parent("wall"), _parent("farm")],
     )
     p_syn.add_argument(
         "--program", default="sb",
@@ -679,6 +677,10 @@ def main(argv=None) -> int:
         return 0
     except argparse.ArgumentTypeError as exc:
         # a list-valued flag, parsed by the command (_designs_list)
+        print(str(exc), file=sys.stderr)
+        return 2
+    except ConfigError as exc:
+        # a bad setting the command resolved itself (REPRO_SANITIZE)
         print(str(exc), file=sys.stderr)
         return 2
     except tuple(EXIT_BY_ERROR) as exc:

@@ -33,12 +33,12 @@ class RunSummary:
     seed: int = 0
     #: flat stats (MachineStats.summary())
     stats: Dict[str, float] = field(default_factory=dict)
-    #: a resource budget (REPRO_MAX_*) cut this run off gracefully —
+    #: a resource budget (RunBudget) cut this run off gracefully —
     #: first-class recorded outcome, not an exception
     degraded: bool = False
     degraded_reason: Optional[str] = None
-    #: violations a warn-mode sanitizer (REPRO_SANITIZE)
-    #: recorded during the run (strict raises instead)
+    #: violations a warn-mode sanitizer recorded during the run
+    #: (strict raises instead)
     sanitizer_violations: int = 0
     #: machine-level cycle attribution, flattened to component ->
     #: core-cycles ("fence_stall.sf.drain": 1234.5, ...); None on rows
@@ -73,14 +73,14 @@ def run_summary(
     num_cores: int,
     scale: float,
     seed: int,
-    sanitize: Optional[str] = None,
+    sanitize: str = "off",
     budget=None,
 ) -> RunSummary:
     """One fully-summarized matrix run — what a farm ``matrix`` job
     executes.
 
-    *sanitize*/*budget* default to the environment (``REPRO_SANITIZE``
-    / ``REPRO_MAX_*``) exactly like :func:`run_workload`.
+    *sanitize* and *budget* go to :func:`run_workload` as given (the
+    job's config holds them); nothing is read from the environment.
     """
     load_all_workloads()
     from repro.obs import Observability
@@ -138,14 +138,22 @@ def run_matrix(
     (:func:`~repro.farm.clients.campaign_rows`).  *farm_workers*
     defaults to :func:`~repro.farm.clients.default_farm_workers`; 0 runs
     every job in this process.
+
+    The sanitizer mode is resolved here, once
+    (:func:`~repro.sanitizer.core.sanitize_mode`), and written into
+    every job's config, so it is part of the content key: a store
+    never serves a row made under another mode.  ``"off"`` adds
+    nothing, so plain runs keep their keys.
     """
     from repro.farm.clients import campaign_rows
     from repro.farm.spec import CampaignSpec
+    from repro.sanitizer.core import sanitize_mode
 
+    mode = sanitize_mode()
     spec = CampaignSpec.make(
         "matrix", names, designs, seeds=[seed],
         core_counts=list(core_counts) if core_counts else [num_cores],
-        scale=scale,
+        scale=scale, config={"sanitize": mode} if mode != "off" else None,
     )
     rows = campaign_rows(farm_db, spec, farm_workers)
     summaries = [RunSummary(**row) for row in rows]

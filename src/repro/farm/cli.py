@@ -19,7 +19,6 @@ campaigns' job rows; the result cache is kept unless ``--prune-cache``.
 from __future__ import annotations
 
 import json
-import os
 import sys
 
 from repro.common.errors import ConfigError
@@ -28,20 +27,30 @@ from repro.farm.campaign import run_campaign, submit
 from repro.farm.spec import KINDS, CampaignSpec
 from repro.farm.store import FarmStore
 from repro.farm.worker import FarmConfig
-from repro.farm.clients import default_farm_workers
+from repro.farm.clients import default_farm_workers, store_path
 
 
 def _spec_from_args(args, designs_parser) -> CampaignSpec:
+    from repro.sanitizer.core import sanitize_mode
+
     # an unknown design raises out to repro.cli.main()'s usage error
     designs = designs_parser(args.designs)
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
     if not workloads:
         raise ConfigError("no workloads/scenarios given")
     config = {}
+    # the mode is part of every job's key: the flag, else (but for
+    # chaos, which keeps its own default like `repro chaos`)
+    # REPRO_SANITIZE; an unflagged "off" adds nothing, so plain
+    # campaigns keep their keys
     if args.sanitize:
         config["sanitize"] = args.sanitize
+    elif args.kind != "chaos":
+        mode = sanitize_mode()
+        if mode != "off":
+            config["sanitize"] = mode
     if args.max_events:
-        # an event budget is deterministic (unlike wall/RSS), so a
+        # an event budget is deterministic (unlike wall time), so a
         # degraded row is still bit-identical across workers
         config["budget"] = {"max_events": args.max_events}
     return CampaignSpec.make(
@@ -157,8 +166,7 @@ def add_farm_parser(sub, submit_parents) -> None:
 
     def common(sp, diag=True):
         sp.add_argument("--db",
-                        default=os.environ.get("REPRO_FARM_DB")
-                        or "benchmarks/out/farm.sqlite",
+                        default=store_path() or "benchmarks/out/farm.sqlite",
                         help="farm database path (SQLite, WAL; default "
                              "$REPRO_FARM_DB or benchmarks/out/farm.sqlite)")
         if diag:

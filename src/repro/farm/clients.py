@@ -32,6 +32,12 @@ def default_farm_workers() -> int:
     return max(1, min(8, (os.cpu_count() or 2) - 1))
 
 
+def store_path(db: Optional[str] = None) -> Optional[str]:
+    """The farm store *db* names, else ``REPRO_FARM_DB``'s, else None
+    — the one reader of that variable."""
+    return db or os.environ.get("REPRO_FARM_DB") or None
+
+
 class _JobRaised(Exception):
     """A job's run raised: the campaign stops (see campaign_rows)."""
 
@@ -56,7 +62,7 @@ def campaign_rows(db: Optional[str], spec: CampaignSpec,
     else :class:`ConfigError`; the message names the first failed
     jobs and their errors.
     """
-    db = db or os.environ.get("REPRO_FARM_DB")
+    db = store_path(db)
     if not db:
         with tempfile.TemporaryDirectory(prefix="repro-farm-") as tmp:
             return campaign_rows(os.path.join(tmp, "farm.sqlite"), spec,
@@ -121,19 +127,15 @@ def farm_chaos_cases(
 def synth_campaign(config, budget=None) -> CampaignSpec:
     """A :class:`~repro.synth.engine.SynthConfig` as a campaign of one
     ``synth`` job per design: ``(program spec, design, adversary
-    seed)``.  The rest of the config and the wall/RSS budget (*budget*,
-    else ``REPRO_MAX_*``) ride in the job config, so changing either
-    makes new jobs, and every job gets the whole budget."""
-    from repro.sim.governor import RunBudget
-
+    seed)``.  The rest of the config and the wall budget (*budget*) ride
+    in the job config, so changing either makes new jobs, and every job
+    gets the whole budget."""
     blob = config.to_dict()
     for field in ("program", "designs", "seed"):
         del blob[field]
-    budget = budget or RunBudget.from_env()
-    if budget is not None and (budget.max_wall_secs or budget.max_rss_mb):
+    if budget is not None and budget.max_wall_secs:
         # synthesis consults no event budget (engine._deadline_from_budget)
-        blob["budget"] = {"max_wall_secs": budget.max_wall_secs,
-                          "max_rss_mb": budget.max_rss_mb}
+        blob["budget"] = {"max_wall_secs": budget.max_wall_secs}
     return CampaignSpec.make(
         "synth", [config.program], config.designs, seeds=[config.seed],
         core_counts=[0], scale=0.0, config=blob,

@@ -7,8 +7,10 @@ call and the produced row is bit-identical to what that call returns.
 Per-job settings ride in ``spec.config`` (canonical JSON, part of the
 content key): ``sanitize`` and an optional ``budget`` object
 (:class:`RunBudget` fields) so a wedged job degrades gracefully
-instead of wedging its worker.  A worker-side *diag_dir* is plumbed
-separately — where diagnostics land must not change a job's identity.
+instead of wedging its worker.  The config is the whole of a job's
+settings: an absent key means the kind's default, never the worker's
+environment.  A worker-side *diag_dir* is plumbed separately — where
+diagnostics land must not change a job's identity.
 """
 
 from __future__ import annotations
@@ -22,20 +24,17 @@ from repro.sim.governor import RunBudget
 
 
 def _budget(cfg: dict) -> Optional[RunBudget]:
-    """Per-job budget from the config blob, else the environment.
+    """Per-job budget from the config blob; None runs unbounded.
 
     Prefer event budgets in campaign configs: an event cutoff is
     deterministic, so a degraded row is still bit-identical across
-    workers; a wall/RSS cutoff depends on the machine that ran it.
+    workers; a wall cutoff depends on the machine that ran it.
     """
     blob = cfg.get("budget")
-    if blob:
-        return RunBudget(
-            max_wall_secs=blob.get("max_wall_secs"),
-            max_events=blob.get("max_events"),
-            max_rss_mb=blob.get("max_rss_mb"),
-        )
-    return RunBudget.from_env()
+    if not blob:
+        return None
+    return RunBudget(max_wall_secs=blob.get("max_wall_secs"),
+                     max_events=blob.get("max_events"))
 
 
 def _run_matrix_job(spec: JobSpec, diag_dir: Optional[str]) -> dict:
@@ -44,7 +43,7 @@ def _run_matrix_job(spec: JobSpec, diag_dir: Optional[str]) -> dict:
     cfg = spec.config_dict()
     summary = run_summary(
         spec.workload, spec.design, spec.cores, spec.scale, spec.seed,
-        sanitize=cfg.get("sanitize"), budget=_budget(cfg),
+        sanitize=cfg.get("sanitize", "off"), budget=_budget(cfg),
     )
     return dataclasses.asdict(summary)
 

@@ -70,7 +70,7 @@ def build_report(tree: Dict[str, object], source: str,
 
 def profile_run(workload: str, design, num_cores: int = 8,
                 scale: float = 0.5, seed: int = 12345,
-                sanitize: Optional[str] = None,
+                sanitize: str = "off",
                 label: Optional[str] = None) -> Dict[str, object]:
     """One attributed (untraced) run -> a profile report."""
     from repro.obs import Observability
@@ -251,7 +251,8 @@ def _format_report(report: Dict[str, object], fmt: str) -> str:
     return render_text(report)
 
 
-def _source_report(args, spec: str, design_parser) -> Dict[str, object]:
+def _source_report(args, spec: str, design_parser,
+                   sanitize: str) -> Dict[str, object]:
     """A diff operand: an existing report/trace file, or a design name
     profiled with the shared run options."""
     if os.path.exists(spec):
@@ -266,23 +267,26 @@ def _source_report(args, spec: str, design_parser) -> Dict[str, object]:
         return report
     design = design_parser(spec)
     return profile_run(args.workload, design, num_cores=args.cores,
-                       scale=args.scale, seed=args.seed)
+                       scale=args.scale, seed=args.seed, sanitize=sanitize)
 
 
 def cmd_profile(args, design_parser) -> int:
     from repro.obs.analyze import AnalysisError
+    from repro.sanitizer.core import sanitize_mode
 
     try:
         if args.profile_command == "run":
             report = profile_run(
                 args.workload, args.design, num_cores=args.cores,
-                scale=args.scale, seed=args.seed,
+                scale=args.scale, seed=args.seed, sanitize=sanitize_mode(),
             )
         elif args.profile_command == "from-trace":
             report = report_from_trace(args.trace)
         else:  # diff
-            base = _source_report(args, args.base, design_parser)
-            other = _source_report(args, args.other, design_parser)
+            sanitize = sanitize_mode()
+            base = _source_report(args, args.base, design_parser, sanitize)
+            other = _source_report(args, args.other, design_parser,
+                                   sanitize)
             for side in (base, other):
                 if not side["conservation"]["ok"]:
                     print("conservation FAILED on "

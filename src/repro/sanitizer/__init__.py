@@ -18,7 +18,6 @@ from repro.sanitizer.core import (
     EVENT_HORIZON,
     MODES,
     Sanitizer,
-    sanitizer_from_env,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "MODES",
     "Sanitizer",
     "SanitizerError",
-    "sanitizer_from_env",
 ]

@@ -35,7 +35,7 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.common.errors import SanitizerError
+from repro.common.errors import ConfigError, SanitizerError
 
 #: default sampling cadence (cycles between full sweeps)
 DEFAULT_INTERVAL = 5_000
@@ -54,12 +54,21 @@ MODES = ("warn", "strict")
 MAX_VIOLATIONS = 64
 
 
-def sanitizer_from_env(default: str = "off") -> Optional["Sanitizer"]:
-    """A :class:`Sanitizer` per ``REPRO_SANITIZE``, or None for off."""
-    mode = os.environ.get("REPRO_SANITIZE", default) or "off"
-    if mode == "off":
-        return None
-    return Sanitizer(mode=mode)
+def sanitize_mode(flag: Optional[str] = None) -> str:
+    """The sanitizer mode a command runs under: *flag* when given, else
+    ``REPRO_SANITIZE``, else ``"off"``.
+
+    The one reader of that variable.  Commands resolve the mode here
+    once and hand it down as a value — into ``run_workload``, and into
+    the config (so the content key) of every farm job they submit — so
+    no worker ever consults its own environment.  An unknown mode is a
+    :class:`ConfigError`, which the CLI reports as a usage error.
+    """
+    mode = flag or os.environ.get("REPRO_SANITIZE") or "off"
+    if mode != "off" and mode not in MODES:
+        raise ConfigError(
+            f"unknown sanitizer mode {mode!r}; choose from {MODES}")
+    return mode
 
 
 class Sanitizer:

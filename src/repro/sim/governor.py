@@ -1,52 +1,30 @@
 """Resource-governed runs: budgets that cut off gracefully.
 
 A :class:`RunBudget` bounds a single :meth:`Machine.run` by wall-clock
-seconds, simulated-event count, and/or RSS high-water mark.  The
-:class:`ResourceGovernor` checks the budget from a self-rescheduling
-queue event (a pump, like the watchdog's) and, on breach, asks the event
-queue to stop — the run then unwinds normally and returns a
+seconds and/or simulated-event count.  The :class:`ResourceGovernor`
+checks the budget from a self-rescheduling queue event (a pump, like
+the watchdog's) and, on breach, asks the event queue to stop — the run then unwinds normally and returns a
 :class:`~repro.sim.machine.SimResult` marked ``degraded`` with the
 breach reason.  A governed run can therefore never hang or be
 hard-killed mid-state: every cutoff flows through the ordinary
 end-of-run path (stats, artifacts, result rows).
 
-Budgets default from the environment (``REPRO_MAX_WALL_SECS``,
-``REPRO_MAX_EVENTS``, ``REPRO_MAX_RSS_MB``) so matrix subprocesses and
-CI inherit them without plumbing.
+A budget is a value: the command that starts a run sets it (``repro
+run --max-wall-secs/--max-events``, ``repro synth --max-wall-secs``,
+``repro farm submit --max-events``) and hands it down; a farm job
+carries it in its config, so it is part of the job's content key.
+Nothing here reads the environment.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Optional
 
-try:
-    import resource as _resource
-except ImportError:  # pragma: no cover - non-POSIX
-    _resource = None
-
-#: cycles between budget checks; cheap (two syscalls at most), so a
+#: cycles between budget checks; cheap (one clock read at most), so a
 #: tight-ish cadence keeps overshoot small without touching the hot path
-DEFAULT_CHECK_INTERVAL = 2_000
-
-
-def _rss_mb() -> Optional[float]:
-    """The *process* RSS high-water mark in MiB (None when unavailable).
-
-    That is the interpreter plus everything alive at the process's
-    largest moment so far — one live machine, as long as finished ones
-    are disposed (``Machine.dispose``) rather than left to the cyclic
-    collector — and it never falls.
-    """
-    if _resource is None:
-        return None
-    peak = _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is KiB on Linux, bytes on Darwin
-    if os.uname().sysname == "Darwin":  # pragma: no cover - mac only
-        return peak / (1024.0 * 1024.0)
-    return peak / 1024.0
+CHECK_INTERVAL_CYCLES = 2_000
 
 
 @dataclass(frozen=True)
@@ -55,28 +33,10 @@ class RunBudget:
 
     max_wall_secs: Optional[float] = None
     max_events: Optional[int] = None
-    max_rss_mb: Optional[float] = None
-    check_interval_cycles: int = DEFAULT_CHECK_INTERVAL
 
     @property
     def enabled(self) -> bool:
-        return (self.max_wall_secs is not None
-                or self.max_events is not None
-                or self.max_rss_mb is not None)
-
-    @classmethod
-    def from_env(cls) -> Optional["RunBudget"]:
-        """Budget from ``REPRO_MAX_*`` env vars, or None when unset."""
-        wall = os.environ.get("REPRO_MAX_WALL_SECS")
-        events = os.environ.get("REPRO_MAX_EVENTS")
-        rss = os.environ.get("REPRO_MAX_RSS_MB")
-        if not (wall or events or rss):
-            return None
-        return cls(
-            max_wall_secs=float(wall) if wall else None,
-            max_events=int(events) if events else None,
-            max_rss_mb=float(rss) if rss else None,
-        )
+        return self.max_wall_secs is not None or self.max_events is not None
 
 
 class ResourceGovernor:
@@ -101,7 +61,7 @@ class ResourceGovernor:
         queue = self.machine.queue
         self._start_seq = queue._seq
         self._event = queue.schedule(
-            self.budget.check_interval_cycles, self._tick, "governor"
+            CHECK_INTERVAL_CYCLES, self._tick, "governor"
         )
 
     def stop(self) -> None:
@@ -121,7 +81,7 @@ class ResourceGovernor:
         if self.breached is not None:
             return
         self._event = self.machine.queue.schedule(
-            self.budget.check_interval_cycles, self._tick, "governor"
+            CHECK_INTERVAL_CYCLES, self._tick, "governor"
         )
 
     def check(self) -> Optional[str]:
@@ -137,11 +97,6 @@ class ResourceGovernor:
             if elapsed >= budget.max_wall_secs:
                 reason = (f"wall-clock budget exhausted "
                           f"({elapsed:.1f}s >= {budget.max_wall_secs}s)")
-        if reason is None and budget.max_rss_mb is not None:
-            rss = _rss_mb()
-            if rss is not None and rss >= budget.max_rss_mb:
-                reason = (f"RSS watermark exceeded "
-                          f"({rss:.0f} MiB >= {budget.max_rss_mb} MiB)")
         if reason is not None:
             self.breached = reason
             self.machine.queue.request_stop()

@@ -271,10 +271,9 @@ class Machine:
             budget: Optional[RunBudget] = None) -> SimResult:
         """Run to completion (or *max_cycles* / params.max_cycles).
 
-        *budget* bounds the run by wall-clock time, event count and/or
-        RSS watermark; a breach stops the queue gracefully and the
-        result comes back ``degraded`` with the reason — never a hang
-        or a hard kill.
+        *budget* bounds the run by wall-clock time and/or event count;
+        a breach stops the queue gracefully and the result comes back
+        ``degraded`` with the reason — never a hang or a hard kill.
         """
         self._refuse_if_disposed()
         limit = max_cycles or self.params.max_cycles or None

@@ -20,7 +20,7 @@ program across a set of fence designs:
 The report is deterministic for a fixed (program, designs, seed,
 config): no timestamps, no environment leakage, stable ordering.  A
 :class:`~repro.sim.governor.RunBudget` bounds one :func:`run_synthesis`
-call by wall-clock and RSS (event budgets are a per-run concept and are
+call by wall-clock time (event budgets are a per-run concept and are
 not consulted here); on breach the affected design is marked
 ``exhausted-wall`` and later designs are skipped, never half-reported.
 ``repro synth`` calls it once per design, so there the budget bounds
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.params import FenceDesign
-from repro.sim.governor import RunBudget, _rss_mb
+from repro.sim.governor import RunBudget
 from repro.synth import cost as cost_mod
 from repro.synth.programs import program_for_spec
 from repro.synth.search import (
@@ -352,22 +352,11 @@ def _synth_one_design(
 
 
 def _deadline_from_budget(budget: Optional[RunBudget]):
-    """A whole-synthesis cutoff check from a RunBudget (wall + RSS)."""
-    if budget is None or not budget.enabled:
+    """A whole-synthesis wall-clock cutoff check from a RunBudget."""
+    if budget is None or budget.max_wall_secs is None:
         return None
     start = time.monotonic()
-
-    def out_of_budget() -> bool:
-        if budget.max_wall_secs is not None:
-            if time.monotonic() - start >= budget.max_wall_secs:
-                return True
-        if budget.max_rss_mb is not None:
-            rss = _rss_mb()
-            if rss is not None and rss >= budget.max_rss_mb:
-                return True
-        return False
-
-    return out_of_budget
+    return lambda: time.monotonic() - start >= budget.max_wall_secs
 
 
 def run_synthesis(
@@ -377,16 +366,14 @@ def run_synthesis(
 ) -> SynthReport:
     """Synthesize minimal fence placements for every configured design.
 
-    *budget* defaults from the ``REPRO_MAX_*`` environment (CI
-    inheritance); *progress* is an optional ``callable(design_value,
-    entry)`` fired as each design completes.
+    *budget* (a :class:`RunBudget`; None runs unbounded) bounds the
+    call by its wall-clock leg; *progress* is an optional
+    ``callable(design_value, entry)`` fired as each design completes.
 
     Nothing is checkpointed here: ``repro synth`` runs each design as
     one farm job (:func:`repro.farm.clients.farm_synthesis`), and the
     farm store is what an interrupted synthesis resumes from.
     """
-    if budget is None:
-        budget = RunBudget.from_env()
     deadline = _deadline_from_budget(budget)
 
     program = program_for_spec(config.program, seed=config.seed)

@@ -8,27 +8,17 @@ throughput-measured ustm group) and returns the stats.  It owns that
 machine: nothing it returns refers to it, so it disposes it on the way
 out and the run's memory is freed by reference count.
 
-Workload sizes scale with the ``scale`` argument (and the
-``REPRO_SCALE`` environment variable) so tests can run tiny instances
-while benchmarks run the full ones.
+Workload sizes scale with the ``scale`` argument so tests can run tiny
+instances while benchmarks run the full ones.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional, Type
 
 from repro.common.params import FenceDesign, MachineParams
 from repro.sim.machine import Machine, SimResult
-
-
-def env_scale(default: float = 1.0) -> float:
-    """Workload scale factor from $REPRO_SCALE (default 1.0)."""
-    try:
-        return float(os.environ.get("REPRO_SCALE", default))
-    except ValueError:
-        return default
 
 
 @dataclass
@@ -111,7 +101,7 @@ def run_workload(
     params: Optional[MachineParams] = None,
     check: bool = False,
     obs=None,
-    sanitize: Optional[str] = None,
+    sanitize: str = "off",
     budget=None,
 ) -> WorkloadRun:
     """Build, run and wrap one workload under one fence design.
@@ -121,11 +111,9 @@ def run_workload(
     cover the whole execution.
 
     *sanitize* attaches a runtime protocol sanitizer in the given mode
-    ("warn" | "strict"); None falls back to the
-    ``REPRO_SANITIZE`` environment variable (so matrix subprocesses and
-    CI inherit it), "off" disables it.  *budget* is an optional
-    :class:`repro.sim.governor.RunBudget`; None falls back to the
-    ``REPRO_MAX_*`` environment variables.
+    ("warn" | "strict"); "off" attaches none.  *budget* is an optional
+    :class:`repro.sim.governor.RunBudget`; None runs unbounded.  Both
+    are values the caller decides: nothing here reads the environment.
     """
     cls = REGISTRY[name]
     workload = cls(scale=scale)
@@ -135,16 +123,10 @@ def run_workload(
     machine = Machine(params, seed=seed)
     if obs is not None:
         obs.attach(machine)
-    if sanitize is None:
-        sanitize = os.environ.get("REPRO_SANITIZE", "off") or "off"
     if sanitize != "off":
         from repro.sanitizer import Sanitizer
 
         machine.attach_sanitizer(Sanitizer(mode=sanitize))
-    if budget is None:
-        from repro.sim.governor import RunBudget
-
-        budget = RunBudget.from_env()
     try:
         workload.setup(machine)
         result = machine.run(max_cycles=workload.cycle_budget, budget=budget)

@@ -198,9 +198,11 @@ def test_poison_job_quarantines_and_campaign_still_finishes(
         assert set(q["failed_workers"]) == {"w1", "w2", "w3"}
     assert list(diag.glob("quarantine_*.json"))  # the watchdog bundle
     # the collector refuses to pretend the quarantined row exists, and
-    # names the error that quarantined it
+    # names the error that quarantined it (run_matrix's grid is the
+    # plain spec above only when no sanitizer mode joins its keys)
     from repro.eval.runner import run_matrix
 
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     with pytest.raises(ConfigError,
                        match="1 unproduced.*RuntimeError: synthetic poison"):
         run_matrix(["fib"], DESIGNS, num_cores=2, scale=0.06, seed=5,
@@ -222,6 +224,91 @@ def test_run_matrix_honours_farm_db_env(tmp_path, monkeypatch):
                       scale=0.06, seed=5)
     assert os.path.exists(db)
     assert len(rows) == 1
+
+
+# ----------------------------------------------------------------------
+# a run's settings are values that travel in the job's content key: the
+# environment neither shapes a row nor picks which cached row is served
+# ----------------------------------------------------------------------
+
+def _fib_row(db):
+    """fib, S+, 4 cores, scale 0.1 — 6321 cycles when it completes."""
+    from repro.eval.runner import run_matrix
+
+    (row,) = run_matrix(["fib"], [FenceDesign.S_PLUS], num_cores=4,
+                        scale=0.1, farm_db=db, farm_workers=0).values()
+    return row
+
+
+def test_an_event_budget_in_the_environment_degrades_no_row(tmp_path,
+                                                            monkeypatch):
+    from repro.workloads.base import load_all_workloads, run_workload
+
+    db = str(tmp_path / "farm.sqlite")
+    monkeypatch.setenv("REPRO_MAX_EVENTS", "500")
+    row = _fib_row(db)
+    assert (row.cycles, row.completed, row.degraded) == (6321, True, False)
+    load_all_workloads()
+    run = run_workload("fib", FenceDesign.S_PLUS, num_cores=4, scale=0.1)
+    assert (run.cycles, run.result.completed) == (6321, True)
+    # and the warm store serves a plain run that same complete row
+    monkeypatch.delenv("REPRO_MAX_EVENTS")
+    assert _fib_row(db) == row
+
+
+@pytest.mark.parametrize("mode", ["strict", "bogus"])
+def test_a_warm_store_serves_no_plain_row_to_another_sanitize_mode(
+        tmp_path, monkeypatch, mode):
+    db = str(tmp_path / "farm.sqlite")
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    plain = _fib_row(db)
+    ran = []
+    real = worker_mod.execute_job
+    monkeypatch.setattr(worker_mod, "execute_job",
+                        lambda job, diag_dir=None: ran.append(job)
+                        or real(job, diag_dir))
+    monkeypatch.setenv("REPRO_SANITIZE", mode)
+    if mode == "bogus":
+        with pytest.raises(ConfigError,
+                           match="unknown sanitizer mode 'bogus'"):
+            _fib_row(db)
+        assert ran == []
+        return
+    assert _fib_row(db) == plain  # the sanitizer perturbs nothing ...
+    # ... but it did run: the mode is in the job's config, so its key
+    assert [job.config_dict() for job in ran] == [{"sanitize": "strict"}]
+
+
+@pytest.mark.parametrize("kind,workload,env,flag,config", [
+    # matrix: the flag, else REPRO_SANITIZE; an unflagged off adds nothing
+    ("matrix", "fib", None, None, {}),
+    ("matrix", "fib", "off", None, {}),
+    ("matrix", "fib", "strict", None, {"sanitize": "strict"}),
+    ("matrix", "fib", "strict", "off", {"sanitize": "off"}),
+    # chaos keeps its own default (strict) unless flagged, as `repro
+    # chaos` does: the environment never reaches a chaos job
+    ("chaos", "noc_jitter", None, None, {}),
+    ("chaos", "noc_jitter", "off", None, {}),
+    ("chaos", "noc_jitter", "warn", None, {}),
+    ("chaos", "noc_jitter", "strict", "off", {"sanitize": "off"}),
+])
+def test_farm_submit_writes_the_resolved_mode_into_the_config(
+        tmp_path, monkeypatch, kind, workload, env, flag, config):
+    from repro.cli import main
+
+    if env is None:
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_SANITIZE", env)
+    db = str(tmp_path / "farm.sqlite")
+    argv = ["farm", "submit", "--db", db, "--kind", kind,
+            "--workloads", workload, "--designs", "S+", "--seeds", "1"]
+    if flag:
+        argv += ["--sanitize", flag]
+    assert main(argv) == 0
+    with FarmStore(db) as store:
+        ((_, spec),) = store.campaigns()
+    assert json.loads(spec.config) == config
 
 
 # ----------------------------------------------------------------------

@@ -51,10 +51,11 @@ def test_colliding_fences_one_stalls():
 
 
 def test_cfence_workload_invariants():
+    from repro.sanitizer.core import sanitize_mode
     from repro.workloads.base import load_all_workloads, run_workload
     load_all_workloads()
     run = run_workload("fib", FenceDesign.CFENCE, num_cores=4,
-                       scale=0.2, check=True)
+                       scale=0.2, check=True, sanitize=sanitize_mode())
     s = run.stats
     assert s.cfence_skips + s.cfence_stalls == s.total_sf
     # fences rarely collide in work stealing: mostly skipped

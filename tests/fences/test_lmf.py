@@ -64,13 +64,14 @@ def test_lmf_sits_between_s_plus_and_ws_plus_on_work_stealing():
     """The qualitative §8 comparison on its natural workload: l-mf
     beats S+ while the deque stays owner-exclusive, and the wf designs
     match or beat it."""
+    from repro.sanitizer.core import sanitize_mode
     from repro.workloads.base import load_all_workloads, run_workload
     load_all_workloads()
     cycles = {}
     for design in (FenceDesign.S_PLUS, FenceDesign.LMF,
                    FenceDesign.WS_PLUS):
         run = run_workload("fib", design, num_cores=4, scale=0.2,
-                           check=True)
+                           check=True, sanitize=sanitize_mode())
         cycles[design] = run.cycles
     assert cycles[FenceDesign.LMF] <= cycles[FenceDesign.S_PLUS]
     assert cycles[FenceDesign.WS_PLUS] <= 1.1 * cycles[FenceDesign.LMF]

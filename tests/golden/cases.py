@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 
 from repro.common.params import FenceDesign, FenceRole
+from repro.sanitizer.core import sanitize_mode
 from repro.workloads import litmus
 from repro.workloads.base import load_all_workloads, run_workload
 
@@ -46,7 +47,7 @@ def golden_run(design: FenceDesign) -> dict:
     out = {}
     for workload in ("fib", "Counter"):
         run = run_workload(workload, design, num_cores=4, scale=0.25,
-                           seed=SEED)
+                           seed=SEED, sanitize=sanitize_mode())
         out[workload] = {
             "cycles": run.cycles,
             "completed": run.result.completed,

@@ -19,6 +19,7 @@ import pytest
 
 from repro.common.params import FenceDesign
 from repro.obs import Observability
+from repro.sanitizer.core import sanitize_mode
 from repro.workloads.base import load_all_workloads, run_workload
 from tests.support import reset_global_id_streams
 
@@ -67,7 +68,7 @@ def _traced_run(design: FenceDesign, workload: str = "fib"):
     load_all_workloads()
     obs = Observability(trace=True)
     run = run_workload(workload, design, num_cores=4, scale=0.2,
-                       seed=2024, obs=obs)
+                       seed=2024, obs=obs, sanitize=sanitize_mode())
     summary = {
         "cycles": run.cycles,
         "completed": run.result.completed,

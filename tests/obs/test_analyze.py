@@ -25,6 +25,7 @@ from repro.obs.export import (
     to_chrome_trace,
     write_jsonl,
 )
+from repro.sanitizer.core import sanitize_mode
 from repro.workloads.base import load_all_workloads, run_workload
 
 
@@ -117,7 +118,7 @@ def test_provenance_is_required(tmp_path):
     load_all_workloads()
     obs = Observability()
     run_workload("fib", FenceDesign.S_PLUS, num_cores=2, scale=0.1,
-                 seed=1, obs=obs)
+                 seed=1, obs=obs, sanitize=sanitize_mode())
     path = str(tmp_path / "bare.jsonl")
     write_jsonl(path, obs.tracer)  # legacy export: no provenance
     data = load_jsonl(path)
@@ -292,7 +293,7 @@ def test_capped_trace_is_rejected(tmp_path):
     load_all_workloads()
     obs = Observability(max_events=50, attrib=True)
     run = run_workload("fib", FenceDesign.S_PLUS, num_cores=2, scale=0.1,
-                       seed=1, obs=obs)
+                       seed=1, obs=obs, sanitize=sanitize_mode())
     assert obs.tracer.dropped > 0
     path = str(tmp_path / "capped.jsonl")
     write_jsonl(path, obs.tracer, provenance=run_provenance(run))

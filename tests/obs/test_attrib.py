@@ -24,6 +24,7 @@ from repro.obs import Observability
 from repro.obs.analyze import load_jsonl, replay_attribution
 from repro.obs.attrib import conservation_errors, diff_trees, flatten_node
 from repro.obs.export import run_provenance, write_jsonl
+from repro.sanitizer.core import sanitize_mode
 from repro.workloads.base import load_all_workloads, run_workload
 
 from tests.golden.cases import GOLDEN_DESIGNS, golden_path
@@ -34,6 +35,7 @@ ALL_DESIGNS = tuple(FenceDesign)  # the paper's five + l-mf + C-fence
 def _profiled(design, workload="fib", trace=False, scale=0.2, **kw):
     load_all_workloads()
     obs = Observability(trace=trace, attrib=True)
+    kw.setdefault("sanitize", sanitize_mode())
     run = run_workload(workload, design, num_cores=4, scale=scale,
                        seed=12345, obs=obs, **kw)
     return run, obs
@@ -78,7 +80,8 @@ def test_profiling_off_is_bit_identical(design):
     """Mirror of the tracing-off test: attaching the profiler must
     leave the simulated run bit-identical."""
     load_all_workloads()
-    plain = run_workload("fib", design, num_cores=4, scale=0.2, seed=12345)
+    plain = run_workload("fib", design, num_cores=4, scale=0.2, seed=12345,
+                         sanitize=sanitize_mode())
     profiled, _ = _profiled(design)
     assert profiled.stats.to_dict() == plain.stats.to_dict()
     assert profiled.cycles == plain.cycles

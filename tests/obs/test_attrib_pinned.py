@@ -28,6 +28,7 @@ import pytest
 from repro.common.params import FenceDesign
 from repro.obs import CycleAttribution, Observability
 from repro.obs.attrib import flatten_node
+from repro.sanitizer.core import sanitize_mode
 from repro.workloads.base import load_all_workloads, run_workload
 from tests.faults.test_degradation import _storm_collision_machine
 from tests.support import reset_global_id_streams
@@ -54,7 +55,7 @@ def _report(case):
         name, _, design = case.partition(":")
         obs = Observability(trace=False, attrib=True)
         run_workload(name, FenceDesign(design), num_cores=4, scale=0.2,
-                     seed=12345, obs=obs)
+                     seed=12345, obs=obs, sanitize=sanitize_mode())
         attrib = obs.attrib
     return {
         "machine": flatten_node(attrib.tree()["machine"]),

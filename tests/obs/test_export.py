@@ -13,6 +13,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
+from repro.sanitizer.core import sanitize_mode
 from repro.workloads.base import load_all_workloads, run_workload
 
 
@@ -21,7 +22,7 @@ def traced():
     load_all_workloads()
     obs = Observability()
     run = run_workload("fib", FenceDesign.W_PLUS, num_cores=4, scale=0.2,
-                       seed=12345, obs=obs)
+                       seed=12345, obs=obs, sanitize=sanitize_mode())
     return run, obs
 
 
@@ -78,7 +79,7 @@ def test_write_jsonl_bytes_equal_per_record_dumps(tmp_path):
     load_all_workloads()
     obs = Observability()
     run = run_workload("TreeOverwrite", FenceDesign.WS_PLUS, num_cores=4,
-                       scale=0.06, seed=7, obs=obs)
+                       scale=0.06, seed=7, obs=obs, sanitize=sanitize_mode())
     provenance = run_provenance(run)
     path = tmp_path / "trace.jsonl"
     n = write_jsonl(str(path), obs.tracer,

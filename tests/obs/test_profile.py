@@ -15,12 +15,13 @@ from repro.obs.profile import (
     render_text,
     report_from_trace,
 )
+from repro.sanitizer.core import sanitize_mode
 
 
 @pytest.fixture(scope="module")
 def run_report():
     return profile_run("fib", FenceDesign.W_PLUS, num_cores=4, scale=0.2,
-                       seed=12345)
+                       seed=12345, sanitize=sanitize_mode())
 
 
 def test_profile_run_report_schema(run_report):
@@ -59,7 +60,7 @@ def test_collapsed_stacks_format(run_report):
 
 def test_failed_conservation_is_reported():
     tree = profile_run("fib", FenceDesign.S_PLUS, num_cores=2,
-                       scale=0.1, seed=1)["tree"]
+                       scale=0.1, seed=1, sanitize=sanitize_mode())["tree"]
     tree["cores"][0]["fence_stall"]["total"] += 1.0  # corrupt it
     report = build_report(tree, "run")
     assert not report["conservation"]["ok"]
@@ -74,7 +75,7 @@ def test_from_trace_report_includes_analytics(tmp_path):
     load_all_workloads()
     obs = Observability(attrib=True)
     run = run_workload("fib", FenceDesign.S_PLUS, num_cores=4, scale=0.2,
-                       seed=12345, obs=obs)
+                       seed=12345, obs=obs, sanitize=sanitize_mode())
     path = str(tmp_path / "t.jsonl")
     write_jsonl(path, obs.tracer, provenance=run_provenance(run))
     report = report_from_trace(path)
@@ -148,6 +149,17 @@ def test_cli_from_trace(tmp_path, capsys):
     assert "conservation: OK" in capsys.readouterr().out
 
 
+def test_from_trace_simulates_nothing_so_ignores_the_sanitize_env(
+        tmp_path, capsys, monkeypatch):
+    trace = str(tmp_path / "t.jsonl")
+    assert cli.main(["run", "fib", "--design", "splus", "--cores", "2",
+                     "--scale", "0.06", "--trace-out", trace,
+                     "--trace-format", "jsonl"]) == 0
+    monkeypatch.setenv("REPRO_SANITIZE", "paranoid")
+    assert cli.main(["profile", "from-trace", trace]) == 0
+    assert "conservation: OK" in capsys.readouterr().out
+
+
 def test_cli_rejects_bad_trace(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"type": "meta"}\n')  # no provenance
@@ -160,7 +172,7 @@ def test_render_diff_text_names_components(run_report):
     from repro.obs.attrib import diff_trees
 
     base = profile_run("fib", FenceDesign.S_PLUS, num_cores=4, scale=0.2,
-                       seed=12345)
+                       seed=12345, sanitize=sanitize_mode())
     diff = diff_trees(base["tree"], run_report["tree"])
     text = render_diff_text(diff)
     assert "fence_stall.sf." in text

@@ -14,6 +14,7 @@ import pytest
 
 from repro.common.params import FenceDesign
 from repro.obs import Observability
+from repro.sanitizer.core import sanitize_mode
 from repro.workloads.base import load_all_workloads, run_workload
 
 DESIGNS = (
@@ -28,6 +29,7 @@ DESIGNS = (
 def _traced(design, workload="fib", **kw):
     load_all_workloads()
     obs = Observability()
+    kw.setdefault("sanitize", sanitize_mode())
     run = run_workload(workload, design, num_cores=4, scale=0.2,
                        seed=12345, obs=obs, **kw)
     return run, obs
@@ -105,7 +107,8 @@ def test_completed_run_has_no_open_or_incomplete_spans(traced_run):
 def test_tracing_does_not_perturb_the_simulation(design):
     """Attaching the tracer must leave the run bit-identical."""
     load_all_workloads()
-    plain = run_workload("fib", design, num_cores=4, scale=0.2, seed=12345)
+    plain = run_workload("fib", design, num_cores=4, scale=0.2, seed=12345,
+                         sanitize=sanitize_mode())
     traced, _ = _traced(design)
     assert traced.stats.to_dict() == plain.stats.to_dict()
     assert traced.cycles == plain.cycles

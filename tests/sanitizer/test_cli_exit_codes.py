@@ -48,6 +48,21 @@ def test_bad_sanitize_mode_is_a_usage_error():
     assert excinfo.value.code == 2  # argparse choices
 
 
+@pytest.mark.parametrize("argv", [
+    RUN_ARGS,
+    ("profile", "run", "fib", "--design", "S+", "--cores", "2",
+     "--scale", "0.06"),
+    ("farm", "submit", "--db", "{db}", "--workloads", "fib"),
+], ids=["run", "profile", "farm-submit"])
+def test_bad_sanitize_env_is_a_usage_error(monkeypatch, capsys, tmp_path,
+                                           argv):
+    monkeypatch.setenv("REPRO_SANITIZE", "paranoid")
+    db = str(tmp_path / "farm.sqlite")
+    code, _, err = run_cli(capsys, *(a.format(db=db) for a in argv))
+    assert code == 2
+    assert "unknown sanitizer mode 'paranoid'" in err
+
+
 @pytest.mark.parametrize("exc,code,marker", [
     (SanitizerError("dir-owner-in-sharers at cycle 3000",
                     diagnostics_path="/tmp/x.json"), 5, "sanitizer"),

@@ -47,10 +47,17 @@ def test_warn_mode_is_equally_invisible():
 
 
 def test_sanitizer_env_does_not_change_the_goldens(monkeypatch):
-    """The CI job sets ``REPRO_SANITIZE=strict`` globally; the env path
-    must be exactly as invisible as the explicit argument."""
-    plain = _run(FenceDesign.WEE)
+    """The CI job sets ``REPRO_SANITIZE=strict`` globally; ``run_matrix``
+    resolves it into every job, and that path must be exactly as
+    invisible as the explicit argument."""
+    from repro.eval.runner import run_matrix
+
+    def rows():
+        return run_matrix(["fib"], [FenceDesign.WEE, FenceDesign.W_PLUS],
+                          num_cores=4, scale=0.2, farm_workers=0)
+
+    monkeypatch.delenv("REPRO_FARM_DB", raising=False)
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    plain = rows()
     monkeypatch.setenv("REPRO_SANITIZE", "strict")
-    sanitized = _run(FenceDesign.WEE)
-    assert sanitized.stats.to_dict() == plain.stats.to_dict()
-    assert sanitized.cycles == plain.cycles
+    assert rows() == plain

@@ -8,6 +8,7 @@ so a runaway case in a big matrix costs its budget and nothing more.
 import pytest
 
 from repro.common.params import FenceDesign
+from repro.sanitizer.core import sanitize_mode
 from repro.sim.governor import RunBudget
 from repro.workloads.base import load_all_workloads, run_workload
 
@@ -17,6 +18,7 @@ def _run(budget=None, **kw):
     kw.setdefault("num_cores", 4)
     kw.setdefault("scale", 0.5)
     kw.setdefault("seed", 12345)
+    kw.setdefault("sanitize", sanitize_mode())
     return run_workload("fib", FenceDesign.S_PLUS, budget=budget, **kw)
 
 
@@ -51,36 +53,16 @@ def test_empty_budget_is_disabled():
     assert result.completed and not result.degraded
 
 
-def test_budget_from_env(monkeypatch):
-    for var in ("REPRO_MAX_WALL_SECS", "REPRO_MAX_EVENTS",
-                "REPRO_MAX_RSS_MB"):
-        monkeypatch.delenv(var, raising=False)
-    assert RunBudget.from_env() is None
-    monkeypatch.setenv("REPRO_MAX_EVENTS", "5000")
-    monkeypatch.setenv("REPRO_MAX_WALL_SECS", "2.5")
-    budget = RunBudget.from_env()
-    assert budget.max_events == 5000
-    assert budget.max_wall_secs == 2.5
-    assert budget.enabled
-
-
-def test_run_workload_inherits_the_env_budget(monkeypatch):
-    monkeypatch.setenv("REPRO_MAX_EVENTS", "5000")
-    result = _run().result  # budget=None -> RunBudget.from_env()
-    assert result.degraded
-    assert "event budget exhausted" in result.degraded_reason
-
-
-def test_runner_reports_a_budget_cutoff_as_a_first_class_outcome(
-        monkeypatch):
+def test_runner_reports_a_budget_cutoff_as_a_first_class_outcome():
     """A matrix job reports a degraded run in its RunSummary (and thus
     in its farm result row) instead of hanging or crashing."""
     import dataclasses
 
     from repro.eval.runner import run_summary
 
-    monkeypatch.setenv("REPRO_MAX_EVENTS", "5000")
-    summary = run_summary("fib", "S_PLUS", 4, 0.5, 12345)
+    summary = run_summary("fib", "S_PLUS", 4, 0.5, 12345,
+                          budget=RunBudget(max_events=5_000),
+                          sanitize=sanitize_mode())
     assert summary.degraded
     assert "event budget exhausted" in summary.degraded_reason
     assert not summary.completed

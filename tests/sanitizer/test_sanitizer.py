@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.common.errors import SanitizerError
+from repro.common.errors import ConfigError, SanitizerError
 from repro.common.params import FenceDesign
 from repro.sanitizer import MODES, Sanitizer
 from repro.workloads.base import load_all_workloads, run_workload
@@ -249,18 +249,32 @@ def test_run_workload_sanitize_plumbs_through(mode):
     assert run.result.sanitizer_violations == 0
 
 
-def test_run_workload_reads_the_sanitize_env(monkeypatch):
+def test_the_sanitize_env_is_read_at_the_command_edge_only(monkeypatch):
+    """``sanitize_mode`` resolves a command's mode (flag, else
+    ``REPRO_SANITIZE``, else off); ``run_workload`` takes the value it
+    is given and never looks at the environment."""
+    from repro.sanitizer.core import sanitize_mode
+
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    assert sanitize_mode() == "off"
+    monkeypatch.setenv("REPRO_SANITIZE", "warn")
+    assert sanitize_mode() == "warn"
+    assert sanitize_mode("strict") == "strict"
+    monkeypatch.setenv("REPRO_SANITIZE", "paranoid")
+    with pytest.raises(ConfigError, match="unknown sanitizer mode"):
+        sanitize_mode()
+
     load_all_workloads()
-    seen = {}
+    built = []
 
     class Probe(Sanitizer):
         def __init__(self, mode="strict", **kw):
-            seen["mode"] = mode
+            built.append(mode)
             super().__init__(mode=mode, **kw)
 
     monkeypatch.setenv("REPRO_SANITIZE", "warn")
     monkeypatch.setattr("repro.sanitizer.Sanitizer", Probe)
     run = run_workload("fib", FenceDesign.S_PLUS, num_cores=2,
                        scale=0.1, seed=3)
-    assert seen["mode"] == "warn"
-    assert run.result.completed
+    assert built == []
+    assert run.sanitize == "off" and run.result.completed

@@ -21,8 +21,7 @@ DESIGNS = (FenceDesign.S_PLUS, FenceDesign.WS_PLUS, FenceDesign.W_PLUS)
 @pytest.fixture(autouse=True)
 def _pinned_env(monkeypatch):
     monkeypatch.setenv("REPRO_CODE_REV", "synth-resume-rev")
-    for var in ("REPRO_FARM_DB", "REPRO_MAX_WALL_SECS", "REPRO_MAX_RSS_MB"):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("REPRO_FARM_DB", raising=False)
 
 
 def _config(designs=DESIGNS, **kw):

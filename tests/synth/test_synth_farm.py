@@ -4,8 +4,8 @@ The farm store is synthesis's checkpoint.  A synthesis killed after its
 first design re-runs only the other designs and prints a byte-identical
 report; an identical re-run simulates nothing; a design-superset re-run
 simulates only the new designs.  A job's content key covers the whole
-config and the wall/RSS budget, so neither can be served a row made
-under another.
+config and the wall budget, so neither can be served a row made under
+another.
 """
 
 import dataclasses
@@ -33,8 +33,7 @@ SB3 = ["synth", "--program", "sb", "--designs", "S+,WS+,W+"]
 @pytest.fixture(autouse=True)
 def _pinned_env(monkeypatch):
     monkeypatch.setenv("REPRO_CODE_REV", "synth-farm-rev")
-    for var in ("REPRO_FARM_DB", "REPRO_MAX_WALL_SECS", "REPRO_MAX_RSS_MB"):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("REPRO_FARM_DB", raising=False)
 
 
 @pytest.fixture
@@ -119,18 +118,14 @@ def _keys(config, budget=None):
             for job in synth_campaign(config, budget).expand()}
 
 
-def test_budget_and_points_are_part_of_every_job_key(monkeypatch):
+def test_budget_and_points_are_part_of_every_job_key():
     config = SynthConfig(program="sb", seed=1,
                          designs=(FenceDesign.S_PLUS, FenceDesign.W_PLUS))
     base = _keys(config)
     assert len(base) == 2 and _keys(config) == base
     for other in (_keys(config, RunBudget(max_wall_secs=300.0)),
-                  _keys(config, RunBudget(max_rss_mb=512.0)),
                   _keys(dataclasses.replace(config, num_points=4))):
         assert other.isdisjoint(base)
-    # an inherited budget is one too
-    monkeypatch.setenv("REPRO_MAX_WALL_SECS", "300")
-    assert _keys(config) == _keys(config, RunBudget(max_wall_secs=300.0))
 
 
 def test_farm_submit_kind_synth_stores_the_direct_entry(tmp_path):

@@ -180,18 +180,28 @@ def test_trace_subcommand_and_metrics_interval_are_gone(capsys, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["run", "fib"], ["synth"]],
+                         ids=["run", "synth"])
+def test_max_rss_mb_is_gone(capsys, command):
+    """A budget bounds wall time or events; there is no RSS leg."""
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--max-rss-mb", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-rss-mb" in capsys.readouterr().err
+
+
 # --- flags several commands share come from one parent parser each ---
 
 #: command -> (argv that selects it, the shared flag groups it takes)
 SHARED = {
-    "run": (["run", "fib"], ("sanitize", "wall_rss", "events")),
-    "synth": (["synth"], ("sanitize", "wall_rss", "farm")),
+    "run": (["run", "fib"], ("sanitize", "wall", "events")),
+    "synth": (["synth"], ("sanitize", "wall", "farm")),
     "chaos": (["chaos"], ("sanitize", "farm")),
     "farm submit": (["farm", "submit", "--workloads", "fib"],
                     ("sanitize", "events")),
 }
 SAMPLE = {"--sanitize": ["warn"], "--max-wall-secs": ["1.5"],
-          "--max-rss-mb": ["64"], "--max-events": ["1000"],
+          "--max-events": ["1000"],
           "--farm-db": ["f.sqlite"], "--farm-workers": ["0"]}
 #: the one default a command sets for itself
 OWN_DEFAULT = {("chaos", "sanitize"): "strict"}

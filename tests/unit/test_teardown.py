@@ -8,7 +8,7 @@ dependence events, trace records, attribution, diagnostics bundles) is
 what it was without the teardown.  ``tests/unit/test_cpu_garbage.py`` is
 the other half: nothing for the collector *during* a run.
 
-``sanitize`` is left unset in the ``run_workload`` cases on purpose: the
+The ``run_workload`` cases pass ``sanitize_mode()`` on purpose: the
 ``tier1-sanitize`` CI job then runs them with a strict sanitizer bound
 to every machine, and that edge has to be torn down too.
 """
@@ -28,6 +28,7 @@ from repro.obs.analyze import load_jsonl, replay_attribution
 from repro.obs.attrib import conservation_errors
 from repro.obs.export import run_provenance, write_jsonl
 from repro.sanitizer import Sanitizer
+from repro.sanitizer.core import sanitize_mode
 from repro.sim.governor import RunBudget
 from repro.sim.machine import Machine
 from repro.sim.scv import find_scv
@@ -64,7 +65,7 @@ def unreachable_after(fn):
 def test_run_workload_leaves_nothing_to_collect(name, scale, design):
     unreachable, run = unreachable_after(
         lambda: run_workload(name, design, num_cores=4, scale=scale,
-                             check=True))
+                             check=True, sanitize=sanitize_mode()))
     assert run.result.stats.total_instructions > 0
     assert unreachable == 0
 
@@ -75,7 +76,7 @@ def test_a_cfence_run_leaves_nothing_to_collect(name):
     # record of its own; the machine's teardown must leave none behind
     unreachable, run = unreachable_after(
         lambda: run_workload(name, FenceDesign.CFENCE, num_cores=4,
-                             scale=0.1, check=True))
+                             scale=0.1, check=True, sanitize=sanitize_mode()))
     stats = run.result.stats
     assert stats.cfence_skips + stats.cfence_stalls > 0  # fib stalls too
     assert unreachable == 0
@@ -130,7 +131,8 @@ def test_a_strict_sanitizer_abort_leaves_nothing_to_collect():
 def test_an_event_budget_cutoff_leaves_nothing_to_collect():
     unreachable, run = unreachable_after(
         lambda: run_workload("fib", FenceDesign.W_PLUS, num_cores=4,
-                             scale=0.1, budget=RunBudget(max_events=500)))
+                             scale=0.1, budget=RunBudget(max_events=500),
+                             sanitize=sanitize_mode()))
     assert run.result.degraded and "event budget" in run.result.degraded_reason
     assert unreachable == 0
 
@@ -139,7 +141,7 @@ def test_an_observed_run_leaves_nothing_to_collect():
     obs = Observability(attrib=True)
     unreachable, run = unreachable_after(
         lambda: run_workload("Counter", FenceDesign.W_PLUS, num_cores=4,
-                             scale=0.1, obs=obs))
+                             scale=0.1, obs=obs, sanitize=sanitize_mode()))
     assert obs.tracer.records and obs.attrib.tree()
     assert unreachable == 0
 

@@ -9,6 +9,7 @@ from repro.workloads.base import (
     workloads_in_group,
 )
 from repro.common.params import FenceDesign
+from repro.sanitizer.core import sanitize_mode
 
 
 def setup_module():
@@ -39,6 +40,6 @@ def test_run_workload_unknown_name():
 def test_ustm_runs_are_budgeted():
     load_all_workloads()
     run = run_workload("Counter", FenceDesign.S_PLUS, num_cores=2,
-                       scale=0.05)
+                       scale=0.05, sanitize=sanitize_mode())
     # the throughput workloads cut off at the cycle budget
     assert run.cycles <= int(0.05 * 120_000) + 20_000
