@@ -16,44 +16,44 @@
 Run:  python examples/deadlock_recovery.py
 """
 
-from repro import DeadlockError, FenceDesign, FenceRole
-from repro.sim.scv import find_scv
-from repro.workloads.litmus import store_buffering
+from repro import FenceDesign, FenceRole
+from repro.synth.programs import sb
+from repro.verify.oracles import run_program
 
 CC = (FenceRole.CRITICAL, FenceRole.CRITICAL)
 ASYM = (FenceRole.CRITICAL, FenceRole.STANDARD)
 
 
-def show(label, lit):
-    s = lit.result.stats
-    out = (lit.value(0, "r"), lit.value(1, "r"))
-    scv = find_scv(lit.result.events) is not None
-    print(f"  -> outcome {out}, {lit.result.cycles} cycles, "
+def show(run):
+    s = run.stats
+    out = tuple(value for _key, value in sorted(run.observed.items()))
+    print(f"  -> outcome {out}, {run.cycles} cycles, "
           f"{s.bounces} bounces, {s.wplus_recoveries} recoveries, "
-          f"SC {'VIOLATED' if scv else 'preserved'}")
+          f"SC {'VIOLATED' if run.scv_found else 'preserved'}")
 
 
 def main():
     print(__doc__)
 
     print("[1] naive wf-only group (no recovery): expect a deadlock")
-    try:
-        store_buffering(FenceDesign.W_PLUS, roles=CC, recovery=False)
+    run = run_program(sb(CC), FenceDesign.W_PLUS,
+                      params_overrides={"wplus_recovery_enabled": False})
+    if run.deadlock is None:
         print("  -> unexpectedly completed?!")
-    except DeadlockError as e:
-        print(f"  -> DeadlockError: {e}")
+    else:
+        print(f"  -> deadlock: {run.deadlock}")
 
     print("\n[2] Asymmetric group (wf + sf) under WS+: no global state,"
           " no deadlock")
-    show("ws", store_buffering(FenceDesign.WS_PLUS, roles=ASYM))
+    show(run_program(sb(ASYM), FenceDesign.WS_PLUS))
 
     print("\n[3] wf-only group under W+: deadlock detected, rolled back,"
           " re-executed")
-    show("w+", store_buffering(FenceDesign.W_PLUS, roles=CC))
+    show(run_program(sb(CC), FenceDesign.W_PLUS))
 
     print("\n[4] wf-only group under WeeFence: the GRT breaks the cycle"
           " up front")
-    show("wee", store_buffering(FenceDesign.WEE, roles=CC))
+    show(run_program(sb(CC), FenceDesign.WEE))
 
 
 if __name__ == "__main__":

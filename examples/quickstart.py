@@ -16,8 +16,13 @@ Run:  python examples/quickstart.py
 """
 
 from repro import FenceDesign, FenceRole
-from repro.sim.scv import find_scv
-from repro.workloads.litmus import store_buffering
+from repro.synth.programs import sb
+from repro.verify.oracles import run_program
+
+
+def outcome(run):
+    """(r0, r1): the value each thread's load read."""
+    return tuple(value for _key, value in sorted(run.observed.items()))
 
 
 def main():
@@ -27,23 +32,18 @@ def main():
     print("-" * 60)
 
     # without fences first: TSO exhibits the forbidden outcome
-    lit = store_buffering(FenceDesign.S_PLUS, fences=False, pad_stores=1)
-    out = (lit.value(0, "r"), lit.value(1, "r"))
-    scv = find_scv(lit.result.events) is not None
-    print(f"{'none':8s} {str(out):>9s} {lit.result.cycles:7d} "
-          f"{'-':>8s} {'-':>7s} {'-':>11s}  {'VIOLATED' if scv else 'ok'}")
+    run = run_program(sb().stripped(), FenceDesign.S_PLUS)
+    print(f"{'none':8s} {str(outcome(run)):>9s} {run.cycles:7d} "
+          f"{'-':>8s} {'-':>7s} {'-':>11s}  "
+          f"{'VIOLATED' if run.scv_found else 'ok'}")
 
+    fenced = sb((FenceRole.CRITICAL, FenceRole.STANDARD))
     for design in FenceDesign:
-        lit = store_buffering(
-            design, roles=(FenceRole.CRITICAL, FenceRole.STANDARD),
-            pad_stores=1,
-        )
-        s = lit.result.stats
-        out = (lit.value(0, "r"), lit.value(1, "r"))
-        scv = find_scv(lit.result.events) is not None
-        print(f"{str(design):8s} {str(out):>9s} {lit.result.cycles:7d} "
+        run = run_program(fenced, design)
+        s = run.stats
+        print(f"{str(design):8s} {str(outcome(run)):>9s} {run.cycles:7d} "
               f"{s.bounces:8d} {s.order_ops:7d} {s.wplus_recoveries:11d}"
-              f"  {'VIOLATED' if scv else 'ok'}")
+              f"  {'VIOLATED' if run.scv_found else 'ok'}")
 
     print("\n(0, 0) appears only in the fence-less run: every fence "
           "design preserves SC,\nthe weak ones without paying the "

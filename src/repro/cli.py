@@ -4,7 +4,7 @@ Commands
 --------
 ``run``      run one workload under one (or all) fence designs; with
              ``--trace`` / ``--trace-out`` record its timeline too
-``litmus``   run a litmus kernel across designs and report outcomes
+``litmus``   run a named litmus program across designs and check it
 ``verify``   schedule-exploration verification (SCV/deadlock hunting)
 ``synth``    cost-aware minimal fence placement synthesis per design
 ``chaos``    fault-injection sweep with SC/progress/recovery oracles
@@ -42,7 +42,6 @@ from repro.common.errors import (
 )
 from repro.common.params import FenceDesign, FenceRole
 from repro.eval import figures, tables
-from repro.workloads import litmus
 from repro.workloads.base import (
     REGISTRY,
     load_all_workloads,
@@ -84,7 +83,9 @@ def cmd_list(_args) -> int:
     for group in ("cilk", "ustm", "stamp"):
         names = ", ".join(c.name for c in workloads_in_group(group))
         print(f"{group:6s}: {names}")
-    print("litmus kernels: sb, sb3, mp, false-sharing")
+    from repro.synth.programs import NAMED_PROGRAMS
+
+    print("litmus programs:", ", ".join(NAMED_PROGRAMS))
     return 0
 
 
@@ -225,35 +226,33 @@ def cmd_profile(args) -> int:
     return profile_main(args, _design)
 
 
-LITMUS_KERNELS = {
-    "sb": lambda design, seed: litmus.store_buffering(design, seed=seed),
-    "sb3": lambda design, seed: litmus.three_thread_cycle(design, seed=seed),
-    "mp": lambda design, seed: litmus.message_passing(design, seed=seed),
-    "false-sharing": lambda design, seed: litmus.false_sharing_interference(
-        design, seed=seed),
-}
-
-
 def cmd_litmus(args) -> int:
-    from repro.sim.scv import find_scv
+    """Run one named (or ``shape:SEED``) litmus program under each
+    design; exit 1 if any run breaks one of the paper's invariants."""
+    from repro.sanitizer.core import sanitize_mode
+    from repro.synth.programs import program_for_spec
+    from repro.verify.oracles import check_invariants, run_program
+    from repro.verify.perturb import SchedulePoint
 
-    kernel = LITMUS_KERNELS.get(args.kernel)
-    if kernel is None:
-        print(f"unknown kernel {args.kernel!r}; choose from "
-              f"{', '.join(LITMUS_KERNELS)}", file=sys.stderr)
-        return 2
+    # an unknown name is a ConfigError: main() makes it a usage error
+    program = program_for_spec(args.spec, seed=args.seed)
+    sanitize = sanitize_mode()
     designs = [args.design] if args.design else list(FenceDesign)
+    failed = False
     for design in designs:
-        lit = kernel(design, args.seed)
-        s = lit.result.stats
-        scv = find_scv(lit.result.events)
-        observed = {f"P{tid}.{label}": v
-                    for (tid, label), v in sorted(lit.observed.items())}
-        verdict = "SC VIOLATED" if scv else "SC preserved"
-        print(f"{design}: {observed} in {lit.result.cycles} cycles — "
+        run = run_program(program, design, SchedulePoint(seed=args.seed),
+                          sanitize=sanitize)
+        s = run.stats
+        observed = {f"P{tid}.i{idx}": v
+                    for (tid, idx), v in sorted(run.observed.items())}
+        verdict = "SC VIOLATED" if run.scv_found else "SC preserved"
+        print(f"{design}: {observed} in {run.cycles} cycles — "
               f"{verdict} (bounces={s.bounces}, orders={s.order_ops}, "
               f"recoveries={s.wplus_recoveries})")
-    return 0
+        for violation in check_invariants(run):
+            failed = True
+            print(f"  violation: {violation}")
+    return 1 if failed else 0
 
 
 def cmd_verify(args) -> int:
@@ -531,8 +530,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_profile_parser(sub, _design)
 
-    p_lit = sub.add_parser("litmus", help="run a litmus kernel")
-    p_lit.add_argument("kernel", choices=sorted(LITMUS_KERNELS))
+    p_lit = sub.add_parser(
+        "litmus", help="run a named litmus program across designs")
+    p_lit.add_argument(
+        "spec", metavar="PROGRAM",
+        help="a named program (as for synth --program) or 'shape:SEED'")
     p_lit.add_argument("--design", type=_design, default=None)
     p_lit.add_argument("--seed", type=int, default=1)
 

@@ -14,7 +14,7 @@ use::
 
 Ownership: whoever builds a machine and does not hand it back calls
 :meth:`Machine.dispose` when done with it (``run_workload``,
-``run_program``, the litmus helpers); ``run()`` itself never does.
+``run_program``); ``run()`` itself never does.
 """
 
 from __future__ import annotations

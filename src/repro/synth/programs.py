@@ -1,10 +1,13 @@
-"""Canonical synthesis inputs and the ``--program`` spec parser.
+"""The named litmus programs and the ``--program`` spec parser.
 
-The named programs are fixed (seed-independent) litmus kernels carrying
-their textbook fence annotations; the synthesizer strips them and
-searches the annotated sites.  Beyond the named set, ``shape:SEED``
-(e.g. ``random:7``) draws a program from the verify generator — the
-random-program battery and the Hypothesis property tests use this.
+The named programs are the paper's figure kernels as fixed
+(seed-independent) :class:`LitmusProgram` s carrying their textbook
+fence annotations: ``repro litmus`` runs them, the synthesizer strips
+them and searches the annotated sites.  The builders take the fence
+roles (and pads) as arguments; their defaults are the named programs.
+Beyond the named set, ``shape:SEED`` (e.g. ``random:7``) draws a
+program from the verify generator — the random-program battery and
+the Hypothesis property tests use this.
 
 ``sb`` deliberately gives each thread one *cold private pad store*
 before the racy store: the pad stretches the write-buffer drain so the
@@ -16,33 +19,47 @@ observably, so the synthesized minimum is the textbook one.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.params import FenceRole
 from repro.core import isa as ops
 from repro.verify.generator import SHAPES, LitmusProgram, generate_program
 
-#: names accepted by ``repro synth --program`` (plus ``shape:SEED``)
-NAMED_PROGRAMS = ("sb", "sb3", "mp", "iriw")
-
 _STD = FenceRole.STANDARD
+_CRIT = FenceRole.CRITICAL
+
+#: the cold pad store's value per thread (the value never matters: a
+#: pad is private and never read)
+_PAD_VALUES = (7, 9)
 
 
-def _sb_canonical() -> LitmusProgram:
-    """2-thread store buffering with cold private pads (Fig. 1d)."""
-    threads = (
-        (ops.Store(2, 7), ops.Store(0, 1), ops.Fence(_STD), ops.Load(1)),
-        (ops.Store(3, 9), ops.Store(1, 1), ops.Fence(_STD), ops.Load(0)),
+def sb(roles: Tuple[FenceRole, FenceRole] = (_STD, _STD),
+       pads: int = 1) -> LitmusProgram:
+    """2-thread store buffering, Dekker (Fig. 1d): P0: x=1; F; r=y.
+    P1: y=1; F; r=x.  SC forbids both loads reading 0.
+
+    Each thread first stores *pads* cold private pads (v2, v3, ...,
+    interleaved between the threads): they keep each fence incomplete
+    long enough for the two fences to collide in a group.
+    """
+    threads = tuple(
+        tuple(ops.Store(2 + 2 * p + me, _PAD_VALUES[me])
+              for p in range(pads))
+        + (ops.Store(me, 1), ops.Fence(roles[me]), ops.Load(1 - me))
+        for me in range(2)
     )
-    return LitmusProgram(name="sb", shape="sb", num_vars=4,
+    return LitmusProgram(name="sb", shape="sb", num_vars=2 + 2 * pads,
                          threads=threads, warm_vars=(0, 1), seed=0)
 
 
-def _sb3_canonical() -> LitmusProgram:
-    """3-thread store-buffering ring with cold private pads."""
+def sb3(roles: Tuple[FenceRole, FenceRole, FenceRole] = (_STD,) * 3
+        ) -> LitmusProgram:
+    """3-thread store-buffering ring with cold private pads (Fig. 1e/1f):
+    thread i stores v_i, fences, loads v_(i+1 mod 3).  SC forbids all
+    three loads reading 0."""
     threads = tuple(
-        (ops.Store(3 + i, 7), ops.Store(i, 1), ops.Fence(_STD),
+        (ops.Store(3 + i, 7), ops.Store(i, 1), ops.Fence(roles[i]),
          ops.Load((i + 1) % 3))
         for i in range(3)
     )
@@ -50,8 +67,9 @@ def _sb3_canonical() -> LitmusProgram:
                          threads=threads, warm_vars=(0, 1, 2), seed=0)
 
 
-def _mp_canonical() -> LitmusProgram:
-    """Message passing, annotated at the textbook fence positions.
+def mp() -> LitmusProgram:
+    """Message passing, annotated at the textbook fence positions:
+    P0: data=42; F; flag=1.  P1: r=flag; F; r=data.
 
     TSO never reorders store→store or load→load, so the expected
     synthesis result is the *empty* placement: the machine needs no
@@ -65,7 +83,7 @@ def _mp_canonical() -> LitmusProgram:
                          threads=threads, warm_vars=(0, 1), seed=0)
 
 
-def _iriw_canonical() -> LitmusProgram:
+def iriw() -> LitmusProgram:
     """Independent reads of independent writes, reader fences
     annotated.
 
@@ -83,12 +101,44 @@ def _iriw_canonical() -> LitmusProgram:
                          threads=threads, warm_vars=(0, 1), seed=0)
 
 
+def sharing(true_sharing: bool) -> LitmusProgram:
+    """Two *unrelated* wfs that interfere through one cache line
+    (Figs. 4b/4c).  v0/v1 share line X, v2/v3 share line Y, v4 is
+    unrelated; v5/v6 are the cold pads.
+
+    P0: X.w0=1; wf; r=Y.w0.  Fig. 4b (false sharing): P1: Y.w1=1; wf;
+    r=X.w1 — a "cycle" only through different words of the same lines.
+    Fig. 4c (true sharing): P1: Y.w0=1; wf; r=v4 — a one-directional
+    dependence.  Neither can produce an SCV: interference is not a
+    cycle.
+    """
+    if true_sharing:
+        tail = (ops.Store(2, 1), ops.Fence(_CRIT), ops.Load(4))
+    else:
+        tail = (ops.Store(3, 1), ops.Fence(_CRIT), ops.Load(1))
+    threads = (
+        (ops.Store(5, _PAD_VALUES[0]), ops.Store(0, 1), ops.Fence(_CRIT),
+         ops.Load(2)),
+        (ops.Store(6, _PAD_VALUES[1]),) + tail,
+    )
+    return LitmusProgram(
+        name="true-sharing" if true_sharing else "false-sharing",
+        shape="interference", num_vars=7, threads=threads,
+        warm_vars=(0, 2, 4), seed=0, line_groups=(2, 2))
+
+
 _BUILDERS = {
-    "sb": _sb_canonical,
-    "sb3": _sb3_canonical,
-    "mp": _mp_canonical,
-    "iriw": _iriw_canonical,
+    "sb": sb,
+    "sb3": sb3,
+    "mp": mp,
+    "iriw": iriw,
+    "false-sharing": lambda: sharing(true_sharing=False),
+    "true-sharing": lambda: sharing(true_sharing=True),
 }
+
+#: names accepted by ``repro synth --program`` and ``repro litmus``
+#: (plus ``shape:SEED``)
+NAMED_PROGRAMS = tuple(_BUILDERS)
 
 
 def program_for_spec(spec: str, seed: int = 1) -> LitmusProgram:

@@ -52,7 +52,8 @@ class LitmusProgram:
     name: str
     shape: str
     #: number of shared variables; the runner allocates one simulated
-    #: word per variable, each on its own cache line
+    #: word per variable, each on its own cache line unless
+    #: ``line_groups`` packs it with its neighbours
     num_vars: int
     #: per-thread op lists over symbolic addresses
     threads: Tuple[Tuple[object, ...], ...]
@@ -61,6 +62,10 @@ class LitmusProgram:
     warm_vars: Tuple[int, ...] = ()
     #: generator seed that produced this program (report reproducibility)
     seed: int = 0
+    #: sizes of the leading variable groups that share one cache line
+    #: each: ``(2, 2)`` puts v0/v1 on one line and v2/v3 on the next;
+    #: the variables after the groups get a line each
+    line_groups: Tuple[int, ...] = ()
 
     @property
     def num_threads(self) -> int:

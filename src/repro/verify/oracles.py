@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import DeadlockError, SanitizerError, SimulatorError
 from repro.common.params import FenceDesign
+from repro.common.stats import MachineStats
 from repro.core import isa as ops
 from repro.sim.machine import Machine
 from repro.sim.scv import find_scv
@@ -44,7 +45,7 @@ PAPER_DESIGNS = (
     FenceDesign.WEE,
 )
 
-#: warmup alignment compute block (mirrors workloads.litmus._warmup)
+#: warmup alignment compute block
 WARMUP_COMPUTE = 1600
 
 
@@ -65,16 +66,29 @@ class ProgramRun:
     scv: Optional[list] = None
     #: first sanitizer violation, if a strict sanitizer fired
     sanitizer: Optional[str] = None
-    recoveries: int = 0
-    bounces: int = 0
-    #: wf -> sf storm demotions (graceful degradation, W+ only)
-    storm_demotions: int = 0
+    #: the machine's counters, as the run left them
+    stats: Optional[MachineStats] = None
+    #: the dependence events the SCV checker judged
+    events: list = field(default_factory=list)
     #: {(tid, op_index): value} for every load the program performed
     observed: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
     @property
     def scv_found(self) -> bool:
         return self.scv is not None
+
+    @property
+    def recoveries(self) -> int:
+        return self.stats.wplus_recoveries if self.stats else 0
+
+    @property
+    def bounces(self) -> int:
+        return self.stats.bounces if self.stats else 0
+
+    @property
+    def storm_demotions(self) -> int:
+        """wf -> sf storm demotions (graceful degradation, W+ only)."""
+        return sum(self.stats.storm_demotions) if self.stats else 0
 
 
 def _thread_fn(body, addr_map, warm_addrs):
@@ -102,12 +116,21 @@ def _thread_fn(body, addr_map, warm_addrs):
     return fn
 
 
+def _addresses(program: LitmusProgram, alloc) -> List[int]:
+    """One simulated word per variable: the ``line_groups`` share a
+    line each, every later variable gets a line of its own."""
+    addr_map: List[int] = []
+    for size in program.line_groups:
+        addr_map.extend(alloc.words_of(alloc.alloc_line(size), size))
+    while len(addr_map) < program.num_vars:
+        addr_map.append(alloc.word())
+    return addr_map
+
+
 def run_program(
     program: LitmusProgram,
     design: FenceDesign,
     point: SchedulePoint = SchedulePoint(),
-    recovery: bool = True,
-    warmup: bool = True,
     faults=None,
     params_overrides: Optional[dict] = None,
     diag_dir: Optional[str] = None,
@@ -120,9 +143,10 @@ def run_program(
     *faults* is a :class:`repro.faults.FaultInjector` to wire into the
     machine (the chaos harness's entry point); *params_overrides* are
     extra :class:`MachineParams` field overrides (e.g. enabling the W+
-    storm-demotion monitor); *diag_dir* enables watchdog post-mortem
-    artifacts; *sanitize* attaches a runtime protocol sanitizer
-    ("warn" | "strict") as an additional oracle — under a
+    storm-demotion monitor, or ``{"wplus_recovery_enabled": False}``
+    for the naive Fig. 3a design); *diag_dir* enables watchdog
+    post-mortem artifacts; *sanitize* attaches a runtime protocol
+    sanitizer ("warn" | "strict") as an additional oracle — under a
     strict sanitizer a corrupted machine state is classified at the
     first violating cycle instead of surfacing later as a
     deadlock/livelock at the cycle cap.
@@ -137,7 +161,7 @@ def run_program(
     its worker process.
     """
     run = ProgramRun(program=program, design=design, point=point)
-    params = point.params(design, program.num_threads, recovery=recovery)
+    params = point.params(design, program.num_threads)
     if params_overrides:
         params = dataclasses.replace(params, **params_overrides)
     machine = Machine(params, seed=point.seed)
@@ -153,10 +177,8 @@ def run_program(
         machine.diag_dir = diag_dir
     if attrib is not None:
         machine.attach_attrib(attrib)
-    addr_map = [machine.alloc.word() for _ in range(program.num_vars)]
-    warm_addrs = (
-        [addr_map[v] for v in program.warm_vars] if warmup else []
-    )
+    addr_map = _addresses(program, machine.alloc)
+    warm_addrs = [addr_map[v] for v in program.warm_vars]
     for body in program.threads:
         machine.spawn(_thread_fn(body, addr_map, warm_addrs))
     try:
@@ -172,11 +194,9 @@ def run_program(
     except SimulatorError as exc:  # replay divergence, protocol bug
         run.error = f"{type(exc).__name__}: {exc}"
         run.cycles = machine.queue.now
-    events = machine.recorder.events if machine.recorder else []
-    run.scv = find_scv(events)
-    run.recoveries = machine.stats.wplus_recoveries
-    run.bounces = machine.stats.bounces
-    run.storm_demotions = sum(machine.stats.storm_demotions)
+    run.stats = machine.stats
+    run.events = machine.recorder.events if machine.recorder else []
+    run.scv = find_scv(run.events)
     for core in machine.cores:
         for _po, payload in core.notes:
             idx, value = payload
@@ -189,7 +209,8 @@ def check_invariants(run: ProgramRun) -> List[str]:
     """Violations of the paper's claims in *run* (empty = all held).
 
     Only meaningful for runs with recovery enabled; the naive Fig. 3a
-    configuration (``recovery=False``) deadlocks by design.
+    configuration (``wplus_recovery_enabled=False``) deadlocks by
+    design.
     """
     violations: List[str] = []
     if run.error is not None:

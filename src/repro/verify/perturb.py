@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator, List
+from typing import List
 
 from repro.common.params import FenceDesign, MachineParams
 
@@ -77,14 +77,12 @@ class SchedulePoint:
         )
         return FaultInjector(plan)
 
-    def params(
-        self, design: FenceDesign, num_cores: int, recovery: bool = True
-    ) -> MachineParams:
+    def params(self, design: FenceDesign, num_cores: int) -> MachineParams:
         """Interleaving-exact machine parameters for this point."""
         return _point_params(
             self.mesh_hop_cycles, self.write_buffer_entries,
             self.bs_entries, self.bounce_retry_cycles,
-            design, num_cores, recovery,
+            design, num_cores,
         )
 
 
@@ -92,7 +90,6 @@ class SchedulePoint:
 def _point_params(
     mesh_hop_cycles: int, write_buffer_entries: int, bs_entries: int,
     bounce_retry_cycles: int, design: FenceDesign, num_cores: int,
-    recovery: bool,
 ) -> MachineParams:
     # a campaign repeats each combination hundreds of times, and
     # MachineParams is frozen: one validated instance serves them all
@@ -108,7 +105,6 @@ def _point_params(
         watchdog_interval=VERIFY_WATCHDOG_INTERVAL,
         max_cycles=VERIFY_MAX_CYCLES,
         fence_design=design,
-        wplus_recovery_enabled=recovery,
     )
 
 
@@ -122,21 +118,25 @@ RETRY_CYCLES = (6, 20, 45)
 DEFAULT_POINT = SchedulePoint()
 
 
+def _draw_point(rng: random.Random) -> SchedulePoint:
+    """One random point of the sweep axes (the draw order is pinned:
+    reports and the run-table digests replay it)."""
+    return SchedulePoint(
+        seed=rng.randrange(1, 1_000_000),
+        mesh_hop_cycles=rng.choice(HOP_CYCLES),
+        write_buffer_entries=rng.choice(WB_DEPTHS),
+        bs_entries=rng.choice(BS_CAPS),
+        bounce_retry_cycles=rng.choice(RETRY_CYCLES),
+    )
+
+
 def schedule_points(seed: int, count: int) -> List[SchedulePoint]:
     """*count* reproducible points: the default timing first, then a
     random walk over the sweep axes with distinct machine seeds."""
     rng = random.Random(seed)
     points = [DEFAULT_POINT]
     while len(points) < count:
-        points.append(
-            SchedulePoint(
-                seed=rng.randrange(1, 1_000_000),
-                mesh_hop_cycles=rng.choice(HOP_CYCLES),
-                write_buffer_entries=rng.choice(WB_DEPTHS),
-                bs_entries=rng.choice(BS_CAPS),
-                bounce_retry_cycles=rng.choice(RETRY_CYCLES),
-            )
-        )
+        points.append(_draw_point(rng))
     return points[:count]
 
 
@@ -159,13 +159,7 @@ def adversary_points(seed: int, count: int) -> List[SchedulePoint]:
     rng = random.Random(seed ^ 0x5EED_AD5A)
     points = [DEFAULT_POINT]
     while len(points) < count:
-        base = SchedulePoint(
-            seed=rng.randrange(1, 1_000_000),
-            mesh_hop_cycles=rng.choice(HOP_CYCLES),
-            write_buffer_entries=rng.choice(WB_DEPTHS),
-            bs_entries=rng.choice(BS_CAPS),
-            bounce_retry_cycles=rng.choice(RETRY_CYCLES),
-        )
+        base = _draw_point(rng)
         # every second point is jitter-armed (drawn either way so the
         # plain points do not depend on how the armed ones draw)
         rate = rng.choice(JITTER_RATES)
@@ -176,16 +170,3 @@ def adversary_points(seed: int, count: int) -> List[SchedulePoint]:
         points.append(base)
     return points[:count]
 
-
-def iter_points(seed: int) -> Iterator[SchedulePoint]:
-    """Endless stream of schedule points (budget-bounded callers)."""
-    rng = random.Random(seed)
-    yield DEFAULT_POINT
-    while True:
-        yield SchedulePoint(
-            seed=rng.randrange(1, 1_000_000),
-            mesh_hop_cycles=rng.choice(HOP_CYCLES),
-            write_buffer_entries=rng.choice(WB_DEPTHS),
-            bs_entries=rng.choice(BS_CAPS),
-            bounce_retry_cycles=rng.choice(RETRY_CYCLES),
-        )

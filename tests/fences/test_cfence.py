@@ -5,24 +5,25 @@ import pytest
 from repro.common.params import FenceDesign, FenceRole
 from repro.core import isa as ops
 from repro.sim.machine import Machine
-from repro.sim.scv import find_scv
-from repro.workloads import litmus
+from repro.synth.programs import sb, sb3
 
-from tests.support import run_threads, tiny_params
+from tests.support import outcome, run_litmus, run_threads, tiny_params
+
+ASYM = (FenceRole.CRITICAL, FenceRole.STANDARD)
 
 
 def test_cfence_preserves_sc_on_store_buffering():
     for seed in (1, 2, 3):
-        lit = litmus.store_buffering(FenceDesign.CFENCE, seed=seed)
-        assert (lit.value(0, "r"), lit.value(1, "r")) != (0, 0)
-        assert find_scv(lit.result.events) is None
+        run = run_litmus(sb(ASYM), FenceDesign.CFENCE, seed=seed)
+        assert outcome(run) != (0, 0)
+        assert not run.scv_found
 
 
 def test_cfence_three_thread_cycle_prevented():
-    lit = litmus.three_thread_cycle(FenceDesign.CFENCE)
-    values = [lit.value(t, "r") for t in range(3)]
-    assert values != [0, 0, 0]
-    assert find_scv(lit.result.events) is None
+    roles = (FenceRole.CRITICAL, FenceRole.CRITICAL, FenceRole.STANDARD)
+    run = run_litmus(sb3(roles), FenceDesign.CFENCE)
+    assert outcome(run) != (0, 0, 0)
+    assert not run.scv_found
 
 
 def test_lone_fence_is_skipped():
@@ -43,8 +44,7 @@ def test_lone_fence_is_skipped():
 
 
 def test_colliding_fences_one_stalls():
-    lit = litmus.store_buffering(FenceDesign.CFENCE, pad_stores=2)
-    s = lit.result.stats
+    s = run_litmus(sb(ASYM, pads=2), FenceDesign.CFENCE).stats
     # at least one dynamic fence observed an executing associate
     assert s.cfence_stalls >= 1
     assert s.cfence_skips >= 1
@@ -63,9 +63,7 @@ def test_cfence_workload_invariants():
 
 
 def test_table_clears_after_run():
-    lit = litmus.store_buffering(FenceDesign.CFENCE, pad_stores=2)
-    # reconstruct the machine's table via the stats-only surface:
-    # instead, run a fresh machine and inspect directly
+    # a machine run by hand, so its table can be inspected afterwards
     m = Machine(tiny_params(FenceDesign.CFENCE, num_cores=2))
     x, y = m.alloc.word(), m.alloc.word()
 

@@ -20,37 +20,45 @@ Ground truth per shape:
 
 Fence roles are the asymmetric (CRITICAL, STANDARD) recipe — the
 paper's placement; an all-wf SB group is a deadlock under SW+ and is
-covered separately by the W+ recovery tests.
+covered separately by the W+ recovery tests.  The MP consumer waits
+before it reads, so every run observes the flag set and the data
+check is never vacuous.
 """
 
 import pytest
 
 from repro.common.params import FenceDesign, FenceRole
-from repro.sim.scv import find_scv
-from repro.workloads import litmus
+from repro.synth.programs import sb
 
 from tests.fences.test_iriw import iriw_machine, run_iriw
+from tests.support import delayed_mp, loads_of, outcome, run_litmus
 
 ALL_DESIGNS = tuple(FenceDesign)
 ASYM = (FenceRole.CRITICAL, FenceRole.STANDARD)
 
 
+def _fenced(program, fences):
+    return program if fences else program.stripped()
+
+
 def _sb_run(design, fences):
-    return litmus.store_buffering(design, roles=ASYM, fences=fences,
-                                  pad_stores=1)
+    return run_litmus(_fenced(sb(ASYM), fences), design)
 
 
 def _sb_forbidden(design, fences):
-    lit = _sb_run(design, fences)
-    forbidden = (lit.value(0, "r"), lit.value(1, "r")) == (0, 0)
-    scv = find_scv(lit.result.events)
-    return forbidden, scv
+    run = _sb_run(design, fences)
+    return outcome(run) == (0, 0), run.scv
+
+
+def _mp_run(design, fences):
+    return run_litmus(_fenced(delayed_mp(), fences), design)
 
 
 def _mp_forbidden(design, fences):
-    lit = litmus.message_passing(design, fences=fences)
+    flag, data = loads_of(_mp_run(design, fences), 1)
+    assert flag == 1, "the consumer read before the flag was published"
     # the consumer saw flag == 1, so data must be the published value
-    return lit.value(1, "data") != 42, None
+    return data != 42, None
 
 
 def _iriw_forbidden(design, fences):
@@ -77,9 +85,9 @@ def case_events(shape, design, fences):
     """The recorded access history of one matrix case's run (what the
     SCV checker's differential test in tests/unit feeds both checkers)."""
     if shape == "sb":
-        return _sb_run(design, fences).result.events
+        return _sb_run(design, fences).events
     if shape == "mp":
-        return litmus.message_passing(design, fences=fences).result.events
+        return _mp_run(design, fences).events
     _m, result = iriw_machine(design, fences=fences, seed=3, stagger=23,
                               track_dependences=True)
     return result.events

@@ -5,10 +5,9 @@ import pytest
 from repro.common.params import FenceDesign, FenceRole
 from repro.core import isa as ops
 from repro.sim.machine import Machine
-from repro.sim.scv import find_scv
-from repro.workloads import litmus
+from repro.synth.programs import sb
 
-from tests.support import run_threads, tiny_params
+from tests.support import outcome, run_litmus, run_threads, tiny_params
 
 
 def test_lmf_is_a_strong_flavour():
@@ -18,9 +17,10 @@ def test_lmf_is_a_strong_flavour():
 
 
 def test_lmf_preserves_sc_on_store_buffering():
-    lit = litmus.store_buffering(FenceDesign.LMF)
-    assert (lit.value(0, "r"), lit.value(1, "r")) != (0, 0)
-    assert find_scv(lit.result.events) is None
+    run = run_litmus(sb((FenceRole.CRITICAL, FenceRole.STANDARD)),
+                     FenceDesign.LMF)
+    assert outcome(run) != (0, 0)
+    assert not run.scv_found
 
 
 def test_lmf_fast_path_when_location_stays_exclusive():

@@ -1,14 +1,11 @@
 """W+ checkpoint/timeout/rollback machinery (paper §3.3.3)."""
 
-import pytest
-
 from repro.common.params import FenceDesign, FenceRole
 from repro.core import isa as ops
 from repro.sim.machine import Machine
-from repro.sim.scv import find_scv
-from repro.workloads import litmus
+from repro.synth.programs import sb, sharing
 
-from tests.support import notes_of, run_threads, tiny_params
+from tests.support import run_litmus, run_threads, tiny_params
 
 CC = (FenceRole.CRITICAL, FenceRole.CRITICAL)
 
@@ -17,16 +14,14 @@ def test_recovery_squashes_and_reexecutes_loads():
     """After a rollback the post-wf load re-executes and reads the
     now-visible remote value — the Note channel must contain exactly
     one observation per thread (no duplicated side effects)."""
-    lit = litmus.store_buffering(FenceDesign.W_PLUS, roles=CC)
-    s = lit.result.stats
-    assert s.wplus_recoveries >= 1
+    run = run_litmus(sb(CC), FenceDesign.W_PLUS)
+    assert run.recoveries >= 1
     # exactly one observation per thread despite replay
-    assert len(lit.observed) == 2
+    assert len(run.observed) == 2
 
 
 def test_recovery_counts_and_timeouts():
-    lit = litmus.store_buffering(FenceDesign.W_PLUS, roles=CC)
-    s = lit.result.stats
+    s = run_litmus(sb(CC), FenceDesign.W_PLUS).stats
     assert s.wplus_timeouts >= s.wplus_recoveries >= 1
 
 
@@ -49,14 +44,12 @@ def test_no_recovery_without_collision():
 def test_transient_bounce_does_not_recover():
     """A one-directional true-sharing bounce (Fig. 4c) clears on its
     own; the timeout must re-check and stand down."""
-    lit = litmus.false_sharing_interference(
-        FenceDesign.W_PLUS, true_sharing=True)
-    s = lit.result.stats
+    run = run_litmus(sharing(true_sharing=True), FenceDesign.W_PLUS)
     # a timeout may have been armed, but with the conditions gone at
     # expiry no recovery (or at most the armed one) happens and the
     # run completes without SC violation
-    assert lit.result.completed
-    assert find_scv(lit.result.events) is None
+    assert run.completed
+    assert not run.scv_found
 
 
 def test_recovery_reverses_marks():
@@ -124,7 +117,6 @@ def test_recovery_discards_post_fence_stores():
 
 
 def test_disabled_recovery_is_naive_design():
-    from repro.common.errors import DeadlockError
-    with pytest.raises(DeadlockError):
-        litmus.store_buffering(FenceDesign.W_PLUS, roles=CC,
-                               recovery=False)
+    run = run_litmus(sb(CC), FenceDesign.W_PLUS,
+                     params_overrides={"wplus_recovery_enabled": False})
+    assert run.deadlock is not None

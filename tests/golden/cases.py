@@ -5,8 +5,9 @@ One golden file per fence design; each file holds the **full**
 
 * ``fib``      — a CilkApps workload that runs to completion,
 * ``Counter``  — a ustm workload cut at its cycle budget,
-* ``litmus_sb``— the store-buffering litmus with an all-critical
-  fence group (exercises bounces, and W+ recovery/replay).
+* ``litmus_sb``— the store-buffering litmus (``run_program`` on the
+  named ``sb`` program) with an all-critical fence group (exercises
+  bounces, and W+ recovery/replay).
 
 The goldens were generated from the pre-rewrite event kernel; they are
 the safety net proving a kernel rewrite changed timing of *Python*,
@@ -21,7 +22,9 @@ import os
 
 from repro.common.params import FenceDesign, FenceRole
 from repro.sanitizer.core import sanitize_mode
-from repro.workloads import litmus
+from repro.synth.programs import sb
+from repro.verify.oracles import run_program
+from repro.verify.perturb import SchedulePoint
 from repro.workloads.base import load_all_workloads, run_workload
 
 SEED = 12345
@@ -61,14 +64,16 @@ def golden_run(design: FenceDesign) -> dict:
         if design is FenceDesign.SW_PLUS
         else (FenceRole.CRITICAL, FenceRole.CRITICAL)
     )
-    lit = litmus.store_buffering(design, roles=roles, seed=SEED)
+    lit = run_program(sb(roles), design, SchedulePoint(seed=SEED),
+                      sanitize=sanitize_mode())
     out["litmus_sb"] = {
-        "cycles": lit.result.cycles,
-        "completed": lit.result.completed,
+        "cycles": lit.cycles,
+        "completed": lit.completed,
+        # each thread performs one load: its register is "r"
         "observed": {
-            f"P{tid}.{label}": value
-            for (tid, label), value in sorted(lit.observed.items())
+            f"P{tid}.r": value
+            for (tid, _idx), value in sorted(lit.observed.items())
         },
-        "stats": lit.result.stats.to_dict(),
+        "stats": lit.stats.to_dict(),
     }
     return out

@@ -57,6 +57,42 @@ def run_threads(m: Machine, *fns, max_cycles=None):
     return m.run(max_cycles=max_cycles)
 
 
+def delayed_mp():
+    """The named ``mp`` program with a consumer that computes for 300
+    cycles before it reads.  A consumer that loads at once reads
+    flag = 0 on every design, which would make the data check vacuous;
+    this one observes the publication (flag = 1, data = 42)."""
+    from repro.core import isa as ops
+    from repro.synth.programs import mp
+
+    program = mp()
+    producer, consumer = program.threads
+    return program.with_threads(
+        (producer, (ops.Compute(300),) + consumer))
+
+
+def run_litmus(program, design, seed=1, **kwargs):
+    """``run_program`` at the default timing with machine seed *seed*,
+    under the suite's sanitizer mode (strict in ``tier1-sanitize``)."""
+    from repro.sanitizer.core import sanitize_mode
+    from repro.verify.oracles import run_program
+    from repro.verify.perturb import SchedulePoint
+
+    return run_program(program, design, SchedulePoint(seed=seed),
+                       sanitize=sanitize_mode(), **kwargs)
+
+
+def loads_of(run, tid: int):
+    """The values thread *tid*'s loads read, in program order."""
+    return [value for (t, _idx), value in sorted(run.observed.items())
+            if t == tid]
+
+
+def outcome(run):
+    """The value each thread's single load read, as a tuple."""
+    return tuple(value for _key, value in sorted(run.observed.items()))
+
+
 def notes_of(machine: Machine, tid: int):
     """Payloads the thread on core *tid* recorded via ops.Note."""
     return [payload for _po, payload in machine.cores[tid].notes]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import _SHARED_FLAGS, _parent, build_parser, main
+from repro.synth.programs import NAMED_PROGRAMS
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +43,28 @@ def test_litmus_mp_all_designs(capsys):
     code, out = run_cli(capsys, "litmus", "mp")
     assert code == 0
     assert out.count("SC preserved") == len(FenceDesign)
+
+
+@pytest.mark.parametrize("spec", [*NAMED_PROGRAMS, "sb:3"])
+def test_litmus_takes_the_synth_program_names(capsys, spec):
+    code, out = run_cli(capsys, "litmus", spec, "--design", "WS+")
+    assert code == 0
+    assert out.startswith("WS+: ") and "SC preserved" in out
+
+
+def test_litmus_unknown_program_is_a_usage_error(capsys):
+    assert main(["litmus", "nope"]) == 2
+    assert "unknown program 'nope'" in capsys.readouterr().err
+
+
+def test_litmus_exits_1_on_an_invariant_violation(capsys, monkeypatch):
+    from repro.verify import oracles
+
+    monkeypatch.setattr(oracles, "check_invariants",
+                        lambda run: ["deadlock: pretend"])
+    code, out = run_cli(capsys, "litmus", "sb", "--design", "S+")
+    assert code == 1
+    assert "violation: deadlock: pretend" in out
 
 
 def test_table_static(capsys):

@@ -3,22 +3,25 @@ budget artifact, not a hang — ``SimResult.completed`` goes False and
 ``stats.cutoff_in_recovery`` distinguishes it from a genuine timeout.
 """
 
-from repro.common.params import FenceDesign, FenceRole
+from repro.common.params import FenceDesign, FenceRole, MachineParams
 from repro.core import isa as ops
 from repro.sim.machine import Machine
-from repro.workloads import litmus
 
 
 def _sb_all_wf():
     """SB with an all-wf fence group under W+: deterministically
     deadlocks and recovers (paper §3.3.3)."""
-    machine = Machine(litmus.litmus_params(FenceDesign.W_PLUS), seed=1)
+    params = MachineParams(num_cores=2, batch_cycles=0,
+                           track_dependences=True)
+    machine = Machine(params.with_design(FenceDesign.W_PLUS), seed=1)
     x, y = machine.alloc.word(), machine.alloc.word()
     pads = [machine.alloc.word() for _ in range(2)]
 
     def thread(me, my_var, other_var):
         def fn(ctx):
-            yield from litmus._warmup([x, y])
+            yield ops.Load(x)  # warm both lines, then align the threads
+            yield ops.Load(y)
+            yield ops.Compute(1600)
             yield ops.Store(pads[me], 7)
             yield ops.Store(my_var, 1)
             yield ops.Fence(FenceRole.CRITICAL)

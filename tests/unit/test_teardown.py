@@ -1,6 +1,6 @@
 """A finished machine is freed by reference count.
 
-``run_workload``, ``run_program`` and the litmus helpers build a machine
+``run_workload`` and ``run_program`` build a machine
 and hand back only its results, so they dispose it: with the cyclic
 collector switched off, nothing they leave behind needs it — while the
 *result is still held* — and everything a caller can still read (stats,
@@ -34,9 +34,10 @@ from repro.sim.machine import Machine
 from repro.sim.scv import find_scv
 from repro.synth.programs import NAMED_PROGRAMS, program_for_spec
 from repro.verify.oracles import PAPER_DESIGNS, run_program
-from repro.workloads import litmus
 from repro.workloads.base import REGISTRY, load_all_workloads, run_workload
-from tests.support import reset_global_id_streams
+from tests.support import (delayed_mp, reset_global_id_streams, run_litmus,
+                           tiny_params)
+from tests.unit.test_watchdog import _all_wf_deadlock_machine
 
 #: (workload, scale) — the sweep's four families at tier-1 size
 WORKLOADS = (("fib", 0.1), ("Counter", 0.1), ("Tree", 0.1), ("vacation", 0.1))
@@ -91,25 +92,34 @@ def test_run_program_leaves_nothing_to_collect(spec, design):
     assert unreachable == 0
 
 
-@pytest.mark.parametrize("kernel", [
-    litmus.store_buffering, litmus.three_thread_cycle,
-    litmus.false_sharing_interference, litmus.message_passing,
-], ids=lambda fn: fn.__name__)
+#: the paper's figure kernels, by the names their test ids have always
+#: carried, as the programs ``run_program`` now runs them through
+FIGURE_PROGRAMS = {
+    "store_buffering": lambda: program_for_spec("sb"),
+    "three_thread_cycle": lambda: program_for_spec("sb3"),
+    "false_sharing_interference": lambda: program_for_spec("false-sharing"),
+    "message_passing": delayed_mp,
+}
+
+
+@pytest.mark.parametrize("kernel", FIGURE_PROGRAMS)
 def test_litmus_helper_leaves_nothing_to_collect(kernel):
-    unreachable, outcome = unreachable_after(
-        lambda: kernel(FenceDesign.WS_PLUS))
-    assert outcome.result.completed and outcome.observed
+    program = FIGURE_PROGRAMS[kernel]()
+    unreachable, run = unreachable_after(
+        lambda: run_litmus(program, FenceDesign.WS_PLUS))
+    assert run.completed and run.observed
     assert unreachable == 0
 
 
 def _fig3a_deadlock():
     # both fences weak, recovery off: the paper's Fig. 3a deadlock
+    machine = _all_wf_deadlock_machine(recovery=False)
     try:
-        litmus.store_buffering(
-            FenceDesign.W_PLUS, recovery=False,
-            roles=(FenceRole.CRITICAL, FenceRole.CRITICAL))
+        machine.run()
     except DeadlockError as exc:
         return exc.diagnostics
+    finally:
+        machine.dispose()
     raise AssertionError("Fig. 3a did not deadlock")
 
 
@@ -256,7 +266,7 @@ def _sb_thread(mine, other):
 
 
 def _hand_built(design=FenceDesign.WS_PLUS):
-    machine = Machine(litmus.litmus_params(design), seed=1)
+    machine = Machine(tiny_params(design, track_dependences=True), seed=1)
     x, y = machine.alloc.word(), machine.alloc.word()
     machine.attach_sanitizer(Sanitizer(mode="strict"))
     machine.spawn(_sb_thread(x, y))

@@ -39,12 +39,7 @@ def test_watchdog_tolerates_long_legitimate_stalls():
 
 def test_watchdog_reports_blocked_core_details():
     with pytest.raises(DeadlockError) as exc:
-        from repro.workloads.litmus import store_buffering
-        store_buffering(
-            FenceDesign.W_PLUS,
-            roles=(FenceRole.CRITICAL, FenceRole.CRITICAL),
-            recovery=False,
-        )
+        _all_wf_deadlock_machine(recovery=False).run()
     message = str(exc.value)
     assert "bouncing" in message or "BS holds" in message
     assert exc.value.blocked_cores

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.params import FenceDesign
+from repro.common.stats import MachineStats
 from repro.verify.generator import generate_program
 from repro.verify.oracles import (
     PAPER_DESIGNS,
@@ -52,12 +53,13 @@ def test_wplus_recovery_preserves_sc():
 
 
 def test_naive_wplus_deadlock_is_classified():
-    """recovery=False reproduces the Fig. 3a deadlock; the oracle
+    """Recovery disabled reproduces the Fig. 3a deadlock; the oracle
     records it rather than crashing the explorer."""
     deadlocked = False
     for seed in range(30):
         prog = generate_program(seed, shape="sb")
-        run = run_program(prog, FenceDesign.W_PLUS, recovery=False)
+        run = run_program(prog, FenceDesign.W_PLUS, params_overrides={
+            "wplus_recovery_enabled": False})
         if run.deadlock is not None:
             deadlocked = True
             assert "blocked cores" in run.deadlock
@@ -102,10 +104,12 @@ def test_check_invariants_flags_scv_under_fences():
 
 
 def test_check_invariants_flags_unsound_recovery():
+    stats = MachineStats(2)
+    stats.wplus_recoveries = 2
     run = ProgramRun(program=_sb2().stripped(),
                      design=FenceDesign.W_PLUS,
                      point=SchedulePoint(), completed=True,
-                     scv=[(0, 1), (1, 0)], recoveries=2)
+                     scv=[(0, 1), (1, 0)], stats=stats)
     assert any("recovery-left-non-sc" in v for v in check_invariants(run))
 
 

@@ -1,6 +1,6 @@
 """Schedule perturbation: reproducible sweeps, parameter plumbing."""
 
-from repro.common.params import FenceDesign
+from repro.common.params import FenceDesign, FenceRole
 from repro.verify.perturb import (
     DEFAULT_POINT,
     VERIFY_MAX_CYCLES,
@@ -42,8 +42,15 @@ def test_point_builds_interleaving_exact_params():
 
 
 def test_point_can_disable_recovery():
-    params = SchedulePoint().params(FenceDesign.W_PLUS, 2, recovery=False)
-    assert not params.wplus_recovery_enabled
+    from repro.synth.programs import sb
+    from repro.verify.oracles import run_program
+
+    # a run's params_overrides reach the machine the point builds
+    both_weak = sb((FenceRole.CRITICAL, FenceRole.CRITICAL))
+    naive = run_program(both_weak, FenceDesign.W_PLUS, params_overrides={
+        "wplus_recovery_enabled": False})
+    assert naive.deadlock is not None and naive.recoveries == 0
+    assert run_program(both_weak, FenceDesign.W_PLUS).recoveries >= 1
 
 
 def test_point_params_are_built_once_per_combination():
@@ -58,7 +65,6 @@ def test_point_params_are_built_once_per_combination():
     # every argument is part of the key
     assert a.params(FenceDesign.SW_PLUS, 2) != params
     assert a.params(FenceDesign.WS_PLUS, 3) != params
-    assert a.params(FenceDesign.WS_PLUS, 2, recovery=False) != params
     assert SchedulePoint(mesh_hop_cycles=2).params(
         FenceDesign.WS_PLUS, 2) != params
     # and the shared instance is what the step-by-step build gives
