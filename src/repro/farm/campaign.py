@@ -7,7 +7,7 @@ until no runnable work remains.  Killing the coordinator and
 re-running :func:`run_campaign` with the same spec resumes exactly the
 unfinished jobs and converges to the same result rows; a *finished*
 campaign resubmitted later is served entirely from the result cache
-(zero new simulations).
+(zero new simulations, no worker started).
 """
 
 from __future__ import annotations
@@ -58,15 +58,21 @@ def run_campaign(
     idle wait between claim attempts is ``FarmConfig.poll_secs``.
 
     Safe to call again after a coordinator crash — submission is
-    idempotent and only unfinished jobs run.
+    idempotent and only unfinished jobs run.  A campaign with nothing
+    left to run returns its rows without starting a worker (and without
+    calling *on_poll*).
     """
     config = config or FarmConfig()
-    cid, _counts = submit(db_path, spec, diag_dir=config.diag_dir)
-    if workers == 0:
-        run_worker(db_path, cid, config=config, once=True)
-        return collect(db_path, cid)
-    deadline = None if timeout is None else time.monotonic() + timeout
     with FarmStore(db_path, diag_dir=config.diag_dir) as store:
+        cid, _counts = store.submit_campaign(spec)
+        if store.campaign_done(cid):
+            # served from the result cache (or only quarantined jobs
+            # left): nothing to run, so nothing to start
+            return store.rows(cid)
+        if workers == 0:
+            run_worker(db_path, cid, config=config, once=True)
+            return store.rows(cid)
+        deadline = None if timeout is None else time.monotonic() + timeout
         with WorkerPool(db_path, cid, workers, config=config) as pool:
             while not store.campaign_done(cid):
                 if deadline is not None and time.monotonic() > deadline:

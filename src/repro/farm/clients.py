@@ -23,13 +23,17 @@ from repro.farm.worker import FarmConfig
 
 
 def default_farm_workers() -> int:
+    """``REPRO_FARM_WORKERS`` (0 runs inline), else CPUs − 1 capped at
+    8.  A value that is not a count ≥ 0 is a :class:`ConfigError`,
+    which the CLI reports as a usage error."""
     env = os.environ.get("REPRO_FARM_WORKERS")
-    if env:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            pass
-    return max(1, min(8, (os.cpu_count() or 2) - 1))
+    if not env:
+        return max(1, min(8, (os.cpu_count() or 2) - 1))
+    if not env.strip().isdecimal():
+        raise ConfigError(
+            f"REPRO_FARM_WORKERS={env!r}: expected a worker count >= 0 "
+            f"(0 runs inline)")
+    return int(env)
 
 
 def store_path(db: Optional[str] = None) -> Optional[str]:
@@ -62,12 +66,12 @@ def campaign_rows(db: Optional[str], spec: CampaignSpec,
     else :class:`ConfigError`; the message names the first failed
     jobs and their errors.
     """
+    workers = default_farm_workers() if workers is None else workers
     db = store_path(db)
     if not db:
         with tempfile.TemporaryDirectory(prefix="repro-farm-") as tmp:
             return campaign_rows(os.path.join(tmp, "farm.sqlite"), spec,
                                  workers, config)
-    workers = default_farm_workers() if workers is None else workers
     cid = spec.campaign_id()
     started = time.time()
 
@@ -81,6 +85,7 @@ def campaign_rows(db: Optional[str], spec: CampaignSpec,
                             on_poll=stop_on_raise)
     except _JobRaised:
         rows = collect(db, cid)
+    # the jobs (and their cached keys) submit_campaign already built
     jobs = spec.expand()
     missing = [job for job in jobs if job.content_key() not in rows]
     if not missing:

@@ -130,10 +130,19 @@ class JobSpec:
     @cached_property
     def _canonical(self) -> str:
         # frozen: computed once; not a field: outside ==, hash, asdict
-        return canonical_json(dataclasses.asdict(self))
+        return canonical_json({
+            "kind": self.kind, "workload": self.workload,
+            "design": self.design, "seed": self.seed,
+            "cores": self.cores, "scale": self.scale,
+            "config": self.config, "code_rev": self.code_rev,
+        })
+
+    @cached_property
+    def _key(self) -> str:
+        return hashlib.sha256(self._canonical.encode()).hexdigest()[:40]
 
     def content_key(self) -> str:
-        return hashlib.sha256(self._canonical.encode()).hexdigest()[:40]
+        return self._key
 
     def to_json(self) -> str:
         return self._canonical
@@ -184,22 +193,28 @@ class CampaignSpec:
         )
 
     def expand(self) -> List[JobSpec]:
-        jobs: List[JobSpec] = []
-        for workload in self.workloads:
-            for design in self.designs:
-                for cores in self.core_counts:
-                    for seed in self.seeds:
-                        jobs.append(JobSpec(
-                            kind=self.kind,
-                            workload=workload,
-                            design=design,
-                            seed=seed,
-                            cores=cores,
-                            scale=self.scale,
-                            config=self.config,
-                            code_rev=self.code_rev,
-                        ))
-        return jobs
+        """The grid's jobs, a fresh list each call; the jobs themselves
+        (and so their cached content keys) are built once per spec."""
+        return list(self._jobs)
+
+    @cached_property
+    def _jobs(self) -> Tuple[JobSpec, ...]:
+        return tuple(
+            JobSpec(
+                kind=self.kind,
+                workload=workload,
+                design=design,
+                seed=seed,
+                cores=cores,
+                scale=self.scale,
+                config=self.config,
+                code_rev=self.code_rev,
+            )
+            for workload in self.workloads
+            for design in self.designs
+            for cores in self.core_counts
+            for seed in self.seeds
+        )
 
     @cached_property
     def _canonical(self) -> str:

@@ -22,7 +22,6 @@ or as a farm campaign, and emits a JSON report.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 from dataclasses import dataclass, field
@@ -71,10 +70,27 @@ class ChaosCase:
         return bool(self.violations)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        if self.shrunk is not None:
-            d["shrunk"] = [list(key) for key in self.shrunk]
-        return d
+        """The JSON row: every field in declaration order, sharing no
+        mutable state with the case (``shrunk`` pairs become lists)."""
+        return {
+            "scenario": self.scenario,
+            "design": self.design,
+            "seed": self.seed,
+            "legal": self.legal,
+            "violations": list(self.violations),
+            "cycles": self.cycles,
+            "recoveries": self.recoveries,
+            "bounces": self.bounces,
+            "storm_demotions": self.storm_demotions,
+            "faults": {k: dict(v) for k, v in self.faults.items()},
+            "shrunk": (None if self.shrunk is None
+                       else [list(key) for key in self.shrunk]),
+            "shrink_runs": self.shrink_runs,
+            "diagnostics_path": self.diagnostics_path,
+            "sanitize": self.sanitize,
+            "sanitizer": self.sanitizer,
+            "attrib_path": self.attrib_path,
+        }
 
 
 def _case_violations(run, plan: FaultPlan) -> List[str]:

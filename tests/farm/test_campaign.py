@@ -127,6 +127,84 @@ def test_worker_pool_campaign_matches_inline_rows(tmp_path):
     assert pooled == inline  # scheduling cannot change the rows
 
 
+def _forbid_workers(monkeypatch):
+    """Any worker the coordinator starts from here on fails the test."""
+    from repro.farm.pool import WorkerPool
+
+    def no_pool(self):
+        raise AssertionError("a finished campaign started a worker pool")
+
+    def no_inline_worker(*args, **kwargs):
+        raise AssertionError("a finished campaign ran an inline worker")
+
+    monkeypatch.setattr(WorkerPool, "start", no_pool)
+    monkeypatch.setattr(campaign_mod, "run_worker", no_inline_worker)
+
+
+def _attempts(db, cid):
+    with FarmStore(db) as store:
+        return store.status(cid)["attempts"]
+
+
+def test_finished_campaign_forks_no_worker(tmp_path, monkeypatch):
+    """A campaign with nothing left to run — every row cached, or the
+    only unfinished job quarantined — is answered by the coordinator
+    alone: no pool, no inline worker, no supervision look."""
+    from repro.farm.clients import campaign_rows
+
+    db = str(tmp_path / "farm.sqlite")
+    spec = _litmus_spec()
+    cid = spec.campaign_id()
+    first = run_campaign(db, spec, workers=0)
+    attempts = _attempts(db, cid)
+    assert len(first) == 6 and attempts == 6
+    _forbid_workers(monkeypatch)
+    looks = []
+    again = run_campaign(db, spec, workers=2,
+                         on_poll=lambda store, pool: looks.append(pool))
+    assert again == first
+    assert looks == []
+    assert _attempts(db, cid) == attempts
+    assert run_campaign(db, spec, workers=0) == first
+
+    # done but incomplete: the collector still names the lost job
+    poisoned_db = str(tmp_path / "poisoned.sqlite")
+    spec = _litmus_spec(seeds=(1,))  # 2 jobs
+    poison = spec.expand()[0].content_key()
+    real = worker_mod.execute_job
+
+    def sometimes_poisoned(job, diag_dir=None):
+        if job.content_key() == poison:
+            raise RuntimeError("synthetic poison")
+        return real(job, diag_dir)
+
+    monkeypatch.setattr(worker_mod, "execute_job", sometimes_poisoned)
+    cid, _ = campaign_mod.submit(poisoned_db, spec)
+    run_worker(poisoned_db, cid, config=FarmConfig(quarantine_after=1),
+               once=True)
+    with FarmStore(poisoned_db) as store:
+        assert store.campaign_done(cid)
+        assert store.status(cid)["quarantined"] == 1
+    with pytest.raises(ConfigError,
+                       match="1 unproduced.*RuntimeError: synthetic poison"):
+        campaign_rows(poisoned_db, spec, workers=2)
+    assert _attempts(poisoned_db, cid) == 2
+
+
+def test_farm_resume_of_a_finished_campaign_exits_0(tmp_path, monkeypatch,
+                                                    capsys):
+    from repro.cli import main
+
+    db = str(tmp_path / "farm.sqlite")
+    spec = _litmus_spec()
+    cid = spec.campaign_id()
+    run_campaign(db, spec, workers=0)
+    _forbid_workers(monkeypatch)
+    assert main(["farm", "resume", "--db", db, cid, "--workers", "2"]) == 0
+    assert f"campaign {cid} complete: 6 row(s)" in capsys.readouterr().out
+    assert _attempts(db, cid) == 6
+
+
 # ----------------------------------------------------------------------
 # stalled-but-alive worker: duplicate execution, exactly-once rows
 # ----------------------------------------------------------------------

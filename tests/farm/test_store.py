@@ -82,6 +82,24 @@ def test_keys_and_json_are_pinned_and_derive_from_one_blob():
         assert "_canonical" not in dataclasses.asdict(obj)
 
 
+def test_expand_returns_a_fresh_list_over_jobs_built_once():
+    spec = _spec(workloads=("fib", "Counter"),
+                 designs=(FenceDesign.S_PLUS, FenceDesign.W_PLUS),
+                 seeds=(1, 2))
+    first = spec.expand()
+    grid = [(j.workload, j.design, j.seed) for j in first]
+    assert grid == [(w, d, s) for w in ("fib", "Counter")
+                    for d in ("S_PLUS", "W_PLUS") for s in (1, 2)]
+    first.reverse()
+    first.pop()
+    second = spec.expand()
+    assert second is not first
+    assert [(j.workload, j.design, j.seed) for j in second] == grid
+    # the same job objects, so each content key is hashed once
+    assert all(a is b for a, b in zip(spec.expand(), second))
+    assert second[0].content_key() is second[0].content_key()
+
+
 def test_design_identity_normalizes_names_and_values():
     by_enum = JobSpec.make("matrix", "fib", FenceDesign.S_PLUS, 1)
     by_name = JobSpec.make("matrix", "fib", "S_PLUS", 1)

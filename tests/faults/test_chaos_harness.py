@@ -1,6 +1,8 @@
 """The chaos harness: illegal-scenario detection, ddmin shrinking, and
 the ``repro chaos`` CLI."""
 
+import copy
+import dataclasses
 import json
 import os
 
@@ -8,11 +10,14 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.common.params import FenceDesign
+from repro.faults import LEGAL_SCENARIOS
 from repro.faults.chaos import (
+    _case_from_record,
     run_chaos_case,
     run_chaos_matrix,
     shrink_failing_case,
 )
+from repro.verify.oracles import PAPER_DESIGNS
 from repro.verify.shrink import ddmin
 
 
@@ -198,3 +203,50 @@ def test_passing_case_writes_no_attribution_postmortem(tmp_path):
                           diag_dir=diag)
     assert not case.failed
     assert case.attrib_path is None
+
+
+# ----------------------------------------------------------------------
+# the result row: one dict per case, the bytes every stored row holds
+# ----------------------------------------------------------------------
+
+def _asdict_row(case):
+    """The reference form: ``dataclasses.asdict`` with ``shrunk`` pairs
+    as lists — what every chaos report and farm row was written as."""
+    row = dataclasses.asdict(case)
+    if case.shrunk is not None:
+        row["shrunk"] = [list(key) for key in case.shrunk]
+    return row
+
+
+def _assert_row_is_the_reference_and_detached(case):
+    before = copy.deepcopy(case)
+    row = case.to_dict()
+    # no sort_keys: the field order is part of the report's bytes
+    assert json.dumps(row) == json.dumps(_asdict_row(case))
+    assert _case_from_record(case.to_dict()) == case
+    row["violations"].append("mutated")
+    for counts in row["faults"].values():
+        counts["mutated"] = 1
+    row["faults"]["mutated"] = {}
+    if row["shrunk"] is not None:
+        row["shrunk"][0].append("mutated")
+    assert case == before
+
+
+@pytest.mark.parametrize("scenario", LEGAL_SCENARIOS)
+def test_case_row_is_the_asdict_form(scenario):
+    for design in PAPER_DESIGNS:
+        for seed in (1, 2):
+            _assert_row_is_the_reference_and_detached(
+                run_chaos_case(scenario, design, seed))
+
+
+def test_failing_and_shrunk_case_rows_are_the_asdict_form(tmp_path):
+    case = run_chaos_case("illegal_drop", FenceDesign.W_PLUS, 3,
+                          diag_dir=str(tmp_path / "diag"))
+    assert case.sanitizer and case.violations
+    assert case.diagnostics_path and case.attrib_path
+    _assert_row_is_the_reference_and_detached(case)
+    shrunk = shrink_failing_case(dataclasses.replace(case))
+    assert shrunk.shrunk
+    _assert_row_is_the_reference_and_detached(shrunk)

@@ -67,10 +67,26 @@ class TestDefaultFarmWorkers:
         monkeypatch.setenv("REPRO_FARM_WORKERS", "0")
         assert default_farm_workers() == 0
 
-    def test_garbage_falls_back_to_cpu_formula(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FARM_WORKERS", "not-a-number")
+    @pytest.mark.parametrize("value", ["two", "not-a-number", "-1", "1.5"])
+    def test_malformed_or_negative_is_a_config_error(self, monkeypatch,
+                                                     value):
+        monkeypatch.setenv("REPRO_FARM_WORKERS", value)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert default_farm_workers() == 3
+        with pytest.raises(ConfigError,
+                           match=f"REPRO_FARM_WORKERS='{value}'"):
+            default_farm_workers()
+
+    def test_cli_reports_a_malformed_value_as_a_usage_error(
+            self, monkeypatch, tmp_path, capsys):
+        import tempfile
+
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_FARM_WORKERS", "two")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["figure", "12", "--scale", "0.05"]) == 2
+        assert "REPRO_FARM_WORKERS='two'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no store was made
 
     @pytest.mark.parametrize("cpus,workers", [(None, 1), (2, 1), (4, 3),
                                               (64, 8)])
