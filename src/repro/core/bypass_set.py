@@ -14,68 +14,14 @@ Entries are tagged with the id of the youngest incomplete fence at
 insertion time; completing fence *f* clears every entry tagged <= f
 (fences complete in order under TSO's FIFO write-buffer drain).
 
-A Bloom-filter front end (mentioned in §3.2 to cut comparison energy)
-is modeled functionally: a membership fast-path that can only produce
-false positives, backed by the exact entry list.
+Membership is the exact entry map.  The hashed front-end filter of
+§3.2 only saves comparison energy, which this simulator does not model,
+and it can give no false negative, so it would change no answer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
-
-class BloomFilter:
-    """Tiny counting-free Bloom filter over line addresses.
-
-    Rebuilt on clears (real hardware would use epochs or counters); the
-    exact list below it keeps correctness independent of this filter.
-    """
-
-    def __init__(self, bits: int = 256, hashes: int = 2):
-        self.bits = bits
-        self.hashes = hashes
-        self._word = 0
-
-    def _positions(self, line: int) -> Tuple[int, ...]:
-        h = line * 0x9E3779B1
-        x = h >> 17
-        bits = self.bits
-        if self.hashes == 2:
-            return ((h ^ x) % bits, ((h >> 8) ^ x) % bits)
-        return tuple(
-            ((h >> (i * 8)) ^ x) % bits for i in range(self.hashes)
-        )
-
-    def add(self, line: int) -> None:
-        # checked/updated on every incoming coherence request: the
-        # common hashes=2 shape is inlined (no tuple, no loop) — same
-        # positions as the generic ``_positions`` formula.
-        if self.hashes == 2:
-            h = line * 0x9E3779B1
-            x = h >> 17
-            bits = self.bits
-            self._word |= (1 << ((h ^ x) % bits)) | (1 << (((h >> 8) ^ x) % bits))
-            return
-        word = self._word
-        for pos in self._positions(line):
-            word |= 1 << pos
-        self._word = word
-
-    def maybe_contains(self, line: int) -> bool:
-        word = self._word
-        if self.hashes == 2:
-            h = line * 0x9E3779B1
-            x = h >> 17
-            bits = self.bits
-            return (word >> ((h ^ x) % bits)) & 1 == 1 and \
-                (word >> (((h >> 8) ^ x) % bits)) & 1 == 1
-        for pos in self._positions(line):
-            if not word & (1 << pos):
-                return False
-        return True
-
-    def clear(self) -> None:
-        self._word = 0
+from typing import Dict
 
 
 class BSEntry:
@@ -95,7 +41,6 @@ class BypassSet:
         #: keep per-word masks (SW+)
         self.fine_grain = fine_grain
         self._entries: Dict[int, BSEntry] = {}
-        self._bloom = BloomFilter()
         #: True if this BS has bounced an external request since the
         #: last clear (one of the two W+ deadlock-suspicion conditions).
         self.bounced_since_clear = False
@@ -120,7 +65,6 @@ class BypassSet:
         entry = self._entries.get(line)
         if entry is None:
             self._entries[line] = BSEntry(line, word_mask, fence_id)
-            self._bloom.add(line)
         else:
             entry.word_mask |= word_mask
             # keep the entry alive until the *youngest* covering fence
@@ -128,8 +72,6 @@ class BypassSet:
 
     def match_line(self, line: int) -> bool:
         """Line-granularity check applied to incoming coherence requests."""
-        if not self._bloom.maybe_contains(line):
-            return False
         return line in self._entries
 
     def true_sharing(self, line: int, word_mask: int) -> bool:
@@ -153,8 +95,6 @@ class BypassSet:
         doomed = [l for l, e in self._entries.items() if e.fence_id <= fence_id]
         for line in doomed:
             del self._entries[line]
-        if doomed:
-            self._rebuild_bloom()
         if not self._entries:
             self.bounced_since_clear = False
         return len(doomed)
@@ -163,14 +103,8 @@ class BypassSet:
         """Drop everything (W+ recovery).  Returns entries dropped."""
         n = len(self._entries)
         self._entries.clear()
-        self._bloom.clear()
         self.bounced_since_clear = False
         return n
-
-    def _rebuild_bloom(self) -> None:
-        self._bloom.clear()
-        for line in self._entries:
-            self._bloom.add(line)
 
     def lines(self):
         return self._entries.keys()

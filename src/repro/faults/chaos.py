@@ -206,27 +206,13 @@ def run_chaos_case(
         bounces=run.bounces,
         storm_demotions=run.storm_demotions,
         faults=injector.summary(),
+        diagnostics_path=run.diagnostics_path,
         sanitize=sanitize,
         sanitizer=run.sanitizer,
     )
-    if diag_dir and (run.deadlock or run.sanitizer):
-        case.diagnostics_path = _newest_artifact(diag_dir)
     if attrib is not None and case.failed:
         case.attrib_path = _write_attrib_postmortem(attrib, case, diag_dir)
     return case
-
-
-def _newest_artifact(diag_dir: str) -> Optional[str]:
-    try:
-        files = [
-            os.path.join(diag_dir, f)
-            for f in os.listdir(diag_dir)
-            if f.startswith(("deadlock_", "sanitizer_"))
-            and f.endswith(".json")
-        ]
-    except OSError:
-        return None
-    return max(files, key=os.path.getmtime) if files else None
 
 
 def shrink_failing_case(

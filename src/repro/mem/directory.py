@@ -47,6 +47,9 @@ class DirEntry:
 
     owner: Optional[int] = None
     sharers: Set[int] = field(default_factory=set)
+    #: ``txn_id`` of the grant that made the current owner; a PutM
+    #: answers one grant and is stale against any other
+    grant: Optional[int] = None
 
     def caching_cores(self) -> Set[int]:
         cores = set(self.sharers)
@@ -131,10 +134,14 @@ class DirectoryBank:
         """Dirty-eviction writeback (fire-and-forget from the evictor)."""
         # PutM does not contend for the busy slot: it carries no
         # permission change other than clearing ownership, and a stale
-        # PutM (ownership already moved) is simply dropped.
+        # PutM is simply dropped.  Stale means it answers a grant other
+        # than the one that made the current owner: the NoC may deliver
+        # it after ownership moved away, or after the evictor itself
+        # re-acquired the line (docs/PROTOCOL.md, "Writebacks").
         entry = self.entries.get(txn.line)
-        if entry is None or entry.owner != txn.requester:
-            return  # stale writeback, ownership already transferred
+        if entry is None or entry.owner != txn.requester \
+                or entry.grant != txn.grant:
+            return
         entry.owner = None
         self._l2_fill(txn.line)
         self.stats.dirty_writebacks += 1
@@ -299,6 +306,7 @@ class DirectoryBank:
         if txn.kind is Msg.GETS:
             if not entry.sharers and entry.owner is None:
                 entry.owner = txn.requester  # MESI Exclusive grant
+                entry.grant = txn.txn_id
                 txn.granted_exclusive = True
             else:
                 entry.sharers.add(txn.requester)
@@ -309,6 +317,7 @@ class DirectoryBank:
             if needs_data:
                 data_latency = self._data_source_latency(txn.line)
             entry.owner = txn.requester
+            entry.grant = txn.txn_id
             entry.sharers.clear()
         else:  # Order / CondOrder success
             if txn.kind is Msg.ORDER:

@@ -16,7 +16,7 @@ Responsibilities:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.common.events import EventQueue
 from repro.common.addr import AddressMap
@@ -54,6 +54,9 @@ class L1Controller:
             params.l1_size_bytes, params.l1_ways, params.line_bytes
         )
         self.bs = BypassSet(params.bs_entries, fine_grain=fine_grain_bs)
+        #: line -> ``txn_id`` of the grant that filled it E or M, for
+        #: the PutM that may evict it; a line leaves with its cache copy
+        self._grants: Dict[int, int] = {}
         # hot-path scalars lifted out of params/amap: every load and
         # every drained store goes through read()/issue_store().
         self._line_bytes = params.line_bytes
@@ -117,7 +120,7 @@ class L1Controller:
 
         def done(reply: Msg, t: Transaction) -> None:
             state = LineState.E if t.granted_exclusive else LineState.S
-            self._fill(line, state)
+            self._fill(line, state, t)
             if self.tracer is not None:
                 self.tracer.l1_miss(self.core_id, line, "GetS", t0, "filled")
             on_done(False)
@@ -183,9 +186,9 @@ class L1Controller:
             if t.kind in (Msg.ORDER, Msg.COND_ORDER):
                 # requester ends with the line Shared; the update is
                 # merged at memory (§3.3.1).
-                self._fill(line, LineState.S)
+                self._fill(line, LineState.S, t)
             else:
-                self._fill(line, LineState.M)
+                self._fill(line, LineState.M, t)
             if self.tracer is not None:
                 self.tracer.l1_miss(
                     self.core_id, line, t.kind.value, t0, "merged"
@@ -249,7 +252,7 @@ class L1Controller:
                     )
                 on_bounce()
                 return
-            self._fill(line, LineState.M)
+            self._fill(line, LineState.M, t)
             if self.tracer is not None:
                 self.tracer.l1_miss(self.core_id, line, "GetX", t0, "merged")
             if self.recorder is not None:
@@ -294,6 +297,7 @@ class L1Controller:
                 return Msg.INV_BOUNCE, False, False
             true_sharing = self.bs.true_sharing(line, txn.word_mask)
             state = self.cache.invalidate(line)
+            self._grants.pop(line, None)
             if self.sanitizer is not None:
                 self.sanitizer.on_l1_inv(self, line, keep_sharer=True)
             return Msg.INV_KEEP_SHARER, state is LineState.M, true_sharing
@@ -306,6 +310,7 @@ class L1Controller:
             # WS+/SW+'s forward-progress guarantee.
             return Msg.INV_BOUNCE, False, False
         state = self.cache.invalidate(line)
+        self._grants.pop(line, None)
         if self.sanitizer is not None:
             self.sanitizer.on_l1_inv(self, line, keep_sharer=False)
         return Msg.INV_ACK, state is LineState.M, False
@@ -331,18 +336,21 @@ class L1Controller:
         lat = self.noc.send_cost(self.core_id, bank_id, txn.kind, retry=txn.is_retry)
         self.queue.schedule(lat, lambda: bank.receive(txn), "l1.request")
 
-    def _fill(self, line: int, state: LineState) -> None:
+    def _fill(self, line: int, state: LineState, txn: Transaction) -> None:
+        if state is not LineState.S:
+            self._grants[line] = txn.txn_id
         evicted = self.cache.insert(line, state)
         if evicted is None:
             return
         victim_line, victim_state = evicted
         self.stats.l1_evictions += 1
+        grant = self._grants.pop(victim_line, None)
         if victim_state is LineState.M:
-            self._writeback(victim_line)
+            self._writeback(victim_line, grant)
         # clean evictions are silent: the directory still lists us as a
         # sharer/owner, which also preserves BS monitoring for free.
 
-    def _writeback(self, victim_line: int) -> None:
+    def _writeback(self, victim_line: int, grant: Optional[int]) -> None:
         keep = {self.core_id} if self.bs.match_line(victim_line) else None
         if self.tracer is not None:
             self.tracer.writeback(self.core_id, victim_line, keep is not None)
@@ -351,6 +359,7 @@ class L1Controller:
             requester=self.core_id,
             line=victim_line,
             keep_sharers=keep,
+            grant=grant,
         )
         bank_id = self.amap.home_bank(victim_line)
         bank = self.banks[bank_id]

@@ -28,7 +28,6 @@ class Msg(enum.Enum):
     DATA = "Data"              # line data reply
     ACK = "Ack"                # permission granted, no data needed
     NACK_BOUNCE = "NackBounce" # transaction rejected by a remote BS
-    NACK_BUSY = "NackBusy"     # line transaction in flight, retry
     INV = "Inv"                # invalidate request to a sharer
     DOWNGRADE = "Downgrade"    # M -> S request to the owner
 
@@ -83,7 +82,7 @@ class Transaction:
         "kind", "requester", "line", "word_mask", "ordered", "is_retry",
         "txn_id", "pending_acks", "bounced", "keep_sharers",
         "true_sharing_seen", "requester_was_sharer", "granted_exclusive",
-        "on_done",
+        "grant", "on_done",
     )
 
     def __init__(
@@ -101,6 +100,7 @@ class Transaction:
         true_sharing_seen: bool = False,
         requester_was_sharer: bool = False,
         granted_exclusive: bool = False,
+        grant: Optional[int] = None,
         on_done: Optional[object] = None,
     ):
         self.kind = kind
@@ -124,6 +124,8 @@ class Transaction:
         self.requester_was_sharer = requester_was_sharer
         #: GetS answered with an Exclusive grant
         self.granted_exclusive = granted_exclusive
+        #: PutM: ``txn_id`` of the grant that made the evictor the owner
+        self.grant = grant
         #: completion callback, called as on_done(reply_kind, txn)
         self.on_done = on_done
 

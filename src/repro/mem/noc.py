@@ -89,15 +89,6 @@ class MeshNoc:
             lat = self._latency_cache[key] = hop_lat + self._ser_cycles[kind.idx]
         return lat
 
-    def account(self, kind: Msg, retry: bool = False) -> int:
-        """Record the traffic of one message; returns its byte size."""
-        nbytes = self._bytes[kind.idx]
-        stats = self.stats
-        stats.network_bytes += nbytes
-        if retry:
-            stats.retry_bytes += nbytes
-        return nbytes
-
     def send_cost(self, src: int, dst: int, kind: Msg, retry: bool = False) -> int:
         """Account traffic and return the delivery latency in cycles."""
         idx = kind.idx

@@ -30,12 +30,12 @@ tooling, optionally as a ``sanitizer_*.json`` artifact in
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from typing import List, Optional
 
 from repro.common.errors import ConfigError, SanitizerError
+from repro.sim.deadlock import write_bundle
 
 #: default sampling cadence (cycles between full sweeps)
 DEFAULT_INTERVAL = 5_000
@@ -166,7 +166,8 @@ class Sanitizer:
             diagnostics = machine._watchdog.snapshot_diagnostics()
             diagnostics["violation"] = violation
             self.first_diagnostics = diagnostics
-            self.first_diagnostics_path = self._write_artifact(diagnostics)
+            self.first_diagnostics_path = write_bundle(
+                machine, "sanitizer", diagnostics)
             if machine.tracer is not None:
                 machine.tracer.sanitizer_violation(core, invariant, violation)
         if self.mode == "strict":
@@ -178,21 +179,6 @@ class Sanitizer:
             )
         if first:
             print(f"sanitizer: {message}", file=sys.stderr)
-
-    def _write_artifact(self, diagnostics: dict) -> Optional[str]:
-        machine = self.machine
-        diag_dir = machine.diag_dir
-        if not diag_dir:
-            return None
-        os.makedirs(diag_dir, exist_ok=True)
-        design = machine.params.fence_design.value
-        path = os.path.join(
-            diag_dir,
-            f"sanitizer_{design}_c{machine.queue.now}_s{machine.seed}.json",
-        )
-        with open(path, "w") as fh:
-            json.dump(diagnostics, fh, indent=1, sort_keys=True)
-        return path
 
     # ------------------------------------------------------------------
     # the full sweep

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+from typing import Optional
 
 from repro.common.errors import DeadlockError
 
@@ -66,7 +67,7 @@ class Watchdog:
         if live and progress == self._last_progress:
             blocked = self._describe(live)
             diagnostics = self.snapshot_diagnostics(live)
-            path = self._write_artifact(diagnostics)
+            path = write_bundle(machine, "deadlock", diagnostics)
             raise DeadlockError(
                 "no thread progressed for "
                 f"{self.interval} cycles; blocked cores: {blocked}",
@@ -153,18 +154,20 @@ class Watchdog:
             ]
         return bundle
 
-    def _write_artifact(self, diagnostics: dict):
-        """Persist the bundle when the machine has a diag_dir set."""
-        diag_dir = self.machine.diag_dir
-        if not diag_dir:
-            return None
-        os.makedirs(diag_dir, exist_ok=True)
-        design = self.machine.params.fence_design.value
-        path = os.path.join(
-            diag_dir,
-            f"deadlock_{design}_c{self.machine.queue.now}_"
-            f"s{self.machine.seed}.json",
-        )
-        with open(path, "w") as fh:
-            json.dump(diagnostics, fh, indent=1, sort_keys=True)
-        return path
+
+def write_bundle(machine, prefix: str, diagnostics: dict) -> Optional[str]:
+    """Write *diagnostics* to ``<prefix>_<design>_c<cycle>_s<seed>.json``
+    in the machine's ``diag_dir``; returns the path, or None when the
+    machine has no ``diag_dir``."""
+    diag_dir = machine.diag_dir
+    if not diag_dir:
+        return None
+    os.makedirs(diag_dir, exist_ok=True)
+    design = machine.params.fence_design.value
+    path = os.path.join(
+        diag_dir,
+        f"{prefix}_{design}_c{machine.queue.now}_s{machine.seed}.json",
+    )
+    with open(path, "w") as fh:
+        json.dump(diagnostics, fh, indent=1, sort_keys=True)
+    return path

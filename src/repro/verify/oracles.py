@@ -66,6 +66,8 @@ class ProgramRun:
     scv: Optional[list] = None
     #: first sanitizer violation, if a strict sanitizer fired
     sanitizer: Optional[str] = None
+    #: the post-mortem bundle the raised error wrote (needs *diag_dir*)
+    diagnostics_path: Optional[str] = None
     #: the machine's counters, as the run left them
     stats: Optional[MachineStats] = None
     #: the dependence events the SCV checker judged
@@ -187,9 +189,11 @@ def run_program(
         run.cycles = result.cycles
     except SanitizerError as exc:
         run.sanitizer = str(exc)
+        run.diagnostics_path = exc.diagnostics_path
         run.cycles = machine.queue.now
     except DeadlockError as exc:
         run.deadlock = str(exc)
+        run.diagnostics_path = exc.diagnostics_path
         run.cycles = machine.queue.now
     except SimulatorError as exc:  # replay divergence, protocol bug
         run.error = f"{type(exc).__name__}: {exc}"

@@ -250,3 +250,21 @@ def test_failing_and_shrunk_case_rows_are_the_asdict_form(tmp_path):
     shrunk = shrink_failing_case(dataclasses.replace(case))
     assert shrunk.shrunk
     _assert_row_is_the_reference_and_detached(shrunk)
+
+
+def test_case_records_its_own_postmortem_not_the_newest_file(tmp_path):
+    # another worker sharing the diag_dir wrote a bundle "later": the
+    # case must still name the one its own error carried
+    diag = tmp_path / "diag"
+    diag.mkdir()
+    planted = diag / "sanitizer_other.json"
+    planted.write_text("{}")
+    future = os.path.getmtime(planted) + 60
+    os.utime(planted, (future, future))
+    case = run_chaos_case("illegal_drop", FenceDesign.W_PLUS, 3,
+                          diag_dir=str(diag))
+    assert case.sanitizer
+    assert case.diagnostics_path == str(
+        diag / f"sanitizer_W+_c{case.cycles}_s3.json")
+    with open(case.diagnostics_path) as fh:
+        assert json.load(fh)["violation"]["cycle"] == case.cycles

@@ -1,0 +1,116 @@
+"""A PutM names the grant it answers.
+
+Regressions for the stale-PutM ABA: a core evicts a dirty line, the NoC
+delays its PutM, and the same core re-acquires the line before the PutM
+lands.  A bank that judged staleness by ``owner != requester`` accepted
+that PutM and cleared the owner the core had just been granted, leaving
+an L1 in M that its home bank no longer tracked (the strict sanitizer's
+``dir-lost-sharer``).  Each case is pinned by the messages its delays
+hit: a ``(site, n)`` key is a call-count index, so a protocol change
+that adds or removes an earlier message would otherwise let the case
+pass without reaching the race at all.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.common.params import FenceDesign, MachineParams
+from repro.faults import FaultInjector, make_plan
+from repro.sanitizer import Sanitizer
+from repro.sim.machine import Machine
+from repro.verify.generator import generate_program
+from repro.verify.oracles import check_invariants, run_program
+from repro.verify.perturb import SchedulePoint
+from repro.workloads.base import REGISTRY, load_all_workloads
+
+#: a 2-line direct-mapped L1: eviction puts PutM races in litmus reach
+TINY_L1 = {"l1_size_bytes": 64, "l1_ways": 1}
+
+
+class RecordingInjector(FaultInjector):
+    """Keeps the message each fired injection hit, by ``(site, n)``."""
+
+    def __init__(self, plan, allowed=None):
+        super().__init__(plan, allowed=allowed)
+        self.hits = {}
+
+    def _emit(self, track, site, n, args):
+        self.hits[(site, n)] = dict(args)
+        super()._emit(track, site, n, args)
+
+
+def _tiny_l1_run(seed, design, allowed=None):
+    plan = dataclasses.replace(make_plan("noc_jitter", seed),
+                               params_overrides=TINY_L1)
+    injector = RecordingInjector(plan, allowed=allowed)
+    run = run_program(generate_program(seed), design,
+                      point=SchedulePoint(seed=seed), faults=injector,
+                      params_overrides=plan.params_overrides,
+                      sanitize="strict")
+    return run, injector
+
+
+def test_one_delayed_putm_no_longer_loses_the_owner():
+    run, injector = _tiny_l1_run(5, FenceDesign.S_PLUS,
+                                 allowed={("noc_delay", 82)})
+    assert injector.hits == {("noc_delay", 82): {
+        "src": 0, "dst": 2, "kind": "PutM", "extra": 37}}
+    assert run.sanitizer is None
+    assert check_invariants(run) == []
+
+
+#: (seed, design, the delayed PutM its ddmin subset ends with: n, core,
+#: home bank) — every tiny-L1 ``noc_jitter`` cell of seeds 1-400 x the
+#: paper designs that tripped ``dir-lost-sharer`` before the fix
+TINY_L1_CELLS = [
+    (5, FenceDesign.S_PLUS, 82, 0, 2),
+    (5, FenceDesign.WS_PLUS, 82, 0, 2),
+    (5, FenceDesign.SW_PLUS, 82, 0, 2),
+    (362, FenceDesign.W_PLUS, 94, 3, 0),
+    (362, FenceDesign.WEE, 103, 3, 0),
+    (365, FenceDesign.WEE, 70, 0, 2),
+]
+
+
+@pytest.mark.parametrize("seed,design,n,core,bank", TINY_L1_CELLS,
+                         ids=[f"{s}-{d.value}" for s, d, *_ in TINY_L1_CELLS])
+def test_tiny_l1_jitter_cell_is_strict_clean(seed, design, n, core, bank):
+    run, injector = _tiny_l1_run(seed, design)
+    hit = injector.hits[("noc_delay", n)]
+    assert (hit["kind"], hit["src"], hit["dst"]) == ("PutM", core, bank)
+    assert run.sanitizer is None
+    assert check_invariants(run) == []
+
+
+def _tree_run(allowed):
+    """Tree at scale 0.2 on 8 cores under S+ with ``noc_jitter`` seed 2."""
+    load_all_workloads()
+    workload = REGISTRY["Tree"](scale=0.2)
+    params = MachineParams().with_cores(8).with_design(FenceDesign.S_PLUS)
+    machine = Machine(params, seed=2)
+    injector = RecordingInjector(make_plan("noc_jitter", 2),
+                                 allowed=allowed)
+    machine.attach_faults(injector)
+    machine.attach_sanitizer(Sanitizer(mode="strict"))
+    try:
+        workload.setup(machine)
+        result = machine.run(max_cycles=workload.cycle_budget)
+        workload.check(machine)
+    finally:
+        machine.dispose()
+    return result, injector, workload.cycle_budget
+
+
+def test_tree_two_delay_case_keeps_the_owner():
+    # ddmin of the unrestricted case: the grant's Data reply to core 0
+    # and core 0's own PutM of the line it evicts, both held up
+    result, injector, budget = _tree_run({("noc_delay", 955),
+                                          ("noc_delay", 957)})
+    hits = {key: (a["kind"], a["src"], a["dst"])
+            for key, a in injector.hits.items()}
+    assert hits == {("noc_delay", 955): ("Data", 0, 0),
+                    ("noc_delay", 957): ("PutM", 0, 0)}
+    # ustm runs are time-bounded: the strict sanitizer saw the whole
+    # budget (the lost owner tripped it at cycle 12 160)
+    assert result.cycles == budget

@@ -162,8 +162,9 @@ def test_busy_line_serializes_requests():
 
 def test_putm_clears_ownership_and_fills_l2():
     bank, queue, stats = make_bank()
-    send(bank, queue, Msg.GETX, 1, LINE)
-    putm = Transaction(kind=Msg.PUTM, requester=1, line=LINE)
+    [(_reply, getx)] = send(bank, queue, Msg.GETX, 1, LINE)
+    putm = Transaction(kind=Msg.PUTM, requester=1, line=LINE,
+                       grant=getx.txn_id)
     bank.receive(putm)
     queue.run()
     assert bank.dir_state(LINE).owner is None
@@ -181,11 +182,31 @@ def test_stale_putm_is_dropped():
     assert bank.dir_state(LINE).owner == 2
 
 
+def test_putm_of_an_older_grant_to_the_same_core_is_dropped():
+    # the evictor re-acquired the line before its own PutM landed: the
+    # PutM answers the first grant, the core owns the line by the second
+    bank, queue, stats = make_bank()
+    [(_reply, first)] = send(bank, queue, Msg.GETX, 1, LINE)
+    [(_reply, second)] = send(bank, queue, Msg.GETX, 1, LINE)
+    stale = Transaction(kind=Msg.PUTM, requester=1, line=LINE,
+                        grant=first.txn_id)
+    bank.receive(stale)
+    queue.run()
+    assert bank.dir_state(LINE).owner == 1
+    assert stats.dirty_writebacks == 0
+    current = Transaction(kind=Msg.PUTM, requester=1, line=LINE,
+                          grant=second.txn_id)
+    bank.receive(current)
+    queue.run()
+    assert bank.dir_state(LINE).owner is None
+    assert stats.dirty_writebacks == 1
+
+
 def test_putm_keep_sharer_flag():
     bank, queue, stats = make_bank()
-    send(bank, queue, Msg.GETX, 1, LINE)
+    [(_reply, getx)] = send(bank, queue, Msg.GETX, 1, LINE)
     putm = Transaction(kind=Msg.PUTM, requester=1, line=LINE,
-                       keep_sharers={1})
+                       keep_sharers={1}, grant=getx.txn_id)
     bank.receive(putm)
     queue.run()
     entry = bank.dir_state(LINE)
