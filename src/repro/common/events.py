@@ -14,8 +14,8 @@ entry when it surfaces).  Dispatch is batched per cycle.  Fired entries
 are simply dropped: CPython keeps its own free list of list objects, so
 a fresh four-slot literal per event costs less than any recycling
 scheme written in Python (one that asked the reference count whether a
-handle was still held was measured and removed — docs/PERF.md, "The hot
-path, frame by frame").
+handle was still held was measured slower and removed — docs/PERF.md,
+"The hot path").
 
 (A 16-slot timing wheel in front of the heap was prototyped and
 benchmarked ~10% *slower*: with typical heap depths of 10–20 events,

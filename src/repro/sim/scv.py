@@ -116,9 +116,6 @@ class DependenceRecorder:
             ev.index = i
         return before - len(self.events)
 
-    def detach(self) -> None:
-        self.image.observer = None
-
 
 def build_dependence_graph(
     events: List[AccessEvent],

@@ -125,12 +125,6 @@ class Placement:
         order (weakening strictly lowers it)."""
         return sum(STRENGTH[f] for _, f in self.assignment)
 
-    def flavour_at(self, site: FenceSite) -> Optional[FenceFlavour]:
-        for s, f in self.assignment:
-            if s == site:
-                return f
-        return None
-
     def key(self) -> str:
         """Stable human/JSON-readable identity, e.g.
         ``"t0.i2=sf,t1.i2=wf"`` (empty placement: ``"-"``)."""
