@@ -2,10 +2,11 @@
 
 This module is the *offline* half of the profiler.  It loads the
 JSONL stream :func:`repro.obs.export.write_jsonl` produced back into
-:class:`~repro.obs.tracer.TraceEvent` records (bit-identically — the
-round trip is pinned by ``tests/obs/test_analyze.py``), offers small
-dependency-free query helpers (filter / groupby / percentile / top-K)
-over them, and — the cross-check the tentpole demands — **replays the
+the tracer's own flat records (exactly — the round trip is pinned by
+``tests/property/test_prop_tracer.py``), answers the tracer's queries
+over them, building :class:`~repro.obs.tracer.TraceEvent` views only
+of the records a query asks for, offers small dependency-free table
+helpers (filter / groupby / percentile / top-K), and **replays the
 trace into an attribution tree** that must equal the online tree of
 the same run leaf for leaf:
 
@@ -37,7 +38,7 @@ import math
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.obs.attrib import build_tree
-from repro.obs.tracer import TraceEvent, select
+from repro.obs.tracer import KINDS, TraceEvent, query, view
 
 
 class AnalysisError(Exception):
@@ -49,12 +50,25 @@ class AnalysisError(Exception):
 # ---------------------------------------------------------------------------
 
 
-class TraceData:
-    """One loaded JSONL trace: meta header and events."""
+#: How a loaded event line becomes the flat record its hook stored: a
+#: fixed-shape kind by ``(ph, name, cat, arg keys)``; a kind that carries
+#: an args dict by ``(ph, name, cat)``, or ``(ph, None, cat)`` when its
+#: records carry their own name.
+_FIXED = {(ph, name, cat, fields): kind
+          for kind, (ph, name, cat, fields) in enumerate(KINDS)
+          if fields is not None}
+_CARRYING = {(ph, name, cat): kind
+             for kind, (ph, name, cat, fields) in enumerate(KINDS)
+             if fields is None}
 
-    def __init__(self, meta: dict, events: List[TraceEvent]):
+
+class TraceData:
+    """One loaded JSONL trace: its meta header and its flat records,
+    the tracer's own (:mod:`repro.obs.tracer`), queried the same way."""
+
+    def __init__(self, meta: dict, records: List[tuple]):
         self.meta = meta
-        self.events = events
+        self.records = records
 
     @property
     def provenance(self) -> dict:
@@ -71,21 +85,56 @@ class TraceData:
     def dropped(self) -> int:
         return int(self.meta.get("dropped", 0))
 
+    @property
+    def events(self) -> List[TraceEvent]:
+        """A view of every record, in record order."""
+        return [view(rec) for rec in self.records]
+
     def spans(self, name: Optional[str] = None,
               cat: Optional[str] = None) -> List[TraceEvent]:
-        return select(self.events, "X", name, cat)
+        return query(self.records, "X", name, cat)
 
     def instants(self, name: Optional[str] = None,
                  cat: Optional[str] = None) -> List[TraceEvent]:
-        return select(self.events, "i", name, cat)
+        return query(self.records, "i", name, cat)
+
+
+def _record(ev: dict) -> Optional[tuple]:
+    """The flat record of one decoded event line, as the hook stored it
+    (no later hook closes a loaded span, so every record is a tuple);
+    ``None`` when no kind has the line's shape.  ``KeyError`` for a
+    missing field."""
+    ph, name, cat, args = ev["ph"], ev["name"], ev["cat"], ev.get("args")
+    track, ts, dur = ev["track"], ev["ts"], ev.get("dur")
+    if args is not None and type(args) is not dict:
+        return None
+    try:
+        kind = _FIXED.get((ph, name, cat, tuple(args) if args else ()))
+        if kind is not None:
+            return (kind, track, ts, dur, *args.values()) if args \
+                else (kind, track, ts, dur)
+        kind = _CARRYING.get((ph, name, cat))
+        if kind is not None and name is not None:
+            return (kind, track, ts, dur, args or None)
+        kind = _CARRYING.get((ph, None, cat))
+    except TypeError:  # an unhashable ph / name / cat matches no kind
+        return None
+    if kind is not None and type(name) is str:
+        return (kind, track, ts, dur, name, args or None)
+    return None
 
 
 def load_jsonl(path: str) -> TraceData:
-    """Load a ``write_jsonl`` stream back into typed records.
+    """Load a ``write_jsonl`` stream back into the tracer's flat records.
 
-    Event lines reconstruct the original :class:`TraceEvent` exactly:
-    ``to_dict`` omits only a ``None`` dur and empty args, which the
-    constructor defaults restore.
+    Each event line is matched to its :data:`~repro.obs.tracer.KINDS`
+    entry by ``(ph, name, cat, arg keys)`` and stored as the hook
+    stored it: ``(kind, track, ts, dur, *field values)``, the args dict
+    in place of the field values for a kind whose args grow or are
+    free-form, with the name before it for a nameless kind.  A line
+    whose shape matches no kind is an :class:`AnalysisError`.  The
+    round trip is exact: ``to_dict`` omits only a ``None`` dur and
+    empty args, which ``get`` restores.
 
     Each stripped line goes straight to the decoder's C scanner; with
     no whitespace left around it, "one value, ending where the line
@@ -95,7 +144,7 @@ def load_jsonl(path: str) -> TraceData:
     "metrics"`` lines); those are skipped.
     """
     meta: Optional[dict] = None
-    events: List[TraceEvent] = []
+    records: List[tuple] = []
     scan_once = json.JSONDecoder().scan_once
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -117,23 +166,28 @@ def load_jsonl(path: str) -> TraceData:
                 raise AnalysisError(
                     f"{path}:{lineno}: not a record: expected a JSON "
                     f"object, got {type(rec).__name__}")
-            if kind == "meta":
-                meta = rec
-            elif kind == "event":
+            if kind == "event":
                 try:
-                    events.append(TraceEvent(
-                        rec["ph"], rec["track"], rec["name"], rec["cat"],
-                        rec["ts"], rec.get("dur"), rec.get("args"),
-                    ))
+                    flat = _record(rec)
                 except KeyError as exc:
                     raise AnalysisError(
                         f"{path}:{lineno}: event record has no {exc} field")
+                if flat is None:
+                    args = rec.get("args")
+                    raise AnalysisError(
+                        f"{path}:{lineno}: no event kind has the shape "
+                        f"ph={rec['ph']!r} name={rec['name']!r} "
+                        f"cat={rec['cat']!r} args="
+                        f"{list(args) if type(args) is dict else args!r}")
+                records.append(flat)
+            elif kind == "meta":
+                meta = rec
             elif kind != "metrics":
                 raise AnalysisError(
                     f"{path}:{lineno}: unknown record type {kind!r}")
     if meta is None:
         raise AnalysisError(f"{path}: no meta header line")
-    return TraceData(meta, events)
+    return TraceData(meta, records)
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +250,21 @@ class Table:
             self.rows, key=lambda r: -(r.get(name) or 0))[:k])
 
 
+#: The span kinds :func:`episode_table` reads, whatever their shape.
+_EPISODE_KINDS = {kind for kind, (ph, name, _, _) in enumerate(KINDS)
+                  if ph == "X" and name in ("sf", "wf", "recovery",
+                                            "load_stall", "bounce_chain")}
+
+
 def episode_table(data: TraceData) -> Table:
     """Every fence-ish span (sf / wf / recovery / load_stall /
     bounce_chain / cfence-as-sf) as one row — the base table for
     episode-latency analytics."""
     rows = []
-    for ev in data.spans():
-        if ev.name not in ("sf", "wf", "recovery", "load_stall",
-                           "bounce_chain"):
+    for rec in data.records:
+        if rec[0] not in _EPISODE_KINDS:
             continue
+        ev = view(rec)
         args = ev.args or {}
         rows.append({
             "name": ev.name, "core": ev.track, "ts": ev.ts,

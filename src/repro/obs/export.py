@@ -17,6 +17,9 @@ Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.  Mapping:
 * counter samples (write-buffer depth) become ``"ph": "C"`` counter
   events, one series per core.
 
+``write_chrome_trace`` streams the same events to the file one at a
+time, so its memory does not grow with the trace.
+
 JSONL format
 ------------
 ``write_jsonl`` emits one JSON object per line: a ``meta`` header,
@@ -26,7 +29,8 @@ Chrome envelope gets in the way.  The tracer stores flat records; here
 a record of a fixed-shape kind becomes its line through one
 ``%``-template derived from the kind table — byte for byte what the
 JSON encoder writes for its view, which the other kinds (args dicts,
-bool fields, an open span) go through.
+bool fields, an open span) go through.  Lines go to the file as they
+are formatted.
 
 ``validate_chrome_trace`` is the schema check CI runs against every
 exported trace; it is intentionally dependency-free (no jsonschema).
@@ -35,7 +39,7 @@ exported trace; it is intentionally dependency-free (no jsonschema).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.obs.tracer import (
     BOOL_FIELDS, DIR_TXN_OPEN, KINDS, STR_FIELDS,
@@ -100,13 +104,10 @@ def _metadata_events(tracks) -> List[dict]:
     return events
 
 
-def to_chrome_trace(tracer: Tracer,
-                    label: Optional[str] = None,
-                    provenance: Optional[Dict[str, object]] = None,
-                    ) -> Dict[str, object]:
-    """Render a tracer as a Chrome trace dict."""
-    tracks = {rec[1] for rec in tracer.records}
-    out: List[dict] = _metadata_events(tracks)
+def _chrome_events(tracer: Tracer) -> Iterator[dict]:
+    """The ``traceEvents`` of a tracer, one at a time: the lane metadata,
+    then one event per record."""
+    yield from _metadata_events({rec[1] for rec in tracer.records})
     for ev in map(view, tracer.records):
         rec = {
             "name": ev.name, "cat": ev.cat, "ph": ev.ph,
@@ -123,33 +124,53 @@ def to_chrome_trace(tracer: Tracer,
         else:  # counter
             rec["ph"] = "C"
             rec["args"] = {"value": ev.args["value"]} if ev.args else {}
-        out.append(rec)
-    trace = {
-        "traceEvents": out,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "exporter": "repro.obs",
-            "clock": "1 simulated cycle = 1us",
-            "dropped_events": tracer.dropped,
-        },
+        yield rec
+
+
+def _chrome_other_data(tracer: Tracer, label: Optional[str],
+                       provenance: Optional[Dict[str, object]]) -> dict:
+    other = {
+        "exporter": "repro.obs",
+        "clock": "1 simulated cycle = 1us",
+        "dropped_events": tracer.dropped,
     }
     if label:
-        trace["otherData"]["label"] = label
+        other["label"] = label
     if provenance is not None:
-        trace["otherData"]["provenance"] = provenance
-    return trace
+        other["provenance"] = provenance
+    return other
+
+
+def to_chrome_trace(tracer: Tracer,
+                    label: Optional[str] = None,
+                    provenance: Optional[Dict[str, object]] = None,
+                    ) -> Dict[str, object]:
+    """Render a tracer as a Chrome trace dict."""
+    return {
+        "traceEvents": list(_chrome_events(tracer)),
+        "displayTimeUnit": "ms",
+        "otherData": _chrome_other_data(tracer, label, provenance),
+    }
 
 
 def write_chrome_trace(path: str, tracer: Tracer,
                        label: Optional[str] = None,
                        provenance: Optional[Dict[str, object]] = None,
-                       ) -> Dict[str, object]:
-    trace = to_chrome_trace(tracer, label=label,
-                            provenance=provenance)
+                       ) -> int:
+    """Write the Chrome trace one event at a time — the bytes
+    ``json.dump`` writes for :func:`to_chrome_trace` — and return the
+    event count."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    count = 0
     with open(path, "w") as fh:
-        json.dump(trace, fh, separators=(",", ":"))
-        fh.write("\n")
-    return trace
+        fh.write('{"traceEvents":[')
+        for ev in _chrome_events(tracer):
+            fh.write("," + encode(ev) if count else encode(ev))
+            count += 1
+        fh.write('],"displayTimeUnit":"ms","otherData":'
+                 + encode(_chrome_other_data(tracer, label, provenance))
+                 + "}\n")
+    return count
 
 
 def _jsonl_template(kind: int) -> Optional[str]:
@@ -165,7 +186,7 @@ def _jsonl_template(kind: int) -> Optional[str]:
                     for f in fields)
     return (f'%.0s{{"type":"event","ph":"{ph}","track":%r,"name":"{name}",'
             f'"cat":"{cat}","ts":%r,"dur":%r'
-            + (',"args":{' + args + "}}" if fields else "}"))
+            + (',"args":{' + args + "}}" if fields else "}") + "\n")
 
 
 _JSONL_TEMPLATES = [_jsonl_template(kind) for kind in range(len(KINDS))]
@@ -188,15 +209,14 @@ def write_jsonl(path: str, tracer: Tracer,
     # one encoder per file: json.dumps(..., separators=) builds one per
     # call, and a trace has tens of thousands of records
     encode = json.JSONEncoder(separators=(",", ":")).encode
-    lines = [encode(header)]
-    lines.extend(
-        template % tuple(rec)
-        if (template := _JSONL_TEMPLATES[rec[0]]) is not None
-        else encode({"type": "event", **view(rec).to_dict()})
-        for rec in tracer.records)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return len(lines)
+        fh.write(encode(header) + "\n")
+        fh.writelines(
+            template % tuple(rec)
+            if (template := _JSONL_TEMPLATES[rec[0]]) is not None
+            else encode({"type": "event", **view(rec).to_dict()}) + "\n"
+            for rec in tracer.records)
+    return 1 + len(tracer.records)
 
 
 # ---------------------------------------------------------------------------

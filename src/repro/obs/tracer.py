@@ -28,9 +28,10 @@ later, stays flat and its kind says how far it got.
 
 :class:`TraceEvent` is the *read-side view* of a record: ``events``,
 ``spans()``, ``instants()``, ``count()`` and ``tail()`` build views on
-request (choosing records by kind first), :mod:`repro.obs.export`
-formats most records straight from their slots, and
-:func:`repro.obs.analyze.load_jsonl` returns views of what it read.  A
+request, and :func:`query` chooses records by kind before it builds
+any.  :mod:`repro.obs.export` formats most records straight from their
+slots, and :func:`repro.obs.analyze.load_jsonl` reads a trace back into
+the same flat records, which :func:`query` answers the same way.  A
 view is a snapshot: query again after a later hook call.
 
 Tracks mirror the machine: one per core, one per directory bank, one
@@ -177,15 +178,25 @@ def view(rec) -> TraceEvent:
                       dict(zip(fields, rec[4:])) if fields else None)
 
 
-def select(events, ph: Optional[str], name: Optional[str] = None,
-           cat: Optional[str] = None) -> List[TraceEvent]:
-    """The views among *events* with this phase, name and category
-    (``None``: any) — the one query behind ``spans()`` / ``instants()``
-    of a live tracer and of a loaded :class:`repro.obs.analyze.TraceData`."""
-    return [ev for ev in events
-            if (ph is None or ev.ph == ph)
-            and (name is None or ev.name == name)
-            and (cat is None or ev.cat == cat)]
+def query(records, ph: Optional[str], name: Optional[str] = None,
+          cat: Optional[str] = None) -> List[TraceEvent]:
+    """Views of the *records* with this phase, name and category
+    (``None``: any), in record order — the one query behind
+    ``spans()`` / ``instants()`` of a live tracer and of a loaded
+    :class:`repro.obs.analyze.TraceData`.  Records are chosen by kind
+    first: no view is built for a record whose kind cannot match, and a
+    nameless kind (``fault``, ``sanitizer``) matches a name by the one
+    its record carries."""
+    named, nameless = set(), set()
+    for kind, (kph, kname, kcat, _) in enumerate(KINDS):
+        if (ph is None or kph == ph) and (cat is None or kcat == cat):
+            if name is None or kname == name:
+                named.add(kind)
+            elif kname is None:
+                nameless.add(kind)
+    kinds = named | nameless
+    return [view(rec) for rec in records
+            if rec[0] in kinds and (rec[0] in named or rec[4] == name)]
 
 
 class Tracer:
@@ -383,8 +394,11 @@ class Tracer:
 
     def fault(self, track: int, site: str, args: Optional[dict] = None) -> None:
         """One injected fault fired (repro.faults); *track* places the
-        instant on the lane of the component that absorbed it."""
-        self._emit((FAULT, track, self._queue.now, 0, f"fault_{site}", args))
+        instant on the lane of the component that absorbed it.  Empty
+        *args* are stored as ``None``, as an export (which omits both)
+        reads back."""
+        self._emit((FAULT, track, self._queue.now, 0, f"fault_{site}",
+                    args or None))
 
     # ------------------------------------------------------------------
     # protocol sanitizer (core tracks, or TRACK_SANITIZER when core-less)
@@ -395,7 +409,7 @@ class Tracer:
         """The runtime sanitizer observed a structural violation."""
         track = core if core is not None else TRACK_SANITIZER
         self._emit((SANITIZER, track, self._queue.now, 0,
-                    f"sanitizer_{invariant}", args))
+                    f"sanitizer_{invariant}", args or None))
 
     # ------------------------------------------------------------------
     # fence-design internals (core tracks)
@@ -542,28 +556,16 @@ class Tracer:
         """Views of the last *n* (> 0) records only."""
         return [view(rec) for rec in self.records[-n:]]
 
-    def _query(self, ph: Optional[str], name: Optional[str],
-               cat: Optional[str]) -> List[TraceEvent]:
-        """:func:`select` over views of the records whose *kind* can
-        match (a free-form kind matches any name: its records carry
-        theirs) — no view is built for the rest."""
-        kinds = {kind for kind, (kph, kname, kcat, _) in enumerate(KINDS)
-                 if (ph is None or kph == ph)
-                 and (name is None or kname is None or kname == name)
-                 and (cat is None or kcat == cat)}
-        return select([view(rec) for rec in self.records if rec[0] in kinds],
-                      ph, name, cat)
-
     def spans(self, name: Optional[str] = None,
               cat: Optional[str] = None) -> List[TraceEvent]:
-        return self._query("X", name, cat)
+        return query(self.records, "X", name, cat)
 
     def instants(self, name: Optional[str] = None,
                  cat: Optional[str] = None) -> List[TraceEvent]:
-        return self._query("i", name, cat)
+        return query(self.records, "i", name, cat)
 
     def count(self, name: str) -> int:
-        return len(self._query(None, name, None))
+        return len(query(self.records, None, name))
 
 
 #: The hook names: what a component may call on the listener in its

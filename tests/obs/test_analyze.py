@@ -2,6 +2,7 @@
 top-K queries, and the replay preconditions."""
 
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -137,6 +138,32 @@ def test_loader_rejects_garbage(tmp_path):
     empty.write_text("")
     with pytest.raises(AnalysisError, match="no meta header"):
         load_jsonl(str(empty))
+
+
+@pytest.mark.parametrize("event", [
+    # a name no kind has
+    '"ph":"X","track":0,"name":"nap","cat":"fence","ts":0,"dur":1',
+    # a known name under the wrong category or phase
+    '"ph":"X","track":0,"name":"sf","cat":"dir","ts":0,"dur":1',
+    '"ph":"i","track":0,"name":"l1_miss","cat":"l1","ts":0,"dur":0,'
+    '"args":{"line":1,"kind":"GetS","outcome":"filled"}',
+    # a fixed-shape kind with an arg missing, or one too many
+    '"ph":"X","track":0,"name":"l1_miss","cat":"l1","ts":0,"dur":3,'
+    '"args":{"line":1,"kind":"GetS"}',
+    '"ph":"C","track":0,"name":"wb_depth","cat":"wb","ts":0,"dur":0,'
+    '"args":{"value":1,"extra":2}',
+    # args that are not an object; a nameless kind without a name
+    '"ph":"X","track":0,"name":"sf","cat":"fence","ts":0,"dur":1,"args":[1]',
+    '"ph":"i","track":0,"name":null,"cat":"fault","ts":0,"dur":0',
+])
+def test_loader_rejects_an_unknown_event_shape(tmp_path, event):
+    """An event line the tracer cannot have written is refused where it
+    is, not loaded and then skipped by every query."""
+    bad = tmp_path / "shape.jsonl"
+    bad.write_text('{"type":"meta"}\n{"type":"event",' + event + "}\n")
+    with pytest.raises(AnalysisError, match=re.escape(
+            f"{bad}:2: no event kind has the shape")):
+        load_jsonl(str(bad))
 
 
 # The loader hands each stripped line to the decoder's C scanner itself;

@@ -52,12 +52,20 @@ def test_chrome_trace_spans_carry_duration_and_cycle_clock(traced):
 
 
 def test_write_chrome_trace_round_trips(tmp_path, traced):
-    _, obs = traced
+    """The streamed file is byte for byte ``json.dump`` of the dict
+    ``to_chrome_trace`` builds, and the writer returns its event count."""
+    run, obs = traced
     path = tmp_path / "trace.json"
-    write_chrome_trace(str(path), obs.tracer, label="x")
+    provenance = run_provenance(run)
+    n = write_chrome_trace(str(path), obs.tracer, label="x",
+                           provenance=provenance)
+    expected = to_chrome_trace(obs.tracer, label="x", provenance=provenance)
+    assert path.read_text() == json.dumps(
+        expected, separators=(",", ":")) + "\n"
     trace = json.loads(path.read_text())
     assert validate_chrome_trace(trace) == []
     assert trace["otherData"]["label"] == "x"
+    assert n == len(trace["traceEvents"]) > len(obs.tracer.records)
 
 
 def test_write_jsonl_stream(tmp_path, traced):

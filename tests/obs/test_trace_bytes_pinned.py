@@ -109,12 +109,12 @@ def _digests(case, tmp):
     out = {}
     for fmt, write in (("jsonl", write_jsonl), ("chrome", write_chrome_trace)):
         path = os.path.join(tmp, f"trace.{fmt}")
-        written = write(path, obs.tracer, label=case,
-                        provenance=provenance)
-        if fmt == "chrome":
-            assert validate_chrome_trace(written) == []
+        write(path, obs.tracer, label=case, provenance=provenance)
         with open(path, "rb") as fh:
-            out[fmt] = hashlib.sha256(fh.read()).hexdigest()
+            raw = fh.read()
+        if fmt == "chrome":
+            assert validate_chrome_trace(json.loads(raw)) == []
+        out[fmt] = hashlib.sha256(raw).hexdigest()
     return out
 
 

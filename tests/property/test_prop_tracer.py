@@ -12,7 +12,9 @@ those views must say:
 * after ``finalize()`` no view is open;
 * ``[ev.to_dict() for ev in events]`` is the model's event list, and the
   exporter's JSONL lines are, byte for byte, ``json.dumps`` of it —
-  template path and encoder path alike; the Chrome trace validates.
+  template path and encoder path alike; the streamed Chrome file is
+  ``json.dumps`` of the Chrome dict, and that validates;
+* ``load_jsonl`` of that file gives back the tracer's own flat records.
 """
 
 import json
@@ -21,9 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.analyze import load_jsonl
 from repro.obs.export import (
     to_chrome_trace,
     validate_chrome_trace,
+    write_chrome_trace,
     write_jsonl,
 )
 from repro.obs.tracer import TRACK_DIR_BASE, TRACK_NOC, TRACK_SANITIZER, Tracer
@@ -294,7 +298,14 @@ def test_tracer_agrees_with_the_naive_model(path, ops, cap):
         assert _exported(tracer, path) == [
             json.dumps({"type": "event", **d}, separators=(",", ":"))
             for d in model.dicts()]
-        assert validate_chrome_trace(to_chrome_trace(tracer)) == []
+        assert [tuple(rec) for rec in load_jsonl(path).records] == [
+            tuple(rec) for rec in tracer.records]
+        chrome = to_chrome_trace(tracer)
+        assert validate_chrome_trace(chrome) == []
+        assert write_chrome_trace(path, tracer) == len(chrome["traceEvents"])
+        with open(path) as fh:
+            assert fh.read() == json.dumps(chrome, separators=(",", ":")) \
+                + "\n"
         assert len(tracer.spans()) + len(tracer.instants()) + len(
             [ev for ev in views if ev.ph == "C"]) == len(views)
         for name in {ev["name"] for ev in model.events}:
