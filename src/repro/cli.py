@@ -496,6 +496,8 @@ def _parent(group: str) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.verify.generator import SHAPES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Asymmetric Memory Fences (ASPLOS 2015) reproduction",
@@ -549,8 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--budget", type=int, default=200,
                        help="total simulator runs to spend")
     p_ver.add_argument("--seed", type=int, default=12345)
-    p_ver.add_argument("--shape", default=None,
-                       choices=("sb", "mp", "iriw", "random"),
+    p_ver.add_argument("--shape", default=None, choices=SHAPES,
                        help="restrict generation to one program shape")
     p_ver.add_argument("--no-shrink", action="store_true",
                        help="skip minimizing the first SCV finding")

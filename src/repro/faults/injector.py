@@ -27,6 +27,7 @@ import zlib
 from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.faults.plan import DROP_CYCLES, FaultPlan
+from repro.obs.tracer import TRACK_DIR_BASE, TRACK_NOC
 
 _MASK64 = (1 << 64) - 1
 
@@ -35,12 +36,6 @@ SITE_NOC_DELAY = "noc_delay"
 SITE_NOC_DROP = "noc_drop"
 SITE_DIR_NACK = "dir_nack"
 SITE_BS_AMP = "bs_amp"
-
-#: tracer lane for NoC fault instants (mirrors obs.tracer.TRACK_NOC
-#: without importing the obs package here)
-_TRACK_NOC = 900
-#: directory bank *b* fault instants land on this base + b
-_TRACK_DIR_BASE = 100
 
 
 def _mix(x: int) -> int:
@@ -135,14 +130,14 @@ class FaultInjector:
             fired, n, _draw = self._decide(SITE_NOC_DROP, plan.noc_drop_rate)
             if fired and self._drop_budget > 0:
                 self._drop_budget -= 1
-                self._emit(_TRACK_NOC, SITE_NOC_DROP, n,
+                self._emit(TRACK_NOC, SITE_NOC_DROP, n,
                            {"src": src, "dst": dst, "kind": kind})
                 return DROP_CYCLES
         if plan.noc_delay_rate:
             fired, n, draw = self._decide(SITE_NOC_DELAY, plan.noc_delay_rate)
             if fired:
                 extra = 1 + ((draw >> 32) % max(1, plan.noc_delay_max_cycles))
-                self._emit(_TRACK_NOC, SITE_NOC_DELAY, n,
+                self._emit(TRACK_NOC, SITE_NOC_DELAY, n,
                            {"src": src, "dst": dst, "kind": kind,
                             "extra": extra})
         return extra
@@ -157,7 +152,7 @@ class FaultInjector:
         if not fired or self._nack_budget <= 0:
             return False
         self._nack_budget -= 1
-        self._emit(_TRACK_DIR_BASE + bank_id, SITE_DIR_NACK, n,
+        self._emit(TRACK_DIR_BASE + bank_id, SITE_DIR_NACK, n,
                    {"line": line, "requester": requester, "kind": kind})
         return True
 

@@ -23,6 +23,9 @@ from repro.fences.base import FencePolicy, PendingFence
 
 class WSPlusPolicy(FencePolicy):
     design = FenceDesign.WS_PLUS
+    #: promotions issue a Conditional Order carrying the written word's
+    #: mask (SW+) instead of a plain Order
+    conditional = False
     # synthesis: both flavours expressible, but at most one wf per
     # fence group — more would make Order promotion close an SCV cycle
     synth_flavours = (FenceFlavour.WF, FenceFlavour.SF)
@@ -30,17 +33,24 @@ class WSPlusPolicy(FencePolicy):
 
     def on_wf_retire(self, pf: PendingFence) -> bool:
         core = self.core
-        promoted = core.wb.mark_ordered_upto(pf.last_store_id)
+        promoted = core.wb.mark_ordered_upto(
+            pf.last_store_id,
+            word_mask_fn=core.amap.word_mask if self.conditional else None,
+        )
         if promoted and core.tracer is not None:
-            core.tracer.order_promotion(core.core_id, promoted, False)
+            core.tracer.order_promotion(core.core_id, promoted,
+                                        self.conditional)
         return True
 
     def on_pre_store_bounce(self, entry) -> None:
         if self._is_pre_wf(entry) and not entry.ordered:
             entry.ordered = True
             core = self.core
+            if self.conditional:
+                entry.word_mask = core.amap.word_mask(entry.word)
             if core.tracer is not None:
-                core.tracer.order_promotion(core.core_id, 1, False)
+                core.tracer.order_promotion(core.core_id, 1,
+                                            self.conditional)
 
     def _is_pre_wf(self, entry) -> bool:
         return any(
@@ -48,9 +58,10 @@ class WSPlusPolicy(FencePolicy):
         )
 
     def sanitizer_check(self):
-        # Order promotion is only legal for pre-wf stores, and WS+'s
-        # BS is line-granularity: a word mask would mean CO machinery
-        # (SW+) leaked into this design.
+        # Order promotion is only legal for pre-wf stores.  WS+'s BS is
+        # line-granularity: a word mask would mean CO machinery leaked
+        # into it; SW+'s every ordered store must carry the word mask
+        # its Conditional Order request needs for the false-sharing test.
         core = self.core
         pfs = core.pending_fences
         newest = pfs[-1].last_store_id if pfs else 0
@@ -59,7 +70,12 @@ class WSPlusPolicy(FencePolicy):
                 yield ("order-outside-episode", e.line,
                        f"store {e.store_id} ordered but newest pre-wf "
                        f"store is {newest}")
-            if e.word_mask:
+            if self.conditional:
+                if e.ordered and not e.word_mask:
+                    yield ("cond-order-missing-mask", e.line,
+                           f"ordered store {e.store_id} has an empty "
+                           "word mask on SW+")
+            elif e.word_mask:
                 yield ("word-mask-on-coarse-design", e.line,
                        f"store {e.store_id} carries word mask "
                        f"{e.word_mask:#x} on WS+")

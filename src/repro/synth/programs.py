@@ -3,8 +3,12 @@
 The named programs are the paper's figure kernels as fixed
 (seed-independent) :class:`LitmusProgram` s carrying their textbook
 fence annotations: ``repro litmus`` runs them, the synthesizer strips
-them and searches the annotated sites.  The builders take the fence
-roles (and pads) as arguments; their defaults are the named programs.
+them and searches the annotated sites.  ``sb3``, ``mp`` and ``iriw``
+are the verify generator's shape builders with fixed roles; ``sb``
+(the 2-thread golden kernel) and ``sharing`` are built here.  The
+builders take the fence roles (and pads) as arguments; their defaults
+are the named programs.  ``mp`` and ``iriw`` need no fence on this TSO,
+single-memory-image machine: their synthesized placement is empty.
 Beyond the named set, ``shape:SEED`` (e.g. ``random:7``) draws a
 program from the verify generator — the random-program battery and
 the Hypothesis property tests use this.
@@ -24,7 +28,14 @@ from typing import Tuple
 from repro.common.errors import ConfigError
 from repro.common.params import FenceRole
 from repro.core import isa as ops
-from repro.verify.generator import SHAPES, LitmusProgram, generate_program
+from repro.verify.generator import (
+    SHAPES,
+    LitmusProgram,
+    generate_program,
+    iriw,
+    mp,
+    sb_ring,
+)
 
 _STD = FenceRole.STANDARD
 _CRIT = FenceRole.CRITICAL
@@ -53,52 +64,10 @@ def sb(roles: Tuple[FenceRole, FenceRole] = (_STD, _STD),
                          threads=threads, warm_vars=(0, 1), seed=0)
 
 
-def sb3(roles: Tuple[FenceRole, FenceRole, FenceRole] = (_STD,) * 3
-        ) -> LitmusProgram:
-    """3-thread store-buffering ring with cold private pads (Fig. 1e/1f):
-    thread i stores v_i, fences, loads v_(i+1 mod 3).  SC forbids all
-    three loads reading 0."""
-    threads = tuple(
-        (ops.Store(3 + i, 7), ops.Store(i, 1), ops.Fence(roles[i]),
-         ops.Load((i + 1) % 3))
-        for i in range(3)
-    )
-    return LitmusProgram(name="sb3", shape="sb", num_vars=6,
-                         threads=threads, warm_vars=(0, 1, 2), seed=0)
-
-
-def mp() -> LitmusProgram:
-    """Message passing, annotated at the textbook fence positions:
-    P0: data=42; F; flag=1.  P1: r=flag; F; r=data.
-
-    TSO never reorders store→store or load→load, so the expected
-    synthesis result is the *empty* placement: the machine needs no
-    fences here, and the synthesizer proves it.
-    """
-    threads = (
-        (ops.Store(0, 42), ops.Fence(_STD), ops.Store(1, 1)),
-        (ops.Load(1), ops.Fence(_STD), ops.Load(0)),
-    )
-    return LitmusProgram(name="mp", shape="mp", num_vars=2,
-                         threads=threads, warm_vars=(0, 1), seed=0)
-
-
-def iriw() -> LitmusProgram:
-    """Independent reads of independent writes, reader fences
-    annotated.
-
-    The forbidden IRIW outcome needs non-multi-copy-atomic stores,
-    which this machine (single memory image) never produces — expected
-    synthesis result: the empty placement.
-    """
-    threads = (
-        (ops.Store(0, 1),),
-        (ops.Store(1, 1),),
-        (ops.Load(0), ops.Fence(_STD), ops.Load(1)),
-        (ops.Load(1), ops.Fence(_STD), ops.Load(0)),
-    )
-    return LitmusProgram(name="iriw", shape="iriw", num_vars=2,
-                         threads=threads, warm_vars=(0, 1), seed=0)
+def sb3(roles=(_STD,) * 3) -> LitmusProgram:
+    """3-thread store-buffering ring, one cold pad per thread (Fig.
+    1e/1f).  SC forbids all three loads reading 0."""
+    return sb_ring(roles, 1, "sb3")
 
 
 def sharing(true_sharing: bool) -> LitmusProgram:
@@ -152,14 +121,8 @@ def program_for_spec(spec: str, seed: int = 1) -> LitmusProgram:
         return _BUILDERS[spec]()
     if ":" in spec:
         shape, _, tail = spec.partition(":")
-        shape = shape.strip()
-        if shape not in SHAPES:
-            raise ConfigError(
-                f"unknown program shape {shape!r}; choose from "
-                f"{', '.join(SHAPES)}"
-            )
         gen_seed = int(tail) if tail.strip() else seed
-        return generate_program(gen_seed, shape=shape)
+        return generate_program(gen_seed, shape=shape.strip())
     raise ConfigError(
         f"unknown program {spec!r}; choose from "
         f"{', '.join(NAMED_PROGRAMS)} or 'shape:SEED' with shape in "

@@ -12,8 +12,9 @@ deadlocks across the fence designs:
 * :mod:`repro.verify.oracles` — runs a program under a design and
   checks the paper's invariants (SC-acyclicity with correct fences, W+
   recovery soundness, no livelock);
-* :mod:`repro.verify.shrink` — minimizes a violating program to the
-  smallest op list that still reproduces;
+* :mod:`repro.verify.shrink` — ``ddmin``, the one minimizer: shrinks
+  a violating program to a 1-minimal op list that still reproduces
+  (chaos and synth shrink their own sets with it);
 * :mod:`repro.verify.engine` — the budgeted exploration loop and the
   machine-readable report (``repro verify`` CLI).
 """

@@ -12,9 +12,9 @@ point).  The engine spends its budget alternating two kinds of trial:
   proves the explorer reaches racy interleavings and the checker sees
   them.
 
-The first stripped SCV is handed to the shrinker, which minimizes it
-to the smallest op list still reproducing a violation at the same
-schedule point.  Results land in a machine-readable JSON report
+The first stripped SCV is handed to the shrinker, whose ``ddmin``
+minimizes it to a 1-minimal op list still reproducing a violation at
+the same schedule point.  Results land in a machine-readable JSON report
 (default ``benchmarks/out/verify_report.json``).
 """
 

@@ -23,6 +23,10 @@ Shapes
            Shasha–Snir full-fencing recipe, which restores SC under
            any correct design).
 
+:func:`sb_ring`, :func:`mp` and :func:`iriw` build the fixed shapes
+from explicit fence roles: the generator draws the roles from its
+seed, and :mod:`repro.synth.programs` names the textbook instances.
+
 Fence-role discipline: every generated program carries **at most one**
 ``CRITICAL`` thread so the same program is correctly fenced under
 every design — WS+/SW+ require at most one wf per fence group (paper
@@ -32,14 +36,14 @@ every design — WS+/SW+ require at most one wf per fence group (paper
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
+from repro.common.errors import ConfigError
 from repro.common.params import FenceRole
 from repro.core import isa as ops
 
-#: shapes the generator can emit
-SHAPES = ("sb", "mp", "iriw", "random")
+_STD = FenceRole.STANDARD
 
 #: shapes whose fence-stripped variant can exhibit an SCV under TSO
 RACY_SHAPES = frozenset({"sb"})
@@ -123,71 +127,63 @@ def _roles(rng: random.Random, n: int) -> List[FenceRole]:
     return roles
 
 
-def _sb(rng: random.Random, seed: int) -> LitmusProgram:
-    """N-thread store-buffering ring with cold pad stores."""
-    n = rng.choice((2, 2, 3, 4))  # bias to the classic 2-thread shape
-    pad_stores = rng.choice((0, 1, 2))
-    roles = _roles(rng, n)
-    # shared ring variables 0..n-1; pads n..n-1+n*pad_stores stay cold
+def sb_ring(roles, pads: int, name: str, seed: int = 0) -> LitmusProgram:
+    """The ``sb`` shape, one thread per role: thread *i* stores *pads*
+    cold pads (variables N, N+1, ..., thread-major), then variable *i*,
+    fences, loads variable *i+1 mod N*."""
+    n = len(roles)
     threads = []
     pad = n
     for i in range(n):
         body: List[object] = []
-        for _ in range(pad_stores):
+        for _ in range(pads):
             body.append(ops.Store(pad, 7))
             pad += 1
-        body.append(ops.Store(i, 1))
-        body.append(ops.Fence(roles[i]))
-        body.append(ops.Load((i + 1) % n))
+        body += [ops.Store(i, 1), ops.Fence(roles[i]), ops.Load((i + 1) % n)]
         threads.append(tuple(body))
-    return LitmusProgram(
-        name=f"sb{n}-p{pad_stores}-s{seed}",
-        shape="sb",
-        num_vars=pad,
-        threads=tuple(threads),
-        warm_vars=tuple(range(n)),
-        seed=seed,
-    )
+    return LitmusProgram(name=name, shape="sb", num_vars=pad,
+                         threads=tuple(threads), warm_vars=tuple(range(n)),
+                         seed=seed)
 
 
-def _mp(rng: random.Random, seed: int) -> LitmusProgram:
-    roles = _roles(rng, 2)
-    producer = (
-        ops.Store(0, 42),
-        ops.Fence(roles[0]),
-        ops.Store(1, 1),
+def mp(roles=(_STD, _STD), name: str = "mp",
+       seed: int = 0) -> LitmusProgram:
+    """The ``mp`` shape: P0: data=42; F; flag=1.  P1: r=flag; F; r=data."""
+    threads = (
+        (ops.Store(0, 42), ops.Fence(roles[0]), ops.Store(1, 1)),
+        (ops.Load(1), ops.Fence(roles[1]), ops.Load(0)),
     )
-    consumer = (
-        ops.Load(1),
-        ops.Fence(roles[1]),
-        ops.Load(0),
-    )
-    return LitmusProgram(
-        name=f"mp-s{seed}",
-        shape="mp",
-        num_vars=2,
-        threads=(producer, consumer),
-        warm_vars=(0, 1),
-        seed=seed,
-    )
+    return LitmusProgram(name=name, shape="mp", num_vars=2,
+                         threads=threads, warm_vars=(0, 1), seed=seed)
 
 
-def _iriw(rng: random.Random, seed: int) -> LitmusProgram:
-    roles = _roles(rng, 4)
+def iriw(reader_roles=(_STD, _STD), name: str = "iriw",
+         seed: int = 0) -> LitmusProgram:
+    """The ``iriw`` shape; only the two readers fence."""
     threads = (
         (ops.Store(0, 1),),
         (ops.Store(1, 1),),
-        (ops.Load(0), ops.Fence(roles[2]), ops.Load(1)),
-        (ops.Load(1), ops.Fence(roles[3]), ops.Load(0)),
+        (ops.Load(0), ops.Fence(reader_roles[0]), ops.Load(1)),
+        (ops.Load(1), ops.Fence(reader_roles[1]), ops.Load(0)),
     )
-    return LitmusProgram(
-        name=f"iriw-s{seed}",
-        shape="iriw",
-        num_vars=2,
-        threads=threads,
-        warm_vars=(0, 1),
-        seed=seed,
-    )
+    return LitmusProgram(name=name, shape="iriw", num_vars=2,
+                         threads=threads, warm_vars=(0, 1), seed=seed)
+
+
+def _sb(rng: random.Random, seed: int) -> LitmusProgram:
+    n = rng.choice((2, 2, 3, 4))  # bias to the classic 2-thread shape
+    pad_stores = rng.choice((0, 1, 2))
+    roles = _roles(rng, n)
+    return sb_ring(roles, pad_stores, f"sb{n}-p{pad_stores}-s{seed}", seed)
+
+
+def _mp(rng: random.Random, seed: int) -> LitmusProgram:
+    return mp(_roles(rng, 2), f"mp-s{seed}", seed)
+
+
+def _iriw(rng: random.Random, seed: int) -> LitmusProgram:
+    roles = _roles(rng, 4)  # drawn for all four threads; readers fence
+    return iriw(roles[2:], f"iriw-s{seed}", seed)
 
 
 def _random(rng: random.Random, seed: int) -> LitmusProgram:
@@ -226,6 +222,9 @@ def _random(rng: random.Random, seed: int) -> LitmusProgram:
 
 _BUILDERS = {"sb": _sb, "mp": _mp, "iriw": _iriw, "random": _random}
 
+#: shapes the generator can emit
+SHAPES = tuple(_BUILDERS)
+
 
 def generate_program(
     seed: int, shape: Optional[str] = None
@@ -236,7 +235,8 @@ def generate_program(
     if shape is None:
         shape = rng.choice(("sb", "sb", "mp", "iriw", "random", "random"))
     if shape not in _BUILDERS:
-        raise ValueError(
-            f"unknown shape {shape!r}; choose from {sorted(_BUILDERS)}"
+        raise ConfigError(
+            f"unknown program shape {shape!r}; choose from "
+            f"{', '.join(SHAPES)}"
         )
     return _BUILDERS[shape](rng, seed)

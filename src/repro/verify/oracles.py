@@ -158,7 +158,7 @@ def run_program(
     cycles of a failing case to fence components).
 
     *budget* is an optional :class:`~repro.sim.governor.RunBudget`
-    bounding the run by wall/events/RSS with a graceful degraded
+    bounding the run by wall time / events with a graceful degraded
     cutoff — farm workers set one so a wedged case can never wedge
     its worker process.
     """

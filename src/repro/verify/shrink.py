@@ -1,27 +1,26 @@
 """Delta-debugging minimization: shrink a set while a property holds.
 
-Two entry points share the idea:
+One minimizer, :func:`ddmin` — classic complement-removal ddmin over
+an arbitrary item list under a caller-supplied predicate — with three
+callers.  The predicate's direction is the caller's business:
 
-* :func:`ddmin` — classic complement-removal ddmin over an arbitrary
-  item list under a caller-supplied predicate.  The predicate's
-  direction is the caller's business: the chaos harness shrinks
-  *failing* injection sets ("still breaks the machine"), the fence
-  synthesizer shrinks *passing* fence placements ("still satisfies the
-  SC oracle").
-* :func:`shrink_program` — greedy one-op-at-a-time shrinking of a
-  violating litmus program: repeatedly try deleting each op (and then
-  each whole thread) and keep every deletion under which "this program
-  still reproduces the violation" holds.  The fixpoint is 1-minimal:
-  removing any single remaining op loses the violation.
+* the chaos harness shrinks a *failing* fault plan's fired-injection
+  keys ("this subset still breaks the machine");
+* the fence synthesizer's descent shrinks a *passing* fence placement
+  ("this subset still satisfies the SC oracle");
+* :func:`shrink_program` shrinks a *violating* litmus program's op
+  positions ("this program still reproduces the SCV") for
+  ``repro verify``.
 
-Deterministic by construction: the property re-runs the simulator at
-the same schedule point, and the simulator is deterministic for a
-fixed (params, seed).
+ddmin ends 1-minimal when it finishes inside its run budget: removing
+any single remaining item loses the property.  Deterministic by
+construction: the property re-runs the simulator at the same schedule
+point, and the simulator is deterministic for a fixed (params, seed).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Sequence, Tuple
 
 from repro.verify.generator import LitmusProgram
 
@@ -37,15 +36,9 @@ def ddmin(
     still holds, by complement removal with progressively finer
     granularity.  Returns ``(minimized, runs)``.
 
-    The predicate is direction-agnostic — it is whatever property the
-    caller wants preserved while shrinking:
-
-    * the chaos harness shrinks a *failing* fault plan's fired-injection
-      keys with "this subset still breaks the machine";
-    * the fence synthesizer shrinks a *passing* fence placement with
-      "this subset still satisfies the SC oracle".
-
-    *predicate* must hold for *items* itself (caller-verified).
+    The predicate is whatever property the caller wants preserved
+    while shrinking (see the module docstring for the three callers);
+    it must hold for *items* itself (caller-verified).
     """
     current = list(items)
     runs = 0
@@ -77,14 +70,14 @@ def ddmin(
     return current, runs
 
 
-class ShrinkResult:
-    """Outcome of one shrink loop."""
+class ShrinkResult(NamedTuple):
+    """Outcome of one program shrink."""
 
-    def __init__(self, program: LitmusProgram, runs_used: int,
-                 converged: bool):
-        self.program = program
-        self.runs_used = runs_used
-        self.converged = converged
+    program: LitmusProgram
+    #: property evaluations spent
+    runs_used: int
+    #: the shrink finished inside its run budget
+    converged: bool
 
 
 def shrink_program(
@@ -94,56 +87,22 @@ def shrink_program(
 ) -> ShrinkResult:
     """Minimize *program* while ``still_fails(candidate)`` holds.
 
-    *still_fails* must be True for *program* itself (the caller
-    verified the violation); *max_runs* bounds the number of property
-    evaluations so a flaky property cannot loop forever.
+    :func:`ddmin` over the program's ``(thread, index)`` op positions:
+    a candidate keeps the chosen ops in order and drops every thread
+    left empty.  *still_fails* must be True for *program* itself (the
+    caller verified the violation); *max_runs* bounds the number of
+    property evaluations so a flaky property cannot loop forever.
     """
-    current = program
-    runs = 0
+    def keep(positions) -> LitmusProgram:
+        kept = set(positions)
+        threads = (
+            [op for i, op in enumerate(body) if (tid, i) in kept]
+            for tid, body in enumerate(program.threads)
+        )
+        return program.with_threads(t for t in threads if t)
 
-    def attempt(candidate: LitmusProgram) -> bool:
-        nonlocal runs
-        runs += 1
-        return still_fails(candidate)
-
-    changed = True
-    while changed and runs < max_runs:
-        changed = False
-        # pass 1: drop single ops, newest-first within each thread so
-        # trailing noise (computes, extra loads) goes quickly
-        for tid in range(current.num_threads):
-            body = list(current.threads[tid])
-            i = len(body) - 1
-            while i >= 0 and runs < max_runs:
-                trial = body[:i] + body[i + 1:]
-                threads = [list(t) for t in current.threads]
-                threads[tid] = trial
-                candidate = current.with_threads(threads)
-                if attempt(candidate):
-                    current = candidate
-                    body = trial
-                    changed = True
-                i -= 1
-        # pass 2: drop entire (possibly emptied) threads
-        if current.num_threads > 2:
-            for tid in range(current.num_threads - 1, -1, -1):
-                if runs >= max_runs or current.num_threads <= 2:
-                    break
-                threads = [
-                    list(t) for j, t in enumerate(current.threads)
-                    if j != tid
-                ]
-                candidate = current.with_threads(threads)
-                if attempt(candidate):
-                    current = candidate
-                    changed = True
-        else:
-            # 2-thread programs: still prune threads that went empty
-            if any(not t for t in current.threads):
-                threads = [list(t) for t in current.threads if t]
-                if len(threads) >= 1:
-                    candidate = current.with_threads(threads)
-                    if runs < max_runs and attempt(candidate):
-                        current = candidate
-                        changed = True
-    return ShrinkResult(current, runs, runs < max_runs)
+    positions = [(tid, i) for tid, body in enumerate(program.threads)
+                 for i in range(len(body))]
+    kept, runs = ddmin(positions, lambda p: still_fails(keep(p)),
+                       max_runs=max_runs)
+    return ShrinkResult(keep(kept), runs, runs < max_runs)

@@ -1,9 +1,14 @@
 """The litmus-program generator: shapes, determinism, fence discipline."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.common.errors import ConfigError
 from repro.common.params import FenceRole
 from repro.core import isa as ops
+from repro.synth.programs import NAMED_PROGRAMS, program_for_spec
 from repro.verify.generator import (
     RACY_SHAPES,
     SHAPES,
@@ -88,5 +93,27 @@ def test_describe_is_readable():
 
 
 def test_unknown_shape_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="sb, mp, iriw, random"):
         generate_program(1, shape="bogus")
+
+
+#: sha256 over every generated program for seeds 1-1500 in the mixed
+#: draw and each shape, then every named program; a change here means
+#: the litmus programs every oracle judges have changed
+LITMUS_DIGEST = (
+    "aace2dac492d4e6fc5082da47a3e041ec11178528da56862136b36fdd2e19187")
+
+
+def test_litmus_program_bytes_are_pinned():
+    def fields(p):
+        return (p.name, p.shape, p.num_vars, p.warm_vars, p.seed,
+                p.line_groups, p.describe())
+
+    digest = hashlib.sha256()
+    for shape in (None, "sb", "mp", "iriw", "random"):
+        for seed in range(1, 1501):
+            digest.update(
+                json.dumps(fields(generate_program(seed, shape))).encode())
+    for name in NAMED_PROGRAMS:
+        digest.update(json.dumps(fields(program_for_spec(name))).encode())
+    assert digest.hexdigest() == LITMUS_DIGEST
