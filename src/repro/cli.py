@@ -77,6 +77,18 @@ def _design(value: str) -> FenceDesign:
     return design
 
 
+def _positive(kind):
+    """argparse type: a *kind* number above zero."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in its errors
+    return parse
+
+
 def cmd_list(_args) -> int:
     load_all_workloads()
     print("fence designs:", ", ".join(str(d) for d in FenceDesign))
@@ -455,7 +467,7 @@ _SHARED_FLAGS = {
     # run, synth
     "wall": {
         "--max-wall-secs": dict(
-            type=float, default=None, metavar="SECS",
+            type=_positive(float), default=None, metavar="SECS",
             help="wall-clock budget: cut off gracefully into a degraded "
                  "result instead of running on (synth: per design — "
                  "each design's farm job gets the whole budget, and a "
@@ -464,9 +476,11 @@ _SHARED_FLAGS = {
     # run, farm submit (per job)
     "events": {
         "--max-events": dict(
-            type=int, default=None, metavar="N",
-            help="simulated-event budget per run (deterministic "
-                 "graceful cutoff)"),
+            type=_positive(int), default=None, metavar="N",
+            help="event budget per run: cut off gracefully at the "
+                 "first periodic check that finds N or more events "
+                 "scheduled since the run started (a deterministic "
+                 "cut)"),
     },
     # synth, chaos
     "farm": {

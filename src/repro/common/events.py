@@ -76,6 +76,14 @@ class EventQueue:
         heappush(self._heap, ev)
         return ev
 
+    def every(self, interval: int, check: Callable[[], object],
+              label: str) -> Periodic:
+        """Call *check* every *interval* cycles, one event labelled
+        *label* per call, until it returns False or raises or the
+        returned handle is ``stop()``ped: the one periodic mechanism
+        (the watchdog, the sanitizer's sweep, the run budget)."""
+        return Periodic(self, interval, check, label)
+
     def cancel(self, handle: Optional[list]) -> None:
         """Cancel the event whose handle ``schedule`` returned (None
         is tolerated and ignored)."""
@@ -174,3 +182,25 @@ class EventQueue:
 
     def __len__(self) -> int:
         return sum(1 for e in self._heap if e[2] is not None)
+
+
+class Periodic:
+    """Handle of a check armed by :meth:`EventQueue.every`."""
+
+    def __init__(self, queue: EventQueue, interval: int, check, label: str):
+        self._queue = queue
+        self._interval = interval
+        self._check = check
+        self._label = label
+        self._event = queue.schedule(interval, self._fire, label)
+
+    def _fire(self) -> None:
+        self._event = None  # fired: a check that raises leaves no handle
+        if self._check() is not False:
+            self._event = self._queue.schedule(
+                self._interval, self._fire, self._label)
+
+    def stop(self) -> None:
+        """Cancel the next call; idempotent."""
+        self._queue.cancel(self._event)
+        self._event = None

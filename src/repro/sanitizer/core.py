@@ -2,9 +2,11 @@
 
 Checks run on two cadences:
 
-* **sampling** — a self-rescheduling queue event (a pump, like the
-  watchdog's and the governor's) runs the full
-  :meth:`Sanitizer.check_all` sweep every ``interval`` cycles;
+* **sampling** — :meth:`Sanitizer.check_all` runs the full sweep every
+  ``interval`` cycles as a check on ``EventQueue.every`` (the one
+  periodic mechanism, label ``"sanitizer"``, armed by ``Machine.run``
+  after the watchdog), and once more over the quiesced or cut-off
+  machine at the end of the run;
 * **on-transition** — cheap, targeted checks fire synchronously at the
   protocol's natural commit points: a directory transaction releasing
   its line, a PutM merging, an invalidation answered at an L1, a weak
@@ -22,9 +24,10 @@ a writable copy must be the registered owner.
 
 Escalation: ``warn`` records violations and keeps going, ``strict``
 raises :class:`~repro.common.errors.SanitizerError` at the first one.
-First-violation diagnostics reuse the watchdog's post-mortem
-bundle format (PR 4) so the exact cycle, core and line land in the same
-tooling, optionally as a ``sanitizer_*.json`` artifact in
+The first violation's diagnostics are the machine's post-mortem snapshot
+(``sim.deadlock.snapshot_diagnostics``, the watchdog's bundle format)
+plus the violation record, so the exact cycle, core and line land in the
+same tooling, optionally as a ``sanitizer_*.json`` artifact in
 ``Machine.diag_dir``.
 """
 
@@ -35,7 +38,7 @@ import sys
 from typing import List, Optional
 
 from repro.common.errors import ConfigError, SanitizerError
-from repro.sim.deadlock import write_bundle
+from repro.sim.deadlock import snapshot_diagnostics, write_bundle
 
 #: default sampling cadence (cycles between full sweeps)
 DEFAULT_INTERVAL = 5_000
@@ -74,21 +77,15 @@ def sanitize_mode(flag: Optional[str] = None) -> str:
 class Sanitizer:
     """Structural-invariant checker for one :class:`Machine`."""
 
-    def __init__(
-        self,
-        mode: str = "strict",
-        interval: int = DEFAULT_INTERVAL,
-        horizon: int = EVENT_HORIZON,
-        max_violations: int = MAX_VIOLATIONS,
-    ):
+    def __init__(self, mode: str = "strict", interval: int = DEFAULT_INTERVAL):
         if mode not in MODES:
             raise ValueError(
                 f"unknown sanitizer mode {mode!r}; choose from {MODES}"
             )
         self.mode = mode
         self.interval = interval
-        self.horizon = horizon
-        self.max_violations = max_violations
+        self.horizon = EVENT_HORIZON
+        self.max_violations = MAX_VIOLATIONS
         self.machine = None
         #: violation records (dicts with invariant/cycle/core/line/detail)
         self.violations: List[dict] = []
@@ -100,42 +97,10 @@ class Sanitizer:
         #: first-violation bundle (watchdog format + violation record)
         self.first_diagnostics: Optional[dict] = None
         self.first_diagnostics_path: Optional[str] = None
-        self._event = None
-        self._stopped = False
 
     def bind(self, machine) -> "Sanitizer":
         self.machine = machine
         return self
-
-    # ------------------------------------------------------------------
-    # sampling pump (stopped before the quiesce drain so the
-    # self-rescheduling event never extends the run)
-    # ------------------------------------------------------------------
-
-    def start(self) -> None:
-        self._stopped = False
-        self._event = self.machine.queue.schedule(
-            self.interval, self._tick, "sanitizer"
-        )
-
-    def stop(self) -> None:
-        self._stopped = True
-        if self._event is not None:
-            self.machine.queue.cancel(self._event)
-            self._event = None
-
-    def _tick(self) -> None:
-        self._event = None
-        if self._stopped:
-            return
-        self.check_all()
-        self._event = self.machine.queue.schedule(
-            self.interval, self._tick, "sanitizer"
-        )
-
-    def final_check(self) -> None:
-        """One closing sweep over the (quiesced or cut-off) machine."""
-        self.check_all()
 
     # ------------------------------------------------------------------
     # escalation
@@ -163,7 +128,7 @@ class Sanitizer:
             self.dropped += 1
         message = describe_violation(violation)
         if first and machine is not None:
-            diagnostics = machine._watchdog.snapshot_diagnostics()
+            diagnostics = snapshot_diagnostics(machine)
             diagnostics["violation"] = violation
             self.first_diagnostics = diagnostics
             self.first_diagnostics_path = write_bundle(
@@ -185,7 +150,8 @@ class Sanitizer:
     # ------------------------------------------------------------------
 
     def check_all(self) -> None:
-        """Run every invariant check once (sampling cadence)."""
+        """Run every invariant check once (the periodic sweep, and the
+        closing one at the end of a run)."""
         self.sweeps += 1
         machine = self.machine
         self._check_queue()

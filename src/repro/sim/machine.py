@@ -35,7 +35,7 @@ from repro.mem.memory import MemoryImage
 from repro.mem.noc import MeshNoc
 from repro.runtime.alloc import Allocator
 from repro.sim.deadlock import Watchdog
-from repro.sim.governor import ResourceGovernor, RunBudget
+from repro.sim.governor import RunBudget
 from repro.sim.scv import DependenceRecorder
 
 
@@ -289,29 +289,26 @@ class Machine:
         self.queue.clear_stop()
         if n_done == len(self.cores):
             self.queue.request_stop()
-        governor = None
-        if budget is not None and budget.enabled:
-            governor = ResourceGovernor(self, budget)
-        self._watchdog.start()
+        # the periodic checks, armed in this order (their seq numbers
+        # are part of the simulated event stream) and stopped together
+        queue = self.queue
+        breaches: List[str] = []
+        checks = [queue.every(self._watchdog.interval,
+                              self._watchdog.check, "watchdog")]
         if self.sanitizer is not None:
-            self.sanitizer.start()
-        if governor is not None:
-            governor.start()
+            checks.append(queue.every(self.sanitizer.interval,
+                                      self.sanitizer.check_all, "sanitizer"))
+        if budget is not None and budget.enabled:
+            checks.append(budget.arm(queue, breaches.append))
         try:
-            self.queue.run(until=limit)
+            queue.run(until=limit)
         finally:
-            # always executed — including when a workload callable or a
-            # strict sanitizer raises — so no run can leak a live
-            # watchdog or a self-rescheduling sampling pump into the
-            # next test.  The pumps must also be down *before* the
-            # quiesce drain below: a rescheduling pump event would keep
-            # the queue alive to exactly the drain horizon and perturb
-            # stats.cycles.
-            self._watchdog.stop()
-            if self.sanitizer is not None:
-                self.sanitizer.stop()
-            if governor is not None:
-                governor.stop()
+            # always, even when a workload or a strict sanitizer raises:
+            # no check may leak into the next run, nor keep the queue
+            # alive to the horizon of the quiesce drain below (that
+            # would move stats.cycles)
+            for check in checks:
+                check.stop()
         completed = self._all_done()
         if completed:
             # drain in-flight protocol events (writebacks, GRT
@@ -327,7 +324,7 @@ class Machine:
         if self.sanitizer is not None:
             # one closing sweep over the quiesced (or cut-off) state;
             # raises in strict mode like any in-run check.
-            self.sanitizer.final_check()
+            self.sanitizer.check_all()
         self.stats.cycles = self.queue.now
         if self.tracer is not None:
             self.tracer.finalize()
@@ -335,7 +332,7 @@ class Machine:
             # replay reconciles its fine leaves against these
             self.tracer.core_summaries(self.stats)
         events = self.recorder.events if self.recorder else None
-        degraded_reason = governor.breached if governor is not None else None
+        degraded_reason = breaches[0] if breaches else None
         violations = (
             len(self.sanitizer.violations) + self.sanitizer.dropped
             if self.sanitizer is not None else 0

@@ -150,7 +150,8 @@ def test_cli_chaos_green_path(tmp_path, capsys):
         "--seeds", "3", "--out", out,
     ])
     assert rc == 0
-    report = json.load(open(out))
+    with open(out) as fh:
+        report = json.load(fh)
     assert report["total_cases"] == 6
     assert report["failed_legal"] == 0
     assert "ok" in capsys.readouterr().out
@@ -165,7 +166,8 @@ def test_cli_chaos_shrink_flags_illegal_scenario(tmp_path, capsys):
     # catching the deliberately broken scenario is the harness working:
     # exit 1 is reserved for legal failures and *missed* illegal cases
     assert rc == 0
-    report = json.load(open(out))
+    with open(out) as fh:
+        report = json.load(fh)
     assert report["caught_illegal"] >= 1
     shrunk = [c for c in report["cases"] if c["shrunk"] is not None]
     assert shrunk and all(len(c["shrunk"]) >= 1 for c in shrunk)
@@ -182,14 +184,13 @@ def test_failing_case_writes_attribution_postmortem(tmp_path):
     """With a diag_dir, a failing chaos case gets a cycle-attribution
     postmortem next to its diagnostics — where the cycles went, with
     the conservation check still holding on the aborted run."""
-    import json as _json
-
     diag = str(tmp_path / "diag")
     case = run_chaos_case("illegal_drop", FenceDesign.W_PLUS, 3,
                           diag_dir=diag, sanitize="strict")
     assert case.failed
     assert case.attrib_path and case.attrib_path.startswith(diag)
-    report = _json.load(open(case.attrib_path))
+    with open(case.attrib_path) as fh:
+        report = json.load(fh)
     assert report["schema"] == "repro.profile/1"
     assert report["conservation"]["ok"]
     prov = report["provenance"]

@@ -183,7 +183,8 @@ def test_diag_dir_writes_a_json_artifact(tmp_path):
         m.run()
     path = exc.value.diagnostics_path
     assert path is not None and os.path.exists(path)
-    on_disk = json.load(open(path))
+    with open(path) as fh:
+        on_disk = json.load(fh)
     assert on_disk["blocked_cores"] == list(exc.value.blocked_cores)
     assert on_disk["cores"] == exc.value.diagnostics["cores"]
 

@@ -37,6 +37,24 @@ def test_budget_cutoff_reports_degraded_but_exits_zero(capsys):
     assert "degraded: event budget exhausted" in out
 
 
+@pytest.mark.parametrize("argv", [
+    (*RUN_ARGS, "--max-events", "0"),
+    (*RUN_ARGS, "--max-events", "-5"),
+    (*RUN_ARGS, "--max-wall-secs", "-1"),
+    (*RUN_ARGS, "--max-wall-secs", "0"),
+    ("synth", "--program", "sb", "--max-wall-secs", "0"),
+    ("farm", "submit", "--workloads", "fib", "--max-events", "0"),
+], ids=["run-events-0", "run-events-neg", "run-wall-neg", "run-wall-0",
+        "synth-wall-0", "farm-submit-events-0"])
+def test_a_budget_of_zero_or_below_is_a_usage_error(capsys, argv):
+    """Regression: 0 used to read as "no budget" (an unbounded run) and
+    a negative ceiling was accepted and breached at the first check."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(list(argv))
+    assert excinfo.value.code == 2
+    assert "must be above 0" in capsys.readouterr().err
+
+
 def test_usage_error_exits_two(capsys):
     code, _, _ = run_cli(capsys, "run", "nope", "--cores", "2")
     assert code == 2

@@ -3,7 +3,7 @@
 Mirrors ``tests/obs/test_trace_consistency.py``: attaching the
 sanitizer (any mode) must leave the simulation **bit-identical** — the
 checks are read-only (peeking cache lookups, no directory-entry
-creation) and the sampling pump is stopped before the quiesce drain, so
+creation) and the periodic sweep is stopped before the quiesce drain, so
 ``stats.to_dict()`` and the final cycle count cannot move.  This is
 what lets CI run the whole tier-1 suite under ``REPRO_SANITIZE=strict``
 against the same goldens.

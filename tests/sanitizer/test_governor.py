@@ -77,3 +77,18 @@ def test_cut_off_run_can_be_rerun_unbudgeted():
     rerun = _run()
     assert rerun.result.completed
     assert rerun.stats.to_dict() == _run().stats.to_dict()
+
+
+@pytest.mark.parametrize("sanitize,used", [("off", 5_299), ("warn", 5_301)])
+def test_event_budget_cut_point_is_pinned(sanitize, used):
+    """The budget counts events *scheduled* since it was armed, its own
+    checks (and, sanitized, the sweeps) included, and reads the count
+    every ``CHECK_INTERVAL_CYCLES``: the run stops at the first check at
+    or past the ceiling.  Both values were taken before the periodic
+    checks shared one mechanism; a move here changes every budgeted
+    result row."""
+    result = _run(budget=RunBudget(max_events=5_000),
+                  sanitize=sanitize).result
+    assert result.degraded_reason == (
+        f"event budget exhausted ({used} >= 5000)")
+    assert result.cycles == 12_000

@@ -70,7 +70,7 @@ def test_clean_run_is_silent_and_counts_its_checks():
     assert result.completed
     assert sanitizer.violations == [] and sanitizer.dropped == 0
     assert result.sanitizer_violations == 0
-    assert sanitizer.sweeps > 1  # sampling pump + final sweep
+    assert sanitizer.sweeps > 1  # periodic sweeps + the closing one
     assert sanitizer.transition_checks > 0  # fence/dir/wb hooks fired
 
 
@@ -115,7 +115,8 @@ def test_first_violation_writes_a_watchdog_format_bundle(tmp_path):
     path = excinfo.value.diagnostics_path
     assert path is not None and path.endswith(".json")
     assert "sanitizer_S+" in path
-    bundle = json.load(open(path))
+    with open(path) as fh:
+        bundle = json.load(fh)
     # the watchdog post-mortem keys (PR 4 tooling reads these)...
     for key in ("cycle", "design", "num_cores", "cores",
                 "in_flight_events"):
@@ -187,8 +188,8 @@ def test_final_check_sweeps_the_quiesced_machine():
 
 def test_pump_sweeps_every_interval_across_an_idle_window():
     """Both threads compute through 200 000 instructions (~100 sweep
-    intervals) without touching memory: the pump still sweeps once per
-    interval, every tick on the interval grid — ``interval`` is the one
+    intervals) without touching memory: the periodic check still sweeps
+    once per interval, every tick on the interval grid — ``interval`` is the one
     control over that cost."""
     from repro.core import isa as ops
     from repro.sim.machine import Machine
@@ -207,10 +208,13 @@ def test_pump_sweeps_every_interval_across_an_idle_window():
 
     machine.spawn(thread)
     machine.spawn(thread)
-    ticks = []
-    tick = sanitizer._tick
-    sanitizer._tick = lambda: (ticks.append(machine.queue.now), tick())
+    sweeps_at = []
+    check_all = sanitizer.check_all
+    sanitizer.check_all = lambda: (sweeps_at.append(machine.queue.now),
+                                   check_all())
     result = machine.run()
+    *ticks, closing = sweeps_at  # the last one is the closing sweep
+    assert closing == result.cycles
     assert result.completed and sanitizer.violations == []
     assert result.cycles // interval >= 100
     assert all(t % interval == 0 for t in ticks)
@@ -220,9 +224,10 @@ def test_pump_sweeps_every_interval_across_an_idle_window():
 
 def test_watchdog_and_pumps_stop_when_the_workload_raises():
     """Regression: an exception inside the run loop must not leak a
-    live watchdog or sanitizer pump into the next run (try/finally in
-    Machine.run)."""
+    live watchdog, sanitizer sweep or budget check into the next run
+    (try/finally in Machine.run)."""
     from repro.core import isa as ops
+    from repro.sim.governor import RunBudget
     from repro.sim.machine import Machine
 
     machine = Machine(tiny_params(num_cores=2), seed=7)
@@ -235,9 +240,10 @@ def test_watchdog_and_pumps_stop_when_the_workload_raises():
 
     machine.spawn(bad_thread)
     with pytest.raises(RuntimeError, match="workload bug"):
-        machine.run(max_cycles=10_000)
-    assert machine._watchdog._event is None
-    assert sanitizer._event is None
+        machine.run(max_cycles=10_000,
+                    budget=RunBudget(max_events=10**9))
+    labels = {label for _, label in machine.queue.pending_events()}
+    assert not labels & {"watchdog", "sanitizer", "governor"}
 
 
 @pytest.mark.parametrize("mode", ["warn", "strict"])

@@ -12,6 +12,10 @@ EXPERIMENTS.md, docs/*.md, the package sources and the CI workflow:
   and, if an anchor is given, have a heading whose GitHub slug it is.
 
 CHANGES.md and ROADMAP.md are history and are not scanned.
+
+DESIGN.md's module inventory (section 2) is held to the source tree
+both ways: every module under ``src/repro`` is listed, and every listed
+module exists.
 """
 
 import pathlib
@@ -119,3 +123,39 @@ def test_the_patterns_read_wrapped_citations_and_slugs():
     assert _slug("Leases, retries (and `gc`)") == "leases-retries-and-gc"
     assert _names("Memory: a finished machine", "Memory")
     assert not _names("Memoryless", "Memory")
+
+
+#: an inventory entry: a package (``  common/``) or a module, indented
+#: 2 (top level) or 4 (in the package above it)
+INVENTORY_ENTRY = re.compile(r"^( {2}| {4})(\w+)(/|\.py)(?:\s|$)")
+
+
+def _inventory():
+    """The ``src/repro``-relative module paths DESIGN.md's inventory
+    block lists."""
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    block = text.split("## 2. System inventory", 1)[1].split("```")[1]
+    listed, package = set(), ""
+    for line in block.splitlines():
+        m = INVENTORY_ENTRY.match(line)
+        if m is None:
+            continue
+        indent, name, kind = m.groups()
+        if kind == "/":
+            package = name + "/"
+        else:
+            listed.add((package if len(indent) == 4 else "") + name + ".py")
+    return listed
+
+
+def test_the_design_inventory_names_every_module():
+    src = ROOT / "src" / "repro"
+    modules = {
+        path.relative_to(src).as_posix() for path in src.rglob("*.py")
+        if path.stem not in ("__init__", "__main__")
+    }
+    listed = _inventory()
+    assert not modules - listed, (
+        f"DESIGN.md inventory misses {sorted(modules - listed)}")
+    assert not listed - modules, (
+        f"DESIGN.md inventory lists missing {sorted(listed - modules)}")

@@ -326,6 +326,50 @@ def test_cancel_after_fire_is_harmless():
     assert fired == ["x", "y"]
 
 
+def test_every_fires_on_its_grid_until_the_check_returns_false():
+    q = EventQueue()
+    fired = []
+
+    def check():
+        fired.append(q.now)
+        return len(fired) < 3
+
+    q.every(10, check, "tick")
+    q.schedule(100, lambda: None)
+    q.run()
+    assert fired == [10, 20, 30]
+    # only False stands it down: None (a check with no verdict) goes on
+    q.every(5, lambda: fired.append(q.now), "tick")
+    q.run(until=115)
+    assert fired[3:] == [105, 110, 115]
+
+
+def test_every_is_one_event_per_firing_under_its_label():
+    q = EventQueue()
+    handle = q.every(7, lambda: True, "tick")
+    assert q.pending_events() == [(7, "tick")]
+    q.run(until=14)
+    assert q.pending_events() == [(21, "tick")] and q._seq == 3
+    handle.stop()
+    assert q.pending_events() == []
+
+
+def test_every_stops_when_the_check_raises_and_stop_is_idempotent():
+    q = EventQueue()
+
+    def check():
+        raise RuntimeError("boom")
+
+    handle = q.every(3, check, "tick")
+    later = q.schedule(9, lambda: None)
+    with pytest.raises(RuntimeError):
+        q.run()
+    assert q.pending_events() == [(9, "")]
+    handle.stop()
+    handle.stop()
+    assert later[2] is not None  # stop() reached nothing but its own
+
+
 # ---------------------------------------------------------------------------
 # property test: dispatch is a stable sort by (cycle, insertion seq)
 # ---------------------------------------------------------------------------

@@ -297,7 +297,7 @@ def test_a_machine_run_by_hand_is_not_disposed():
     line = machine.amap.line_of(x)
     entry = machine.banks[machine.amap.home_bank(line)].dir_state(line)
     assert entry.owner is not None or entry.sharers
-    sanitizer.final_check()
+    sanitizer.check_all()
     assert sanitizer.sweeps > 0 and not sanitizer.violations
 
 

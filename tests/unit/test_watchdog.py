@@ -106,10 +106,15 @@ def test_recovery_counters_increment_instead_of_deadlock():
     assert m.stats.wplus_recoveries >= 1
 
 
+def _armed(queue, label):
+    """How many live events labelled *label* the queue holds."""
+    return sum(1 for _, lab in queue.pending_events() if lab == label)
+
+
 def test_stop_is_idempotent_after_all_cores_finish():
-    """Regression: when every core finished, _tick used to leave
-    self._event pointing at its own already-fired event, so a later
-    stop() cancelled a dead event."""
+    """Regression: when every core finished, the watchdog used to keep a
+    handle on its own already-fired event, so a later stop() cancelled
+    a dead event.  The check now stands down by returning False."""
     m = Machine(tiny_params(num_cores=2, watchdog_interval=500))
     x = m.alloc.word()
 
@@ -120,35 +125,49 @@ def test_stop_is_idempotent_after_all_cores_finish():
 
     res = run_threads(m, t, t)
     assert res.completed
-    # Machine.run already called stop(); the handle must be cleared and
-    # repeated stops must be no-ops
-    assert m._watchdog._event is None
-    m._watchdog.stop()
-    m._watchdog.stop()
+    # Machine.run stopped its checks: nothing of the watchdog is left
+    assert _armed(m.queue, "watchdog") == 0
+    # re-armed on the finished machine, the check fires once, finds no
+    # live core and stands down; repeated stops are then no-ops
+    handle = m.queue.every(500, m._watchdog.check, "watchdog")
+    assert m._watchdog.check() is False
+    m.queue.clear_stop()
+    m.queue.run()
+    assert _armed(m.queue, "watchdog") == 0
+    handle.stop()
+    handle.stop()
 
 
 def test_stop_is_idempotent_after_a_deadlock_raise():
-    """Regression: _tick raised DeadlockError while _event still
-    pointed at the fired event."""
+    """Regression: the check raised DeadlockError while the handle
+    still pointed at the fired event."""
     m = _all_wf_deadlock_machine(recovery=False)
     with pytest.raises(DeadlockError):
         m.run()
-    assert m._watchdog._event is None
-    m._watchdog.stop()  # must not touch a fired event
-    m._watchdog.stop()
+    assert _armed(m.queue, "watchdog") == 0
+    handle = m.queue.every(2000, m._watchdog.check, "watchdog")
+    with pytest.raises(DeadlockError):
+        m.queue.run()  # still no progress: the check raises again
+    assert _armed(m.queue, "watchdog") == 0
+    pending = len(m.queue)
+    handle.stop()  # must not touch a fired event
+    handle.stop()
+    assert len(m.queue) == pending
 
 
 def test_watchdog_restarts_after_stop():
-    """start() after stop() re-arms cleanly (one fresh live event)."""
+    """Arming after stop() re-arms cleanly (one fresh live event)."""
     m = Machine(tiny_params(num_cores=1, watchdog_interval=500))
-    wd = m._watchdog
-    wd.start()
-    first = wd._event
-    wd.stop()
-    assert wd._event is None
-    wd.start()
-    assert wd._event is not None and wd._event is not first
-    wd.stop()
+    first = m.queue.every(500, m._watchdog.check, "watchdog")
+    assert _armed(m.queue, "watchdog") == 1
+    first.stop()
+    assert _armed(m.queue, "watchdog") == 0
+    second = m.queue.every(500, m._watchdog.check, "watchdog")
+    assert _armed(m.queue, "watchdog") == 1
+    first.stop()  # a stopped handle does not reach the new event
+    assert _armed(m.queue, "watchdog") == 1
+    second.stop()
+    assert _armed(m.queue, "watchdog") == 0
 
 
 def test_watchdog_counts_drain_as_progress():
