@@ -321,8 +321,6 @@ def cmd_synth(args) -> int:
         num_points=args.points,
         site_mode=args.sites,
         max_runs=args.max_runs,
-        audit=not args.no_audit,
-        audit_factor=args.audit_factor,
         sanitize=sanitize_mode(args.sanitize),
     )
 
@@ -562,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--designs", default="all",
         help="'all' (the paper's five) or a comma list, e.g. 'S+,W+'",
     )
-    p_ver.add_argument("--budget", type=int, default=200,
+    p_ver.add_argument("--budget", type=_positive(int), default=200,
                        help="total simulator runs to spend")
     p_ver.add_argument("--seed", type=int, default=12345)
     p_ver.add_argument("--shape", default=None, choices=SHAPES,
@@ -592,25 +590,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="adversary-schedule seed (default 1); the "
                             "report is bit-identical for a fixed "
                             "(program, designs, seed)")
-    p_syn.add_argument("--points", type=int, default=12,
+    p_syn.add_argument("--points", type=_positive(int), default=12,
                        help="adversary schedule points per search "
-                            "(audit re-verifies at --audit-factor x "
-                            "this; default 12)")
+                            "(the audit re-verifies at twice this; "
+                            "default 12)")
     p_syn.add_argument("--sites", default=None,
                        choices=("auto", "annotated"),
                        help="fence-site extraction (default: 'annotated' "
                             "when the program carries fences, else "
                             "'auto' store->load boundaries)")
-    p_syn.add_argument("--max-runs", type=int, default=4000,
+    p_syn.add_argument("--max-runs", type=_positive(int), default=4000,
                        help="oracle-verdict budget per design, search "
                             "and audit each; a verdict already in the "
                             "run table still counts (default 4000)")
-    p_syn.add_argument("--no-audit", action="store_true",
-                       help="skip the double-budget re-verification and "
-                            "weakening checks")
-    p_syn.add_argument("--audit-factor", type=int, default=2,
-                       help="audit at this multiple of --points "
-                            "(default 2)")
     p_syn.add_argument(
         "--out", default="benchmarks/out/synth_report.json",
         help="JSON report path ('-' to skip writing)",

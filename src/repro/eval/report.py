@@ -94,16 +94,6 @@ def render_ratio_chart(
     return "\n".join(lines)
 
 
-def geo_mean(values: Sequence[float]) -> float:
-    vals = [v for v in values if v > 0]
-    if not vals:
-        return 0.0
-    prod = 1.0
-    for v in vals:
-        prod *= v
-    return prod ** (1.0 / len(vals))
-
-
 def mean(values: Sequence[float]) -> float:
     vals = list(values)
     return sum(vals) / len(vals) if vals else 0.0

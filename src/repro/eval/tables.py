@@ -164,9 +164,7 @@ def _fmt_cycles(value: Optional[float]) -> str:
 
 
 def _audit_cell(placement: dict) -> str:
-    audit = placement.get("audit")
-    if audit is None:
-        return "skipped"
+    audit = placement["audit"]
     verdict = "pass" if audit["passed"] else "FAIL"
     minimal = "minimal" if audit["minimal"] else "NOT MINIMAL"
     return f"{verdict}@{audit['points']}pts, {minimal}"

@@ -9,6 +9,7 @@ the rows back into its own shape.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import tempfile
 import time
@@ -135,9 +136,8 @@ def synth_campaign(config, budget=None) -> CampaignSpec:
     seed)``.  The rest of the config and the wall budget (*budget*) ride
     in the job config, so changing either makes new jobs, and every job
     gets the whole budget."""
-    blob = config.to_dict()
-    for field in ("program", "designs", "seed"):
-        del blob[field]
+    blob = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)
+            if f.name not in ("program", "designs", "seed")}
     if budget is not None and budget.max_wall_secs:
         # synthesis consults no event budget (engine._deadline_from_budget)
         blob["budget"] = {"max_wall_secs": budget.max_wall_secs}

@@ -70,8 +70,6 @@ def _run_synth_job(spec: JobSpec, diag_dir: Optional[str]) -> dict:
 
     cfg = spec.config_dict()
     fields = {k: v for k, v in cfg.items() if k != "budget"}
-    if "cost_seeds" in fields:
-        fields["cost_seeds"] = tuple(fields["cost_seeds"])
     report = run_synthesis(
         SynthConfig(
             program=spec.workload,    # the program spec

@@ -10,16 +10,6 @@ from __future__ import annotations
 from repro.core import isa as ops
 
 
-def load(addr: int):
-    """Read one word.  ``v = yield from load(a)``."""
-    value = yield ops.Load(addr)
-    return value
-
-
-def store(addr: int, value: int):
-    yield ops.Store(addr, value)
-
-
 class SpinLock:
     """Test-and-test&set spinlock over one simulated word.
 
@@ -46,27 +36,3 @@ class SpinLock:
     def release(self, tid: int):
         yield ops.Store(self.addr, 0)
 
-
-class Barrier:
-    """Sense-reversing centralized barrier for ``n`` simulated threads."""
-
-    def __init__(self, alloc, n: int):
-        self.n = n
-        self.count_addr = alloc.word()
-        self.sense_addr = alloc.word()
-
-    def wait(self, local_sense_holder: list):
-        """``yield from barrier.wait(state)`` where *state* is a
-        one-element list holding the thread's current sense."""
-        local_sense = 1 - local_sense_holder[0]
-        local_sense_holder[0] = local_sense
-        arrived = yield ops.AtomicRMW(self.count_addr, "add", 1)
-        if arrived + 1 == self.n:
-            yield ops.Store(self.count_addr, 0)
-            yield ops.Store(self.sense_addr, local_sense)
-        else:
-            while True:
-                sense = yield ops.Load(self.sense_addr)
-                if sense == local_sense:
-                    break
-                yield ops.Compute(40)

@@ -27,68 +27,56 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
-from repro.common.params import FenceDesign, FenceFlavour
 from repro.fences.base import synthesis_profile
 from repro.synth.search import RunTable
 from repro.synth.sites import FenceSite, Placement
 from repro.verify.generator import LitmusProgram
 from repro.verify.perturb import DEFAULT_POINT
 
-#: default machine seeds for the cost sweep (cheap, fixed, clean points)
+#: machine seeds for the cost sweep (cheap, fixed, clean points)
 COST_SEEDS: Tuple[int, ...] = (1, 2, 3)
 
-
-def cost_points(seeds: Tuple[int, ...] = COST_SEEDS):
-    """Jitter-free default-knob points, one per sweep seed."""
-    return tuple(replace(DEFAULT_POINT, seed=s) for s in seeds)
+#: jitter-free default-knob points, one per sweep seed
+COST_POINTS = tuple(replace(DEFAULT_POINT, seed=s) for s in COST_SEEDS)
 
 
 def measure_cycles(
     stripped: LitmusProgram,
     placement: Placement,
-    design: FenceDesign,
-    seeds: Tuple[int, ...] = COST_SEEDS,
-    sanitize: str = "off",
-    table: Optional[RunTable] = None,
+    table: RunTable,
 ) -> Optional[float]:
-    """Mean end-to-end cycles of *placement*, or None if any cost run
-    failed to complete cleanly (cost of a broken run is meaningless).
-    Runs come from *table* (a fresh one when none is passed)."""
-    table = RunTable.bound(table, design, sanitize)
-    program = placement.apply(stripped, design)
+    """Mean end-to-end cycles of *placement* under ``table.design``,
+    or None if any cost run failed to complete cleanly (cost of a
+    broken run is meaningless).  Runs come from *table*."""
+    program = placement.apply(stripped, table.design)
     total = 0
-    for point in cost_points(seeds):
+    for point in COST_POINTS:
         run = table.run(program, point)
         if not run.completed or run.error or run.deadlock or run.sanitizer:
             return None
         total += run.cycles
-    return total / len(seeds)
+    return total / len(COST_POINTS)
 
 
 def site_probes(
     stripped: LitmusProgram,
     sites: Tuple[FenceSite, ...],
-    design: FenceDesign,
+    table: RunTable,
     baseline: Optional[float],
-    seeds: Tuple[int, ...] = COST_SEEDS,
-    sanitize: str = "off",
-    table: Optional[RunTable] = None,
 ) -> Dict[str, Dict[str, Optional[float]]]:
     """Marginal cycle cost of one fence per (site, flavour):
     ``probes[site.label()][flavour] = cycles(single fence) - baseline``.
 
-    Only flavours the design can express are probed.  None marks a
-    probe whose run did not complete cleanly (or a missing baseline).
+    Only flavours ``table.design`` can express are probed.  None marks
+    a probe whose run did not complete cleanly (or a missing baseline).
     """
-    profile = synthesis_profile(design)
+    profile = synthesis_profile(table.design)
     probes: Dict[str, Dict[str, Optional[float]]] = {}
     for site in sites:
         per_site: Dict[str, Optional[float]] = {}
         for flavour in sorted(profile.flavours, key=lambda f: f.value):
             cycles = measure_cycles(
-                stripped, Placement.of({site: flavour}), design,
-                seeds=seeds, sanitize=sanitize, table=table,
-            )
+                stripped, Placement.of({site: flavour}), table)
             if cycles is None or baseline is None:
                 per_site[flavour.value] = None
             else:

@@ -7,13 +7,13 @@ program across a set of fence designs:
    program;
 2. search the placement lattice for the minimal SC-safe placements
    over the jitter-armed adversary points (:mod:`repro.synth.search`);
-3. **audit** every minimum at ``audit_factor`` × the search schedule
-   budget (the adversary stream is prefix-stable, so the audit points
-   strictly extend the search points); an audit *rejection* feeds the
-   killer point back into the search set and re-searches (CEGAR, up to
-   ``max_refinements`` rounds), so surviving minima pass the full
-   audit set, and every expressible one-step weakening must fail on at
-   least one audit point;
+3. **audit** every minimum at :data:`AUDIT_FACTOR` × the search
+   schedule budget (the adversary stream is prefix-stable, so the audit
+   points strictly extend the search points); an audit *rejection*
+   feeds the killer point back into the search set and re-searches
+   (CEGAR, up to :data:`MAX_REFINEMENTS` rounds), so surviving minima
+   pass the full audit set, and every expressible one-step weakening
+   must fail on at least one audit point;
 4. replay survivors through the clean timing simulator
    (:mod:`repro.synth.cost`) and rank them.
 
@@ -39,11 +39,12 @@ from repro.sim.governor import RunBudget
 from repro.synth import cost as cost_mod
 from repro.synth.programs import program_for_spec
 from repro.synth.search import (
+    EXHAUSTIVE_CAP,
+    SHRINK_BUDGET,
     BudgetExhausted,
     Counterexample,
     PlacementOracle,
     RunTable,
-    SearchOutcome,
     synthesize,
 )
 from repro.synth.sites import (
@@ -58,6 +59,14 @@ from repro.verify.oracles import PAPER_DESIGNS
 from repro.verify.perturb import adversary_points
 
 SCHEMA = "repro-synth-report/v1"
+
+#: the audit runs at this multiple of the search schedule budget
+AUDIT_FACTOR = 2
+#: CEGAR rounds: when the audit rejects a minimum, its killer point
+#: joins the search set and the search re-runs.  Each round adds a
+#: distinct point from the finite audit set, so the loop terminates;
+#: this cap only bounds the worst case.
+MAX_REFINEMENTS = 8
 
 
 @dataclass(frozen=True)
@@ -74,24 +83,11 @@ class SynthConfig:
     site_mode: Optional[str] = None
     #: oracle-verdict budget per design (search and audit separately)
     max_runs: int = 4000
-    #: at most this many legal placements → exhaustive search;
-    #: above it, ddmin-descent
-    exhaustive_cap: int = 512
-    #: ddmin property-evaluation budget on the descent path
-    shrink_budget: int = 200
-    audit: bool = True
-    #: audit at this multiple of the search schedule budget
-    audit_factor: int = 2
-    #: CEGAR rounds: when the audit rejects a minimum, its killer
-    #: point joins the search set and the search re-runs.  Each round
-    #: adds a distinct point from the finite audit set, so the loop
-    #: terminates; this cap only bounds the worst case.
-    max_refinements: int = 8
-    #: machine seeds for the clean cost sweep
-    cost_seeds: Tuple[int, ...] = cost_mod.COST_SEEDS
     sanitize: str = "off"
 
     def to_dict(self) -> dict:
+        """The settable fields, and the module constants the run used
+        under the names they had as fields."""
         return {
             "program": self.program,
             "designs": [d.value for d in self.designs],
@@ -99,12 +95,12 @@ class SynthConfig:
             "num_points": self.num_points,
             "site_mode": self.site_mode,
             "max_runs": self.max_runs,
-            "exhaustive_cap": self.exhaustive_cap,
-            "shrink_budget": self.shrink_budget,
-            "audit": self.audit,
-            "audit_factor": self.audit_factor,
-            "max_refinements": self.max_refinements,
-            "cost_seeds": list(self.cost_seeds),
+            "exhaustive_cap": EXHAUSTIVE_CAP,
+            "shrink_budget": SHRINK_BUDGET,
+            "audit": True,
+            "audit_factor": AUDIT_FACTOR,
+            "max_refinements": MAX_REFINEMENTS,
+            "cost_seeds": list(cost_mod.COST_SEEDS),
             "sanitize": self.sanitize,
         }
 
@@ -131,9 +127,7 @@ class SynthReport:
             if entry["status"] != "ok" or not entry["placements"]:
                 return False
             for placement in entry["placements"]:
-                audit = placement.get("audit")
-                if audit is None:
-                    continue
+                audit = placement["audit"]
                 if not audit["passed"] or not audit["minimal"]:
                     return False
         return True
@@ -171,11 +165,7 @@ def _expressible(placement: Placement, design: FenceDesign) -> bool:
     return placement.legal(synthesis_profile(design))
 
 
-def _audit_minimum(
-    oracle: PlacementOracle,
-    minimum: Placement,
-    design: FenceDesign,
-) -> dict:
+def _audit_minimum(oracle: PlacementOracle, minimum: Placement) -> dict:
     """Re-verify *minimum* on the extended point set and demand that
     every *legal* one-step weakening fails somewhere on it.
 
@@ -189,7 +179,7 @@ def _audit_minimum(
     for weaker in minimum.weakenings():
         entry = {
             "placement": weaker.key(),
-            "expressible": _expressible(weaker, design),
+            "expressible": _expressible(weaker, oracle.table.design),
             "failed": None,
             "counterexample": None,
         }
@@ -263,28 +253,21 @@ def _synth_one_design(
     """
     table = RunTable(design, config.sanitize)
     audit_points = adversary_points(
-        config.seed, config.num_points * config.audit_factor)
+        config.seed, config.num_points * AUDIT_FACTOR)
     points = list(adversary_points(config.seed, config.num_points))
     runs = 0
     refinements = 0
-    audit_oracle = None
     while True:
         outcome = synthesize(
-            stripped, sites, design, tuple(points),
-            max_runs=config.max_runs,
-            sanitize=config.sanitize,
-            exhaustive_cap=config.exhaustive_cap,
-            shrink_budget=config.shrink_budget,
-            deadline=deadline,
-            table=table,
+            stripped, sites, table, tuple(points),
+            max_runs=config.max_runs, deadline=deadline,
         )
         runs += outcome.runs_used
-        if outcome.status != "ok" or not config.audit:
+        if outcome.status != "ok":
             break
         audit_oracle = PlacementOracle(
-            stripped, design, tuple(audit_points),
-            max_runs=config.max_runs, sanitize=config.sanitize,
-            deadline=deadline, table=table,
+            stripped, table, tuple(audit_points),
+            max_runs=config.max_runs, deadline=deadline,
         )
         try:
             killers = [audit_oracle.check(m) for m in outcome.minima]
@@ -297,7 +280,7 @@ def _synth_one_design(
             if ce is not None
             and audit_points[ce.point_index] not in points
         ]
-        if not new_points or refinements >= config.max_refinements:
+        if not new_points or refinements >= MAX_REFINEMENTS:
             break
         runs += audit_oracle.runs_used
         points.extend(dict.fromkeys(new_points))  # ordered, deduped
@@ -322,29 +305,22 @@ def _synth_one_design(
     if outcome.status != "ok" or not outcome.minima:
         return entry, runs, len(table.runs)
 
-    cost_args = dict(seeds=config.cost_seeds, sanitize=config.sanitize,
-                     table=table)
-    baseline = cost_mod.measure_cycles(
-        stripped, Placement.empty(), design, **cost_args)
+    baseline = cost_mod.measure_cycles(stripped, Placement.empty(), table)
     entry["baseline_cycles"] = baseline
     entry["site_probes"] = cost_mod.site_probes(
-        stripped, sites, design, baseline, **cost_args)
+        stripped, sites, table, baseline)
 
     try:
         for minimum in outcome.minima:
-            cycles = cost_mod.measure_cycles(
-                stripped, minimum, design, **cost_args)
+            cycles = cost_mod.measure_cycles(stripped, minimum, table)
             placement_entry = _placement_entry(minimum, cycles, baseline)
-            if audit_oracle is not None:
-                placement_entry["audit"] = _audit_minimum(
-                    audit_oracle, minimum, design)
+            placement_entry["audit"] = _audit_minimum(audit_oracle, minimum)
             entry["placements"].append(placement_entry)
     except BudgetExhausted as exc:
         entry["status"] = f"exhausted-{exc.kind}"
         entry["placements"] = []
-    if audit_oracle is not None:
-        runs += audit_oracle.runs_used
-        entry["audit_runs"] = audit_oracle.runs_used
+    runs += audit_oracle.runs_used
+    entry["audit_runs"] = audit_oracle.runs_used
     entry["placements"].sort(key=_rank_key)
     for rank, placement_entry in enumerate(entry["placements"], start=1):
         placement_entry["rank"] = rank

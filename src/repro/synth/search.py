@@ -52,6 +52,12 @@ from repro.verify.oracles import ProgramRun, run_program
 from repro.verify.perturb import SchedulePoint
 from repro.verify.shrink import ddmin
 
+#: at most this many legal placements → exhaustive search; above it,
+#: ddmin-descent
+EXHAUSTIVE_CAP = 512
+#: ddmin property-evaluation budget on the descent path
+SHRINK_BUDGET = 200
+
 
 class BudgetExhausted(Exception):
     """The search ran out of oracle verdicts or wall-clock budget (a
@@ -92,28 +98,16 @@ def classify_run(run) -> Optional[str]:
 
 class RunTable:
     """``(program, point) -> ProgramRun`` for one design and sanitizer
-    mode: the only place synthesis simulates, once per key.  It lives
-    as long as its owner — one design of one ``run_synthesis`` call, or
-    one oracle / cost call that was handed none."""
+    mode: the only place synthesis simulates, once per key, and the one
+    handle every oracle and cost call takes on that design and mode.
+    It lives as long as its owner — one design of one
+    ``run_synthesis`` call."""
 
     def __init__(self, design: FenceDesign, sanitize: str = "off"):
         self.design = design
         self.sanitize = sanitize
         #: one entry per simulator run made (a miss)
         self.runs: Dict[Tuple[LitmusProgram, SchedulePoint], ProgramRun] = {}
-
-    @classmethod
-    def bound(cls, table: "Optional[RunTable]", design: FenceDesign,
-              sanitize: str) -> "RunTable":
-        """*table*, which must be for this design and mode — or a fresh
-        one when the caller passed none."""
-        if table is None:
-            return cls(design, sanitize)
-        if (table.design, table.sanitize) != (design, sanitize):
-            raise ValueError(
-                f"run table bound to {table.design.value}/{table.sanitize}"
-                f", not {design.value}/{sanitize}")
-        return table
 
     def run(self, program: LitmusProgram, point: SchedulePoint) -> ProgramRun:
         key = (program, point)
@@ -129,7 +123,7 @@ class PlacementOracle:
     """Budgeted judge: does a placement pass on every adversary point?
 
     Counts every verdict (``runs_used``; the runs come from *table*,
-    its own unless one is passed), reorders points counterexample-first,
+    which also names the design), reorders points counterexample-first,
     and remembers which point killed which placement so the pruning
     lemma can hand later candidates a lethal point hint.
     """
@@ -137,20 +131,16 @@ class PlacementOracle:
     def __init__(
         self,
         stripped: LitmusProgram,
-        design: FenceDesign,
+        table: RunTable,
         points: Tuple[SchedulePoint, ...],
         max_runs: int = 4000,
-        sanitize: str = "off",
         deadline: Optional[Callable[[], bool]] = None,
-        table: Optional[RunTable] = None,
     ):
         self.stripped = stripped
-        self.design = design
+        self.table = table
         self.points = tuple(points)
         self.max_runs = max_runs
-        self.sanitize = sanitize
         self.deadline = deadline
-        self.table = RunTable.bound(table, design, sanitize)
         self.runs_used = 0
         #: point indices by recency of a kill (most recent first)
         self._recent_killers: List[int] = []
@@ -188,7 +178,7 @@ class PlacementOracle:
     def check(self, placement: Placement) -> Optional[Counterexample]:
         """Run *placement* over every point (counterexample-guided
         order); None = passed all points."""
-        program = placement.apply(self.stripped, self.design)
+        program = placement.apply(self.stripped, self.table.design)
         order = self._point_order(placement)
         for rank, idx in enumerate(order):
             reason = self._run_one(program, self.points[idx])
@@ -231,27 +221,22 @@ def strongest_placement(sites: Tuple[FenceSite, ...],
 def synthesize(
     stripped: LitmusProgram,
     sites: Tuple[FenceSite, ...],
-    design: FenceDesign,
+    table: RunTable,
     points: Tuple[SchedulePoint, ...],
     max_runs: int = 4000,
-    sanitize: str = "off",
-    exhaustive_cap: int = 512,
-    shrink_budget: int = 200,
     deadline: Optional[Callable[[], bool]] = None,
-    table: Optional[RunTable] = None,
 ) -> SearchOutcome:
-    """Find minimal SC-safe placements of *design* over *sites*."""
-    profile = synthesis_profile(design)
-    oracle = PlacementOracle(stripped, design, points, max_runs=max_runs,
-                             sanitize=sanitize, deadline=deadline,
-                             table=table)
-    outcome = SearchOutcome(design=design)
+    """Find minimal SC-safe placements of ``table.design`` over
+    *sites*."""
+    profile = synthesis_profile(table.design)
+    oracle = PlacementOracle(stripped, table, points, max_runs=max_runs,
+                             deadline=deadline)
+    outcome = SearchOutcome(design=table.design)
     try:
-        if count_legal_placements(len(sites), profile) <= exhaustive_cap:
+        if count_legal_placements(len(sites), profile) <= EXHAUSTIVE_CAP:
             _exhaustive(oracle, sites, profile, outcome)
         else:
-            _descent(oracle, sites, profile, outcome,
-                     shrink_budget=shrink_budget)
+            _descent(oracle, sites, profile, outcome)
     except BudgetExhausted as exc:
         outcome.status = f"exhausted-{exc.kind}"
     outcome.runs_used = oracle.runs_used
@@ -278,7 +263,7 @@ def _exhaustive(oracle: PlacementOracle, sites, profile: SynthProfile,
 
 
 def _descent(oracle: PlacementOracle, sites, profile: SynthProfile,
-             outcome: SearchOutcome, shrink_budget: int) -> None:
+             outcome: SearchOutcome) -> None:
     outcome.strategy = "descent"
     top_flavour = max(profile.flavours, key=lambda f: STRENGTH[f])
     top = strongest_placement(sites, profile)
@@ -295,7 +280,7 @@ def _descent(oracle: PlacementOracle, sites, profile: SynthProfile,
         return oracle.check(placement) is None
 
     kept, _dd_runs = ddmin(list(sites), predicate=keeps_passing,
-                           max_runs=shrink_budget)
+                           max_runs=SHRINK_BUDGET)
     current = Placement.of({s: top_flavour for s in kept})
 
     # demotion descent: one sf -> wf at a time, to a local minimum

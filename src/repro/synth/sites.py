@@ -4,8 +4,9 @@ A **site** is a position in a fence-stripped program where a fence may
 be inserted: ``FenceSite(tid, idx)`` puts the fence immediately before
 op ``idx`` of thread ``tid``.  Under TSO the only reordering a fence
 can forbid is a load overtaking a buffered store, so the ``auto``
-extractor emits exactly the Shasha–Snir store→load boundaries: one
-site before the first load that follows an (uncovered) store.  The
+extractor emits exactly the Shasha–Snir store→load boundaries
+(:func:`~repro.verify.generator.store_load_sites`): one site before
+the first load that follows an (uncovered) store.  The
 ``annotated`` extractor instead takes the positions of the fences the
 input program already carries — the "user ``@order`` annotation" mode:
 strip a fenced program and synthesize over its own fence positions.
@@ -26,7 +27,7 @@ from repro.common.errors import ConfigError
 from repro.common.params import FenceDesign, FenceFlavour, role_for_flavour
 from repro.core import isa as ops
 from repro.fences.base import SynthProfile
-from repro.verify.generator import LitmusProgram
+from repro.verify.generator import LitmusProgram, store_load_sites
 
 #: per-site strength score: the lattice order and the cost heuristic
 #: (an sf is never cheaper than a wf at the same site)
@@ -61,16 +62,8 @@ def extract_sites(program: LitmusProgram,
 
 
 def _auto_sites(stripped: LitmusProgram) -> Tuple[FenceSite, ...]:
-    sites: List[FenceSite] = []
-    for tid, body in enumerate(stripped.threads):
-        pending_store = False
-        for idx, op in enumerate(body):
-            if isinstance(op, (ops.Store, ops.AtomicRMW)):
-                pending_store = True
-            elif isinstance(op, ops.Load) and pending_store:
-                sites.append(FenceSite(tid, idx))
-                pending_store = False
-    return tuple(sites)
+    return tuple(FenceSite(tid, idx)
+                 for tid, idx in store_load_sites(stripped.threads))
 
 
 def _annotated_sites(program: LitmusProgram) -> Tuple[FenceSite, ...]:

@@ -8,9 +8,10 @@ point).  The engine spends its budget alternating two kinds of trial:
   deadlock with recovery enabled, livelock, recovery leaving a non-SC
   state) is a finding against the paper's claims;
 * **stripped trials** — the same program with its fences deleted runs
-  under the baseline design; an SCV here is the *positive control*: it
-  proves the explorer reaches racy interleavings and the checker sees
-  them.
+  under the baseline design, when it has a store→load site to race on
+  (:func:`~repro.verify.generator.store_load_sites`); an SCV here is
+  the *positive control*: it proves the explorer reaches racy
+  interleavings and the checker sees them.
 
 The first stripped SCV is handed to the shrinker, whose ``ddmin``
 minimizes it to a 1-minimal op list still reproducing a violation at
@@ -27,9 +28,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.params import FenceDesign
 from repro.verify.generator import (
-    RACY_SHAPES,
     LitmusProgram,
     generate_program,
+    store_load_sites,
 )
 from repro.verify.oracles import (
     PAPER_DESIGNS,
@@ -40,6 +41,11 @@ from repro.verify.perturb import SchedulePoint, schedule_points
 from repro.verify.shrink import shrink_program
 
 DEFAULT_REPORT_PATH = "benchmarks/out/verify_report.json"
+
+#: schedule points explored per campaign (cycled across programs)
+NUM_POINTS = 6
+#: property evaluations the shrinker may spend (outside the budget)
+SHRINK_BUDGET = 200
 
 
 @dataclass(frozen=True)
@@ -52,10 +58,6 @@ class VerifyConfig:
     #: restrict generation to one shape (None = seed-determined mix)
     shape: Optional[str] = None
     shrink: bool = True
-    #: schedule points explored per campaign (cycled across programs)
-    num_points: int = 6
-    #: property evaluations the shrinker may spend (outside *budget*)
-    shrink_budget: int = 200
 
 
 @dataclass
@@ -157,13 +159,13 @@ def run_verification(config: VerifyConfig,
         "seed": config.seed,
         "shape": config.shape,
         "shrink": config.shrink,
-        "num_points": config.num_points,
+        "num_points": NUM_POINTS,
     })
     report.per_design = {
         str(d): {"runs": 0, "scvs": 0, "violations": 0, "recoveries": 0}
         for d in config.designs
     }
-    points = schedule_points(config.seed, config.num_points)
+    points = schedule_points(config.seed, NUM_POINTS)
     baseline = config.designs[0]
     prog_idx = 0
     while report.runs < config.budget:
@@ -196,31 +198,26 @@ def run_verification(config: VerifyConfig,
                 })
 
         # stripped trial: hunt the SCV the fences were preventing
-        if program.shape in RACY_SHAPES and report.runs < config.budget:
-            stripped = program.stripped()
+        stripped = program.stripped()
+        if report.runs < config.budget and store_load_sites(stripped.threads):
             run = run_program(stripped, baseline, point)
             report.runs += 1
             if run.scv_found:
                 report.scv_findings.append(_finding(run, stripped))
                 if config.shrink and report.shrunk is None:
-                    report.shrunk = _shrink_finding(
-                        stripped, baseline, point, config
-                    )
+                    report.shrunk = _shrink_finding(stripped, baseline, point)
     if out_path is not None:
         report.write_json(out_path)
     return report
 
 
 def _shrink_finding(program: LitmusProgram, design: FenceDesign,
-                    point: SchedulePoint,
-                    config: VerifyConfig) -> Dict:
+                    point: SchedulePoint) -> Dict:
     def still_fails(candidate: LitmusProgram) -> bool:
         run = run_program(candidate, design, point)
         return run.scv_found
 
-    result = shrink_program(
-        program, still_fails, max_runs=config.shrink_budget
-    )
+    result = shrink_program(program, still_fails, max_runs=SHRINK_BUDGET)
     small = result.program
     return {
         "name": program.name,

@@ -9,8 +9,6 @@ Shapes
 ------
 ``sb``     N-thread store-buffering ring (paper Fig. 1d/1e): thread *i*
            stores variable *i*, fences, loads variable *i+1 mod N*.
-           The only shape whose fence-stripped version admits an SCV
-           cycle under TSO (store→load reordering).
 ``mp``     message passing: producer stores data then flag, consumer
            loads flag then data.  TSO keeps both orders even without
            fences — a sanity shape.
@@ -22,6 +20,12 @@ Shapes
            with a fence inserted at every store→load transition (the
            Shasha–Snir full-fencing recipe, which restores SC under
            any correct design).
+
+Under TSO the only reordering a fence can forbid is a load overtaking
+a buffered store, so a fence-free program can race exactly when it has
+a store→load site (:func:`store_load_sites`; Alglave et al., "Don't
+sit on the fence"): the fence-stripped ``sb`` and ``random`` programs
+can, ``mp`` and ``iriw`` cannot.
 
 :func:`sb_ring`, :func:`mp` and :func:`iriw` build the fixed shapes
 from explicit fence roles: the generator draws the roles from its
@@ -44,9 +48,6 @@ from repro.common.params import FenceRole
 from repro.core import isa as ops
 
 _STD = FenceRole.STANDARD
-
-#: shapes whose fence-stripped variant can exhibit an SCV under TSO
-RACY_SHAPES = frozenset({"sb"})
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,23 @@ def _op_str(op) -> str:
     if isinstance(op, ops.Compute):
         return f"Compute({op.instructions})"
     return repr(op)
+
+
+def store_load_sites(threads) -> List[Tuple[int, int]]:
+    """``(thread, index)`` of every store→load site of fence-free
+    *threads*: the first load after a store (or atomic RMW) that no
+    earlier site covers.  A fence before each of them is the
+    Shasha–Snir full fencing of the program."""
+    sites = []
+    for tid, body in enumerate(threads):
+        pending_store = False
+        for idx, op in enumerate(body):
+            if isinstance(op, (ops.Store, ops.AtomicRMW)):
+                pending_store = True
+            elif isinstance(op, ops.Load) and pending_store:
+                sites.append((tid, idx))
+                pending_store = False
+    return sites
 
 
 def _roles(rng: random.Random, n: int) -> List[FenceRole]:
@@ -191,30 +209,27 @@ def _random(rng: random.Random, seed: int) -> LitmusProgram:
     n = rng.choice((2, 3, 4))
     num_vars = rng.choice((2, 3, 4))
     roles = _roles(rng, n)
-    threads = []
-    for i in range(n):
+    threads: List[List[object]] = []
+    for _ in range(n):
         body: List[object] = []
-        pending_store = False
         for _ in range(rng.randrange(3, 8)):
             kind = rng.random()
             if kind < 0.45:
                 body.append(ops.Store(rng.randrange(num_vars),
                                       rng.randrange(1, 100)))
-                pending_store = True
             elif kind < 0.85:
-                if pending_store:
-                    # full fencing: no load may bypass a buffered store
-                    body.append(ops.Fence(roles[i]))
-                    pending_store = False
                 body.append(ops.Load(rng.randrange(num_vars)))
             else:
                 body.append(ops.Compute(rng.choice((8, 40, 120))))
-        threads.append(tuple(body))
+        threads.append(body)
+    # full fencing: no load may bypass a buffered store
+    for tid, idx in reversed(store_load_sites(threads)):
+        threads[tid].insert(idx, ops.Fence(roles[tid]))
     return LitmusProgram(
         name=f"rand{n}v{num_vars}-s{seed}",
         shape="random",
         num_vars=num_vars,
-        threads=tuple(threads),
+        threads=tuple(map(tuple, threads)),
         warm_vars=tuple(range(num_vars)),
         seed=seed,
     )

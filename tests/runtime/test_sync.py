@@ -1,10 +1,10 @@
-"""Spinlock and barrier primitives."""
+"""The spinlock primitive."""
 
 import pytest
 
 from repro.common.params import FenceDesign, MachineParams
 from repro.core import isa as ops
-from repro.runtime.sync import Barrier, SpinLock
+from repro.runtime.sync import SpinLock
 from repro.sim.machine import Machine
 
 from tests.support import tiny_params
@@ -52,25 +52,3 @@ def test_spinlock_reports_contention_attempts():
     m.run()
     assert attempts and attempts[0] >= 1
 
-
-def test_barrier_synchronizes_all_threads():
-    m = Machine(tiny_params(num_cores=4, exact=False), seed=5)
-    barrier = Barrier(m.alloc, 4)
-    after = m.alloc.alloc_words_padded(4)
-    orders = []
-
-    def worker(ctx):
-        sense = [0]
-        yield ops.Compute(100 * (ctx.tid + 1))  # skewed arrival
-        yield from barrier.wait(sense)
-        # everyone passed phase 1 before anyone starts phase 2
-        orders.append(("p2", ctx.tid))
-        yield ops.Store(after[ctx.tid], 1)
-        yield from barrier.wait(sense)
-        orders.append(("p3", ctx.tid))
-
-    m.spawn_all(worker)
-    m.run(max_cycles=2_000_000)
-    phases = [p for p, _t in orders]
-    assert phases[:4].count("p2") == 4, "a thread passed the barrier early"
-    assert all(m.image.peek(a) == 1 for a in after)

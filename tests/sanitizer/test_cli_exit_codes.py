@@ -44,15 +44,34 @@ def test_budget_cutoff_reports_degraded_but_exits_zero(capsys):
     (*RUN_ARGS, "--max-wall-secs", "0"),
     ("synth", "--program", "sb", "--max-wall-secs", "0"),
     ("farm", "submit", "--workloads", "fib", "--max-events", "0"),
+    ("synth", "--program", "sb", "--designs", "S+,W+", "--points", "0"),
+    ("synth", "--program", "sb", "--points", "-3"),
+    ("synth", "--program", "sb", "--max-runs", "0"),
+    ("verify", "--budget", "0"),
 ], ids=["run-events-0", "run-events-neg", "run-wall-neg", "run-wall-0",
-        "synth-wall-0", "farm-submit-events-0"])
+        "synth-wall-0", "farm-submit-events-0", "synth-points-0",
+        "synth-points-neg", "synth-max-runs-0", "verify-budget-0"])
 def test_a_budget_of_zero_or_below_is_a_usage_error(capsys, argv):
     """Regression: 0 used to read as "no budget" (an unbounded run) and
-    a negative ceiling was accepted and breached at the first check."""
+    a negative ceiling was accepted and breached at the first check.
+    A synthesis with no adversary point or no verdict to spend, or a
+    verification of no run, judged nothing and still reported a pass
+    (``--points 0`` certified the unfenced Dekker program)."""
     with pytest.raises(SystemExit) as excinfo:
         cli.main(list(argv))
     assert excinfo.value.code == 2
     assert "must be above 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [
+    ("--no-audit",), ("--audit-factor", "3"),
+], ids=["no-audit", "audit-factor"])
+def test_synth_has_no_audit_knobs(capsys, flag):
+    """The audit always runs, at twice the search's points."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["synth", "--program", "sb", *flag])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_usage_error_exits_two(capsys):

@@ -27,7 +27,7 @@ def _pinned_env(monkeypatch):
 def _config(designs=DESIGNS, **kw):
     kw.setdefault("num_points", 2)
     return SynthConfig(program="sb", designs=designs, seed=1,
-                       max_runs=400, audit=False, **kw)
+                       max_runs=400, **kw)
 
 
 def _fake_entry(design):

@@ -15,11 +15,13 @@ rounds, its audit and its cost sweep.  Three things are pinned here:
   *before* the run table existed (``PYTHONPATH=src python -m
   tests.synth.test_run_table`` prints it).  Regenerate it only for an
   intended report change, and say so in the commit;
-* an oracle or cost call that is handed no table simulates for itself.
+* two tables share nothing, while one table asked twice simulates
+  once: an oracle's verdicts count every question, its table only the
+  misses.
 
 ``REPRO_SANITIZE`` picks the sanitizer mode, as in the rest of the
 battery (the CI ``synth-smoke`` job runs this module under ``strict``):
-the table is bound to one mode, the sanitizer is zero-perturbation, so
+the table carries one mode, the sanitizer is zero-perturbation, so
 the digests — taken with the ``config.sanitize`` field normalised to
 ``off`` — must not move.
 """
@@ -31,6 +33,7 @@ import os
 import pytest
 
 import repro.synth.search as search
+from repro.common.errors import ConfigError
 from repro.common.params import FenceDesign
 from repro.synth import SynthConfig, cost, run_synthesis
 from repro.synth.programs import program_for_spec
@@ -125,17 +128,19 @@ def test_starved_case_ends_exhausted():
     assert entries["W+"]["status"] == "ok"
 
 
-def _sb_oracle(design, table=None):
+def _sb_table() -> search.RunTable:
+    return search.RunTable(FenceDesign.S_PLUS, SANITIZE)
+
+
+def _sb_oracle(table: search.RunTable) -> search.PlacementOracle:
     stripped = program_for_spec("sb").stripped()
     return search.PlacementOracle(
-        stripped, design, tuple(adversary_points(1, 4)),
-        sanitize=SANITIZE, table=table)
+        stripped, table, tuple(adversary_points(1, 4)))
 
 
-def test_oracles_without_a_table_share_nothing(simulated):
+def test_oracles_over_two_tables_share_nothing(simulated):
     placement = parse_placement("t0.i2=sf,t1.i2=sf")
-    first, second = (_sb_oracle(FenceDesign.S_PLUS) for _ in range(2))
-    assert first.table is not second.table
+    first, second = _sb_oracle(_sb_table()), _sb_oracle(_sb_table())
     assert first.check(placement) is None
     assert len(simulated) == first.runs_used == 4
     assert second.check(placement) is None  # simulates all four again
@@ -145,36 +150,38 @@ def test_oracles_without_a_table_share_nothing(simulated):
     assert len(simulated) == 8 and first.runs_used == 8
 
 
-def test_cost_calls_without_a_table_simulate_for_themselves(simulated):
+def test_cost_calls_over_two_tables_share_nothing(simulated):
     program = program_for_spec("sb")
     stripped, sites = program.stripped(), extract_sites(program, "annotated")
-    args = (stripped, parse_placement("t0.i2=sf"), FenceDesign.S_PLUS)
-    cycles = cost.measure_cycles(*args, sanitize=SANITIZE)
-    assert len(simulated) == len(cost.COST_SEEDS)
-    assert cost.measure_cycles(*args, sanitize=SANITIZE) == cycles
+    placement = parse_placement("t0.i2=sf")
+    table = _sb_table()
+    cycles = cost.measure_cycles(stripped, placement, table)
+    assert len(simulated) == len(table.runs) == len(cost.COST_SEEDS)
+    assert cost.measure_cycles(stripped, placement, table) == cycles
+    assert len(simulated) == len(cost.COST_SEEDS)  # the table answered
+    assert cost.measure_cycles(stripped, placement, _sb_table()) == cycles
     assert len(simulated) == 2 * len(cost.COST_SEEDS)
 
     del simulated[:]
-    table = search.RunTable(FenceDesign.S_PLUS, SANITIZE)
-    assert cost.measure_cycles(*args, sanitize=SANITIZE,
-                               table=table) == cycles
-    probes = cost.site_probes(stripped, sites, FenceDesign.S_PLUS, cycles,
-                              sanitize=SANITIZE, table=table)
+    probes = cost.site_probes(stripped, sites, table, cycles)
     assert probes["t0.i2"]["sf"] == 0.0  # the placement just measured
     # two sites x sf, one of them already in the table
-    assert len(simulated) == len(table.runs) == 2 * len(cost.COST_SEEDS)
+    assert len(simulated) == len(cost.COST_SEEDS)
+    assert len(table.runs) == 2 * len(cost.COST_SEEDS)
 
 
-def test_a_table_serves_only_its_own_design_and_mode():
-    table = search.RunTable(FenceDesign.S_PLUS, SANITIZE)
-    assert _sb_oracle(FenceDesign.S_PLUS, table).table is table
-    with pytest.raises(ValueError, match="run table bound to"):
-        _sb_oracle(FenceDesign.W_PLUS, table)
-    other_mode = "warn" if SANITIZE == "off" else "off"
-    with pytest.raises(ValueError, match="run table bound to"):
-        cost.measure_cycles(
-            program_for_spec("sb").stripped(), parse_placement("-"),
-            FenceDesign.S_PLUS, sanitize=other_mode, table=table)
+def test_the_table_carries_the_design_and_mode(simulated):
+    """An oracle judges under its table's design and sanitizer mode
+    (the ``simulated`` fixture checks the mode): a wf placement runs
+    under W+, and S+, which has no wf, refuses it before any run."""
+    oracle = _sb_oracle(search.RunTable(FenceDesign.W_PLUS, SANITIZE))
+    oracle.check(parse_placement("t0.i2=wf,t1.i2=wf"))
+    assert simulated
+    assert {design for _, design, _ in simulated} == {FenceDesign.W_PLUS}
+    runs = len(simulated)
+    with pytest.raises(ConfigError, match="cannot express flavour wf"):
+        _sb_oracle(_sb_table()).check(parse_placement("t0.i2=wf"))
+    assert len(simulated) == runs
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import pytest
 
 from repro.common.params import FenceDesign
 from repro.synth.programs import program_for_spec
-from repro.synth.search import PlacementOracle
+from repro.synth.search import PlacementOracle, RunTable
 from repro.synth.sites import Placement
 from repro.verify.oracles import PAPER_DESIGNS
 from repro.verify.perturb import adversary_points
@@ -35,7 +35,7 @@ DESIGN_IDS = [d.name for d in PAPER_DESIGNS]
 def _double_budget_oracle(design: FenceDesign) -> PlacementOracle:
     stripped = program_for_spec("sb").stripped()
     points = adversary_points(SEED, SEARCH_POINTS * AUDIT_FACTOR)
-    return PlacementOracle(stripped, design, points)
+    return PlacementOracle(stripped, RunTable(design), points)
 
 
 def _entry(design: FenceDesign) -> dict:
@@ -111,9 +111,7 @@ def test_every_legal_weakening_fails(design):
 def test_engine_audit_agrees_with_battery(design):
     """The report's built-in audit block reaches the same verdicts the
     battery derives from scratch (same seed, same factor)."""
-    from tests.synth.util import synth_report as cached
-
-    report = cached("sb", seed=SEED, num_points=SEARCH_POINTS, audit=True)
+    report = synth_report("sb", seed=SEED, num_points=SEARCH_POINTS)
     entry = report.designs[design.value]
     for placement_entry in entry["placements"]:
         audit = placement_entry["audit"]

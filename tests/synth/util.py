@@ -32,17 +32,11 @@ def placement_keys(entry: dict) -> list:
 
 
 @lru_cache(maxsize=None)
-def synth_report(program: str, seed: int = 1, num_points: int = 12,
-                 audit: bool = False):
-    """One cached synthesis of *program* across the paper's designs.
-
-    Audit is off by default: the soundness tests re-verify at double
-    budget themselves, so paying for the engine's built-in audit in
-    every battery module would double the work for no extra coverage.
-    """
+def synth_report(program: str, seed: int = 1, num_points: int = 12):
+    """One cached synthesis of *program* across the paper's designs."""
     config = SynthConfig(
         program=program, designs=PAPER_DESIGNS, seed=seed,
-        num_points=num_points, audit=audit,
+        num_points=num_points,
         # the strict-sanitizer CI lane re-runs the battery with every
         # synthesis run sanitized; placements and costs must not move
         # (the sanitizer is zero-perturbation, docs/SANITIZER.md)

@@ -85,3 +85,16 @@ def test_shape_restriction():
     assert report.fenced_scvs == 0
     assert report.stripped_scvs == 0
     assert report.shrunk is None
+
+
+def test_stripped_random_programs_race():
+    """The stripped trial follows the program, not its shape: a random
+    program with a store→load site races once its fences are gone, and
+    the finding shrinks like any other."""
+    report = run_verification(
+        VerifyConfig(budget=60, seed=12345, shape="random"), out_path=None)
+    assert report.fenced_scvs == 0 and report.violations == []
+    assert report.stripped_scvs >= 1
+    assert {f["shape"] for f in report.scv_findings} == {"random"}
+    assert report.shrunk["converged"]
+    assert report.shrunk["to_ops"] <= report.shrunk["from_ops"]

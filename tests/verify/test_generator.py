@@ -10,9 +10,9 @@ from repro.common.params import FenceRole
 from repro.core import isa as ops
 from repro.synth.programs import NAMED_PROGRAMS, program_for_spec
 from repro.verify.generator import (
-    RACY_SHAPES,
     SHAPES,
     generate_program,
+    store_load_sites,
 )
 
 
@@ -68,7 +68,7 @@ def test_stripped_removes_all_fences():
     bare = prog.stripped()
     assert not bare.has_fences
     assert bare.op_count < prog.op_count
-    assert bare.shape in RACY_SHAPES
+    assert store_load_sites(bare.threads)  # a stripped sb ring can race
     # non-fence ops survive unchanged, in order
     for orig, strip in zip(prog.threads, bare.threads):
         assert [o for o in orig if not isinstance(o, ops.Fence)] == list(strip)

@@ -90,5 +90,4 @@ def test_report_helpers():
         {"busy": 0.5, "fence_stall": 0.25, "other_stall": 0.25}, 1.0,
         width=20)
     assert bar.count("#") == 10 and bar.count("F") == 5
-    assert report.geo_mean([1.0, 4.0]) == pytest.approx(2.0)
     assert report.mean([]) == 0.0
