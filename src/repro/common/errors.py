@@ -68,6 +68,11 @@ class ThreadReplayError(SimulatorError):
     """
 
 
+class CampaignError(SimulatorError):
+    """A farm campaign ended with unproduced jobs (quarantined, or
+    stopped by an error no other class here names)."""
+
+
 class SCViolationError(SimulatorError):
     """An execution was found to violate sequential consistency."""
 
@@ -83,7 +88,8 @@ class SCViolationError(SimulatorError):
 # 3 is retired and must not be reused.  README "CLI exit codes" and
 # docs/SANITIZER.md "Exit codes" restate this table.
 # ----------------------------------------------------------------------
-EXIT_ORACLE = 1      # a correctness oracle failed (SC, conservation, chaos)
+EXIT_ORACLE = 1      # an oracle failed (SC, conservation, chaos) or a
+                     # farm campaign is unhealthy
 EXIT_DEADLOCK = 4    # the simulated machine deadlocked / the watchdog fired
 EXIT_SANITIZER = 5   # protocol-sanitizer violation (strict raise, warn count)
 
@@ -92,4 +98,5 @@ EXIT_BY_ERROR = {
     SanitizerError: (EXIT_SANITIZER, "sanitizer violation"),
     DeadlockError: (EXIT_DEADLOCK, "deadlock"),
     SCViolationError: (EXIT_ORACLE, "SC violation"),
+    CampaignError: (EXIT_ORACLE, "farm campaign unhealthy"),
 }

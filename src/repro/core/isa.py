@@ -179,7 +179,14 @@ class Mark:
 
 
 class Note:
-    """Zero-time, rollback-aware observation channel.
+    """Rollback-aware observation channel, zero-time only under
+    micro-batching.
+
+    With ``batch_cycles > 0`` a note rides in the batch of the op
+    before it and costs no cycle.  With ``batch_cycles = 0`` — every
+    :func:`repro.verify.oracles.run_program` run — the core handles one
+    op per event, so a note is an event of its own and the thread's
+    next op runs one cycle later (``Core._advance``).
 
     The core appends ``payload`` to its notes list when the op is
     *dispatched* — replayed prefixes are not re-dispatched, and a W+

@@ -140,21 +140,17 @@ def run_matrix(
     every job in this process.
 
     The sanitizer mode is resolved here, once
-    (:func:`~repro.sanitizer.core.sanitize_mode`), and written into
-    every job's config, so it is part of the content key: a store
-    never serves a row made under another mode.  ``"off"`` adds
-    nothing, so plain runs keep their keys.
+    (:func:`~repro.sanitizer.core.sanitize_mode`), and
+    :func:`~repro.farm.clients.matrix_campaign` writes it into every
+    job's config, so it is part of the content key: a store never
+    serves a row made under another mode.
     """
-    from repro.farm.clients import campaign_rows
-    from repro.farm.spec import CampaignSpec
+    from repro.farm.clients import campaign_rows, matrix_campaign
     from repro.sanitizer.core import sanitize_mode
 
-    mode = sanitize_mode()
-    spec = CampaignSpec.make(
-        "matrix", names, designs, seeds=[seed],
-        core_counts=list(core_counts) if core_counts else [num_cores],
-        scale=scale, config={"sanitize": mode} if mode != "off" else None,
-    )
+    spec = matrix_campaign(names, designs, [seed],
+                           core_counts or [num_cores], scale,
+                           sanitize=sanitize_mode())
     rows = campaign_rows(farm_db, spec, farm_workers)
     summaries = [RunSummary(**row) for row in rows]
     return {(s.name, s.design, s.num_cores): s for s in summaries}

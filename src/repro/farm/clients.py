@@ -1,10 +1,10 @@
 """Farm clients: the repo's sweeps as durable campaigns.
 
-:func:`campaign_rows` drives a :class:`CampaignSpec` through
-:func:`run_campaign` and hands its rows back in grid order, so each
-sweep (``run_matrix``'s workload grid, the chaos scenario sweep,
-``repro synth``'s designs) only translates its grid into a spec and
-the rows back into its own shape.
+One function per job kind (:func:`matrix_campaign`,
+:func:`chaos_campaign`, :func:`synth_campaign`) makes every campaign,
+so the same work has one content key whichever command submits it,
+and :func:`campaign_rows` runs them all and hands the rows back in
+grid order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import tempfile
 import time
 from typing import List, Optional, Sequence
 
-from repro.common.errors import EXIT_BY_ERROR, ConfigError
+from repro.common.errors import EXIT_BY_ERROR, CampaignError, ConfigError
 from repro.common.params import FenceDesign
 from repro.farm.campaign import collect, run_campaign
 from repro.farm.spec import CampaignSpec
@@ -62,10 +62,9 @@ def campaign_rows(db: Optional[str], spec: CampaignSpec,
     deterministic, so it would raise again on every worker.  A worker
     that dies mid-job is no such error — its lease expires and the job
     runs again.  A campaign that ends with unproduced jobs raises the
-    class its first recorded error names when that is a key of
-    :data:`EXIT_BY_ERROR` (the CLI exit code stays the job's own),
-    else :class:`ConfigError`; the message names the first failed
-    jobs and their errors.
+    first of their recorded error classes that :data:`EXIT_BY_ERROR`
+    maps, else :class:`CampaignError` (exit 1); the message names the
+    first failed jobs and their errors.
     """
     workers = default_farm_workers() if workers is None else workers
     db = store_path(db)
@@ -100,11 +99,41 @@ def campaign_rows(db: Optional[str], spec: CampaignSpec,
         f"/s{job.seed}: {err}" for job, err in failed[:3])
     if len(failed) > 3:
         detail += f"; ... {len(failed) - 3} more"
-    first = failed[0][1].partition(":")[0] if failed else ""
-    cls = next((c for c in EXIT_BY_ERROR if c.__name__ == first),
-               ConfigError)
+    named = {cls.__name__: cls for cls in EXIT_BY_ERROR}
+    cls = next((named[err.partition(":")[0]] for _job, err in failed
+                if err.partition(":")[0] in named), CampaignError)
     raise cls(f"farm campaign {cid}: {len(missing)} unproduced job(s)"
               + detail)
+
+
+def matrix_campaign(workloads: Sequence[str], designs: Sequence,
+                    seeds: Sequence[int], core_counts: Sequence[int],
+                    scale: float, sanitize: str = "off",
+                    max_events: Optional[int] = None) -> CampaignSpec:
+    """A workload grid as ``matrix`` jobs; the config holds only what
+    is set (*sanitize* unless ``"off"``, *max_events*)."""
+    config = {}
+    if sanitize != "off":
+        config["sanitize"] = sanitize
+    if max_events:
+        # an event budget is deterministic (unlike wall time), so a
+        # degraded row is still bit-identical across workers
+        config["budget"] = {"max_events": max_events}
+    return CampaignSpec.make(
+        "matrix", workloads, designs, seeds=seeds,
+        core_counts=core_counts, scale=scale, config=config,
+    )
+
+
+def chaos_campaign(scenarios: Sequence[str], designs: Sequence,
+                   seeds: Sequence[int],
+                   sanitize: str = "strict") -> CampaignSpec:
+    """A chaos sweep as ``chaos`` jobs: fault scenario × design ×
+    injection seed, the mode always in the config."""
+    return CampaignSpec.make(
+        "chaos", scenarios, designs, seeds=seeds, core_counts=[0],
+        scale=0.0, config={"sanitize": sanitize},
+    )
 
 
 def farm_chaos_cases(
@@ -121,11 +150,8 @@ def farm_chaos_cases(
     campaign's workload > design > cores > seed with one core count)."""
     from repro.faults.chaos import _case_from_record
 
-    spec = CampaignSpec.make(
-        "chaos", scenarios, designs, seeds=seeds, core_counts=[0],
-        scale=0.0, config={"sanitize": sanitize},
-    )
-    rows = campaign_rows(db, spec, workers,
+    rows = campaign_rows(db, chaos_campaign(scenarios, designs, seeds,
+                                            sanitize), workers,
                          config=FarmConfig(diag_dir=diag_dir))
     return [_case_from_record(row) for row in rows]
 

@@ -23,7 +23,7 @@ import os
 import subprocess
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.common.params import FenceDesign
@@ -242,16 +242,3 @@ class CampaignSpec:
             config=d.get("config", "{}"),
             code_rev=d.get("code_rev", ""),
         )
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind,
-            "workloads": list(self.workloads),
-            "designs": [FenceDesign[d].value for d in self.designs],
-            "seeds": len(self.seeds),
-            "core_counts": list(self.core_counts),
-            "scale": self.scale,
-            "jobs": (len(self.workloads) * len(self.designs)
-                     * len(self.core_counts) * len(self.seeds)),
-            "code_rev": self.code_rev,
-        }

@@ -74,6 +74,9 @@ class ProgramRun:
     events: list = field(default_factory=list)
     #: {(tid, op_index): value} for every load the program performed
     observed: Dict[Tuple[int, int], int] = field(default_factory=dict)
+    #: each program variable's value in memory when the run ended,
+    #: indexed by variable
+    final: Tuple[int, ...] = ()
 
     @property
     def scv_found(self) -> bool:
@@ -205,6 +208,7 @@ def run_program(
         for _po, payload in core.notes:
             idx, value = payload
             run.observed[(core.core_id, idx)] = value
+    run.final = tuple(machine.image.peek(addr) for addr in addr_map)
     machine.dispose()
     return run
 

@@ -2,9 +2,11 @@
 re-submission is free (content-addressed cache), coordinator restarts
 resume, and the sweeps' clients round-trip through the farm."""
 
+import contextlib
 import dataclasses
 import json
 import os
+import signal
 import sqlite3
 import sys
 import threading
@@ -12,7 +14,12 @@ import time
 
 import pytest
 
-from repro.common.errors import ConfigError
+from repro.common.errors import (
+    CampaignError,
+    ConfigError,
+    DeadlockError,
+    SanitizerError,
+)
 from repro.common.params import FenceDesign
 from repro.farm import campaign as campaign_mod
 from repro.farm import worker as worker_mod
@@ -185,7 +192,7 @@ def test_finished_campaign_forks_no_worker(tmp_path, monkeypatch):
     with FarmStore(poisoned_db) as store:
         assert store.campaign_done(cid)
         assert store.status(cid)["quarantined"] == 1
-    with pytest.raises(ConfigError,
+    with pytest.raises(CampaignError,
                        match="1 unproduced.*RuntimeError: synthetic poison"):
         campaign_rows(poisoned_db, spec, workers=2)
     assert _attempts(poisoned_db, cid) == 2
@@ -281,7 +288,7 @@ def test_poison_job_quarantines_and_campaign_still_finishes(
     from repro.eval.runner import run_matrix
 
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    with pytest.raises(ConfigError,
+    with pytest.raises(CampaignError,
                        match="1 unproduced.*RuntimeError: synthetic poison"):
         run_matrix(["fib"], DESIGNS, num_cores=2, scale=0.06, seed=5,
                    farm_db=db, farm_workers=0)
@@ -358,17 +365,11 @@ def test_a_warm_store_serves_no_plain_row_to_another_sanitize_mode(
 
 
 @pytest.mark.parametrize("kind,workload,env,flag,config", [
-    # matrix: the flag, else REPRO_SANITIZE; an unflagged off adds nothing
+    # the flag, else REPRO_SANITIZE; off adds nothing
     ("matrix", "fib", None, None, {}),
     ("matrix", "fib", "off", None, {}),
     ("matrix", "fib", "strict", None, {"sanitize": "strict"}),
-    ("matrix", "fib", "strict", "off", {"sanitize": "off"}),
-    # chaos keeps its own default (strict) unless flagged, as `repro
-    # chaos` does: the environment never reaches a chaos job
-    ("chaos", "noc_jitter", None, None, {}),
-    ("chaos", "noc_jitter", "off", None, {}),
-    ("chaos", "noc_jitter", "warn", None, {}),
-    ("chaos", "noc_jitter", "strict", "off", {"sanitize": "off"}),
+    ("matrix", "fib", "strict", "off", {}),
 ])
 def test_farm_submit_writes_the_resolved_mode_into_the_config(
         tmp_path, monkeypatch, kind, workload, env, flag, config):
@@ -379,14 +380,152 @@ def test_farm_submit_writes_the_resolved_mode_into_the_config(
     else:
         monkeypatch.setenv("REPRO_SANITIZE", env)
     db = str(tmp_path / "farm.sqlite")
-    argv = ["farm", "submit", "--db", db, "--kind", kind,
+    argv = ["farm", "submit", "--db", db,
             "--workloads", workload, "--designs", "S+", "--seeds", "1"]
     if flag:
         argv += ["--sanitize", flag]
     assert main(argv) == 0
     with FarmStore(db) as store:
         ((_, spec),) = store.campaigns()
+    assert spec.kind == kind
     assert json.loads(spec.config) == config
+
+
+def _stored_jobs(db):
+    from repro.farm.spec import JobSpec
+
+    with FarmStore(db) as store:
+        return {JobSpec.from_json(blob) for (blob,)
+                in store._conn.execute("SELECT spec FROM jobs")}
+
+
+#: fib, S+, 2 cores, scale 0.05, the default seed
+SUBMIT_GRID = ["--workloads", "fib", "--designs", "S+", "--cores", "2",
+               "--scale", "0.05"]
+
+
+@pytest.mark.parametrize("env,flags,sanitize,max_events", [
+    (None, [], "off", None),
+    (None, ["--sanitize", "off"], "off", None),
+    ("off", [], "off", None),
+    (None, ["--sanitize", "strict"], "strict", None),
+    (None, ["--max-events", "500"], "off", 500),
+], ids=["no-mode", "flag-off", "env-off", "flag-strict", "max-events"])
+def test_farm_submit_stores_the_jobs_matrix_campaign_builds(
+        tmp_path, monkeypatch, env, flags, sanitize, max_events):
+    """One key per job: ``farm submit`` and ``run_matrix`` build their
+    grids with the same function, so the same work shares cache rows."""
+    from repro.cli import main
+    from repro.eval.runner import run_matrix
+    from repro.farm.clients import matrix_campaign
+
+    if env is None:
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_SANITIZE", env)
+    db = str(tmp_path / "farm.sqlite")
+    assert main(["farm", "submit", "--db", db, *SUBMIT_GRID,
+                 *flags]) == 0
+    built = matrix_campaign(["fib"], [FenceDesign.S_PLUS], [12345], [2],
+                            0.05, sanitize=sanitize, max_events=max_events)
+    assert _stored_jobs(db) == set(built.expand())
+    if sanitize == "off" and max_events is None:
+        matrix_db = str(tmp_path / "matrix.sqlite")
+        run_matrix(["fib"], [FenceDesign.S_PLUS], num_cores=2, scale=0.05,
+                   farm_db=matrix_db, farm_workers=0)
+        assert _stored_jobs(matrix_db) == _stored_jobs(db)
+
+
+# ----------------------------------------------------------------------
+# one exit code per failure, whichever command drives the campaign
+# ----------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _deadline(secs=60):
+    """Fail a command that hangs instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {secs} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(secs)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _exits(capsys, argv, code, *markers):
+    from repro.cli import main
+
+    with _deadline():
+        got = main(argv)
+    err = capsys.readouterr().err
+    assert got == code, err
+    for marker in markers:
+        assert marker in err
+
+
+@pytest.mark.parametrize("exc,code", [
+    (SanitizerError("synthetic violation"), 5),
+    (DeadlockError("synthetic deadlock"), 4),
+], ids=["sanitizer", "deadlock"])
+def test_a_failing_job_exits_with_its_code_from_every_command(
+        tmp_path, monkeypatch, capsys, exc, code):
+    from repro.farm import exec as exec_mod
+
+    def failing(job, diag_dir=None):
+        raise exc
+
+    monkeypatch.setitem(exec_mod.EXECUTORS, "matrix", failing)
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.setenv("REPRO_FARM_WORKERS", "0")
+    named = f"fib/S+/2c/s12345: {type(exc).__name__}: {exc}"
+    _exits(capsys, ["table", "4", "--scale", "0.05", "--cores", "2"],
+           code, named)
+    for workers in ("0", "2"):  # inline, then a pool that must stop
+        db = str(tmp_path / f"farm{workers}.sqlite")
+        _exits(capsys, ["farm", "submit", "--db", db, *SUBMIT_GRID,
+                        "--run", "--workers", workers], code, named)
+        with FarmStore(db) as store:
+            ((cid, _),) = store.campaigns()
+        _exits(capsys, ["farm", "resume", "--db", db, cid,
+                        "--workers", workers], code, named)
+
+
+@pytest.mark.parametrize("command", ["resume", "table"])
+def test_a_job_quarantined_by_expired_leases_exits_1(
+        tmp_path, monkeypatch, capsys, command):
+    """Three workers that died holding a job's lease quarantine it at
+    the next claim: the campaign is unhealthy (1), not misused (2)."""
+    from repro.eval.tables import TABLE4_APPS
+    from repro.farm import exec as exec_mod
+    from repro.farm.clients import matrix_campaign
+
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    monkeypatch.setenv("REPRO_FARM_DB", str(tmp_path / "farm.sqlite"))
+    monkeypatch.setenv("REPRO_FARM_WORKERS", "0")
+    # the first campaign `table 4` submits: its cilk grid
+    spec = matrix_campaign(
+        TABLE4_APPS["cilk"],
+        [FenceDesign.S_PLUS, FenceDesign.WS_PLUS, FenceDesign.W_PLUS,
+         FenceDesign.WEE], [12345], [2], 0.05)
+    with FarmStore(os.environ["REPRO_FARM_DB"]) as store:
+        cid, _ = store.submit_campaign(spec)
+        key, _ = store.claim(cid, "w1", lease_secs=0.0)
+        for worker in ("w2", "w3"):
+            claimed = store.claim(cid, worker, lease_secs=0.0,
+                                  now=time.time() + 0.001)
+            assert claimed[0] == key
+    # every other job produces a row at once
+    monkeypatch.setitem(exec_mod.EXECUTORS, "matrix",
+                        lambda job, diag_dir=None: {"seed": job.seed})
+    argv = (["farm", "resume", cid] if command == "resume"
+            else ["table", "4", "--scale", "0.05", "--cores", "2"])
+    _exits(capsys, argv, 1, "farm campaign unhealthy",
+           "1 unproduced job(s)", "lease-expired")
+    with FarmStore(os.environ["REPRO_FARM_DB"]) as store:
+        assert store.status(cid)["quarantined"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,8 @@ from repro.cli import main
 from repro.common.params import FenceDesign
 from repro.farm import worker as worker_mod
 from repro.farm.clients import synth_campaign
-from repro.farm.store import FarmStore
 from repro.sim.governor import RunBudget
-from repro.synth import SynthConfig, run_synthesis
+from repro.synth import SynthConfig
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -126,19 +125,6 @@ def test_budget_and_points_are_part_of_every_job_key():
     for other in (_keys(config, RunBudget(max_wall_secs=300.0)),
                   _keys(dataclasses.replace(config, num_points=4))):
         assert other.isdisjoint(base)
-
-
-def test_farm_submit_kind_synth_stores_the_direct_entry(tmp_path):
-    db = str(tmp_path / "farm.sqlite")
-    assert main(["farm", "submit", "--db", db, "--kind", "synth",
-                 "--workloads", "sb", "--designs", "S+", "--seeds", "1",
-                 "--seed-base", "1", "--run", "--workers", "0"]) == 0
-    with FarmStore(db) as store:
-        ((cid, _),) = store.campaigns()
-        (row,) = store.rows(cid).values()
-    direct = run_synthesis(SynthConfig(
-        program="sb", designs=(FenceDesign.S_PLUS,), seed=1))
-    assert row["entry"] == direct.designs["S+"]
 
 
 def test_exit_codes_keep_their_meaning(capsys):

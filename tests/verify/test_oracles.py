@@ -4,14 +4,20 @@ import pytest
 
 from repro.common.params import FenceDesign
 from repro.common.stats import MachineStats
-from repro.verify.generator import generate_program
+from repro.core import isa as ops
+from repro.synth.programs import sb
+from repro.verify.generator import LitmusProgram, generate_program
 from repro.verify.oracles import (
     PAPER_DESIGNS,
     ProgramRun,
     check_invariants,
     run_program,
 )
-from repro.verify.perturb import SchedulePoint
+from repro.verify.perturb import (
+    SchedulePoint,
+    adversary_points,
+    schedule_points,
+)
 
 
 def _sb2(seed=0):
@@ -152,3 +158,40 @@ def test_inv_racing_bs_insertion_replays_the_load():
     run = run_program(prog, FenceDesign.W_PLUS, _REPLAY_POINT)
     assert check_invariants(run) == []
     assert not run.scv_found
+
+
+# ----------------------------------------------------------------------
+# final memory: an outcome is the loads and what memory holds at the end
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("design", list(FenceDesign))
+def test_sb_ends_with_every_store_in_memory(design):
+    """v0/v1 are the flags, v2/v3 the two threads' cold pads (7, 9)."""
+    run = run_program(sb(), design)
+    assert run.completed
+    assert run.final == (1, 1, 7, 9)
+
+
+def _two_plus_two_w() -> LitmusProgram:
+    """2+2W: [St v0=1; St v1=2] || [St v1=1; St v0=2], no fence."""
+    return LitmusProgram(
+        name="2+2w", shape="2+2w", num_vars=2,
+        threads=((ops.Store(0, 1), ops.Store(1, 2)),
+                 (ops.Store(1, 1), ops.Store(0, 2))),
+        warm_vars=(0, 1),
+    )
+
+
+@pytest.mark.parametrize("design", list(FenceDesign))
+def test_2plus2w_never_ends_with_both_first_stores_last(design):
+    """TSO keeps each thread's stores in order, so final memory (1, 1)
+    — both threads' first store performed after the other's second —
+    would be a store-order bug that no load can observe."""
+    points = schedule_points(1, 6) + adversary_points(1, 6)
+    finals = set()
+    for point in points:
+        run = run_program(_two_plus_two_w(), design, point)
+        assert run.completed, point
+        assert run.final != (1, 1), point
+        finals.add(run.final)
+    assert finals <= {(1, 2), (2, 1), (2, 2)}

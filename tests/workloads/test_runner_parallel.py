@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.common.errors import ConfigError
+from repro.common.errors import CampaignError, ConfigError
 from repro.common.params import FenceDesign
 from repro.eval import figures
 from repro.eval.runner import run_matrix
@@ -51,9 +51,10 @@ def test_parallel_results_identical_to_serial():
 
 
 def test_failing_job_surfaces_from_the_pool():
-    """A job that raises stops the campaign and names its error; it
-    must not hang the pool."""
-    with pytest.raises(ConfigError, match="KeyError: 'no-such-workload'"):
+    """A job that raises stops the campaign and names its error (an
+    unhealthy campaign, exit 1); it must not hang the pool."""
+    with pytest.raises(CampaignError,
+                       match="KeyError: 'no-such-workload'"):
         run_matrix(["no-such-workload", "fib"], [FenceDesign.S_PLUS],
                    num_cores=2, scale=0.06, farm_workers=2)
 
