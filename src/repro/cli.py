@@ -291,7 +291,8 @@ def cmd_verify(args) -> int:
 
 
 def _designs_list(value: str):
-    """Parse an 'all'-or-comma-list designs argument.  An unknown name
+    """Parse an 'all'-or-comma-list designs argument.  An unknown name,
+    or a design named twice (a report holds one entry per design),
     raises argparse.ArgumentTypeError, which ``main()`` reports as a
     usage error."""
     from repro.verify.oracles import PAPER_DESIGNS
@@ -303,6 +304,10 @@ def _designs_list(value: str):
     )
     if not designs:
         raise argparse.ArgumentTypeError("no designs given")
+    for i, design in enumerate(designs):
+        if design in designs[:i]:
+            raise argparse.ArgumentTypeError(
+                f"design {design} given more than once in {value!r}")
     return designs
 
 

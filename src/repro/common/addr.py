@@ -60,11 +60,6 @@ class AddressMap:
     def words_per_line(self) -> int:
         return self.line_bytes // self.word_bytes
 
-    def words_in_line(self, line_addr: int):
-        """All word addresses belonging to *line_addr*."""
-        base = self.line_of(line_addr)
-        return range(base, base + self.line_bytes, self.word_bytes)
-
     # --- NUMA home mapping --------------------------------------------
 
     def home_bank(self, addr: int) -> int:

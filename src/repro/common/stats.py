@@ -214,11 +214,6 @@ class MachineStats:
         return self.bs_occupancy_sum / self.bs_occupancy_count
 
     @property
-    def max_bs_lines(self) -> int:
-        """Largest BS occupancy ever sampled (exact, cap-independent)."""
-        return self.bs_occupancy_max
-
-    @property
     def bounces_per_wf(self) -> float:
         wf = self.total_wf
         return self.bounced_writes / wf if wf else 0.0
@@ -250,13 +245,6 @@ class MachineStats:
             out["fence_stall"] += b.fence_stall
             out["other_stall"] += b.other_stall
         return out
-
-    @property
-    def fence_stall_fraction(self) -> float:
-        """Fence-stall cycles as a fraction of all accounted cycles."""
-        t = self.total_breakdown()
-        total = t["busy"] + t["fence_stall"] + t["other_stall"]
-        return t["fence_stall"] / total if total else 0.0
 
     def to_dict(self) -> Dict[str, object]:
         """Every counter as one JSON-serializable dict.

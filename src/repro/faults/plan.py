@@ -101,10 +101,6 @@ class FaultPlan:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        return cls(**data)
-
 
 #: Built-in scenario catalog: name -> knob overrides.  Rates are chosen
 #: so litmus-sized chaos runs see several injections per run while all

@@ -415,7 +415,3 @@ class DirectoryBank:
 
     def dir_state(self, line: int) -> DirEntry:
         return self._entry(line)
-
-    @property
-    def busy_lines(self) -> Set[int]:
-        return set(self._busy)

@@ -65,9 +65,6 @@ class MemoryImage:
         self.write(word_addr, new, core)
         return old, new
 
-    def last_writer(self, word_addr: int) -> WriteTag:
-        return self._writers.get(word_addr, INIT_TAG)
-
     def peek(self, word_addr: int) -> int:
         """Read without notifying the observer (for debugging/tests)."""
         return self._words.get(word_addr, 0)

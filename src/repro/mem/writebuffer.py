@@ -98,11 +98,6 @@ class WriteBuffer:
 
     # --- TSO forwarding ---------------------------------------------------
 
-    def forward(self, word: int) -> Optional[int]:
-        """Value of the newest buffered store to *word*, if any."""
-        entry = self.forward_entry(word)
-        return entry.value if entry is not None else None
-
     def forward_entry(self, word: int) -> Optional[StoreEntry]:
         """Newest buffered entry to *word* (the forwarding source), if
         any — callers that record dependences need the entry's po."""
@@ -112,9 +107,6 @@ class WriteBuffer:
             if entry.word == word:
                 return entry
         return None
-
-    def has_word(self, word: int) -> bool:
-        return any(e.word == word for e in self._entries)
 
     # --- fence support ------------------------------------------------------
 
@@ -126,9 +118,6 @@ class WriteBuffer:
         id (and hence, FIFO order, all older ones) has merged.
         """
         return self._entries[-1].store_id if self._entries else 0
-
-    def contains_id(self, store_id: int) -> bool:
-        return any(e.store_id == store_id for e in self._entries)
 
     def entries_upto(self, store_id: int) -> List[StoreEntry]:
         """All buffered entries with id <= *store_id* (the pre-fence set)."""

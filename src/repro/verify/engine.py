@@ -6,7 +6,11 @@ point).  The engine spends its budget alternating two kinds of trial:
 * **fenced trials** — every generated program runs under every design
   in the config; any oracle violation (SCV under correct fences,
   deadlock with recovery enabled, livelock, recovery leaving a non-SC
-  state) is a finding against the paper's claims;
+  state) is a finding against the paper's claims.  The designs for
+  which the program is :func:`~repro.verify.oracles.design_inert`
+  share one simulation: the first of them runs it, the others get
+  that run relabelled with their design, so every trial still counts
+  and reports exactly as its own run would;
 * **stripped trials** — the same program with its fences deleted runs
   under the baseline design, when it has a store→load site to race on
   (:func:`~repro.verify.generator.store_load_sites`); an SCV here is
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.params import FenceDesign
@@ -35,6 +39,7 @@ from repro.verify.generator import (
 from repro.verify.oracles import (
     PAPER_DESIGNS,
     check_invariants,
+    design_inert,
     run_program,
 )
 from repro.verify.perturb import SchedulePoint, schedule_points
@@ -177,10 +182,16 @@ def run_verification(config: VerifyConfig,
         prog_idx += 1
 
         # fenced trials: the paper's invariants must hold everywhere
+        inert_run = None  # simulated once, relabelled for each design
         for design in config.designs:
             if report.runs >= config.budget:
                 break
-            run = run_program(program, design, point)
+            if not design_inert(program, design):
+                run = run_program(program, design, point)
+            elif inert_run is None:
+                run = inert_run = run_program(program, design, point)
+            else:
+                run = replace(inert_run, design=design)
             report.runs += 1
             row = report.per_design[str(design)]
             row["runs"] += 1

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import DeadlockError, SanitizerError, SimulatorError
-from repro.common.params import FenceDesign
+from repro.common.params import FenceDesign, FenceFlavour, flavour_for
 from repro.common.stats import MachineStats
 from repro.core import isa as ops
 from repro.sim.machine import Machine
@@ -47,6 +47,12 @@ PAPER_DESIGNS = (
 
 #: warmup alignment compute block
 WARMUP_COMPUTE = 1600
+
+#: the designs that run an sf exactly as S+ does (Table 1: WS+ and SW+
+#: add machinery only to the wf)
+_CONVENTIONAL_SF_DESIGNS = frozenset(
+    {FenceDesign.S_PLUS, FenceDesign.WS_PLUS, FenceDesign.SW_PLUS}
+)
 
 
 @dataclass
@@ -211,6 +217,37 @@ def run_program(
     run.final = tuple(machine.image.peek(addr) for addr in addr_map)
     machine.dispose()
     return run
+
+
+def design_inert(program: LitmusProgram, design: FenceDesign) -> bool:
+    """Does *program*'s run at any point not depend on *design*?
+
+    True when the program has no fence, or when *design* is S+, WS+ or
+    SW+ and every fence role maps to the sf under it.  This is exact:
+    the designs differ only through a wf (its BS, Order promotion,
+    checkpoint), a bounce (which needs a remote BS entry, so a wf), a
+    W+ recovery (which needs a bounce), a Wee load check (which stalls
+    only while a fence is pending) and a non-default ``sf_base_cost``
+    (l-mf) or strong-fence protocol (C-fence).  A fenceless program
+    executes none of these under any design, and S+, WS+ and SW+ run
+    an sf through the same core path at the same base cost.  So two
+    designs for which one program is design-inert produce the same
+    ``ProgramRun`` at the same point, field for field, apart from its
+    ``design`` label: callers may simulate it once and relabel it with
+    ``dataclasses.replace(run, design=...)``.
+
+    Scope: a run with no sanitizer attached (its checks are per
+    design, and a strict one ends the run at a design-specific
+    violation) and no fault other than the schedule point's own NoC
+    jitter (``point.injector()``, whose delays hit the same messages
+    under every design; chaos faults bounce, time out and recover).
+    """
+    roles = {op.role for body in program.threads for op in body
+             if isinstance(op, ops.Fence)}
+    if not roles:
+        return True
+    return design in _CONVENTIONAL_SF_DESIGNS and all(
+        flavour_for(design, role) is FenceFlavour.SF for role in roles)
 
 
 def check_invariants(run: ProgramRun) -> List[str]:

@@ -59,7 +59,7 @@ def test_legal_knobs_are_budget_or_magnitude_bounded():
 def test_plan_round_trips_through_dict():
     for name in SCENARIOS:
         plan = make_plan(name, 42)
-        assert FaultPlan.from_dict(plan.to_dict()) == plan
+        assert FaultPlan(**plan.to_dict()) == plan
 
 
 def test_drop_cycles_exceed_any_verify_horizon():

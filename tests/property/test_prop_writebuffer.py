@@ -35,7 +35,8 @@ def test_forwarding_returns_newest_matching_value(program, probe):
     for word, value in program:
         if word == probe:
             expected = value
-    assert wb.forward(probe) == expected
+    entry = wb.forward_entry(probe)
+    assert (entry.value if entry is not None else None) == expected
 
 
 @given(programs, st.integers(min_value=0, max_value=39))
@@ -73,8 +74,9 @@ def test_forwarding_equivalent_to_sequential_memory(program):
         wb.push(word, value, line=word - word % 32)
         history[word] = value
         # the thread's own view: WB forwarding first, then memory
-        view = wb.forward(word)
-        assert (view if view is not None else memory.get(word)) == value
+        entry = wb.forward_entry(word)
+        assert (entry.value if entry is not None
+                else memory.get(word)) == value
     while not wb.empty:
         e = wb.pop_head()
         memory[e.word] = e.value

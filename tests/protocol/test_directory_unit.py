@@ -157,7 +157,7 @@ def test_busy_line_serializes_requests():
         bank.receive(txn)
     queue.run()
     assert order == [1, 2]
-    assert not bank.busy_lines
+    assert not bank._busy
 
 
 def test_putm_clears_ownership_and_fills_l2():

@@ -79,6 +79,27 @@ def test_usage_error_exits_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--designs", "S+,S+", "--budget", "10", "--no-shrink",
+     "--out", "-"),
+    ("synth", "--program", "sb", "--designs", "S+,S+", "--points", "2",
+     "--farm-workers", "0", "--out", "-"),
+    ("chaos", "--scenarios", "noc_jitter", "--designs", "W+,wplus",
+     "--seeds", "1", "--farm-workers", "0", "--out", "-"),
+    ("farm", "submit", "--db", "{db}", "--workloads", "fib",
+     "--designs", "S+,WS+,S+"),
+], ids=["verify", "synth", "chaos-alias", "farm-submit"])
+def test_a_design_named_twice_is_a_usage_error(capsys, tmp_path, argv):
+    """Regression: a repeated design ran every one of its runs twice
+    and counted them into a report holding one entry for it (synth
+    printed "oracle verdicts: 56" for a report of 28)."""
+    db = str(tmp_path / "farm.sqlite")
+    code, out, err = run_cli(capsys, *(a.format(db=db) for a in argv))
+    assert code == 2
+    assert "given more than once" in err
+    assert "verdicts" not in out and "runs over" not in out
+
+
 def test_bad_sanitize_mode_is_a_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         cli.main([*RUN_ARGS, "--sanitize", "paranoid"])

@@ -3,17 +3,27 @@
 from repro.mem.memory import INIT_TAG, MemoryImage
 
 
+def _observed_tags(img):
+    """The writer tag every load reports to the image's observer."""
+    tags = []
+    img.observer = lambda kind, core, word, value, tag: (
+        tags.append(tag) if kind == "load" else None)
+    return tags
+
+
 def test_untouched_memory_reads_zero():
     img = MemoryImage()
+    tags = _observed_tags(img)
     assert img.read(0x1000) == 0
-    assert img.last_writer(0x1000) == INIT_TAG
+    assert tags == [INIT_TAG]
 
 
 def test_write_then_read():
     img = MemoryImage()
+    tags = _observed_tags(img)
     tag = img.write(0x40, 7, core=2)
     assert img.read(0x40) == 7
-    assert img.last_writer(0x40) == tag
+    assert tags == [tag]
     assert tag[0] == 2
 
 

@@ -12,7 +12,7 @@ def test_breakdown_accumulates_per_core():
     assert s.breakdown[1].total == 3
     t = s.total_breakdown()
     assert t == {"busy": 10, "fence_stall": 5, "other_stall": 3}
-    assert abs(s.fence_stall_fraction - 5 / 18) < 1e-12
+    assert t["fence_stall"] / sum(t.values()) == 5 / 18
 
 
 def test_per_kilo_inst_rates():
@@ -82,7 +82,7 @@ def test_bs_sampling_is_bounded_but_aggregates_stay_exact():
     assert s.bs_occupancy_count == n
     assert s.bs_occupancy_sum == sum(values)
     assert s.mean_bs_lines == sum(values) / n
-    assert s.max_bs_lines == 6
+    assert s.bs_occupancy_max == 6
     # the retained list is a uniformly-strided subsample of the stream
     assert set(s.bs_occupancy_samples) <= set(values)
 
@@ -97,7 +97,7 @@ def test_bs_sampling_mean_not_derived_from_retained_list():
     for i in range(n):
         s.sample_bs_occupancy(0 if i < n // 2 else 10)
     assert s.mean_bs_lines == 5.0
-    assert s.max_bs_lines == 10
+    assert s.bs_occupancy_max == 10
 
 
 def test_bs_sampling_below_cap_retains_everything():

@@ -33,10 +33,9 @@ def test_forwarding_newest_value_wins():
     push(wb, 0x20, 1)
     push(wb, 0x40, 2)
     push(wb, 0x20, 3)
-    assert wb.forward(0x20) == 3
-    assert wb.forward(0x40) == 2
-    assert wb.forward(0x80) is None
-    assert wb.has_word(0x20) and not wb.has_word(0x80)
+    assert wb.forward_entry(0x20).value == 3
+    assert wb.forward_entry(0x40).value == 2
+    assert wb.forward_entry(0x80) is None
 
 
 def test_newest_store_id_marks_fence_boundary():
@@ -45,7 +44,7 @@ def test_newest_store_id_marks_fence_boundary():
     e1 = push(wb, 0x20)
     e2 = push(wb, 0x40)
     assert wb.newest_store_id() == e2.store_id
-    assert wb.contains_id(e1.store_id)
+    assert e1 in wb.snapshot()
     assert wb.entries_upto(e1.store_id) == [e1]
     assert wb.entries_upto(e2.store_id) == [e1, e2]
 

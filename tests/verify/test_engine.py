@@ -1,12 +1,26 @@
 """The exploration engine: acceptance campaign, report, budget."""
 
+import hashlib
 import json
+import os
 
 import pytest
 
 from repro.common.params import FenceDesign
 from repro.verify.engine import VerifyConfig, run_verification
 from repro.verify.oracles import PAPER_DESIGNS
+
+#: sha256 of the report bytes, one per campaign in :data:`PINNED`;
+#: taken before verify shared design-inert runs between designs
+#: (``PYTHONPATH=src python -m tests.verify.test_engine`` prints it)
+PINNED_TABLE = os.path.join(os.path.dirname(__file__), "report_pinned.json")
+
+#: campaign id -> config; ``acceptance`` is the fixture's campaign
+PINNED = {
+    **{f"seed={seed}": VerifyConfig(budget=250, shrink=False, seed=seed)
+       for seed in (1, 7, 12345)},
+    "acceptance": VerifyConfig(budget=200),
+}
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +112,28 @@ def test_stripped_random_programs_race():
     assert {f["shape"] for f in report.scv_findings} == {"random"}
     assert report.shrunk["converged"]
     assert report.shrunk["to_ops"] <= report.shrunk["from_ops"]
+
+
+def _digest(report) -> str:
+    blob = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_reports_equal_the_pinned_bytes(case, acceptance_report):
+    """Sharing a design-inert run between designs, or any other
+    change that claims to keep verdicts, moves no report byte."""
+    with open(PINNED_TABLE) as fh:
+        pinned = json.load(fh)
+    if case == "acceptance":
+        report = acceptance_report[0]
+    else:
+        report = run_verification(PINNED[case], out_path=None)
+    assert _digest(report) == pinned[case]
+
+
+if __name__ == "__main__":
+    print(json.dumps(
+        {case: _digest(run_verification(config, out_path=None))
+         for case, config in PINNED.items()},
+        indent=2))
