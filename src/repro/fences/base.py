@@ -63,6 +63,12 @@ class FencePolicy:
     #: a callable(resume) replacing the conventional strong-fence stall
     #: (C-fence overrides with its centralized-table protocol)
     custom_strong_fence = None
+    #: an sf runs the core's default path at the default base cost, and
+    #: nothing but a wf reaches this design's machinery — so a program
+    #: whose every fence is an sf here runs exactly as under S+
+    #: (:func:`repro.verify.oracles.design_inert`).  False wherever a
+    #: subclass changes the sf path or adds machinery outside a wf.
+    conventional_sf = True
 
     # --- static synthesis metadata (repro.synth) ----------------------
     #: fence flavours this design can express at a synthesis site (S+

@@ -123,6 +123,7 @@ class _CFence:
 
 class CFencePolicy(FencePolicy):
     design = FenceDesign.CFENCE
+    conventional_sf = False  # custom_strong_fence replaces the stall
 
     def custom_strong_fence(self, resume: Callable[[], None]) -> None:
         """Replace the conventional stall with the C-fence protocol."""

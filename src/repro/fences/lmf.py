@@ -34,6 +34,7 @@ LMF_FAST_CYCLES = 4
 
 class LocationFencePolicy(FencePolicy):
     design = FenceDesign.LMF
+    conventional_sf = False  # sf_base_cost depends on the location
 
     def sf_base_cost(self) -> int:
         core = self.core

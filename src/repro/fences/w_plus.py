@@ -34,6 +34,7 @@ class WPlusPolicy(FencePolicy):
     design = FenceDesign.W_PLUS
     needs_checkpoint = True
     needs_deadlock_monitor = True
+    conventional_sf = False  # checkpoints, recovery, storm demotion
     # synthesis: every fence is a wf (recovery tolerates all-wf
     # groups); sf behaviour only ever appears dynamically, via the
     # recovery drain or the storm-demotion monitor

@@ -34,6 +34,7 @@ from repro.fences.base import FencePolicy, PendingFence
 
 class WeeFencePolicy(FencePolicy):
     design = FenceDesign.WEE
+    conventional_sf = False  # load_stall_check and GRT demotion
     # synthesis: WeeFence is placed as a wf everywhere; the GRT
     # confinement rule demotes individual dynamic instances to sf
     synth_flavours = (FenceFlavour.WF,)

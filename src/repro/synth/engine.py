@@ -115,8 +115,8 @@ class SynthReport:
     designs: "Dict[str, dict]" = field(default_factory=dict)
     #: oracle verdicts delivered (search + audit)
     total_runs: int = 0
-    #: simulator runs made (search + audit + cost; a design-inert run
-    #: once for all designs) — not in ``to_dict()``
+    #: simulator runs made (run-table misses; search + audit + cost) —
+    #: not in ``to_dict()``
     simulated_runs: int = 0
 
     @property
@@ -231,14 +231,14 @@ def _rank_key(entry: dict):
 
 
 def _synth_one_design(
-    table: RunTable,
+    design: FenceDesign,
     stripped: LitmusProgram,
     sites: Tuple[FenceSite, ...],
     config: SynthConfig,
     deadline,
-) -> Tuple[dict, int]:
-    """Search + audit + cost for ``table.design``; returns (entry,
-    oracle verdicts delivered).
+) -> Tuple[dict, int, int]:
+    """Search + audit + cost for one design; returns (entry, oracle
+    verdicts delivered, simulator runs made).
 
     The search and the audit are a CEGAR loop: a minimum the search
     accepts but the double-budget audit rejects means the search's
@@ -247,11 +247,11 @@ def _synth_one_design(
     from the finite audit set, so on a clean exit every reported
     minimum passes the *full* audit set.
 
-    Every round, the audit and the cost sweep share *table*, which
-    dies with this call; a verdict it already holds the run for is
-    still a verdict against ``max_runs``.
+    Every round, the audit and the cost sweep share one
+    :class:`RunTable`, which dies with this call; a verdict it already
+    holds the run for is still a verdict against ``max_runs``.
     """
-    design = table.design
+    table = RunTable(design, config.sanitize)
     audit_points = adversary_points(
         config.seed, config.num_points * AUDIT_FACTOR)
     points = list(adversary_points(config.seed, config.num_points))
@@ -303,7 +303,7 @@ def _synth_one_design(
         "placements": [],
     }
     if outcome.status != "ok" or not outcome.minima:
-        return entry, runs
+        return entry, runs, len(table.runs)
 
     baseline = cost_mod.measure_cycles(stripped, Placement.empty(), table)
     entry["baseline_cycles"] = baseline
@@ -324,7 +324,7 @@ def _synth_one_design(
     entry["placements"].sort(key=_rank_key)
     for rank, placement_entry in enumerate(entry["placements"], start=1):
         placement_entry["rank"] = rank
-    return entry, runs
+    return entry, runs, len(table.runs)
 
 
 def _deadline_from_budget(budget: Optional[RunBudget]):
@@ -345,11 +345,6 @@ def run_synthesis(
     *budget* (a :class:`RunBudget`; None runs unbounded) bounds the
     call by its wall-clock leg; *progress* is an optional
     ``callable(design_value, entry)`` fired as each design completes.
-
-    Each design keeps its own :class:`RunTable`; the tables share one
-    store of design-inert runs (``repro.verify.oracles.design_inert``),
-    which dies with the call, so such a run is simulated once for all
-    the designs that ask for it.
 
     Nothing is checkpointed here: ``repro synth`` runs each design as
     one farm job (:func:`repro.farm.clients.farm_synthesis`), and the
@@ -377,8 +372,6 @@ def run_synthesis(
             "sites": [s.label() for s in sites],
         },
     )
-    # design-inert runs, simulated once for every design's table
-    shared: Dict = {}
     for design in config.designs:
         if deadline is not None and deadline():
             report.designs[design.value] = {
@@ -390,12 +383,11 @@ def run_synthesis(
                 "failure": None,
             }
             continue
-        table = RunTable(design, config.sanitize, shared)
-        entry, runs = _synth_one_design(
-            table, stripped, sites, config, deadline)
+        entry, runs, simulated = _synth_one_design(
+            design, stripped, sites, config, deadline)
         report.designs[design.value] = entry
         report.total_runs += runs
-        report.simulated_runs += table.simulated
+        report.simulated_runs += simulated
         if progress is not None:
             progress(design.value, entry)
     return report

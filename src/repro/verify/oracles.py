@@ -31,6 +31,7 @@ from repro.common.errors import DeadlockError, SanitizerError, SimulatorError
 from repro.common.params import FenceDesign, FenceFlavour, flavour_for
 from repro.common.stats import MachineStats
 from repro.core import isa as ops
+from repro.fences.base import policy_class
 from repro.sim.machine import Machine
 from repro.sim.scv import find_scv
 from repro.verify.generator import LitmusProgram
@@ -47,12 +48,6 @@ PAPER_DESIGNS = (
 
 #: warmup alignment compute block
 WARMUP_COMPUTE = 1600
-
-#: the designs that run an sf exactly as S+ does (Table 1: WS+ and SW+
-#: add machinery only to the wf)
-_CONVENTIONAL_SF_DESIGNS = frozenset(
-    {FenceDesign.S_PLUS, FenceDesign.WS_PLUS, FenceDesign.SW_PLUS}
-)
 
 
 @dataclass
@@ -222,8 +217,9 @@ def run_program(
 def design_inert(program: LitmusProgram, design: FenceDesign) -> bool:
     """Does *program*'s run at any point not depend on *design*?
 
-    True when the program has no fence, or when *design* is S+, WS+ or
-    SW+ and every fence role maps to the sf under it.  This is exact:
+    True when the program has no fence, or when *design*'s policy runs
+    a conventional sf (``FencePolicy.conventional_sf``: S+, WS+ and
+    SW+) and every fence role maps to the sf under it.  This is exact:
     the designs differ only through a wf (its BS, Order promotion,
     checkpoint), a bounce (which needs a remote BS entry, so a wf), a
     W+ recovery (which needs a bounce), a Wee load check (which stalls
@@ -246,7 +242,7 @@ def design_inert(program: LitmusProgram, design: FenceDesign) -> bool:
              if isinstance(op, ops.Fence)}
     if not roles:
         return True
-    return design in _CONVENTIONAL_SF_DESIGNS and all(
+    return policy_class(design).conventional_sf and all(
         flavour_for(design, role) is FenceFlavour.SF for role in roles)
 
 

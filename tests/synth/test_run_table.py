@@ -3,14 +3,10 @@
 A run is a pure function of (program, design, point, sanitizer mode),
 so one design's synthesis keeps a ``(program, point) -> ProgramRun``
 table (:class:`repro.synth.search.RunTable`) shared by its search
-rounds, its audit and its cost sweep.  A design-inert run
-(``repro.verify.oracles.design_inert``) does not depend on the design
-at all, so without a sanitizer the tables of one call simulate it once
-between them.  Three things are pinned here:
+rounds, its audit and its cost sweep.  Three things are pinned here:
 
-* inside one ``run_synthesis`` call nothing is simulated twice — a
-  design-inert (program, point) not even under two designs — and
-  nothing survives the call: a second identical call simulates as
+* inside one ``run_synthesis`` call nothing is simulated twice, and
+  nothing survives the call — a second identical call simulates as
   many runs as the first (``test_determinism`` keeps comparing two
   real computations);
 * the table changes no verdict, count or report byte: sha256 of
@@ -42,7 +38,7 @@ from repro.common.params import FenceDesign
 from repro.synth import SynthConfig, cost, run_synthesis
 from repro.synth.programs import program_for_spec
 from repro.synth.sites import extract_sites
-from repro.verify.oracles import PAPER_DESIGNS, design_inert
+from repro.verify.oracles import PAPER_DESIGNS
 from repro.verify.perturb import adversary_points
 
 from tests.synth.util import parse_placement
@@ -99,13 +95,6 @@ def test_nothing_is_simulated_twice_and_nothing_survives(program, simulated):
     runs = list(simulated)
     assert len(set(runs)) == len(runs), "a run was simulated twice"
     assert {design for _, design, _ in runs} == set(PAPER_DESIGNS)
-    inert = [(p, pt) for p, design, pt in runs if design_inert(p, design)]
-    assert inert, "the sample shares nothing"
-    if SANITIZE == "off":
-        assert len(set(inert)) == len(inert), \
-            "a design-inert run was simulated under two designs"
-    else:  # a sanitizer's checks are per design: every table simulates
-        assert len(set(inert)) < len(inert)
     assert first.simulated_runs == len(runs)
     # verdicts are still counted one per oracle question: the table
     # answered some of them (plus every cost run that was a search run)
@@ -179,31 +168,6 @@ def test_cost_calls_over_two_tables_share_nothing(simulated):
     # two sites x sf, one of them already in the table
     assert len(simulated) == len(cost.COST_SEEDS)
     assert len(table.runs) == 2 * len(cost.COST_SEEDS)
-
-
-def test_tables_sharing_a_store_simulate_an_inert_run_once(simulated):
-    """Two designs' tables over one store: the stripped program and an
-    all-sf placement run the same under S+ and WS+, so the second table
-    gets the first one's run under its own design; a wf placement is
-    WS+'s own.  Under a sanitizer nothing is shared."""
-    shared = {}
-    strong = search.RunTable(FenceDesign.S_PLUS, SANITIZE, shared)
-    weak = search.RunTable(FenceDesign.WS_PLUS, SANITIZE, shared)
-    stripped = program_for_spec("sb").stripped()
-    point = adversary_points(1, 4)[2]
-    assert point.jittered
-    sf = parse_placement("t0.i2=sf").apply(stripped, FenceDesign.WS_PLUS)
-    for program in (stripped, sf):
-        first, second = strong.run(program, point), weak.run(program, point)
-        assert first.design is FenceDesign.S_PLUS
-        assert second.design is FenceDesign.WS_PLUS
-        assert (second.cycles, second.observed) == \
-            (first.cycles, first.observed)
-    weak.run(parse_placement("t0.i2=wf").apply(stripped, FenceDesign.WS_PLUS),
-             point)
-    runs = 3 if SANITIZE == "off" else 5
-    assert len(simulated) == strong.simulated + weak.simulated == runs
-    assert len(shared) == (2 if SANITIZE == "off" else 0)
 
 
 def test_the_table_carries_the_design_and_mode(simulated):

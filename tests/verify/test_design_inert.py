@@ -1,9 +1,9 @@
 """Design-inert runs: one simulation stands for every design.
 
 ``repro.verify.oracles.design_inert`` says when a run cannot depend on
-the fence design: the program has no fence, or the design is S+, WS+
-or SW+ and runs every fence as the sf.  ``run_verification`` and
-``run_synthesis`` simulate such a run once and relabel it for the
+the fence design: the program has no fence, or the design's policy
+runs a conventional sf (S+, WS+, SW+) and every fence is an sf there.
+``run_verification`` simulates such a run once and relabels it for the
 other designs, so the rule must be exact.  Here every design-inert run
 of a sample — named programs and generated ones, fenced and stripped,
 at plain schedule points and at jitter-armed adversary points — is
@@ -18,6 +18,7 @@ import pytest
 
 import repro.verify.engine as engine
 from repro.common.params import FenceDesign, FenceRole
+from repro.fences.base import FencePolicy, policy_class
 from repro.synth.programs import NAMED_PROGRAMS, program_for_spec, sb
 from repro.verify.engine import VerifyConfig, run_verification
 from repro.verify.generator import generate_program
@@ -56,6 +57,23 @@ def test_the_sample_covers_both_kinds_of_sharing():
         FenceDesign.W_PLUS, FenceDesign.WEE, FenceDesign.LMF,
         FenceDesign.CFENCE))
     assert any(p.jittered for p in POINTS)
+
+
+@pytest.mark.parametrize("design", FenceDesign, ids=str)
+def test_a_conventional_sf_policy_keeps_every_hook_an_sf_reaches(design):
+    """``FencePolicy.conventional_sf`` is the rule's one source: a
+    policy that claims it leaves the sf path and every non-wf hook as
+    the base class has them.  Table 1 names S+, WS+ and SW+."""
+    cls = policy_class(design)
+    kept = (cls.sf_base_cost is FencePolicy.sf_base_cost
+            and cls.custom_strong_fence is None
+            and cls.load_stall_check is FencePolicy.load_stall_check
+            and not cls.needs_checkpoint
+            and not cls.needs_deadlock_monitor)
+    if cls.conventional_sf:
+        assert kept
+    assert cls.conventional_sf == (design in (
+        FenceDesign.S_PLUS, FenceDesign.WS_PLUS, FenceDesign.SW_PLUS))
 
 
 @pytest.mark.parametrize("program", PROGRAMS, ids=lambda p: p.name)
