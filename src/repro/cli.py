@@ -171,8 +171,8 @@ def _export_trace(obs, run, out_path: str, fmt: str) -> None:
 def _run_budget(args):
     """RunBudget from the --max-* flags, or None when none was given.
     ``repro synth`` has no ``--max-events`` (synth/engine.py consults
-    the wall budget only) and hands the budget whole to each design's
-    farm job, so it bounds every design, not the command."""
+    the wall budget only); its whole call is one farm job, so the
+    budget bounds the command."""
     max_events = getattr(args, "max_events", None)
     if not (args.max_wall_secs or max_events):
         return None
@@ -472,9 +472,9 @@ _SHARED_FLAGS = {
         "--max-wall-secs": dict(
             type=_positive(float), default=None, metavar="SECS",
             help="wall-clock budget: cut off gracefully into a degraded "
-                 "result instead of running on (synth: per design — "
-                 "each design's farm job gets the whole budget, and a "
-                 "design that exceeds it is marked exhausted-wall)"),
+                 "result instead of running on (synth: the whole call — "
+                 "the design that breaches it and every later one are "
+                 "marked exhausted-wall)"),
     },
     # run, farm submit (per job)
     "events": {
@@ -497,7 +497,8 @@ _SHARED_FLAGS = {
         "--farm-workers": dict(
             type=int, default=None, metavar="N",
             help="farm worker processes (default $REPRO_FARM_WORKERS, "
-                 "else CPUs - 1, at most 8; 0 = inline)"),
+                 "else CPUs - 1, at most 8, or 0 where that is under "
+                 "2; 0 = inline)"),
     },
 }
 

@@ -47,10 +47,11 @@ def run_campaign(
 
     ``workers == 0`` runs every job inline in this process (no pool,
     fully deterministic scheduling) — the mode tests and tiny sweeps
-    use.  Otherwise a :class:`WorkerPool` of *workers* processes drains
-    the campaign while the coordinator supervises: each look respawns
-    any dead worker and calls *on_poll* (the chaos battery's hook for
-    killing workers mid-flight).
+    use.  Otherwise a :class:`WorkerPool` of *workers* processes, but
+    no more than there are jobs left to run, drains the campaign while
+    the coordinator supervises: each look respawns any dead worker and
+    calls *on_poll* (the chaos battery's hook for killing workers
+    mid-flight).
 
     *poll_secs* is the coordinator's supervision bound: the longest it
     goes without a look (it wakes at once when a worker exits) and the
@@ -73,7 +74,9 @@ def run_campaign(
             run_worker(db_path, cid, config=config, once=True)
             return store.rows(cid)
         deadline = None if timeout is None else time.monotonic() + timeout
-        with WorkerPool(db_path, cid, workers, config=config) as pool:
+        status = store.status(cid)
+        size = min(workers, status["pending"] + status["leased"])
+        with WorkerPool(db_path, cid, size, config=config) as pool:
             while not store.campaign_done(cid):
                 if deadline is not None and time.monotonic() > deadline:
                     raise TimeoutError(

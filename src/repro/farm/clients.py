@@ -25,11 +25,13 @@ from repro.farm.worker import FarmConfig
 
 def default_farm_workers() -> int:
     """``REPRO_FARM_WORKERS`` (0 runs inline), else CPUs − 1 capped at
-    8.  A value that is not a count ≥ 0 is a :class:`ConfigError`,
-    which the CLI reports as a usage error."""
+    8, or 0 where that is under 2: a pool of one runs nothing in
+    parallel and pays the fork.  A value that is not a count ≥ 0 is a
+    :class:`ConfigError`, which the CLI reports as a usage error."""
     env = os.environ.get("REPRO_FARM_WORKERS")
     if not env:
-        return max(1, min(8, (os.cpu_count() or 2) - 1))
+        workers = min(8, (os.cpu_count() or 2) - 1)
+        return workers if workers >= 2 else 0
     if not env.strip().isdecimal():
         raise ConfigError(
             f"REPRO_FARM_WORKERS={env!r}: expected a worker count >= 0 "
@@ -158,32 +160,35 @@ def farm_chaos_cases(
 
 def synth_campaign(config, budget=None) -> CampaignSpec:
     """A :class:`~repro.synth.engine.SynthConfig` as a campaign of one
-    ``synth`` job per design: ``(program spec, design, adversary
-    seed)``.  The rest of the config and the wall budget (*budget*) ride
-    in the job config, so changing either makes new jobs, and every job
-    gets the whole budget."""
+    ``synth`` job: ``(program spec, first design, adversary seed)``.
+    The rest of the config, the design set (as values, in order) and
+    the wall budget (*budget*) ride in the job config, so changing any
+    of them makes a new job.  The design slot only names the job (in
+    ``farm status`` and error details)."""
     blob = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)
-            if f.name not in ("program", "designs", "seed")}
+            if f.name not in ("program", "seed")}
+    blob["designs"] = [design.value for design in config.designs]
     if budget is not None and budget.max_wall_secs:
         # synthesis consults no event budget (engine._deadline_from_budget)
         blob["budget"] = {"max_wall_secs": budget.max_wall_secs}
     return CampaignSpec.make(
-        "synth", [config.program], config.designs, seeds=[config.seed],
+        "synth", [config.program], config.designs[:1], seeds=[config.seed],
         core_counts=[0], scale=0.0, config=blob,
     )
 
 
 def farm_synthesis(config, budget=None, db: Optional[str] = None,
                    workers: Optional[int] = None):
-    """:func:`~repro.synth.engine.run_synthesis`'s report, each design
-    run as one farm job (:func:`synth_campaign`) on the store
+    """:func:`~repro.synth.engine.run_synthesis`'s report, the whole
+    call run as one farm job (:func:`synth_campaign`) on the store
     :func:`campaign_rows` picks from *db*."""
     from repro.synth.engine import SynthReport
 
-    rows = campaign_rows(db, synth_campaign(config, budget), workers)
-    report = SynthReport(config=config, program_info=rows[0]["program"])
-    for design, row in zip(config.designs, rows):
-        report.designs[design.value] = row["entry"]
-        report.total_runs += row["runs"]
-        report.simulated_runs += row["simulated_runs"]
-    return report
+    row, = campaign_rows(db, synth_campaign(config, budget), workers)
+    return SynthReport(
+        config=config, program_info=row["program"],
+        # the store keeps no key order: the report's is the designs'
+        designs={d.value: row["designs"][d.value] for d in config.designs},
+        total_runs=row["total_runs"],
+        simulated_runs=row["simulated_runs"],
+    )

@@ -19,6 +19,7 @@ import dataclasses
 from typing import Callable, Dict, Optional
 
 from repro.common.errors import ConfigError
+from repro.common.params import FenceDesign
 from repro.farm.spec import JobSpec
 from repro.sim.governor import RunBudget
 
@@ -64,27 +65,23 @@ def _run_chaos_job(spec: JobSpec, diag_dir: Optional[str]) -> dict:
 
 
 def _run_synth_job(spec: JobSpec, diag_dir: Optional[str]) -> dict:
-    """One design's synthesis; the config blob holds every
-    :class:`SynthConfig` field but the program, designs and seed."""
+    """A whole synthesis; the config blob holds every
+    :class:`SynthConfig` field but the program and seed, the designs as
+    values."""
     from repro.synth.engine import SynthConfig, run_synthesis
 
     cfg = spec.config_dict()
     fields = {k: v for k, v in cfg.items() if k != "budget"}
+    fields["designs"] = tuple(FenceDesign(v) for v in fields["designs"])
     report = run_synthesis(
         SynthConfig(
             program=spec.workload,    # the program spec
-            designs=(spec.fence_design,),
             seed=spec.seed,           # the adversary-schedule seed
             **fields,
         ),
         budget=_budget(cfg),
     )
-    return {
-        "program": report.program_info,
-        "entry": report.designs[spec.fence_design.value],
-        "runs": report.total_runs,
-        "simulated_runs": report.simulated_runs,
-    }
+    return {**report.to_dict(), "simulated_runs": report.simulated_runs}
 
 
 EXECUTORS: Dict[str, Callable[[JobSpec, Optional[str]], dict]] = {

@@ -23,8 +23,6 @@ config): no timestamps, no environment leakage, stable ordering.  A
 call by wall-clock time (event budgets are a per-run concept and are
 not consulted here); on breach the affected design is marked
 ``exhausted-wall`` and later designs are skipped, never half-reported.
-``repro synth`` calls it once per design, so there the budget bounds
-each design.
 """
 
 from __future__ import annotations
@@ -115,8 +113,8 @@ class SynthReport:
     designs: "Dict[str, dict]" = field(default_factory=dict)
     #: oracle verdicts delivered (search + audit)
     total_runs: int = 0
-    #: simulator runs made (run-table misses; search + audit + cost) —
-    #: not in ``to_dict()``
+    #: simulator runs made (search + audit + cost; a design-inert run
+    #: once for all designs) — not in ``to_dict()``
     simulated_runs: int = 0
 
     @property
@@ -231,14 +229,14 @@ def _rank_key(entry: dict):
 
 
 def _synth_one_design(
-    design: FenceDesign,
+    table: RunTable,
     stripped: LitmusProgram,
     sites: Tuple[FenceSite, ...],
     config: SynthConfig,
     deadline,
-) -> Tuple[dict, int, int]:
-    """Search + audit + cost for one design; returns (entry, oracle
-    verdicts delivered, simulator runs made).
+) -> Tuple[dict, int]:
+    """Search + audit + cost for ``table.design``; returns (entry,
+    oracle verdicts delivered).
 
     The search and the audit are a CEGAR loop: a minimum the search
     accepts but the double-budget audit rejects means the search's
@@ -247,11 +245,11 @@ def _synth_one_design(
     from the finite audit set, so on a clean exit every reported
     minimum passes the *full* audit set.
 
-    Every round, the audit and the cost sweep share one
-    :class:`RunTable`, which dies with this call; a verdict it already
-    holds the run for is still a verdict against ``max_runs``.
+    Every round, the audit and the cost sweep share *table*; a verdict
+    it already holds the run for is still a verdict against
+    ``max_runs``.
     """
-    table = RunTable(design, config.sanitize)
+    design = table.design
     audit_points = adversary_points(
         config.seed, config.num_points * AUDIT_FACTOR)
     points = list(adversary_points(config.seed, config.num_points))
@@ -303,7 +301,7 @@ def _synth_one_design(
         "placements": [],
     }
     if outcome.status != "ok" or not outcome.minima:
-        return entry, runs, len(table.runs)
+        return entry, runs
 
     baseline = cost_mod.measure_cycles(stripped, Placement.empty(), table)
     entry["baseline_cycles"] = baseline
@@ -324,7 +322,7 @@ def _synth_one_design(
     entry["placements"].sort(key=_rank_key)
     for rank, placement_entry in enumerate(entry["placements"], start=1):
         placement_entry["rank"] = rank
-    return entry, runs, len(table.runs)
+    return entry, runs
 
 
 def _deadline_from_budget(budget: Optional[RunBudget]):
@@ -338,17 +336,20 @@ def _deadline_from_budget(budget: Optional[RunBudget]):
 def run_synthesis(
     config: SynthConfig,
     budget: Optional[RunBudget] = None,
-    progress=None,
 ) -> SynthReport:
     """Synthesize minimal fence placements for every configured design.
 
     *budget* (a :class:`RunBudget`; None runs unbounded) bounds the
-    call by its wall-clock leg; *progress* is an optional
-    ``callable(design_value, entry)`` fired as each design completes.
+    call by its wall-clock leg.
 
-    Nothing is checkpointed here: ``repro synth`` runs each design as
-    one farm job (:func:`repro.farm.clients.farm_synthesis`), and the
-    farm store is what an interrupted synthesis resumes from.
+    Each design keeps its own :class:`RunTable`; the tables share one
+    store of design-inert runs (``repro.verify.oracles.design_inert``),
+    which dies with the call, so such a run is simulated once for all
+    the designs that ask for it.
+
+    Nothing is checkpointed here: ``repro synth`` runs the whole call
+    as one farm job (:func:`repro.farm.clients.farm_synthesis`), and
+    the farm store is what a repeated synthesis is served from.
     """
     deadline = _deadline_from_budget(budget)
 
@@ -372,6 +373,8 @@ def run_synthesis(
             "sites": [s.label() for s in sites],
         },
     )
+    # design-inert runs, simulated once for every design's table
+    shared: Dict = {}
     for design in config.designs:
         if deadline is not None and deadline():
             report.designs[design.value] = {
@@ -383,11 +386,10 @@ def run_synthesis(
                 "failure": None,
             }
             continue
-        entry, runs, simulated = _synth_one_design(
-            design, stripped, sites, config, deadline)
+        table = RunTable(design, config.sanitize, shared)
+        entry, runs = _synth_one_design(
+            table, stripped, sites, config, deadline)
         report.designs[design.value] = entry
         report.total_runs += runs
-        report.simulated_runs += simulated
-        if progress is not None:
-            progress(design.value, entry)
+        report.simulated_runs += table.simulated
     return report

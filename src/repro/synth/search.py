@@ -31,11 +31,13 @@ sanitizer mode), and one design's synthesis asks for the same run many
 times over (audit after search, CEGAR re-search, cost points that are
 adversary points), so every oracle and cost run comes out of a
 :class:`RunTable`; budgets keep counting *verdicts*, not table misses.
+A design-inert run is the same under every design that asks for it, so
+the tables of one synthesis share those.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.params import FenceDesign, FenceFlavour
@@ -48,7 +50,7 @@ from repro.synth.sites import (
     count_legal_placements,
 )
 from repro.verify.generator import LitmusProgram
-from repro.verify.oracles import ProgramRun, run_program
+from repro.verify.oracles import ProgramRun, design_inert, run_program
 from repro.verify.perturb import SchedulePoint
 from repro.verify.shrink import ddmin
 
@@ -101,21 +103,44 @@ class RunTable:
     mode: the only place synthesis simulates, once per key, and the one
     handle every oracle and cost call takes on that design and mode.
     It lives as long as its owner — one design of one
-    ``run_synthesis`` call."""
+    ``run_synthesis`` call.
 
-    def __init__(self, design: FenceDesign, sanitize: str = "off"):
+    *shared* is the store the tables of one ``run_synthesis`` call hand
+    each other: a design-inert run (:func:`design_inert`) is simulated
+    once for all of them and relabelled with each asker's design.  It
+    holds design-inert runs only, and is not used under a sanitizer
+    (outside the rule's scope); every other run stays in this table.
+    """
+
+    def __init__(self, design: FenceDesign, sanitize: str,
+                 shared: Dict[Tuple[LitmusProgram, SchedulePoint],
+                              ProgramRun]):
         self.design = design
         self.sanitize = sanitize
-        #: one entry per simulator run made (a miss)
+        self.shared = shared if sanitize == "off" else None
+        #: every run this table answered, labelled with its design
         self.runs: Dict[Tuple[LitmusProgram, SchedulePoint], ProgramRun] = {}
+        #: simulator runs this table made (misses no other table had
+        #: already simulated into *shared*)
+        self.simulated = 0
 
     def run(self, program: LitmusProgram, point: SchedulePoint) -> ProgramRun:
         key = (program, point)
         run = self.runs.get(key)
         if run is None:
-            run = self.runs[key] = run_program(
-                program, self.design, point,
-                faults=point.injector(), sanitize=self.sanitize)
+            inert = self.shared is not None and \
+                design_inert(program, self.design)
+            run = self.shared.get(key) if inert else None
+            if run is None:
+                run = run_program(program, self.design, point,
+                                  faults=point.injector(),
+                                  sanitize=self.sanitize)
+                self.simulated += 1
+                if inert:
+                    self.shared[key] = run
+            else:
+                run = replace(run, design=self.design)
+            self.runs[key] = run
         return run
 
 

@@ -713,6 +713,22 @@ def test_coordinator_returns_when_the_pool_drains_not_at_the_next_poll(
     assert pooled == inline
 
 
+def test_the_pool_is_no_larger_than_the_work(tmp_path, monkeypatch):
+    """A one-job campaign asked for four workers forks one: the others
+    would only poll the store until the campaign is done."""
+    from repro.farm.pool import WorkerPool
+
+    spawned = []
+    real = WorkerPool._spawn
+    monkeypatch.setattr(WorkerPool, "_spawn",
+                        lambda self: spawned.append(self) or real(self))
+    rows = run_campaign(str(tmp_path / "farm.sqlite"),
+                        _litmus_spec(seeds=(1,), designs=DESIGNS[:1]),
+                        workers=4, poll_secs=0.1, timeout=60)
+    assert len(rows) == 1
+    assert len(spawned) == 1 and spawned[0].size == 1
+
+
 def test_workers_dying_at_startup_do_not_cause_a_fork_storm(tmp_path,
                                                             monkeypatch):
     from repro.farm import pool as pool_mod

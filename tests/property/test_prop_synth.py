@@ -45,7 +45,7 @@ def _synthesize_random(seed: int, design):
     stripped = program.stripped()
     sites = extract_sites(program, mode="auto")
     points = tuple(adversary_points(seed, SEARCH_POINTS))
-    outcome = synthesize(stripped, sites, RunTable(design), points)
+    outcome = synthesize(stripped, sites, RunTable(design, "off", {}), points)
     return stripped, sites, points, outcome
 
 
@@ -60,7 +60,7 @@ def test_synth_returns_oracle_accepted_placements(seed, design):
     )
     assert outcome.minima
     profile = synthesis_profile(design)
-    fresh = PlacementOracle(stripped, RunTable(design), points)
+    fresh = PlacementOracle(stripped, RunTable(design, "off", {}), points)
     for minimum in outcome.minima:
         assert minimum.legal(profile)
         ce = fresh.check(minimum)
@@ -102,7 +102,7 @@ def test_table_backed_verdict_equals_a_table_less_sweep(seed, design, data):
          for point in points]
         for placement in placements
     ]
-    table = RunTable(design)
+    table = RunTable(design, "off", {})
     # two oracles over one table, so that later questions are answered
     # by runs an earlier — differently ordered — sweep left behind
     for oracle in (PlacementOracle(stripped, table, points),

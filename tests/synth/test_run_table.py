@@ -3,21 +3,27 @@
 A run is a pure function of (program, design, point, sanitizer mode),
 so one design's synthesis keeps a ``(program, point) -> ProgramRun``
 table (:class:`repro.synth.search.RunTable`) shared by its search
-rounds, its audit and its cost sweep.  Three things are pinned here:
+rounds, its audit and its cost sweep, and the tables of one
+``run_synthesis`` call share one store of design-inert runs
+(:func:`repro.verify.oracles.design_inert`: the same run under every
+design that asks for it).  Four things are pinned here:
 
-* inside one ``run_synthesis`` call nothing is simulated twice, and
-  nothing survives the call — a second identical call simulates as
-  many runs as the first (``test_determinism`` keeps comparing two
-  real computations);
+* inside one ``run_synthesis`` call nothing is simulated twice — a
+  design-inert run not even under two designs — and nothing survives
+  the call: a second identical call simulates as many runs as the
+  first (``test_determinism`` keeps comparing two real computations);
+* the counts that sharing buys, and that a sanitizer turns it off
+  (its checks are per design, outside ``design_inert``'s scope);
 * the table changes no verdict, count or report byte: sha256 of
   ``report.to_json()`` for a matrix of configurations against
   ``run_table_pinned.json``, a table generated once at the commit
   *before* the run table existed (``PYTHONPATH=src python -m
   tests.synth.test_run_table`` prints it).  Regenerate it only for an
   intended report change, and say so in the commit;
-* two tables share nothing, while one table asked twice simulates
-  once: an oracle's verdicts count every question, its table only the
-  misses.
+* two tables over two stores share nothing, while one table asked
+  twice simulates once: an oracle's verdicts count every question, its
+  table only the misses; two tables over one store share only the
+  design-inert runs.
 
 ``REPRO_SANITIZE`` picks the sanitizer mode, as in the rest of the
 battery (the CI ``synth-smoke`` job runs this module under ``strict``):
@@ -38,7 +44,7 @@ from repro.common.params import FenceDesign
 from repro.synth import SynthConfig, cost, run_synthesis
 from repro.synth.programs import program_for_spec
 from repro.synth.sites import extract_sites
-from repro.verify.oracles import PAPER_DESIGNS
+from repro.verify.oracles import PAPER_DESIGNS, design_inert
 from repro.verify.perturb import adversary_points
 
 from tests.synth.util import parse_placement
@@ -94,6 +100,11 @@ def test_nothing_is_simulated_twice_and_nothing_survives(program, simulated):
     first = run_synthesis(_config(program=program, num_points=4))
     runs = list(simulated)
     assert len(set(runs)) == len(runs), "a run was simulated twice"
+    if SANITIZE == "off":
+        inert = [(prog, point) for prog, design, point in runs
+                 if design_inert(prog, design)]
+        assert len(set(inert)) == len(inert), \
+            "a design-inert run was simulated under two designs"
     assert {design for _, design, _ in runs} == set(PAPER_DESIGNS)
     assert first.simulated_runs == len(runs)
     # verdicts are still counted one per oracle question: the table
@@ -108,12 +119,31 @@ def test_nothing_is_simulated_twice_and_nothing_survives(program, simulated):
     assert second.to_json() == first.to_json()
 
 
+#: simulator runs of one call at ``--points 4``, seed 1: with the
+#: design-inert store, and under a sanitizer, which turns it off (each
+#: design its own runs; 148 / 187 / 92 / 92 without the store)
+SIMULATED = {("sb", "off"): 112, ("sb3", "off"): 133, ("mp", "off"): 40,
+             ("iriw", "off"): 40, ("sb", "strict"): 148}
+
+
+@pytest.mark.parametrize("program,sanitize", SIMULATED)
+def test_design_inert_runs_are_simulated_once_per_call(program, sanitize):
+    report = run_synthesis(SynthConfig(
+        program=program, designs=PAPER_DESIGNS, seed=1, num_points=4,
+        sanitize=sanitize))
+    assert report.simulated_runs == SIMULATED[program, sanitize]
+    assert _digest(report) == _pinned(f"{program}@4")
+
+
+def _pinned(case: str) -> str:
+    with open(TABLE) as fh:
+        return json.load(fh)[case]
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_reports_equal_the_parent_commit(case):
-    with open(TABLE) as fh:
-        pinned = json.load(fh)
     report = run_synthesis(_config(**CASES[case]))
-    assert _digest(report) == pinned[case]
+    assert _digest(report) == _pinned(case)
 
 
 def test_starved_case_ends_exhausted():
@@ -129,7 +159,7 @@ def test_starved_case_ends_exhausted():
 
 
 def _sb_table() -> search.RunTable:
-    return search.RunTable(FenceDesign.S_PLUS, SANITIZE)
+    return search.RunTable(FenceDesign.S_PLUS, SANITIZE, {})
 
 
 def _sb_oracle(table: search.RunTable) -> search.PlacementOracle:
@@ -148,6 +178,39 @@ def test_oracles_over_two_tables_share_nothing(simulated):
     # while one oracle asked twice pays two verdicts and one run each
     assert first.check(placement) is None
     assert len(simulated) == 8 and first.runs_used == 8
+
+
+@pytest.mark.skipif(SANITIZE != "off",
+                    reason="a sanitized table keeps every run its own")
+def test_tables_over_one_store_share_only_design_inert_runs(simulated):
+    shared = {}
+    s_plus, ws_plus, w_plus = (
+        _sb_oracle(search.RunTable(design, SANITIZE, shared))
+        for design in (FenceDesign.S_PLUS, FenceDesign.WS_PLUS,
+                       FenceDesign.W_PLUS))
+    placement = parse_placement("t0.i2=sf,t1.i2=sf")
+    assert s_plus.check(placement) is None
+    assert len(simulated) == len(shared) == 4
+    # WS+ runs an sf as S+ does: its four runs come from the store,
+    # relabelled with its own design
+    assert ws_plus.check(placement) is None
+    assert len(simulated) == 4
+    assert {run.design for run in ws_plus.table.runs.values()} == \
+        {FenceDesign.WS_PLUS}
+    assert ws_plus.table.simulated == 0
+    # a wf is not design-inert: W+ simulates its own
+    assert w_plus.check(parse_placement("t0.i2=wf,t1.i2=wf")) is None
+    assert len(simulated) == 8 and len(shared) == 4
+
+
+def test_a_sanitized_table_uses_no_store():
+    shared = {}
+    for _ in range(2):
+        table = search.RunTable(FenceDesign.S_PLUS, "strict", shared)
+        assert _sb_oracle(table).check(
+            parse_placement("t0.i2=sf,t1.i2=sf")) is None
+        assert table.simulated == 4
+    assert shared == {}
 
 
 def test_cost_calls_over_two_tables_share_nothing(simulated):
@@ -174,7 +237,7 @@ def test_the_table_carries_the_design_and_mode(simulated):
     """An oracle judges under its table's design and sanitizer mode
     (the ``simulated`` fixture checks the mode): a wf placement runs
     under W+, and S+, which has no wf, refuses it before any run."""
-    oracle = _sb_oracle(search.RunTable(FenceDesign.W_PLUS, SANITIZE))
+    oracle = _sb_oracle(search.RunTable(FenceDesign.W_PLUS, SANITIZE, {}))
     oracle.check(parse_placement("t0.i2=wf,t1.i2=wf"))
     assert simulated
     assert {design for _, design, _ in simulated} == {FenceDesign.W_PLUS}

@@ -35,7 +35,7 @@ DESIGN_IDS = [d.name for d in PAPER_DESIGNS]
 def _double_budget_oracle(design: FenceDesign) -> PlacementOracle:
     stripped = program_for_spec("sb").stripped()
     points = adversary_points(SEED, SEARCH_POINTS * AUDIT_FACTOR)
-    return PlacementOracle(stripped, RunTable(design), points)
+    return PlacementOracle(stripped, RunTable(design, "off", {}), points)
 
 
 def _entry(design: FenceDesign) -> dict:

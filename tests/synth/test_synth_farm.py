@@ -1,16 +1,17 @@
-"""``repro synth`` is a farm campaign: one ``synth`` job per design.
+"""``repro synth`` is a farm campaign of one ``synth`` job per call.
 
-The farm store is synthesis's checkpoint.  A synthesis killed after its
-first design re-runs only the other designs and prints a byte-identical
-report; an identical re-run simulates nothing; a design-superset re-run
-simulates only the new designs.  A job's content key covers the whole
-config and the wall budget, so neither can be served a row made under
-another.
+The job covers every design, so their design-inert runs are simulated
+once.  A synthesis killed inside its job re-runs that one job and
+prints a byte-identical report; an identical re-run executes nothing;
+a re-run with another design set is one new job.  A job's content key
+covers the whole config — the design set included — and the wall
+budget, so no call can be served a row made under another.
 """
 
 import dataclasses
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import textwrap
@@ -37,7 +38,8 @@ def _pinned_env(monkeypatch):
 
 @pytest.fixture
 def executed(monkeypatch):
-    """The design of every job a worker in this process executes."""
+    """The design slot (the first design) of every job a worker in this
+    process executes."""
     ran = []
     real = worker_mod.execute_job
     monkeypatch.setattr(worker_mod, "execute_job",
@@ -57,17 +59,17 @@ def _synth(capsys, out, *argv):
 _DRIVER = textwrap.dedent("""
     import os, sys
     from repro.cli import main
-    from repro.farm.store import FarmStore
+    from repro.synth import engine
 
-    orig = FarmStore.complete
+    orig = engine._synth_one_design
 
-    def kamikaze_complete(self, *args):
-        status = orig(self, *args)
-        # one design's row is in the store: die exactly like an OOM kill
+    def kamikaze(*args):
+        out = orig(*args)
+        # one design is done inside the job: die exactly like an OOM kill
         os.kill(os.getpid(), 9)
-        return status
+        return out
 
-    FarmStore.complete = kamikaze_complete
+    engine._synth_one_design = kamikaze
     main(sys.argv[1:])
 """)
 
@@ -82,10 +84,17 @@ def test_sigkilled_synthesis_resumes_to_a_byte_identical_report(
         env=env, cwd=REPO, capture_output=True, timeout=300,
     )
     assert proc.returncode == -signal.SIGKILL
+    with sqlite3.connect(db) as conn:
+        # the dead worker's lease lapses (as it does lease_secs later)
+        assert conn.execute(
+            "UPDATE jobs SET lease_expiry=0 WHERE state='leased'"
+        ).rowcount == 1
+        assert conn.execute("SELECT COUNT(*) FROM results").fetchone() \
+            == (0,)
+    conn.close()
 
     resumed = _synth(capsys, tmp_path / "resumed.json", *argv)
-    # only the two designs the killed run left undone
-    assert len(executed) == len(set(executed)) == 2
+    assert executed == ["S_PLUS"]  # the one job, all three designs
     clean = _synth(capsys, tmp_path / "clean.json", *SB3,
                    "--farm-db", str(tmp_path / "clean.sqlite"),
                    "--farm-workers", "2")
@@ -97,19 +106,19 @@ def test_reruns_execute_only_what_the_store_lacks(tmp_path, capsys,
                                                   executed):
     store = ["--points", "4", "--farm-db", str(tmp_path / "farm.sqlite"),
              "--farm-workers", "0"]
-    first = _synth(capsys, tmp_path / "a.json", "synth", "--designs", "S+",
-                   *store)
-    assert executed == ["S_PLUS"]
-    again = _synth(capsys, tmp_path / "b.json", "synth", "--designs", "S+",
-                   *store)
+    first = _synth(capsys, tmp_path / "a.json", "synth", "--designs",
+                   "S+,W+", *store)
+    assert executed == ["S_PLUS"]  # one job for both designs
+    again = _synth(capsys, tmp_path / "b.json", "synth", "--designs",
+                   "S+,W+", *store)
     assert executed == ["S_PLUS"]  # served from the store
     assert again == first
-    superset = _synth(capsys, tmp_path / "c.json", "synth", "--designs",
-                      "S+,W+", *store)
-    assert executed == ["S_PLUS", "W_PLUS"]  # only the new design
+    other = _synth(capsys, tmp_path / "c.json", "synth", "--designs",
+                   "W+,S+", *store)
+    assert executed == ["S_PLUS", "W_PLUS"]  # another design set: a job
     fresh = _synth(capsys, tmp_path / "d.json", "synth", "--designs",
-                   "S+,W+", "--points", "4", "--farm-workers", "0")
-    assert superset == fresh
+                   "W+,S+", "--points", "4", "--farm-workers", "0")
+    assert other == fresh
 
 
 def _keys(config, budget=None):
@@ -118,13 +127,16 @@ def _keys(config, budget=None):
 
 
 def test_budget_and_points_are_part_of_every_job_key():
-    config = SynthConfig(program="sb", seed=1,
-                         designs=(FenceDesign.S_PLUS, FenceDesign.W_PLUS))
+    designs = (FenceDesign.S_PLUS, FenceDesign.W_PLUS)
+    config = SynthConfig(program="sb", seed=1, designs=designs)
     base = _keys(config)
-    assert len(base) == 2 and _keys(config) == base
+    assert len(base) == 1 and _keys(config) == base
     for other in (_keys(config, RunBudget(max_wall_secs=300.0)),
-                  _keys(dataclasses.replace(config, num_points=4))):
-        assert other.isdisjoint(base)
+                  _keys(dataclasses.replace(config, num_points=4)),
+                  _keys(dataclasses.replace(config, designs=designs[:1])),
+                  _keys(dataclasses.replace(config,
+                                            designs=designs[::-1]))):
+        assert len(other) == 1 and other.isdisjoint(base)
 
 
 def test_exit_codes_keep_their_meaning(capsys):

@@ -123,7 +123,8 @@ def test_ddmin_passing_direction_synth_style():
     racy = (FenceSite(0, 2), FenceSite(1, 2))
     useless = (FenceSite(0, 3), FenceSite(1, 3))  # after the loads
     oracle = PlacementOracle(
-        stripped, RunTable(FenceDesign.S_PLUS), tuple(adversary_points(1, 6)))
+        stripped, RunTable(FenceDesign.S_PLUS, "off", {}),
+        tuple(adversary_points(1, 6)))
 
     def still_passes(subset):
         placement = Placement.of(

@@ -89,8 +89,8 @@ class TestDefaultFarmWorkers:
         assert "REPRO_FARM_WORKERS='two'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # no store was made
 
-    @pytest.mark.parametrize("cpus,workers", [(None, 1), (2, 1), (4, 3),
-                                              (64, 8)])
+    @pytest.mark.parametrize("cpus,workers", [(None, 0), (2, 0), (3, 2),
+                                              (4, 3), (64, 8)])
     def test_unset_uses_cpu_formula_capped_at_eight(
             self, monkeypatch, cpus, workers):
         monkeypatch.delenv("REPRO_FARM_WORKERS", raising=False)
