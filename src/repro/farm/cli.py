@@ -14,8 +14,8 @@ the spec's content address), built by ``matrix_campaign`` as
 ``repro chaos|synth --farm-db``.  ``resume`` restarts the coordinator
 for any stored campaign.  ``submit --run`` and ``resume`` drive it with
 ``campaign_rows``, so a failing job exits as under every command.
-``gc`` releases expired leases and drops finished campaigns' job rows;
-the result cache is kept unless ``--prune-cache``.
+``gc`` drops finished campaigns' job rows; the result cache is kept
+unless ``--prune-cache``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.common.errors import ConfigError
 from repro.farm.campaign import submit
 from repro.farm.clients import campaign_rows, matrix_campaign, store_path
 from repro.farm.spec import CampaignSpec
-from repro.farm.store import FarmStore
+from repro.farm.store import DEFAULT_QUARANTINE_AFTER, FarmStore
 from repro.farm.worker import FarmConfig
 
 
@@ -115,8 +115,7 @@ def cmd_farm(args, designs_parser) -> int:
         if args.farm_cmd == "gc":
             with FarmStore(args.db) as store:
                 summary = store.gc(prune_cache=args.prune_cache)
-            print(f"gc: released {summary['released']} expired lease(s), "
-                  f"dropped {summary['campaigns_dropped']} finished "
+            print(f"gc: dropped {summary['campaigns_dropped']} finished "
                   f"campaign(s) ({summary['jobs_dropped']} job row(s)), "
                   f"pruned {summary['results_pruned']} cached result(s)")
             return 0
@@ -150,9 +149,12 @@ def add_farm_parser(sub, submit_parents) -> None:
     def drive(sp):
         sp.add_argument("--workers", type=int, default=None,
                         help="worker processes (default "
-                             "$REPRO_FARM_WORKERS or cpu-1; 0 = inline)")
-        sp.add_argument("--lease-secs", type=float, default=15.0)
-        sp.add_argument("--quarantine-after", type=int, default=3,
+                             "$REPRO_FARM_WORKERS, else CPUs - 1, at most "
+                             "8, or 0 where that is under 2; 0 = inline)")
+        sp.add_argument("--lease-secs", type=float,
+                        default=FarmConfig.lease_secs)
+        sp.add_argument("--quarantine-after", type=int,
+                        default=DEFAULT_QUARANTINE_AFTER,
                         help="distinct-worker failures before quarantine")
 
     p_sub = fsub.add_parser(
@@ -187,7 +189,7 @@ def add_farm_parser(sub, submit_parents) -> None:
                        help="also dump the campaign's rows as JSON")
 
     p_gc = fsub.add_parser(
-        "gc", help="release expired leases, drop finished campaigns")
+        "gc", help="drop finished campaigns")
     common(p_gc, diag=False)
     p_gc.add_argument("--prune-cache", action="store_true",
                       help="also delete cached results no job references")

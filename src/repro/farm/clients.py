@@ -96,9 +96,10 @@ def campaign_rows(db: Optional[str], spec: CampaignSpec,
         errors = store.errors(cid)
     failed = [(job, errors[job.content_key()]) for job in missing
               if job.content_key() in errors]
-    detail = "".join(
-        f"; {job.workload}/{FenceDesign[job.design].value}/{job.cores}c"
-        f"/s{job.seed}: {err}" for job, err in failed[:3])
+    detail = "".join(  # only matrix jobs read a core count
+        f"; {job.workload}/{FenceDesign[job.design].value}"
+        + (f"/{job.cores}c" if job.kind == "matrix" else "")
+        + f"/s{job.seed}: {err}" for job, err in failed[:3])
     if len(failed) > 3:
         detail += f"; ... {len(failed) - 3} more"
     named = {cls.__name__: cls for cls in EXIT_BY_ERROR}

@@ -23,13 +23,11 @@ _CTX = multiprocessing.get_context("fork")
 
 class WorkerPool:
     def __init__(self, db_path: str, campaign: str, size: int,
-                 config: Optional[FarmConfig] = None,
-                 name_prefix: str = "farm-w"):
+                 config: Optional[FarmConfig] = None):
         self.db_path = db_path
         self.campaign = campaign
         self.size = size
         self.config = config or FarmConfig()
-        self.name_prefix = name_prefix
         self.procs: List[multiprocessing.Process] = []
         #: when each slot of ``procs`` was last filled (monotonic)
         self._spawned_at: List[float] = []
@@ -39,7 +37,7 @@ class WorkerPool:
 
     def _spawn(self) -> multiprocessing.Process:
         self._serial += 1
-        wid = f"{self.name_prefix}{self._serial}"
+        wid = f"farm-w{self._serial}"
         proc = _CTX.Process(
             target=worker_main,
             args=(self.db_path, self.campaign, self.config, wid),

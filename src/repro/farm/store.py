@@ -43,8 +43,10 @@ from repro.farm.spec import CampaignSpec, JobSpec, canonical_json
 #: distinct-worker failures before a job is quarantined
 DEFAULT_QUARANTINE_AFTER = 3
 #: capped exponential retry backoff (seconds)
-DEFAULT_BACKOFF_BASE = 0.25
-DEFAULT_BACKOFF_CAP = 30.0
+BACKOFF_BASE = 0.25
+BACKOFF_CAP = 30.0
+#: how long a connection waits for another's write lock (seconds)
+DB_TIMEOUT = 30.0
 #: the failure an expired lease charges: the worker died, not the job
 LEASE_EXPIRED = "lease-expired: worker died or stalled"
 
@@ -97,18 +99,17 @@ def default_worker_id() -> str:
 class FarmStore:
     """One process's connection to the farm database."""
 
-    def __init__(self, path: str, timeout: float = 30.0,
-                 diag_dir: Optional[str] = None):
+    def __init__(self, path: str, diag_dir: Optional[str] = None):
         self.path = path
         self.diag_dir = diag_dir
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
         self._conn = sqlite3.connect(
-            path, timeout=timeout, isolation_level=None)
+            path, timeout=DB_TIMEOUT, isolation_level=None)
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute(f"PRAGMA busy_timeout={int(timeout * 1000)}")
+        self._conn.execute(f"PRAGMA busy_timeout={int(DB_TIMEOUT * 1000)}")
         self._conn.executescript(_SCHEMA)
 
     def close(self) -> None:
@@ -317,8 +318,6 @@ class FarmStore:
         worker: str,
         error: str,
         quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
-        backoff_base: float = DEFAULT_BACKOFF_BASE,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP,
     ) -> str:
         """Record a job failure; returns the job's new state.
 
@@ -347,8 +346,8 @@ class FarmStore:
             else:
                 # exponent clamped: past ~2^32 the cap always wins and
                 # an unclamped big int would overflow float conversion
-                backoff = min(backoff_cap,
-                              backoff_base
+                backoff = min(BACKOFF_CAP,
+                              BACKOFF_BASE
                               * (2.0 ** min(max(0, attempts - 1), 32)))
                 self._conn.execute(
                     "UPDATE jobs SET state='pending', lease_owner=NULL,"
@@ -473,30 +472,24 @@ class FarmStore:
 
     def gc(self, prune_cache: bool = False,
            drop_done_campaigns: bool = True) -> Dict[str, int]:
-        """Housekeeping: release expired leases, drop finished
-        campaigns' job rows, optionally prune unreferenced cache rows.
+        """Housekeeping: drop finished campaigns' job rows, optionally
+        prune unreferenced cache rows.
 
-        The result cache is kept by default — it is the point of the
-        farm (re-submitted sweeps are free); ``prune_cache`` removes
-        rows no surviving job references.
+        Expired leases stay as they are: the next :meth:`claim` takes
+        each over and charges its dead owner, which is the evidence
+        quarantine counts.  The result cache is kept by default — it is
+        the point of the farm (re-submitted sweeps are free);
+        ``prune_cache`` removes rows no surviving job references.
         """
-        t = time.time()
-        summary = {"released": 0, "campaigns_dropped": 0, "jobs_dropped": 0,
+        summary = {"campaigns_dropped": 0, "jobs_dropped": 0,
                    "results_pruned": 0}
         self._begin()
         try:
-            cur = self._conn.execute(
-                "UPDATE jobs SET state='pending', lease_owner=NULL,"
-                " lease_expiry=NULL WHERE state='leased'"
-                " AND lease_expiry<=?", (t,))
-            summary["released"] = cur.rowcount
             if drop_done_campaigns:
                 done = [
                     cid for (cid,) in self._conn.execute(
                         "SELECT id FROM campaigns").fetchall()
-                    if self._one(
-                        "SELECT 1 FROM jobs WHERE campaign=? AND state IN"
-                        " ('pending', 'leased') LIMIT 1", (cid,)) is None
+                    if self.campaign_done(cid)
                 ]
                 for cid in done:
                     cur = self._conn.execute(

@@ -27,23 +27,22 @@ from repro.farm.exec import execute_job
 from repro.farm.store import FarmStore
 
 
+#: an idle worker's wait between claim attempts while every remaining
+#: job is leased or backing off (the coordinator's own wait is
+#: ``campaign.SUPERVISE_SECS``)
+IDLE_SECS = 0.5
+
+
 @dataclass(frozen=True)
 class FarmConfig:
-    """Tuning knobs shared by workers and the coordinator."""
+    """What ``repro farm`` sets, shared by workers and the coordinator."""
 
     #: lease duration; heartbeats renew at a third of this
     lease_secs: float = 15.0
-    #: a *worker's* idle wait between claim attempts while every
-    #: remaining job is leased or backing off; the coordinator's
-    #: supervision bound is ``run_campaign(poll_secs=...)``
-    poll_secs: float = 0.5
     #: distinct-worker failures before quarantine
     quarantine_after: int = store_mod.DEFAULT_QUARANTINE_AFTER
-    backoff_base: float = store_mod.DEFAULT_BACKOFF_BASE
-    backoff_cap: float = store_mod.DEFAULT_BACKOFF_CAP
     #: where quarantine bundles and chaos diagnostics land
     diag_dir: Optional[str] = None
-    db_timeout: float = 30.0
 
     @property
     def heartbeat_secs(self) -> float:
@@ -89,8 +88,8 @@ class _Heartbeat:
 
     def __exit__(self, *exc) -> None:
         self._stop.set()
-        # at most one renewal (db_timeout) away; the inline caller
-        # forks a pool next and must not carry a thread into it
+        # at most one renewal (store.DB_TIMEOUT) away; a caller that
+        # forks later must not carry a thread into the child
         self._thread.join()
 
     @contextlib.contextmanager
@@ -121,9 +120,7 @@ class _Heartbeat:
                     self._due = now + interval
                     try:
                         if store is None:
-                            store = FarmStore(
-                                self._db_path,
-                                timeout=self._config.db_timeout)
+                            store = FarmStore(self._db_path)
                         # a lost lease is not fatal: the job may run
                         # twice, and completion is idempotent
                         store.heartbeat(self._key, *self._lease)
@@ -141,25 +138,21 @@ def run_worker(
     campaign: str,
     config: Optional[FarmConfig] = None,
     worker: Optional[str] = None,
-    max_jobs: Optional[int] = None,
     once: bool = False,
 ) -> WorkerStats:
-    """Drain jobs from *campaign* until it is done (or *max_jobs*).
+    """Drain jobs from *campaign* until it is done.
 
-    With *once* the worker exits the first time nothing is claimable
-    instead of polling — the coordinator's pool uses the polling mode,
-    tests and one-shot CLI invocations use *once*.
+    With *once* the worker returns the first time nothing is claimable
+    instead of waiting :data:`IDLE_SECS` and trying again — pool
+    workers wait, the inline coordinator and tests use *once*.
     """
     config = config or FarmConfig()
     worker = worker or store_mod.default_worker_id()
     stats = WorkerStats()
-    with FarmStore(db_path, timeout=config.db_timeout,
-                   diag_dir=config.diag_dir) as store, \
+    with FarmStore(db_path, diag_dir=config.diag_dir) as store, \
             _Heartbeat(db_path, campaign, worker, config,
                        stats) as heartbeat:
         while True:
-            if max_jobs is not None and stats.claimed >= max_jobs:
-                return stats
             claimed = store.claim(
                 campaign, worker, config.lease_secs,
                 quarantine_after=config.quarantine_after,
@@ -167,7 +160,7 @@ def run_worker(
             if claimed is None:
                 if once or store.campaign_done(campaign):
                     return stats
-                time.sleep(config.poll_secs)  # backoff-gated retries
+                time.sleep(IDLE_SECS)  # backoff-gated retries
                 continue
             key, spec = claimed
             stats.claimed += 1
@@ -180,8 +173,6 @@ def run_worker(
                     key, campaign, worker,
                     f"{type(exc).__name__}: {exc}",
                     quarantine_after=config.quarantine_after,
-                    backoff_base=config.backoff_base,
-                    backoff_cap=config.backoff_cap,
                 )
                 if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                     raise

@@ -22,10 +22,12 @@ from repro.common.errors import (
 )
 from repro.common.params import FenceDesign
 from repro.farm import campaign as campaign_mod
+from repro.farm import store as store_mod
 from repro.farm import worker as worker_mod
 from repro.farm.campaign import run_campaign
+from repro.farm.exec import execute_job
 from repro.farm.spec import CampaignSpec
-from repro.farm.store import FarmStore
+from repro.farm.store import LEASE_EXPIRED, FarmStore
 from repro.farm.worker import FarmConfig, run_worker
 
 DESIGNS = [FenceDesign.S_PLUS, FenceDesign.W_PLUS]
@@ -112,8 +114,10 @@ def test_coordinator_restart_resumes_to_identical_rows(tmp_path):
     clean = run_campaign(clean_db, spec, workers=0)
 
     cid, _ = campaign_mod.submit(db, spec)
-    run_worker(db, cid, max_jobs=2)  # "coordinator died" after 2 jobs
     with FarmStore(db) as store:
+        for _ in range(2):  # "coordinator died" after 2 jobs
+            key, job = store.claim(cid, "w1", 30.0)
+            store.complete(key, cid, "w1", execute_job(job))
         assert store.status(cid)["done"] == 2
         assert not store.campaign_done(cid)
     resumed = run_campaign(db, spec, workers=0)  # the restart
@@ -123,13 +127,14 @@ def test_coordinator_restart_resumes_to_identical_rows(tmp_path):
         assert st["done"] == 4 and st["attempts"] == 4  # no re-runs
 
 
-def test_worker_pool_campaign_matches_inline_rows(tmp_path):
+def test_worker_pool_campaign_matches_inline_rows(tmp_path, monkeypatch):
     db = str(tmp_path / "farm.sqlite")
     inline_db = str(tmp_path / "inline.sqlite")
     spec = _spec(seeds=(5, 6, 7))
-    cfg = FarmConfig(lease_secs=10.0, poll_secs=0.02)
-    pooled = run_campaign(db, spec, workers=2, config=cfg,
-                          poll_secs=0.02, timeout=120)
+    monkeypatch.setattr(worker_mod, "IDLE_SECS", 0.02)
+    monkeypatch.setattr(campaign_mod, "SUPERVISE_SECS", 0.02)
+    cfg = FarmConfig(lease_secs=10.0)
+    pooled = run_campaign(db, spec, workers=2, config=cfg, timeout=120)
     inline = run_campaign(inline_db, spec, workers=0)
     assert pooled == inline  # scheduling cannot change the rows
 
@@ -213,6 +218,61 @@ def test_farm_resume_of_a_finished_campaign_exits_0(tmp_path, monkeypatch,
 
 
 # ----------------------------------------------------------------------
+# one supervision loop for every worker count: inline too
+# ----------------------------------------------------------------------
+
+def test_inline_campaign_waits_out_a_dead_workers_lease(tmp_path):
+    """A job still leased by a worker that died (a killed earlier run)
+    is taken over once the lease expires: the inline coordinator waits
+    for it as a pool does, and charges the dead owner once."""
+    from repro.farm.clients import campaign_rows
+
+    db = str(tmp_path / "farm.sqlite")
+    spec = _litmus_spec(seeds=(1,))  # 2 jobs
+    clean = campaign_rows(str(tmp_path / "clean.sqlite"), spec, workers=0)
+    with FarmStore(db) as store:
+        cid, _ = store.submit_campaign(spec)
+        key, _ = store.claim(cid, "host:999999", lease_secs=0.5)
+    t0 = time.monotonic()
+    with _deadline():
+        rows = campaign_rows(db, spec, workers=0,
+                             config=FarmConfig(lease_secs=0.5))
+    assert time.monotonic() - t0 < 5.0
+    assert rows == clean
+    assert _failure_rows(db) == [("host:999999", LEASE_EXPIRED)]
+    with FarmStore(db) as store:
+        assert store._one("SELECT attempts FROM jobs WHERE key=?",
+                          (key,)) == (2,)
+
+
+def test_inline_campaign_stops_at_a_job_that_raises(tmp_path, monkeypatch):
+    """The inline coordinator calls on_poll too, so campaign_rows stops
+    a job that always raises after one attempt, with its mapped error,
+    instead of retrying it behind its backoff forever."""
+    from repro.farm.clients import campaign_rows
+
+    db = str(tmp_path / "farm.sqlite")
+    spec = _litmus_spec(seeds=(1,))  # 2 jobs
+    poison = spec.expand()[0].content_key()
+    real = worker_mod.execute_job
+
+    def sometimes_poisoned(job, diag_dir=None):
+        if job.content_key() == poison:
+            raise SanitizerError("synthetic violation")
+        return real(job, diag_dir)
+
+    monkeypatch.setattr(worker_mod, "execute_job", sometimes_poisoned)
+    # a chaos job's name carries no core count
+    with _deadline(), pytest.raises(
+            SanitizerError, match=r"1 unproduced job\(s\); noc_jitter/S\+/s1:"
+                                  " SanitizerError: synthetic violation"):
+        campaign_rows(db, spec, workers=0)
+    with FarmStore(db) as store:
+        st = store.status(spec.campaign_id())
+    assert (st["done"], st["pending"], st["attempts"]) == (1, 1, 2)
+
+
+# ----------------------------------------------------------------------
 # stalled-but-alive worker: duplicate execution, exactly-once rows
 # ----------------------------------------------------------------------
 
@@ -265,8 +325,8 @@ def test_poison_job_quarantines_and_campaign_still_finishes(
 
     monkeypatch.setattr(worker_mod, "execute_job", sometimes_poisoned)
     cid, _ = campaign_mod.submit(db, spec, diag_dir=str(diag))
-    cfg = FarmConfig(quarantine_after=3, backoff_base=0.01,
-                     diag_dir=str(diag))
+    monkeypatch.setattr(store_mod, "BACKOFF_BASE", 0.01)
+    cfg = FarmConfig(quarantine_after=3, diag_dir=str(diag))
     # three distinct workers each hit the poison job (the retry
     # backoff gates each worker off it after one failure)
     import time as time_mod
@@ -698,17 +758,18 @@ def test_heartbeat_stress_every_job_runs_exactly_once(tmp_path,
 
 
 # ----------------------------------------------------------------------
-# the coordinator wakes on worker exit; poll_secs bounds supervision
+# the coordinator wakes on worker exit; SUPERVISE_SECS bounds supervision
 # ----------------------------------------------------------------------
 
 def test_coordinator_returns_when_the_pool_drains_not_at_the_next_poll(
-        tmp_path):
+        tmp_path, monkeypatch):
     spec = _litmus_spec()  # six jobs
     inline = run_campaign(str(tmp_path / "inline.sqlite"), spec, workers=0)
     assert len(inline) == 6
+    monkeypatch.setattr(campaign_mod, "SUPERVISE_SECS", 5.0)
     t0 = time.monotonic()
     pooled = run_campaign(str(tmp_path / "farm.sqlite"), spec, workers=2,
-                          poll_secs=5.0, timeout=60)
+                          timeout=60)
     assert time.monotonic() - t0 < 2.0
     assert pooled == inline
 
@@ -722,9 +783,10 @@ def test_the_pool_is_no_larger_than_the_work(tmp_path, monkeypatch):
     real = WorkerPool._spawn
     monkeypatch.setattr(WorkerPool, "_spawn",
                         lambda self: spawned.append(self) or real(self))
+    monkeypatch.setattr(campaign_mod, "SUPERVISE_SECS", 0.1)
     rows = run_campaign(str(tmp_path / "farm.sqlite"),
                         _litmus_spec(seeds=(1,), designs=DESIGNS[:1]),
-                        workers=4, poll_secs=0.1, timeout=60)
+                        workers=4, timeout=60)
     assert len(rows) == 1
     assert len(spawned) == 1 and spawned[0].size == 1
 
@@ -734,12 +796,13 @@ def test_workers_dying_at_startup_do_not_cause_a_fork_storm(tmp_path,
     from repro.farm import pool as pool_mod
 
     monkeypatch.setattr(pool_mod, "worker_main", lambda *args: None)
+    monkeypatch.setattr(campaign_mod, "SUPERVISE_SECS", 0.25)
     seen = {}
     with pytest.raises(TimeoutError):
         run_campaign(str(tmp_path / "farm.sqlite"), _litmus_spec(),
-                     workers=2, poll_secs=0.25, timeout=1.0,
+                     workers=2, timeout=1.0,
                      on_poll=lambda store, pool: seen.update(pool=pool))
-    # each slot refilled once per poll_secs, however fast it empties
+    # each slot refilled once per SUPERVISE_SECS, however fast it empties
     assert 2 <= seen["pool"].respawns <= 5 * 2
     assert seen["pool"].procs == []  # stopped on the way out
 
@@ -749,14 +812,15 @@ def test_on_poll_fires_every_poll_secs_while_nothing_exits(tmp_path,
     monkeypatch.setattr(
         worker_mod, "execute_job",
         lambda job, diag_dir=None: time.sleep(0.8) or {"v": job.seed})
+    monkeypatch.setattr(campaign_mod, "SUPERVISE_SECS", 0.1)
     looks = []
     t0 = time.monotonic()
     rows = run_campaign(
         str(tmp_path / "farm.sqlite"),
         _litmus_spec(seeds=(1,), designs=DESIGNS[:1]), workers=1,
-        poll_secs=0.1, timeout=60,
+        timeout=60,
         on_poll=lambda store, pool: looks.append(pool.alive()))
     assert len(rows) == 1 and time.monotonic() - t0 < 5.0
     # the one worker exits once, at the end: every other look is a
-    # poll_secs timeout (0.8 s of job / 0.1 s, less scheduling slack)
+    # SUPERVISE_SECS timeout (0.8 s of job / 0.1 s, less scheduling slack)
     assert len(looks) >= 5 and set(looks) == {1}

@@ -16,6 +16,8 @@ import time
 import pytest
 
 from repro.common.params import FenceDesign
+from repro.farm import campaign as campaign_mod
+from repro.farm import worker as worker_mod
 from repro.farm.campaign import run_campaign
 from repro.farm.spec import CampaignSpec
 from repro.farm.store import FarmStore
@@ -37,6 +39,12 @@ def _pinned_rev(monkeypatch):
     monkeypatch.delenv("REPRO_FARM_DB", raising=False)
 
 
+def _fast_polls(monkeypatch):
+    """Workers and the coordinator both look every 0.02 s."""
+    monkeypatch.setattr(worker_mod, "IDLE_SECS", 0.02)
+    monkeypatch.setattr(campaign_mod, "SUPERVISE_SECS", 0.02)
+
+
 def _battery_spec():
     return CampaignSpec.make(
         "matrix", BATTERY_WORKLOADS, BATTERY_DESIGNS,
@@ -56,7 +64,8 @@ def _lease_holder(store, pool):
                  if proc.name in owners and proc.is_alive()), None)
 
 
-def test_battery_survives_kills_and_coordinator_restart(tmp_path):
+def test_battery_survives_kills_and_coordinator_restart(tmp_path,
+                                                       monkeypatch):
     """Workers are SIGKILLed throughout; the coordinator itself dies
     mid-campaign and is restarted cold.  The surviving farm must
     converge to the clean sweep's rows, exactly once each."""
@@ -65,7 +74,8 @@ def test_battery_survives_kills_and_coordinator_restart(tmp_path):
     assert len(clean) == 60
 
     db = str(tmp_path / "farm.sqlite")
-    cfg = FarmConfig(lease_secs=1.0, poll_secs=0.02, quarantine_after=10)
+    _fast_polls(monkeypatch)
+    cfg = FarmConfig(lease_secs=1.0, quarantine_after=10)
     chaos = {"polls": 0, "kills": 0, "respawns_seen": 0}
 
     def killer(crash_at):
@@ -86,7 +96,7 @@ def test_battery_survives_kills_and_coordinator_restart(tmp_path):
         return on_poll
 
     with pytest.raises(_CoordinatorCrash):
-        run_campaign(db, spec, workers=2, config=cfg, poll_secs=0.02,
+        run_campaign(db, spec, workers=2, config=cfg,
                      on_poll=killer(crash_at=25), timeout=600)
     with FarmStore(db) as store:
         st = store.status(spec.campaign_id())
@@ -94,7 +104,7 @@ def test_battery_survives_kills_and_coordinator_restart(tmp_path):
         assert st["done"] < 60  # it really died mid-flight
 
     # cold restart: same spec, fresh coordinator, kills keep coming
-    rows = run_campaign(db, spec, workers=2, config=cfg, poll_secs=0.02,
+    rows = run_campaign(db, spec, workers=2, config=cfg,
                         on_poll=killer(crash_at=None), timeout=600)
 
     assert chaos["kills"] >= 2  # the chaos actually happened
@@ -113,20 +123,20 @@ def test_battery_survives_kills_and_coordinator_restart(tmp_path):
 _COORDINATOR = textwrap.dedent("""
     import sys
     from repro.common.params import FenceDesign
-    from repro.farm.campaign import run_campaign
+    from repro.farm import campaign, worker
     from repro.farm.spec import CampaignSpec
-    from repro.farm.worker import FarmConfig
 
     spec = CampaignSpec.make(
         "matrix", ["fib"], [FenceDesign.S_PLUS, FenceDesign.W_PLUS],
         seeds=range(1, 7), core_counts=[2], scale=0.04)
-    cfg = FarmConfig(lease_secs=1.0, poll_secs=0.02)
-    run_campaign(sys.argv[1], spec, workers=2, config=cfg,
-                 poll_secs=0.02, timeout=600)
+    worker.IDLE_SECS = campaign.SUPERVISE_SECS = 0.02
+    campaign.run_campaign(sys.argv[1], spec, workers=2,
+                          config=worker.FarmConfig(lease_secs=1.0),
+                          timeout=600)
 """)
 
 
-def test_sigkilled_coordinator_resumes_exactly_once(tmp_path):
+def test_sigkilled_coordinator_resumes_exactly_once(tmp_path, monkeypatch):
     """SIGKILL the whole coordinator process mid-campaign (its workers
     become orphans that may still complete jobs).  A cold in-process
     restart plus the orphans' duplicate completions must still yield
@@ -161,9 +171,9 @@ def test_sigkilled_coordinator_resumes_exactly_once(tmp_path):
     assert started, "coordinator never started claiming jobs"
     assert proc.returncode == -signal.SIGKILL
 
-    cfg = FarmConfig(lease_secs=1.0, poll_secs=0.02)
-    rows = run_campaign(db, spec, workers=2, config=cfg, poll_secs=0.02,
-                        timeout=600)
+    _fast_polls(monkeypatch)
+    rows = run_campaign(db, spec, workers=2,
+                        config=FarmConfig(lease_secs=1.0), timeout=600)
     assert rows == clean
     with FarmStore(db) as store:
         assert store.result_count() == 12  # exactly once, orphans and all

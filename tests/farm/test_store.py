@@ -9,8 +9,9 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.common.params import FenceDesign
+from repro.farm import store as store_mod
 from repro.farm.spec import CampaignSpec, JobSpec
-from repro.farm.store import FarmStore
+from repro.farm.store import LEASE_EXPIRED, FarmStore
 
 
 @pytest.fixture(autouse=True)
@@ -268,12 +269,13 @@ def test_completion_marks_the_key_done_across_campaigns(tmp_path):
 # failure, backoff, quarantine
 # ----------------------------------------------------------------------
 
-def test_failed_job_backs_off_exponentially(tmp_path):
+def test_failed_job_backs_off_exponentially(tmp_path, monkeypatch):
+    monkeypatch.setattr(store_mod, "BACKOFF_BASE", 10.0)
     with _store(tmp_path) as store:
         cid, _ = store.submit_campaign(_spec())
         key, _ = store.claim(cid, "w1", 30.0)
-        assert store.fail(key, cid, "w1", "boom", quarantine_after=99,
-                          backoff_base=10.0) == "pending"
+        assert store.fail(key, cid, "w1", "boom",
+                          quarantine_after=99) == "pending"
         # backoff gate: not claimable right now...
         assert store.claim(cid, "w2", 30.0) is None
         # ...but claimable past the gate
@@ -281,22 +283,22 @@ def test_failed_job_backs_off_exponentially(tmp_path):
                            now=time.time() + 11.0) is not None
         nb1 = store._one("SELECT not_before FROM jobs WHERE key=?",
                          (key,))[0]
-        store.fail(key, cid, "w2", "boom", quarantine_after=99,
-                   backoff_base=10.0)
+        store.fail(key, cid, "w2", "boom", quarantine_after=99)
         nb2 = store._one("SELECT not_before FROM jobs WHERE key=?",
                          (key,))[0]
         assert nb2 - nb1 > 5.0  # attempt 2 backed off ~2x attempt 1
 
 
-def test_backoff_is_capped(tmp_path):
+def test_backoff_is_capped(tmp_path, monkeypatch):
+    monkeypatch.setattr(store_mod, "BACKOFF_BASE", 0.25)
+    monkeypatch.setattr(store_mod, "BACKOFF_CAP", 3.0)
     with _store(tmp_path) as store:
         cid, _ = store.submit_campaign(_spec())
         key, _ = store.claim(cid, "w1", 30.0)
         t0 = time.time()
         store._conn.execute("UPDATE jobs SET attempts=50 WHERE key=?",
                             (key,))
-        store.fail(key, cid, "w1", "boom", quarantine_after=99,
-                   backoff_base=0.25, backoff_cap=3.0)
+        store.fail(key, cid, "w1", "boom", quarantine_after=99)
         nb = store._one("SELECT not_before FROM jobs WHERE key=?",
                         (key,))[0]
         assert nb - t0 < 4.0  # capped, not 0.25 * 2**49
@@ -363,7 +365,7 @@ def test_fail_unknown_job_raises(tmp_path):
 # gc
 # ----------------------------------------------------------------------
 
-def test_gc_releases_expired_leases_and_drops_done_campaigns(tmp_path):
+def test_gc_drops_done_campaigns_and_prunes_the_cache(tmp_path):
     spec_a = _spec(seeds=(1,))
     spec_b = _spec(seeds=(2,))
     with _store(tmp_path) as store:
@@ -373,12 +375,27 @@ def test_gc_releases_expired_leases_and_drops_done_campaigns(tmp_path):
         store.complete(key_a, cid_a, "w1", {"v": 1})
         store.claim(cid_b, "w2", lease_secs=0.0)  # expired, unfinished
         summary = store.gc()
-        assert summary["released"] == 1
         assert summary["campaigns_dropped"] == 1  # A done, B kept
         assert [cid for cid, _ in store.campaigns()] == [cid_b]
         assert store.result_count() == 1  # cache survives by default
         summary2 = store.gc(prune_cache=True)
         assert summary2["results_pruned"] == 1  # A's row, unreferenced
+
+
+def test_gc_leaves_an_expired_lease_for_claim_to_charge(tmp_path):
+    """A dead worker's expired lease is evidence for quarantine: gc
+    leaves it, so the next claim still charges its owner."""
+    with _store(tmp_path) as store:
+        cid, _ = store.submit_campaign(_spec())
+        key, _ = store.claim(cid, "w2", lease_secs=0.0)  # w2 dies
+        store.gc()
+        assert store.claim(cid, "w3", 30.0)[0] == key
+        assert store._conn.execute(
+            "SELECT worker, error FROM failures WHERE key=?",
+            (key,)).fetchall() == [("w2", LEASE_EXPIRED)]
+        (failed,) = store._one(
+            "SELECT failed_workers FROM jobs WHERE key=?", (key,))
+        assert json.loads(failed) == ["w2"]
 
 
 def test_gc_prune_keeps_referenced_cache_rows(tmp_path):
