@@ -363,6 +363,7 @@ def cmd_chaos(args) -> int:
 
     from repro.farm.clients import store_path
     from repro.faults.chaos import run_chaos_matrix
+    from repro.faults.injector import describe
     from repro.faults.plan import LEGAL_SCENARIOS, SCENARIOS
 
     if args.scenarios.strip().lower() == "all":
@@ -386,6 +387,8 @@ def cmd_chaos(args) -> int:
             line += f" ({case.violations[0]})"
             if case.shrunk is not None:
                 line += f" -> shrunk to {len(case.shrunk)} injection(s)"
+                for entry in case.shrunk:
+                    line += f"\n      {describe(entry)}"
         print(line)
 
     print(f"chaos: {len(scenarios)} scenario(s) x {len(designs)} design(s) "

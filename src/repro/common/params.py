@@ -110,7 +110,7 @@ def role_for_flavour(design: FenceDesign, flavour: FenceFlavour):
     placement as role-annotated :class:`~repro.core.isa.Fence` ops: S+
     (and the §8 extensions) cannot express a wf, while W+ and Wee
     cannot express an sf — their fences are weak on every thread and
-    only *dynamic* demotion (Wee confinement, W+ storm degradation) can
+    only *dynamic* demotion (Wee confinement, the W+ recovery drain) can
     re-introduce sf behaviour.
     """
     for role in (FenceRole.STANDARD, FenceRole.CRITICAL):
@@ -179,14 +179,6 @@ class MachineParams:
     #: disable to model the *naive* global-state-free weak fence of
     #: Fig. 3a, which deadlocks instead of recovering (demo/tests).
     wplus_recovery_enabled: bool = True
-    #: recovery-storm monitor (graceful degradation): after this many W+
-    #: recoveries inside ``wplus_storm_window_cycles``, a core's weak
-    #: fences demote to sf for ``wplus_storm_cooldown_cycles`` —
-    #: mirroring Wee's confinement demotion rule.  0 disables the
-    #: monitor (the default; the paper's W+ never demotes).
-    wplus_storm_k: int = 0
-    wplus_storm_window_cycles: int = 20_000
-    wplus_storm_cooldown_cycles: int = 10_000
     #: ablation: an *idealized* WeeFence with an atomically-consistent
     #: global GRT view across all directory modules — the hardware the
     #: paper argues cannot be built (§2.3).  No confinement demotions,

@@ -46,7 +46,7 @@ class MachineStats:
 
     __slots__ = (
         "num_cores", "breakdown", "instructions", "sf_executed",
-        "wf_executed", "wee_sf_conversions", "storm_demotions",
+        "wf_executed", "wee_sf_conversions",
         "bs_occupancy_samples",
         "bs_occupancy_count", "bs_occupancy_sum", "bs_occupancy_max",
         "_bs_sample_stride", "_bs_sample_phase",
@@ -71,10 +71,6 @@ class MachineStats:
         self.wf_executed = [0] * num_cores
         #: Wee fences demoted to sf by the GRT confinement rule.
         self.wee_sf_conversions = [0] * num_cores
-        #: W+ recovery-storm demotions: the per-core storm monitor saw
-        #: K recoveries inside its window and demoted the core's weak
-        #: fences to sf for a cooldown (graceful degradation).
-        self.storm_demotions = [0] * num_cores
 
         # bypass-set behaviour
         self.bs_occupancy_samples: List[int] = []
@@ -260,7 +256,6 @@ class MachineStats:
             "sf_executed": list(self.sf_executed),
             "wf_executed": list(self.wf_executed),
             "wee_sf_conversions": list(self.wee_sf_conversions),
-            "storm_demotions": list(self.storm_demotions),
             "bs_occupancy_samples": list(self.bs_occupancy_samples),
             "bs_insertions": self.bs_insertions,
             "bs_overflow_stalls": self.bs_overflow_stalls,
@@ -310,7 +305,6 @@ class MachineStats:
             "retries_per_wr": self.retries_per_bounced_write,
             "traffic_incr_pct": self.traffic_increase_pct,
             "recoveries_per_wf": self.recoveries_per_wf,
-            "storm_demotions": sum(self.storm_demotions),
             "txn_commits": self.txn_commits,
             "txn_aborts": self.txn_aborts,
             "tasks_executed": self.tasks_executed,

@@ -843,7 +843,6 @@ class Core:
         the wf behaves as an sf this one time.
         """
         self.stats.wplus_recoveries += 1
-        self.policy.on_recovery()
         pf = self.pending_fences[0]
         assert pf.checkpoint is not None
         tracer = self.tracer

@@ -27,7 +27,7 @@ from typing import Dict
 from repro.common.errors import ConfigError
 from repro.farm.campaign import submit
 from repro.farm.clients import campaign_rows, matrix_campaign, store_path
-from repro.farm.spec import CampaignSpec
+from repro.farm.spec import CampaignSpec, JobSpec
 from repro.farm.store import DEFAULT_QUARANTINE_AFTER, FarmStore
 from repro.farm.worker import FarmConfig
 
@@ -57,8 +57,7 @@ def _print_status(store: FarmStore, campaign: str) -> None:
           f"(attempts {st['attempts']}, duplicates {st['duplicates']})")
     for q in store.quarantined(campaign):
         print(f"    QUARANTINED {q['key'][:12]} "
-              f"{q['spec']['workload']}/{q['spec']['design']}"
-              f"/r{q['spec']['seed']}: {q['last_error']}")
+              f"{JobSpec(**q['spec']).name}: {q['last_error']}")
 
 
 def _drive(args, spec: CampaignSpec) -> Dict[str, dict]:

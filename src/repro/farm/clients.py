@@ -96,10 +96,7 @@ def campaign_rows(db: Optional[str], spec: CampaignSpec,
         errors = store.errors(cid)
     failed = [(job, errors[job.content_key()]) for job in missing
               if job.content_key() in errors]
-    detail = "".join(  # only matrix jobs read a core count
-        f"; {job.workload}/{FenceDesign[job.design].value}"
-        + (f"/{job.cores}c" if job.kind == "matrix" else "")
-        + f"/s{job.seed}: {err}" for job, err in failed[:3])
+    detail = "".join(f"; {job.name}: {err}" for job, err in failed[:3])
     if len(failed) > 3:
         detail += f"; ... {len(failed) - 3} more"
     named = {cls.__name__: cls for cls in EXIT_BY_ERROR}
@@ -151,12 +148,12 @@ def farm_chaos_cases(
     """The chaos grid as a campaign; :class:`ChaosCase` list in the
     sweep order (scenario-major, then design, then seed — the
     campaign's workload > design > cores > seed with one core count)."""
-    from repro.faults.chaos import _case_from_record
+    from repro.faults.chaos import ChaosCase
 
     rows = campaign_rows(db, chaos_campaign(scenarios, designs, seeds,
                                             sanitize), workers,
                          config=FarmConfig(diag_dir=diag_dir))
-    return [_case_from_record(row) for row in rows]
+    return [ChaosCase(**row) for row in rows]
 
 
 def synth_campaign(config, budget=None) -> CampaignSpec:

@@ -124,6 +124,13 @@ class JobSpec:
     def fence_design(self) -> FenceDesign:
         return FenceDesign[self.design]
 
+    @property
+    def name(self) -> str:
+        """The job as status lines and errors print it, e.g.
+        ``fib/S+/2c/s12345`` (only matrix jobs read a core count)."""
+        cores = f"/{self.cores}c" if self.kind == "matrix" else ""
+        return f"{self.workload}/{self.fence_design.value}{cores}/s{self.seed}"
+
     def config_dict(self) -> dict:
         return json.loads(self.config)
 

@@ -12,9 +12,10 @@ no-deadlock, termination, recovery soundness) plus the chaos-specific
 ``recovery_bound`` in one litmus-sized run is a recovery livelock even
 if the run eventually completed.
 
-A failing case can be shrunk: ddmin over the injector's fired-injection
-log finds the minimal subset of injections that still breaks the
-machine (replayed via the injector's ``allowed`` allow-list).
+A failing case can be shrunk: ddmin over the decision map the
+injector fired finds the minimal set of injections that still breaks
+the machine, each named by the message it hits (replayed in the
+injector's map mode).
 
 ``run_chaos_matrix`` sweeps a scenario × design × seed grid, locally
 or as a farm campaign, and emits a JSON report.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.common.params import FenceDesign
 from repro.faults.injector import FaultInjector
@@ -49,11 +50,12 @@ class ChaosCase:
     cycles: int = 0
     recoveries: int = 0
     bounces: int = 0
-    storm_demotions: int = 0
     #: fired/consulted injection counts from the injector
     faults: Dict[str, dict] = field(default_factory=dict)
-    #: minimal failing injection subset, when shrinking ran
-    shrunk: Optional[List[Tuple[str, int]]] = None
+    #: minimal failing decision map as ``[key..., value]`` entries
+    #: (:func:`repro.faults.injector.from_entries` replays it), when
+    #: shrinking ran
+    shrunk: Optional[List[list]] = None
     shrink_runs: int = 0
     #: watchdog/sanitizer post-mortem artifact, when one was written
     diagnostics_path: Optional[str] = None
@@ -71,7 +73,7 @@ class ChaosCase:
 
     def to_dict(self) -> dict:
         """The JSON row: every field in declaration order, sharing no
-        mutable state with the case (``shrunk`` pairs become lists)."""
+        mutable state with the case."""
         return {
             "scenario": self.scenario,
             "design": self.design,
@@ -81,10 +83,9 @@ class ChaosCase:
             "cycles": self.cycles,
             "recoveries": self.recoveries,
             "bounces": self.bounces,
-            "storm_demotions": self.storm_demotions,
             "faults": {k: dict(v) for k, v in self.faults.items()},
             "shrunk": (None if self.shrunk is None
-                       else [list(key) for key in self.shrunk]),
+                       else [list(entry) for entry in self.shrunk]),
             "shrink_runs": self.shrink_runs,
             "diagnostics_path": self.diagnostics_path,
             "sanitize": self.sanitize,
@@ -108,7 +109,7 @@ def _execute(
     plan: FaultPlan,
     design: FenceDesign,
     seed: int,
-    allowed=None,
+    decisions=None,
     diag_dir: Optional[str] = None,
     sanitize: str = "off",
     attrib=None,
@@ -116,13 +117,12 @@ def _execute(
 ):
     """One deterministic chaos execution; returns (run, injector)."""
     program = generate_program(seed)
-    injector = FaultInjector(plan, allowed=allowed)
+    injector = FaultInjector(plan, decisions=decisions)
     run = run_program(
         program,
         design,
         point=SchedulePoint(seed=seed),
         faults=injector,
-        params_overrides=plan.params_overrides,
         diag_dir=diag_dir,
         sanitize=sanitize,
         attrib=attrib,
@@ -173,6 +173,7 @@ def run_chaos_case(
     diag_dir: Optional[str] = None,
     sanitize: str = "strict",
     budget=None,
+    decisions=None,
 ) -> ChaosCase:
     """Run one chaos case and classify it against the oracles.
 
@@ -184,7 +185,8 @@ def run_chaos_case(
     catch-at-timeout behaviour.  *budget* is an optional
     :class:`~repro.sim.governor.RunBudget`: a wedged case degrades
     gracefully instead of wedging its worker (the farm sets one per
-    job).
+    job).  *decisions* replays a decision map instead of the plan's
+    hash draws (the injector's map mode).
     """
     plan = make_plan(scenario, seed)
     attrib = None
@@ -194,7 +196,7 @@ def run_chaos_case(
         attrib = CycleAttribution()
     run, injector = _execute(plan, design, seed, diag_dir=diag_dir,
                              sanitize=sanitize, attrib=attrib,
-                             budget=budget)
+                             budget=budget, decisions=decisions)
     case = ChaosCase(
         scenario=scenario,
         design=design.value,
@@ -204,7 +206,6 @@ def run_chaos_case(
         cycles=run.cycles,
         recoveries=run.recoveries,
         bounces=run.bounces,
-        storm_demotions=run.storm_demotions,
         faults=injector.summary(),
         diagnostics_path=run.diagnostics_path,
         sanitize=sanitize,
@@ -219,11 +220,11 @@ def shrink_failing_case(
     case: ChaosCase,
     max_runs: int = 200,
 ) -> ChaosCase:
-    """ddmin the failing *case* to a minimal injection subset.
+    """ddmin the failing *case* to a minimal decision map.
 
-    Re-runs the exact case unrestricted to recover the fired-injection
-    log, then minimizes the allow-list while the oracles still flag a
-    violation.  The result is recorded on the returned case
+    Re-runs the exact case unrestricted to recover the decision map it
+    fires, then minimizes the map's entries while the oracles still
+    flag a violation.  The result is recorded on the returned case
     (``shrunk`` / ``shrink_runs``); a case that no longer fails is
     returned unchanged.
     """
@@ -237,14 +238,14 @@ def shrink_failing_case(
     if not _case_violations(run, plan):
         return case  # not reproducible (should not happen: deterministic)
 
-    def still_fails(subset: list) -> bool:
-        sub_run, _ = _execute(plan, design, case.seed, allowed=subset,
-                              sanitize=sanitize)
+    def still_fails(entries: list) -> bool:
+        sub_run, _ = _execute(plan, design, case.seed,
+                              decisions=dict(entries), sanitize=sanitize)
         return bool(_case_violations(sub_run, plan))
 
-    minimized, runs = ddmin(list(injector.log), predicate=still_fails,
-                            max_runs=max_runs)
-    case.shrunk = [tuple(key) for key in minimized]
+    minimized, runs = ddmin(list(injector.decisions.items()),
+                            predicate=still_fails, max_runs=max_runs)
+    case.shrunk = [[*key, value] for key, value in minimized]
     case.shrink_runs = runs
     return case
 
@@ -252,15 +253,6 @@ def shrink_failing_case(
 # ----------------------------------------------------------------------
 # the matrix sweep
 # ----------------------------------------------------------------------
-
-def _case_from_record(rec: dict) -> ChaosCase:
-    rec = dict(rec)
-    shrunk = rec.pop("shrunk", None)
-    case = ChaosCase(**rec)
-    if shrunk is not None:
-        case.shrunk = [tuple(k) for k in shrunk]
-    return case
-
 
 def run_chaos_matrix(
     scenarios: Sequence[str],

@@ -32,7 +32,7 @@ to be caught by the chaos oracles (and shrunk by ddmin).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 #: "latency" of a dropped message: far beyond any run's horizon, so the
@@ -91,9 +91,6 @@ class FaultPlan:
     #: bounded-recovery oracle: more W+ recoveries than this in one
     #: litmus-sized run is a recovery livelock
     recovery_bound: int = 200
-    #: machine-parameter overrides applied by the chaos harness
-    #: (e.g. enabling the storm-demotion monitor)
-    params_overrides: Dict[str, object] = field(default_factory=dict)
     #: every injection is a protocol-legal perturbation (the SC +
     #: forward-progress oracles must still pass)
     legal: bool = True
@@ -131,19 +128,12 @@ SCENARIOS: Dict[str, dict] = {
     "timeout_inflate": dict(
         wplus_timeout_scale=4.0,
     ),
-    # graceful-degradation exercise: hair-trigger timeouts + forced
-    # bounces with the recovery-storm monitor enabled, so storms demote
-    # wf -> sf instead of thrashing.  K = 1: litmus-sized runs rarely
-    # see repeated same-core recoveries, so the first one already
-    # demotes (the monitor itself is window-based; see its unit tests).
+    # hair-trigger W+ timeouts under forced bounces: the one mix that
+    # drives W+ into back-to-back recoveries (bounded by the
+    # bounded-recovery oracle)
     "recovery_storm": dict(
         wplus_timeout_scale=0.2,
         bs_amp_rate=0.30, bs_amp_budget=48,
-        params_overrides={
-            "wplus_storm_k": 1,
-            "wplus_storm_window_cycles": 8_000,
-            "wplus_storm_cooldown_cycles": 20_000,
-        },
     ),
     # everything legal at once, at moderate rates
     "chaos_combo": dict(

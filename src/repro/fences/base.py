@@ -106,10 +106,6 @@ class FencePolicy:
     def on_wf_complete(self, pf: PendingFence) -> None:
         """All pre-fence stores of *pf* merged; the fence is complete."""
 
-    def on_recovery(self) -> None:
-        """A W+ rollback recovery fired on this core (W+ only feeds
-        its recovery-storm monitor from here)."""
-
     def completion_blocked(self, pf: PendingFence) -> bool:
         """May *pf* complete once its pre-fence stores have merged?
 

@@ -187,12 +187,14 @@ class DirectoryBank:
             entry.owner = None
         if entry.owner is not None:
             owner = entry.owner
-            lat_out = self.noc.send_cost(self.bank_id, owner, Msg.DOWNGRADE)
+            lat_out = self.noc.send_cost(self.bank_id, owner, Msg.DOWNGRADE,
+                                         txn.line)
 
             def deliver():
                 was_dirty = self.controllers[owner].handle_downgrade(txn.line)
                 resp = Msg.WB_DATA if was_dirty else Msg.INV_ACK
-                lat_back = self.noc.send_cost(owner, self.bank_id, resp)
+                lat_back = self.noc.send_cost(owner, self.bank_id, resp,
+                                              txn.line)
                 self.queue.schedule(
                     lat_back,
                     lambda: self._downgrade_done(txn, owner, was_dirty),
@@ -228,14 +230,14 @@ class DirectoryBank:
 
     def _send_inv(self, txn: Transaction, target: int) -> None:
         lat_out = self.noc.send_cost(
-            self.bank_id, target, Msg.INV, retry=txn.is_retry
+            self.bank_id, target, Msg.INV, txn.line, retry=txn.is_retry
         )
 
         def deliver():
             resp, was_dirty, true_sharing = self.controllers[target].handle_inv(txn)
             resp_msg = Msg.WB_DATA if was_dirty else resp
             lat_back = self.noc.send_cost(
-                target, self.bank_id, resp_msg, retry=txn.is_retry
+                target, self.bank_id, resp_msg, txn.line, retry=txn.is_retry
             )
             self.queue.schedule(
                 lat_back,
@@ -342,7 +344,7 @@ class DirectoryBank:
 
     def _reply(self, txn: Transaction, kind: Msg, extra_latency: int = 0) -> None:
         lat = self.noc.send_cost(
-            self.bank_id, txn.requester, kind, retry=txn.is_retry
+            self.bank_id, txn.requester, kind, txn.line, retry=txn.is_retry
         )
         done = txn.on_done
 

@@ -333,7 +333,8 @@ class L1Controller:
         # amap.home_bank inlined (block-interleaved home mapping)
         bank_id = (txn.line // self._interleave) % self._num_banks
         bank = self.banks[bank_id]
-        lat = self.noc.send_cost(self.core_id, bank_id, txn.kind, retry=txn.is_retry)
+        lat = self.noc.send_cost(self.core_id, bank_id, txn.kind, txn.line,
+                                 retry=txn.is_retry)
         self.queue.schedule(lat, lambda: bank.receive(txn), "l1.request")
 
     def _fill(self, line: int, state: LineState, txn: Transaction) -> None:
@@ -363,7 +364,7 @@ class L1Controller:
         )
         bank_id = self.amap.home_bank(victim_line)
         bank = self.banks[bank_id]
-        lat = self.noc.send_cost(self.core_id, bank_id, Msg.PUTM)
+        lat = self.noc.send_cost(self.core_id, bank_id, Msg.PUTM, victim_line)
         self.queue.schedule(lat, lambda: bank.receive(txn), "l1.putm")
 
     # --- WeeFence GRT access ------------------------------------------
@@ -384,7 +385,8 @@ class L1Controller:
         every directory module's GRT, not just the deposit module's.
         """
         bank = self.banks[bank_id]
-        lat_out = self.noc.send_cost(self.core_id, bank_id, Msg.GRT_DEPOSIT)
+        lat_out = self.noc.send_cost(self.core_id, bank_id, Msg.GRT_DEPOSIT,
+                                     None)
         if self.tracer is not None:
             t0 = self.queue.now
             inner_done = on_done
@@ -403,14 +405,16 @@ class L1Controller:
                         for (core, _fid), ps in other.grt.items():
                             if core != self.core_id:
                                 remote |= ps
-            lat_back = self.noc.send_cost(bank_id, self.core_id, Msg.GRT_DEPOSIT)
+            lat_back = self.noc.send_cost(bank_id, self.core_id,
+                                          Msg.GRT_DEPOSIT, None)
             self.queue.schedule(lat_back, lambda: on_done(remote), "l1.grt_reply")
 
         self.queue.schedule(lat_out, deposit, "l1.grt_deposit")
 
     def grt_withdraw(self, bank_id: int, fence_id: int) -> None:
         bank = self.banks[bank_id]
-        lat = self.noc.send_cost(self.core_id, bank_id, Msg.GRT_WITHDRAW)
+        lat = self.noc.send_cost(self.core_id, bank_id, Msg.GRT_WITHDRAW,
+                                 None)
         self.queue.schedule(
             lat,
             lambda: bank.grt_withdraw(self.core_id, fence_id),

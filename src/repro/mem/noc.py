@@ -89,8 +89,11 @@ class MeshNoc:
             lat = self._latency_cache[key] = hop_lat + self._ser_cycles[kind.idx]
         return lat
 
-    def send_cost(self, src: int, dst: int, kind: Msg, retry: bool = False) -> int:
-        """Account traffic and return the delivery latency in cycles."""
+    def send_cost(self, src: int, dst: int, kind: Msg, line,
+                  retry: bool = False) -> int:
+        """Account traffic and return the delivery latency in cycles.
+        *line* (``None`` for a GRT message) names the message to the
+        fault injector."""
         idx = kind.idx
         nbytes = self._bytes[idx]
         stats = self.stats
@@ -106,7 +109,7 @@ class MeshNoc:
         if self.faults is not None:
             # delay jitter / drops perturb this delivery only — the
             # memoized base latency above stays clean
-            extra = self.faults.noc_perturb(src, dst, kind.value)
+            extra = self.faults.noc_perturb(src, dst, kind.value, line)
             if extra:
                 lat = lat + extra
         if self.tracer is not None:

@@ -244,9 +244,6 @@ class CycleAttribution:
     def wf_convert(self, core: int, fence_id: int) -> None:
         self._note(core, "wee_conversions")
 
-    def storm_demotion(self, core: int, until: int) -> None:
-        self._note(core, "storm_demotions")
-
     def l1_miss(self, core: int, line: int, kind: str, t0: int,
                 outcome: str) -> None:
         """One finished L1 miss transaction waited since *t0* on *line*."""

@@ -106,7 +106,6 @@ WB_FULL_STALL = _kind("X", "wb_full_stall", "stall")
 RMW_STALL = _kind("X", "rmw_stall", "stall", ("charge",))
 RMW_RETRY = _kind("i", "rmw_retry", "bounce", ("word",))
 WPLUS_TIMEOUT = _kind("i", "wplus_timeout", "recovery", ("delay",))
-STORM_DEMOTION = _kind("i", "storm_demotion", "recovery", ("until",))
 ORDER_PROMOTION = _kind("i", "order_promotion", "fence",
                         ("count", "conditional"))
 LMF_FAST = _kind("i", "lmf_fast", "fence")
@@ -383,10 +382,6 @@ class Tracer:
         """Post-rollback drain finished (+ *extra* restart cycles).
         Like :meth:`sf_end`, *extra* goes into the args for replay."""
         self._end((RECOVERY, core), extra, extra=extra)
-
-    def storm_demotion(self, core: int, until: int) -> None:
-        """Recovery-storm monitor demoted this core's wfs to sf."""
-        self._emit((STORM_DEMOTION, core, self._queue.now, 0, until))
 
     # ------------------------------------------------------------------
     # fault injection (any track)

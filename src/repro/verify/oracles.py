@@ -91,11 +91,6 @@ class ProgramRun:
     def bounces(self) -> int:
         return self.stats.bounces if self.stats else 0
 
-    @property
-    def storm_demotions(self) -> int:
-        """wf -> sf storm demotions (graceful degradation, W+ only)."""
-        return sum(self.stats.storm_demotions) if self.stats else 0
-
 
 def _thread_fn(body, addr_map, warm_addrs):
     """Bind one symbolic op list as a runnable generator function."""
@@ -148,9 +143,9 @@ def run_program(
 
     *faults* is a :class:`repro.faults.FaultInjector` to wire into the
     machine (the chaos harness's entry point); *params_overrides* are
-    extra :class:`MachineParams` field overrides (e.g. enabling the W+
-    storm-demotion monitor, or ``{"wplus_recovery_enabled": False}``
-    for the naive Fig. 3a design); *diag_dir* enables watchdog
+    extra :class:`MachineParams` field overrides (e.g.
+    ``{"wplus_recovery_enabled": False}`` for the naive Fig. 3a design,
+    or a tiny L1 that puts evictions in litmus reach); *diag_dir* enables watchdog
     post-mortem artifacts; *sanitize* attaches a runtime protocol
     sanitizer ("warn" | "strict") as an additional oracle — under a
     strict sanitizer a corrupted machine state is classified at the

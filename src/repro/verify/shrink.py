@@ -4,8 +4,8 @@ One minimizer, :func:`ddmin` — classic complement-removal ddmin over
 an arbitrary item list under a caller-supplied predicate — with three
 callers.  The predicate's direction is the caller's business:
 
-* the chaos harness shrinks a *failing* fault plan's fired-injection
-  keys ("this subset still breaks the machine");
+* the chaos harness shrinks a *failing* run's fired decision map
+  ("these injections still break the machine");
 * the fence synthesizer's descent shrinks a *passing* fence placement
   ("this subset still satisfies the SC oracle");
 * :func:`shrink_program` shrinks a *violating* litmus program's op

@@ -553,6 +553,27 @@ def test_a_failing_job_exits_with_its_code_from_every_command(
                         "--workers", workers], code, named)
 
 
+def test_status_and_error_name_a_quarantined_job_alike(
+        tmp_path, monkeypatch, capsys):
+    """A poison job quarantined by three invocations: ``farm status``'s
+    line and the campaign's error print the same job name."""
+    from repro.cli import main
+
+    argv = ["farm", "submit", "--db", str(tmp_path / "farm.sqlite"),
+            "--workloads", "bogus", "--designs", "S+", "--cores", "2",
+            "--scale", "0.05", "--run", "--workers", "0"]
+    for n in range(3):  # three invocations, three worker identities
+        monkeypatch.setattr(store_mod, "default_worker_id",
+                            lambda n=n: f"invocation{n}")
+        with _deadline():
+            assert main(argv) == 1
+    out, err = capsys.readouterr()
+    (status,) = [line for line in out.splitlines() if "QUARANTINED" in line]
+    named = "bogus/S+/2c/s12345: KeyError"
+    assert named in status
+    assert named in err.splitlines()[-1]
+
+
 @pytest.mark.parametrize("command", ["resume", "table"])
 def test_a_job_quarantined_by_expired_leases_exits_1(
         tmp_path, monkeypatch, capsys, command):

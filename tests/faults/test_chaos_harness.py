@@ -5,14 +5,17 @@ import copy
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.common.params import FenceDesign
 from repro.faults import LEGAL_SCENARIOS
+from repro.faults.injector import from_entries
+from repro.faults.plan import DROP_CYCLES
 from repro.faults.chaos import (
-    _case_from_record,
+    ChaosCase,
     run_chaos_case,
     run_chaos_matrix,
     shrink_failing_case,
@@ -109,23 +112,24 @@ def test_shrink_finds_a_minimal_injection_subset():
     shrunk = shrink_failing_case(case)
     assert shrunk.shrunk is not None
     assert 1 <= len(shrunk.shrunk) < 8  # well under the drop budget
-    assert all(site == "noc_drop" for site, _n in shrunk.shrunk)
+    # every entry names the dropped message: [noc, src, dst, kind,
+    # line, ordinal, DROP_CYCLES]
+    assert all(entry[0] == "noc" and entry[-1] == DROP_CYCLES
+               for entry in shrunk.shrunk)
     assert shrunk.shrink_runs >= 1
 
 
 def test_shrunk_subset_still_reproduces_the_failure():
-    from repro.faults import FaultInjector, make_plan
-    from repro.faults.chaos import _case_violations, _execute
-
     case = shrink_failing_case(_first_failing_illegal_case())
-    plan = make_plan(case.scenario, case.seed)
     # replay under the same oracle set the case was detected with: a
     # minimal drop subset may not deadlock, but the sanitizer still
     # flags the undeliverable message
-    run, injector = _execute(plan, FenceDesign(case.design), case.seed,
-                             allowed=case.shrunk, sanitize=case.sanitize)
-    assert _case_violations(run, plan)
-    assert set(injector.log) <= set(case.shrunk)
+    replay = run_chaos_case(case.scenario, FenceDesign(case.design),
+                            case.seed, sanitize=case.sanitize,
+                            decisions=from_entries(case.shrunk))
+    assert replay.failed
+    # map mode fires exactly the listed entries
+    assert replay.faults["fired"] == {"noc_drop": len(case.shrunk)}
 
 
 def test_matrix_separates_legal_failures_from_caught_illegal():
@@ -171,7 +175,10 @@ def test_cli_chaos_shrink_flags_illegal_scenario(tmp_path, capsys):
     assert report["caught_illegal"] >= 1
     shrunk = [c for c in report["cases"] if c["shrunk"] is not None]
     assert shrunk and all(len(c["shrunk"]) >= 1 for c in shrunk)
-    assert "shrunk to" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "shrunk to" in out
+    # each shrunk injection prints as the message it hits
+    assert re.search(r"\n +\w+ \d+->\d+ line 0x[0-9a-f]+ #\d+ dropped\n", out)
 
 
 def test_cli_chaos_rejects_unknown_scenario(capsys):
@@ -210,21 +217,12 @@ def test_passing_case_writes_no_attribution_postmortem(tmp_path):
 # the result row: one dict per case, the bytes every stored row holds
 # ----------------------------------------------------------------------
 
-def _asdict_row(case):
-    """The reference form: ``dataclasses.asdict`` with ``shrunk`` pairs
-    as lists — what every chaos report and farm row was written as."""
-    row = dataclasses.asdict(case)
-    if case.shrunk is not None:
-        row["shrunk"] = [list(key) for key in case.shrunk]
-    return row
-
-
 def _assert_row_is_the_reference_and_detached(case):
     before = copy.deepcopy(case)
     row = case.to_dict()
     # no sort_keys: the field order is part of the report's bytes
-    assert json.dumps(row) == json.dumps(_asdict_row(case))
-    assert _case_from_record(case.to_dict()) == case
+    assert json.dumps(row) == json.dumps(dataclasses.asdict(case))
+    assert ChaosCase(**case.to_dict()) == case
     row["violations"].append("mutated")
     for counts in row["faults"].values():
         counts["mutated"] = 1

@@ -66,8 +66,3 @@ def test_drop_cycles_exceed_any_verify_horizon():
     from repro.verify.perturb import VERIFY_MAX_CYCLES
 
     assert DROP_CYCLES > 100 * VERIFY_MAX_CYCLES
-
-
-def test_recovery_storm_enables_the_storm_monitor():
-    plan = make_plan("recovery_storm", 1)
-    assert plan.params_overrides["wplus_storm_k"] >= 1

@@ -13,11 +13,11 @@ only for an intended accounting change, and say so in the commit.
 
 The matrix: fib / Counter / TreeOverwrite / List under the five paper
 designs plus l-mf and C-fence (4 cores, scale 0.2, seed 12345), and the
-Fig. 3a all-wf collision under a hair-trigger W+ storm monitor — it
-reaches the counters that had no literal tracer twin (S+'s
-``sf_flavours``, the C-fence ``cfence`` leaf) and the ones that ride a
-tracer hook of another name (``wee_demotions``, ``wee_conversions``,
-``order_promotions``, ``cond_order_promotions``, ``storm_demotions``).
+Fig. 3a all-wf collision that W+ recovers from — it reaches the
+counters that had no literal tracer twin (S+'s ``sf_flavours``, the
+C-fence ``cfence`` leaf), W+'s recovery subtree, and the ones that ride
+a tracer hook of another name (``wee_demotions``, ``wee_conversions``,
+``order_promotions``, ``cond_order_promotions``).
 """
 
 import json
@@ -30,24 +30,24 @@ from repro.obs import CycleAttribution, Observability
 from repro.obs.attrib import flatten_node
 from repro.sanitizer.core import sanitize_mode
 from repro.workloads.base import load_all_workloads, run_workload
-from tests.faults.test_degradation import _storm_collision_machine
 from tests.support import reset_global_id_streams
+from tests.unit.test_watchdog import _all_wf_deadlock_machine
 
 TABLE = os.path.join(os.path.dirname(__file__), "attrib_pinned.json")
 
 WORKLOADS = ("fib", "Counter", "TreeOverwrite", "List")
 CASES = tuple(f"{name}:{design.value}" for name in WORKLOADS
-              for design in FenceDesign) + ("storm",)
+              for design in FenceDesign) + ("recovery",)
 #: what the matrix as a whole must reach for the table to pin anything
 REACHED = ("sf_flavours", "wee_demotions", "wee_conversions",
-           "order_promotions", "cond_order_promotions", "storm_demotions")
+           "order_promotions", "cond_order_promotions")
 
 
 def _report(case):
     load_all_workloads()
     reset_global_id_streams()
-    if case == "storm":
-        machine = _storm_collision_machine()
+    if case == "recovery":
+        machine = _all_wf_deadlock_machine(recovery=True)
         attrib = CycleAttribution()
         machine.attach_attrib(attrib)
         assert machine.run().completed
@@ -76,7 +76,7 @@ def test_table_covers_the_matrix_and_the_twinless_counters(pinned):
     seen = {key for row in pinned.values() for key in row["events"]}
     assert seen >= set(REACHED)
     assert pinned["Counter:C-fence"]["machine"]["fence_stall.cfence"] > 0
-    assert pinned["storm"]["machine"]["fence_stall.recovery.bounce"] > 0
+    assert pinned["recovery"]["machine"]["fence_stall.recovery.bounce"] > 0
 
 
 @pytest.mark.parametrize("case", CASES)

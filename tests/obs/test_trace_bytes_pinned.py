@@ -11,7 +11,11 @@ Regenerate it only for an intended format change, and say so in the
 commit.  The fib, ``cutoff`` and ``dir_nack`` rows were re-pinned when
 the interval-metrics timeline was removed: each is the digest of the
 earlier export with its ``"type":"metrics"`` lines (JSONL) or its
-``tid`` 901 events (Chrome) dropped, every other byte kept.
+``tid`` 901 events (Chrome) dropped, every other byte kept.  The
+``dir_nack`` row was re-pinned again when fault decisions became keyed
+by message: each ``fault_*`` instant's ``"n"`` (a per-site call count)
+became ``"ordinal"`` (the key's per-message ordinal), every other byte
+kept.
 
 The matrix: TreeOverwrite / Counter / fib under the five paper designs
 plus l-mf and C-fence (4 cores, tiny scale, fixed seeds), and four runs that reach the irregular record

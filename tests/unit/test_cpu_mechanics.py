@@ -3,7 +3,7 @@ equivalence, determinism, epoch guards."""
 
 import pytest
 
-from repro.common.params import FenceDesign, FenceRole
+from repro.common.params import FenceDesign, FenceFlavour, FenceRole
 from repro.core import isa as ops
 from repro.fences.base import PendingFence, policy_class
 from repro.obs import Observability
@@ -307,13 +307,13 @@ def test_rollback_squashes_a_load_stalled_on_a_full_bypass_set():
 
 
 def _demoted_sf_waiting_for_drain():
-    """A storm-demoted W+ core: its second fence runs as an sf and sits
-    in the drain wait behind an open wf."""
+    """A W+ core whose second fence runs as an sf (as a fence demoted at
+    run time does) and sits in the drain wait behind an open wf."""
     m, core = _wplus_core(
         then=(lambda w: ops.Store(w[0], 2),
               lambda w: ops.Fence(FenceRole.CRITICAL)))
     _step_until(m, lambda: core.pending_fences)
-    core.policy._demoted_until = 10 ** 9
+    core.policy.flavour = lambda role: FenceFlavour.SF
     _step_until(m, lambda: core._sf_wait is not None)
     return m, core
 

@@ -44,10 +44,10 @@ def test_local_delivery_still_costs_a_hop():
 
 def test_traffic_accounting_and_retry_attribution():
     noc, _ = make_noc(4)
-    noc.send_cost(0, 1, Msg.GETX)
+    noc.send_cost(0, 1, Msg.GETX, 64)
     assert noc.stats.network_bytes == HEADER_BYTES
     assert noc.stats.retry_bytes == 0
-    noc.send_cost(0, 1, Msg.GETX, retry=True)
+    noc.send_cost(0, 1, Msg.GETX, 64, retry=True)
     assert noc.stats.network_bytes == 2 * HEADER_BYTES
     assert noc.stats.retry_bytes == HEADER_BYTES
 
@@ -77,7 +77,7 @@ def test_same_geometry_shares_tables_but_not_counters():
     a, _ = make_noc(4)
     b, _ = make_noc(4)
     assert a._bytes is b._bytes and a._latency_cache is b._latency_cache
-    lat = a.send_cost(0, 3, Msg.DATA)
+    lat = a.send_cost(0, 3, Msg.DATA, 64)
     assert b.latency(0, 3, Msg.DATA) == lat
     assert (a.stats.network_bytes, b.stats.network_bytes) == \
         (HEADER_BYTES + 32, 0)
