@@ -361,7 +361,7 @@ def cmd_synth(args) -> int:
 def cmd_chaos(args) -> int:
     import json
 
-    from repro.farm.clients import store_path
+    from repro.farm.campaign import store_path
     from repro.faults.chaos import run_chaos_matrix
     from repro.faults.injector import describe
     from repro.faults.plan import LEGAL_SCENARIOS, SCENARIOS

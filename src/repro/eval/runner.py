@@ -133,11 +133,11 @@ def run_matrix(
     """Run the grid as a farm campaign; returns {(name, design, cores):
     summary}.
 
-    The campaign runs on the store at *farm_db*, else
-    ``REPRO_FARM_DB``'s, else a temporary one
-    (:func:`~repro.farm.clients.campaign_rows`).  *farm_workers*
-    defaults to :func:`~repro.farm.clients.default_farm_workers`; 0 runs
-    every job in this process.
+    :func:`~repro.farm.campaign.run_campaign` drives it on the store at
+    *farm_db*, else ``REPRO_FARM_DB``'s, else a temporary one, and
+    stops at the first job that raises.  *farm_workers* defaults to
+    :func:`~repro.farm.campaign.default_farm_workers`; 0 runs every job
+    in this process.
 
     The sanitizer mode is resolved here, once
     (:func:`~repro.sanitizer.core.sanitize_mode`), and
@@ -145,12 +145,13 @@ def run_matrix(
     job's config, so it is part of the content key: a store never
     serves a row made under another mode.
     """
-    from repro.farm.clients import campaign_rows, matrix_campaign
+    from repro.farm.campaign import run_campaign
+    from repro.farm.clients import matrix_campaign
     from repro.sanitizer.core import sanitize_mode
 
     spec = matrix_campaign(names, designs, [seed],
                            core_counts or [num_cores], scale,
                            sanitize=sanitize_mode())
-    rows = campaign_rows(farm_db, spec, farm_workers)
+    rows = run_campaign(farm_db, spec, farm_workers)
     summaries = [RunSummary(**row) for row in rows]
     return {(s.name, s.design, s.num_cores): s for s in summaries}

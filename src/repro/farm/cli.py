@@ -13,7 +13,7 @@ the spec's content address), built by ``matrix_campaign`` as
 ``run_matrix`` builds it; chaos and synthesis campaigns start from
 ``repro chaos|synth --farm-db``.  ``resume`` restarts the coordinator
 for any stored campaign.  ``submit --run`` and ``resume`` drive it with
-``campaign_rows``, so a failing job exits as under every command.
+``run_campaign``, so a failing job exits as under every command.
 ``gc`` drops finished campaigns' job rows; the result cache is kept
 unless ``--prune-cache``.
 """
@@ -25,8 +25,8 @@ import sys
 from typing import Dict
 
 from repro.common.errors import ConfigError
-from repro.farm.campaign import submit
-from repro.farm.clients import campaign_rows, matrix_campaign, store_path
+from repro.farm.campaign import run_campaign, store_path, submit
+from repro.farm.clients import matrix_campaign
 from repro.farm.spec import CampaignSpec, JobSpec
 from repro.farm.store import DEFAULT_QUARANTINE_AFTER, FarmStore
 from repro.farm.worker import FarmConfig
@@ -61,7 +61,7 @@ def _print_status(store: FarmStore, campaign: str) -> None:
 
 
 def _drive(args, spec: CampaignSpec) -> Dict[str, dict]:
-    """Run *spec* with :func:`campaign_rows`, whose error for unproduced
+    """Run *spec* with :func:`run_campaign`, whose error for unproduced
     jobs escapes to ``repro.cli.main``, and print its status;
     ``{content_key: row}``."""
     cid = spec.campaign_id()
@@ -69,7 +69,7 @@ def _drive(args, spec: CampaignSpec) -> Dict[str, dict]:
                         quarantine_after=args.quarantine_after,
                         diag_dir=args.diag_dir)
     try:
-        rows = campaign_rows(args.db, spec, args.workers, config)
+        rows = run_campaign(args.db, spec, args.workers, config)
         print(f"campaign {cid} complete: {len(rows)} row(s)")
     finally:
         with FarmStore(args.db) as store:

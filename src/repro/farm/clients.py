@@ -2,108 +2,20 @@
 
 One function per job kind (:func:`matrix_campaign`,
 :func:`chaos_campaign`, :func:`synth_campaign`) makes every campaign,
-so the same work has one content key whichever command submits it,
-and :func:`campaign_rows` runs them all and hands the rows back in
-grid order.
+so the same work has one content key whichever command submits it;
+:func:`~repro.farm.campaign.run_campaign` runs them all and hands the
+rows back in grid order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import tempfile
-import time
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.common.errors import EXIT_BY_ERROR, CampaignError, ConfigError
 from repro.common.params import FenceDesign
-from repro.farm.campaign import collect, run_campaign
+from repro.farm.campaign import run_campaign
 from repro.farm.spec import CampaignSpec
-from repro.farm.store import LEASE_EXPIRED, FarmStore
 from repro.farm.worker import FarmConfig
-
-
-def default_farm_workers() -> int:
-    """``REPRO_FARM_WORKERS`` (0 runs inline), else CPUs − 1 capped at
-    8, or 0 where that is under 2: a pool of one runs nothing in
-    parallel and pays the fork.  A value that is not a count ≥ 0 is a
-    :class:`ConfigError`, which the CLI reports as a usage error."""
-    env = os.environ.get("REPRO_FARM_WORKERS")
-    if not env:
-        workers = min(8, (os.cpu_count() or 2) - 1)
-        return workers if workers >= 2 else 0
-    if not env.strip().isdecimal():
-        raise ConfigError(
-            f"REPRO_FARM_WORKERS={env!r}: expected a worker count >= 0 "
-            f"(0 runs inline)")
-    return int(env)
-
-
-def store_path(db: Optional[str] = None) -> Optional[str]:
-    """The farm store *db* names, else ``REPRO_FARM_DB``'s, else None
-    — the one reader of that variable."""
-    return db or os.environ.get("REPRO_FARM_DB") or None
-
-
-class _JobRaised(Exception):
-    """A job's run raised: the campaign stops (see campaign_rows)."""
-
-
-def campaign_rows(db: Optional[str], spec: CampaignSpec,
-                  workers: Optional[int] = None,
-                  config: Optional[FarmConfig] = None) -> List[dict]:
-    """Drive *spec* to completion; its result rows in ``spec.expand()``
-    order.
-
-    The store is *db*, else ``REPRO_FARM_DB``'s, else one in a
-    temporary directory that lives for the call.  On a named store an
-    interrupted campaign resumes and a repeated one is served from the
-    result cache.
-
-    A job whose run raises stops the campaign: simulations are
-    deterministic, so it would raise again on every worker.  A worker
-    that dies mid-job is no such error — its lease expires and the job
-    runs again.  A campaign that ends with unproduced jobs raises the
-    first of their recorded error classes that :data:`EXIT_BY_ERROR`
-    maps, else :class:`CampaignError` (exit 1); the message names the
-    first failed jobs and their errors.
-    """
-    workers = default_farm_workers() if workers is None else workers
-    db = store_path(db)
-    if not db:
-        with tempfile.TemporaryDirectory(prefix="repro-farm-") as tmp:
-            return campaign_rows(os.path.join(tmp, "farm.sqlite"), spec,
-                                 workers, config)
-    cid = spec.campaign_id()
-    started = time.time()
-
-    def stop_on_raise(store: FarmStore, _pool) -> None:
-        errors = store.errors(cid, since=started)
-        if any(err != LEASE_EXPIRED for err in errors.values()):
-            raise _JobRaised
-
-    try:
-        rows = run_campaign(db, spec, workers=workers, config=config,
-                            on_poll=stop_on_raise)
-    except _JobRaised:
-        rows = collect(db, cid)
-    # the jobs (and their cached keys) submit_campaign already built
-    jobs = spec.expand()
-    missing = [job for job in jobs if job.content_key() not in rows]
-    if not missing:
-        return [rows[job.content_key()] for job in jobs]
-    with FarmStore(db) as store:
-        errors = store.errors(cid)
-    failed = [(job, errors[job.content_key()]) for job in missing
-              if job.content_key() in errors]
-    detail = "".join(f"; {job.name}: {err}" for job, err in failed[:3])
-    if len(failed) > 3:
-        detail += f"; ... {len(failed) - 3} more"
-    named = {cls.__name__: cls for cls in EXIT_BY_ERROR}
-    cls = next((named[err.partition(":")[0]] for _job, err in failed
-                if err.partition(":")[0] in named), CampaignError)
-    raise cls(f"farm campaign {cid}: {len(missing)} unproduced job(s)"
-              + detail)
 
 
 def matrix_campaign(workloads: Sequence[str], designs: Sequence,
@@ -150,9 +62,9 @@ def farm_chaos_cases(
     campaign's workload > design > cores > seed with one core count)."""
     from repro.faults.chaos import ChaosCase
 
-    rows = campaign_rows(db, chaos_campaign(scenarios, designs, seeds,
-                                            sanitize), workers,
-                         config=FarmConfig(diag_dir=diag_dir))
+    rows = run_campaign(db, chaos_campaign(scenarios, designs, seeds,
+                                           sanitize), workers,
+                        config=FarmConfig(diag_dir=diag_dir))
     return [ChaosCase(**row) for row in rows]
 
 
@@ -179,10 +91,10 @@ def farm_synthesis(config, budget=None, db: Optional[str] = None,
                    workers: Optional[int] = None):
     """:func:`~repro.synth.engine.run_synthesis`'s report, the whole
     call run as one farm job (:func:`synth_campaign`) on the store
-    :func:`campaign_rows` picks from *db*."""
+    :func:`~repro.farm.campaign.run_campaign` picks from *db*."""
     from repro.synth.engine import SynthReport
 
-    row, = campaign_rows(db, synth_campaign(config, budget), workers)
+    row, = run_campaign(db, synth_campaign(config, budget), workers)
     return SynthReport(
         config=config, program_info=row["program"],
         # the store keeps no key order: the report's is the designs'

@@ -19,7 +19,7 @@ import contextlib
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.farm import store as store_mod
@@ -51,13 +51,12 @@ class FarmConfig:
 
 @dataclass
 class WorkerStats:
-    claimed: int = 0
+    #: rows this worker inserted (a duplicate completion is counted by
+    #: the store's ``results.duplicates``)
     completed: int = 0
-    duplicates: int = 0
     failed: int = 0
     #: lease renewals that raised ``sqlite3.Error`` (retried next interval)
     heartbeat_errors: int = 0
-    statuses: dict = field(default_factory=dict)
 
 
 class _Heartbeat:
@@ -163,7 +162,6 @@ def run_worker(
                 time.sleep(IDLE_SECS)  # backoff-gated retries
                 continue
             key, spec = claimed
-            stats.claimed += 1
             try:
                 with heartbeat.renewing(key):
                     row = execute_job(spec, diag_dir=config.diag_dir)
@@ -177,12 +175,8 @@ def run_worker(
                 if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                     raise
                 continue
-            status = store.complete(key, campaign, worker, row)
-            stats.statuses[status] = stats.statuses.get(status, 0) + 1
-            if status == "inserted":
+            if store.complete(key, campaign, worker, row) == "inserted":
                 stats.completed += 1
-            else:
-                stats.duplicates += 1
 
 
 def worker_main(db_path: str, campaign: str, config: FarmConfig,

@@ -2,11 +2,9 @@
 re-submission is free (content-addressed cache), coordinator restarts
 resume, and the sweeps' clients round-trip through the farm."""
 
-import contextlib
 import dataclasses
 import json
 import os
-import signal
 import sqlite3
 import sys
 import threading
@@ -29,6 +27,7 @@ from repro.farm.exec import execute_job
 from repro.farm.spec import CampaignSpec
 from repro.farm.store import LEASE_EXPIRED, FarmStore
 from repro.farm.worker import FarmConfig, run_worker
+from tests.support import deadline
 
 DESIGNS = [FenceDesign.S_PLUS, FenceDesign.W_PLUS]
 GRID = dict(core_counts=[2], scale=0.06)
@@ -54,7 +53,7 @@ def test_inline_campaign_produces_every_row(tmp_path):
     spec = _spec(seeds=(5, 6))
     rows = run_campaign(db, spec, workers=0)
     assert len(rows) == 4
-    for row in rows.values():
+    for row in rows:
         assert row["completed"] is True
         assert row["num_cores"] == 2
 
@@ -134,7 +133,8 @@ def test_worker_pool_campaign_matches_inline_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(worker_mod, "IDLE_SECS", 0.02)
     monkeypatch.setattr(campaign_mod, "SUPERVISE_SECS", 0.02)
     cfg = FarmConfig(lease_secs=10.0)
-    pooled = run_campaign(db, spec, workers=2, config=cfg, timeout=120)
+    with deadline(120):
+        pooled = run_campaign(db, spec, workers=2, config=cfg)
     inline = run_campaign(inline_db, spec, workers=0)
     assert pooled == inline  # scheduling cannot change the rows
 
@@ -162,7 +162,7 @@ def test_finished_campaign_forks_no_worker(tmp_path, monkeypatch):
     """A campaign with nothing left to run — every row cached, or the
     only unfinished job quarantined — is answered by the coordinator
     alone: no pool, no inline worker, no supervision look."""
-    from repro.farm.clients import campaign_rows
+    from repro.farm.pool import WorkerPool
 
     db = str(tmp_path / "farm.sqlite")
     spec = _litmus_spec()
@@ -172,8 +172,11 @@ def test_finished_campaign_forks_no_worker(tmp_path, monkeypatch):
     assert len(first) == 6 and attempts == 6
     _forbid_workers(monkeypatch)
     looks = []
-    again = run_campaign(db, spec, workers=2,
-                         on_poll=lambda store, pool: looks.append(pool))
+    monkeypatch.setattr(WorkerPool, "ensure",
+                        lambda pool, min_age=0.0: looks.append(pool))
+    monkeypatch.setattr(WorkerPool, "wait",
+                        lambda pool, timeout: looks.append(pool))
+    again = run_campaign(db, spec, workers=2)
     assert again == first
     assert looks == []
     assert _attempts(db, cid) == attempts
@@ -199,7 +202,7 @@ def test_finished_campaign_forks_no_worker(tmp_path, monkeypatch):
         assert store.status(cid)["quarantined"] == 1
     with pytest.raises(CampaignError,
                        match="1 unproduced.*RuntimeError: synthetic poison"):
-        campaign_rows(poisoned_db, spec, workers=2)
+        run_campaign(poisoned_db, spec, workers=2)
     assert _attempts(poisoned_db, cid) == 2
 
 
@@ -225,18 +228,16 @@ def test_inline_campaign_waits_out_a_dead_workers_lease(tmp_path):
     """A job still leased by a worker that died (a killed earlier run)
     is taken over once the lease expires: the inline coordinator waits
     for it as a pool does, and charges the dead owner once."""
-    from repro.farm.clients import campaign_rows
-
     db = str(tmp_path / "farm.sqlite")
     spec = _litmus_spec(seeds=(1,))  # 2 jobs
-    clean = campaign_rows(str(tmp_path / "clean.sqlite"), spec, workers=0)
+    clean = run_campaign(str(tmp_path / "clean.sqlite"), spec, workers=0)
     with FarmStore(db) as store:
         cid, _ = store.submit_campaign(spec)
         key, _ = store.claim(cid, "host:999999", lease_secs=0.5)
     t0 = time.monotonic()
-    with _deadline():
-        rows = campaign_rows(db, spec, workers=0,
-                             config=FarmConfig(lease_secs=0.5))
+    with deadline():
+        rows = run_campaign(db, spec, workers=0,
+                            config=FarmConfig(lease_secs=0.5))
     assert time.monotonic() - t0 < 5.0
     assert rows == clean
     assert _failure_rows(db) == [("host:999999", LEASE_EXPIRED)]
@@ -246,11 +247,9 @@ def test_inline_campaign_waits_out_a_dead_workers_lease(tmp_path):
 
 
 def test_inline_campaign_stops_at_a_job_that_raises(tmp_path, monkeypatch):
-    """The inline coordinator calls on_poll too, so campaign_rows stops
-    a job that always raises after one attempt, with its mapped error,
-    instead of retrying it behind its backoff forever."""
-    from repro.farm.clients import campaign_rows
-
+    """The inline coordinator looks at the store after each pass too,
+    so it stops a job that always raises after one attempt, with its
+    mapped error, instead of retrying it behind its backoff forever."""
     db = str(tmp_path / "farm.sqlite")
     spec = _litmus_spec(seeds=(1,))  # 2 jobs
     poison = spec.expand()[0].content_key()
@@ -263,13 +262,60 @@ def test_inline_campaign_stops_at_a_job_that_raises(tmp_path, monkeypatch):
 
     monkeypatch.setattr(worker_mod, "execute_job", sometimes_poisoned)
     # a chaos job's name carries no core count
-    with _deadline(), pytest.raises(
+    with deadline(), pytest.raises(
             SanitizerError, match=r"1 unproduced job\(s\); noc_jitter/S\+/s1:"
                                   " SanitizerError: synthetic violation"):
-        campaign_rows(db, spec, workers=0)
+        run_campaign(db, spec, workers=0)
     with FarmStore(db) as store:
         st = store.status(spec.campaign_id())
     assert (st["done"], st["pending"], st["attempts"]) == (1, 1, 2)
+
+
+@pytest.mark.parametrize("workers", [0, 1], ids=["inline", "pooled"])
+def test_run_campaign_stops_at_a_job_that_always_raises(tmp_path,
+                                                        monkeypatch,
+                                                        workers):
+    """The stop rule is the coordinator's own: a job that raises on
+    every worker is tried once, then the campaign raises its mapped
+    class, inline or pooled (a retry comes from the same worker id, so
+    quarantine would never stop it)."""
+    from repro.farm import exec as exec_mod
+
+    def always(job, diag_dir=None):
+        raise SanitizerError("synthetic violation")
+
+    monkeypatch.setitem(exec_mod.EXECUTORS, "chaos", always)
+    db = str(tmp_path / "farm.sqlite")
+    spec = _litmus_spec(seeds=(1,), designs=DESIGNS[:1])  # 1 job
+    with deadline(10), pytest.raises(
+            SanitizerError, match=r"1 unproduced job\(s\); noc_jitter/S\+/s1:"
+                                  " SanitizerError: synthetic violation"):
+        run_campaign(db, spec, workers=workers)
+    with FarmStore(db) as store:
+        st = store.status(spec.campaign_id())
+    assert (st["done"], st["quarantined"], st["attempts"]) == (0, 0, 1)
+
+
+def test_the_default_worker_count_is_the_one_default(tmp_path,
+                                                     monkeypatch):
+    """Unset, the worker count is default_farm_workers()'s: inline on a
+    2-CPU host, so no pool is built; a malformed REPRO_FARM_WORKERS is
+    a ConfigError before the campaign is submitted."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a 2-CPU host built a worker pool")
+
+    monkeypatch.setattr(campaign_mod, "WorkerPool", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("REPRO_FARM_WORKERS", raising=False)
+    db = str(tmp_path / "farm.sqlite")
+    spec = _litmus_spec(seeds=(1,))
+    assert len(run_campaign(db, spec)) == 2
+
+    other = str(tmp_path / "other.sqlite")
+    monkeypatch.setenv("REPRO_FARM_WORKERS", "abc")
+    with pytest.raises(ConfigError, match="REPRO_FARM_WORKERS='abc'"):
+        run_campaign(other, spec)
+    assert not os.path.exists(other)  # nothing was submitted
 
 
 # ----------------------------------------------------------------------
@@ -500,25 +546,10 @@ def test_farm_submit_stores_the_jobs_matrix_campaign_builds(
 # one exit code per failure, whichever command drives the campaign
 # ----------------------------------------------------------------------
 
-@contextlib.contextmanager
-def _deadline(secs=60):
-    """Fail a command that hangs instead of hanging the suite."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {secs} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(secs)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _exits(capsys, argv, code, *markers):
     from repro.cli import main
 
-    with _deadline():
+    with deadline():
         got = main(argv)
     err = capsys.readouterr().err
     assert got == code, err
@@ -565,7 +596,7 @@ def test_status_and_error_name_a_quarantined_job_alike(
     for n in range(3):  # three invocations, three worker identities
         monkeypatch.setattr(store_mod, "default_worker_id",
                             lambda n=n: f"invocation{n}")
-        with _deadline():
+        with deadline():
             assert main(argv) == 1
     out, err = capsys.readouterr()
     (status,) = [line for line in out.splitlines() if "QUARANTINED" in line]
@@ -766,8 +797,8 @@ def test_heartbeat_stress_every_job_runs_exactly_once(tmp_path,
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert threading.active_count() == threads_before
-    assert sum(s.claimed for s in results) == 200
     assert sum(s.completed for s in results) == 200
+    assert sum(s.failed for s in results) == 0
     assert sum(s.heartbeat_errors for s in results) == 0
     with FarmStore(db) as store:
         st = store.status(cid)
@@ -789,8 +820,9 @@ def test_coordinator_returns_when_the_pool_drains_not_at_the_next_poll(
     assert len(inline) == 6
     monkeypatch.setattr(campaign_mod, "SUPERVISE_SECS", 5.0)
     t0 = time.monotonic()
-    pooled = run_campaign(str(tmp_path / "farm.sqlite"), spec, workers=2,
-                          timeout=60)
+    with deadline():
+        pooled = run_campaign(str(tmp_path / "farm.sqlite"), spec,
+                              workers=2)
     assert time.monotonic() - t0 < 2.0
     assert pooled == inline
 
@@ -805,42 +837,63 @@ def test_the_pool_is_no_larger_than_the_work(tmp_path, monkeypatch):
     monkeypatch.setattr(WorkerPool, "_spawn",
                         lambda self: spawned.append(self) or real(self))
     monkeypatch.setattr(campaign_mod, "SUPERVISE_SECS", 0.1)
-    rows = run_campaign(str(tmp_path / "farm.sqlite"),
-                        _litmus_spec(seeds=(1,), designs=DESIGNS[:1]),
-                        workers=4, timeout=60)
+    with deadline():
+        rows = run_campaign(str(tmp_path / "farm.sqlite"),
+                            _litmus_spec(seeds=(1,), designs=DESIGNS[:1]),
+                            workers=4)
     assert len(rows) == 1
     assert len(spawned) == 1 and spawned[0].size == 1
+
+
+class _Enough(Exception):
+    """Ends a campaign that a test has watched long enough."""
 
 
 def test_workers_dying_at_startup_do_not_cause_a_fork_storm(tmp_path,
                                                             monkeypatch):
     from repro.farm import pool as pool_mod
+    from repro.farm.pool import WorkerPool
 
     monkeypatch.setattr(pool_mod, "worker_main", lambda *args: None)
     monkeypatch.setattr(campaign_mod, "SUPERVISE_SECS", 0.25)
     seen = {}
-    with pytest.raises(TimeoutError):
+    real_wait = WorkerPool.wait
+    t0 = time.monotonic()
+
+    def wait(pool, timeout):
+        seen.update(pool=pool)
+        if time.monotonic() - t0 > 1.0:
+            raise _Enough
+        real_wait(pool, timeout)
+
+    monkeypatch.setattr(WorkerPool, "wait", wait)
+    with deadline(), pytest.raises(_Enough):
         run_campaign(str(tmp_path / "farm.sqlite"), _litmus_spec(),
-                     workers=2, timeout=1.0,
-                     on_poll=lambda store, pool: seen.update(pool=pool))
+                     workers=2)
     # each slot refilled once per SUPERVISE_SECS, however fast it empties
     assert 2 <= seen["pool"].respawns <= 5 * 2
     assert seen["pool"].procs == []  # stopped on the way out
 
 
-def test_on_poll_fires_every_poll_secs_while_nothing_exits(tmp_path,
-                                                           monkeypatch):
+def test_coordinator_looks_every_supervise_secs_while_nothing_exits(
+        tmp_path, monkeypatch):
+    from repro.farm.pool import WorkerPool
+
     monkeypatch.setattr(
         worker_mod, "execute_job",
         lambda job, diag_dir=None: time.sleep(0.8) or {"v": job.seed})
     monkeypatch.setattr(campaign_mod, "SUPERVISE_SECS", 0.1)
     looks = []
+    real_wait = WorkerPool.wait
+    monkeypatch.setattr(
+        WorkerPool, "wait",
+        lambda pool, timeout: looks.append(pool.alive())
+        or real_wait(pool, timeout))
     t0 = time.monotonic()
-    rows = run_campaign(
-        str(tmp_path / "farm.sqlite"),
-        _litmus_spec(seeds=(1,), designs=DESIGNS[:1]), workers=1,
-        timeout=60,
-        on_poll=lambda store, pool: looks.append(pool.alive()))
+    with deadline():
+        rows = run_campaign(
+            str(tmp_path / "farm.sqlite"),
+            _litmus_spec(seeds=(1,), designs=DESIGNS[:1]), workers=1)
     assert len(rows) == 1 and time.monotonic() - t0 < 5.0
     # the one worker exits once, at the end: every other look is a
     # SUPERVISE_SECS timeout (0.8 s of job / 0.1 s, less scheduling slack)

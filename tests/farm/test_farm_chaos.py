@@ -19,9 +19,11 @@ from repro.common.params import FenceDesign
 from repro.farm import campaign as campaign_mod
 from repro.farm import worker as worker_mod
 from repro.farm.campaign import run_campaign
+from repro.farm.pool import WorkerPool
 from repro.farm.spec import CampaignSpec
 from repro.farm.store import FarmStore
 from repro.farm.worker import FarmConfig
+from tests.support import deadline
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -77,9 +79,11 @@ def test_battery_survives_kills_and_coordinator_restart(tmp_path,
     _fast_polls(monkeypatch)
     cfg = FarmConfig(lease_secs=1.0, quarantine_after=10)
     chaos = {"polls": 0, "kills": 0, "respawns_seen": 0}
+    real_wait = WorkerPool.wait
 
     def killer(crash_at):
-        def on_poll(store, pool):
+        # runs at each of the coordinator's looks, before its wait
+        def wait(pool, timeout):
             chaos["polls"] += 1
             chaos["respawns_seen"] = max(chaos["respawns_seen"],
                                          pool.respawns)
@@ -87,25 +91,27 @@ def test_battery_survives_kills_and_coordinator_restart(tmp_path,
             # ten polls: a campaign that drains before its first kill
             # would dodge the crash below
             if not chaos["kills"] or chaos["polls"] % 10 == 0:
-                victim = _lease_holder(store, pool)
+                victim = _lease_holder(watcher, pool)
                 if victim is not None:
                     os.kill(victim.pid, signal.SIGKILL)
                     chaos["kills"] += 1
             if crash_at is not None and chaos["polls"] >= crash_at:
                 raise _CoordinatorCrash("coordinator dies mid-campaign")
-        return on_poll
+            real_wait(pool, timeout)
+        return wait
 
-    with pytest.raises(_CoordinatorCrash):
-        run_campaign(db, spec, workers=2, config=cfg,
-                     on_poll=killer(crash_at=25), timeout=600)
-    with FarmStore(db) as store:
-        st = store.status(spec.campaign_id())
-        assert not store.campaign_done(spec.campaign_id())
+    with FarmStore(db) as watcher:
+        monkeypatch.setattr(WorkerPool, "wait", killer(crash_at=25))
+        with deadline(600), pytest.raises(_CoordinatorCrash):
+            run_campaign(db, spec, workers=2, config=cfg)
+        st = watcher.status(spec.campaign_id())
+        assert not watcher.campaign_done(spec.campaign_id())
         assert st["done"] < 60  # it really died mid-flight
 
-    # cold restart: same spec, fresh coordinator, kills keep coming
-    rows = run_campaign(db, spec, workers=2, config=cfg,
-                        on_poll=killer(crash_at=None), timeout=600)
+        # cold restart: same spec, fresh coordinator, kills keep coming
+        monkeypatch.setattr(WorkerPool, "wait", killer(crash_at=None))
+        with deadline(600):
+            rows = run_campaign(db, spec, workers=2, config=cfg)
 
     assert chaos["kills"] >= 2  # the chaos actually happened
     assert chaos["respawns_seen"] >= 1  # and the pool self-healed
@@ -131,8 +137,7 @@ _COORDINATOR = textwrap.dedent("""
         seeds=range(1, 7), core_counts=[2], scale=0.04)
     worker.IDLE_SECS = campaign.SUPERVISE_SECS = 0.02
     campaign.run_campaign(sys.argv[1], spec, workers=2,
-                          config=worker.FarmConfig(lease_secs=1.0),
-                          timeout=600)
+                          config=worker.FarmConfig(lease_secs=1.0))
 """)
 
 
@@ -153,9 +158,9 @@ def test_sigkilled_coordinator_resumes_exactly_once(tmp_path, monkeypatch):
     proc = subprocess.Popen([sys.executable, "-c", _COORDINATOR, db],
                             env=env, cwd=REPO)
     # let it claim and start some jobs, then kill it outright
-    deadline = time.time() + 60
+    give_up = time.time() + 60
     started = False
-    while time.time() < deadline:
+    while time.time() < give_up:
         if os.path.exists(db):
             with FarmStore(db) as store:
                 try:
@@ -172,8 +177,9 @@ def test_sigkilled_coordinator_resumes_exactly_once(tmp_path, monkeypatch):
     assert proc.returncode == -signal.SIGKILL
 
     _fast_polls(monkeypatch)
-    rows = run_campaign(db, spec, workers=2,
-                        config=FarmConfig(lease_secs=1.0), timeout=600)
+    with deadline(600):
+        rows = run_campaign(db, spec, workers=2,
+                            config=FarmConfig(lease_secs=1.0))
     assert rows == clean
     with FarmStore(db) as store:
         assert store.result_count() == 12  # exactly once, orphans and all

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import signal
 from dataclasses import replace
 
 import pytest
@@ -120,3 +122,18 @@ def networkx_cycle(events):
                 nx.find_cycle(g, orientation="original")]
     except nx.NetworkXNoCycle:
         return None
+
+
+@contextlib.contextmanager
+def deadline(secs=60):
+    """Fail a command that hangs instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {secs} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(secs)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -16,7 +16,7 @@ import repro
 #: module (relative to src/repro) -> the variables it may read
 ALLOWED = {
     "sanitizer/core.py": ["REPRO_SANITIZE"],
-    "farm/clients.py": ["REPRO_FARM_WORKERS", "REPRO_FARM_DB"],
+    "farm/campaign.py": ["REPRO_FARM_WORKERS", "REPRO_FARM_DB"],
     "farm/spec.py": ["REPRO_CODE_REV"],
 }
 READ = re.compile(r"\benviron\b|\bgetenv\b|\bputenv\b")

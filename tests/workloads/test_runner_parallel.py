@@ -9,7 +9,7 @@ from repro.common.errors import CampaignError, ConfigError
 from repro.common.params import FenceDesign
 from repro.eval import figures
 from repro.eval.runner import run_matrix
-from repro.farm.clients import default_farm_workers
+from repro.farm.campaign import default_farm_workers
 
 GRID = dict(num_cores=2, scale=0.06, farm_workers=0)
 
