@@ -559,7 +559,10 @@ def build_parser() -> argparse.ArgumentParser:
         "spec", metavar="PROGRAM",
         help="a named program (as for synth --program) or 'shape:SEED'")
     p_lit.add_argument("--design", type=_design, default=None)
-    p_lit.add_argument("--seed", type=int, default=1)
+    p_lit.add_argument(
+        "--seed", type=int, default=1,
+        help="picks the program of a bare 'shape:' spec; no run depends "
+             "on it (litmus threads draw no random numbers)")
 
     p_ver = sub.add_parser(
         "verify",

@@ -1,7 +1,7 @@
 """Timing cost model: replay placements through the clean simulator.
 
-Two complementary measurements, both taken at jitter-free schedule
-points (the paper's machine, default knobs, a small seed sweep):
+Two complementary measurements, both taken at the jitter-free default
+point (the paper's machine, default knobs):
 
 * **end-to-end cycles** of a whole placement — what the ranked table
   sorts by within a design.  Caveat: on contended kernels this mixes
@@ -15,11 +15,15 @@ points (the paper's machine, default knobs, a small seed sweep):
   a wf probe is ~0 (post-fence accesses complete early via the Bypass
   Set) while an sf probe pays the write-buffer drain.
 
-Costs are means over a fixed seed sweep of the default point; the
-simulator is deterministic per (program, design, point), so the whole
-model is reproducible bit-for-bit — and cost runs come out of the
-oracle's :class:`~repro.synth.search.RunTable`: the seed-1 cost point
-*is* adversary point 0 and a single-fence probe *is* a search candidate.
+Costs are means over the ``COST_SEEDS`` of the default point, but the
+three seeds are one run: an unjittered point's machine seed moves no
+litmus run (:func:`~repro.verify.oracles.machine_point`), so the mean
+is that run's cycles.  The seeds stay because the report carries them
+(``cost_seeds``).  The simulator is deterministic per (program, design,
+point), so the whole model is reproducible bit-for-bit — and cost runs
+come out of the oracle's :class:`~repro.synth.search.RunTable`, which
+simulates the three seeds once: the cost point *is* adversary point 0
+and a single-fence probe *is* a search candidate.
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ from repro.synth.sites import FenceSite, Placement
 from repro.verify.generator import LitmusProgram
 from repro.verify.perturb import DEFAULT_POINT
 
-#: machine seeds for the cost sweep (cheap, fixed, clean points)
+#: machine seeds of the cost points (the report's ``cost_seeds``); at
+#: a jitter-free point they are one run, which the run table makes once
 COST_SEEDS: Tuple[int, ...] = (1, 2, 3)
 
-#: jitter-free default-knob points, one per sweep seed
+#: jitter-free default-knob points, one per seed
 COST_POINTS = tuple(replace(DEFAULT_POINT, seed=s) for s in COST_SEEDS)
 
 

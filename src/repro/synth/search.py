@@ -27,12 +27,14 @@ lethal points.  Failing candidates therefore usually die on one
 point instead of a full sweep.
 
 **Run table.**  A run is a pure function of (program, design, point,
-sanitizer mode), and one design's synthesis asks for the same run many
-times over (audit after search, CEGAR re-search, cost points that are
-adversary points), so every oracle and cost run comes out of a
-:class:`RunTable`; budgets keep counting *verdicts*, not table misses.
-A design-inert run is the same under every design that asks for it, so
-the tables of one synthesis share those.
+sanitizer mode) — and an unjittered point's seed is not part of it
+(:func:`~repro.verify.oracles.machine_point`) — and one design's
+synthesis asks for the same run many times over (audit after search,
+CEGAR re-search, cost points that are adversary points, the three cost
+seeds), so every oracle and cost run comes out of a :class:`RunTable`;
+budgets keep counting *verdicts*, not table misses.  A design-inert
+run is the same under every design that asks for it, so the tables of
+one synthesis share those.
 """
 
 from __future__ import annotations
@@ -50,7 +52,12 @@ from repro.synth.sites import (
     count_legal_placements,
 )
 from repro.verify.generator import LitmusProgram
-from repro.verify.oracles import ProgramRun, design_inert, run_program
+from repro.verify.oracles import (
+    ProgramRun,
+    design_inert,
+    machine_point,
+    run_program,
+)
 from repro.verify.perturb import SchedulePoint
 from repro.verify.shrink import ddmin
 
@@ -99,17 +106,20 @@ def classify_run(run) -> Optional[str]:
 
 
 class RunTable:
-    """``(program, point) -> ProgramRun`` for one design and sanitizer
-    mode: the only place synthesis simulates, once per key, and the one
-    handle every oracle and cost call takes on that design and mode.
-    It lives as long as its owner — one design of one
-    ``run_synthesis`` call.
+    """``(program, machine_point(point)) -> ProgramRun`` for one
+    design and sanitizer mode: the only place synthesis simulates, once
+    per key, and the one handle every oracle and cost call takes on
+    that design and mode.  It lives as long as its owner — one design
+    of one ``run_synthesis`` call.  The key drops an unjittered point's
+    seed (:func:`machine_point`), so a run asked for under another
+    seed is relabelled with the asker's point.
 
     *shared* is the store the tables of one ``run_synthesis`` call hand
-    each other: a design-inert run (:func:`design_inert`) is simulated
-    once for all of them and relabelled with each asker's design.  It
-    holds design-inert runs only, and is not used under a sanitizer
-    (outside the rule's scope); every other run stays in this table.
+    each other, under the same key: a design-inert run
+    (:func:`design_inert`) is simulated once for all of them and
+    relabelled with each asker's design.  It holds design-inert runs
+    only, and is not used under a sanitizer (outside the rule's scope);
+    every other run stays in this table.
     """
 
     def __init__(self, design: FenceDesign, sanitize: str,
@@ -118,14 +128,15 @@ class RunTable:
         self.design = design
         self.sanitize = sanitize
         self.shared = shared if sanitize == "off" else None
-        #: every run this table answered, labelled with its design
+        #: every run this table answered, labelled with its design and
+        #: the point of its first asker
         self.runs: Dict[Tuple[LitmusProgram, SchedulePoint], ProgramRun] = {}
         #: simulator runs this table made (misses no other table had
         #: already simulated into *shared*)
         self.simulated = 0
 
     def run(self, program: LitmusProgram, point: SchedulePoint) -> ProgramRun:
-        key = (program, point)
+        key = (program, machine_point(point))
         run = self.runs.get(key)
         if run is None:
             inert = self.shared is not None and \
@@ -141,7 +152,7 @@ class RunTable:
             else:
                 run = replace(run, design=self.design)
             self.runs[key] = run
-        return run
+        return run if run.point == point else replace(run, point=point)
 
 
 class PlacementOracle:

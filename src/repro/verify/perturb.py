@@ -4,7 +4,6 @@ The simulator is deterministic for a fixed ``(MachineParams, seed)``,
 so exploring schedules means sweeping the machine knobs that move the
 relative timing of stores, fences and loads:
 
-* the machine **seed** (thread RNG streams),
 * **NoC hop latency** (how long coherence transactions stay in flight),
 * **write-buffer depth** (how many pre-fence stores can pile up),
 * **BS capacity** (when post-fence loads start stalling), and
@@ -12,6 +11,13 @@ relative timing of stores, fences and loads:
 
 Each :class:`SchedulePoint` is one concrete assignment; the verifier
 runs every program × design under several points.
+
+A point also carries a machine **seed**, but it is no schedule axis
+for litmus programs: the seed reaches a machine only as the threads'
+``ctx.rng``, which a litmus thread never draws from
+(:func:`repro.verify.oracles.machine_point`).  It moves a run only at
+a jitter-armed point, where it seeds the NoC-delay plan; verify's
+points carry no jitter, so their seeds move no run.
 """
 
 from __future__ import annotations
@@ -132,7 +138,9 @@ def _draw_point(rng: random.Random) -> SchedulePoint:
 
 def schedule_points(seed: int, count: int) -> List[SchedulePoint]:
     """*count* reproducible points: the default timing first, then a
-    random walk over the sweep axes with distinct machine seeds."""
+    random walk over the sweep axes.  Each drawn point also gets a
+    machine seed, which moves none of these unjittered runs; it is
+    drawn to keep the pinned draw order."""
     rng = random.Random(seed)
     points = [DEFAULT_POINT]
     while len(points) < count:

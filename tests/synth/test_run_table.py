@@ -1,15 +1,19 @@
 """The run table: each (program, design, point) is simulated once.
 
 A run is a pure function of (program, design, point, sanitizer mode),
-so one design's synthesis keeps a ``(program, point) -> ProgramRun``
-table (:class:`repro.synth.search.RunTable`) shared by its search
-rounds, its audit and its cost sweep, and the tables of one
-``run_synthesis`` call share one store of design-inert runs
+and an unjittered point's seed is not part of it
+(:func:`repro.verify.oracles.machine_point`; tests/synth/
+test_seed_inert.py), so one design's synthesis keeps a
+``(program, machine_point(point)) -> ProgramRun`` table
+(:class:`repro.synth.search.RunTable`) shared by its search rounds,
+its audit and its cost sweep, and the tables of one ``run_synthesis``
+call share one store of design-inert runs
 (:func:`repro.verify.oracles.design_inert`: the same run under every
 design that asks for it).  Four things are pinned here:
 
-* inside one ``run_synthesis`` call nothing is simulated twice — a
-  design-inert run not even under two designs — and nothing survives
+* inside one ``run_synthesis`` call nothing is simulated twice — not
+  under two seeds of one unjittered point, and a design-inert run not
+  even under two designs — and nothing survives
   the call: a second identical call simulates as many runs as the
   first (``test_determinism`` keeps comparing two real computations);
 * the counts that sharing buys, and that a sanitizer turns it off
@@ -21,9 +25,9 @@ design that asks for it).  Four things are pinned here:
   tests.synth.test_run_table`` prints it).  Regenerate it only for an
   intended report change, and say so in the commit;
 * two tables over two stores share nothing, while one table asked
-  twice simulates once: an oracle's verdicts count every question, its
-  table only the misses; two tables over one store share only the
-  design-inert runs.
+  twice simulates once — and once for the three cost seeds: an
+  oracle's verdicts count every question, its table only the misses;
+  two tables over one store share only the design-inert runs.
 
 ``REPRO_SANITIZE`` picks the sanitizer mode, as in the rest of the
 battery (the CI ``synth-smoke`` job runs this module under ``strict``):
@@ -35,6 +39,7 @@ the digests — taken with the ``config.sanitize`` field normalised to
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -44,7 +49,7 @@ from repro.common.params import FenceDesign
 from repro.synth import SynthConfig, cost, run_synthesis
 from repro.synth.programs import program_for_spec
 from repro.synth.sites import extract_sites
-from repro.verify.oracles import PAPER_DESIGNS, design_inert
+from repro.verify.oracles import PAPER_DESIGNS, design_inert, machine_point
 from repro.verify.perturb import adversary_points
 
 from tests.synth.util import parse_placement
@@ -99,9 +104,11 @@ def simulated(monkeypatch):
 def test_nothing_is_simulated_twice_and_nothing_survives(program, simulated):
     first = run_synthesis(_config(program=program, num_points=4))
     runs = list(simulated)
-    assert len(set(runs)) == len(runs), "a run was simulated twice"
+    keys = [(prog, design, machine_point(point))
+            for prog, design, point in runs]
+    assert len(set(keys)) == len(keys), "a run was simulated twice"
     if SANITIZE == "off":
-        inert = [(prog, point) for prog, design, point in runs
+        inert = [(prog, point) for prog, design, point in keys
                  if design_inert(prog, design)]
         assert len(set(inert)) == len(inert), \
             "a design-inert run was simulated under two designs"
@@ -121,9 +128,9 @@ def test_nothing_is_simulated_twice_and_nothing_survives(program, simulated):
 
 #: simulator runs of one call at ``--points 4``, seed 1: with the
 #: design-inert store, and under a sanitizer, which turns it off (each
-#: design its own runs; 148 / 187 / 92 / 92 without the store)
-SIMULATED = {("sb", "off"): 112, ("sb3", "off"): 133, ("mp", "off"): 40,
-             ("iriw", "off"): 40, ("sb", "strict"): 148}
+#: design its own runs; 89 / 117 / 49 / 49 without the store)
+SIMULATED = {("sb", "off"): 69, ("sb3", "off"): 85, ("mp", "off"): 17,
+             ("iriw", "off"): 17, ("sb", "strict"): 89}
 
 
 @pytest.mark.parametrize("program,sanitize", SIMULATED)
@@ -218,19 +225,39 @@ def test_cost_calls_over_two_tables_share_nothing(simulated):
     stripped, sites = program.stripped(), extract_sites(program, "annotated")
     placement = parse_placement("t0.i2=sf")
     table = _sb_table()
+    # the cost seeds are one unjittered point to the machine: one run
+    assert len({machine_point(p) for p in cost.COST_POINTS}) == 1
     cycles = cost.measure_cycles(stripped, placement, table)
-    assert len(simulated) == len(table.runs) == len(cost.COST_SEEDS)
+    assert len(simulated) == len(table.runs) == 1
     assert cost.measure_cycles(stripped, placement, table) == cycles
-    assert len(simulated) == len(cost.COST_SEEDS)  # the table answered
+    assert len(simulated) == 1  # the table answered
     assert cost.measure_cycles(stripped, placement, _sb_table()) == cycles
-    assert len(simulated) == 2 * len(cost.COST_SEEDS)
+    assert len(simulated) == 2
 
     del simulated[:]
     probes = cost.site_probes(stripped, sites, table, cycles)
     assert probes["t0.i2"]["sf"] == 0.0  # the placement just measured
     # two sites x sf, one of them already in the table
-    assert len(simulated) == len(cost.COST_SEEDS)
-    assert len(table.runs) == 2 * len(cost.COST_SEEDS)
+    assert len(simulated) == 1
+    assert len(table.runs) == 2
+
+
+def test_a_hit_under_another_seed_carries_the_askers_point(simulated):
+    """An unjittered point asked for under a second seed is answered
+    from the table, relabelled with that seed's point; a jittered
+    point's seed stays in the key."""
+    program = program_for_spec("sb")
+    table = _sb_table()
+    first, second = cost.COST_POINTS[:2]
+    run = table.run(program, first)
+    again = table.run(program, second)
+    assert len(simulated) == 1 and table.simulated == 1
+    assert (run.point, again.point) == (first, second)
+    assert replace(again, point=first) == run
+    armed = next(p for p in adversary_points(1, 4) if p.jittered)
+    table.run(program, armed)
+    table.run(program, replace(armed, seed=armed.seed + 1))
+    assert len(simulated) == 3
 
 
 def test_the_table_carries_the_design_and_mode(simulated):
