@@ -54,11 +54,16 @@ class FencePolicy:
     """Per-core strategy for one fence design."""
 
     design: FenceDesign = FenceDesign.S_PLUS
-    #: the BS stores word masks (SW+)
+    #: the BS stores word masks (SW+); only an ordered invalidation,
+    #: i.e. a promoted store, reads them — so a run that promoted no
+    #: store is the same under WS+ and SW+
+    #: (:func:`repro.verify.oracles.shares_run`)
     fine_grain_bs = False
-    #: take a thread checkpoint at every wf (W+)
+    #: take a thread checkpoint at every wf (W+); it changes no timing
     needs_checkpoint = False
-    #: run the deadlock-suspicion monitor (W+)
+    #: run the deadlock-suspicion monitor (W+); only a bounce reaches
+    #: it, so a run without one is the same under W+ as under WS+ and
+    #: SW+ with the same wfs (:func:`repro.verify.oracles.shares_run`)
     needs_deadlock_monitor = False
     #: a callable(resume) replacing the conventional strong-fence stall
     #: (C-fence overrides with its centralized-table protocol)

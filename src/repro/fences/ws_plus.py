@@ -24,7 +24,9 @@ from repro.fences.base import FencePolicy, PendingFence
 class WSPlusPolicy(FencePolicy):
     design = FenceDesign.WS_PLUS
     #: promotions issue a Conditional Order carrying the written word's
-    #: mask (SW+) instead of a plain Order
+    #: mask (SW+) instead of a plain Order; read only at a promotion,
+    #: so a run that promoted no store is the same under WS+ and SW+
+    #: (:func:`repro.verify.oracles.shares_run`)
     conditional = False
     # synthesis: both flavours expressible, but at most one wf per
     # fence group — more would make Order promotion close an SCV cycle

@@ -42,7 +42,9 @@ from repro.synth.search import (
     BudgetExhausted,
     Counterexample,
     PlacementOracle,
+    RunStore,
     RunTable,
+    prune_store,
     synthesize,
 )
 from repro.synth.sites import (
@@ -343,9 +345,9 @@ def run_synthesis(
     call by its wall-clock leg.
 
     Each design keeps its own :class:`RunTable`; the tables share one
-    store of design-inert runs (``repro.verify.oracles.design_inert``),
-    which dies with the call, so such a run is simulated once for all
-    the designs that ask for it.
+    store of the runs a later design can take
+    (``repro.verify.oracles.shares_run``), which dies with the call, so
+    such a run is simulated once for all the designs that ask for it.
 
     Nothing is checkpointed here: ``repro synth`` runs the whole call
     as one farm job (:func:`repro.farm.clients.farm_synthesis`), and
@@ -373,9 +375,9 @@ def run_synthesis(
             "sites": [s.label() for s in sites],
         },
     )
-    # design-inert runs, simulated once for every design's table
-    shared: Dict = {}
-    for design in config.designs:
+    # the runs one design's table may hand a later one
+    shared: RunStore = {}
+    for i, design in enumerate(config.designs):
         if deadline is not None and deadline():
             report.designs[design.value] = {
                 "status": "exhausted-wall",
@@ -392,4 +394,5 @@ def run_synthesis(
         report.designs[design.value] = entry
         report.total_runs += runs
         report.simulated_runs += table.simulated
+        prune_store(shared, config.designs[i + 1:])
     return report

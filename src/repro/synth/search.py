@@ -54,9 +54,10 @@ from repro.synth.sites import (
 from repro.verify.generator import LitmusProgram
 from repro.verify.oracles import (
     ProgramRun,
-    design_inert,
+    flavoured,
     machine_point,
     run_program,
+    shares_run,
 )
 from repro.verify.perturb import SchedulePoint
 from repro.verify.shrink import ddmin
@@ -105,6 +106,10 @@ def classify_run(run) -> Optional[str]:
     return None
 
 
+#: ``(flavoured(program, design), machine_point(point)) -> ProgramRun``
+RunStore = Dict[Tuple[LitmusProgram, SchedulePoint], ProgramRun]
+
+
 class RunTable:
     """``(program, machine_point(point)) -> ProgramRun`` for one
     design and sanitizer mode: the only place synthesis simulates, once
@@ -115,16 +120,19 @@ class RunTable:
     seed is relabelled with the asker's point.
 
     *shared* is the store the tables of one ``run_synthesis`` call hand
-    each other, under the same key: a design-inert run
-    (:func:`design_inert`) is simulated once for all of them and
-    relabelled with each asker's design.  It holds design-inert runs
-    only, and is not used under a sanitizer (outside the rule's scope);
-    every other run stays in this table.
+    each other.  It keys a run by the fences it executes
+    (:func:`flavoured`) instead of the program: a W+ all-wf placement
+    (standard roles) meets the WS+/SW+ placement with the same wf sites
+    (critical roles).  A miss takes the stored run when
+    :func:`shares_run` accepts it — a design-inert run, or one that no
+    bounce or promotion set apart — relabelled with this table's
+    design, program and point; else it simulates and stores its own
+    run.  The store is not used under a sanitizer (outside the rule's
+    scope); :func:`prune_store` drops what no later design can take.
     """
 
     def __init__(self, design: FenceDesign, sanitize: str,
-                 shared: Dict[Tuple[LitmusProgram, SchedulePoint],
-                              ProgramRun]):
+                 shared: RunStore):
         self.design = design
         self.sanitize = sanitize
         self.shared = shared if sanitize == "off" else None
@@ -139,20 +147,29 @@ class RunTable:
         key = (program, machine_point(point))
         run = self.runs.get(key)
         if run is None:
-            inert = self.shared is not None and \
-                design_inert(program, self.design)
-            run = self.shared.get(key) if inert else None
-            if run is None:
+            store_key = (flavoured(program, self.design), key[1])
+            if self.shared is not None:
+                run = self.shared.get(store_key)
+            if run is not None and shares_run(program, run, self.design):
+                run = replace(run, design=self.design, program=program)
+            else:
                 run = run_program(program, self.design, point,
                                   faults=point.injector(),
                                   sanitize=self.sanitize)
                 self.simulated += 1
-                if inert:
-                    self.shared[key] = run
-            else:
-                run = replace(run, design=self.design)
+                if self.shared is not None:
+                    self.shared[store_key] = run
             self.runs[key] = run
         return run if run.point == point else replace(run, point=point)
+
+
+def prune_store(shared: RunStore, readers: Tuple[FenceDesign, ...]) -> None:
+    """Drop from *shared* every run none of *readers* can take (the
+    designs whose tables have yet to ask), so a stored run lives no
+    longer than its last reader."""
+    for key in [key for key, run in shared.items()
+                if not any(shares_run(key[0], run, d) for d in readers)]:
+        del shared[key]
 
 
 class PlacementOracle:

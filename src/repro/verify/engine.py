@@ -6,11 +6,12 @@ point).  The engine spends its budget alternating two kinds of trial:
 * **fenced trials** — every generated program runs under every design
   in the config; any oracle violation (SCV under correct fences,
   deadlock with recovery enabled, livelock, recovery leaving a non-SC
-  state) is a finding against the paper's claims.  The designs for
-  which the program is :func:`~repro.verify.oracles.design_inert`
-  share one simulation: the first of them runs it, the others get
-  that run relabelled with their design, so every trial still counts
-  and reports exactly as its own run would;
+  state) is a finding against the paper's claims.  A design whose
+  run one of the program's earlier simulations already is
+  (:func:`~repro.verify.oracles.shares_run`: a design-inert run, or a
+  WS+/SW+/W+ run that no bounce or promotion set apart) gets that run
+  relabelled with its design, so every trial still counts and reports
+  exactly as its own run would;
 * **stripped trials** — the same program with its fences deleted runs
   under the baseline design, when it has a store→load site to race on
   (:func:`~repro.verify.generator.store_load_sites`); an SCV here is
@@ -38,9 +39,10 @@ from repro.verify.generator import (
 )
 from repro.verify.oracles import (
     PAPER_DESIGNS,
+    ProgramRun,
     check_invariants,
-    design_inert,
     run_program,
+    shares_run,
 )
 from repro.verify.perturb import SchedulePoint, schedule_points
 from repro.verify.shrink import shrink_program
@@ -80,6 +82,10 @@ class VerifyReport:
     scv_findings: List[Dict] = field(default_factory=list)
     #: the first finding, minimized
     shrunk: Optional[Dict] = None
+    #: simulator runs made: the trials no earlier run of their program
+    #: answered (``shares_run``), plus the shrinker's — not in
+    #: ``to_dict()``
+    simulated_runs: int = 0
 
     @property
     def fenced_scvs(self) -> int:
@@ -111,6 +117,7 @@ class VerifyReport:
     def summary(self) -> str:
         lines = [
             f"verify: {self.runs} runs over {self.programs} programs",
+            f"  simulator runs: {self.simulated_runs}",
             f"  fenced runs : {self.fenced_scvs} SCVs, "
             f"{len(self.violations)} invariant violations",
             f"  stripped    : {self.stripped_scvs} SCVs found "
@@ -182,16 +189,18 @@ def run_verification(config: VerifyConfig,
         prog_idx += 1
 
         # fenced trials: the paper's invariants must hold everywhere
-        inert_run = None  # simulated once, relabelled for each design
+        simulated: List[ProgramRun] = []  # this program's own runs
         for design in config.designs:
             if report.runs >= config.budget:
                 break
-            if not design_inert(program, design):
+            run = next((r for r in simulated
+                        if shares_run(program, r, design)), None)
+            if run is None:
                 run = run_program(program, design, point)
-            elif inert_run is None:
-                run = inert_run = run_program(program, design, point)
+                simulated.append(run)
+                report.simulated_runs += 1
             else:
-                run = replace(inert_run, design=design)
+                run = replace(run, design=design)
             report.runs += 1
             row = report.per_design[str(design)]
             row["runs"] += 1
@@ -213,10 +222,12 @@ def run_verification(config: VerifyConfig,
         if report.runs < config.budget and store_load_sites(stripped.threads):
             run = run_program(stripped, baseline, point)
             report.runs += 1
+            report.simulated_runs += 1
             if run.scv_found:
                 report.scv_findings.append(_finding(run, stripped))
                 if config.shrink and report.shrunk is None:
                     report.shrunk = _shrink_finding(stripped, baseline, point)
+                    report.simulated_runs += report.shrunk["shrink_runs"]
     if out_path is not None:
         report.write_json(out_path)
     return report

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from repro.common.errors import ConfigError
@@ -80,11 +81,15 @@ class LitmusProgram:
     def op_count(self) -> int:
         return sum(len(t) for t in self.threads)
 
+    @cached_property
+    def fence_roles(self) -> frozenset:
+        """The roles of the program's fences (empty: no fence)."""
+        return frozenset(op.role for t in self.threads for op in t
+                         if isinstance(op, ops.Fence))
+
     @property
     def has_fences(self) -> bool:
-        return any(
-            isinstance(op, ops.Fence) for t in self.threads for op in t
-        )
+        return bool(self.fence_roles)
 
     def stripped(self) -> "LitmusProgram":
         """Copy with every fence removed (the SCV-hunting variant)."""

@@ -28,7 +28,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import DeadlockError, SanitizerError, SimulatorError
-from repro.common.params import FenceDesign, FenceFlavour, flavour_for
+from repro.common.params import (
+    FenceDesign,
+    FenceFlavour,
+    FenceRole,
+    flavour_for,
+)
 from repro.common.stats import MachineStats
 from repro.core import isa as ops
 from repro.fences.base import policy_class
@@ -45,6 +50,11 @@ PAPER_DESIGNS = (
     FenceDesign.W_PLUS,
     FenceDesign.WEE,
 )
+
+#: the designs whose wf is the bare Bypass Set (§3.3): they part only
+#: at a bounce, WS+ and SW+ only at a promoted one (:func:`shares_run`)
+BOUNCE_CLASS = frozenset(
+    (FenceDesign.WS_PLUS, FenceDesign.SW_PLUS, FenceDesign.W_PLUS))
 
 #: warmup alignment compute block
 WARMUP_COMPUTE = 1600
@@ -233,12 +243,80 @@ def design_inert(program: LitmusProgram, design: FenceDesign) -> bool:
     jitter (``point.injector()``, whose delays hit the same messages
     under every design; chaos faults bounce, time out and recover).
     """
-    roles = {op.role for body in program.threads for op in body
-             if isinstance(op, ops.Fence)}
+    roles = program.fence_roles
     if not roles:
         return True
     return policy_class(design).conventional_sf and all(
         flavour_for(design, role) is FenceFlavour.SF for role in roles)
+
+
+def flavoured(program: LitmusProgram, design: FenceDesign) -> LitmusProgram:
+    """*program* with each fence's role replaced by the flavour *design*
+    runs it as: a wf becomes a critical-role fence, an sf a standard
+    one.  Under WS+ and SW+, whose roles name their flavours, it runs
+    the fences *program* runs under *design*, so it names the fences a
+    run executes whatever design asked for it."""
+    named = {role: FenceRole.CRITICAL
+             if flavour_for(design, role) is FenceFlavour.WF
+             else FenceRole.STANDARD for role in program.fence_roles}
+    if all(role is name for role, name in named.items()):
+        return program
+    return program.with_threads(
+        [ops.Fence(named[op.role]) if isinstance(op, ops.Fence) else op
+         for op in body]
+        for body in program.threads)
+
+
+def shares_run(program: LitmusProgram, run: ProgramRun,
+               design: FenceDesign) -> bool:
+    """Is the finished *run* also *program*'s run under *design*?
+
+    *run* may be another design's run of another program; the answer
+    is True only when both execute the same fences with the same
+    flavours (:func:`flavoured`) and one of these holds:
+
+    * the same design, or both runs are :func:`design_inert`;
+    * WS+ and SW+, and *run* completed with ``order_ops ==
+      cond_order_ops == cond_order_failures == 0``.  SW+ departs from
+      WS+ only through ``conditional`` and ``fine_grain_bs``;
+      ``conditional`` is read only when a bouncing store is promoted
+      (``mark_ordered_upto``, ``on_pre_store_bounce``), and the word
+      masks of a fine-grain BS only by ``BypassSet.true_sharing``,
+      which only an ordered invalidation calls.  A completed run that
+      promoted a store has issued an Order or a Conditional Order for
+      it.
+    * W+ and WS+ or SW+, and *run* completed with ``stats.bounces ==
+      0``.  W+'s deadlock monitor, timeout and rollback are reached only
+      through a bounce (``on_bs_bounce``, ``_drain_bounced``), its
+      checkpoint and replay log change no timing, and without a bounce
+      WS+ and SW+ promote nothing.  An unfinished run may have bounced
+      a request whose transaction never resolved, so it is never
+      shared.
+
+    Each rule is exact: the two runs take the same steps up to the
+    event the rule excludes, so callers may relabel *run* with
+    ``dataclasses.replace(run, design=..., program=...)``.  Scope: that
+    of :func:`design_inert` (no sanitizer; no fault but
+    ``point.injector()``, whose jitter decisions are keyed by the
+    message, and the two runs send the same messages).
+    """
+    if design is not run.design and not (
+            design_inert(program, design)
+            and design_inert(run.program, run.design)):
+        pair = {design, run.design}
+        if not run.completed or not pair <= BOUNCE_CLASS:
+            return False
+        stats = run.stats
+        if FenceDesign.W_PLUS in pair:
+            if stats.bounces:
+                return False
+        elif stats.order_ops or stats.cond_order_ops or \
+                stats.cond_order_failures:
+            return False
+    if program is run.program:  # verify's case: compare the roles only
+        return all(flavour_for(design, role) is flavour_for(run.design, role)
+                   for role in program.fence_roles)
+    return flavoured(program, design) == flavoured(run.program, run.design)
 
 
 def machine_point(point: SchedulePoint) -> SchedulePoint:

@@ -7,17 +7,18 @@ test_seed_inert.py), so one design's synthesis keeps a
 ``(program, machine_point(point)) -> ProgramRun`` table
 (:class:`repro.synth.search.RunTable`) shared by its search rounds,
 its audit and its cost sweep, and the tables of one ``run_synthesis``
-call share one store of design-inert runs
-(:func:`repro.verify.oracles.design_inert`: the same run under every
-design that asks for it).  Four things are pinned here:
+call share one store of the runs another design can take
+(:func:`repro.verify.oracles.shares_run`: a design-inert run, or a
+WS+/SW+/W+ run that no bounce or promotion set apart; tests/verify/
+test_bounce_class.py).  Four things are pinned here:
 
 * inside one ``run_synthesis`` call nothing is simulated twice — not
-  under two seeds of one unjittered point, and a design-inert run not
-  even under two designs — and nothing survives
+  under two seeds of one unjittered point, and a run another design
+  can take not under that design — and nothing survives
   the call: a second identical call simulates as many runs as the
   first (``test_determinism`` keeps comparing two real computations);
 * the counts that sharing buys, and that a sanitizer turns it off
-  (its checks are per design, outside ``design_inert``'s scope);
+  (its checks are per design, outside ``shares_run``'s scope);
 * the table changes no verdict, count or report byte: sha256 of
   ``report.to_json()`` for a matrix of configurations against
   ``run_table_pinned.json``, a table generated once at the commit
@@ -27,7 +28,8 @@ design that asks for it).  Four things are pinned here:
 * two tables over two stores share nothing, while one table asked
   twice simulates once — and once for the three cost seeds: an
   oracle's verdicts count every question, its table only the misses;
-  two tables over one store share only the design-inert runs.
+  two tables over one store share the design-inert and unbounced
+  runs.
 
 ``REPRO_SANITIZE`` picks the sanitizer mode, as in the rest of the
 battery (the CI ``synth-smoke`` job runs this module under ``strict``):
@@ -49,7 +51,7 @@ from repro.common.params import FenceDesign
 from repro.synth import SynthConfig, cost, run_synthesis
 from repro.synth.programs import program_for_spec
 from repro.synth.sites import extract_sites
-from repro.verify.oracles import PAPER_DESIGNS, design_inert, machine_point
+from repro.verify.oracles import PAPER_DESIGNS, machine_point, shares_run
 from repro.verify.perturb import adversary_points
 
 from tests.synth.util import parse_placement
@@ -80,12 +82,21 @@ def _digest(report) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+class _Calls(list):
+    """(program, design, point) per ``run_program`` call; ``made``
+    holds the runs, in call order."""
+
+    def __init__(self):
+        super().__init__()
+        self.made = []
+
+
 @pytest.fixture
 def simulated(monkeypatch):
     """Every ``run_program`` call synthesis makes, as (program, design,
     point) keys — counted at the module global the table calls
     through, which is also where ``bench/layer_trace.py`` rebinds."""
-    calls = []
+    calls = _Calls()
     real = search.run_program
 
     def counting(program, design, point, **kwargs):
@@ -94,7 +105,8 @@ def simulated(monkeypatch):
         assert (kwargs["faults"] is not None) == point.jittered
         assert kwargs["sanitize"] == SANITIZE
         calls.append((program, design, point))
-        return real(program, design, point, **kwargs)
+        calls.made.append(real(program, design, point, **kwargs))
+        return calls.made[-1]
 
     monkeypatch.setattr(search, "run_program", counting)
     return calls
@@ -108,11 +120,18 @@ def test_nothing_is_simulated_twice_and_nothing_survives(program, simulated):
             for prog, design, point in runs]
     assert len(set(keys)) == len(keys), "a run was simulated twice"
     if SANITIZE == "off":
-        inert = [(prog, point) for prog, design, point in keys
-                 if design_inert(prog, design)]
-        assert len(set(inert)) == len(inert), \
-            "a design-inert run was simulated under two designs"
-    assert {design for _, design, _ in runs} == set(PAPER_DESIGNS)
+        for i, (prog, design, point) in enumerate(keys):
+            assert not any(
+                shares_run(prog, run, design)
+                for run in simulated.made[:i]
+                if machine_point(run.point) == point), \
+                f"{design} simulated a run an earlier design made"
+    # S+ asks first, and Wee takes fenceless runs only; SW+ simulates
+    # nothing for sb: WS+ promotes no store there
+    designs = {design for _, design, _ in runs}
+    assert {FenceDesign.S_PLUS, FenceDesign.WEE} <= designs
+    assert (FenceDesign.SW_PLUS in designs) == (
+        SANITIZE != "off" or program == "sb3")
     assert first.simulated_runs == len(runs)
     # verdicts are still counted one per oracle question: the table
     # answered some of them (plus every cost run that was a search run)
@@ -127,10 +146,10 @@ def test_nothing_is_simulated_twice_and_nothing_survives(program, simulated):
 
 
 #: simulator runs of one call at ``--points 4``, seed 1: with the
-#: design-inert store, and under a sanitizer, which turns it off (each
-#: design its own runs; 89 / 117 / 49 / 49 without the store)
-SIMULATED = {("sb", "off"): 69, ("sb3", "off"): 85, ("mp", "off"): 17,
-             ("iriw", "off"): 17, ("sb", "strict"): 89}
+#: store of shared runs, and under a sanitizer, which turns it off
+#: (each design its own runs; 89 / 117 / 49 / 49 without the store)
+SIMULATED = {("sb", "off"): 51, ("sb3", "off"): 66, ("mp", "off"): 13,
+             ("iriw", "off"): 13, ("sb", "strict"): 89}
 
 
 @pytest.mark.parametrize("program,sanitize", SIMULATED)
@@ -189,12 +208,13 @@ def test_oracles_over_two_tables_share_nothing(simulated):
 
 @pytest.mark.skipif(SANITIZE != "off",
                     reason="a sanitized table keeps every run its own")
-def test_tables_over_one_store_share_only_design_inert_runs(simulated):
+def test_tables_over_one_store_share_design_inert_and_unbounced_runs(
+        simulated):
     shared = {}
-    s_plus, ws_plus, w_plus = (
+    s_plus, ws_plus, sw_plus, w_plus = (
         _sb_oracle(search.RunTable(design, SANITIZE, shared))
         for design in (FenceDesign.S_PLUS, FenceDesign.WS_PLUS,
-                       FenceDesign.W_PLUS))
+                       FenceDesign.SW_PLUS, FenceDesign.W_PLUS))
     placement = parse_placement("t0.i2=sf,t1.i2=sf")
     assert s_plus.check(placement) is None
     assert len(simulated) == len(shared) == 4
@@ -205,9 +225,33 @@ def test_tables_over_one_store_share_only_design_inert_runs(simulated):
     assert {run.design for run in ws_plus.table.runs.values()} == \
         {FenceDesign.WS_PLUS}
     assert ws_plus.table.simulated == 0
-    # a wf is not design-inert: W+ simulates its own
-    assert w_plus.check(parse_placement("t0.i2=wf,t1.i2=wf")) is None
-    assert len(simulated) == 8 and len(shared) == 4
+    # t0's wf sees no bounce at these points: SW+ and W+ (whose
+    # placement carries a standard-role fence) take WS+'s runs
+    stripped, points = ws_plus.stripped, ws_plus.points
+
+    def ask(oracle, placement):
+        program = placement.apply(stripped, oracle.table.design)
+        return [oracle.table.run(program, point) for point in points]
+
+    wf = parse_placement("t0.i2=wf")
+    ask(ws_plus, wf)
+    assert len(simulated) == 8
+    ask(sw_plus, wf)
+    w_runs = ask(w_plus, wf)
+    assert len(simulated) == 8
+    w_program = wf.apply(stripped, FenceDesign.W_PLUS)
+    assert {(run.design, run.program) for run in w_runs} == \
+        {(FenceDesign.W_PLUS, w_program)}
+    # t1's wf bounces t0's store, which WS+ does not promote: SW+
+    # takes those runs and W+, whose timeout a bounce may arm, does not
+    bounced = parse_placement("t1.i2=wf")
+    ask(ws_plus, bounced)
+    ask(sw_plus, bounced)
+    assert len(simulated) == 12
+    assert all(run.stats.bounces for run in simulated.made[-4:])
+    ask(w_plus, bounced)
+    assert len(simulated) == 16
+    assert sw_plus.table.simulated == 0
 
 
 def test_a_sanitized_table_uses_no_store():

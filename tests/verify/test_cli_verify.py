@@ -56,3 +56,27 @@ def test_designs_list_takes_all_or_a_comma_list_of_aliases():
     assert _designs_list(" ALL ") == PAPER_DESIGNS
     assert _designs_list("S+, wplus,") == (FenceDesign.S_PLUS,
                                            FenceDesign.W_PLUS)
+
+
+def test_verify_cli_prints_the_simulator_runs_it_made(monkeypatch, capsys):
+    """The summary's ``simulator runs`` counts every ``run_program``
+    call, the shrinker's included, and stays out of the JSON report."""
+    import repro.verify.engine as engine
+
+    calls = []
+    real = engine.run_program
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run_program", counting)
+    assert main(["verify", "--budget", "60", "--seed", "1",
+                 "--out", "-"]) == 0
+    text = capsys.readouterr().out
+    assert f"  simulator runs: {len(calls)}\n" in text
+    assert 0 < len(calls)
+    report = engine.run_verification(engine.VerifyConfig(
+        budget=60, seed=1, shrink=False), out_path=None)
+    assert report.simulated_runs < report.runs == 60
+    assert "simulated_runs" not in report.to_dict()
