@@ -350,7 +350,8 @@ def cmd_synth(args) -> int:
               f"{entry['candidates_tested']:3d} candidate(s), "
               f"{entry['search_runs']:4d} run(s) -> {best['placement']}")
     print()
-    print(render_synth_table(report.to_dict(), report.simulated_runs))
+    print(render_synth_table(report.to_dict(), report.simulated_runs,
+                             report.warmups_restored))
     if args.out != "-":
         os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         report.write(args.out)

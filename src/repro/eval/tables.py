@@ -170,11 +170,13 @@ def _audit_cell(placement: dict) -> str:
     return f"{verdict}@{audit['points']}pts, {minimal}"
 
 
-def render_synth_table(data: dict, simulated_runs: int) -> str:
+def render_synth_table(data: dict, simulated_runs: int,
+                       warmups_restored: int) -> str:
     """Text rendering of a ``repro synth`` report dict: the ranked
     placement × design table plus the per-site marginal probe table;
-    the footer sets ``SynthReport.simulated_runs`` (not in the dict)
-    beside the verdicts those runs answered."""
+    the footer sets ``SynthReport.simulated_runs`` and
+    ``warmups_restored`` (neither in the dict) beside the verdicts
+    those runs answered."""
     cfg = data["config"]
     prog = data["program"]
     lines = [
@@ -237,5 +239,6 @@ def render_synth_table(data: dict, simulated_runs: int) -> str:
     lines.append("")
     lines.append(f"oracle verdicts: {data['total_runs']}; "
                  f"simulator runs: {simulated_runs}; "
+                 f"warm-ups restored: {warmups_restored}; "
                  f"report ok: {'yes' if data['ok'] else 'NO'}")
     return "\n".join(lines)

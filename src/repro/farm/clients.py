@@ -101,4 +101,5 @@ def farm_synthesis(config, budget=None, db: Optional[str] = None,
         designs={d.value: row["designs"][d.value] for d in config.designs},
         total_runs=row["total_runs"],
         simulated_runs=row["simulated_runs"],
+        warmups_restored=row["warmups_restored"],
     )

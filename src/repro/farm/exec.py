@@ -81,7 +81,8 @@ def _run_synth_job(spec: JobSpec, diag_dir: Optional[str]) -> dict:
         ),
         budget=_budget(cfg),
     )
-    return {**report.to_dict(), "simulated_runs": report.simulated_runs}
+    return {**report.to_dict(), "simulated_runs": report.simulated_runs,
+            "warmups_restored": report.warmups_restored}
 
 
 EXECUTORS: Dict[str, Callable[[JobSpec, Optional[str]], dict]] = {

@@ -54,10 +54,10 @@ class FencePolicy:
     """Per-core strategy for one fence design."""
 
     design: FenceDesign = FenceDesign.S_PLUS
-    #: the BS stores word masks (SW+); only an ordered invalidation,
-    #: i.e. a promoted store, reads them — so a run that promoted no
-    #: store is the same under WS+ and SW+
-    #: (:func:`repro.verify.oracles.shares_run`)
+    #: the BS stores word masks (SW+; ``Machine`` builds every L1's BS
+    #: from this flag); only an ordered invalidation, i.e. a promoted
+    #: store, reads them — so a run that promoted no store is the same
+    #: under WS+ and SW+ (:func:`repro.verify.oracles.shares_run`)
     fine_grain_bs = False
     #: take a thread checkpoint at every wf (W+); it changes no timing
     needs_checkpoint = False

@@ -19,24 +19,27 @@ Ownership: whoever builds a machine and does not hand it back calls
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from heapq import heappush
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.addr import AddressMap
 from repro.common.errors import ConfigError, SimulatorError
 from repro.common.events import EventQueue
-from repro.common.params import FenceDesign, MachineParams
+from repro.common.params import MachineParams
 from repro.common.stats import MachineStats
 from repro.core.cpu import Core
 from repro.core.thread import SimThread, ThreadContext
-from repro.mem.directory import DirectoryBank
+from repro.fences.base import policy_class
+from repro.mem.directory import DirectoryBank, DirEntry
 from repro.mem.l1controller import L1Controller
 from repro.mem.memory import MemoryImage
 from repro.mem.noc import MeshNoc
 from repro.runtime.alloc import Allocator
 from repro.sim.deadlock import Watchdog
 from repro.sim.governor import RunBudget
-from repro.sim.scv import DependenceRecorder
+from repro.sim.scv import AccessEvent, DependenceRecorder
 
 
 @dataclass
@@ -56,6 +59,47 @@ class SimResult:
     #: violations recorded by an attached sanitizer (warn mode; strict
     #: raises before the result is built)
     sanitizer_violations: int = 0
+
+
+@dataclass(frozen=True)
+class WarmState:
+    """A machine at the end of its threads' warm-up, as
+    :meth:`Machine.capture_warmup` took it and
+    :meth:`Machine.restore_warmup` rebuilds it.
+
+    Only a quiet machine is taken: no message in flight, every write
+    buffer, Bypass Set and the memory image untouched, each core's one
+    pending event the continuation after its warm-up.  So the state is
+    the caches, the directory, the counters and the queue's clock —
+    everything else is what a freshly built machine holds.
+    """
+
+    #: queue clock, sequence number and events executed at the boundary
+    now: int
+    seq: int
+    executed: int
+    #: the sequence number the cores' start events left for the
+    #: periodic checks (the checks are armed right after it)
+    arm_seq: int
+    #: per core: the results its warm-up ops got, in order (its thread
+    #: is replayed through them), its ``ops_committed``, and its
+    #: continuation event's ``(time, seq, label)``
+    results: Tuple[tuple, ...]
+    ops: Tuple[int, ...]
+    conts: Tuple[tuple, ...]
+    #: ``(MachineStats slot, value)`` for each slot the warm-up moved:
+    #: lists as tuples, ``breakdown`` as (busy, fence, other) triples
+    stats: tuple
+    #: per L1: its filled sets as ``(index, ((line, state), ...))`` in
+    #: LRU order, and its grants as ``(line, txn_id)`` pairs
+    l1_sets: tuple
+    grants: tuple
+    #: per bank: ``(line, owner, sharers, grant)`` per directory entry,
+    #: and the L2 lines in LRU order
+    entries: tuple
+    l2: tuple
+    #: the recorded accesses, as AccessEvent field tuples
+    events: tuple
 
 
 class Machine:
@@ -100,7 +144,7 @@ class Machine:
             DirectoryBank(b, params, self.stats, self.noc, self.queue)
             for b in range(params.num_banks)
         ]
-        fine_grain = params.fence_design is FenceDesign.SW_PLUS
+        fine_grain = policy_class(params.fence_design).fine_grain_bs
         self.l1s: List[L1Controller] = [
             L1Controller(
                 c, params, self.stats, self.noc, self.image, self.queue,
@@ -122,6 +166,11 @@ class Machine:
         #: resynced at the top of run(), maintained by core_done_changed.
         self._done_cores = 0
         self._watchdog = Watchdog(self, params.watchdog_interval)
+        #: tid -> warm-up results, while a capture is armed
+        self._warm: Optional[Dict[int, tuple]] = None
+        self._restored: Optional[WarmState] = None
+        #: what an armed capture took (None: nothing restorable)
+        self.warm_state: Optional[WarmState] = None
 
     # ------------------------------------------------------------------
     # observability
@@ -236,6 +285,140 @@ class Machine:
             self.spawn(fn, shared=shared, core=cid)
 
     # ------------------------------------------------------------------
+    # warm-up capture and restore
+    # ------------------------------------------------------------------
+
+    def capture_warmup(self) -> Callable[[int, list], None]:
+        """Arm the next :meth:`run` to take a :class:`WarmState`.
+
+        Returns the callback each thread function calls as it yields
+        the last op of its warm-up, with its thread id and the results
+        its earlier warm-up ops got; a warm-up only loads and computes.
+        When every core's thread has called it, the run pauses at the
+        end of that event and, if the machine is quiet there (see
+        :class:`WarmState`), keeps the state in ``warm_state``; either
+        way it then runs on as it would have.  Call before
+        :meth:`run`, with no probe attached.
+        """
+        self._warm = {}
+        return self._warmed
+
+    def _warmed(self, tid: int, results: list) -> None:
+        warm = self._warm
+        if warm is None:  # a replay after the boundary, or no capture
+            return
+        warm[tid] = tuple(results)
+        if len(warm) == len(self.cores):
+            self.queue.request_stop()
+
+    def _take_warmup(self, arm_seq: int,
+                     checks: list) -> Optional[WarmState]:
+        """The quiet machine at the warm-up boundary, or None.
+
+        Each of the periodic *checks* (armed at cycle 0) must still
+        wait for its first call: one that has fired has changed its
+        own state, which is not taken.
+        """
+        warm, self._warm = self._warm, None
+        queue = self.queue
+        cores = self.cores
+        if (len(warm) < len(cores) or self.image._serial
+                or self.tracer is not None or self.faults is not None
+                or self.sanitizer is not None
+                or any(core.tracer is not None for core in cores)
+                or (self.recorder is not None
+                    and self.recorder._pending_po)):
+            return None
+        for core in cores:
+            # with no op parked, the pending continuation is _advance's
+            ev = core._cont_ev
+            if (ev is None or ev[2] is None or core._cont_op is not None
+                    or core._cont_result is not None or core.wb._entries
+                    or core.thread._ops != len(warm[core.core_id]) + 1):
+                return None
+        if any(check._event is None or check._event[0] != check._interval
+               for check in checks):
+            return None
+        live = sum(ev[2] is not None for ev in queue._heap)
+        if live != len(cores) + len(checks):
+            return None
+        stats = self.stats
+        fresh = MachineStats(stats.num_cores)
+        moved = []
+        for name in MachineStats.__slots__:
+            value, before = getattr(stats, name), getattr(fresh, name)
+            if name == "breakdown":
+                value = tuple((b.busy, b.fence_stall, b.other_stall)
+                              for b in value)
+                before = tuple((b.busy, b.fence_stall, b.other_stall)
+                               for b in before)
+            elif type(value) is list:
+                value, before = tuple(value), tuple(before)
+            if value != before:
+                moved.append((name, value))
+        events = self.recorder.events if self.recorder is not None else ()
+        return WarmState(
+            now=queue.now, seq=queue._seq, executed=queue.executed,
+            arm_seq=arm_seq,
+            results=tuple(warm[core.core_id] for core in cores),
+            ops=tuple(core.ops_committed for core in cores),
+            conts=tuple((core._cont_ev[0], core._cont_ev[1],
+                         core._cont_ev[3]) for core in cores),
+            stats=tuple(moved),
+            l1_sets=tuple(
+                tuple((i, tuple(s.items()))
+                      for i, s in enumerate(l1.cache.sets) if s)
+                for l1 in self.l1s),
+            grants=tuple(tuple(l1._grants.items()) for l1 in self.l1s),
+            entries=tuple(
+                tuple((line, e.owner, tuple(e.sharers), e.grant)
+                      for line, e in bank.entries.items())
+                for bank in self.banks),
+            l2=tuple(tuple(bank._l2) for bank in self.banks),
+            events=tuple((ev.index, ev.kind, ev.core, ev.word, ev.value,
+                          ev.tag, ev.po) for ev in events),
+        )
+
+    def restore_warmup(self, state: WarmState) -> None:
+        """Put this machine where *state*'s run stood at the end of its
+        warm-up; :meth:`run` then goes on from there.
+
+        The machine must be built and spawned as the captured one was
+        (same knobs and core count, the same threads up to the
+        boundary) and have no probe attached; its design may differ,
+        since a warm-up runs no fence.  Each thread is replayed through
+        its warm-up ops with the recorded results, as a W+ rollback
+        replays its log.  Call after :meth:`spawn`, before :meth:`run`.
+        """
+        for core, results, ops in zip(self.cores, state.results, state.ops):
+            thread = core.thread
+            thread.next_op(None)
+            for result in results:
+                thread.next_op(result)
+            core.ops_committed = ops
+        stats = self.stats
+        for name, value in state.stats:
+            if name == "breakdown":
+                for b, (busy, fence, other) in zip(stats.breakdown, value):
+                    b.busy, b.fence_stall, b.other_stall = busy, fence, other
+            elif type(value) is tuple:
+                getattr(stats, name)[:] = value
+            else:
+                setattr(stats, name, value)
+        for l1, sets, grants in zip(self.l1s, state.l1_sets, state.grants):
+            cache_sets = l1.cache.sets
+            for i, items in sets:
+                cache_sets[i] = OrderedDict(items)
+            l1._grants.update(grants)
+        for bank, entries, l2 in zip(self.banks, state.entries, state.l2):
+            bank.entries = {line: DirEntry(owner, set(sharers), grant)
+                            for line, owner, sharers, grant in entries}
+            bank._l2 = OrderedDict.fromkeys(l2, True)
+        if self.recorder is not None:
+            self.recorder.events = [AccessEvent(*f) for f in state.events]
+        self._restored = state
+
+    # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
 
@@ -277,8 +460,14 @@ class Machine:
         """
         self._refuse_if_disposed()
         limit = max_cycles or self.params.max_cycles or None
-        for core in self.cores:
-            core.start()
+        queue = self.queue
+        restored = self._restored
+        if restored is None:
+            for core in self.cores:
+                core.start()
+        else:
+            queue._seq = restored.arm_seq
+        arm_seq = queue._seq
         # seed the done-core counter; cores keep it current from here
         n_done = 0
         for core in self.cores:
@@ -291,7 +480,6 @@ class Machine:
             self.queue.request_stop()
         # the periodic checks, armed in this order (their seq numbers
         # are part of the simulated event stream) and stopped together
-        queue = self.queue
         breaches: List[str] = []
         checks = [queue.every(self._watchdog.interval,
                               self._watchdog.check, "watchdog")]
@@ -300,8 +488,25 @@ class Machine:
                                       self.sanitizer.check_all, "sanitizer"))
         if budget is not None and budget.enabled:
             checks.append(budget.arm(queue, breaches.append))
+        if restored is not None:
+            # on from the warm-up boundary: its clock, and each core's
+            # continuation at its recorded time and sequence number
+            queue.now, queue._seq, queue.executed = \
+                restored.now, restored.seq, restored.executed
+            for core, (time, seq, label) in zip(self.cores, restored.conts):
+                core._cont_ev = ev = [time, seq, core._cb_advance, label]
+                heappush(queue._heap, ev)
         try:
             queue.run(until=limit)
+            if self._warm is not None:
+                # paused at the warm-up boundary, or ended short of it
+                paused = (len(self._warm) == len(self.cores)
+                          and queue.stop_requested
+                          and self._done_cores < len(self.cores))
+                self.warm_state = self._take_warmup(arm_seq, checks)
+                if paused:
+                    queue.clear_stop()
+                    queue.run(until=limit)
         finally:
             # always, even when a workload or a strict sanitizer raises:
             # no check may leak into the next run, nor keep the queue

@@ -55,7 +55,7 @@ from repro.synth.sites import (
 )
 from repro.fences.base import synthesis_profile
 from repro.verify.generator import LitmusProgram
-from repro.verify.oracles import PAPER_DESIGNS
+from repro.verify.oracles import PAPER_DESIGNS, WarmStore
 from repro.verify.perturb import adversary_points
 
 SCHEMA = "repro-synth-report/v1"
@@ -118,6 +118,9 @@ class SynthReport:
     #: simulator runs made (search + audit + cost; a design-inert run
     #: once for all designs) — not in ``to_dict()``
     simulated_runs: int = 0
+    #: simulator runs that restored their warm-up instead of
+    #: simulating it (``WarmStore``) — not in ``to_dict()``
+    warmups_restored: int = 0
 
     @property
     def ok(self) -> bool:
@@ -348,6 +351,8 @@ def run_synthesis(
     store of the runs a later design can take
     (``repro.verify.oracles.shares_run``), which dies with the call, so
     such a run is simulated once for all the designs that ask for it.
+    They also share one :class:`~repro.verify.oracles.WarmStore`, so a
+    warm-up is simulated once for every run that starts with it.
 
     Nothing is checkpointed here: ``repro synth`` runs the whole call
     as one farm job (:func:`repro.farm.clients.farm_synthesis`), and
@@ -375,8 +380,10 @@ def run_synthesis(
             "sites": [s.label() for s in sites],
         },
     )
-    # the runs one design's table may hand a later one
+    # the runs one design's table may hand a later one, and the
+    # warm-ups every design's runs start from
     shared: RunStore = {}
+    warmups = WarmStore()
     for i, design in enumerate(config.designs):
         if deadline is not None and deadline():
             report.designs[design.value] = {
@@ -388,11 +395,12 @@ def run_synthesis(
                 "failure": None,
             }
             continue
-        table = RunTable(design, config.sanitize, shared)
+        table = RunTable(design, config.sanitize, shared, warmups)
         entry, runs = _synth_one_design(
             table, stripped, sites, config, deadline)
         report.designs[design.value] = entry
         report.total_runs += runs
         report.simulated_runs += table.simulated
         prune_store(shared, config.designs[i + 1:])
+    report.warmups_restored = warmups.restored
     return report

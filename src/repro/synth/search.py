@@ -54,6 +54,7 @@ from repro.synth.sites import (
 from repro.verify.generator import LitmusProgram
 from repro.verify.oracles import (
     ProgramRun,
+    WarmStore,
     flavoured,
     machine_point,
     run_program,
@@ -129,13 +130,19 @@ class RunTable:
     design, program and point; else it simulates and stores its own
     run.  The store is not used under a sanitizer (outside the rule's
     scope); :func:`prune_store` drops what no later design can take.
+
+    *warmups* is the call's :class:`WarmStore`, which a simulated run
+    restores its warm-up from (None: every run simulates its own);
+    ``run_program`` leaves it unused under a sanitizer and at a
+    jittered point.
     """
 
     def __init__(self, design: FenceDesign, sanitize: str,
-                 shared: RunStore):
+                 shared: RunStore, warmups: Optional[WarmStore] = None):
         self.design = design
         self.sanitize = sanitize
         self.shared = shared if sanitize == "off" else None
+        self.warmups = warmups
         #: every run this table answered, labelled with its design and
         #: the point of its first asker
         self.runs: Dict[Tuple[LitmusProgram, SchedulePoint], ProgramRun] = {}
@@ -155,7 +162,8 @@ class RunTable:
             else:
                 run = run_program(program, self.design, point,
                                   faults=point.injector(),
-                                  sanitize=self.sanitize)
+                                  sanitize=self.sanitize,
+                                  warmups=self.warmups)
                 self.simulated += 1
                 if self.shared is not None:
                     self.shared[store_key] = run

@@ -22,6 +22,11 @@ The first stripped SCV is handed to the shrinker, whose ``ddmin``
 minimizes it to a 1-minimal op list still reproducing a violation at
 the same schedule point.  Results land in a machine-readable JSON report
 (default ``benchmarks/out/verify_report.json``).
+
+Every simulator run of a campaign, the shrinker's included, goes
+through one :class:`~repro.verify.oracles.WarmStore`: a run whose
+warm-up an earlier run already took restores it instead of simulating
+it again.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from repro.verify.generator import (
 from repro.verify.oracles import (
     PAPER_DESIGNS,
     ProgramRun,
+    WarmStore,
     check_invariants,
     run_program,
     shares_run,
@@ -86,6 +92,9 @@ class VerifyReport:
     #: answered (``shares_run``), plus the shrinker's — not in
     #: ``to_dict()``
     simulated_runs: int = 0
+    #: simulator runs that restored their warm-up instead of
+    #: simulating it (``WarmStore``) — not in ``to_dict()``
+    warmups_restored: int = 0
 
     @property
     def fenced_scvs(self) -> int:
@@ -118,6 +127,7 @@ class VerifyReport:
         lines = [
             f"verify: {self.runs} runs over {self.programs} programs",
             f"  simulator runs: {self.simulated_runs}",
+            f"  warm-ups restored: {self.warmups_restored}",
             f"  fenced runs : {self.fenced_scvs} SCVs, "
             f"{len(self.violations)} invariant violations",
             f"  stripped    : {self.stripped_scvs} SCVs found "
@@ -179,6 +189,7 @@ def run_verification(config: VerifyConfig,
     }
     points = schedule_points(config.seed, NUM_POINTS)
     baseline = config.designs[0]
+    warmups = WarmStore()
     prog_idx = 0
     while report.runs < config.budget:
         program = generate_program(
@@ -196,7 +207,7 @@ def run_verification(config: VerifyConfig,
             run = next((r for r in simulated
                         if shares_run(program, r, design)), None)
             if run is None:
-                run = run_program(program, design, point)
+                run = run_program(program, design, point, warmups=warmups)
                 simulated.append(run)
                 report.simulated_runs += 1
             else:
@@ -220,23 +231,25 @@ def run_verification(config: VerifyConfig,
         # stripped trial: hunt the SCV the fences were preventing
         stripped = program.stripped()
         if report.runs < config.budget and store_load_sites(stripped.threads):
-            run = run_program(stripped, baseline, point)
+            run = run_program(stripped, baseline, point, warmups=warmups)
             report.runs += 1
             report.simulated_runs += 1
             if run.scv_found:
                 report.scv_findings.append(_finding(run, stripped))
                 if config.shrink and report.shrunk is None:
-                    report.shrunk = _shrink_finding(stripped, baseline, point)
+                    report.shrunk = _shrink_finding(
+                        stripped, baseline, point, warmups)
                     report.simulated_runs += report.shrunk["shrink_runs"]
+    report.warmups_restored = warmups.restored
     if out_path is not None:
         report.write_json(out_path)
     return report
 
 
 def _shrink_finding(program: LitmusProgram, design: FenceDesign,
-                    point: SchedulePoint) -> Dict:
+                    point: SchedulePoint, warmups: WarmStore) -> Dict:
     def still_fails(candidate: LitmusProgram) -> bool:
-        run = run_program(candidate, design, point)
+        run = run_program(candidate, design, point, warmups=warmups)
         return run.scv_found
 
     result = shrink_program(program, still_fails, max_runs=SHRINK_BUDGET)

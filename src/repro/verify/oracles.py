@@ -37,7 +37,7 @@ from repro.common.params import (
 from repro.common.stats import MachineStats
 from repro.core import isa as ops
 from repro.fences.base import policy_class
-from repro.sim.machine import Machine
+from repro.sim.machine import Machine, WarmState
 from repro.sim.scv import find_scv
 from repro.verify.generator import LitmusProgram
 from repro.verify.perturb import SchedulePoint
@@ -102,13 +102,19 @@ class ProgramRun:
         return self.stats.bounces if self.stats else 0
 
 
-def _thread_fn(body, addr_map, warm_addrs):
-    """Bind one symbolic op list as a runnable generator function."""
+def _thread_fn(body, addr_map, warm_addrs, warmed=None):
+    """Bind one symbolic op list as a runnable generator function.
+
+    *warmed* is a :meth:`Machine.capture_warmup` callback, told as the
+    thread yields the ``Compute`` that ends its warm-up."""
 
     def fn(ctx):
+        results = []
         for addr in warm_addrs:
-            yield ops.Load(addr)
+            results.append((yield ops.Load(addr)))
         if warm_addrs:
+            if warmed is not None:
+                warmed(ctx.tid, results)
             yield ops.Compute(WARMUP_COMPUTE)
         for idx, op in enumerate(body):
             if isinstance(op, ops.Store):
@@ -138,6 +144,27 @@ def _addresses(program: LitmusProgram, alloc) -> List[int]:
     return addr_map
 
 
+class WarmStore:
+    """The litmus warm-ups of one call: one ``run_verification``
+    campaign, or one ``run_synthesis`` call shared by every design's
+    run table.
+
+    Every litmus thread starts by loading each warm variable and then
+    computing ``WARMUP_COMPUTE`` instructions.  No fence runs in that
+    phase, so it goes the same way under every design: a warm-up is
+    fixed by the point's machine knobs, the thread count and the warm
+    addresses, which key ``states``.  A key maps to the
+    :class:`~repro.sim.machine.WarmState` its first run took, or to
+    None where that run's boundary was not quiet; ``restored`` counts
+    the runs that started from a stored state instead of simulating
+    their warm-up.
+    """
+
+    def __init__(self):
+        self.states: Dict[tuple, Optional[WarmState]] = {}
+        self.restored = 0
+
+
 def run_program(
     program: LitmusProgram,
     design: FenceDesign,
@@ -148,6 +175,7 @@ def run_program(
     sanitize: str = "off",
     attrib=None,
     budget=None,
+    warmups: Optional[WarmStore] = None,
 ) -> ProgramRun:
     """Execute *program* under *design* at *point* and classify it.
 
@@ -170,6 +198,12 @@ def run_program(
     bounding the run by wall time / events with a graceful degraded
     cutoff — farm workers set one so a wedged case can never wedge
     its worker process.
+
+    *warmups* is the call's :class:`WarmStore`: the run restores its
+    warm-up from it, or takes the warm-up into it.  It is not used
+    where any of the other options is set (the scope of
+    :func:`shares_run`): the state it keeps holds no probe, and a
+    fault or an override may move the warm-up.
     """
     run = ProgramRun(program=program, design=design, point=point)
     params = point.params(design, program.num_threads)
@@ -190,8 +224,22 @@ def run_program(
         machine.attach_attrib(attrib)
     addr_map = _addresses(program, machine.alloc)
     warm_addrs = [addr_map[v] for v in program.warm_vars]
+    warm = key = warmed = None
+    if warmups is not None and warm_addrs and faults is None \
+            and not params_overrides and diag_dir is None \
+            and sanitize == "off" and attrib is None and budget is None:
+        key = (point.mesh_hop_cycles, point.write_buffer_entries,
+               point.bs_entries, point.bounce_retry_cycles,
+               program.num_threads, tuple(warm_addrs))
+        if key in warmups.states:
+            warm, key = warmups.states[key], None
+        else:
+            warmed = machine.capture_warmup()
     for body in program.threads:
-        machine.spawn(_thread_fn(body, addr_map, warm_addrs))
+        machine.spawn(_thread_fn(body, addr_map, warm_addrs, warmed))
+    if warm is not None:
+        machine.restore_warmup(warm)
+        warmups.restored += 1
     try:
         result = machine.run(budget=budget)
         run.completed = result.completed
@@ -215,6 +263,8 @@ def run_program(
             idx, value = payload
             run.observed[(core.core_id, idx)] = value
     run.final = tuple(machine.image.peek(addr) for addr in addr_map)
+    if key is not None:
+        warmups.states[key] = machine.warm_state
     machine.dispose()
     return run
 

@@ -101,7 +101,7 @@ def simulated(monkeypatch):
 
     def counting(program, design, point, **kwargs):
         # the one call shape synthesis may use (docs/SYNTHESIS.md)
-        assert set(kwargs) == {"faults", "sanitize"}
+        assert set(kwargs) == {"faults", "sanitize", "warmups"}
         assert (kwargs["faults"] is not None) == point.jittered
         assert kwargs["sanitize"] == SANITIZE
         calls.append((program, design, point))

@@ -112,9 +112,11 @@ def test_verify_simulates_fewer_runs_than_it_reports(monkeypatch):
     also wraps), and every relabelled trial carries its own design."""
     calls, judged = [], []
 
-    def counting(program, design, point):
+    def counting(program, design, point, **kwargs):
+        # verify's one call shape: the campaign's warm-up store
+        assert set(kwargs) == {"warmups"}
         calls.append((program, design, point))
-        return run_program(program, design, point)
+        return run_program(program, design, point, **kwargs)
 
     def judging(run):
         judged.append(str(run.design))
