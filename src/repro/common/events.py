@@ -63,6 +63,25 @@ class EventQueue:
         """Schedule *fn* at absolute cycle *time* (>= now)."""
         return self.schedule(time - self.now, fn, label)
 
+    @property
+    def seq(self) -> int:
+        """The sequence number the newest scheduled event got."""
+        return self._seq
+
+    def restore(self, now: int, seq: int) -> None:
+        """Set the clock and the sequence counter: a restored machine
+        goes on with the event stream where its capture left it
+        (``executed`` still counts only what this queue dispatches)."""
+        self.now, self._seq = now, seq
+
+    def schedule_as(self, time: int, seq: int, fn: Callable[[], None],
+                    label: str = "") -> list:
+        """Schedule *fn* as the event ``(time, seq)`` a captured queue
+        held: same cycle, same place among that cycle's events."""
+        ev = [time, seq, fn, label]
+        heappush(self._heap, ev)
+        return ev
+
     def unsafe_schedule_at(self, time: int, fn: Callable[[], None],
                            label: str = "") -> list:
         """Schedule at an absolute time with no past-time check.
@@ -192,10 +211,13 @@ class Periodic:
         self._interval = interval
         self._check = check
         self._label = label
+        #: the check has been called at least once
+        self.fired = False
         self._event = queue.schedule(interval, self._fire, label)
 
     def _fire(self) -> None:
         self._event = None  # fired: a check that raises leaves no handle
+        self.fired = True
         if self._check() is not False:
             self._event = self._queue.schedule(
                 self._interval, self._fire, self._label)

@@ -138,6 +138,34 @@ class MachineStats:
         # final clock, filled in by Machine.run()
         self.cycles = 0
 
+    # --- snapshot ------------------------------------------------------
+
+    def _plain(self, name: str):
+        value = getattr(self, name)
+        if name == "breakdown":
+            return tuple((b.busy, b.fence_stall, b.other_stall)
+                         for b in value)
+        return tuple(value) if type(value) is list else value
+
+    def snapshot(self) -> tuple:
+        """``(slot, value)`` for each counter that differs from a fresh
+        instance's: lists as tuples, ``breakdown`` as (busy, fence,
+        other) triples."""
+        fresh = MachineStats(self.num_cores)
+        return tuple((name, value) for name in self.__slots__
+                     if (value := self._plain(name)) != fresh._plain(name))
+
+    def restore(self, snapshot: tuple) -> None:
+        """Give fresh counters the values :meth:`snapshot` took."""
+        for name, value in snapshot:
+            if name == "breakdown":
+                for b, (busy, fence, other) in zip(self.breakdown, value):
+                    b.busy, b.fence_stall, b.other_stall = busy, fence, other
+            elif type(value) is tuple:
+                getattr(self, name)[:] = value
+            else:
+                setattr(self, name, value)
+
     # --- accumulation helpers ----------------------------------------
 
     def add_busy(self, core: int, cycles: float) -> None:

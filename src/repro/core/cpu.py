@@ -242,6 +242,28 @@ class Core:
             return
         self._cont_ev = self.queue.schedule(0, self._cb_advance, "cpu.start")
 
+    def snapshot(self) -> tuple:
+        """This core while its one pending event is the ``_advance``
+        continuation (no op parked, nothing buffered, nothing in
+        flight): ``ops_committed`` and that event's
+        ``(time, seq, label)``."""
+        ev = self._cont_ev
+        return self.ops_committed, (ev[0], ev[1], ev[3])
+
+    def restore(self, snapshot: tuple, results) -> None:
+        """Put a freshly bound core where *snapshot* was taken: its
+        thread fast-forwarded through ops that got *results*.  The
+        continuation waits for :meth:`resume`."""
+        self.thread.fast_forward(results)
+        self.ops_committed = snapshot[0]
+
+    def resume(self, snapshot: tuple) -> None:
+        """Schedule the continuation *snapshot* recorded (in place of
+        :meth:`start`)."""
+        time, seq, label = snapshot[1]
+        self._cont_ev = self.queue.schedule_as(
+            time, seq, self._cb_advance, label)
+
     # ------------------------------------------------------------------
     # main execution loop
     # ------------------------------------------------------------------

@@ -193,6 +193,16 @@ class SimThread:
         # the last prefix op has been re-yielded; its result will be
         # supplied by the core when it resumes with next_op(result).
 
+    def fast_forward(self, results) -> None:
+        """Advance a fresh thread through its first ``len(results) + 1``
+        ops, giving each earlier op its recorded result, as
+        :meth:`rollback` replays its log; the last op's result comes
+        from the core when it resumes."""
+        self.next_op(None)
+        next_op = self.next_op  # the started path, bound by that call
+        for result in results:
+            next_op(result)
+
     @property
     def ops_committed(self) -> int:
         return self._ops

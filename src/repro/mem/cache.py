@@ -154,6 +154,18 @@ class SetAssocCache:
         s.move_to_end(line)
         return evicted
 
+    def snapshot(self) -> tuple:
+        """The filled sets, as ``(index, ((line, state), ...))`` in LRU
+        order, for :meth:`restore`."""
+        return tuple((i, tuple(s.items()))
+                     for i, s in enumerate(self.sets) if s)
+
+    def restore(self, snapshot: tuple) -> None:
+        """Refill an empty cache from :meth:`snapshot`."""
+        sets = self.sets
+        for i, items in snapshot:
+            sets[i] = OrderedDict(items)
+
     def occupancy(self) -> int:
         return sum(len(s) for s in self.sets if s)
 

@@ -104,6 +104,25 @@ class DirectoryBank:
         self.sanitizer = None
 
     # ------------------------------------------------------------------
+    # snapshot
+    # ------------------------------------------------------------------
+
+    def snapshot(self) -> tuple:
+        """What a quiet bank holds beyond a fresh one (no line busy,
+        no GRT deposit): ``(line, owner, sharers, grant)`` per entry,
+        and the L2 lines in LRU order."""
+        return (tuple((line, e.owner, tuple(e.sharers), e.grant)
+                      for line, e in self.entries.items()),
+                tuple(self._l2))
+
+    def restore(self, snapshot: tuple) -> None:
+        """Give a fresh bank the state :meth:`snapshot` took."""
+        entries, l2 = snapshot
+        self.entries = {line: DirEntry(owner, set(sharers), grant)
+                        for line, owner, sharers, grant in entries}
+        self._l2 = OrderedDict.fromkeys(l2, True)
+
+    # ------------------------------------------------------------------
     # request entry points
     # ------------------------------------------------------------------
 

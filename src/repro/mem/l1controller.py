@@ -96,6 +96,21 @@ class L1Controller:
         self._cb_rmw_hit = self._rmw_hit_complete
 
     # ------------------------------------------------------------------
+    # snapshot
+    # ------------------------------------------------------------------
+
+    def snapshot(self) -> tuple:
+        """What a quiet controller holds beyond a fresh one (no access
+        in flight, its Bypass Set empty): its cache and its grants."""
+        return self.cache.snapshot(), tuple(self._grants.items())
+
+    def restore(self, snapshot: tuple) -> None:
+        """Give a fresh controller the state :meth:`snapshot` took."""
+        cache, grants = snapshot
+        self.cache.restore(cache)
+        self._grants.update(grants)
+
+    # ------------------------------------------------------------------
     # CPU-facing: loads
     # ------------------------------------------------------------------
 

@@ -65,6 +65,11 @@ class MemoryImage:
         self.write(word_addr, new, core)
         return old, new
 
+    @property
+    def writes(self) -> int:
+        """Stores merged so far (pokes not counted)."""
+        return self._serial
+
     def peek(self, word_addr: int) -> int:
         """Read without notifying the observer (for debugging/tests)."""
         return self._words.get(word_addr, 0)

@@ -19,9 +19,7 @@ Ownership: whoever builds a machine and does not hand it back calls
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from heapq import heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.addr import AddressMap
@@ -32,14 +30,14 @@ from repro.common.stats import MachineStats
 from repro.core.cpu import Core
 from repro.core.thread import SimThread, ThreadContext
 from repro.fences.base import policy_class
-from repro.mem.directory import DirectoryBank, DirEntry
+from repro.mem.directory import DirectoryBank
 from repro.mem.l1controller import L1Controller
 from repro.mem.memory import MemoryImage
 from repro.mem.noc import MeshNoc
 from repro.runtime.alloc import Allocator
 from repro.sim.deadlock import Watchdog
 from repro.sim.governor import RunBudget
-from repro.sim.scv import AccessEvent, DependenceRecorder
+from repro.sim.scv import DependenceRecorder
 
 
 @dataclass
@@ -67,39 +65,29 @@ class WarmState:
     :meth:`Machine.capture_warmup` took it and
     :meth:`Machine.restore_warmup` rebuilds it.
 
-    Only a quiet machine is taken: no message in flight, every write
-    buffer, Bypass Set and the memory image untouched, each core's one
-    pending event the continuation after its warm-up.  So the state is
-    the caches, the directory, the counters and the queue's clock —
-    everything else is what a freshly built machine holds.
+    Only a quiet machine is taken (see :meth:`Machine._take_warmup`),
+    so each component's part is what its ``snapshot()`` keeps — the
+    caches, the directory, the counters, the recorded accesses and the
+    queue's clock; everything else is what a freshly built machine
+    holds.
     """
 
-    #: queue clock, sequence number and events executed at the boundary
+    #: queue clock and sequence number at the boundary
     now: int
     seq: int
-    executed: int
     #: the sequence number the cores' start events left for the
     #: periodic checks (the checks are armed right after it)
     arm_seq: int
     #: per core: the results its warm-up ops got, in order (its thread
-    #: is replayed through them), its ``ops_committed``, and its
-    #: continuation event's ``(time, seq, label)``
+    #: is replayed through them), and its ``Core.snapshot()``
     results: Tuple[tuple, ...]
-    ops: Tuple[int, ...]
-    conts: Tuple[tuple, ...]
-    #: ``(MachineStats slot, value)`` for each slot the warm-up moved:
-    #: lists as tuples, ``breakdown`` as (busy, fence, other) triples
+    cores: Tuple[tuple, ...]
+    #: ``MachineStats.snapshot()``, per L1 and per bank their
+    #: ``snapshot()``, and ``DependenceRecorder.snapshot()`` (or None)
     stats: tuple
-    #: per L1: its filled sets as ``(index, ((line, state), ...))`` in
-    #: LRU order, and its grants as ``(line, txn_id)`` pairs
-    l1_sets: tuple
-    grants: tuple
-    #: per bank: ``(line, owner, sharers, grant)`` per directory entry,
-    #: and the L2 lines in LRU order
-    entries: tuple
-    l2: tuple
-    #: the recorded accesses, as AccessEvent field tuples
-    events: tuple
+    l1s: tuple
+    banks: tuple
+    recorder: Optional[tuple]
 
 
 class Machine:
@@ -295,11 +283,11 @@ class Machine:
         the last op of its warm-up, with its thread id and the results
         its earlier warm-up ops got; a warm-up only loads and computes.
         When every core's thread has called it, the run pauses at the
-        end of that event and, if the machine is quiet there (see
-        :class:`WarmState`), keeps the state in ``warm_state``; either
-        way it then runs on as it would have.  Call before
-        :meth:`run`, with no probe attached.
+        end of that event and, if the machine is quiet there, keeps the
+        state in ``warm_state``; either way it then runs on as it would
+        have.  Call before :meth:`run`, with no probe attached.
         """
+        self._refuse_if_probed()
         self._warm = {}
         return self._warmed
 
@@ -311,72 +299,45 @@ class Machine:
         if len(warm) == len(self.cores):
             self.queue.request_stop()
 
+    def _refuse_if_probed(self) -> None:
+        # a probe's own state is in no snapshot
+        if (self.tracer is not None or self.faults is not None
+                or self.sanitizer is not None
+                or any(core.tracer is not None for core in self.cores)):
+            raise SimulatorError("a warm-up is not kept with a probe on")
+
     def _take_warmup(self, arm_seq: int,
                      checks: list) -> Optional[WarmState]:
         """The quiet machine at the warm-up boundary, or None.
 
-        Each of the periodic *checks* (armed at cycle 0) must still
-        wait for its first call: one that has fired has changed its
-        own state, which is not taken.
+        Quiet: every thread stands right after its warm-up (so its
+        core's one pending event is the ``_advance`` continuation that
+        ended its batch, and no store was issued), the image took no
+        write, the recorder awaits no access, and the only other live
+        events are the periodic checks, each still waiting for its
+        first call (a check that fired has changed its own state).  So
+        no message is in flight and nothing waits on one: each
+        component's ``snapshot()`` holds all it differs by from a
+        fresh one.
         """
         warm, self._warm = self._warm, None
-        queue = self.queue
         cores = self.cores
-        if (len(warm) < len(cores) or self.image._serial
-                or self.tracer is not None or self.faults is not None
-                or self.sanitizer is not None
-                or any(core.tracer is not None for core in cores)
-                or (self.recorder is not None
-                    and self.recorder._pending_po)):
+        recorder = self.recorder
+        if (len(warm) < len(cores) or self.image.writes
+                or (recorder is not None and not recorder.between_accesses)
+                or any(check.fired for check in checks)
+                or len(self.queue) != len(cores) + len(checks)
+                or any(core.thread.ops_committed != len(warm[core.core_id]) + 1
+                       for core in cores)):
             return None
-        for core in cores:
-            # with no op parked, the pending continuation is _advance's
-            ev = core._cont_ev
-            if (ev is None or ev[2] is None or core._cont_op is not None
-                    or core._cont_result is not None or core.wb._entries
-                    or core.thread._ops != len(warm[core.core_id]) + 1):
-                return None
-        if any(check._event is None or check._event[0] != check._interval
-               for check in checks):
-            return None
-        live = sum(ev[2] is not None for ev in queue._heap)
-        if live != len(cores) + len(checks):
-            return None
-        stats = self.stats
-        fresh = MachineStats(stats.num_cores)
-        moved = []
-        for name in MachineStats.__slots__:
-            value, before = getattr(stats, name), getattr(fresh, name)
-            if name == "breakdown":
-                value = tuple((b.busy, b.fence_stall, b.other_stall)
-                              for b in value)
-                before = tuple((b.busy, b.fence_stall, b.other_stall)
-                               for b in before)
-            elif type(value) is list:
-                value, before = tuple(value), tuple(before)
-            if value != before:
-                moved.append((name, value))
-        events = self.recorder.events if self.recorder is not None else ()
         return WarmState(
-            now=queue.now, seq=queue._seq, executed=queue.executed,
-            arm_seq=arm_seq,
+            now=self.queue.now, seq=self.queue.seq, arm_seq=arm_seq,
             results=tuple(warm[core.core_id] for core in cores),
-            ops=tuple(core.ops_committed for core in cores),
-            conts=tuple((core._cont_ev[0], core._cont_ev[1],
-                         core._cont_ev[3]) for core in cores),
-            stats=tuple(moved),
-            l1_sets=tuple(
-                tuple((i, tuple(s.items()))
-                      for i, s in enumerate(l1.cache.sets) if s)
-                for l1 in self.l1s),
-            grants=tuple(tuple(l1._grants.items()) for l1 in self.l1s),
-            entries=tuple(
-                tuple((line, e.owner, tuple(e.sharers), e.grant)
-                      for line, e in bank.entries.items())
-                for bank in self.banks),
-            l2=tuple(tuple(bank._l2) for bank in self.banks),
-            events=tuple((ev.index, ev.kind, ev.core, ev.word, ev.value,
-                          ev.tag, ev.po) for ev in events),
+            cores=tuple(core.snapshot() for core in cores),
+            stats=self.stats.snapshot(),
+            l1s=tuple(l1.snapshot() for l1 in self.l1s),
+            banks=tuple(bank.snapshot() for bank in self.banks),
+            recorder=recorder.snapshot() if recorder is not None else None,
         )
 
     def restore_warmup(self, state: WarmState) -> None:
@@ -390,32 +351,17 @@ class Machine:
         its warm-up ops with the recorded results, as a W+ rollback
         replays its log.  Call after :meth:`spawn`, before :meth:`run`.
         """
-        for core, results, ops in zip(self.cores, state.results, state.ops):
-            thread = core.thread
-            thread.next_op(None)
-            for result in results:
-                thread.next_op(result)
-            core.ops_committed = ops
-        stats = self.stats
-        for name, value in state.stats:
-            if name == "breakdown":
-                for b, (busy, fence, other) in zip(stats.breakdown, value):
-                    b.busy, b.fence_stall, b.other_stall = busy, fence, other
-            elif type(value) is tuple:
-                getattr(stats, name)[:] = value
-            else:
-                setattr(stats, name, value)
-        for l1, sets, grants in zip(self.l1s, state.l1_sets, state.grants):
-            cache_sets = l1.cache.sets
-            for i, items in sets:
-                cache_sets[i] = OrderedDict(items)
-            l1._grants.update(grants)
-        for bank, entries, l2 in zip(self.banks, state.entries, state.l2):
-            bank.entries = {line: DirEntry(owner, set(sharers), grant)
-                            for line, owner, sharers, grant in entries}
-            bank._l2 = OrderedDict.fromkeys(l2, True)
+        self._refuse_if_probed()
+        for core, snapshot, results in zip(self.cores, state.cores,
+                                           state.results):
+            core.restore(snapshot, results)
+        self.stats.restore(state.stats)
+        for l1, snapshot in zip(self.l1s, state.l1s):
+            l1.restore(snapshot)
+        for bank, snapshot in zip(self.banks, state.banks):
+            bank.restore(snapshot)
         if self.recorder is not None:
-            self.recorder.events = [AccessEvent(*f) for f in state.events]
+            self.recorder.restore(state.recorder)
         self._restored = state
 
     # ------------------------------------------------------------------
@@ -466,8 +412,8 @@ class Machine:
             for core in self.cores:
                 core.start()
         else:
-            queue._seq = restored.arm_seq
-        arm_seq = queue._seq
+            queue.restore(0, restored.arm_seq)
+        arm_seq = queue.seq
         # seed the done-core counter; cores keep it current from here
         n_done = 0
         for core in self.cores:
@@ -491,11 +437,9 @@ class Machine:
         if restored is not None:
             # on from the warm-up boundary: its clock, and each core's
             # continuation at its recorded time and sequence number
-            queue.now, queue._seq, queue.executed = \
-                restored.now, restored.seq, restored.executed
-            for core, (time, seq, label) in zip(self.cores, restored.conts):
-                core._cont_ev = ev = [time, seq, core._cb_advance, label]
-                heappush(queue._heap, ev)
+            queue.restore(restored.now, restored.seq)
+            for core, snapshot in zip(self.cores, restored.cores):
+                core.resume(snapshot)
         try:
             queue.run(until=limit)
             if self._warm is not None:

@@ -65,6 +65,21 @@ class DependenceRecorder:
         self._pending_po: Dict[int, int] = {}
         image.observer = self._observe
 
+    @property
+    def between_accesses(self) -> bool:
+        """No core has announced an access it has not yet made."""
+        return not self._pending_po
+
+    def snapshot(self) -> tuple:
+        """The recorded accesses, as field tuples, for :meth:`restore`
+        (taken between accesses)."""
+        return tuple((ev.index, ev.kind, ev.core, ev.word, ev.value,
+                      ev.tag, ev.po) for ev in self.events)
+
+    def restore(self, snapshot: tuple) -> None:
+        """Give a fresh recorder the accesses :meth:`snapshot` took."""
+        self.events = [AccessEvent(*fields) for fields in snapshot]
+
     def note_po(self, core: int, po: int) -> None:
         """Called by the core/L1 immediately before an image access."""
         self._pending_po[core] = po

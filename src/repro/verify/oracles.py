@@ -151,9 +151,11 @@ class WarmStore:
 
     Every litmus thread starts by loading each warm variable and then
     computing ``WARMUP_COMPUTE`` instructions.  No fence runs in that
-    phase, so it goes the same way under every design: a warm-up is
-    fixed by the point's machine knobs, the thread count and the warm
-    addresses, which key ``states``.  A key maps to the
+    phase, so it goes the same way under every design.  Nor does it
+    store or bounce, so of the point's knobs only the hop latency moves
+    it (write-buffer depth, Bypass Set size and retry back-off serve
+    what it never does): a warm-up is fixed by that latency, the thread
+    count and the warm addresses, which key ``states``.  A key maps to the
     :class:`~repro.sim.machine.WarmState` its first run took, or to
     None where that run's boundary was not quiet; ``restored`` counts
     the runs that started from a stored state instead of simulating
@@ -228,9 +230,8 @@ def run_program(
     if warmups is not None and warm_addrs and faults is None \
             and not params_overrides and diag_dir is None \
             and sanitize == "off" and attrib is None and budget is None:
-        key = (point.mesh_hop_cycles, point.write_buffer_entries,
-               point.bs_entries, point.bounce_retry_cycles,
-               program.num_threads, tuple(warm_addrs))
+        key = (point.mesh_hop_cycles, program.num_threads,
+               tuple(warm_addrs))
         if key in warmups.states:
             warm, key = warmups.states[key], None
         else:

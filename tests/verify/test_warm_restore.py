@@ -8,9 +8,11 @@ same warm-up restore it (``Machine.capture_warmup`` /
 ``restore_warmup``) instead of simulating it again.  Here:
 
 * a run that restores its warm-up equals the full simulation, field
-  for field, under every design at plain and adversary points;
+  for field, under every design at plain and adversary points, and
+  dispatches all of its events but the warm-up's;
 * a warm-up whose boundary is not quiet is stored as not restorable,
-  and its runs simulate in full and still match;
+  and its runs simulate in full and still match; a thread already in
+  its body, or a warm-up that stored, makes a boundary that is not;
 * a verify campaign restores warm-ups and takes each at most once;
 * nothing is stored or restored under a sanitizer or an injector.
 """
@@ -29,6 +31,7 @@ from repro.verify.perturb import (
     adversary_points,
     schedule_points,
 )
+from tests.support import tiny_params
 
 #: plain points of a short sweep and the unjittered adversary points
 POINTS = tuple(schedule_points(1, 3)) + tuple(
@@ -44,10 +47,11 @@ def _fields(run):
 
 
 def _standing(machine):
-    """What a machine holds at the warm-up boundary, as plain values."""
+    """What a machine holds at the warm-up boundary, as plain values
+    (not ``executed``: a restored queue counts only what it dispatches)."""
     queue = machine.queue
     return (
-        queue.now, queue._seq, queue.executed,
+        queue.now, queue._seq,
         sorted((ev[0], ev[1], ev[3]) for ev in queue._heap
                if ev[2] is not None),
         machine.stats.to_dict(),
@@ -64,13 +68,15 @@ def _standing(machine):
 
 def test_a_restored_warmup_runs_as_the_simulated_one(monkeypatch):
     # the machine a restore starts from is the one the capture stood
-    # at, and the run it then makes is the simulated one
-    taken, started = {}, []
+    # at, and the run it then makes is the simulated one, dispatching
+    # all but the warm-up's events
+    taken, started, executed = {}, [], []
     take, restore = Machine._take_warmup, Machine.restore_warmup
+    dispose = Machine.dispose
 
     def spy_take(machine, *args):
         state = take(machine, *args)
-        taken[id(state)] = _standing(machine)
+        taken[id(state)] = (_standing(machine), machine.queue.executed)
         return state
 
     def spy_restore(machine, state):
@@ -79,27 +85,40 @@ def test_a_restored_warmup_runs_as_the_simulated_one(monkeypatch):
 
         def first_run(until=None):
             started.append((state, _standing(machine)))
+            assert machine.queue.executed == 0
             machine.queue.run = run
             return run(until)
 
         machine.queue.run = first_run
 
+    def spy_dispose(machine):
+        executed.append(machine.queue.executed)
+        dispose(machine)
+
     monkeypatch.setattr(Machine, "_take_warmup", spy_take)
     monkeypatch.setattr(Machine, "restore_warmup", spy_restore)
+    monkeypatch.setattr(Machine, "dispose", spy_dispose)
     store = WarmStore()
     runs = 0
     for program in PROGRAMS:
         for point in POINTS:
             for design in FenceDesign:
                 full = run_program(program, design, point)
+                restores = len(started)
                 assert _fields(run_program(program, design, point,
                                            warmups=store)) == _fields(full)
+                full_events, events = executed[-2:]
+                if len(started) > restores:
+                    warmup_events = taken[id(started[-1][0])][1]
+                    assert events == full_events - warmup_events > 0
+                else:
+                    assert events == full_events
                 runs += 1
     # one capture per warm-up, every other run restored
     assert None not in store.states.values()
     assert store.restored == runs - len(store.states) == len(started) > 0
     for state, standing in started:
-        assert standing == taken[id(state)]
+        assert standing == taken[id(state)][0]
 
 
 def test_a_boundary_that_is_not_quiet_is_simulated_in_full():
@@ -119,6 +138,49 @@ def test_a_boundary_that_is_not_quiet_is_simulated_in_full():
                                    warmups=store)) == _fields(full)
     assert list(store.states.values()) == [None]
     assert store.restored == 0
+
+
+def _boundary(first, cold=3):
+    """Run thread 0 = *first* beside a thread that warms *cold* cold
+    lines; return the state the capture kept (or None)."""
+    machine = Machine(tiny_params(track_dependences=True), seed=1)
+    warmed = machine.capture_warmup()
+    words = [machine.alloc.alloc_words_padded(1)[0] for _ in range(4)]
+
+    def slow(ctx):
+        results = []
+        for word in words[1:1 + cold]:
+            results.append((yield ops.Load(word)))
+        warmed(ctx.tid, results)
+        yield ops.Compute(4)
+
+    machine.spawn(lambda ctx: first(ctx, warmed, words[0]))
+    machine.spawn(slow)
+    assert machine.run().completed
+    return machine.warm_state
+
+
+def test_the_quiet_rule_refuses_a_thread_past_its_warmup_or_a_store():
+    def quiet(ctx, warmed, word):
+        warmed(ctx.tid, [(yield ops.Load(word))])
+        yield ops.Compute(8000)
+
+    def past(ctx, warmed, word):
+        # in its body, still computing, when the other thread warms
+        warmed(ctx.tid, [])
+        yield ops.Compute(4)
+        yield ops.Compute(8000)
+
+    def wrote(ctx, warmed, word):
+        # at its boundary, but its warm-up stored
+        yield ops.Store(word, 1)
+        warmed(ctx.tid, [None])
+        yield ops.Compute(8000)
+
+    assert _boundary(quiet) is not None
+    assert _boundary(past) is None
+    assert _boundary(wrote) is None  # merged: the image took a write
+    assert _boundary(wrote, cold=0) is None  # still in flight
 
 
 class _Once(dict):
