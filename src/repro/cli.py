@@ -244,7 +244,6 @@ def cmd_litmus(args) -> int:
     from repro.sanitizer.core import sanitize_mode
     from repro.synth.programs import program_for_spec
     from repro.verify.oracles import check_invariants, run_program
-    from repro.verify.perturb import SchedulePoint
 
     # an unknown name is a ConfigError: main() makes it a usage error
     program = program_for_spec(args.spec, seed=args.seed)
@@ -252,8 +251,7 @@ def cmd_litmus(args) -> int:
     designs = [args.design] if args.design else list(FenceDesign)
     failed = False
     for design in designs:
-        run = run_program(program, design, SchedulePoint(seed=args.seed),
-                          sanitize=sanitize)
+        run = run_program(program, design, sanitize=sanitize)
         s = run.stats
         observed = {f"P{tid}.i{idx}": v
                     for (tid, idx), v in sorted(run.observed.items())}
@@ -316,7 +314,9 @@ def cmd_synth(args) -> int:
     from repro.farm.clients import farm_synthesis
     from repro.sanitizer.core import sanitize_mode
     from repro.synth import SynthConfig
+    from repro.synth.engine import AUDIT_FACTOR
     from repro.synth.programs import NAMED_PROGRAMS, program_for_spec
+    from repro.verify.perturb import adversary_points
 
     designs = _designs_list(args.designs)
     config = SynthConfig(
@@ -328,6 +328,9 @@ def cmd_synth(args) -> int:
         max_runs=args.max_runs,
         sanitize=sanitize_mode(args.sanitize),
     )
+    # more --points than the audit can draw distinct is a usage error
+    # (main) before any job is submitted
+    adversary_points(config.seed, config.num_points * AUDIT_FACTOR)
 
     print(f"synth: program {args.program!r}, {len(designs)} design(s), "
           f"{args.points} adversary point(s), seed {args.seed}")
@@ -562,8 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lit.add_argument("--design", type=_design, default=None)
     p_lit.add_argument(
         "--seed", type=int, default=1,
-        help="picks the program of a bare 'shape:' spec; no run depends "
-             "on it (litmus threads draw no random numbers)")
+        help="picks the program of a bare 'shape:' spec")
 
     p_ver = sub.add_parser(
         "verify",
@@ -605,7 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(program, designs, seed)")
     p_syn.add_argument("--points", type=_positive(int), default=12,
                        help="adversary schedule points per search "
-                            "(the audit re-verifies at twice this; "
+                            "(the audit re-verifies at twice this, of "
+                            "161 distinct points: at most 80; "
                             "default 12)")
     p_syn.add_argument("--sites", default=None,
                        choices=("auto", "annotated"),

@@ -15,20 +15,15 @@ point (the paper's machine, default knobs):
   a wf probe is ~0 (post-fence accesses complete early via the Bypass
   Set) while an sf probe pays the write-buffer drain.
 
-Costs are means over the ``COST_SEEDS`` of the default point, but the
-three seeds are one run: an unjittered point's machine seed moves no
-litmus run (:func:`~repro.verify.oracles.machine_point`), so the mean
-is that run's cycles.  The seeds stay because the report carries them
-(``cost_seeds``).  The simulator is deterministic per (program, design,
-point), so the whole model is reproducible bit-for-bit — and cost runs
-come out of the oracle's :class:`~repro.synth.search.RunTable`, which
-simulates the three seeds once: the cost point *is* adversary point 0
-and a single-fence probe *is* a search candidate.
+The simulator is deterministic per (program, design, point), so the
+whole model is reproducible bit-for-bit — and cost runs come out of
+the oracle's :class:`~repro.synth.search.RunTable`: the cost point
+*is* adversary point 0 and a single-fence probe *is* a search
+candidate.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 from repro.fences.base import synthesis_profile
@@ -37,38 +32,27 @@ from repro.synth.sites import FenceSite, Placement
 from repro.verify.generator import LitmusProgram
 from repro.verify.perturb import DEFAULT_POINT
 
-#: machine seeds of the cost points (the report's ``cost_seeds``); at
-#: a jitter-free point they are one run, which the run table makes once
-COST_SEEDS: Tuple[int, ...] = (1, 2, 3)
-
-#: jitter-free default-knob points, one per seed
-COST_POINTS = tuple(replace(DEFAULT_POINT, seed=s) for s in COST_SEEDS)
-
 
 def measure_cycles(
     stripped: LitmusProgram,
     placement: Placement,
     table: RunTable,
-) -> Optional[float]:
-    """Mean end-to-end cycles of *placement* under ``table.design``,
-    or None if any cost run failed to complete cleanly (cost of a
-    broken run is meaningless).  Runs come from *table*."""
-    program = placement.apply(stripped, table.design)
-    total = 0
-    for point in COST_POINTS:
-        run = table.run(program, point)
-        if not run.completed or run.error or run.deadlock or run.sanitizer:
-            return None
-        total += run.cycles
-    return total / len(COST_POINTS)
+) -> Optional[int]:
+    """End-to-end cycles of *placement* under ``table.design`` at the
+    default point, or None if the run failed to complete cleanly (cost
+    of a broken run is meaningless).  The run comes from *table*."""
+    run = table.run(placement.apply(stripped, table.design), DEFAULT_POINT)
+    if not run.completed or run.error or run.deadlock or run.sanitizer:
+        return None
+    return run.cycles
 
 
 def site_probes(
     stripped: LitmusProgram,
     sites: Tuple[FenceSite, ...],
     table: RunTable,
-    baseline: Optional[float],
-) -> Dict[str, Dict[str, Optional[float]]]:
+    baseline: Optional[int],
+) -> Dict[str, Dict[str, Optional[int]]]:
     """Marginal cycle cost of one fence per (site, flavour):
     ``probes[site.label()][flavour] = cycles(single fence) - baseline``.
 
@@ -76,15 +60,15 @@ def site_probes(
     a probe whose run did not complete cleanly (or a missing baseline).
     """
     profile = synthesis_profile(table.design)
-    probes: Dict[str, Dict[str, Optional[float]]] = {}
+    probes: Dict[str, Dict[str, Optional[int]]] = {}
     for site in sites:
-        per_site: Dict[str, Optional[float]] = {}
+        per_site: Dict[str, Optional[int]] = {}
         for flavour in sorted(profile.flavours, key=lambda f: f.value):
             cycles = measure_cycles(
                 stripped, Placement.of({site: flavour}), table)
             if cycles is None or baseline is None:
                 per_site[flavour.value] = None
             else:
-                per_site[flavour.value] = round(cycles - baseline, 1)
+                per_site[flavour.value] = cycles - baseline
         probes[site.label()] = per_site
     return probes

@@ -100,7 +100,6 @@ class SynthConfig:
             "audit": True,
             "audit_factor": AUDIT_FACTOR,
             "max_refinements": MAX_REFINEMENTS,
-            "cost_seeds": list(cost_mod.COST_SEEDS),
             "sanitize": self.sanitize,
         }
 
@@ -202,11 +201,11 @@ def _audit_minimum(oracle: PlacementOracle, minimum: Placement) -> dict:
     }
 
 
-def _placement_entry(placement: Placement, cycles: Optional[float],
-                     baseline: Optional[float]) -> dict:
+def _placement_entry(placement: Placement, cycles: Optional[int],
+                     baseline: Optional[int]) -> dict:
     overhead = None
     if cycles is not None and baseline is not None:
-        overhead = round(cycles - baseline, 1)
+        overhead = cycles - baseline
     return {
         "placement": placement.key(),
         "fences": [
@@ -226,7 +225,7 @@ def _rank_key(entry: dict):
     cycles = entry["cycles"]
     return (
         cycles is None,  # unmeasurable placements sink to the bottom
-        cycles if cycles is not None else 0.0,
+        cycles if cycles is not None else 0,
         entry["num_sf"],
         entry["num_fences"],
         entry["placement"],

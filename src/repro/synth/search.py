@@ -27,14 +27,12 @@ lethal points.  Failing candidates therefore usually die on one
 point instead of a full sweep.
 
 **Run table.**  A run is a pure function of (program, design, point,
-sanitizer mode) — and an unjittered point's seed is not part of it
-(:func:`~repro.verify.oracles.machine_point`) — and one design's
-synthesis asks for the same run many times over (audit after search,
-CEGAR re-search, cost points that are adversary points, the three cost
-seeds), so every oracle and cost run comes out of a :class:`RunTable`;
-budgets keep counting *verdicts*, not table misses.  A design-inert
-run is the same under every design that asks for it, so the tables of
-one synthesis share those.
+sanitizer mode), and one design's synthesis asks for the same run many
+times over (audit after search, CEGAR re-search, a cost point that is
+an adversary point), so every oracle and cost run comes out of a
+:class:`RunTable`; budgets keep counting *verdicts*, not table misses.
+A design-inert run is the same under every design that asks for it,
+so the tables of one synthesis share those.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ from repro.verify.oracles import (
     ProgramRun,
     WarmStore,
     flavoured,
-    machine_point,
     run_program,
     shares_run,
 )
@@ -107,18 +104,16 @@ def classify_run(run) -> Optional[str]:
     return None
 
 
-#: ``(flavoured(program, design), machine_point(point)) -> ProgramRun``
+#: ``(flavoured(program, design), point) -> ProgramRun``
 RunStore = Dict[Tuple[LitmusProgram, SchedulePoint], ProgramRun]
 
 
 class RunTable:
-    """``(program, machine_point(point)) -> ProgramRun`` for one
-    design and sanitizer mode: the only place synthesis simulates, once
-    per key, and the one handle every oracle and cost call takes on
-    that design and mode.  It lives as long as its owner — one design
-    of one ``run_synthesis`` call.  The key drops an unjittered point's
-    seed (:func:`machine_point`), so a run asked for under another
-    seed is relabelled with the asker's point.
+    """``(program, point) -> ProgramRun`` for one design and
+    sanitizer mode: the only place synthesis simulates, once per key,
+    and the one handle every oracle and cost call takes on that design
+    and mode.  It lives as long as its owner — one design of one
+    ``run_synthesis`` call.
 
     *shared* is the store the tables of one ``run_synthesis`` call hand
     each other.  It keys a run by the fences it executes
@@ -127,9 +122,9 @@ class RunTable:
     (critical roles).  A miss takes the stored run when
     :func:`shares_run` accepts it — a design-inert run, or one that no
     bounce or promotion set apart — relabelled with this table's
-    design, program and point; else it simulates and stores its own
-    run.  The store is not used under a sanitizer (outside the rule's
-    scope); :func:`prune_store` drops what no later design can take.
+    design and program; else it simulates and stores its own run.
+    The store is not used under a sanitizer (outside the rule's scope);
+    :func:`prune_store` drops what no later design can take.
 
     *warmups* is the call's :class:`WarmStore`, which a simulated run
     restores its warm-up from (None: every run simulates its own);
@@ -143,18 +138,17 @@ class RunTable:
         self.sanitize = sanitize
         self.shared = shared if sanitize == "off" else None
         self.warmups = warmups
-        #: every run this table answered, labelled with its design and
-        #: the point of its first asker
+        #: every run this table answered, labelled with its design
         self.runs: Dict[Tuple[LitmusProgram, SchedulePoint], ProgramRun] = {}
         #: simulator runs this table made (misses no other table had
         #: already simulated into *shared*)
         self.simulated = 0
 
     def run(self, program: LitmusProgram, point: SchedulePoint) -> ProgramRun:
-        key = (program, machine_point(point))
+        key = (program, point)
         run = self.runs.get(key)
         if run is None:
-            store_key = (flavoured(program, self.design), key[1])
+            store_key = (flavoured(program, self.design), point)
             if self.shared is not None:
                 run = self.shared.get(store_key)
             if run is not None and shares_run(program, run, self.design):
@@ -168,7 +162,7 @@ class RunTable:
                 if self.shared is not None:
                     self.shared[store_key] = run
             self.runs[key] = run
-        return run if run.point == point else replace(run, point=point)
+        return run
 
 
 def prune_store(shared: RunStore, readers: Tuple[FenceDesign, ...]) -> None:

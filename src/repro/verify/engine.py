@@ -158,7 +158,6 @@ def _finding(run, program: LitmusProgram) -> Dict:
         "gen_seed": program.seed,
         "design": str(run.design),
         "point": {
-            "seed": run.point.seed,
             "mesh_hop_cycles": run.point.mesh_hop_cycles,
             "write_buffer_entries": run.point.write_buffer_entries,
             "bs_entries": run.point.bs_entries,

@@ -370,31 +370,6 @@ def shares_run(program: LitmusProgram, run: ProgramRun,
     return flavoured(program, design) == flavoured(run.program, run.design)
 
 
-def machine_point(point: SchedulePoint) -> SchedulePoint:
-    """*point* as a litmus run reads it: the seed dropped (set to 0)
-    unless the point is jitter-armed.
-
-    Two points with the same ``machine_point`` produce the same
-    ``ProgramRun`` for any program and design, field for field, apart
-    from its ``point`` label: callers may simulate one and relabel it
-    with ``dataclasses.replace(run, point=...)``.  This is exact:
-
-    * ``Machine.seed`` reaches a run only through ``ThreadContext.seed``
-      (``Machine.spawn``), i.e. through ``ctx.rng``;
-    * ``_thread_fn`` never draws from ``ctx.rng``, so no litmus thread
-      does, before or after a W+ rollback;
-    * watchdog and sanitizer messages carry no seed; only the file
-      name ``write_bundle`` gives a post-mortem bundle does.
-
-    A jitter-armed point keeps its seed: ``point.injector()`` seeds its
-    fault plan from it.  Scope: a run without a ``diag_dir`` and with
-    no fault other than ``point.injector()``; any sanitizer mode.
-    """
-    if point.jittered:
-        return point
-    return dataclasses.replace(point, seed=0)
-
-
 def check_invariants(run: ProgramRun) -> List[str]:
     """Violations of the paper's claims in *run* (empty = all held).
 

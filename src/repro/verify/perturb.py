@@ -11,13 +11,6 @@ relative timing of stores, fences and loads:
 
 Each :class:`SchedulePoint` is one concrete assignment; the verifier
 runs every program × design under several points.
-
-A point also carries a machine **seed**, but it is no schedule axis
-for litmus programs: the seed reaches a machine only as the threads'
-``ctx.rng``, which a litmus thread never draws from
-(:func:`repro.verify.oracles.machine_point`).  It moves a run only at
-a jitter-armed point, where it seeds the NoC-delay plan; verify's
-points carry no jitter, so their seeds move no run.
 """
 
 from __future__ import annotations
@@ -27,6 +20,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import List
 
+from repro.common.errors import ConfigError
 from repro.common.params import FenceDesign, MachineParams
 
 #: watchdog period for verification runs: small enough that a genuine
@@ -53,6 +47,9 @@ class SchedulePoint:
     keep the fields at 0 and behave exactly as before.
     """
 
+    #: seeds an armed point's jitter plan; a litmus run reads it nowhere
+    #: else (its threads never draw from ``ctx.rng``), so the generators
+    #: draw one for armed points only
     seed: int = 1
     mesh_hop_cycles: int = 5
     write_buffer_entries: int = 64
@@ -120,6 +117,10 @@ WB_DEPTHS = (2, 8, 64)
 BS_CAPS = (1, 4, 32)
 RETRY_CYCLES = (6, 20, 45)
 
+#: distinct unjittered points: one per combination of the axes
+AXIS_COMBINATIONS = (len(HOP_CYCLES) * len(WB_DEPTHS) * len(BS_CAPS)
+                     * len(RETRY_CYCLES))
+
 #: the paper's default timing, always explored first
 DEFAULT_POINT = SchedulePoint()
 
@@ -128,7 +129,6 @@ def _draw_point(rng: random.Random) -> SchedulePoint:
     """One random point of the sweep axes (the draw order is pinned:
     reports and the run-table digests replay it)."""
     return SchedulePoint(
-        seed=rng.randrange(1, 1_000_000),
         mesh_hop_cycles=rng.choice(HOP_CYCLES),
         write_buffer_entries=rng.choice(WB_DEPTHS),
         bs_entries=rng.choice(BS_CAPS),
@@ -136,16 +136,23 @@ def _draw_point(rng: random.Random) -> SchedulePoint:
     )
 
 
+def _refuse(kind: str, count: int, most: int) -> None:
+    if count > most:
+        raise ConfigError(
+            f"{count} distinct {kind} points requested; the sweep axes "
+            f"({AXIS_COMBINATIONS} unjittered points) fill at most {most}")
+
+
 def schedule_points(seed: int, count: int) -> List[SchedulePoint]:
-    """*count* reproducible points: the default timing first, then a
-    random walk over the sweep axes.  Each drawn point also gets a
-    machine seed, which moves none of these unjittered runs; it is
-    drawn to keep the pinned draw order."""
+    """*count* distinct reproducible points: the default timing first,
+    then a random walk over the sweep axes (a point drawn twice is
+    drawn again).  ConfigError if *count* exceeds ``AXIS_COMBINATIONS``."""
+    _refuse("schedule", count, AXIS_COMBINATIONS)
     rng = random.Random(seed)
-    points = [DEFAULT_POINT]
+    points = {DEFAULT_POINT: None}
     while len(points) < count:
-        points.append(_draw_point(rng))
-    return points[:count]
+        points[_draw_point(rng)] = None
+    return list(points)[:count]
 
 
 #: jitter arming for adversary points: rates × magnitudes strong enough
@@ -156,25 +163,29 @@ JITTER_MAX_CYCLES = (120, 300)
 
 
 def adversary_points(seed: int, count: int) -> List[SchedulePoint]:
-    """*count* reproducible points for fence synthesis: the default
-    timing first, then alternating plain sweep points and NoC-jitter-
-    armed points.
+    """*count* distinct reproducible points for fence synthesis: the
+    default timing first, then alternating plain sweep points and
+    NoC-jitter-armed points (a point drawn twice is drawn again).  The
+    plain ones sit at odd indices, so ConfigError if *count* needs more
+    than the ``AXIS_COMBINATIONS - 1`` besides the default.
 
     Prefix-stable by construction: ``adversary_points(s, n)`` is a
     prefix of ``adversary_points(s, m)`` for n <= m, so re-verifying a
     synthesized placement at a larger budget strictly adds schedules.
     """
+    _refuse("adversary", count, 2 * AXIS_COMBINATIONS - 1)
     rng = random.Random(seed ^ 0x5EED_AD5A)
-    points = [DEFAULT_POINT]
+    points = {DEFAULT_POINT: None}
     while len(points) < count:
-        base = _draw_point(rng)
-        # every second point is jitter-armed (drawn either way so the
-        # plain points do not depend on how the armed ones draw)
+        point = _draw_point(rng)
+        armed = len(points) % 2 == 0  # every second point
+        plan_seed = rng.randrange(1, 1_000_000) if armed else None
+        # rate and magnitude are drawn at every point (the draw order
+        # is pinned: the run-table digests replay it)
         rate = rng.choice(JITTER_RATES)
         max_cycles = rng.choice(JITTER_MAX_CYCLES)
-        if len(points) % 2 == 0:
-            base = replace(base, noc_jitter_rate=rate,
-                           noc_jitter_max_cycles=max_cycles)
-        points.append(base)
-    return points[:count]
-
+        if armed:
+            point = replace(point, seed=plan_seed, noc_jitter_rate=rate,
+                            noc_jitter_max_cycles=max_cycles)
+        points[point] = None
+    return list(points)[:count]

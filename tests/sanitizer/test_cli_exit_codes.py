@@ -74,6 +74,24 @@ def test_synth_has_no_audit_knobs(capsys, flag):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_more_points_than_the_audit_can_draw_is_a_usage_error(
+        capsys, monkeypatch):
+    """The audit draws 2 x ``--points`` distinct adversary points, and
+    the sweep axes fill at most 161: ``--points 81`` would redraw
+    forever.  It is refused before any job is submitted."""
+    import repro.farm.clients as clients
+
+    def submit(*_args, **_kwargs):
+        raise AssertionError("a synthesis job was submitted")
+
+    monkeypatch.setattr(clients, "farm_synthesis", submit)
+    code, out, err = run_cli(capsys, "synth", "--program", "sb",
+                             "--points", "81", "--farm-workers", "0")
+    assert code == 2
+    assert "162 distinct adversary points" in err
+    assert "verdicts" not in out
+
+
 def test_usage_error_exits_two(capsys):
     code, _, _ = run_cli(capsys, "run", "nope", "--cores", "2")
     assert code == 2

@@ -29,9 +29,11 @@ sites where S+ is forced to pay for an sf.
 import pytest
 
 from repro.common.params import FenceDesign
-from repro.verify.oracles import PAPER_DESIGNS
+from repro.synth.programs import program_for_spec
+from repro.verify.oracles import PAPER_DESIGNS, run_program
+from repro.verify.perturb import adversary_points
 
-from tests.synth.util import placement_keys, synth_report
+from tests.synth.util import parse_placement, placement_keys, synth_report
 
 S_PLUS = FenceDesign.S_PLUS
 DESIGN_IDS = [d.name for d in PAPER_DESIGNS]
@@ -134,3 +136,29 @@ def test_iriw_needs_no_fences(design):
     entry = report.designs[design.value]
     assert entry["status"] == "ok"
     assert placement_keys(entry) == ["-"]
+
+
+def test_sb3_sampled_minima_are_a_known_gap():
+    """A known gap, not a known answer.  ``sb3`` is a 3-thread SB ring:
+    TSO admits its all-zero outcome whenever any one thread is
+    unfenced (its one critical cycle runs through every thread; Alglave
+    et al., "Don't sit on the fence"), so an SC placement fences all
+    three threads.  Sampled synthesis at 4 search points (8 audit
+    points) meets no schedule that refutes a placement with fewer
+    fences, so S+ certifies one; the simulator refutes it at a later
+    adversary point.  Exact synthesis makes this fail: then turn it
+    into sb3's known answer (all three sites fenced)."""
+    entry = synth_report("sb3", num_points=4).designs["S+"]
+    assert entry["status"] == "ok"
+    stripped = program_for_spec("sb3").stripped()
+    later = adversary_points(1, 80)
+
+    def refuted(key: str) -> bool:
+        program = parse_placement(key).apply(stripped, S_PLUS)
+        return any(run_program(program, S_PLUS, point,
+                               faults=point.injector()).scv_found
+                   for point in later)
+
+    short = [key for key in placement_keys(entry)
+             if parse_placement(key).num_fences < 3]
+    assert any(refuted(key) for key in short), short

@@ -1,35 +1,31 @@
 """The run table: each (program, design, point) is simulated once.
 
 A run is a pure function of (program, design, point, sanitizer mode),
-and an unjittered point's seed is not part of it
-(:func:`repro.verify.oracles.machine_point`; tests/synth/
-test_seed_inert.py), so one design's synthesis keeps a
-``(program, machine_point(point)) -> ProgramRun`` table
-(:class:`repro.synth.search.RunTable`) shared by its search rounds,
-its audit and its cost sweep, and the tables of one ``run_synthesis``
-call share one store of the runs another design can take
+so one design's synthesis keeps a ``(program, point) -> ProgramRun``
+table (:class:`repro.synth.search.RunTable`) shared by its search
+rounds, its audit and its cost sweep, and the tables of one
+``run_synthesis`` call share one store of the runs another design can take
 (:func:`repro.verify.oracles.shares_run`: a design-inert run, or a
 WS+/SW+/W+ run that no bounce or promotion set apart; tests/verify/
 test_bounce_class.py).  Four things are pinned here:
 
-* inside one ``run_synthesis`` call nothing is simulated twice — not
-  under two seeds of one unjittered point, and a run another design
-  can take not under that design — and nothing survives
-  the call: a second identical call simulates as many runs as the
+* inside one ``run_synthesis`` call nothing is simulated twice — a
+  run another design can take not under that design — and nothing
+  survives the call: a second identical call simulates as many runs as the
   first (``test_determinism`` keeps comparing two real computations);
 * the counts that sharing buys, and that a sanitizer turns it off
   (its checks are per design, outside ``shares_run``'s scope);
 * the table changes no verdict, count or report byte: sha256 of
   ``report.to_json()`` for a matrix of configurations against
-  ``run_table_pinned.json``, a table generated once at the commit
-  *before* the run table existed (``PYTHONPATH=src python -m
+  ``run_table_pinned.json``, generated at the commit before the run
+  table existed and again when the schedule points stopped drawing a
+  seed for an unjittered point (``PYTHONPATH=src python -m
   tests.synth.test_run_table`` prints it).  Regenerate it only for an
   intended report change, and say so in the commit;
 * two tables over two stores share nothing, while one table asked
-  twice simulates once — and once for the three cost seeds: an
-  oracle's verdicts count every question, its table only the misses;
-  two tables over one store share the design-inert and unbounced
-  runs.
+  twice simulates once: an oracle's verdicts count every question, its
+  table only the misses; two tables over one store share the
+  design-inert and unbounced runs.
 
 ``REPRO_SANITIZE`` picks the sanitizer mode, as in the rest of the
 battery (the CI ``synth-smoke`` job runs this module under ``strict``):
@@ -41,7 +37,6 @@ the digests — taken with the ``config.sanitize`` field normalised to
 import hashlib
 import json
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -51,7 +46,7 @@ from repro.common.params import FenceDesign
 from repro.synth import SynthConfig, cost, run_synthesis
 from repro.synth.programs import program_for_spec
 from repro.synth.sites import extract_sites
-from repro.verify.oracles import PAPER_DESIGNS, machine_point, shares_run
+from repro.verify.oracles import PAPER_DESIGNS, shares_run
 from repro.verify.perturb import adversary_points
 
 from tests.synth.util import parse_placement
@@ -60,14 +55,14 @@ TABLE = os.path.join(os.path.dirname(__file__), "run_table_pinned.json")
 SANITIZE = os.environ.get("REPRO_SANITIZE", "off")
 
 #: case id -> SynthConfig overrides; the last one starves the verdict
-#: budget so that designs end exhausted in the search (SW+), exhausted
-#: in the audit (S+, WS+, Wee) and ok (W+) within one report
+#: budget so that designs end exhausted in the search (SW+, WS+),
+#: exhausted in the audit (S+, Wee) and ok (W+) within one report
 CASES = {
     f"{program}@{points}": {"program": program, "num_points": points}
     for program in ("sb", "sb3", "mp", "iriw") for points in (4, 12)
 }
-CASES["sb3@12/max_runs=60"] = {
-    "program": "sb3", "num_points": 12, "max_runs": 60}
+CASES["sb3@12/max_runs=51"] = {
+    "program": "sb3", "num_points": 12, "max_runs": 51}
 
 
 def _config(**overrides) -> SynthConfig:
@@ -116,22 +111,19 @@ def simulated(monkeypatch):
 def test_nothing_is_simulated_twice_and_nothing_survives(program, simulated):
     first = run_synthesis(_config(program=program, num_points=4))
     runs = list(simulated)
-    keys = [(prog, design, machine_point(point))
-            for prog, design, point in runs]
-    assert len(set(keys)) == len(keys), "a run was simulated twice"
+    assert len(set(runs)) == len(runs), "a run was simulated twice"
     if SANITIZE == "off":
-        for i, (prog, design, point) in enumerate(keys):
+        for i, (prog, design, point) in enumerate(runs):
             assert not any(
                 shares_run(prog, run, design)
                 for run in simulated.made[:i]
-                if machine_point(run.point) == point), \
+                if run.point == point), \
                 f"{design} simulated a run an earlier design made"
     # S+ asks first, and Wee takes fenceless runs only; SW+ simulates
-    # nothing for sb: WS+ promotes no store there
+    # nothing for these programs: WS+ promotes no store there
     designs = {design for _, design, _ in runs}
     assert {FenceDesign.S_PLUS, FenceDesign.WEE} <= designs
-    assert (FenceDesign.SW_PLUS in designs) == (
-        SANITIZE != "off" or program == "sb3")
+    assert (FenceDesign.SW_PLUS in designs) == (SANITIZE != "off")
     assert first.simulated_runs == len(runs)
     # verdicts are still counted one per oracle question: the table
     # answered some of them (plus every cost run that was a search run)
@@ -147,9 +139,9 @@ def test_nothing_is_simulated_twice_and_nothing_survives(program, simulated):
 
 #: simulator runs of one call at ``--points 4``, seed 1: with the
 #: store of shared runs, and under a sanitizer, which turns it off
-#: (each design its own runs; 89 / 117 / 49 / 49 without the store)
-SIMULATED = {("sb", "off"): 51, ("sb3", "off"): 66, ("mp", "off"): 13,
-             ("iriw", "off"): 13, ("sb", "strict"): 89}
+#: (each design its own runs; 96 / 113 / 54 / 54 without the store)
+SIMULATED = {("sb", "off"): 56, ("sb3", "off"): 62, ("mp", "off"): 14,
+             ("iriw", "off"): 14, ("sb", "strict"): 96}
 
 
 @pytest.mark.parametrize("program,sanitize", SIMULATED)
@@ -175,12 +167,12 @@ def test_reports_equal_the_parent_commit(case):
 def test_starved_case_ends_exhausted():
     """The pinned starved case really exercises the verdict budget at
     each boundary (else its digest pins nothing about ``max_runs``)."""
-    report = run_synthesis(_config(**CASES["sb3@12/max_runs=60"]))
+    report = run_synthesis(_config(**CASES["sb3@12/max_runs=51"]))
     entries = report.designs
     assert entries["SW+"]["status"] == "exhausted-runs"
-    assert entries["SW+"]["search_runs"] == 60  # starved in the search
+    assert entries["SW+"]["search_runs"] == 51  # starved in the search
     assert entries["S+"]["status"] == "exhausted-runs"
-    assert entries["S+"]["audit_runs"] == 60    # starved in the audit
+    assert entries["S+"]["audit_runs"] == 51    # starved in the audit
     assert entries["W+"]["status"] == "ok"
 
 
@@ -269,8 +261,6 @@ def test_cost_calls_over_two_tables_share_nothing(simulated):
     stripped, sites = program.stripped(), extract_sites(program, "annotated")
     placement = parse_placement("t0.i2=sf")
     table = _sb_table()
-    # the cost seeds are one unjittered point to the machine: one run
-    assert len({machine_point(p) for p in cost.COST_POINTS}) == 1
     cycles = cost.measure_cycles(stripped, placement, table)
     assert len(simulated) == len(table.runs) == 1
     assert cost.measure_cycles(stripped, placement, table) == cycles
@@ -280,28 +270,10 @@ def test_cost_calls_over_two_tables_share_nothing(simulated):
 
     del simulated[:]
     probes = cost.site_probes(stripped, sites, table, cycles)
-    assert probes["t0.i2"]["sf"] == 0.0  # the placement just measured
+    assert probes["t0.i2"]["sf"] == 0  # the placement just measured
     # two sites x sf, one of them already in the table
     assert len(simulated) == 1
     assert len(table.runs) == 2
-
-
-def test_a_hit_under_another_seed_carries_the_askers_point(simulated):
-    """An unjittered point asked for under a second seed is answered
-    from the table, relabelled with that seed's point; a jittered
-    point's seed stays in the key."""
-    program = program_for_spec("sb")
-    table = _sb_table()
-    first, second = cost.COST_POINTS[:2]
-    run = table.run(program, first)
-    again = table.run(program, second)
-    assert len(simulated) == 1 and table.simulated == 1
-    assert (run.point, again.point) == (first, second)
-    assert replace(again, point=first) == run
-    armed = next(p for p in adversary_points(1, 4) if p.jittered)
-    table.run(program, armed)
-    table.run(program, replace(armed, seed=armed.seed + 1))
-    assert len(simulated) == 3
 
 
 def test_the_table_carries_the_design_and_mode(simulated):

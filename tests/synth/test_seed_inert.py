@@ -1,10 +1,9 @@
 """An unjittered point's machine seed moves no litmus run.
 
-Synthesis keys its run table by
-:func:`repro.verify.oracles.machine_point`, which drops the seed of a
-point that carries no NoC jitter: the seed reaches a machine only as
-``ThreadContext.rng``, and a litmus thread never draws from it.  The
-premise is pinned here three ways:
+The seed reaches a machine only as ``ThreadContext.rng``, and a litmus
+thread never draws from it, so the schedule generators give an
+unjittered point no seed of its own, and ``WarmStore`` keys a warm-up
+without one.  The premise is pinned here three ways:
 
 * with ``ThreadContext.rng`` made to raise, every named program and a
   sample of generated ones run to the end under the paper's five
@@ -13,7 +12,7 @@ premise is pinned here three ways:
   apart from ``point`` — with and without a strict sanitizer, W+
   recoveries among them;
 * at a jitter-armed adversary point the seed does change a run (it
-  seeds the fault plan), so ``machine_point`` keeps it there.
+  seeds the fault plan), so an armed point draws one.
 """
 
 import dataclasses
@@ -26,12 +25,7 @@ from repro.common.params import FenceDesign
 from repro.core.thread import ThreadContext
 from repro.synth.programs import NAMED_PROGRAMS, program_for_spec
 from repro.verify.generator import generate_program
-from repro.verify.oracles import (
-    PAPER_DESIGNS,
-    ProgramRun,
-    machine_point,
-    run_program,
-)
+from repro.verify.oracles import PAPER_DESIGNS, ProgramRun, run_program
 from repro.verify.perturb import adversary_points, schedule_points
 
 SANITIZE = os.environ.get("REPRO_SANITIZE", "off")
@@ -78,7 +72,6 @@ def test_two_seeds_of_an_unjittered_point_give_one_run(sanitize):
     for point in PLAIN_POINTS:
         other = replace(point, seed=point.seed + 7919)
         assert not point.jittered
-        assert machine_point(other) == machine_point(point)
         for program in NAMED + GENERATED[:10]:
             for design in PAPER_DESIGNS:
                 first = _run(program, design, point, sanitize)
@@ -94,7 +87,7 @@ def test_two_seeds_of_an_unjittered_point_give_one_run(sanitize):
 
 def test_a_jittered_point_keeps_its_seed():
     armed = [p for p in adversary_points(1, 6) if p.jittered]
-    assert armed and all(machine_point(p) == p for p in armed)
+    assert armed
     program = program_for_spec("sb").stripped()
     moved = [
         point for point in armed

@@ -11,7 +11,8 @@ from repro.verify.engine import VerifyConfig, run_verification
 from repro.verify.oracles import PAPER_DESIGNS
 
 #: sha256 of the report bytes, one per campaign in :data:`PINNED`;
-#: taken before verify shared design-inert runs between designs
+#: taken when the schedule points stopped drawing a seed for an
+#: unjittered point, and the findings stopped carrying one
 #: (``PYTHONPATH=src python -m tests.verify.test_engine`` prints it)
 PINNED_TABLE = os.path.join(os.path.dirname(__file__), "report_pinned.json")
 
@@ -70,6 +71,8 @@ def test_report_json_round_trips(acceptance_report):
     # findings carry enough to reproduce: generator seed + point
     finding = data["scv_findings"][0]
     assert {"gen_seed", "point", "ops", "design"} <= set(finding)
+    # a verify point is never jittered, so it has no seed to name
+    assert "seed" not in finding["point"]
 
 
 def test_budget_is_respected_exactly():

@@ -1,7 +1,11 @@
 """Schedule perturbation: reproducible sweeps, parameter plumbing."""
 
+import pytest
+
+from repro.common.errors import ConfigError
 from repro.common.params import FenceDesign, FenceRole
 from repro.verify.perturb import (
+    AXIS_COMBINATIONS,
     DEFAULT_POINT,
     VERIFY_MAX_CYCLES,
     VERIFY_WATCHDOG_INTERVAL,
@@ -20,7 +24,30 @@ def test_default_timing_explored_first():
     assert points[0] == DEFAULT_POINT
     assert len(points) == 4
     # the sweep actually moves the knobs
-    assert len({p.seed for p in points}) > 1
+    assert len({p.params(FenceDesign.S_PLUS, 2) for p in points}) == 4
+
+
+#: counts up to what each generator can fill (prefix-stability covers
+#: the counts in between)
+SCHEDULE_COUNTS = (1, 2, 6, 12, 40, AXIS_COMBINATIONS)
+ADVERSARY_COUNTS = (1, 2, 8, 24, 80, 2 * AXIS_COMBINATIONS - 1)
+
+
+def _assert_distinct_and_seedless(points, count):
+    assert len(points) == count and len(set(points)) == count
+    assert points[0] == DEFAULT_POINT
+    # an unjittered point's seed moves no litmus run, so none is drawn
+    assert all(p.seed == DEFAULT_POINT.seed
+               for p in points if not p.jittered)
+
+
+def test_schedule_points_are_distinct_and_carry_no_seed():
+    for seed in range(1, 51):
+        full = schedule_points(seed, SCHEDULE_COUNTS[-1])
+        for count in SCHEDULE_COUNTS:
+            points = schedule_points(seed, count)
+            _assert_distinct_and_seedless(points, count)
+            assert points == full[:count]
 
 
 def test_point_builds_interleaving_exact_params():
@@ -90,6 +117,34 @@ from repro.verify.perturb import DEFAULT_POINT, adversary_points  # noqa: E402
 def test_adversary_points_reproducible_and_prefix_stable():
     assert adversary_points(5, 8) == adversary_points(5, 8)
     assert adversary_points(5, 16)[:8] == adversary_points(5, 8)
+
+
+def test_adversary_points_are_distinct_and_alternate():
+    for seed in range(1, 51):
+        full = adversary_points(seed, ADVERSARY_COUNTS[-1])
+        # the default, then plain at odd indices and armed at even ones
+        assert [p.jittered for p in full] == [
+            i > 0 and i % 2 == 0 for i in range(len(full))]
+        for count in ADVERSARY_COUNTS:
+            points = adversary_points(seed, count)
+            _assert_distinct_and_seedless(points, count)
+            assert points == full[:count]
+
+
+@pytest.mark.parametrize("generator,count", [
+    (schedule_points, AXIS_COMBINATIONS + 1),
+    (adversary_points, 2 * AXIS_COMBINATIONS),
+], ids=["schedule", "adversary"])
+def test_a_count_the_axes_cannot_fill_is_refused(monkeypatch, generator,
+                                                 count):
+    """Distinct points are finite: 81 unjittered ones, of which the
+    adversary sequence puts all but the default at odd indices.  A
+    larger count raises before drawing (it would redraw forever)."""
+    import repro.verify.perturb as perturb
+
+    monkeypatch.setattr(perturb, "_draw_point", None)  # no draw
+    with pytest.raises(ConfigError, match=f"{count} distinct"):
+        generator(1, count)
 
 
 def test_adversary_points_lead_with_default_and_mix_jitter():
