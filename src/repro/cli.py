@@ -618,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--max-runs", type=_positive(int), default=4000,
                        help="oracle-verdict budget per design, search "
                             "and audit each; a verdict already in the "
-                            "run table still counts (default 4000)")
+                            "run store still counts (default 4000)")
     p_syn.add_argument(
         "--out", default="benchmarks/out/synth_report.json",
         help="JSON report path ('-' to skip writing)",

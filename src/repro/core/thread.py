@@ -176,32 +176,28 @@ class SimThread:
                 f"({len(self._log_ops)} entries)"
             )
         prefix_ops = self._log_ops[:token]
-        prefix_results = self._log_results[:token]
+        prefix_results = self._log_results[:token - 1]
         self._create_generator()
         self._log_ops = []
         self._log_results = []
         self._ops = 0
         self.finished = False
         self.rollbacks += 1
-        for i, expected_op in enumerate(prefix_ops):
-            op = self.next_op(None if i == 0 else prefix_results[i - 1])
-            if op != expected_op:
+        if prefix_ops:
+            self.fast_forward(prefix_results, prefix_ops)
+
+    def fast_forward(self, results, expected=None) -> None:
+        """Advance a fresh thread through its first ``len(results) + 1``
+        ops, giving each earlier op its recorded result; the last op's
+        result comes from the core when it resumes.  *expected* (a
+        rollback's logged ops) is what each step must yield again."""
+        for i, result in enumerate((None, *results)):
+            op = self.next_op(result)
+            if expected is not None and op != expected[i]:
                 raise ThreadReplayError(
                     f"thread {self.tid}: replay divergence at op {i}: "
-                    f"expected {expected_op!r}, got {op!r}"
+                    f"expected {expected[i]!r}, got {op!r}"
                 )
-        # the last prefix op has been re-yielded; its result will be
-        # supplied by the core when it resumes with next_op(result).
-
-    def fast_forward(self, results) -> None:
-        """Advance a fresh thread through its first ``len(results) + 1``
-        ops, giving each earlier op its recorded result, as
-        :meth:`rollback` replays its log; the last op's result comes
-        from the core when it resumes."""
-        self.next_op(None)
-        next_op = self.next_op  # the started path, bound by that call
-        for result in results:
-            next_op(result)
 
     @property
     def ops_committed(self) -> int:

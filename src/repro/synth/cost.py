@@ -17,7 +17,7 @@ point (the paper's machine, default knobs):
 
 The simulator is deterministic per (program, design, point), so the
 whole model is reproducible bit-for-bit — and cost runs come out of
-the oracle's :class:`~repro.synth.search.RunTable`: the cost point
+the oracle's :class:`~repro.verify.oracles.RunStore`: the cost point
 *is* adversary point 0 and a single-fence probe *is* a search
 candidate.
 """
@@ -26,22 +26,24 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.common.params import FenceDesign
 from repro.fences.base import synthesis_profile
-from repro.synth.search import RunTable
 from repro.synth.sites import FenceSite, Placement
 from repro.verify.generator import LitmusProgram
+from repro.verify.oracles import RunStore
 from repro.verify.perturb import DEFAULT_POINT
 
 
 def measure_cycles(
     stripped: LitmusProgram,
     placement: Placement,
-    table: RunTable,
+    store: RunStore,
+    design: FenceDesign,
 ) -> Optional[int]:
-    """End-to-end cycles of *placement* under ``table.design`` at the
-    default point, or None if the run failed to complete cleanly (cost
-    of a broken run is meaningless).  The run comes from *table*."""
-    run = table.run(placement.apply(stripped, table.design), DEFAULT_POINT)
+    """End-to-end cycles of *placement* under *design* at the default
+    point, or None if the run failed to complete cleanly (cost of a
+    broken run is meaningless).  The run comes from *store*."""
+    run = store.run(placement.apply(stripped, design), design, DEFAULT_POINT)
     if not run.completed or run.error or run.deadlock or run.sanitizer:
         return None
     return run.cycles
@@ -50,22 +52,23 @@ def measure_cycles(
 def site_probes(
     stripped: LitmusProgram,
     sites: Tuple[FenceSite, ...],
-    table: RunTable,
+    store: RunStore,
+    design: FenceDesign,
     baseline: Optional[int],
 ) -> Dict[str, Dict[str, Optional[int]]]:
     """Marginal cycle cost of one fence per (site, flavour):
     ``probes[site.label()][flavour] = cycles(single fence) - baseline``.
 
-    Only flavours ``table.design`` can express are probed.  None marks
-    a probe whose run did not complete cleanly (or a missing baseline).
+    Only flavours *design* can express are probed.  None marks a probe
+    whose run did not complete cleanly (or a missing baseline).
     """
-    profile = synthesis_profile(table.design)
+    profile = synthesis_profile(design)
     probes: Dict[str, Dict[str, Optional[int]]] = {}
     for site in sites:
         per_site: Dict[str, Optional[int]] = {}
         for flavour in sorted(profile.flavours, key=lambda f: f.value):
             cycles = measure_cycles(
-                stripped, Placement.of({site: flavour}), table)
+                stripped, Placement.of({site: flavour}), store, design)
             if cycles is None or baseline is None:
                 per_site[flavour.value] = None
             else:

@@ -42,9 +42,6 @@ from repro.synth.search import (
     BudgetExhausted,
     Counterexample,
     PlacementOracle,
-    RunStore,
-    RunTable,
-    prune_store,
     synthesize,
 )
 from repro.synth.sites import (
@@ -55,7 +52,7 @@ from repro.synth.sites import (
 )
 from repro.fences.base import synthesis_profile
 from repro.verify.generator import LitmusProgram
-from repro.verify.oracles import PAPER_DESIGNS, WarmStore
+from repro.verify.oracles import PAPER_DESIGNS, RunStore
 from repro.verify.perturb import adversary_points
 
 SCHEMA = "repro-synth-report/v1"
@@ -118,7 +115,7 @@ class SynthReport:
     #: once for all designs) — not in ``to_dict()``
     simulated_runs: int = 0
     #: simulator runs that restored their warm-up instead of
-    #: simulating it (``WarmStore``) — not in ``to_dict()``
+    #: simulating it (``RunStore``) — not in ``to_dict()``
     warmups_restored: int = 0
 
     @property
@@ -181,7 +178,7 @@ def _audit_minimum(oracle: PlacementOracle, minimum: Placement) -> dict:
     for weaker in minimum.weakenings():
         entry = {
             "placement": weaker.key(),
-            "expressible": _expressible(weaker, oracle.table.design),
+            "expressible": _expressible(weaker, oracle.design),
             "failed": None,
             "counterexample": None,
         }
@@ -233,14 +230,15 @@ def _rank_key(entry: dict):
 
 
 def _synth_one_design(
-    table: RunTable,
+    store: RunStore,
+    design: FenceDesign,
     stripped: LitmusProgram,
     sites: Tuple[FenceSite, ...],
     config: SynthConfig,
     deadline,
 ) -> Tuple[dict, int]:
-    """Search + audit + cost for ``table.design``; returns (entry,
-    oracle verdicts delivered).
+    """Search + audit + cost for *design*; returns (entry, oracle
+    verdicts delivered).
 
     The search and the audit are a CEGAR loop: a minimum the search
     accepts but the double-budget audit rejects means the search's
@@ -249,11 +247,10 @@ def _synth_one_design(
     from the finite audit set, so on a clean exit every reported
     minimum passes the *full* audit set.
 
-    Every round, the audit and the cost sweep share *table*; a verdict
+    Every round, the audit and the cost sweep share *store*; a verdict
     it already holds the run for is still a verdict against
     ``max_runs``.
     """
-    design = table.design
     audit_points = adversary_points(
         config.seed, config.num_points * AUDIT_FACTOR)
     points = list(adversary_points(config.seed, config.num_points))
@@ -261,14 +258,14 @@ def _synth_one_design(
     refinements = 0
     while True:
         outcome = synthesize(
-            stripped, sites, table, tuple(points),
+            stripped, sites, store, design, tuple(points),
             max_runs=config.max_runs, deadline=deadline,
         )
         runs += outcome.runs_used
         if outcome.status != "ok":
             break
         audit_oracle = PlacementOracle(
-            stripped, table, tuple(audit_points),
+            stripped, store, design, tuple(audit_points),
             max_runs=config.max_runs, deadline=deadline,
         )
         try:
@@ -307,14 +304,16 @@ def _synth_one_design(
     if outcome.status != "ok" or not outcome.minima:
         return entry, runs
 
-    baseline = cost_mod.measure_cycles(stripped, Placement.empty(), table)
+    baseline = cost_mod.measure_cycles(
+        stripped, Placement.empty(), store, design)
     entry["baseline_cycles"] = baseline
     entry["site_probes"] = cost_mod.site_probes(
-        stripped, sites, table, baseline)
+        stripped, sites, store, design, baseline)
 
     try:
         for minimum in outcome.minima:
-            cycles = cost_mod.measure_cycles(stripped, minimum, table)
+            cycles = cost_mod.measure_cycles(
+                stripped, minimum, store, design)
             placement_entry = _placement_entry(minimum, cycles, baseline)
             placement_entry["audit"] = _audit_minimum(audit_oracle, minimum)
             entry["placements"].append(placement_entry)
@@ -346,12 +345,11 @@ def run_synthesis(
     *budget* (a :class:`RunBudget`; None runs unbounded) bounds the
     call by its wall-clock leg.
 
-    Each design keeps its own :class:`RunTable`; the tables share one
-    store of the runs a later design can take
-    (``repro.verify.oracles.shares_run``), which dies with the call, so
-    such a run is simulated once for all the designs that ask for it.
-    They also share one :class:`~repro.verify.oracles.WarmStore`, so a
-    warm-up is simulated once for every run that starts with it.
+    Every design's runs come out of one
+    :class:`~repro.verify.oracles.RunStore`, which dies with the call:
+    a run a later design can take (``repro.verify.oracles.shares_run``)
+    is simulated once for all the designs that ask for it, and a
+    warm-up once for every run that starts with it.
 
     Nothing is checkpointed here: ``repro synth`` runs the whole call
     as one farm job (:func:`repro.farm.clients.farm_synthesis`), and
@@ -379,10 +377,7 @@ def run_synthesis(
             "sites": [s.label() for s in sites],
         },
     )
-    # the runs one design's table may hand a later one, and the
-    # warm-ups every design's runs start from
-    shared: RunStore = {}
-    warmups = WarmStore()
+    store = RunStore(config.sanitize)
     for i, design in enumerate(config.designs):
         if deadline is not None and deadline():
             report.designs[design.value] = {
@@ -393,13 +388,12 @@ def run_synthesis(
                 "baseline_cycles": None,
                 "failure": None,
             }
-            continue
-        table = RunTable(design, config.sanitize, shared, warmups)
-        entry, runs = _synth_one_design(
-            table, stripped, sites, config, deadline)
-        report.designs[design.value] = entry
-        report.total_runs += runs
-        report.simulated_runs += table.simulated
-        prune_store(shared, config.designs[i + 1:])
-    report.warmups_restored = warmups.restored
+        else:
+            entry, runs = _synth_one_design(
+                store, design, stripped, sites, config, deadline)
+            report.designs[design.value] = entry
+            report.total_runs += runs
+        store.retain(config.designs[i + 1:])
+    report.simulated_runs = store.simulated
+    report.warmups_restored = store.restored
     return report

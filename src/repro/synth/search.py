@@ -26,19 +26,18 @@ counterexample points of every known-failing placement that covers C
 lethal points.  Failing candidates therefore usually die on one
 point instead of a full sweep.
 
-**Run table.**  A run is a pure function of (program, design, point,
+**Run store.**  A run is a pure function of (program, design, point,
 sanitizer mode), and one design's synthesis asks for the same run many
 times over (audit after search, CEGAR re-search, a cost point that is
-an adversary point), so every oracle and cost run comes out of a
-:class:`RunTable`; budgets keep counting *verdicts*, not table misses.
-A design-inert run is the same under every design that asks for it,
-so the tables of one synthesis share those.
+an adversary point), so every oracle and cost run comes out of the
+call's :class:`~repro.verify.oracles.RunStore`; budgets keep counting
+*verdicts*, not store misses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Tuple
 
 from repro.common.params import FenceDesign, FenceFlavour
 from repro.fences.base import SynthProfile, synthesis_profile
@@ -50,13 +49,7 @@ from repro.synth.sites import (
     count_legal_placements,
 )
 from repro.verify.generator import LitmusProgram
-from repro.verify.oracles import (
-    ProgramRun,
-    WarmStore,
-    flavoured,
-    run_program,
-    shares_run,
-)
+from repro.verify.oracles import RunStore
 from repro.verify.perturb import SchedulePoint
 from repro.verify.shrink import ddmin
 
@@ -69,7 +62,7 @@ SHRINK_BUDGET = 200
 
 class BudgetExhausted(Exception):
     """The search ran out of oracle verdicts or wall-clock budget (a
-    verdict counts whether or not the run table already held its run)."""
+    verdict counts whether or not the run store already held its run)."""
 
     def __init__(self, kind: str):
         super().__init__(f"synthesis budget exhausted ({kind})")
@@ -104,95 +97,27 @@ def classify_run(run) -> Optional[str]:
     return None
 
 
-#: ``(flavoured(program, design), point) -> ProgramRun``
-RunStore = Dict[Tuple[LitmusProgram, SchedulePoint], ProgramRun]
-
-
-class RunTable:
-    """``(program, point) -> ProgramRun`` for one design and
-    sanitizer mode: the only place synthesis simulates, once per key,
-    and the one handle every oracle and cost call takes on that design
-    and mode.  It lives as long as its owner — one design of one
-    ``run_synthesis`` call.
-
-    *shared* is the store the tables of one ``run_synthesis`` call hand
-    each other.  It keys a run by the fences it executes
-    (:func:`flavoured`) instead of the program: a W+ all-wf placement
-    (standard roles) meets the WS+/SW+ placement with the same wf sites
-    (critical roles).  A miss takes the stored run when
-    :func:`shares_run` accepts it — a design-inert run, or one that no
-    bounce or promotion set apart — relabelled with this table's
-    design and program; else it simulates and stores its own run.
-    The store is not used under a sanitizer (outside the rule's scope);
-    :func:`prune_store` drops what no later design can take.
-
-    *warmups* is the call's :class:`WarmStore`, which a simulated run
-    restores its warm-up from (None: every run simulates its own);
-    ``run_program`` leaves it unused under a sanitizer and at a
-    jittered point.
-    """
-
-    def __init__(self, design: FenceDesign, sanitize: str,
-                 shared: RunStore, warmups: Optional[WarmStore] = None):
-        self.design = design
-        self.sanitize = sanitize
-        self.shared = shared if sanitize == "off" else None
-        self.warmups = warmups
-        #: every run this table answered, labelled with its design
-        self.runs: Dict[Tuple[LitmusProgram, SchedulePoint], ProgramRun] = {}
-        #: simulator runs this table made (misses no other table had
-        #: already simulated into *shared*)
-        self.simulated = 0
-
-    def run(self, program: LitmusProgram, point: SchedulePoint) -> ProgramRun:
-        key = (program, point)
-        run = self.runs.get(key)
-        if run is None:
-            store_key = (flavoured(program, self.design), point)
-            if self.shared is not None:
-                run = self.shared.get(store_key)
-            if run is not None and shares_run(program, run, self.design):
-                run = replace(run, design=self.design, program=program)
-            else:
-                run = run_program(program, self.design, point,
-                                  faults=point.injector(),
-                                  sanitize=self.sanitize,
-                                  warmups=self.warmups)
-                self.simulated += 1
-                if self.shared is not None:
-                    self.shared[store_key] = run
-            self.runs[key] = run
-        return run
-
-
-def prune_store(shared: RunStore, readers: Tuple[FenceDesign, ...]) -> None:
-    """Drop from *shared* every run none of *readers* can take (the
-    designs whose tables have yet to ask), so a stored run lives no
-    longer than its last reader."""
-    for key in [key for key, run in shared.items()
-                if not any(shares_run(key[0], run, d) for d in readers)]:
-        del shared[key]
-
-
 class PlacementOracle:
     """Budgeted judge: does a placement pass on every adversary point?
 
-    Counts every verdict (``runs_used``; the runs come from *table*,
-    which also names the design), reorders points counterexample-first,
-    and remembers which point killed which placement so the pruning
-    lemma can hand later candidates a lethal point hint.
+    Counts every verdict (``runs_used``; the runs of *design* come from
+    *store*), reorders points counterexample-first, and remembers which
+    point killed which placement so the pruning lemma can hand later
+    candidates a lethal point hint.
     """
 
     def __init__(
         self,
         stripped: LitmusProgram,
-        table: RunTable,
+        store: RunStore,
+        design: FenceDesign,
         points: Tuple[SchedulePoint, ...],
         max_runs: int = 4000,
         deadline: Optional[Callable[[], bool]] = None,
     ):
         self.stripped = stripped
-        self.table = table
+        self.store = store
+        self.design = design
         self.points = tuple(points)
         self.max_runs = max_runs
         self.deadline = deadline
@@ -211,7 +136,7 @@ class PlacementOracle:
         if self.deadline is not None and self.deadline():
             raise BudgetExhausted("wall")
         self.runs_used += 1
-        return classify_run(self.table.run(program, point))
+        return classify_run(self.store.run(program, self.design, point))
 
     def _point_order(self, placement: Placement) -> List[int]:
         """All point indices, lemma hints and recent killers first."""
@@ -233,7 +158,7 @@ class PlacementOracle:
     def check(self, placement: Placement) -> Optional[Counterexample]:
         """Run *placement* over every point (counterexample-guided
         order); None = passed all points."""
-        program = placement.apply(self.stripped, self.table.design)
+        program = placement.apply(self.stripped, self.design)
         order = self._point_order(placement)
         for rank, idx in enumerate(order):
             reason = self._run_one(program, self.points[idx])
@@ -276,17 +201,17 @@ def strongest_placement(sites: Tuple[FenceSite, ...],
 def synthesize(
     stripped: LitmusProgram,
     sites: Tuple[FenceSite, ...],
-    table: RunTable,
+    store: RunStore,
+    design: FenceDesign,
     points: Tuple[SchedulePoint, ...],
     max_runs: int = 4000,
     deadline: Optional[Callable[[], bool]] = None,
 ) -> SearchOutcome:
-    """Find minimal SC-safe placements of ``table.design`` over
-    *sites*."""
-    profile = synthesis_profile(table.design)
-    oracle = PlacementOracle(stripped, table, points, max_runs=max_runs,
-                             deadline=deadline)
-    outcome = SearchOutcome(design=table.design)
+    """Find minimal SC-safe placements of *design* over *sites*."""
+    profile = synthesis_profile(design)
+    oracle = PlacementOracle(stripped, store, design, points,
+                             max_runs=max_runs, deadline=deadline)
+    outcome = SearchOutcome(design=design)
     try:
         if count_legal_placements(len(sites), profile) <= EXHAUSTIVE_CAP:
             _exhaustive(oracle, sites, profile, outcome)

@@ -6,12 +6,7 @@ point).  The engine spends its budget alternating two kinds of trial:
 * **fenced trials** — every generated program runs under every design
   in the config; any oracle violation (SCV under correct fences,
   deadlock with recovery enabled, livelock, recovery leaving a non-SC
-  state) is a finding against the paper's claims.  A design whose
-  run one of the program's earlier simulations already is
-  (:func:`~repro.verify.oracles.shares_run`: a design-inert run, or a
-  WS+/SW+/W+ run that no bounce or promotion set apart) gets that run
-  relabelled with its design, so every trial still counts and reports
-  exactly as its own run would;
+  state) is a finding against the paper's claims;
 * **stripped trials** — the same program with its fences deleted runs
   under the baseline design, when it has a store→load site to race on
   (:func:`~repro.verify.generator.store_load_sites`); an SCV here is
@@ -23,18 +18,22 @@ minimizes it to a 1-minimal op list still reproducing a violation at
 the same schedule point.  Results land in a machine-readable JSON report
 (default ``benchmarks/out/verify_report.json``).
 
-Every simulator run of a campaign, the shrinker's included, goes
-through one :class:`~repro.verify.oracles.WarmStore`: a run whose
-warm-up an earlier run already took restores it instead of simulating
-it again.
+Every run of a campaign, the shrinker's included, comes out of one
+:class:`~repro.verify.oracles.RunStore`: a design whose run one of the
+program's earlier simulations already is
+(:func:`~repro.verify.oracles.shares_run`: a design-inert run, or a
+WS+/SW+/W+ run that no bounce or promotion set apart) gets that run
+relabelled with its design, so every trial still counts and reports
+exactly as its own run would, and a run whose warm-up an earlier run
+already took restores it instead of simulating it again.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.params import FenceDesign
 from repro.verify.generator import (
@@ -42,14 +41,7 @@ from repro.verify.generator import (
     generate_program,
     store_load_sites,
 )
-from repro.verify.oracles import (
-    PAPER_DESIGNS,
-    ProgramRun,
-    WarmStore,
-    check_invariants,
-    run_program,
-    shares_run,
-)
+from repro.verify.oracles import PAPER_DESIGNS, RunStore, check_invariants
 from repro.verify.perturb import SchedulePoint, schedule_points
 from repro.verify.shrink import shrink_program
 
@@ -88,12 +80,12 @@ class VerifyReport:
     scv_findings: List[Dict] = field(default_factory=list)
     #: the first finding, minimized
     shrunk: Optional[Dict] = None
-    #: simulator runs made: the trials no earlier run of their program
-    #: answered (``shares_run``), plus the shrinker's — not in
+    #: simulator runs made: the trials and shrinker questions no
+    #: earlier run of their program answered (``RunStore``) — not in
     #: ``to_dict()``
     simulated_runs: int = 0
     #: simulator runs that restored their warm-up instead of
-    #: simulating it (``WarmStore``) — not in ``to_dict()``
+    #: simulating it (``RunStore``) — not in ``to_dict()``
     warmups_restored: int = 0
 
     @property
@@ -188,7 +180,7 @@ def run_verification(config: VerifyConfig,
     }
     points = schedule_points(config.seed, NUM_POINTS)
     baseline = config.designs[0]
-    warmups = WarmStore()
+    store = RunStore()
     prog_idx = 0
     while report.runs < config.budget:
         program = generate_program(
@@ -199,18 +191,10 @@ def run_verification(config: VerifyConfig,
         prog_idx += 1
 
         # fenced trials: the paper's invariants must hold everywhere
-        simulated: List[ProgramRun] = []  # this program's own runs
         for design in config.designs:
             if report.runs >= config.budget:
                 break
-            run = next((r for r in simulated
-                        if shares_run(program, r, design)), None)
-            if run is None:
-                run = run_program(program, design, point, warmups=warmups)
-                simulated.append(run)
-                report.simulated_runs += 1
-            else:
-                run = replace(run, design=design)
+            run = store.run(program, design, point)
             report.runs += 1
             row = report.per_design[str(design)]
             row["runs"] += 1
@@ -230,26 +214,25 @@ def run_verification(config: VerifyConfig,
         # stripped trial: hunt the SCV the fences were preventing
         stripped = program.stripped()
         if report.runs < config.budget and store_load_sites(stripped.threads):
-            run = run_program(stripped, baseline, point, warmups=warmups)
+            run = store.run(stripped, baseline, point)
             report.runs += 1
-            report.simulated_runs += 1
             if run.scv_found:
                 report.scv_findings.append(_finding(run, stripped))
                 if config.shrink and report.shrunk is None:
                     report.shrunk = _shrink_finding(
-                        stripped, baseline, point, warmups)
-                    report.simulated_runs += report.shrunk["shrink_runs"]
-    report.warmups_restored = warmups.restored
+                        stripped, baseline, point, store)
+        store.retain(())
+    report.simulated_runs = store.simulated
+    report.warmups_restored = store.restored
     if out_path is not None:
         report.write_json(out_path)
     return report
 
 
 def _shrink_finding(program: LitmusProgram, design: FenceDesign,
-                    point: SchedulePoint, warmups: WarmStore) -> Dict:
+                    point: SchedulePoint, store: RunStore) -> Dict:
     def still_fails(candidate: LitmusProgram) -> bool:
-        run = run_program(candidate, design, point, warmups=warmups)
-        return run.scv_found
+        return store.run(candidate, design, point).scv_found
 
     result = shrink_program(program, still_fails, max_runs=SHRINK_BUDGET)
     small = result.program

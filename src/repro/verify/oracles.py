@@ -144,29 +144,6 @@ def _addresses(program: LitmusProgram, alloc) -> List[int]:
     return addr_map
 
 
-class WarmStore:
-    """The litmus warm-ups of one call: one ``run_verification``
-    campaign, or one ``run_synthesis`` call shared by every design's
-    run table.
-
-    Every litmus thread starts by loading each warm variable and then
-    computing ``WARMUP_COMPUTE`` instructions.  No fence runs in that
-    phase, so it goes the same way under every design.  Nor does it
-    store or bounce, so of the point's knobs only the hop latency moves
-    it (write-buffer depth, Bypass Set size and retry back-off serve
-    what it never does): a warm-up is fixed by that latency, the thread
-    count and the warm addresses, which key ``states``.  A key maps to the
-    :class:`~repro.sim.machine.WarmState` its first run took, or to
-    None where that run's boundary was not quiet; ``restored`` counts
-    the runs that started from a stored state instead of simulating
-    their warm-up.
-    """
-
-    def __init__(self):
-        self.states: Dict[tuple, Optional[WarmState]] = {}
-        self.restored = 0
-
-
 def run_program(
     program: LitmusProgram,
     design: FenceDesign,
@@ -177,7 +154,7 @@ def run_program(
     sanitize: str = "off",
     attrib=None,
     budget=None,
-    warmups: Optional[WarmStore] = None,
+    warmups: Optional[RunStore] = None,
 ) -> ProgramRun:
     """Execute *program* under *design* at *point* and classify it.
 
@@ -201,7 +178,7 @@ def run_program(
     cutoff — farm workers set one so a wedged case can never wedge
     its worker process.
 
-    *warmups* is the call's :class:`WarmStore`: the run restores its
+    *warmups* is the call's :class:`RunStore`: the run restores its
     warm-up from it, or takes the warm-up into it.  It is not used
     where any of the other options is set (the scope of
     :func:`shares_run`): the state it keeps holds no probe, and a
@@ -232,8 +209,8 @@ def run_program(
             and sanitize == "off" and attrib is None and budget is None:
         key = (point.mesh_hop_cycles, program.num_threads,
                tuple(warm_addrs))
-        if key in warmups.states:
-            warm, key = warmups.states[key], None
+        if key in warmups.warm:
+            warm, key = warmups.warm[key], None
         else:
             warmed = machine.capture_warmup()
     for body in program.threads:
@@ -265,7 +242,7 @@ def run_program(
             run.observed[(core.core_id, idx)] = value
     run.final = tuple(machine.image.peek(addr) for addr in addr_map)
     if key is not None:
-        warmups.states[key] = machine.warm_state
+        warmups.warm[key] = machine.warm_state
     machine.dispose()
     return run
 
@@ -368,6 +345,80 @@ def shares_run(program: LitmusProgram, run: ProgramRun,
         return all(flavour_for(design, role) is flavour_for(run.design, role)
                    for role in program.fence_roles)
     return flavoured(program, design) == flavoured(run.program, run.design)
+
+
+class RunStore:
+    """Every litmus run of one call — one ``run_verification`` campaign
+    or one ``run_synthesis`` — and the warm-ups they start from: the
+    only place ``repro verify`` and ``repro synth`` call
+    :func:`run_program`.
+
+    :meth:`run` answers ``(program, design, point)`` with, in order:
+
+    1. the run it already answered for that key;
+    2. the last run it simulated of the same fences (:func:`flavoured`)
+       at *point*, if :func:`shares_run` accepts it, relabelled with the
+       asker's design and program;
+    3. a new run at *point*, with the point's jitter
+       (``point.injector()``), the store's *sanitize* mode and its
+       warm-ups.
+
+    Under a sanitizer only the first applies: its checks are per
+    design, outside the scope of :func:`shares_run`.  ``simulated``
+    counts the runs of the third kind; :meth:`retain` drops the runs no
+    later asker can take.
+
+    Every litmus thread starts by loading each warm variable and then
+    computing ``WARMUP_COMPUTE`` instructions.  No fence runs in that
+    phase, so it goes the same way under every design.  Nor does it
+    store or bounce, so of the point's knobs only the hop latency moves
+    it (write-buffer depth, Bypass Set size and retry back-off serve
+    what it never does): a warm-up is fixed by that latency, the thread
+    count and the warm addresses, which key ``warm``.  A key maps to the
+    :class:`~repro.sim.machine.WarmState` its first run took, or to
+    None where that run's boundary was not quiet; ``restored`` counts
+    the runs that started from a stored state instead of simulating
+    their warm-up.
+    """
+
+    def __init__(self, sanitize: str = "off"):
+        self.sanitize = sanitize
+        #: ``(program, design, point) -> ProgramRun`` answered
+        self.runs: Dict[tuple, ProgramRun] = {}
+        #: ``(flavoured(program, design), point) -> ProgramRun`` simulated
+        self.shared: Dict[tuple, ProgramRun] = {}
+        self.warm: Dict[tuple, Optional[WarmState]] = {}
+        self.simulated = 0
+        self.restored = 0
+
+    def run(self, program: LitmusProgram, design: FenceDesign,
+            point: SchedulePoint) -> ProgramRun:
+        key = (program, design, point)
+        run = self.runs.get(key)
+        if run is not None:
+            return run
+        shared_key = (flavoured(program, design), point)
+        run = self.shared.get(shared_key)
+        if run is not None and shares_run(program, run, design):
+            run = dataclasses.replace(run, design=design, program=program)
+        else:
+            run = run_program(program, design, point,
+                              faults=point.injector(),
+                              sanitize=self.sanitize, warmups=self)
+            self.simulated += 1
+            if self.sanitize == "off":
+                self.shared[shared_key] = run
+        self.runs[key] = run
+        return run
+
+    def retain(self, designs: Tuple[FenceDesign, ...]) -> None:
+        """Keep only the runs one of *designs* (the designs yet to ask)
+        can take, so a run lives no longer than its last asker; the
+        warm-ups stay for the whole call."""
+        self.runs = {key: run for key, run in self.runs.items()
+                     if key[1] in designs}
+        self.shared = {key: run for key, run in self.shared.items()
+                       if any(shares_run(key[0], run, d) for d in designs)}
 
 
 def check_invariants(run: ProgramRun) -> List[str]:

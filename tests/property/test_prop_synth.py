@@ -8,9 +8,9 @@ would show up as a returned placement a clean judge rejects — and
 (c) form an antichain: no returned minimum may cover another, or the
 covering one was never minimal.
 
-A fourth property pins the run table (:class:`repro.synth.search.
-RunTable`): an oracle answering out of a shared, already-warm table
-gives, for any placement, the verdict of a table-less sweep that calls
+A fourth property pins the run store (:class:`repro.verify.oracles.
+RunStore`): an oracle answering out of a shared, already-warm store
+gives, for any placement, the verdict of a store-less sweep that calls
 ``run_program`` once per point.
 
 The fast half keeps the example count small for the tier-1 lane; the
@@ -24,15 +24,10 @@ from hypothesis import strategies as st
 
 from repro.fences.base import synthesis_profile
 from repro.synth import SynthConfig, run_synthesis
-from repro.synth.search import (
-    PlacementOracle,
-    RunTable,
-    classify_run,
-    synthesize,
-)
+from repro.synth.search import PlacementOracle, classify_run, synthesize
 from repro.synth.sites import Placement, extract_sites
 from repro.verify.generator import generate_program
-from repro.verify.oracles import PAPER_DESIGNS, run_program
+from repro.verify.oracles import PAPER_DESIGNS, RunStore, run_program
 from repro.verify.perturb import adversary_points
 
 import pytest
@@ -45,7 +40,7 @@ def _synthesize_random(seed: int, design):
     stripped = program.stripped()
     sites = extract_sites(program, mode="auto")
     points = tuple(adversary_points(seed, SEARCH_POINTS))
-    outcome = synthesize(stripped, sites, RunTable(design, "off", {}), points)
+    outcome = synthesize(stripped, sites, RunStore(), design, points)
     return stripped, sites, points, outcome
 
 
@@ -60,7 +55,7 @@ def test_synth_returns_oracle_accepted_placements(seed, design):
     )
     assert outcome.minima
     profile = synthesis_profile(design)
-    fresh = PlacementOracle(stripped, RunTable(design, "off", {}), points)
+    fresh = PlacementOracle(stripped, RunStore(), design, points)
     for minimum in outcome.minima:
         assert minimum.legal(profile)
         ce = fresh.check(minimum)
@@ -95,25 +90,25 @@ def test_table_backed_verdict_equals_a_table_less_sweep(seed, design, data):
                 st.tuples(*[flavour] * len(sites)), min_size=2, max_size=4)))
         if placement.legal(profile)
     ]
-    # the reference: no table, one run_program call per point
+    # the reference: no store, one run_program call per point
     expected = [
         [classify_run(run_program(placement.apply(stripped, design), design,
                                   point, faults=point.injector()))
          for point in points]
         for placement in placements
     ]
-    table = RunTable(design, "off", {})
-    # two oracles over one table, so that later questions are answered
+    store = RunStore()
+    # two oracles over one store, so that later questions are answered
     # by runs an earlier — differently ordered — sweep left behind
-    for oracle in (PlacementOracle(stripped, table, points),
-                   PlacementOracle(stripped, table, points)):
+    for oracle in (PlacementOracle(stripped, store, design, points),
+                   PlacementOracle(stripped, store, design, points)):
         for placement, reasons in zip(placements, expected):
             ce = oracle.check(placement)
             if ce is None:
                 assert reasons == [None] * len(points), placement.key()
             else:
                 assert reasons[ce.point_index] == ce.reason, placement.key()
-    assert len(table.runs) <= len(placements) * len(points)
+    assert len(store.runs) <= len(placements) * len(points)
 
 
 @pytest.mark.slow

@@ -49,9 +49,9 @@ def fake_synth(monkeypatch):
     which designs actually 'ran'."""
     ran = []
 
-    def fake(table, stripped, sites, config, deadline):
-        ran.append(table.design.value)
-        return _fake_entry(table.design), 7
+    def fake(store, design, stripped, sites, config, deadline):
+        ran.append(design.value)
+        return _fake_entry(design), 7
 
     monkeypatch.setattr(engine, "_synth_one_design", fake)
     return ran

@@ -1,12 +1,13 @@
-"""The run table: each (program, design, point) is simulated once.
+"""Synthesis runs: each (program, design, point) is simulated once.
 
 A run is a pure function of (program, design, point, sanitizer mode),
-so one design's synthesis keeps a ``(program, point) -> ProgramRun``
-table (:class:`repro.synth.search.RunTable`) shared by its search
-rounds, its audit and its cost sweep, and the tables of one
-``run_synthesis`` call share one store of the runs another design can take
-(:func:`repro.verify.oracles.shares_run`: a design-inert run, or a
-WS+/SW+/W+ run that no bounce or promotion set apart; tests/verify/
+so one ``run_synthesis`` call asks one
+:class:`repro.verify.oracles.RunStore` for every run of its search
+rounds, its audits and its cost sweeps.  The store's table
+(``RunStore.runs``) answers a question asked before, and a question no
+design asked before takes a stored run another design made when
+:func:`repro.verify.oracles.shares_run` accepts it (a design-inert run,
+or a WS+/SW+/W+ run that no bounce or promotion set apart; tests/verify/
 test_bounce_class.py).  Four things are pinned here:
 
 * inside one ``run_synthesis`` call nothing is simulated twice — a
@@ -15,21 +16,21 @@ test_bounce_class.py).  Four things are pinned here:
   first (``test_determinism`` keeps comparing two real computations);
 * the counts that sharing buys, and that a sanitizer turns it off
   (its checks are per design, outside ``shares_run``'s scope);
-* the table changes no verdict, count or report byte: sha256 of
+* the store changes no verdict, count or report byte: sha256 of
   ``report.to_json()`` for a matrix of configurations against
-  ``run_table_pinned.json``, generated at the commit before the run
-  table existed and again when the schedule points stopped drawing a
+  ``run_table_pinned.json``, generated at the commit before synthesis
+  kept its runs and again when the schedule points stopped drawing a
   seed for an unjittered point (``PYTHONPATH=src python -m
   tests.synth.test_run_table`` prints it).  Regenerate it only for an
   intended report change, and say so in the commit;
-* two tables over two stores share nothing, while one table asked
-  twice simulates once: an oracle's verdicts count every question, its
-  table only the misses; two tables over one store share the
-  design-inert and unbounced runs.
+* two stores share nothing, while one store asked twice simulates
+  once: an oracle's verdicts count every question, its store's table
+  only the misses; the designs of one store share the design-inert and
+  unbounced runs.
 
 ``REPRO_SANITIZE`` picks the sanitizer mode, as in the rest of the
 battery (the CI ``synth-smoke`` job runs this module under ``strict``):
-the table carries one mode, the sanitizer is zero-perturbation, so
+the store carries one mode, the sanitizer is zero-perturbation, so
 the digests — taken with the ``config.sanitize`` field normalised to
 ``off`` — must not move.
 """
@@ -41,12 +42,13 @@ import os
 import pytest
 
 import repro.synth.search as search
+import repro.verify.oracles as oracles
 from repro.common.errors import ConfigError
 from repro.common.params import FenceDesign
 from repro.synth import SynthConfig, cost, run_synthesis
 from repro.synth.programs import program_for_spec
 from repro.synth.sites import extract_sites
-from repro.verify.oracles import PAPER_DESIGNS, shares_run
+from repro.verify.oracles import PAPER_DESIGNS, RunStore, shares_run
 from repro.verify.perturb import adversary_points
 
 from tests.synth.util import parse_placement
@@ -89,21 +91,23 @@ class _Calls(list):
 @pytest.fixture
 def simulated(monkeypatch):
     """Every ``run_program`` call synthesis makes, as (program, design,
-    point) keys — counted at the module global the table calls
-    through, which is also where ``bench/layer_trace.py`` rebinds."""
+    point) keys — counted at the store's one call site, the module
+    global ``RunStore.run`` calls through, which is also where
+    ``bench/layer_trace.py`` rebinds."""
     calls = _Calls()
-    real = search.run_program
+    real = oracles.run_program
 
     def counting(program, design, point, **kwargs):
-        # the one call shape synthesis may use (docs/SYNTHESIS.md)
+        # the store's one call shape (docs/SYNTHESIS.md)
         assert set(kwargs) == {"faults", "sanitize", "warmups"}
         assert (kwargs["faults"] is not None) == point.jittered
         assert kwargs["sanitize"] == SANITIZE
+        assert isinstance(kwargs["warmups"], RunStore)
         calls.append((program, design, point))
         calls.made.append(real(program, design, point, **kwargs))
         return calls.made[-1]
 
-    monkeypatch.setattr(search, "run_program", counting)
+    monkeypatch.setattr(oracles, "run_program", counting)
     return calls
 
 
@@ -125,7 +129,7 @@ def test_nothing_is_simulated_twice_and_nothing_survives(program, simulated):
     assert {FenceDesign.S_PLUS, FenceDesign.WEE} <= designs
     assert (FenceDesign.SW_PLUS in designs) == (SANITIZE != "off")
     assert first.simulated_runs == len(runs)
-    # verdicts are still counted one per oracle question: the table
+    # verdicts are still counted one per oracle question: the store
     # answered some of them (plus every cost run that was a search run)
     assert first.total_runs > first.simulated_runs
     assert "simulated_runs" not in first.to_dict()
@@ -176,19 +180,21 @@ def test_starved_case_ends_exhausted():
     assert entries["W+"]["status"] == "ok"
 
 
-def _sb_table() -> search.RunTable:
-    return search.RunTable(FenceDesign.S_PLUS, SANITIZE, {})
-
-
-def _sb_oracle(table: search.RunTable) -> search.PlacementOracle:
+def _sb_oracle(store: RunStore,
+               design=FenceDesign.S_PLUS) -> search.PlacementOracle:
     stripped = program_for_spec("sb").stripped()
     return search.PlacementOracle(
-        stripped, table, tuple(adversary_points(1, 4)))
+        stripped, store, design, tuple(adversary_points(1, 4)))
+
+
+def _simulated_by(calls, design) -> int:
+    return sum(1 for _, asked, _ in calls if asked is design)
 
 
 def test_oracles_over_two_tables_share_nothing(simulated):
     placement = parse_placement("t0.i2=sf,t1.i2=sf")
-    first, second = _sb_oracle(_sb_table()), _sb_oracle(_sb_table())
+    first = _sb_oracle(RunStore(SANITIZE))
+    second = _sb_oracle(RunStore(SANITIZE))
     assert first.check(placement) is None
     assert len(simulated) == first.runs_used == 4
     assert second.check(placement) is None  # simulates all four again
@@ -199,31 +205,31 @@ def test_oracles_over_two_tables_share_nothing(simulated):
 
 
 @pytest.mark.skipif(SANITIZE != "off",
-                    reason="a sanitized table keeps every run its own")
+                    reason="a sanitized store keeps every run its own")
 def test_tables_over_one_store_share_design_inert_and_unbounced_runs(
         simulated):
-    shared = {}
+    store = RunStore(SANITIZE)
     s_plus, ws_plus, sw_plus, w_plus = (
-        _sb_oracle(search.RunTable(design, SANITIZE, shared))
+        _sb_oracle(store, design)
         for design in (FenceDesign.S_PLUS, FenceDesign.WS_PLUS,
                        FenceDesign.SW_PLUS, FenceDesign.W_PLUS))
     placement = parse_placement("t0.i2=sf,t1.i2=sf")
     assert s_plus.check(placement) is None
-    assert len(simulated) == len(shared) == 4
+    assert len(simulated) == len(store.shared) == 4
     # WS+ runs an sf as S+ does: its four runs come from the store,
     # relabelled with its own design
     assert ws_plus.check(placement) is None
     assert len(simulated) == 4
-    assert {run.design for run in ws_plus.table.runs.values()} == \
-        {FenceDesign.WS_PLUS}
-    assert ws_plus.table.simulated == 0
+    assert {run.design for (_, design, _), run in store.runs.items()
+            if design is FenceDesign.WS_PLUS} == {FenceDesign.WS_PLUS}
+    assert _simulated_by(simulated, FenceDesign.WS_PLUS) == 0
     # t0's wf sees no bounce at these points: SW+ and W+ (whose
     # placement carries a standard-role fence) take WS+'s runs
     stripped, points = ws_plus.stripped, ws_plus.points
 
     def ask(oracle, placement):
-        program = placement.apply(stripped, oracle.table.design)
-        return [oracle.table.run(program, point) for point in points]
+        program = placement.apply(stripped, oracle.design)
+        return [store.run(program, oracle.design, point) for point in points]
 
     wf = parse_placement("t0.i2=wf")
     ask(ws_plus, wf)
@@ -243,50 +249,54 @@ def test_tables_over_one_store_share_design_inert_and_unbounced_runs(
     assert all(run.stats.bounces for run in simulated.made[-4:])
     ask(w_plus, bounced)
     assert len(simulated) == 16
-    assert sw_plus.table.simulated == 0
+    assert _simulated_by(simulated, FenceDesign.SW_PLUS) == 0
 
 
 def test_a_sanitized_table_uses_no_store():
-    shared = {}
-    for _ in range(2):
-        table = search.RunTable(FenceDesign.S_PLUS, "strict", shared)
-        assert _sb_oracle(table).check(
-            parse_placement("t0.i2=sf,t1.i2=sf")) is None
-        assert table.simulated == 4
-    assert shared == {}
+    """Under a sanitizer a store answers only the question it was
+    asked before: WS+ simulates the sf runs S+ made."""
+    store = RunStore("strict")
+    placement = parse_placement("t0.i2=sf,t1.i2=sf")
+    for design in (FenceDesign.S_PLUS, FenceDesign.WS_PLUS,
+                   FenceDesign.S_PLUS):
+        assert _sb_oracle(store, design).check(placement) is None
+    assert store.simulated == 8 and store.shared == {}
+    assert len(store.runs) == 8
 
 
 def test_cost_calls_over_two_tables_share_nothing(simulated):
     program = program_for_spec("sb")
     stripped, sites = program.stripped(), extract_sites(program, "annotated")
     placement = parse_placement("t0.i2=sf")
-    table = _sb_table()
-    cycles = cost.measure_cycles(stripped, placement, table)
-    assert len(simulated) == len(table.runs) == 1
-    assert cost.measure_cycles(stripped, placement, table) == cycles
-    assert len(simulated) == 1  # the table answered
-    assert cost.measure_cycles(stripped, placement, _sb_table()) == cycles
+    store, s_plus = RunStore(SANITIZE), FenceDesign.S_PLUS
+    cycles = cost.measure_cycles(stripped, placement, store, s_plus)
+    assert len(simulated) == len(store.runs) == 1
+    assert cost.measure_cycles(stripped, placement, store, s_plus) == cycles
+    assert len(simulated) == 1  # the store answered
+    assert cost.measure_cycles(
+        stripped, placement, RunStore(SANITIZE), s_plus) == cycles
     assert len(simulated) == 2
 
     del simulated[:]
-    probes = cost.site_probes(stripped, sites, table, cycles)
+    probes = cost.site_probes(stripped, sites, store, s_plus, cycles)
     assert probes["t0.i2"]["sf"] == 0  # the placement just measured
-    # two sites x sf, one of them already in the table
+    # two sites x sf, one of them already in the store
     assert len(simulated) == 1
-    assert len(table.runs) == 2
+    assert len(store.runs) == 2
 
 
 def test_the_table_carries_the_design_and_mode(simulated):
-    """An oracle judges under its table's design and sanitizer mode
-    (the ``simulated`` fixture checks the mode): a wf placement runs
-    under W+, and S+, which has no wf, refuses it before any run."""
-    oracle = _sb_oracle(search.RunTable(FenceDesign.W_PLUS, SANITIZE, {}))
+    """An oracle judges under its own design and its store's sanitizer
+    mode (the ``simulated`` fixture checks the mode): a wf placement
+    runs under W+, and S+, which has no wf, refuses it before any
+    run."""
+    oracle = _sb_oracle(RunStore(SANITIZE), FenceDesign.W_PLUS)
     oracle.check(parse_placement("t0.i2=wf,t1.i2=wf"))
     assert simulated
     assert {design for _, design, _ in simulated} == {FenceDesign.W_PLUS}
     runs = len(simulated)
     with pytest.raises(ConfigError, match="cannot express flavour wf"):
-        _sb_oracle(_sb_table()).check(parse_placement("t0.i2=wf"))
+        _sb_oracle(RunStore(SANITIZE)).check(parse_placement("t0.i2=wf"))
     assert len(simulated) == runs
 
 

@@ -2,7 +2,7 @@
 
 The seed reaches a machine only as ``ThreadContext.rng``, and a litmus
 thread never draws from it, so the schedule generators give an
-unjittered point no seed of its own, and ``WarmStore`` keys a warm-up
+unjittered point no seed of its own, and ``RunStore`` keys a warm-up
 without one.  The premise is pinned here three ways:
 
 * with ``ThreadContext.rng`` made to raise, every named program and a
@@ -46,7 +46,7 @@ def _fields(run: ProgramRun) -> dict:
 
 
 def _run(program, design, point, sanitize=SANITIZE) -> ProgramRun:
-    # the call synthesis makes (docs/SYNTHESIS.md, "Run table")
+    # the call the run store makes (docs/VERIFY.md, "The run store")
     return run_program(program, design, point, faults=point.injector(),
                        sanitize=sanitize)
 

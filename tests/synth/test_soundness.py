@@ -18,9 +18,9 @@ import pytest
 
 from repro.common.params import FenceDesign
 from repro.synth.programs import program_for_spec
-from repro.synth.search import PlacementOracle, RunTable
+from repro.synth.search import PlacementOracle
 from repro.synth.sites import Placement
-from repro.verify.oracles import PAPER_DESIGNS
+from repro.verify.oracles import PAPER_DESIGNS, RunStore
 from repro.verify.perturb import adversary_points
 
 from tests.synth.util import parse_placement, synth_report
@@ -35,7 +35,7 @@ DESIGN_IDS = [d.name for d in PAPER_DESIGNS]
 def _double_budget_oracle(design: FenceDesign) -> PlacementOracle:
     stripped = program_for_spec("sb").stripped()
     points = adversary_points(SEED, SEARCH_POINTS * AUDIT_FACTOR)
-    return PlacementOracle(stripped, RunTable(design, "off", {}), points)
+    return PlacementOracle(stripped, RunStore(), design, points)
 
 
 def _entry(design: FenceDesign) -> dict:

@@ -6,7 +6,7 @@ EXPERIMENTS.md, docs/*.md, the package sources and the CI workflow:
 * a section citation, ``NAME.md, "Section"`` (the comma and backticks
   around the file name optional, the quoted name free to wrap across
   lines or comment lines): the file must exist and have a heading, or a
-  bold run-in head such as ``**Run table.**``, that is the section name
+  bold run-in head such as ``**Run store.**``, that is the section name
   or starts with it (``"Memory"`` names ``## Memory: a finished …``);
 * a relative Markdown link, ``](NAME.md#anchor)``: the file must exist
   and, if an anchor is given, have a heading whose GitHub slug it is.

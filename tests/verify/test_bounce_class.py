@@ -5,9 +5,9 @@ remote writes, and differ only in how they resolve a bounce (§3.3):
 WS+ promotes the bounced pre-wf write to an Order, SW+ to a
 Conditional Order, W+ arms a timeout and rolls back.
 ``repro.verify.oracles.shares_run`` turns that into a rule on the
-finished run, and ``run_verification`` and the synthesis run store
-relabel a run the rule accepts instead of simulating it again, so the
-rule must be exact.  Here, over named programs with every role variant
+finished run, and the run store of ``repro verify`` and ``repro
+synth`` (``RunStore``) relabels a run the rule accepts instead of
+simulating it again, so the rule must be exact.  Here, over named programs with every role variant
 and generated ones, at plain and jitter-armed points:
 
 * every WS+/SW+ pair the rule accepts (either run for the other
@@ -24,7 +24,6 @@ from functools import lru_cache
 
 import pytest
 
-import repro.synth.engine as synth_engine
 from repro.common.params import FenceDesign, FenceRole
 from repro.fences.base import FencePolicy, policy_class
 from repro.fences.ws_plus import WSPlusPolicy
@@ -34,6 +33,7 @@ from repro.verify.generator import generate_program
 from repro.verify.oracles import (
     BOUNCE_CLASS,
     PAPER_DESIGNS,
+    RunStore,
     flavoured,
     run_program,
     shares_run,
@@ -148,13 +148,13 @@ def test_the_rule_reads_flavours_not_roles():
 
 def test_a_sanitized_synthesis_stores_nothing(monkeypatch):
     stores = []
-    real = synth_engine.prune_store
+    real = RunStore.retain
 
-    def spying(shared, readers):
-        stores.append(dict(shared))
-        return real(shared, readers)
+    def spying(store, readers):
+        stores.append(dict(store.shared))
+        return real(store, readers)
 
-    monkeypatch.setattr(synth_engine, "prune_store", spying)
+    monkeypatch.setattr(RunStore, "retain", spying)
     run_synthesis(SynthConfig(program="sb", designs=PAPER_DESIGNS, seed=1,
                               num_points=4, sanitize="strict"))
     assert len(stores) == len(PAPER_DESIGNS)

@@ -62,15 +62,16 @@ def test_verify_cli_prints_the_simulator_runs_it_made(monkeypatch, capsys):
     """The summary's ``simulator runs`` counts every ``run_program``
     call, the shrinker's included, and stays out of the JSON report."""
     import repro.verify.engine as engine
+    import repro.verify.oracles as oracles
 
     calls = []
-    real = engine.run_program
+    real = oracles.run_program
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "run_program", counting)
+    monkeypatch.setattr(oracles, "run_program", counting)
     assert main(["verify", "--budget", "60", "--seed", "1",
                  "--out", "-"]) == 0
     text = capsys.readouterr().out

@@ -17,6 +17,7 @@ from collections import Counter
 import pytest
 
 import repro.verify.engine as engine
+import repro.verify.oracles as oracles
 from repro.common.params import FenceDesign, FenceRole
 from repro.fences.base import FencePolicy, policy_class
 from repro.synth.programs import NAMED_PROGRAMS, program_for_spec, sb
@@ -108,13 +109,15 @@ def test_a_critical_fence_under_ws_plus_is_not_inert():
 def test_verify_simulates_fewer_runs_than_it_reports(monkeypatch):
     """A fenced campaign answers some trials with a relabelled run: it
     makes fewer ``run_program`` calls than trials (counted at the
-    module global verify calls, which the layer trace of ``bench/``
-    also wraps), and every relabelled trial carries its own design."""
+    module global the run store calls, which the layer trace of
+    ``bench/`` also wraps), and every relabelled trial carries its own
+    design."""
     calls, judged = [], []
 
     def counting(program, design, point, **kwargs):
-        # verify's one call shape: the campaign's warm-up store
-        assert set(kwargs) == {"warmups"}
+        # the store's one call shape: no jitter at verify's points
+        assert kwargs == {"faults": None, "sanitize": "off",
+                          "warmups": kwargs["warmups"]}
         calls.append((program, design, point))
         return run_program(program, design, point, **kwargs)
 
@@ -122,7 +125,7 @@ def test_verify_simulates_fewer_runs_than_it_reports(monkeypatch):
         judged.append(str(run.design))
         return check_invariants(run)
 
-    monkeypatch.setattr(engine, "run_program", counting)
+    monkeypatch.setattr(oracles, "run_program", counting)
     monkeypatch.setattr(engine, "check_invariants", judging)
     report = run_verification(VerifyConfig(budget=60, shrink=False, seed=1),
                               out_path=None)

@@ -114,16 +114,17 @@ def test_ddmin_passing_direction_synth_style():
     set down to the sites that actually guard the SB race."""
     from repro.common.params import FenceDesign
     from repro.synth.programs import program_for_spec
-    from repro.synth.search import PlacementOracle, RunTable
+    from repro.synth.search import PlacementOracle
     from repro.synth.sites import FenceSite, Placement
     from repro.common.params import FenceFlavour
+    from repro.verify.oracles import RunStore
     from repro.verify.perturb import adversary_points
 
     stripped = program_for_spec("sb").stripped()
     racy = (FenceSite(0, 2), FenceSite(1, 2))
     useless = (FenceSite(0, 3), FenceSite(1, 3))  # after the loads
     oracle = PlacementOracle(
-        stripped, RunTable(FenceDesign.S_PLUS, "off", {}),
+        stripped, RunStore(), FenceDesign.S_PLUS,
         tuple(adversary_points(1, 6)))
 
     def still_passes(subset):

@@ -3,7 +3,7 @@
 Every litmus thread starts by loading each warm variable and computing
 ``WARMUP_COMPUTE`` instructions; no fence runs there, so the phase is
 the same under every design.  ``run_program`` takes the quiet machine
-at the end of it into the call's ``WarmStore`` and later runs with the
+at the end of it into the call's ``RunStore`` and later runs with the
 same warm-up restore it (``Machine.capture_warmup`` /
 ``restore_warmup``) instead of simulating it again.  Here:
 
@@ -25,7 +25,7 @@ from repro.synth import SynthConfig, run_synthesis
 from repro.synth.programs import NAMED_PROGRAMS, program_for_spec, sb
 from repro.verify.engine import VerifyConfig, run_verification
 from repro.verify.generator import LitmusProgram, generate_program
-from repro.verify.oracles import WarmStore, run_program
+from repro.verify.oracles import RunStore, run_program
 from repro.verify.perturb import (
     SchedulePoint,
     adversary_points,
@@ -98,7 +98,7 @@ def test_a_restored_warmup_runs_as_the_simulated_one(monkeypatch):
     monkeypatch.setattr(Machine, "_take_warmup", spy_take)
     monkeypatch.setattr(Machine, "restore_warmup", spy_restore)
     monkeypatch.setattr(Machine, "dispose", spy_dispose)
-    store = WarmStore()
+    store = RunStore()
     runs = 0
     for program in PROGRAMS:
         for point in POINTS:
@@ -115,8 +115,8 @@ def test_a_restored_warmup_runs_as_the_simulated_one(monkeypatch):
                     assert events == full_events
                 runs += 1
     # one capture per warm-up, every other run restored
-    assert None not in store.states.values()
-    assert store.restored == runs - len(store.states) == len(started) > 0
+    assert None not in store.warm.values()
+    assert store.restored == runs - len(store.warm) == len(started) > 0
     for state, standing in started:
         assert standing == taken[id(state)][0]
 
@@ -131,12 +131,12 @@ def test_a_boundary_that_is_not_quiet_is_simulated_in_full():
                  (ops.Store(1, 1), ops.Load(0))),
         warm_vars=tuple(range(24)))
     point = SchedulePoint()
-    store = WarmStore()
+    store = RunStore()
     for design in FenceDesign:
         full = run_program(program, design, point)
         assert _fields(run_program(program, design, point,
                                    warmups=store)) == _fields(full)
-    assert list(store.states.values()) == [None]
+    assert list(store.warm.values()) == [None]
     assert store.restored == 0
 
 
@@ -193,10 +193,10 @@ def test_a_campaign_takes_each_warmup_once_and_restores_the_rest(
         monkeypatch):
     stores, taken = [], []
 
-    class Store(WarmStore):
+    class Store(RunStore):
         def __init__(self):
             super().__init__()
-            self.states = _Once()
+            self.warm = _Once()
             stores.append(self)
 
     capture = Machine.capture_warmup
@@ -205,12 +205,12 @@ def test_a_campaign_takes_each_warmup_once_and_restores_the_rest(
         taken.append(machine)
         return capture(machine)
 
-    monkeypatch.setattr(engine, "WarmStore", Store)
+    monkeypatch.setattr(engine, "RunStore", Store)
     monkeypatch.setattr(Machine, "capture_warmup", counting)
     report = run_verification(VerifyConfig(budget=250, seed=1),
                               out_path=None)
     store, = stores
-    assert len(taken) == len(store.states)
+    assert len(taken) == len(store.warm)
     assert report.warmups_restored == store.restored > 0
     assert report.simulated_runs > store.restored
     assert "warmups_restored" not in report.to_dict()
@@ -218,14 +218,14 @@ def test_a_campaign_takes_each_warmup_once_and_restores_the_rest(
 
 
 def test_nothing_is_restored_under_a_sanitizer_or_an_injector():
-    store = WarmStore()
+    store = RunStore()
     jittered = next(p for p in adversary_points(1, 6) if p.jittered)
     for design in (FenceDesign.S_PLUS, FenceDesign.W_PLUS):
         run_program(sb(), design, jittered, faults=jittered.injector(),
                     warmups=store)
         run_program(sb(), design, SchedulePoint(), sanitize="strict",
                     warmups=store)
-    assert store.states == {} and store.restored == 0
+    assert store.warm == {} and store.restored == 0
     # the same synthesis restores warm-ups unsanitized, none sanitized
     restored = {}
     for sanitize in ("off", "strict"):
